@@ -2,21 +2,17 @@
 //! MPMD path (ISSUE acceptance gate).
 //!
 //! Runs a 4-stage tanh MLP at `[256,1024]x[1024,1024]` scale under a
-//! GPipe schedule twice:
+//! GPipe schedule on the default backend: blocked/parallel kernels,
+//! zero-copy `Arc` tensors, and the buffer-reuse interpreter
+//! (`RAXPP_THREADS=4`).
 //!
-//! * **optimized** — the default backend: blocked/parallel kernels,
-//!   zero-copy `Arc` tensors, and the buffer-reuse interpreter
-//!   (`RAXPP_THREADS=4`);
-//! * **reference** — the seed-equivalent baseline
-//!   (`set_reference_mode(true)`): naive kernels, deep-copied
-//!   operands/results, single-threaded.
-//!
-//! Both paths start from the same initial parameters and consume the
-//! same data, so per-step losses must match **bitwise** — asserted
-//! here, which makes the benchmark double as an integration check of
-//! the bit-compatibility contract. Tensor-parallel variants (tp=2
-//! shard-lane and serial-ring modes, plus tp=4) replay the identical
-//! data stream under the same bitwise gate; the data-parallel variant
+//! Every variant starts from the same initial parameters and consumes
+//! the same data stream, so per-step losses can be compared
+//! **bitwise** — asserted here, which makes the benchmark double as an
+//! integration check of the bit-compatibility contract. The
+//! tensor-parallel variants (tp=2 and tp=4, collectives on the
+//! in-process rendezvous) must reproduce the tp=1 losses bit for bit;
+//! the data-parallel variant
 //! (dp=2, each replica training a disjoint half of the same global
 //! batch with gradient-sum all-reduces) is gated on step-0 bitwise
 //! parity plus bounded later-step drift — tier 2 of
@@ -25,9 +21,10 @@
 //! Writes `BENCH_step.json` at the workspace root with median/p95 step
 //! wall time, per-step RPC count, peak resident store bytes, allocator
 //! stats, the measured speedups, and the tensor-parallel
-//! wire/wait/overlap accounting — plus `BENCH_trace.json`, the
-//! chrome-trace export of one traced step (see `docs/observability.md`),
-//! after asserting that tracing is zero-cost while disabled.
+//! wire/wait/overlap accounting — plus, next to it, `BENCH_trace.json`,
+//! the chrome-trace export of one traced step (see
+//! `docs/observability.md`), after asserting that tracing is zero-cost
+//! while disabled.
 //!
 //! Knobs:
 //!
@@ -35,22 +32,20 @@
 //!   3 in quick mode);
 //! * `RAXPP_BENCH_WARMUP` — untimed warmup steps per variant, excluded
 //!   from every median/p95 (default 2; 1 in quick mode);
-//! * `RAXPP_BENCH_REF_STEPS` — timed reference steps (default 2 — each
-//!   reference step is tens of seconds);
-//! * `RAXPP_BENCH_QUICK` — any value but `0`: skip the reference and
-//!   tracing sections and run only tp=1, the tp=2 lane mode, and the
-//!   dp=2 replica pair, for the `scripts/verify.sh` regression gate
-//!   (~seconds, not minutes);
+//! * `RAXPP_BENCH_QUICK` — any value but `0`: skip the tracing section
+//!   and tp=4 and run only tp=1, tp=2, and the dp=2 replica pair, for
+//!   the `scripts/verify.sh` regression gate (~seconds, not minutes);
 //! * `RAXPP_BENCH_OUT` — override the JSON output path (quick mode
 //!   should point this at a scratch file so the committed
-//!   `BENCH_step.json` keeps its full-run numbers).
+//!   `BENCH_step.json` keeps its full-run numbers); the trace export
+//!   lands in the same directory.
 
 use std::time::{Duration, Instant};
 
 use raxpp_bench::{median, percentile, rule, workspace_root, write_json, Json};
 use raxpp_core::{compile_train_step, CompileOptions, DpConfig, Optimizer, TpConfig, Trainer};
 use raxpp_ir::rng::{SeedableRng, StdRng};
-use raxpp_ir::{set_num_threads, set_reference_mode, EvalStats, Tensor};
+use raxpp_ir::{set_num_threads, EvalStats, Tensor};
 use raxpp_models::{mlp_chain, BuiltModel};
 use raxpp_sched::gpipe;
 
@@ -69,31 +64,11 @@ fn env_steps(var: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn build_trainer(model: &BuiltModel) -> Trainer {
-    build_trainer_tp(model, 1)
-}
-
-fn build_trainer_tp(model: &BuiltModel, tp: usize) -> Trainer {
-    let schedule = gpipe(STAGES, N_MB).unwrap();
-    let trainer = compile_train_step(
-        &model.jaxpr,
-        model.n_params,
-        &schedule,
-        Optimizer::Sgd { lr: 1e-3 },
-        CompileOptions {
-            tp: Some(TpConfig::model_parallel(tp)),
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap();
-    trainer.init(&model.init).unwrap();
-    trainer
-}
-
-fn build_trainer_dp(model: &BuiltModel, dp: usize) -> Trainer {
-    // The schedule describes one replica: the dp trainer consumes the
-    // same N_MB-microbatch global batch as dp=1, each replica executing
-    // its disjoint N_MB/dp slice — a true throughput split.
+/// A trainer for the bench model at the given tensor- and data-parallel
+/// degrees. The schedule describes one replica: a dp trainer consumes
+/// the same N_MB-microbatch global batch as dp=1, each replica executing
+/// its disjoint N_MB/dp slice — a true throughput split.
+fn build_trainer(model: &BuiltModel, tp: usize, dp: usize) -> Trainer {
     let schedule = gpipe(STAGES, N_MB / dp).unwrap();
     let trainer = compile_train_step(
         &model.jaxpr,
@@ -101,7 +76,8 @@ fn build_trainer_dp(model: &BuiltModel, dp: usize) -> Trainer {
         &schedule,
         Optimizer::Sgd { lr: 1e-3 },
         CompileOptions {
-            dp: Some(DpConfig::replicas(dp)),
+            tp: (tp > 1).then(|| TpConfig::model_parallel(tp)),
+            dp: (dp > 1).then(|| DpConfig::replicas(dp)),
             ..CompileOptions::default()
         },
     )
@@ -176,9 +152,9 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// One tensor-parallel variant: a fresh trainer at `degree` with the
-/// given collective mode, warmed and timed over the shared data stream,
-/// with every step's losses asserted bitwise-equal to the tp=1 run.
+/// One tensor-parallel variant: a fresh trainer at `degree`, warmed and
+/// timed over the shared data stream, with every step's losses asserted
+/// bitwise-equal to the tp=1 run.
 struct TpVariant {
     timed: Measured,
     collectives: u64,
@@ -187,19 +163,16 @@ struct TpVariant {
     bytes_wire: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_tp_variant(
     model: &BuiltModel,
     data: &[Vec<Vec<Tensor>>],
     warmup: usize,
     degree: usize,
-    lanes: bool,
     warm_losses: &[Vec<f32>],
     fast_losses: &[Vec<f32>],
-    tag: &str,
 ) -> TpVariant {
-    let trainer = build_trainer_tp(model, degree);
-    trainer.set_tp_lanes(lanes);
+    let tag = format!("tp={degree}");
+    let trainer = build_trainer(model, degree, 1);
     let warm = run(&trainer, &data[..warmup]);
     let timed = run(&trainer, &data[warmup..]);
     for (i, (got, want)) in warm
@@ -226,10 +199,9 @@ fn run_tp_variant(
     }
 }
 
-fn tp_json(degree: usize, lanes: bool, v: &TpVariant) -> Json {
+fn tp_json(degree: usize, v: &TpVariant) -> Json {
     Json::obj(vec![
         ("degree", Json::Num(degree as f64)),
-        ("lanes", Json::Bool(lanes)),
         ("median_step_s", Json::Num(secs(median(&v.timed.walls)))),
         (
             "p95_step_s",
@@ -268,7 +240,7 @@ fn run_dp_variant(
     fast_losses: &[Vec<f32>],
     tag: &str,
 ) -> DpVariant {
-    let trainer = build_trainer_dp(model, replicas);
+    let trainer = build_trainer(model, 1, replicas);
     let warm = run(&trainer, &data[..warmup]);
     let timed = run(&trainer, &data[warmup..]);
     for (i, (got, want)) in warm
@@ -344,7 +316,6 @@ fn dp_json(replicas: usize, v: &DpVariant) -> Json {
 fn main() {
     let quick = matches!(std::env::var("RAXPP_BENCH_QUICK").as_deref(), Ok(v) if v != "0");
     let steps = env_steps("RAXPP_BENCH_STEPS", if quick { 3 } else { 9 });
-    let ref_steps = env_steps("RAXPP_BENCH_REF_STEPS", 2);
     let warmup = env_steps("RAXPP_BENCH_WARMUP", if quick { 1 } else { 2 });
     let available_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -363,14 +334,18 @@ fn main() {
     );
     rule(72);
 
-    // Optimized path: blocked kernels + zero-copy interpreter.
-    set_reference_mode(false);
+    let out_path = match std::env::var("RAXPP_BENCH_OUT") {
+        Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
+        _ => workspace_root().join("BENCH_step.json"),
+    };
+
+    // tp=1: blocked kernels + zero-copy interpreter.
     set_num_threads(THREADS);
-    let trainer = build_trainer(&model);
+    let trainer = build_trainer(&model, 1, 1);
     let warm = run(&trainer, &data[..warmup]); // warmup steps (untimed below)
     let fast = run(&trainer, &data[warmup..]);
     println!(
-        "optimized ({THREADS} threads): median {:>8.2?}  p95 {:>8.2?}  ({steps} steps)",
+        "tp=1 ({THREADS} kernel threads): median {:>8.2?}  p95 {:>8.2?}  ({steps} steps)",
         median(&fast.walls),
         percentile(&fast.walls, 95.0),
     );
@@ -386,60 +361,16 @@ fn main() {
         println!("    {k:<15} {:>9.1?} total  ({c} instrs)", d);
     }
 
-    // Reference path (skipped in quick mode): seed-equivalent deep-copy
-    // interpreter, naive kernels, single thread. Fresh trainer from the
-    // same init params.
-    let mut reference_json = None;
-    let mut speedup = None;
-    if !quick {
-        set_reference_mode(true);
-        set_num_threads(1);
-        let ref_trainer = build_trainer(&model);
-        let reference = run(&ref_trainer, &data[..warmup + ref_steps]);
-        set_reference_mode(false);
-        set_num_threads(THREADS);
-        // Skip the shared warmup steps when timing the baseline.
-        let ref_walls = &reference.walls[warmup..];
-        println!(
-            "reference (1 thread):        median {:>8.2?}  p95 {:>8.2?}  ({ref_steps} steps)",
-            median(ref_walls),
-            percentile(ref_walls, 95.0),
-        );
-
-        // Bit-compatibility gate: identical params + data => identical
-        // losses, down to the last bit, on every overlapping step.
-        let fast_losses: Vec<&Vec<f32>> = warm.losses.iter().chain(fast.losses.iter()).collect();
-        for (i, want) in reference.losses.iter().enumerate() {
-            assert_eq!(
-                fast_losses[i], want,
-                "step {i}: optimized losses diverge bitwise from reference"
-            );
-        }
-        println!(
-            "bitwise loss parity: OK over {} shared steps",
-            reference.losses.len()
-        );
-
-        let s = secs(median(ref_walls)) / secs(median(&fast.walls));
-        rule(72);
-        println!("speedup (median step wall): {s:.2}x  (acceptance: >= 3x)");
-        speedup = Some(s);
-        reference_json = Some(Json::obj(vec![
-            ("steps", Json::Num(ref_steps as f64)),
-            ("median_step_s", Json::Num(secs(median(ref_walls)))),
-            ("p95_step_s", Json::Num(secs(percentile(ref_walls, 95.0)))),
-            ("rpcs_per_step", Json::Num(reference.rpcs as f64)),
-            ("peak_store_bytes", Json::Num(reference.peak_bytes as f64)),
-        ]));
-    }
-
-    // Tracing overhead gate (skipped in quick mode): interleave
-    // untraced and traced steps over the same data so machine drift
-    // hits both populations alike. The instrumentation must be
+    // Tracing overhead gate (skipped in quick mode): pairs of one
+    // untraced and one traced step over the same data, the order
+    // alternating from pair to pair so neither population always runs
+    // on the caches the other just warmed. The instrumentation must be
     // zero-cost when disabled — a traced step does strictly more work
-    // (timestamps, span formatting, ring pushes), so an untraced step
-    // may cost at most traced + 1% noise. The last traced step's spans
-    // are exported next to BENCH_step.json for Perfetto.
+    // (timestamps, span formatting, ring pushes) — so the untraced
+    // median may exceed the traced one only by noise, and the noise
+    // allowed is what the untraced population itself shows: its
+    // inter-quartile spread. The last traced step's spans are exported
+    // next to the JSON for Perfetto.
     let mut tracing_json = None;
     if !quick {
         let pairs = steps;
@@ -448,33 +379,39 @@ fn main() {
         let mut last_trace = None;
         for i in 0..pairs {
             let d = &data[warmup + (i % steps)];
-            trainer.runtime().set_tracing(false);
-            let t0 = Instant::now();
-            trainer.step(d).unwrap();
-            off_walls.push(t0.elapsed());
-            trainer.runtime().set_tracing(true);
-            let t0 = Instant::now();
-            trainer.step(d).unwrap();
-            on_walls.push(t0.elapsed());
-            last_trace = trainer.runtime().take_step_trace();
+            let traced_first = i % 2 == 1;
+            for traced in [traced_first, !traced_first] {
+                trainer.runtime().set_tracing(traced);
+                let t0 = Instant::now();
+                trainer.step(d).unwrap();
+                if traced {
+                    on_walls.push(t0.elapsed());
+                    last_trace = trainer.runtime().take_step_trace();
+                } else {
+                    off_walls.push(t0.elapsed());
+                }
+            }
         }
         trainer.runtime().set_tracing(false);
         let (m_off, m_on) = (median(&off_walls), median(&on_walls));
+        let off_iqr = percentile(&off_walls, 75.0) - percentile(&off_walls, 25.0);
         let traced_overhead = secs(m_on) / secs(m_off) - 1.0;
         println!(
-            "tracing: untraced median {:>8.2?}  traced median {:>8.2?}  \
-             (traced overhead {:+.1}%, {pairs} interleaved pairs)",
+            "tracing: untraced median {:>8.2?} (iqr {:.2?})  traced median {:>8.2?}  \
+             (traced overhead {:+.1}%, {pairs} alternated pairs)",
             m_off,
+            off_iqr,
             m_on,
             traced_overhead * 100.0,
         );
         assert!(
-            secs(m_off) <= 1.01 * secs(m_on),
-            "tracing-disabled step ({m_off:?}) costs more than 1% over a traced \
-             step ({m_on:?}): the disabled path is not zero-cost"
+            m_off <= m_on + off_iqr,
+            "tracing-disabled step ({m_off:?}) costs more than a traced step ({m_on:?}) \
+             by more than the untraced runs' own spread ({off_iqr:?}): the disabled path \
+             is not zero-cost"
         );
         let trace = last_trace.expect("traced step recorded no trace");
-        let trace_path = workspace_root().join("BENCH_trace.json");
+        let trace_path = out_path.with_file_name("BENCH_trace.json");
         std::fs::write(&trace_path, trace.chrome_trace_json()).unwrap();
         println!(
             "wrote {} ({} spans; load in Perfetto)",
@@ -483,6 +420,7 @@ fn main() {
         );
         tracing_json = Some(Json::obj(vec![
             ("untraced_median_step_s", Json::Num(secs(m_off))),
+            ("untraced_iqr_s", Json::Num(secs(off_iqr))),
             ("traced_median_step_s", Json::Num(secs(m_on))),
             ("traced_overhead", Json::Num(traced_overhead)),
             ("spans", Json::Num(trace.span_count() as f64)),
@@ -491,25 +429,15 @@ fn main() {
 
     // Tensor-parallel variants: the same model and data under PP×TP.
     // Bitwise loss parity with the tp=1 trainer is the determinism
-    // contract's acceptance gate; the wall-time ratios are recorded as
-    // `tp_speedup` (lane mode vs tp=1) and `tp_lanes_speedup` (lane
-    // mode vs the serial ring on the same tp=2 program). On a
-    // single-core box the lanes time-slice one CPU, so `tp_speedup`
-    // measures coordination overhead, not parallel compute — read it
-    // next to `available_cores`.
-    let tp2 = run_tp_variant(
-        &model,
-        &data,
-        warmup,
-        2,
-        true,
-        &warm.losses,
-        &fast.losses,
-        "tp=2 (lanes)",
-    );
+    // contract's acceptance gate; the wall-time ratio is recorded as
+    // `tp_speedup` (tp=2 vs tp=1). With fewer cores than shard actors
+    // the lanes time-slice the CPUs, so `tp_speedup` measures
+    // coordination overhead, not parallel compute — read it next to
+    // `available_cores`.
+    let tp2 = run_tp_variant(&model, &data, warmup, 2, &warm.losses, &fast.losses);
     let tp_speedup = secs(median(&fast.walls)) / secs(median(&tp2.timed.walls));
     println!(
-        "tp=2 lanes (8 shard actors): median {:>8.2?}  p95 {:>8.2?}  \
+        "tp=2 (8 shard actors):       median {:>8.2?}  p95 {:>8.2?}  \
          (bitwise parity OK, {} collectives, tp_speedup {tp_speedup:.2}x)",
         median(&tp2.timed.walls),
         percentile(&tp2.timed.walls, 95.0),
@@ -547,52 +475,19 @@ fn main() {
         dp2.wait_us as f64 / 1000.0,
     );
 
-    let mut tp2_serial_json = None;
     let mut tp4_json = None;
-    let mut lanes_speedup = None;
     if !quick {
-        // Serial-ring fallback on the identical tp=2 program: the
-        // before/after of the shard-lane rendezvous.
-        let tp2s = run_tp_variant(
-            &model,
-            &data,
-            warmup,
-            2,
-            false,
-            &warm.losses,
-            &fast.losses,
-            "tp=2 (serial ring)",
-        );
-        let ls = secs(median(&tp2s.timed.walls)) / secs(median(&tp2.timed.walls));
-        println!(
-            "tp=2 serial ring:            median {:>8.2?}  p95 {:>8.2?}  \
-             (bitwise parity OK, lanes are {ls:.2}x vs serial)",
-            median(&tp2s.timed.walls),
-            percentile(&tp2s.timed.walls, 95.0),
-        );
-        lanes_speedup = Some(ls);
-        tp2_serial_json = Some(tp_json(2, false, &tp2s));
-
         // tp=4: 16 shard actors, deeper sharding of the same model.
-        let tp4 = run_tp_variant(
-            &model,
-            &data,
-            warmup,
-            4,
-            true,
-            &warm.losses,
-            &fast.losses,
-            "tp=4 (lanes)",
-        );
+        let tp4 = run_tp_variant(&model, &data, warmup, 4, &warm.losses, &fast.losses);
         println!(
-            "tp=4 lanes (16 shard actors): median {:>8.2?}  p95 {:>8.2?}  \
+            "tp=4 (16 shard actors):      median {:>8.2?}  p95 {:>8.2?}  \
              (bitwise parity OK, {} collectives, overlap_ratio {:.2})",
             median(&tp4.timed.walls),
             percentile(&tp4.timed.walls, 95.0),
             tp4.collectives,
             tp4.overlap_ratio,
         );
-        tp4_json = Some(tp_json(4, true, &tp4));
+        tp4_json = Some(tp_json(4, &tp4));
     }
 
     let mut fields = vec![
@@ -621,33 +516,16 @@ fn main() {
             ]),
         ),
     ];
-    if let Some(r) = reference_json {
-        fields.push(("reference", r));
-    }
-    if let Some(s) = speedup {
-        fields.push(("speedup_median", Json::Num(s)));
-    }
-    fields.push(("tensor_parallel", tp_json(2, true, &tp2)));
-    if let Some(t) = tp2_serial_json {
-        fields.push(("tensor_parallel_serial", t));
-    }
+    fields.push(("tensor_parallel", tp_json(2, &tp2)));
     if let Some(t) = tp4_json {
         fields.push(("tensor_parallel_tp4", t));
     }
     fields.push(("tp_speedup", Json::Num(tp_speedup)));
-    if let Some(ls) = lanes_speedup {
-        fields.push(("tp_lanes_speedup", Json::Num(ls)));
-    }
     fields.push(("data_parallel", dp_json(2, &dp2)));
     fields.push(("dp_speedup", Json::Num(dp_speedup)));
     if let Some(t) = tracing_json {
         fields.push(("tracing", t));
     }
-    let json = Json::obj(fields);
-    let path = match std::env::var("RAXPP_BENCH_OUT") {
-        Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
-        _ => workspace_root().join("BENCH_step.json"),
-    };
-    write_json(&path, &json);
-    println!("wrote {}", path.display());
+    write_json(&out_path, &Json::obj(fields));
+    println!("wrote {}", out_path.display());
 }

@@ -145,9 +145,6 @@ pub fn compile_forward_step(
 
     let kind = opts.transport.unwrap_or_else(TransportKind::from_env);
     let runtime = Runtime::with_transport(program, kind);
-    if let Some(lanes) = opts.tp.as_ref().and_then(|cfg| cfg.lanes) {
-        runtime.set_tp_lanes(lanes > 1);
-    }
     Ok(ForwardStep {
         runtime,
         n_params,

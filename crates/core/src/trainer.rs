@@ -78,7 +78,7 @@ impl From<IrError> for CoreError {
 /// With `degree() > 1` the compiled program is rewritten by
 /// [`raxpp_taskgraph::shard_program`]: every pipeline actor `a` expands
 /// into the rank block `a*t .. a*t+t-1`, matmul-bearing stage jaxprs are
-/// partitioned over the last weight dimension, and real ring collectives
+/// partitioned over the last weight dimension, and real collectives
 /// (`AllGather` / `AllReduce`) reassemble full values at stage
 /// boundaries. The decomposition is **bitwise-deterministic**: a `tp = t`
 /// run computes losses, gradients, parameters, and checkpoints that are
@@ -93,13 +93,6 @@ pub struct TpConfig {
     pub rules: AxisRules,
     /// Name of the mesh axis weights are sharded over.
     pub axis: String,
-    /// Shard-lane concurrency override. `None` (the default) defers to
-    /// the runtime's `RAXPP_TP_LANES` environment default (lanes on);
-    /// `Some(0)` or `Some(1)` forces the serial ring fallback;
-    /// `Some(n)` with `n >= 2` forces lane mode. Both modes are
-    /// bitwise-identical; this is a performance/debugging switch, also
-    /// flippable per step via [`Trainer::set_tp_lanes`].
-    pub lanes: Option<usize>,
 }
 
 impl TpConfig {
@@ -115,7 +108,6 @@ impl TpConfig {
             mesh: Mesh::new(&[("model", degree)]).expect("1-D mesh is always valid"),
             rules: AxisRules::new(&[("hidden", "model")]),
             axis: "model".to_string(),
-            lanes: None,
         }
     }
 
@@ -485,9 +477,6 @@ pub fn compile_train_step_on(
     let c = compile_step(jaxpr, n_params, schedule, &optimizer, &opts)?;
     let runtime = launch(c.program)
         .map_err(|e| CoreError::BadInput(format!("launching the runtime fleet: {e}")))?;
-    if let Some(lanes) = opts.tp.as_ref().and_then(|cfg| cfg.lanes) {
-        runtime.set_tp_lanes(lanes > 1);
-    }
     let n_actors = schedule.n_actors();
     Ok(Trainer {
         runtime,
@@ -1334,15 +1323,6 @@ impl Trainer {
     /// Whether optimizer state is ZeRO-1-sharded over the DP axis.
     pub fn zero1(&self) -> bool {
         self.zero1
-    }
-
-    /// Switches tensor-parallel collectives between the shard-lane
-    /// rendezvous (`true`, the default) and the serial ring fallback
-    /// (`false`). Both modes are bitwise-identical; the switch latches
-    /// at the next step's dispatch, so a step never mixes modes. No-op
-    /// for tp = 1 programs.
-    pub fn set_tp_lanes(&self, on: bool) {
-        self.runtime.set_tp_lanes(on);
     }
 
     /// Shapes of the model parameters.

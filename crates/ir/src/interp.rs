@@ -11,14 +11,11 @@
 //! are recycled.
 //!
 //! [`eval_reference`] preserves the pre-optimization execution model
-//! (deep-copied inputs, naive serial kernels, copying yields) so
-//! benchmarks can measure the speedup against an honest baseline;
-//! [`set_reference_mode`] (or `RAXPP_REFERENCE=1`) routes [`eval`]
-//! through it globally.
+//! (deep-copied inputs, naive serial kernels, copying yields) as the
+//! oracle the parity tests compare [`eval`] against bit for bit. It is
+//! only ever called directly: no switch routes [`eval`] through it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::error::{IrError, Result};
@@ -47,25 +44,6 @@ impl EvalStats {
         self.reused += other.reused;
         self.freed += other.freed;
     }
-}
-
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-static REFERENCE_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Globally routes [`eval`] through [`eval_reference`] (the pre-optimization
-/// deep-copy + naive-kernel execution model). Used by benchmarks to measure
-/// the optimized path against an honest baseline.
-pub fn set_reference_mode(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-fn reference_mode() -> bool {
-    REFERENCE.load(Ordering::SeqCst)
-        || *REFERENCE_ENV.get_or_init(|| {
-            std::env::var("RAXPP_REFERENCE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false)
-        })
 }
 
 /// Evaluates a single primitive on concrete tensors.
@@ -396,8 +374,7 @@ pub fn eval_with_stats(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<(Vec<Tensor>,
 ///
 /// The hook only *observes* (indices, primitive names, timestamps); it
 /// cannot change which kernels run or in what order, so tracing cannot
-/// perturb the bit-compatibility contract. Reference mode ignores the
-/// hook (the baseline interpreter has no per-equation instrumentation).
+/// perturb the bit-compatibility contract.
 ///
 /// # Errors
 ///
@@ -414,8 +391,7 @@ pub fn eval_with_stats_hooked(
 /// outputs the observer wants, whose producer is a streamable matmul
 /// (see `stream_plans`), publish completed row panels to the observer
 /// *during* the multiply. Outputs, statistics, and buffer lifetimes are
-/// identical to the unobserved path; reference mode ignores both the
-/// hook and the observer.
+/// identical to the unobserved path.
 ///
 /// # Errors
 ///
@@ -426,9 +402,6 @@ pub fn eval_with_stats_observed(
     mut hook: Option<EvalHook<'_>>,
     mut observer: Option<&mut dyn PanelObserver>,
 ) -> Result<(Vec<Tensor>, EvalStats)> {
-    if reference_mode() {
-        return eval_reference(jaxpr, inputs).map(|o| (o, EvalStats::default()));
-    }
     if inputs.len() != jaxpr.invars().len() {
         return Err(IrError::ArityMismatch {
             context: "eval".into(),
@@ -552,7 +525,8 @@ fn eval_prim_reference(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
 /// Evaluates a graph with the pre-optimization execution model: inputs
 /// are deep-copied on entry, every equation allocates its output, and
 /// matmul/transpose run on the naive serial kernels. Numerically
-/// bit-identical to [`eval`]; used as the baseline in `step_time`.
+/// bit-identical to [`eval`]: the oracle `tests/kernel_parity.rs`
+/// compares it against.
 ///
 /// # Errors
 ///

@@ -3,10 +3,12 @@
 //! naive serial kernels on every shape — including edge tiles, unit
 //! dimensions, empty tensors, and any thread count. Bit-identity (not
 //! `allclose`) is the contract that makes pipelined training
-//! reproducible against the single-device reference.
+//! reproducible against the single-device reference. The same holds one
+//! level up: the liveness interpreter (`eval`) must equal the deep-copy
+//! + naive-kernel oracle (`eval_reference`) on a whole training graph.
 
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_ir::{set_num_threads, Tensor};
+use raxpp_ir::{eval, eval_reference, set_num_threads, value_and_grad, GraphBuilder, Prim, Tensor};
 
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
 /// zeros exercise the naive kernel's zero-skip fast path, whose only
@@ -138,6 +140,53 @@ fn transpose_roundtrip_is_identity() {
         let back = t.transpose().unwrap().transpose().unwrap();
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.data(), t.data());
+    }
+    set_num_threads(1);
+}
+
+/// The whole-graph gate (formerly a process-global "reference mode" the
+/// step bench flipped): forward + backward of a tanh/gelu MLP — matmuls,
+/// the transposes autodiff puts in front of every backward matmul,
+/// elementwise ops, reductions — through the buffer-reusing interpreter
+/// at several thread counts equals the oracle bit for bit, loss and
+/// every gradient.
+#[test]
+fn eval_matches_eval_reference_bitwise_on_a_training_graph() {
+    let (rows, width) = (33, 47); // ragged edge tiles on every matmul
+    let mut b = GraphBuilder::new();
+    let x = b.input([rows, width]);
+    let w1 = b.input([width, width]);
+    let w2 = b.input([width, width]);
+    let h = b.emit(Prim::MatMul, &[x, w1]).unwrap();
+    let a = b.emit(Prim::Tanh, &[h]).unwrap();
+    let h2 = b.emit(Prim::MatMul, &[a, w2]).unwrap();
+    let a2 = b.emit(Prim::Gelu, &[h2]).unwrap();
+    let sum = Prim::ReduceSum {
+        axes: vec![0, 1],
+        keepdims: false,
+    };
+    let loss = b.emit(sum, &[a2]).unwrap();
+    let step = value_and_grad(&b.finish(vec![loss]).unwrap(), &[1, 2]).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(0x0AC1E);
+    let inputs = vec![
+        rand_tensor(&[rows, width], &mut rng),
+        rand_tensor(&[width, width], &mut rng),
+        rand_tensor(&[width, width], &mut rng),
+    ];
+    let want = eval_reference(&step, &inputs).unwrap();
+    assert_eq!(want.len(), 3, "loss + two gradients");
+    for threads in [1, 2, 5] {
+        set_num_threads(threads);
+        let got = eval(&step, &inputs).unwrap();
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.shape(), w.shape());
+            assert_eq!(
+                g.data(),
+                w.data(),
+                "output {i} diverges from eval_reference at {threads} threads"
+            );
+        }
     }
     set_num_threads(1);
 }

@@ -1,0 +1,474 @@
+//! The actor side of the runtime: the command/reply protocol an actor
+//! speaks with the driver, the per-peer FIFO [`Mailbox`] over its data
+//! inbox, and the command loop itself (with the death guard that
+//! poisons the fleet when an actor exits abnormally).
+
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::Receiver;
+use std::sync::Arc;
+use std::time::Instant;
+
+use raxpp_ir::Tensor;
+use raxpp_taskgraph::{replace_program, BufferId, MpmdProgram};
+
+use crate::exec::{execute_stream, ActorProfile, StreamFailure};
+use crate::fault::Fault;
+use crate::lane::LaneCtx;
+use crate::store::{ObjectStore, SendToken};
+use crate::trace::{ActorTrace, SpanRing, DEFAULT_SPAN_CAPACITY};
+use crate::transport::{Fabric, ReplyPort};
+
+/// A step sequence number: the `Execute` command's sequence number tags
+/// every data message the step produces.
+pub(crate) type Epoch = u64;
+
+/// `from` id the driver uses when it broadcasts aborts itself.
+pub(crate) const DRIVER: usize = usize::MAX;
+
+/// The peer id naming the *driver* in wire faults — e.g.
+/// `Fault::Partition { to: DRIVER_PEER }` injected on an actor discards
+/// its outbound reply/heartbeat frames, so the driver detects the
+/// silence via heartbeat timeout.
+pub const DRIVER_PEER: usize = DRIVER;
+
+pub(crate) enum Payload {
+    /// A tensor for `buf`, completing via the send token.
+    Data(BufferId, Tensor, SendToken),
+    /// The sender abandoned this epoch; the receiver must too.
+    Abort(String),
+}
+
+/// One message on an actor's inbox: the per-peer FIFO streams are
+/// demultiplexed by `from` on the receiving side.
+pub(crate) struct Msg {
+    pub(crate) from: usize,
+    pub(crate) epoch: Epoch,
+    pub(crate) payload: Payload,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Command {
+    Place {
+        seq: u64,
+        bufs: Vec<(BufferId, Tensor)>,
+    },
+    Execute {
+        seq: u64,
+        /// Record per-instruction spans into a ring buffer this step.
+        traced: bool,
+    },
+    Fetch {
+        seq: u64,
+        bufs: Vec<BufferId>,
+    },
+    PeakBytes {
+        seq: u64,
+    },
+    LiveBytes {
+        seq: u64,
+    },
+    /// Re-place the executed program (after a rebalance): the actor
+    /// applies `replace_program` with this assignment to its current
+    /// program — deterministic, so it reproduces the driver's result
+    /// without ever serializing a program. No reply.
+    Reprogram {
+        assign: Vec<usize>,
+    },
+    /// Arm a one-shot fault (wire faults apply immediately). No reply.
+    InjectFault(Fault),
+    /// Clear wire chaos (partitions, pending drops/delays) after
+    /// recovery. No reply.
+    HealWire,
+    Shutdown,
+}
+
+/// Why an `Execute` failed on one actor, as reported on the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ExecFailure {
+    /// A genuine error on this actor (task error, protocol violation).
+    Error(String),
+    /// Cascade: peer `by` aborted the epoch and this actor abandoned it.
+    Aborted { by: usize, reason: String },
+}
+
+/// What an actor reports back from one `Execute`: the result, plus the
+/// recorded spans when the step was traced (also on the failure path —
+/// partial traces of aborted steps are exactly what post-mortems need).
+pub(crate) struct ExecOutcome {
+    pub(crate) result: Result<ActorProfile, ExecFailure>,
+    pub(crate) trace: Option<ActorTrace>,
+}
+
+pub(crate) enum ReplyKind {
+    Placed,
+    Executed(Box<ExecOutcome>),
+    Fetched(Result<Vec<Tensor>, String>),
+    /// The answer to `PeakBytes` and `LiveBytes` alike.
+    StoreBytes(usize),
+}
+
+pub(crate) struct Reply {
+    pub(crate) seq: u64,
+    pub(crate) kind: ReplyKind,
+}
+
+/// Per-peer FIFO demultiplexer over the actor's single inbox. Queues
+/// hold data that arrived from other peers while a `Recv` waited on a
+/// specific one; aborts are surfaced immediately, stale epochs dropped.
+pub(crate) struct Mailbox {
+    rx: Receiver<Msg>,
+    queues: Vec<VecDeque<(Epoch, BufferId, Tensor, SendToken)>>,
+    /// An abort observed for an epoch not yet abandoned.
+    pending_abort: Option<(Epoch, usize, String)>,
+}
+
+impl Mailbox {
+    fn new(n: usize, rx: Receiver<Msg>) -> Mailbox {
+        Mailbox {
+            rx,
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            pending_abort: None,
+        }
+    }
+
+    /// Drops everything belonging to epochs before `epoch` — called at
+    /// the start of each Execute so an aborted step's leftovers can
+    /// never be matched against this step's Recvs.
+    fn purge_stale(&mut self, epoch: Epoch) {
+        if matches!(self.pending_abort, Some((e, _, _)) if e < epoch) {
+            self.pending_abort = None;
+        }
+        for q in &mut self.queues {
+            q.retain(|(e, _, _, _)| *e >= epoch);
+        }
+        while let Ok(msg) = self.rx.try_recv() {
+            self.intake(msg, epoch);
+        }
+    }
+
+    fn intake(&mut self, msg: Msg, epoch: Epoch) {
+        if msg.epoch < epoch {
+            return; // stale: from an aborted earlier step
+        }
+        match msg.payload {
+            Payload::Abort(reason) => {
+                if self.pending_abort.is_none() {
+                    self.pending_abort = Some((msg.epoch, msg.from, reason));
+                }
+            }
+            Payload::Data(buf, t, token) => {
+                self.queues[msg.from].push_back((msg.epoch, buf, t, token));
+            }
+        }
+    }
+
+    /// Non-blocking abort probe for lane-rendezvous waits: drains
+    /// whatever sits in the inbox and reports an abort at `epoch` or
+    /// later without consuming it (the abort stays pending so a
+    /// subsequent `Recv`/`recv_from` observes it too). Data messages
+    /// are stashed in the per-peer queues as usual.
+    pub(crate) fn poll_abort(&mut self, epoch: Epoch) -> Option<(usize, String)> {
+        while let Ok(msg) = self.rx.try_recv() {
+            self.intake(msg, epoch);
+        }
+        match &self.pending_abort {
+            Some((e, by, reason)) if *e >= epoch => Some((*by, reason.clone())),
+            _ => None,
+        }
+    }
+
+    /// Receives the next current-epoch data message from `from`,
+    /// stashing messages from other peers. Any abort for this epoch (or
+    /// a later one — the shutdown poison uses `u64::MAX`) ends the wait.
+    pub(crate) fn recv_from(
+        &mut self,
+        from: usize,
+        epoch: Epoch,
+    ) -> Result<(BufferId, Tensor, SendToken), StreamFailure> {
+        loop {
+            if let Some((e, by, reason)) = &self.pending_abort {
+                if *e >= epoch {
+                    return Err(StreamFailure::Aborted {
+                        by: *by,
+                        reason: reason.clone(),
+                    });
+                }
+                self.pending_abort = None;
+            }
+            while let Some((e, buf, t, token)) = self.queues[from].pop_front() {
+                if e >= epoch {
+                    return Ok((buf, t, token));
+                } // else stale: dropped
+            }
+            match self.rx.recv() {
+                Ok(msg) => self.intake(msg, epoch),
+                // Every peer and the driver dropped their senders: the
+                // runtime is gone.
+                Err(_) => {
+                    return Err(StreamFailure::Aborted {
+                        by: DRIVER,
+                        reason: "inbox closed".to_string(),
+                    })
+                }
+            }
+        }
+    }
+}
+
+pub(crate) struct ActorState {
+    pub(crate) me: usize,
+    pub(crate) program: Arc<MpmdProgram>,
+    pub(crate) store: ObjectStore,
+    pub(crate) mailbox: Mailbox,
+    /// This actor's handle on the data fabric: the shared sender row
+    /// in process, or the actor's socket endpoint on the wire.
+    pub(crate) fabric: Fabric,
+    /// Epoch of the stream currently (or last) executed.
+    pub(crate) epoch: Epoch,
+    /// Armed one-shot faults, consumed front-to-back as they trigger.
+    pub(crate) faults: VecDeque<Fault>,
+    /// The runtime-wide zero point for span timestamps.
+    pub(crate) origin: Instant,
+    /// This actor's handle on the shared-memory collective rendezvous:
+    /// `Some` iff the program has collective groups *and* the transport
+    /// supports lanes. Its presence alone selects the collective
+    /// carrier (rendezvous vs message ring).
+    pub(crate) lane: Option<LaneCtx>,
+}
+
+impl ActorState {
+    /// An O(1) handle on resident buffer `buf`, for the instruction
+    /// named `what`; a missing buffer is a programming error reported
+    /// as this actor's own failure.
+    pub(crate) fn load(&self, buf: BufferId, what: &str) -> Result<Tensor, StreamFailure> {
+        let t = self.store.get(buf).cloned();
+        t.ok_or_else(|| StreamFailure::Error(format!("{what} of missing buffer {buf}")))
+    }
+
+    /// Sends one data message for the current epoch to `to`. A closed
+    /// peer inbox means that actor is dead: this is a cascade of the
+    /// peer's failure, not a genuine error on this actor.
+    pub(crate) fn send_data(
+        &self,
+        to: usize,
+        buf: BufferId,
+        t: Tensor,
+        token: SendToken,
+    ) -> Result<(), StreamFailure> {
+        let msg = Msg {
+            from: self.me,
+            epoch: self.epoch,
+            payload: Payload::Data(buf, t, token),
+        };
+        self.fabric
+            .send(to, msg)
+            .map_err(|_| StreamFailure::Aborted {
+                by: to,
+                reason: format!("actor {to} hung up"),
+            })
+    }
+
+    /// Poisons every peer's inbox for `epoch` (§4.1-style abort
+    /// broadcast) and every collective group this actor belongs to —
+    /// group peers may be parked on a group condvar rather than the
+    /// mailbox, so the poison must reach both. Safe to call more than
+    /// once; receivers drop duplicates as stale after the epoch
+    /// advances.
+    fn broadcast_abort(&self, epoch: Epoch, reason: &str) {
+        self.poison_groups(epoch, self.me, reason);
+        for j in 0..self.fabric.n() {
+            if j == self.me {
+                continue;
+            }
+            let _ = self.fabric.send(
+                j,
+                Msg {
+                    from: self.me,
+                    epoch,
+                    payload: Payload::Abort(reason.to_string()),
+                },
+            );
+        }
+    }
+
+    /// Poisons `epoch` in this actor's collective groups on behalf of
+    /// actor `by`.
+    fn poison_groups(&self, epoch: Epoch, by: usize, reason: &str) {
+        if let Some(l) = &self.lane {
+            l.hub.poison_actor(self.me, epoch, by, reason);
+        }
+    }
+}
+
+pub(crate) enum Exit {
+    /// Orderly shutdown: no poison needed.
+    Clean,
+    /// The actor "crashed" (injected death): poison the fleet on the way
+    /// out.
+    Died,
+    /// kill -9: the actor vanishes with *no* poison and no goodbye —
+    /// peers and the driver must discover the death through closed
+    /// connections (or heartbeat silence) alone. On the process
+    /// backend the worker process aborts.
+    Killed,
+}
+
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn actor_main(
+    me: usize,
+    program: Arc<MpmdProgram>,
+    cmd: Receiver<Command>,
+    reply: ReplyPort,
+    fabric: Fabric,
+    inbox: Receiver<Msg>,
+    origin: Instant,
+    lane: Option<LaneCtx>,
+) -> Exit {
+    let n = fabric.n();
+    let mut st = ActorState {
+        me,
+        program,
+        store: ObjectStore::new(),
+        mailbox: Mailbox::new(n, inbox),
+        fabric,
+        epoch: 0,
+        faults: VecDeque::new(),
+        origin,
+        lane,
+    };
+    // The death guard: any exit that is not an orderly shutdown — an
+    // injected death or a panic in actor code — broadcasts an abort for
+    // the epoch in flight, so no peer blocks forever on this actor. This
+    // is the thread-scale stand-in for Ray's actor-death notifications.
+    // A *kill* deliberately skips the guard: SIGKILL leaves no time for
+    // goodbyes, and the bounded-time claim must hold without them.
+    let exit = std::panic::catch_unwind(AssertUnwindSafe(|| actor_loop(&mut st, &cmd, &reply)));
+    let exit = match exit {
+        Ok(Exit::Clean) => Exit::Clean,
+        Ok(Exit::Killed) => Exit::Killed,
+        Ok(Exit::Died) => {
+            st.broadcast_abort(st.epoch, &format!("actor {me} died"));
+            Exit::Died
+        }
+        Err(_) => {
+            st.broadcast_abort(st.epoch, &format!("actor {me} panicked"));
+            Exit::Died
+        }
+    };
+    // On a socket fabric, tear the endpoint down on *every* exit: this
+    // closes the reply link (the driver's death signal) and errors
+    // peers' cached data links. No-op in process. Must come after the
+    // death broadcast above so the poison gets out first.
+    st.fabric.sever();
+    // Dropping `reply` (mpsc) tells the driver this actor is gone.
+    exit
+}
+
+fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -> Exit {
+    while let Ok(c) = cmd.recv() {
+        // Commands that answer produce `(seq, kind)`; the rest `continue`.
+        let (seq, kind) = match c {
+            Command::Place { seq, bufs } => {
+                // Command boundary: every legitimately outstanding send
+                // of previous steps has been consumed (the driver
+                // collects all replies before the next command), so any
+                // incomplete token belongs to an aborted epoch whose
+                // receiver will never complete it. Reclaim now, before
+                // this placement re-inserts buffer ids that may still sit
+                // parked in the deferred-deletion list — otherwise their
+                // bytes are double-counted in live/peak accounting.
+                st.store.abandon_outstanding_sends();
+                for (b, t) in bufs {
+                    st.store.insert(b, t);
+                }
+                (seq, ReplyKind::Placed)
+            }
+            Command::Execute { seq, traced } => {
+                // Same boundary reclaim as Place: an actor whose stream
+                // tail had no Recvs can survive a peer's abort without
+                // ever observing it, replying Ok while holding ghost
+                // parked buffers from the aborted epoch. Those ids are
+                // re-inserted by this very step, double-counting their
+                // bytes until reclaimed here.
+                st.store.abandon_outstanding_sends();
+                st.epoch = seq;
+                st.mailbox.purge_stale(seq);
+                if let Some(l) = &st.lane {
+                    // Retire the previous epoch's rendezvous slots and
+                    // poison in every group this actor belongs to,
+                    // before any member can touch this epoch's.
+                    l.hub.begin_epoch_actor(st.me, seq);
+                }
+                let mut ring = traced.then(|| SpanRing::new(DEFAULT_SPAN_CAPACITY));
+                let result = match execute_stream(st, &mut ring) {
+                    Ok(profile) => Ok(profile),
+                    Err(StreamFailure::Die) => return Exit::Died,
+                    Err(StreamFailure::Killed) => return Exit::Killed,
+                    Err(StreamFailure::Error(message)) => {
+                        st.broadcast_abort(seq, &message);
+                        st.store.abandon_outstanding_sends();
+                        Err(ExecFailure::Error(message))
+                    }
+                    Err(StreamFailure::Aborted { by, reason }) => {
+                        // Cascade: group peers parked on a condvar
+                        // can't see the mailbox abort that woke us.
+                        st.poison_groups(seq, by, &reason);
+                        st.store.abandon_outstanding_sends();
+                        Err(ExecFailure::Aborted { by, reason })
+                    }
+                };
+                let trace = ring.take().map(|r| r.into_trace(st.me));
+                let outcome = ExecOutcome { result, trace };
+                (seq, ReplyKind::Executed(Box::new(outcome)))
+            }
+            Command::Fetch { seq, bufs } => {
+                let fetch = |b: &BufferId| {
+                    let t = st.store.get(*b).cloned();
+                    t.ok_or_else(|| format!("missing buffer {b}"))
+                };
+                (seq, ReplyKind::Fetched(bufs.iter().map(fetch).collect()))
+            }
+            Command::PeakBytes { seq } => (seq, ReplyKind::StoreBytes(st.store.peak_bytes())),
+            Command::LiveBytes { seq } => {
+                // A deletion point (§4.3): reclaim parked deletions whose
+                // sends have since completed, so the answer reflects what
+                // is genuinely resident rather than reclaim lag.
+                st.store.drain_pending();
+                (seq, ReplyKind::StoreBytes(st.store.live_bytes()))
+            }
+            Command::Reprogram { assign } => {
+                // Deterministic re-derivation of the driver's rebalanced
+                // program: same inputs, same `replace_program`, same
+                // result. A failure here is a protocol bug; the panic
+                // trips the death guard and recovery takes over.
+                let p = replace_program(&st.program, &assign)
+                    .expect("Reprogram assignment must re-place the current program");
+                st.program = Arc::new(p);
+                continue;
+            }
+            Command::HealWire => {
+                st.fabric.heal();
+                continue;
+            }
+            Command::InjectFault(Fault::DieNow) => return Exit::Died,
+            Command::InjectFault(Fault::KillNow) => return Exit::Killed,
+            Command::InjectFault(
+                f @ (Fault::DropLink { .. } | Fault::DelayLink { .. } | Fault::Partition { .. }),
+            ) => {
+                st.fabric.inject(&f);
+                continue;
+            }
+            Command::InjectFault(f) => {
+                st.faults.push_back(f);
+                continue;
+            }
+            Command::Shutdown => return Exit::Clean,
+        };
+        // A closed reply port means the driver is gone.
+        if reply.send(Reply { seq, kind }).is_err() {
+            return Exit::Clean;
+        }
+    }
+    Exit::Clean
+}

@@ -3,10 +3,12 @@
 //!
 //! When a compiled program carries collectives ([`TpMeta`] from
 //! `shard_program`, [`DpMeta`] from `replicate_program`, or both), the
-//! participating actors already run on their own threads. In the
-//! default *lane* mode those threads coordinate through the
-//! shared-memory structures in this module instead of the
-//! per-collective `(t-1)`-round message ring:
+//! participating actors already run on their own threads. On a
+//! transport whose actors share an address space
+//! (`Transport::supports_lanes()`, i.e. in-process mpsc) those threads
+//! coordinate through the shared-memory structures in this module
+//! instead of the per-collective `(t-1)`-round message ring that socket
+//! transports use:
 //!
 //! * every [`crate::Instr::Collective`] resolves through a [`CollSlot`]
 //!   of its *membership group* — each member publishes its contribution
@@ -27,7 +29,7 @@
 //! folded groups a rebalance produces, with no axis-specific paths.
 //!
 //! All transformations preserve the bitwise contract: the assembly is
-//! either the exact legacy rank-ascending fold/concat, or (for TP's
+//! either the exact rank-ascending fold/concat, or (for TP's
 //! disjoint `-0.0`-padded all-reduces) a block copy that equals that
 //! fold bit for bit — DP gradient sums always take the pinned
 //! ascending-replica fold, since their contributions genuinely differ;
@@ -40,7 +42,7 @@
 //! waking every parked peer; waits also poll the actor mailbox so
 //! aborts arriving from outside the group (driver timeout, non-member
 //! peers, a member that died before its group was ever created) bound
-//! the wait too. See `driver.rs` for the wait loop itself.
+//! the wait too. See `collective.rs` for the wait loop itself.
 //!
 //! Slot retirement: completed slots retire when every member has taken
 //! the result; slots of aborted epochs retire at the next
@@ -52,39 +54,23 @@
 //! class as the aborted-epoch `ObjectStore` ghost-deletion bug).
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex};
 
 use raxpp_ir::{Shape, Tensor};
-use raxpp_taskgraph::{CollectiveKind, TpMeta};
+use raxpp_taskgraph::TpMeta;
 
 /// A step sequence number (the driver's `Execute` seq).
 type Epoch = u64;
 
-/// Default lane mode from `RAXPP_TP_LANES`: `"0"` or `"1"` selects the
-/// serial fallback (one lane's worth of concurrency, i.e. the legacy
-/// ring path); anything else — including unset — enables lanes.
-pub(crate) fn lanes_default_from_env() -> bool {
-    !matches!(
-        std::env::var("RAXPP_TP_LANES").as_deref(),
-        Ok("0") | Ok("1")
-    )
-}
-
 /// Runtime-wide collective coordination: one [`LaneGroup`] per distinct
 /// collective membership, created on first touch and shared by the
-/// member actors. Built once per program with collectives; immutable
-/// except for the `serial` switch and the group map.
+/// member actors. Built once per program with collectives (on a
+/// transport that supports lanes); immutable except for the group map.
 pub(crate) struct LaneHub {
-    /// When set, actors run collectives over the legacy message ring
-    /// (the serial fallback). Latched into each `Execute` dispatch so a
-    /// step never mixes modes across lanes.
-    pub(crate) serial: AtomicBool,
     /// Tensor-parallel degree (1 when the program has no TP axis; TP
     /// lane groups and run dedup then do not exist).
     degree: usize,
     replicated: Arc<Vec<bool>>,
-    disjoint_reduce: bool,
     /// Membership-keyed rendezvous groups (rank-ascending actor lists).
     groups: Mutex<HashMap<Vec<usize>, Arc<LaneGroup>>>,
 }
@@ -92,10 +78,8 @@ pub(crate) struct LaneHub {
 impl LaneHub {
     pub(crate) fn new(tp: Option<&TpMeta>) -> LaneHub {
         LaneHub {
-            serial: AtomicBool::new(!lanes_default_from_env()),
             degree: tp.map_or(1, |m| m.degree),
             replicated: Arc::new(tp.map(|m| m.replicated.clone()).unwrap_or_default()),
-            disjoint_reduce: tp.is_none_or(|m| m.disjoint_reduce),
             groups: Mutex::new(HashMap::new()),
         }
     }
@@ -125,7 +109,6 @@ impl LaneHub {
             hub: Arc::clone(self),
             lane,
             replicated: Arc::clone(&self.replicated),
-            disjoint_reduce: self.disjoint_reduce,
         }
     }
 
@@ -133,16 +116,17 @@ impl LaneHub {
     /// group containing actor `a` — called by the actor itself on
     /// `Execute` receipt, before it can touch this epoch's slots.
     pub(crate) fn begin_epoch_actor(&self, a: usize, epoch: Epoch) {
-        let groups: Vec<Arc<LaneGroup>> = {
-            let g = self.groups.lock().unwrap();
-            g.iter()
-                .filter(|(k, _)| k.contains(&a))
-                .map(|(_, v)| Arc::clone(v))
-                .collect()
-        };
-        for g in groups {
+        for g in self.groups_of(a) {
             g.begin_epoch(epoch);
         }
+    }
+
+    /// Every group actor `a` is a member of (snapshot taken under the
+    /// map lock, used outside it).
+    fn groups_of(&self, a: usize) -> Vec<Arc<LaneGroup>> {
+        let groups = self.groups.lock().unwrap();
+        let mine = groups.iter().filter(|(members, _)| members.contains(&a));
+        mine.map(|(_, g)| Arc::clone(g)).collect()
     }
 
     /// Poisons `epoch` in every group containing actor `a` on behalf of
@@ -150,14 +134,7 @@ impl LaneHub {
     /// touched may not exist yet; their future waiters are bounded by
     /// the mailbox abort polling instead.
     pub(crate) fn poison_actor(&self, a: usize, epoch: Epoch, by: usize, reason: &str) {
-        let groups: Vec<Arc<LaneGroup>> = {
-            let g = self.groups.lock().unwrap();
-            g.iter()
-                .filter(|(k, _)| k.contains(&a))
-                .map(|(_, v)| Arc::clone(v))
-                .collect()
-        };
-        for g in groups {
+        for g in self.groups_of(a) {
             g.poison(epoch, by, reason);
         }
     }
@@ -203,11 +180,6 @@ pub(crate) struct LaneCtx {
     pub(crate) lane: Option<(Arc<LaneGroup>, usize)>,
     /// Per-jaxpr replication flags ([`TpMeta::replicated`]).
     pub(crate) replicated: Arc<Vec<bool>>,
-    /// Whether TP all-reduces may use block assembly
-    /// ([`TpMeta::disjoint_reduce`]). DP all-reduces never do: they are
-    /// true sums of differing per-replica gradients, folded elementwise
-    /// in pinned ascending-replica order.
-    pub(crate) disjoint_reduce: bool,
 }
 
 /// The rendezvous shared by the member actors of one collective group.
@@ -237,11 +209,6 @@ pub(crate) struct GroupState {
 /// One collective's rendezvous: per-rank contributions, the combined
 /// result, and bookkeeping for single-assembly and slot retirement.
 pub(crate) struct CollSlot {
-    /// `(kind, dim)`, recorded by the first member to *process* the
-    /// collective instruction. Panel stagers may create the slot
-    /// earlier without it; assembly only happens from a processing
-    /// member, so the metadata is always present by then.
-    pub(crate) meta: Option<(CollectiveKind, usize)>,
     pub(crate) parts: Vec<Option<Contribution>>,
     /// The combined tensor (pre-scatter for reduce-scatter), or the
     /// combine error every member must surface.
@@ -317,7 +284,6 @@ impl GroupState {
     /// The slot for collective `key`, created empty on first touch.
     pub(crate) fn coll_slot(&mut self, key: (Epoch, u32), degree: usize) -> &mut CollSlot {
         self.colls.entry(key).or_insert_with(|| CollSlot {
-            meta: None,
             parts: (0..degree).map(|_| None).collect(),
             assembled: None,
             assembling: false,

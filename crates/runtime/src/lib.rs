@@ -17,7 +17,7 @@
 //! Failure is a first-class outcome: step epochs, abort broadcasts, and
 //! actor respawn via [`Runtime::recover`] make any task error or actor
 //! death surface as a bounded-time [`RuntimeError`] that leaves the
-//! runtime reusable (see `driver` module docs and
+//! runtime reusable (see `runtime` module docs and
 //! `docs/execution-backend.md` §6).
 //!
 //! Execution is observable: with tracing enabled (`RAXPP_TRACE=1` or
@@ -29,20 +29,24 @@
 
 #![deny(missing_docs)]
 
-mod driver;
+mod actor;
+mod collective;
 mod error;
+mod exec;
+mod fault;
 mod lane;
 mod metrics;
+mod runtime;
 mod store;
 mod trace;
 mod transport;
 
-pub use driver::{
-    ActorProfile, Fault, RebalanceReport, RecoveryReport, Runtime, StepOutputs, StepStats,
-    DRIVER_PEER,
-};
+pub use actor::DRIVER_PEER;
 pub use error::RuntimeError;
+pub use exec::{ActorProfile, StepStats};
+pub use fault::Fault;
 pub use metrics::{HistogramSummary, MetricValue, Metrics};
+pub use runtime::{RebalanceReport, RecoveryReport, Runtime, StepOutputs};
 pub use store::{ObjectStore, SendToken};
 pub use trace::{
     ActorTrace, SpanEvent, SpanRing, StepEvent, StepTrace, DEFAULT_SPAN_CAPACITY,

@@ -1,0 +1,1195 @@
+//! The single-controller MPMD runtime (paper §4.1) with fail-fast
+//! failure semantics.
+//!
+//! A [`Runtime`] spawns one OS thread per actor (standing in for the
+//! paper's Ray workers, each managing an SPMD device group). The driver
+//! dispatches each actor's *entire fused instruction stream* in a single
+//! message per step (§4.4); all cross-actor coordination happens through
+//! per-actor inbox channels carrying per-peer FIFO streams (standing in
+//! for NCCL P2P, whose matching-order requirement the compiler's §4.2
+//! pass guarantees).
+//!
+//! # Failure protocol
+//!
+//! Failure is a first-class, bounded-time outcome, mirroring what the
+//! paper inherits from Ray actor supervision plus NCCL communicator
+//! aborts:
+//!
+//! * **Step epochs.** Every driver command carries a sequence number
+//!   that its reply echoes, and every data message carries the epoch
+//!   (the `Execute` sequence number) it belongs to. Stale messages from
+//!   an aborted step are drained instead of being matched against the
+//!   next step's expectations, so one failed step can never desynchronize
+//!   the command/reply channels or the data streams.
+//! * **Abort broadcast.** When an instruction errors on an actor, the
+//!   actor broadcasts a poison `Abort` message to *every* peer inbox
+//!   before replying, so peers blocked in `Recv` wake and abandon the
+//!   epoch instead of hanging. A dying actor thread (injected death or
+//!   panic) broadcasts the same poison on its way out, and the driver
+//!   broadcasts on the actors' behalf when it detects a death itself —
+//!   the thread-scale analogue of Ray's death notifications.
+//! * **Complete reply collection.** The driver collects one reply per
+//!   dispatched actor per command — also on the error path — so the
+//!   reply channels are in a clean, reusable state after a failed step
+//!   and the same `Runtime` can run the next step.
+//! * **Recovery.** [`Runtime::recover`] respawns dead actor threads,
+//!   rewires the surviving actors' channels to the replacements, and
+//!   re-places the parameter/state buffers the driver holds resident
+//!   copies of (`raxpp-core`'s trainer then restores its post-step
+//!   snapshot on top for bitwise-identical retries).
+//!
+//! Tensors are `Arc`-backed handles, so placing a buffer, sending it to
+//! a peer actor, and fetching it back to the driver are all O(1) moves
+//! of a reference. Each `Run` instruction executes through the liveness
+//! interpreter and its allocator counters are accumulated into the
+//! actor's [`ActorProfile`].
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use raxpp_ir::Tensor;
+use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
+
+use crate::actor::{Command, Epoch, ExecFailure, Reply, ReplyKind, DRIVER};
+use crate::error::RuntimeError;
+use crate::exec::{ActorProfile, StepStats};
+use crate::fault::Fault;
+use crate::lane::LaneHub;
+use crate::trace::{ActorTrace, StepEvent, StepTrace};
+use crate::transport::{
+    CmdPort, MpscTransport, Scheme, SocketTransport, Transport, TransportKind, TransportStats,
+};
+
+/// How long the driver blocks between reply polls while waiting on a
+/// step — bounds the latency of detecting a silent actor death.
+const REPLY_POLL: Duration = Duration::from_millis(20);
+
+/// Default step timeout (overridable via `RAXPP_STEP_TIMEOUT_MS` or
+/// [`Runtime::set_step_timeout`]) — the last-resort bound when the
+/// abort protocol itself is broken.
+const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The driver's handle on one actor, whatever the transport: a command
+/// port out, an in-process reply receiver back (socket transports pump
+/// into it and drop the sender on connection EOF — the same
+/// `Disconnected` the mpsc transport produces on thread death).
+pub(crate) struct ActorLink {
+    pub(crate) cmd: CmdPort,
+    pub(crate) reply: Receiver<Reply>,
+    /// The actor thread, when the transport runs actors in this
+    /// process (`None` on the process backend).
+    pub(crate) handle: Option<JoinHandle<()>>,
+    pub(crate) dead: bool,
+}
+
+/// The outputs of one step: every fetched buffer with its [`Fetch`]
+/// descriptor (gradients, per-microbatch losses/metrics).
+#[derive(Debug, Clone)]
+pub struct StepOutputs {
+    /// Fetched buffers in program fetch order.
+    pub fetched: Vec<(Fetch, Tensor)>,
+    /// Step statistics.
+    pub stats: StepStats,
+    /// The step's trace when tracing was enabled (`RAXPP_TRACE=1` or
+    /// [`Runtime::set_tracing`]); `None` otherwise.
+    pub trace: Option<StepTrace>,
+}
+
+/// What [`Runtime::recover`] did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Actors whose threads were respawned.
+    pub respawned: Vec<usize>,
+    /// Driver-held resident buffers re-placed onto respawned actors.
+    pub replaced_buffers: usize,
+}
+
+/// What [`Runtime::rebalance`] did: which actors were permanently
+/// retired, where every old actor's work now lives, and how many
+/// driver-held resident buffers migrated to host survivors.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RebalanceReport {
+    /// Actors permanently retired by this call, ascending.
+    pub retired: Vec<usize>,
+    /// `assign[a]` is the actor now hosting old actor `a`'s stages
+    /// (survivors map to themselves).
+    pub assign: Vec<usize>,
+    /// Driver-held resident buffers migrated from retired actors onto
+    /// their hosts.
+    pub migrated_buffers: usize,
+}
+
+struct Inner {
+    /// The program currently executed; swapped atomically (under this
+    /// lock, plus a `Reprogram` broadcast) by [`Runtime::rebalance`].
+    program: Arc<MpmdProgram>,
+    actors: Vec<ActorLink>,
+    /// The fleet factory and carrier-specific driver operations.
+    /// Declared after `actors` so links (reply receivers, cached
+    /// command ports) drop before the transport tears the fleet down.
+    transport: Box<dyn Transport>,
+    /// Monotone command sequence counter; the `Execute` seq is the step
+    /// epoch.
+    seq: u64,
+    /// Last tensor explicitly placed per (actor, buffer) — the
+    /// driver-held copies re-placed onto respawned actors. Per-step data
+    /// placements are not recorded.
+    resident: HashMap<(usize, BufferId), Tensor>,
+    /// Trace of the most recent traced step (success or failure),
+    /// retrievable with [`Runtime::take_step_trace`].
+    last_trace: Option<StepTrace>,
+    /// Actors permanently removed by [`Runtime::rebalance`]: never
+    /// dispatched to, never respawned by [`Runtime::recover`].
+    retired: Vec<bool>,
+    /// Every rebalance assignment applied so far, in order. Process
+    /// workers respawn with the *original* program (recompiled from
+    /// the spec), so [`Runtime::recover`] replays this history onto
+    /// them via `Reprogram` to reconstruct the driver's current
+    /// program deterministically.
+    assign_history: Vec<Vec<usize>>,
+}
+
+impl Inner {
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Sends one command to actor `a`. An actor already known dead is
+    /// not dialed again; an unreachable one is marked dead.
+    fn post(&mut self, a: usize, cmd: Command) -> Result<(), RuntimeError> {
+        let link = &mut self.actors[a];
+        if link.dead || link.cmd.send(cmd).is_err() {
+            link.dead = true;
+            return Err(RuntimeError::ActorDied { actor: a });
+        }
+        Ok(())
+    }
+}
+
+/// A single-controller MPMD runtime executing a compiled
+/// [`MpmdProgram`] on actor threads.
+///
+/// # Examples
+///
+/// See `raxpp-core`'s `distributed` API, which compiles traced training
+/// steps into programs and drives this runtime.
+pub struct Runtime {
+    inner: Mutex<Inner>,
+    /// Step timeout in milliseconds (atomic so tests can tighten it on
+    /// a shared runtime without exclusive access).
+    step_timeout: AtomicU64,
+    /// The shared-memory collective rendezvous: `Some` iff the
+    /// transport supports lanes and the program has collective groups
+    /// ([`raxpp_taskgraph::TpMeta`] with degree > 1 or
+    /// [`raxpp_taskgraph::DpMeta`] with more than one replica). On
+    /// every other transport collectives ride the message ring.
+    hub: Option<Arc<LaneHub>>,
+    /// Whether [`Runtime::step`] records per-instruction span traces.
+    tracing: AtomicBool,
+    /// The shared zero point of every span timestamp: all actors (and
+    /// respawned replacements) measure against this instant, so spans
+    /// from different threads align on one timeline.
+    origin: Instant,
+}
+
+impl std::fmt::Debug for Runtime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let n = self.inner.lock().map(|i| i.actors.len()).unwrap_or(0);
+        write!(f, "Runtime {{ n_actors: {n} }}")
+    }
+}
+
+fn step_timeout_from_env() -> Duration {
+    std::env::var("RAXPP_STEP_TIMEOUT_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .map(Duration::from_millis)
+        .unwrap_or(DEFAULT_STEP_TIMEOUT)
+}
+
+fn tracing_from_env() -> bool {
+    std::env::var("RAXPP_TRACE")
+        .map(|v| v != "0" && !v.is_empty())
+        .unwrap_or(false)
+}
+
+/// Buffers to place, grouped by destination actor.
+type PerActor = Vec<Vec<(BufferId, Tensor)>>;
+
+/// Resolves the program's input placements through `pick` (which maps
+/// an [`InputSource`] to the caller's tensor, `Some(None)` when the
+/// caller did not supply it, or `None` to skip the placement),
+/// validating every shape.
+fn gather_placements<'a>(
+    program: &MpmdProgram,
+    pick: impl Fn(InputSource) -> Option<Option<&'a Tensor>>,
+) -> Result<PerActor, RuntimeError> {
+    let mut per_actor: PerActor = vec![Vec::new(); program.n_actors()];
+    for p in &program.placements {
+        let Some(t) = pick(p.source) else {
+            continue;
+        };
+        let what = || match p.source {
+            InputSource::Param(i) => format!("parameter {i}"),
+            InputSource::Data { input, mubatch } => {
+                format!("data input {input} microbatch {mubatch}")
+            }
+            InputSource::State { param, slot } => format!("state {slot} of parameter {param}"),
+        };
+        let t = t.ok_or_else(|| RuntimeError::BadInput(format!("missing {}", what())))?;
+        if t.shape() != &p.shape {
+            return Err(RuntimeError::BadInput(format!(
+                "{} has shape {} but program expects {}",
+                what(),
+                t.shape(),
+                p.shape
+            )));
+        }
+        per_actor[p.actor].push((p.buf, t.clone()));
+    }
+    Ok(per_actor)
+}
+
+impl Runtime {
+    /// Spawns the actor fleet on the transport selected by
+    /// `RAXPP_TRANSPORT` (in-process mpsc by default; see
+    /// [`TransportKind::from_env`]).
+    pub fn new(program: MpmdProgram) -> Runtime {
+        Runtime::with_transport(program, TransportKind::from_env())
+    }
+
+    /// Spawns the actor fleet on an explicit transport: in-process
+    /// mpsc, or thread-backed workers whose every fabric byte crosses
+    /// a Unix-domain/TCP socket. Execution is bitwise-identical across
+    /// transports. The transport also picks how collectives travel:
+    /// shared-memory rendezvous in process, the message ring over
+    /// sockets — bitwise-equal by construction, since both only gather
+    /// contributions for one shared combine.
+    pub fn with_transport(program: MpmdProgram, kind: TransportKind) -> Runtime {
+        let n = program.n_actors();
+        let transport: Box<dyn Transport> = match kind {
+            TransportKind::Mpsc => Box::new(MpscTransport::new(n)),
+            TransportKind::UnixSocket => Box::new(SocketTransport::threads(n, Scheme::Uds)),
+            TransportKind::Tcp => Box::new(SocketTransport::threads(n, Scheme::Tcp)),
+        };
+        Runtime::build(program, transport)
+    }
+
+    /// Spawns the actor fleet as separate OS processes over sockets in
+    /// `dir`: `spawn(a)` must launch a worker process that calls
+    /// [`crate::serve_worker`] for actor `a` against the same
+    /// directory (see the `raxpp-launch` binary). A worker SIGKILLed
+    /// mid-step ([`Runtime::kill_worker`]) surfaces as
+    /// [`RuntimeError::ActorDied`] in bounded time and is respawned by
+    /// [`Runtime::recover`].
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from creating the fleet directory or
+    /// binding the driver's socket.
+    pub fn with_process_fleet(
+        program: MpmdProgram,
+        dir: &std::path::Path,
+        tcp: bool,
+        spawn: Box<dyn FnMut(usize) -> std::io::Result<std::process::Child> + Send>,
+    ) -> std::io::Result<Runtime> {
+        let n = program.n_actors();
+        let scheme = if tcp { Scheme::Tcp } else { Scheme::Uds };
+        let transport = Box::new(SocketTransport::processes(n, dir, scheme, spawn)?);
+        Ok(Runtime::build(program, transport))
+    }
+
+    fn build(program: MpmdProgram, mut transport: Box<dyn Transport>) -> Runtime {
+        let n = program.n_actors();
+        let tp_sharded = program.tp.as_ref().is_some_and(|m| m.degree > 1);
+        let dp_replicated = program.dp.as_ref().is_some_and(|m| m.replicas > 1);
+        let hub = (transport.supports_lanes() && (tp_sharded || dp_replicated))
+            .then(|| Arc::new(LaneHub::new(program.tp.as_ref().filter(|m| m.degree > 1))));
+        let program = Arc::new(program);
+        let origin = Instant::now();
+        let actors = (0..n)
+            .map(|a| {
+                let lane = hub.as_ref().map(|h| h.ctx_for(a));
+                transport.spawn_actor(a, &program, origin, lane)
+            })
+            .collect();
+        Runtime {
+            inner: Mutex::new(Inner {
+                program,
+                actors,
+                transport,
+                seq: 0,
+                resident: HashMap::new(),
+                last_trace: None,
+                retired: vec![false; n],
+                assign_history: Vec::new(),
+            }),
+            step_timeout: AtomicU64::new(step_timeout_from_env().as_millis() as u64),
+            hub,
+            tracing: AtomicBool::new(tracing_from_env()),
+            origin,
+        }
+    }
+
+    /// Which transport the fleet runs on.
+    pub fn transport_kind(&self) -> TransportKind {
+        self.inner.lock().unwrap().transport.kind()
+    }
+
+    /// Cumulative wire counters (bytes, reconnects, heartbeat misses).
+    /// All zero on the in-process transport.
+    pub fn transport_stats(&self) -> TransportStats {
+        self.inner.lock().unwrap().transport.stats()
+    }
+
+    /// Delivers a real SIGKILL to actor `a`'s worker process (process
+    /// fleets only; returns `false` on thread-backed transports). The
+    /// link is marked dead so the next step fails fast with
+    /// [`RuntimeError::ActorDied`]; [`Runtime::recover`] respawns the
+    /// worker.
+    pub fn kill_worker(&self, a: usize) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        if a >= inner.actors.len() {
+            return false;
+        }
+        let killed = inner.transport.kill_process(a);
+        if killed {
+            inner.actors[a].dead = true;
+        }
+        killed
+    }
+
+    fn timeout(&self) -> Duration {
+        Duration::from_millis(self.step_timeout.load(Ordering::Relaxed))
+    }
+
+    /// Number of live rendezvous slots (staged collective contributions
+    /// plus deduplicated-run results) across every collective group.
+    /// Between steps this should be exactly the slots of the last
+    /// completed epoch — recovery and rebalance GC anything older, so a
+    /// monotone growth here across fault/recover cycles is a leak.
+    /// Always 0 for programs without collective groups and on socket
+    /// transports (the message ring holds no shared slots).
+    pub fn lane_live_slots(&self) -> usize {
+        self.hub.as_ref().map_or(0, |h| h.live_slots())
+    }
+
+    /// Enables or disables per-instruction step tracing (initially set
+    /// from `RAXPP_TRACE`). Takes effect on the next [`Runtime::step`].
+    ///
+    /// Tracing only records timestamps and byte counts — it cannot
+    /// change what any kernel computes, so traced execution stays
+    /// bitwise identical to untraced execution.
+    pub fn set_tracing(&self, enabled: bool) {
+        self.tracing.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Whether the next step will be traced.
+    pub fn tracing_enabled(&self) -> bool {
+        self.tracing.load(Ordering::Relaxed)
+    }
+
+    /// Takes the trace of the most recent traced step, successful or
+    /// failed. Failed steps leave their (partial) trace here even though
+    /// [`Runtime::step`] returns an error — the abort events and the
+    /// spans executed before the failure are the post-mortem record.
+    pub fn take_step_trace(&self) -> Option<StepTrace> {
+        self.inner.lock().unwrap().last_trace.take()
+    }
+
+    /// Nanoseconds elapsed since the runtime's launch — the zero point
+    /// of every span and event timestamp, so callers (e.g. the trainer's
+    /// retry loop) can stamp their own [`StepEvent`]s on the same
+    /// timeline.
+    pub fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// The program currently being executed. [`Runtime::rebalance`]
+    /// swaps it, so callers get a snapshot handle rather than a
+    /// reference.
+    pub fn program(&self) -> Arc<MpmdProgram> {
+        Arc::clone(&self.inner.lock().unwrap().program)
+    }
+
+    /// Number of actors still in service (neither retired by
+    /// [`Runtime::rebalance`] — dead-but-recoverable actors count as
+    /// alive, since [`Runtime::recover`] will respawn them).
+    pub fn alive_actors(&self) -> usize {
+        let inner = self.inner.lock().unwrap();
+        inner.retired.iter().filter(|&&r| !r).count()
+    }
+
+    /// Actors permanently retired by [`Runtime::rebalance`], ascending.
+    pub fn retired_actors(&self) -> Vec<usize> {
+        let inner = self.inner.lock().unwrap();
+        (0..inner.retired.len())
+            .filter(|&a| inner.retired[a])
+            .collect()
+    }
+
+    /// Overrides the step timeout (default 60 s, or
+    /// `RAXPP_STEP_TIMEOUT_MS`): the bound on how long the driver waits
+    /// for any single actor's reply before declaring the step failed.
+    /// On socket transports heartbeat suspicion usually fires first on
+    /// a silently dead or partitioned peer; this is the backstop.
+    pub fn set_step_timeout(&self, timeout: Duration) {
+        self.step_timeout
+            .store(timeout.as_millis().max(1) as u64, Ordering::Relaxed);
+    }
+
+    /// Places the model parameters on their actors (done once; parameters
+    /// stay resident across steps and are updated in place by optimizer
+    /// tasks). The driver keeps a handle to each placed tensor so
+    /// [`Runtime::recover`] can re-place it after an actor respawn.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::BadInput`] on shape mismatch and
+    /// [`RuntimeError::ActorDied`] if an actor is gone.
+    pub fn place_params(&self, params: &[Tensor]) -> Result<(), RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let per_actor = gather_placements(&inner.program, |source| match source {
+            InputSource::Param(i) => Some(params.get(i)),
+            _ => None,
+        })?;
+        self.place(&mut inner, per_actor, true)
+    }
+
+    /// Runs one step: places the per-microbatch data inputs, dispatches
+    /// every actor's fused stream (one message each), and fetches the
+    /// result buffers.
+    ///
+    /// `data[input][mubatch]` follows the traced function's data-input
+    /// order.
+    ///
+    /// A failed step returns in bounded time (the failing actor's abort
+    /// broadcast wakes every blocked peer; the step timeout is the
+    /// last-resort bound) and leaves the runtime in a clean state: the
+    /// same `Runtime` can run the next step, after [`Runtime::recover`]
+    /// if an actor died.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError`] on bad inputs, actor failure, task
+    /// execution errors, or timeout.
+    pub fn step(&self, data: &[Vec<Tensor>]) -> Result<StepOutputs, RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
+        let program = Arc::clone(&inner.program);
+        let n = program.n_actors();
+        let per_actor = gather_placements(&program, |source| match source {
+            InputSource::Data { input, mubatch } => {
+                Some(data.get(input).and_then(|mbs| mbs.get(mubatch)))
+            }
+            _ => None,
+        })?;
+        self.place(inner, per_actor, false)?;
+
+        // One fused dispatch per actor (§4.4): the Execute seq is the
+        // step epoch tagging every data message of this step.
+        let traced = self.tracing.load(Ordering::Relaxed);
+        let start = Instant::now();
+        let epoch = inner.next_seq();
+        let mut slots: Vec<Slot> = (0..n)
+            .map(|a| {
+                if inner.retired[a] {
+                    return Slot::Idle; // folded away: no stream, no reply expected
+                }
+                match inner.post(a, Command::Execute { seq: epoch, traced }) {
+                    Ok(()) => Slot::Waiting,
+                    Err(e) => Slot::Fatal(e),
+                }
+            })
+            .collect();
+        let rpcs = slots.iter().filter(|s| matches!(s, Slot::Waiting)).count();
+        let mut abort_sent = false;
+        if slots.iter().any(Slot::failed) {
+            inner
+                .transport
+                .broadcast_abort(epoch, "actor died before dispatch");
+            abort_sent = true;
+        }
+        let deadline = Instant::now() + self.timeout();
+        loop {
+            let mut progressed = false;
+            for (a, slot) in slots.iter_mut().enumerate() {
+                while matches!(slot, Slot::Waiting) {
+                    match inner.actors[a].reply.try_recv() {
+                        Ok(r) => progressed |= slot.file(r, epoch),
+                        Err(TryRecvError::Empty) => {
+                            // Heartbeat suspicion (socket transports
+                            // only): an actor whose reply link is open
+                            // but silent — e.g. a one-way partition
+                            // toward the driver — is declared timed out
+                            // long before the step-timeout backstop.
+                            if inner.transport.heartbeat_suspect(a) {
+                                *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                                inner.transport.note_heartbeat_miss();
+                                progressed = true;
+                            }
+                            break;
+                        }
+                        Err(TryRecvError::Disconnected) => {
+                            inner.actors[a].dead = true;
+                            *slot = Slot::Fatal(RuntimeError::ActorDied { actor: a });
+                            progressed = true;
+                        }
+                    }
+                }
+            }
+            if !abort_sent && slots.iter().any(Slot::failed) {
+                // Wake peers blocked in Recv on the failed epoch. The
+                // failing actor (or its death guard) broadcast already;
+                // this covers deaths whose guard ran under an older
+                // epoch, and is harmless otherwise.
+                inner
+                    .transport
+                    .broadcast_abort(epoch, "step aborted by driver");
+                abort_sent = true;
+            }
+            let Some(a) = slots.iter().position(|s| matches!(s, Slot::Waiting)) else {
+                break;
+            };
+            if progressed {
+                continue;
+            }
+            if Instant::now() >= deadline {
+                for (a, slot) in slots.iter_mut().enumerate() {
+                    if matches!(slot, Slot::Waiting) {
+                        *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                    }
+                }
+                if !abort_sent {
+                    inner.transport.broadcast_abort(epoch, "step timeout");
+                }
+                break;
+            }
+            // Block briefly on one pending actor; silent deaths surface
+            // as channel disconnects on the next try_recv sweep.
+            if let Ok(r) = inner.actors[a].reply.recv_timeout(REPLY_POLL) {
+                slots[a].file(r, epoch);
+            }
+        }
+        // Assemble the step trace (also for failed steps — the partial
+        // spans plus the abort events are the post-mortem record) before
+        // the error return below.
+        let step_trace = traced.then(|| StepTrace {
+            step: epoch,
+            actors: slots.iter_mut().filter_map(Slot::take_trace).collect(),
+            events: failure_events(self.now_ns(), &slots),
+        });
+        inner.last_trace = step_trace.clone();
+        if let Some(err) = step_error(&slots) {
+            return Err(err);
+        }
+        let profiles = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Replied(Ok(p), _) => p,
+                Slot::Idle => ActorProfile::default(),
+                _ => unreachable!("step_error covers every other slot"),
+            })
+            .collect();
+        let wall = start.elapsed();
+
+        // Fetch results.
+        let mut wanted: Vec<Vec<BufferId>> = vec![Vec::new(); n];
+        for f in &program.fetches {
+            wanted[f.actor].push(f.buf);
+        }
+        let targets: Vec<usize> = (0..n).filter(|&a| !wanted[a].is_empty()).collect();
+        let replies = self.fetch(inner, &targets, |a| wanted[a].clone());
+        let mut by_buf: HashMap<(usize, BufferId), Tensor> = HashMap::new();
+        for (&a, r) in targets.iter().zip(replies) {
+            by_buf.extend(wanted[a].iter().map(|b| (a, *b)).zip(r?));
+        }
+        let fetched = program
+            .fetches
+            .iter()
+            .map(|f| (*f, by_buf[&(f.actor, f.buf)].clone()))
+            .collect();
+        Ok(StepOutputs {
+            fetched,
+            stats: StepStats {
+                wall,
+                rpcs,
+                profiles,
+            },
+            trace: step_trace,
+        })
+    }
+
+    /// Places arbitrary buffers on actors (e.g. optimizer state appended
+    /// by `raxpp-core`'s compiler, which the program lists with a
+    /// `State` source). The driver keeps a handle to each placed tensor
+    /// so [`Runtime::recover`] can re-place it after an actor respawn.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ActorDied`] if an actor is gone.
+    pub fn place_buffers(&self, items: &[(usize, BufferId, Tensor)]) -> Result<(), RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let n = inner.actors.len();
+        let mut per_actor: PerActor = vec![Vec::new(); n];
+        for (actor, buf, t) in items {
+            if *actor >= n {
+                return Err(RuntimeError::BadInput(format!("unknown actor {actor}")));
+            }
+            per_actor[*actor].push((*buf, t.clone()));
+        }
+        self.place(&mut inner, per_actor, true)
+    }
+
+    /// Reads one buffer from an actor's store (e.g. an updated parameter).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError`] if the actor died or the buffer is
+    /// missing.
+    pub fn read_buffer(&self, actor: usize, buf: BufferId) -> Result<Tensor, RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        if actor >= inner.actors.len() || inner.retired[actor] {
+            return Err(RuntimeError::ActorDied { actor });
+        }
+        let mut replies = self.fetch(&mut inner, &[actor], |_| vec![buf]);
+        let mut tensors = replies.pop().expect("one target, one reply")?;
+        Ok(tensors.pop().expect("one buffer fetched, one tensor"))
+    }
+
+    /// Peak object-store bytes per actor since launch — the executable
+    /// analogue of the schedules' activation-memory footprints
+    /// (§2.2.1: GPipe's grows with the microbatch count, 1F1B's with
+    /// the stage count). Answers even after failed steps: stores survive
+    /// aborts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ActorDied`] if an actor is gone.
+    pub fn peak_store_bytes(&self) -> Result<Vec<usize>, RuntimeError> {
+        self.store_bytes(|seq| Command::PeakBytes { seq })
+    }
+
+    /// Bytes currently resident in each actor's object store, after
+    /// reclaiming any parked deletions whose sends have completed. At
+    /// quiescence (between steps) this is the deterministic resident
+    /// set — parameters, optimizer state, and fetched outputs — which
+    /// makes it the leak detector [`Runtime::peak_store_bytes`] (a
+    /// timing-sensitive high-water mark) cannot be.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ActorDied`] if an actor is gone.
+    pub fn live_store_bytes(&self) -> Result<Vec<usize>, RuntimeError> {
+        self.store_bytes(|seq| Command::LiveBytes { seq })
+    }
+
+    /// One store-size query to every actor in service; retired actors
+    /// report 0 (folded away: store discarded with the thread).
+    fn store_bytes(&self, make: impl Fn(u64) -> Command) -> Result<Vec<usize>, RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let n = inner.actors.len();
+        let targets: Vec<usize> = (0..n).filter(|&a| !inner.retired[a]).collect();
+        let replies = self.call(
+            &mut inner,
+            &targets,
+            |_, seq| make(seq),
+            |kind| match kind {
+                ReplyKind::StoreBytes(b) => Some(Ok(b)),
+                _ => None,
+            },
+        );
+        let mut out = vec![0; n];
+        for (&a, r) in targets.iter().zip(replies) {
+            out[a] = r?;
+        }
+        Ok(out)
+    }
+
+    /// Arms a one-shot deterministic [`Fault`] on one actor: die or
+    /// error at a chosen instruction index or task label of the next
+    /// executed stream. Repeated injections queue and fire in order, one
+    /// per triggering execution. The fault-injection surface behind
+    /// every failure test and the failure-mode bench.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ActorDied`] if the actor is already gone.
+    pub fn inject_fault(&self, actor: usize, fault: Fault) -> Result<(), RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        if actor >= inner.actors.len() {
+            return Err(RuntimeError::ActorDied { actor });
+        }
+        inner.post(actor, Command::InjectFault(fault))
+    }
+
+    /// Respawns dead actors and reconnects the fleet: each dead actor's
+    /// thread is replaced, every survivor's channel to it is rewired, and
+    /// the parameter/state buffers the driver holds resident copies of
+    /// (from [`Runtime::place_params`] / [`Runtime::place_buffers`]) are
+    /// re-placed on the replacements.
+    ///
+    /// Values updated in place by optimizer tasks since their placement
+    /// are *not* recovered from here — `raxpp-core`'s trainer restores
+    /// its own post-step snapshot on top to resume bitwise-identically.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError`] if re-placement on a respawned actor
+    /// fails.
+    pub fn recover(&self) -> Result<RecoveryReport, RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
+        let n = inner.actors.len();
+        // Heal the wire first: clear driver-side heartbeat suspicion
+        // and every survivor's chaos state (partitions, pending
+        // drops/delays). A heal that cannot be delivered reveals a dead
+        // survivor before the respawn scan below.
+        inner.transport.heal_wire();
+        for a in 0..n {
+            let _ = inner.post(a, Command::HealWire);
+        }
+        let dead: Vec<usize> = (0..n)
+            .filter(|&a| {
+                if inner.retired[a] {
+                    return false;
+                }
+                let gone = match inner.actors[a].handle.as_ref() {
+                    Some(h) => h.is_finished(),
+                    // Process backend: no thread handle; ask the child.
+                    None => inner.transport.finished(a),
+                };
+                inner.actors[a].dead || gone
+            })
+            .collect();
+        for &a in &dead {
+            // Respawn before joining the old thread: on socket
+            // transports the respawn severs the old endpoint, which is
+            // what unblocks an old thread the driver declared dead
+            // while it was still wedged in a receive.
+            let old = inner.actors[a].handle.take();
+            let lane = self.hub.as_ref().map(|h| h.ctx_for(a));
+            let link = inner
+                .transport
+                .spawn_actor(a, &inner.program, self.origin, lane);
+            if let Some(h) = old {
+                let _ = h.join();
+            }
+            inner.actors[a] = link;
+        }
+        // Process workers come back with the original (recompiled)
+        // program; replay the rebalance history so they converge on the
+        // driver's current program.
+        if inner.transport.needs_program_replay() {
+            for &a in &dead {
+                for assign in inner.assign_history.clone() {
+                    if inner.post(a, Command::Reprogram { assign }).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+        // Drop collective-group slots poisoned by the incident: groups
+        // whose membership includes retired actors are never used again
+        // (remapped programs reference survivor groups only), and live
+        // groups may hold contributions staged during the aborted epoch.
+        if let Some(h) = &self.hub {
+            h.gc(&inner.retired, inner.seq + 1);
+        }
+        // Re-place the driver-held resident copies on the replacements.
+        let mut per_actor: PerActor = vec![Vec::new(); n];
+        let mut replaced_buffers = 0;
+        for (&(a, buf), t) in &inner.resident {
+            if dead.contains(&a) {
+                per_actor[a].push((buf, t.clone()));
+                replaced_buffers += 1;
+            }
+        }
+        self.place(inner, per_actor, false)?;
+        Ok(RecoveryReport {
+            respawned: dead,
+            replaced_buffers,
+        })
+    }
+
+    /// Permanently folds the given actors' pipeline stages onto the
+    /// nearest surviving actors (elastic degraded mode).
+    ///
+    /// The running [`MpmdProgram`] is re-placed via
+    /// [`raxpp_taskgraph::replace_program`]: every `Run` instruction is
+    /// kept byte-identical (so training remains bitwise-deterministic),
+    /// co-located sends/recvs collapse to local moves, and cross-actor
+    /// transfers are rewired to the new owners. The folded actors are
+    /// shut down and marked *retired* — they are never respawned, and
+    /// [`Runtime::recover`] skips them from then on. Driver-held
+    /// resident copies (params/state) that lived on a retired actor are
+    /// migrated to its replacement.
+    ///
+    /// Call [`Runtime::recover`] afterwards to respawn any survivor
+    /// that died in the same incident; the caller (e.g. `raxpp-core`'s
+    /// trainer) is responsible for restoring optimizer-updated values
+    /// from its own snapshot on top.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::BadInput`] for out-of-range or
+    /// already-retired actor ids, and [`RuntimeError::Rebalance`] when
+    /// no survivor remains or the program cannot be re-placed (the
+    /// fleet is left untouched in that case).
+    pub fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, RuntimeError> {
+        let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
+        let n = inner.actors.len();
+        for &d in dead {
+            if d >= n {
+                return Err(RuntimeError::BadInput(format!("unknown actor {d}")));
+            }
+            if inner.retired[d] {
+                return Err(RuntimeError::BadInput(format!("actor {d} already retired")));
+            }
+        }
+        let mut assign: Vec<usize> = (0..n).collect();
+        if dead.is_empty() {
+            return Ok(RebalanceReport {
+                assign,
+                ..RebalanceReport::default()
+            });
+        }
+        // Folds happen at *host* granularity: a host is one pipeline
+        // position together with all of its TP ranks and DP replicas.
+        // Losing any raw actor retires the whole host everywhere —
+        // identically in every replica, rank-preservingly within each
+        // TP lane group — so collective memberships stay aligned across
+        // ranks and replicas after the fold ({h·t+r} → {s·t+r} in every
+        // replica block).
+        let (t, base, replicas) = {
+            let p = &inner.program;
+            let t = p.tp.as_ref().map_or(1, |m| m.degree.max(1));
+            let base = p.dp.map_or(n, |m| m.base_actors);
+            let replicas = p.dp.map_or(1, |m| m.replicas.max(1));
+            (t, base, replicas)
+        };
+        let hosts = base / t;
+        let mut dead_hosts: Vec<usize> = dead.iter().map(|&d| (d % base) / t).collect();
+        dead_hosts.sort_unstable();
+        dead_hosts.dedup();
+        let host_alive = |h: usize| {
+            !dead_hosts.contains(&h)
+                && (0..replicas).all(|rep| (0..t).all(|r| !inner.retired[rep * base + h * t + r]))
+        };
+        let alive_hosts: Vec<usize> = (0..hosts).filter(|&h| host_alive(h)).collect();
+        if alive_hosts.is_empty() {
+            return Err(RuntimeError::Rebalance("no surviving actors".into()));
+        }
+        let mut retired = Vec::new();
+        for &h in &dead_hosts {
+            // Nearest surviving host by pipeline distance; ties go to
+            // the lower index so the mapping is deterministic.
+            let s = alive_hosts
+                .iter()
+                .copied()
+                .min_by_key(|&s| (s.abs_diff(h), s))
+                .expect("alive_hosts is non-empty");
+            for rep in 0..replicas {
+                for r in 0..t {
+                    assign[rep * base + h * t + r] = rep * base + s * t + r;
+                    retired.push(rep * base + h * t + r);
+                }
+            }
+        }
+        retired.sort_unstable();
+        let new_program = replace_program(&inner.program, &assign)
+            .map_err(|e| RuntimeError::Rebalance(e.to_string()))?;
+        // Point of no return: retire the folded actors.
+        for &d in &retired {
+            let _ = inner.post(d, Command::Shutdown);
+            if let Some(h) = inner.actors[d].handle.take() {
+                let _ = h.join();
+            }
+            inner.actors[d].dead = true;
+            inner.retired[d] = true;
+        }
+        // GC collective-group slots now referencing retired members —
+        // the remapped program never rendezvouses on those memberships
+        // again, so without this their staged tensors leak for the
+        // lifetime of the run.
+        if let Some(h) = &self.hub {
+            h.gc(&inner.retired, inner.seq + 1);
+        }
+        inner.program = Arc::new(new_program);
+        inner.assign_history.push(assign.clone());
+        for a in 0..n {
+            // A dead survivor is left for recover(), which respawns it
+            // with the new program straight from `inner.program`
+            // (process workers replay the assign history instead).
+            let assign = assign.clone();
+            let _ = inner.post(a, Command::Reprogram { assign });
+        }
+        // Migrate driver-held resident copies off the retired actors.
+        let moved: Vec<((usize, BufferId), Tensor)> = inner
+            .resident
+            .iter()
+            .filter(|((a, _), _)| retired.contains(a))
+            .map(|(k, t)| (*k, t.clone()))
+            .collect();
+        let mut per_actor: PerActor = vec![Vec::new(); n];
+        let migrated = moved.len();
+        for ((a, buf), t) in moved {
+            inner.resident.remove(&(a, buf));
+            let host = assign[a];
+            inner.resident.insert((host, buf), t.clone());
+            per_actor[host].push((buf, t));
+        }
+        if let Err(e) = self.place(inner, per_actor, false) {
+            // A dead survivor is tolerable here: the migrated copies are
+            // already recorded in `resident`, so recover() re-places
+            // them when it respawns the host.
+            if !matches!(e, RuntimeError::ActorDied { .. }) {
+                return Err(e);
+            }
+        }
+        Ok(RebalanceReport {
+            retired,
+            assign,
+            migrated_buffers: migrated,
+        })
+    }
+
+    fn place(
+        &self,
+        inner: &mut Inner,
+        per_actor: PerActor,
+        record_resident: bool,
+    ) -> Result<(), RuntimeError> {
+        let targets: Vec<usize> = (0..per_actor.len())
+            .filter(|&a| !per_actor[a].is_empty())
+            .collect();
+        let placed = self.call(
+            inner,
+            &targets,
+            |a, seq| Command::Place {
+                seq,
+                bufs: per_actor[a].clone(),
+            },
+            |kind| matches!(kind, ReplyKind::Placed).then_some(Ok(())),
+        );
+        let mut first_err = None;
+        for (&a, r) in targets.iter().zip(placed) {
+            match r {
+                Ok(()) if record_resident => {
+                    for (b, t) in &per_actor[a] {
+                        inner.resident.insert((a, *b), t.clone());
+                    }
+                }
+                Ok(()) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Fetches `bufs(actor)` from every target's store, in order.
+    fn fetch(
+        &self,
+        inner: &mut Inner,
+        targets: &[usize],
+        bufs: impl Fn(usize) -> Vec<BufferId>,
+    ) -> Vec<Result<Vec<Tensor>, RuntimeError>> {
+        self.call(
+            inner,
+            targets,
+            |a, seq| Command::Fetch { seq, bufs: bufs(a) },
+            |kind| match kind {
+                ReplyKind::Fetched(r) => Some(r),
+                _ => None,
+            },
+        )
+    }
+
+    /// The driver's one request/reply exchange: sends `make(actor, seq)`
+    /// to every target under one fresh sequence number, then collects
+    /// every dispatched reply — also on the error path, so the reply
+    /// channels stay synchronized. `unpack` extracts the expected reply
+    /// kind's payload (`None` = some other kind, a protocol error). An
+    /// actor that turns out unreachable is marked dead. Results align
+    /// with `targets`.
+    fn call<T>(
+        &self,
+        inner: &mut Inner,
+        targets: &[usize],
+        make: impl Fn(usize, u64) -> Command,
+        unpack: impl Fn(ReplyKind) -> Option<Result<T, String>>,
+    ) -> Vec<Result<T, RuntimeError>> {
+        let seq = inner.next_seq();
+        let timeout = self.timeout();
+        let sent: Vec<Result<(), RuntimeError>> = targets
+            .iter()
+            .map(|&a| inner.post(a, make(a, seq)))
+            .collect();
+        let mut collect = |a: usize| {
+            let kind = recv_reply(&inner.actors[a], a, seq, timeout).inspect_err(|e| {
+                if matches!(e, RuntimeError::ActorDied { .. }) {
+                    inner.actors[a].dead = true;
+                }
+            })?;
+            let message = match unpack(kind) {
+                Some(Ok(v)) => return Ok(v),
+                Some(Err(message)) => message,
+                None => "protocol error: unexpected reply kind".into(),
+            };
+            Err(RuntimeError::Exec { actor: a, message })
+        };
+        targets
+            .iter()
+            .zip(sent)
+            .map(|(&a, sent)| sent.and_then(|()| collect(a)))
+            .collect()
+    }
+}
+
+/// Drains stale replies until the one matching `seq` arrives.
+fn recv_reply(
+    link: &ActorLink,
+    actor: usize,
+    seq: u64,
+    timeout: Duration,
+) -> Result<ReplyKind, RuntimeError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        match link.reply.recv_timeout(remaining) {
+            Ok(r) if r.seq == seq => return Ok(r.kind),
+            Ok(r) if r.seq < seq => continue, // stale reply from an aborted command
+            Ok(_) => {
+                return Err(RuntimeError::Exec {
+                    actor,
+                    message: "protocol error: reply from the future".into(),
+                })
+            }
+            Err(RecvTimeoutError::Timeout) => return Err(RuntimeError::Timeout { actor }),
+            Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::ActorDied { actor }),
+        }
+    }
+}
+
+/// Where one actor stands in the step being collected.
+enum Slot {
+    /// Retired: nothing dispatched, no reply expected.
+    Idle,
+    /// Dispatched; its `Executed` reply is outstanding.
+    Waiting,
+    /// The actor's own report, with its spans when the step was traced.
+    Replied(Result<ActorProfile, ExecFailure>, Option<ActorTrace>),
+    /// The driver's verdict on an actor that cannot report: died or
+    /// timed out.
+    Fatal(RuntimeError),
+}
+
+impl Slot {
+    /// Files an `Execute` reply for `epoch`. Returns false for a stale
+    /// reply from an earlier aborted command (dropped).
+    fn file(&mut self, r: Reply, epoch: Epoch) -> bool {
+        if r.seq != epoch {
+            return false;
+        }
+        if let ReplyKind::Executed(res) = r.kind {
+            *self = Slot::Replied(res.result, res.trace);
+        }
+        true
+    }
+
+    fn failed(&self) -> bool {
+        matches!(self, Slot::Fatal(_) | Slot::Replied(Err(_), _))
+    }
+
+    fn take_trace(&mut self) -> Option<ActorTrace> {
+        match self {
+            Slot::Replied(_, trace) => trace.take(),
+            _ => None,
+        }
+    }
+}
+
+/// The step-trace events describing how a step failed, one per actor
+/// with a fatal driver-side verdict or a failed report.
+fn failure_events(ts_ns: u64, slots: &[Slot]) -> Vec<StepEvent> {
+    let event = |(a, slot): (usize, &Slot)| {
+        let (kind, detail) = match slot {
+            Slot::Fatal(RuntimeError::Timeout { .. }) => ("timeout", format!("actor {a}")),
+            Slot::Fatal(e) => ("actor_died", e.to_string()),
+            Slot::Replied(Err(ExecFailure::Error(m)), _) => ("abort", m.clone()),
+            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), _) => {
+                let who = if *by == DRIVER {
+                    "driver".to_string()
+                } else {
+                    format!("actor {by}")
+                };
+                ("cascade", format!("aborted by {who}: {reason}"))
+            }
+            _ => return None,
+        };
+        Some(StepEvent {
+            ts_ns,
+            actor: Some(a),
+            kind: kind.to_string(),
+            detail,
+        })
+    };
+    slots.iter().enumerate().filter_map(event).collect()
+}
+
+/// Maps one step's per-actor slots to the root-cause error, if any.
+/// Priority: a genuine task error, then a death, then a timeout, then a
+/// pure abort cascade (possible only transiently).
+fn step_error(slots: &[Slot]) -> Option<RuntimeError> {
+    let (mut error, mut died, mut timeout, mut cascade) = (None, None, None, None);
+    for (a, slot) in slots.iter().enumerate() {
+        let (class, actor, message) = match slot {
+            Slot::Fatal(e @ RuntimeError::Timeout { .. }) => {
+                timeout.get_or_insert(e.clone());
+                continue;
+            }
+            Slot::Fatal(e) => {
+                died.get_or_insert(e.clone());
+                continue;
+            }
+            Slot::Replied(Err(ExecFailure::Error(message)), _) => (&mut error, a, message),
+            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), _) => {
+                (&mut cascade, if *by == DRIVER { a } else { *by }, reason)
+            }
+            _ => continue,
+        };
+        class.get_or_insert(RuntimeError::Exec {
+            actor,
+            message: message.clone(),
+        });
+    }
+    error.or(died).or(timeout).or(cascade)
+}
+
+impl Drop for Runtime {
+    fn drop(&mut self) {
+        let mut inner = self.inner.lock().unwrap();
+        for a in 0..inner.actors.len() {
+            let _ = inner.post(a, Command::Shutdown);
+        }
+        // Wake any actor still parked in a Recv from a timed-out step so
+        // it can reach the Shutdown command: epoch MAX outranks every
+        // current epoch.
+        inner
+            .transport
+            .broadcast_abort(u64::MAX, "runtime shutdown");
+        for link in &mut inner.actors {
+            if let Some(h) = link.handle.take() {
+                let _ = h.join();
+            }
+        }
+    }
+}

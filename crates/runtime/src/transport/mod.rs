@@ -4,7 +4,7 @@
 //! logical channels: a command channel per actor (driver → actor), a
 //! reply channel per actor (actor → driver), and the data fabric
 //! (actor → actor `Msg`s plus driver abort broadcasts, demuxed
-//! per-peer FIFO by each actor's [`Mailbox`](crate::driver)). The
+//! per-peer FIFO by each actor's `Mailbox`). The
 //! [`Transport`] trait abstracts how those channels are carried:
 //!
 //! * [`MpscTransport`] — the original in-process fabric: one thread
@@ -35,8 +35,10 @@ use std::time::{Duration, Instant};
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::driver::{actor_main, ActorLink, Command, Fault, Msg, Payload, Reply, DRIVER};
+use crate::actor::{actor_main, Command, Msg, Payload, Reply, DRIVER};
+use crate::fault::Fault;
 use crate::lane::LaneCtx;
+use crate::runtime::ActorLink;
 
 pub use socket::{serve_worker, WorkerConfig};
 pub(crate) use socket::{Endpoint, Scheme, SocketTransport};
@@ -112,10 +114,11 @@ pub(crate) trait Transport: Send {
     /// Which carrier this is.
     fn kind(&self) -> TransportKind;
 
-    /// Whether shared-memory lane rendezvous (tensor/data-parallel
-    /// collectives over `LaneHub`) can be used. Socket transports
-    /// return false: collectives take the message-ring path, which is
-    /// bitwise-identical by construction.
+    /// Whether actors share an address space, so tensor/data-parallel
+    /// collectives can meet in the `LaneHub` rendezvous. This is the
+    /// *only* selector of the collective carrier: socket transports
+    /// return false and their collectives ride the message ring, which
+    /// is bitwise-identical by construction.
     fn supports_lanes(&self) -> bool {
         true
     }

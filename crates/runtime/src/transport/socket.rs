@@ -39,7 +39,9 @@ use std::time::{Duration, Instant};
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::driver::{actor_main, ActorLink, Command, Exit, Fault, Msg, Payload, Reply, DRIVER};
+use crate::actor::{actor_main, Command, Exit, Msg, Payload, Reply, DRIVER};
+use crate::fault::Fault;
+use crate::runtime::ActorLink;
 use crate::transport::wire::{
     decode_command, decode_msg, decode_reply, encode_command, encode_heartbeat, encode_hello,
     encode_msg, encode_reply, read_frame, write_frame, CMD, DATA, HEARTBEAT, HELLO, LINK_CMD,

@@ -20,9 +20,9 @@ use std::time::Duration;
 use raxpp_ir::{EvalStats, Shape, Tensor};
 use raxpp_taskgraph::BufferId;
 
-use crate::driver::{
-    ActorProfile, Command, ExecFailure, ExecOutcome, Fault, Msg, Payload, Reply, ReplyKind,
-};
+use crate::actor::{Command, ExecFailure, ExecOutcome, Msg, Payload, Reply, ReplyKind};
+use crate::exec::ActorProfile;
+use crate::fault::Fault;
 use crate::store::SendToken;
 use crate::trace::{ActorTrace, SpanEvent};
 
@@ -374,11 +374,10 @@ pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
                 e.tensor(t);
             }
         }
-        Command::Execute { seq, traced, lanes } => {
+        Command::Execute { seq, traced } => {
             e.u8(1);
             e.u64(*seq);
             e.u8(*traced as u8);
-            e.u8(*lanes as u8);
         }
         Command::Fetch { seq, bufs } => {
             e.u8(2);
@@ -388,32 +387,27 @@ pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
                 e.u32(b.0);
             }
         }
-        Command::Read { seq, buf } => {
-            e.u8(3);
-            e.u64(*seq);
-            e.u32(buf.0);
-        }
         Command::PeakBytes { seq } => {
-            e.u8(4);
+            e.u8(3);
             e.u64(*seq);
         }
         Command::LiveBytes { seq } => {
-            e.u8(5);
+            e.u8(4);
             e.u64(*seq);
         }
         Command::Reprogram { assign } => {
-            e.u8(6);
+            e.u8(5);
             e.u32(assign.len() as u32);
             for &a in assign {
                 e.u64(a as u64);
             }
         }
         Command::InjectFault(f) => {
-            e.u8(7);
+            e.u8(6);
             encode_fault(&mut e, f);
         }
-        Command::HealWire => e.u8(8),
-        Command::Shutdown => e.u8(9),
+        Command::HealWire => e.u8(7),
+        Command::Shutdown => e.u8(8),
     }
     e.into_bytes()
 }
@@ -433,7 +427,6 @@ pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
         1 => Command::Execute {
             seq: d.u64()?,
             traced: d.u8()? != 0,
-            lanes: d.u8()? != 0,
         },
         2 => {
             let seq = d.u64()?;
@@ -444,13 +437,9 @@ pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
             }
             Command::Fetch { seq, bufs }
         }
-        3 => Command::Read {
-            seq: d.u64()?,
-            buf: BufferId(d.u32()?),
-        },
-        4 => Command::PeakBytes { seq: d.u64()? },
-        5 => Command::LiveBytes { seq: d.u64()? },
-        6 => {
+        3 => Command::PeakBytes { seq: d.u64()? },
+        4 => Command::LiveBytes { seq: d.u64()? },
+        5 => {
             let n = d.u32()? as usize;
             let mut assign = Vec::with_capacity(n);
             for _ in 0..n {
@@ -458,9 +447,9 @@ pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
             }
             Command::Reprogram { assign }
         }
-        7 => Command::InjectFault(decode_fault(d)?),
-        8 => Command::HealWire,
-        9 => Command::Shutdown,
+        6 => Command::InjectFault(decode_fault(d)?),
+        7 => Command::HealWire,
+        8 => Command::Shutdown,
         k => return Err(format!("unknown command kind {k}")),
     })
 }
@@ -492,20 +481,13 @@ fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
         let kind = kind_from_index(i, format!("kind{i}"));
         let dur = Duration::from_nanos(d.u64()?);
         let count = d.u32()?;
-        p.restore_entry(kind, dur, count);
+        p.add_entry(kind, dur, count);
     }
-    let alloc = d.stats()?;
-    let bytes_reduced = d.u64()?;
-    let bytes_wire = d.u64()?;
-    let bytes_overlap = d.u64()?;
-    let dp_bytes_wire = d.u64()?;
-    p.restore_counters(
-        alloc,
-        bytes_reduced,
-        bytes_wire,
-        bytes_overlap,
-        dp_bytes_wire,
-    );
+    p.alloc = d.stats()?;
+    p.bytes_reduced = d.u64()?;
+    p.bytes_wire = d.u64()?;
+    p.bytes_overlap = d.u64()?;
+    p.dp_bytes_wire = d.u64()?;
     Ok(p)
 }
 
@@ -636,25 +618,8 @@ pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
             e.u8(2);
             encode_result_tensors(&mut e, r);
         }
-        ReplyKind::Read(r) => {
+        ReplyKind::StoreBytes(b) => {
             e.u8(3);
-            match r {
-                Ok(t) => {
-                    e.u8(0);
-                    e.tensor(t);
-                }
-                Err(m) => {
-                    e.u8(1);
-                    e.str(m);
-                }
-            }
-        }
-        ReplyKind::PeakBytes(b) => {
-            e.u8(4);
-            e.u64(*b as u64);
-        }
-        ReplyKind::LiveBytes(b) => {
-            e.u8(5);
             e.u64(*b as u64);
         }
     }
@@ -682,12 +647,7 @@ pub(crate) fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
             ReplyKind::Executed(Box::new(ExecOutcome { result, trace }))
         }
         2 => ReplyKind::Fetched(decode_result_tensors(d)?),
-        3 => ReplyKind::Read(match d.u8()? {
-            0 => Ok(d.tensor()?),
-            _ => Err(d.str()?),
-        }),
-        4 => ReplyKind::PeakBytes(d.u64()? as usize),
-        5 => ReplyKind::LiveBytes(d.u64()? as usize),
+        3 => ReplyKind::StoreBytes(d.u64()? as usize),
         k => return Err(format!("unknown reply kind {k}")),
     };
     Ok(Reply { seq, kind })
@@ -735,18 +695,13 @@ mod tests {
             }
             c => panic!("wrong decode: {c:?}"),
         }
-        assert!(matches!(
-            roundtrip_cmd(Command::Execute {
-                seq: 9,
-                traced: true,
-                lanes: false
-            }),
-            Command::Execute {
-                seq: 9,
-                traced: true,
-                lanes: false
-            }
-        ));
+        let exec = Command::Execute {
+            seq: 9,
+            traced: true,
+        };
+        // tag + command kind + seq + traced: nothing else rides along.
+        assert_eq!(encode_command(&exec).len(), 1 + 1 + 8 + 1);
+        assert_eq!(roundtrip_cmd(exec.clone()), exec);
         match roundtrip_cmd(Command::Reprogram {
             assign: vec![0, 1, 1, 3],
         }) {
@@ -788,18 +743,16 @@ mod tests {
         assert!(matches!(m2.payload, Payload::Abort(ref r) if r == "step aborted"));
 
         let mut p = ActorProfile::default();
-        p.restore_entry("fwd", Duration::from_micros(12), 3);
-        p.restore_counters(
-            EvalStats {
-                allocated: 5,
-                reused: 2,
-                freed: 4,
-            },
-            64,
-            128,
-            32,
-            16,
-        );
+        p.add_entry("fwd", Duration::from_micros(12), 3);
+        p.alloc = EvalStats {
+            allocated: 5,
+            reused: 2,
+            freed: 4,
+        };
+        p.bytes_reduced = 64;
+        p.bytes_wire = 128;
+        p.bytes_overlap = 32;
+        p.dp_bytes_wire = 16;
         let r = Reply {
             seq: 3,
             kind: ReplyKind::Executed(Box::new(ExecOutcome {

@@ -3,7 +3,7 @@
 //! single-device autodiff — plus failure injection.
 
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx};
-use raxpp_runtime::{Runtime, RuntimeError};
+use raxpp_runtime::{Fault, Runtime, RuntimeError};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
     check_send_recv_order, insert_frees, pipeline_model, unroll_loop, FetchRole, MpmdProgram,
@@ -196,7 +196,7 @@ fn actor_failure_surfaces_as_error_not_hang() {
     let (params, data) = rand_inputs(&jaxpr, n_params, 2, 28);
     let rt = Runtime::new(program);
     rt.place_params(&params).unwrap();
-    rt.inject_failure(1);
+    rt.inject_fault(1, Fault::DieNow).unwrap();
     // Either the dispatch send or the reply fails, never a hang.
     match rt.step(&data) {
         Err(RuntimeError::ActorDied { .. }) | Err(RuntimeError::Exec { .. }) => {}

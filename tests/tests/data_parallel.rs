@@ -5,7 +5,8 @@
 //!
 //! * **Tier 1 — fixed degree, bitwise.** At any fixed `d`, runs are
 //!   bitwise-reproducible through faults, recovery, elastic rebalance,
-//!   checkpoint save/resume, and lane↔serial collective modes.
+//!   checkpoint save/resume, and across the two collective carriers
+//!   (shared-memory rendezvous on mpsc, message ring on sockets).
 //! * **Tier 2 — across degrees, bounded.** Step-0 (pre-update)
 //!   per-microbatch losses are bitwise equal for every `d` over the
 //!   same global batch; after updates, losses and parameters agree
@@ -20,16 +21,30 @@ use raxpp_core::{
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::{mlp_chain, BuiltModel};
-use raxpp_runtime::Fault;
+use raxpp_runtime::{Fault, TransportKind};
 use raxpp_sched::{gpipe, one_f1b, DpMap, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveAxis, Instr};
 
+/// A trainer on the environment's default transport (`RAXPP_TRANSPORT`).
 fn build(
     model: &BuiltModel,
     schedule: &Schedule,
     tp: usize,
     dp: Option<DpConfig>,
     optimizer: Optimizer,
+) -> Trainer {
+    build_on(model, schedule, tp, dp, optimizer, None)
+}
+
+/// A trainer on an explicit transport — which also fixes the collective
+/// carrier: rendezvous on `Mpsc`, ring on `UnixSocket`.
+fn build_on(
+    model: &BuiltModel,
+    schedule: &Schedule,
+    tp: usize,
+    dp: Option<DpConfig>,
+    optimizer: Optimizer,
+    transport: Option<TransportKind>,
 ) -> Trainer {
     let t = compile_train_step(
         &model.jaxpr,
@@ -39,6 +54,7 @@ fn build(
         CompileOptions {
             tp: (tp > 1).then(|| TpConfig::model_parallel(tp)),
             dp,
+            transport,
             ..CompileOptions::default()
         },
     )
@@ -188,9 +204,9 @@ fn dp_shards_the_batch_and_tracks_dp1_within_bounds() {
     }
 }
 
-/// Tier 1: at a fixed degree, two identical runs — one in lane mode,
-/// one on the serial collective ring — are bitwise equal, losses and
-/// parameters, step after step.
+/// Tier 1: at a fixed degree, two identical runs — one on mpsc (the
+/// shared-memory rendezvous), one over Unix sockets (the collective
+/// ring) — are bitwise equal, losses and parameters, step after step.
 #[test]
 fn dp_runs_are_bitwise_reproducible_at_fixed_degree() {
     const GLOBAL_MB: usize = 4;
@@ -202,18 +218,21 @@ fn dp_runs_are_bitwise_reproducible_at_fixed_degree() {
     let model = mlp_chain(8, 2, 2, 2, 241).unwrap();
     let data = mb_data(GLOBAL_MB, 8, 2, 242);
 
-    let lanes = build(&model, &schedule, 2, Some(DpConfig::replicas(2)), optimizer);
-    let serial = build(&model, &schedule, 2, Some(DpConfig::replicas(2)), optimizer);
-    serial.set_tp_lanes(false);
+    let on = |transport| {
+        let dp = Some(DpConfig::replicas(2));
+        build_on(&model, &schedule, 2, dp, optimizer, Some(transport))
+    };
+    let lanes = on(TransportKind::Mpsc);
+    let ring = on(TransportKind::UnixSocket);
     for step in 0..3 {
         let a = lanes.step(&data).unwrap();
-        let b = serial.step(&data).unwrap();
-        assert_eq!(a.losses, b.losses, "step {step}: lanes vs serial diverged");
+        let b = ring.step(&data).unwrap();
+        assert_eq!(a.losses, b.losses, "step {step}: mpsc vs uds diverged");
     }
     let pa = lanes.params().unwrap();
-    let pb = serial.params().unwrap();
+    let pb = ring.params().unwrap();
     for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
-        assert_eq!(a.data(), b.data(), "param {p}: lanes vs serial diverged");
+        assert_eq!(a.data(), b.data(), "param {p}: mpsc vs uds diverged");
     }
 }
 
@@ -477,9 +496,10 @@ fn dp_rebalance_folds_bitwise() {
 }
 
 /// The full tier-1 sweep in one trajectory: a dp=2 × tp=2 ZeRO-1 run
-/// that survives an injected death, an elastic fold, and a lane→serial
-/// mode flip stays bitwise equal — losses every step, parameters at the
-/// end — to an undisturbed run of the same degree.
+/// that survives an injected death and an elastic fold stays bitwise
+/// equal — losses every step, parameters at the end — to an undisturbed
+/// mpsc run of the same degree, whichever carrier its collectives ride
+/// (rendezvous on mpsc, ring over Unix sockets).
 #[test]
 fn dp_fixed_degree_determinism_sweep() {
     let optimizer = Optimizer::adam(0.01);
@@ -492,32 +512,48 @@ fn dp_fixed_degree_determinism_sweep() {
         rebalance_after: None,
     };
 
-    let smooth = build(&model, &schedule, 2, Some(DpConfig::zero1(2)), optimizer);
-    let chaos = build(&model, &schedule, 2, Some(DpConfig::zero1(2)), optimizer);
+    for carrier in [TransportKind::Mpsc, TransportKind::UnixSocket] {
+        let zero1 = || Some(DpConfig::zero1(2));
+        let smooth = build_on(
+            &model,
+            &schedule,
+            2,
+            zero1(),
+            optimizer,
+            Some(TransportKind::Mpsc),
+        );
+        let chaos = build_on(&model, &schedule, 2, zero1(), optimizer, Some(carrier));
 
-    for step in 0..4 {
-        match step {
-            // Step 1: kill a replica-1 actor mid-step, recover bitwise.
-            1 => chaos
-                .runtime()
-                .inject_fault(4, Fault::DieAtInstr(1))
-                .unwrap(),
-            // Step 2: fold host 1 away in both replicas.
-            2 => {
-                chaos.rebalance(&[2]).unwrap();
+        for step in 0..4 {
+            match step {
+                // Step 1: kill a replica-1 actor mid-step, recover bitwise.
+                1 => chaos
+                    .runtime()
+                    .inject_fault(4, Fault::DieAtInstr(1))
+                    .unwrap(),
+                // Step 2: fold host 1 away in both replicas.
+                2 => {
+                    chaos.rebalance(&[2]).unwrap();
+                }
+                _ => {}
             }
-            // Step 3: switch every collective to the serial ring.
-            3 => chaos.set_tp_lanes(false),
-            _ => {}
+            let a = smooth.step_with_recovery(&data, policy).unwrap();
+            let b = chaos.step_with_recovery(&data, policy).unwrap();
+            assert_eq!(a.losses, b.losses, "{carrier} step {step}: losses diverged");
         }
-        let a = smooth.step_with_recovery(&data, policy).unwrap();
-        let b = chaos.step_with_recovery(&data, policy).unwrap();
-        assert_eq!(a.losses, b.losses, "step {step}: losses diverged");
+        let pa = smooth.params().unwrap();
+        let pb = chaos.params().unwrap();
+        for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
+            assert_eq!(
+                a.data(),
+                b.data(),
+                "{carrier}: param {p} diverged after the sweep"
+            );
+        }
+        assert_eq!(
+            chaos.runtime().lane_live_slots(),
+            0,
+            "{carrier}: stale slots leaked"
+        );
     }
-    let pa = smooth.params().unwrap();
-    let pb = chaos.params().unwrap();
-    for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
-        assert_eq!(a.data(), b.data(), "param {p} diverged after the sweep");
-    }
-    assert_eq!(chaos.runtime().lane_live_slots(), 0, "stale slots leaked");
 }

@@ -2,8 +2,11 @@
 //! stages are sharded over a `"model"` mesh axis must train end-to-end
 //! **bit-identical** to the unsharded pipeline — same losses, same
 //! parameters, same checkpoints — while actually exchanging data through
-//! real ring collectives, and the whole composition must survive fault
-//! injection and recovery.
+//! real collectives, and the whole composition must survive fault
+//! injection and recovery. The transport picks how a collective
+//! travels (shared-memory rendezvous on mpsc, message ring on sockets);
+//! the twins below pin that the two carriers are interchangeable bit
+//! for bit.
 
 use std::time::Duration;
 
@@ -11,11 +14,27 @@ use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, TpC
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::{mlp_chain, BuiltModel};
-use raxpp_runtime::{Fault, TransportKind};
+use raxpp_runtime::{ActorProfile, Fault, StepTrace, TransportKind};
 use raxpp_sched::{gpipe, one_f1b, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveKind, Instr};
 
+/// Both collective carriers, by the transport that selects them:
+/// in-process mpsc → shared-memory rendezvous, Unix sockets → ring.
+const CARRIERS: [TransportKind; 2] = [TransportKind::Mpsc, TransportKind::UnixSocket];
+
+/// A trainer on the environment's default transport (`RAXPP_TRANSPORT`,
+/// so the socket gate of `scripts/verify.sh` runs this whole suite on
+/// the ring carrier).
 fn build(model: &BuiltModel, schedule: &Schedule, tp: usize) -> Trainer {
+    build_on(model, schedule, tp, None)
+}
+
+fn build_on(
+    model: &BuiltModel,
+    schedule: &Schedule,
+    tp: usize,
+    transport: Option<TransportKind>,
+) -> Trainer {
     let t = compile_train_step(
         &model.jaxpr,
         model.n_params,
@@ -23,6 +42,7 @@ fn build(model: &BuiltModel, schedule: &Schedule, tp: usize) -> Trainer {
         Optimizer::Sgd { lr: 0.05 },
         CompileOptions {
             tp: Some(TpConfig::model_parallel(tp)),
+            transport,
             ..CompileOptions::default()
         },
     )
@@ -30,6 +50,11 @@ fn build(model: &BuiltModel, schedule: &Schedule, tp: usize) -> Trainer {
     assert_eq!(t.tp_degree(), tp);
     t.init(&model.init).unwrap();
     t
+}
+
+fn count_spans(trace: &StepTrace, kind: &str) -> usize {
+    let spans = trace.actors.iter().flat_map(|a| &a.spans);
+    spans.filter(|s| s.kind == kind).count()
 }
 
 fn mb_data(schedule: &Schedule, width: usize, batch: usize, seed: u64) -> Vec<Vec<Tensor>> {
@@ -223,14 +248,14 @@ fn tp_checkpoints_are_byte_identical_across_degrees() {
     assert_eq!(a.losses, b.losses);
 }
 
-/// The lane/serial mode sweep: shard-lane rendezvous (the default) and
-/// the serial ring fallback must be bit-for-bit interchangeable — per
-/// step, on the same trainer, across schedules, tp degrees, and
-/// traced/untraced execution — and every cell must match the tp=1
-/// baseline. Traced lane steps must additionally surface the
-/// `collective_wait` spans the observability layer documents.
+/// The carrier twins: the shared-memory rendezvous (mpsc) and the
+/// message ring (Unix sockets) must be bit-for-bit interchangeable —
+/// step by step, across schedules, tp degrees, and traced/untraced
+/// execution — and every cell must match the tp=1 baseline. Traced
+/// rendezvous steps must additionally surface the `collective_wait`
+/// spans the observability layer documents; the ring never emits them.
 #[test]
-fn tp_lane_and_serial_modes_are_bitwise_identical() {
+fn tp_rendezvous_and_ring_carriers_are_bitwise_identical() {
     for (schedule, seed) in [(gpipe(2, 4).unwrap(), 91), (one_f1b(2, 4).unwrap(), 92)] {
         let model = mlp_chain(8, 2, 4, schedule.n_stages(), seed).unwrap();
         let data = mb_data(&schedule, 8, 2, seed + 1);
@@ -243,190 +268,148 @@ fn tp_lane_and_serial_modes_are_bitwise_identical() {
         let base_params = baseline.params().unwrap();
 
         for tp in [2usize, 4] {
-            let trainer = build(&model, &schedule, tp);
-            // Shared-memory shard lanes only exist on the in-process
-            // transport; on a socket fabric every collective takes the
-            // serial ring (bitwise-equal by construction), so run the
-            // whole sweep in serial mode there.
-            let lanes_available = trainer.runtime().transport_kind() == TransportKind::Mpsc;
-            // Alternate modes on the SAME trainer: serial, lanes,
-            // serial traced, lanes traced — every step must continue
-            // the exact tp=1 trajectory regardless of mode.
-            for (step, want) in base_losses.iter().enumerate() {
-                let lanes = lanes_available && step % 2 == 1;
-                trainer.set_tp_lanes(lanes);
-                let traced = step >= 2;
-                let losses = if traced {
-                    let (result, trace) = trainer.step_traced(&data).unwrap();
-                    let waits = trace
-                        .actors
-                        .iter()
-                        .flat_map(|a| &a.spans)
-                        .filter(|s| s.kind == "collective_wait")
-                        .count();
-                    if lanes {
-                        assert!(
-                            waits > 0,
-                            "{} tp={tp}: traced lane step has no collective_wait spans",
-                            schedule.name()
-                        );
+            let mut wire_bytes = Vec::new();
+            for carrier in CARRIERS {
+                let cell = format!("{} tp={tp} on {carrier}", schedule.name());
+                let trainer = build_on(&model, &schedule, tp, Some(carrier));
+                // Untraced, untraced, traced, traced: every step must
+                // continue the exact tp=1 trajectory on either carrier.
+                for (step, want) in base_losses.iter().enumerate() {
+                    let losses = if step >= 2 {
+                        let (result, trace) = trainer.step_traced(&data).unwrap();
+                        let waits = count_spans(&trace, "collective_wait");
+                        if carrier == TransportKind::Mpsc {
+                            assert!(
+                                waits > 0,
+                                "{cell}: traced step has no collective_wait spans"
+                            );
+                        } else {
+                            assert_eq!(waits, 0, "{cell}: the ring must not emit collective_wait");
+                        }
+                        result.losses
                     } else {
-                        assert_eq!(
-                            waits,
-                            0,
-                            "{} tp={tp}: serial mode must not emit collective_wait",
-                            schedule.name()
-                        );
-                    }
-                    result.losses
-                } else {
-                    trainer.step(&data).unwrap().losses
-                };
-                assert_eq!(
-                    &losses,
-                    want,
-                    "{} tp={tp} step {step} (lanes={lanes}): losses not bit-identical",
-                    schedule.name()
-                );
+                        trainer.step(&data).unwrap().losses
+                    };
+                    assert_eq!(
+                        &losses, want,
+                        "{cell} step {step}: losses not bit-identical"
+                    );
+                }
+                let params = trainer.params().unwrap();
+                for (p, (a, b)) in params.iter().zip(&base_params).enumerate() {
+                    assert_eq!(a.data(), b.data(), "{cell}: param {p} not bit-identical");
+                }
+                wire_bytes.push(trainer.metrics().counter("tp_bytes_wire"));
             }
-            let params = trainer.params().unwrap();
-            for (p, (a, b)) in params.iter().zip(&base_params).enumerate() {
-                assert_eq!(
-                    a.data(),
-                    b.data(),
-                    "{} tp={tp}: param {p} not bit-identical after mode sweep",
-                    schedule.name()
-                );
-            }
-            // Wire accounting covers every collective in both modes;
-            // overlap bytes only ever appear in lane mode.
-            assert!(
-                trainer.metrics().counter("tp_bytes_wire") > 0,
-                "tp={tp}: no wire bytes recorded"
+            // Wire accounting covers every collective on both carriers.
+            assert!(wire_bytes[0] > 0, "tp={tp}: no wire bytes recorded");
+            assert_eq!(
+                wire_bytes[0], wire_bytes[1],
+                "tp={tp}: carriers count wire bytes alike"
             );
         }
     }
 }
 
-/// A lane dying *inside* the rendezvous (at a collective instruction)
-/// must poison its group — waking condvar-parked peers instead of
-/// leaving them blocked — cascade into a bounded abort, and recover to
-/// a bit-identical trajectory.
+/// Pins the selection itself: nothing but the transport decides how a
+/// collective travels. The same TP program streams matmul panels into
+/// the rendezvous (`bytes_overlap > 0`, a `collective_wait` profile
+/// kind) on mpsc, and moves the identical wire volume with no overlap
+/// and no rendezvous wait over Unix sockets.
 #[test]
-fn tp_lane_fault_inside_lane_recovers_bounded() {
+fn tp_collective_carrier_is_chosen_by_the_transport() {
+    let schedule = gpipe(2, 2).unwrap();
+    let model = mlp_chain(8, 2, 2, schedule.n_stages(), 97).unwrap();
+    let data = mb_data(&schedule, 8, 2, 98);
+    let profile = |carrier| {
+        let trainer = build_on(&model, &schedule, 2, Some(carrier));
+        assert_eq!(trainer.runtime().transport_kind(), carrier);
+        let profiles = trainer.step(&data).unwrap().stats.profiles;
+        let sum = |f: fn(&ActorProfile) -> u64| profiles.iter().map(f).sum::<u64>();
+        let waits = profiles.iter().any(|p| p.get("collective_wait").is_some());
+        (
+            sum(ActorProfile::bytes_wire),
+            sum(ActorProfile::bytes_overlap),
+            waits,
+        )
+    };
+    let (mpsc_wire, mpsc_overlap, mpsc_waits) = profile(TransportKind::Mpsc);
+    let (uds_wire, uds_overlap, uds_waits) = profile(TransportKind::UnixSocket);
+    assert!(mpsc_wire > 0, "the TP program moved no collective bytes");
+    assert_eq!(
+        mpsc_wire, uds_wire,
+        "both carriers account the same wire volume"
+    );
+    assert!(
+        mpsc_overlap > 0 && mpsc_waits,
+        "mpsc must take the rendezvous"
+    );
+    assert!(uds_overlap == 0 && !uds_waits, "sockets must take the ring");
+}
+
+/// An actor lost *inside* a collective (at the collective instruction)
+/// must wake its peers on either carrier, cascade into a bounded abort,
+/// and recover to a bit-identical trajectory. A death poisons its
+/// rendezvous group so condvar-parked lanes are not left blocked (mpsc)
+/// and aborts the ring peers blocked in `Recv` (sockets). kill -9 on
+/// the wire is the hard case: the endpoint is severed with no abort
+/// broadcast and no goodbye, so detection rests on closed connections,
+/// reply-link EOF and heartbeat silence alone, and recovery must
+/// respawn the severed endpoint.
+#[test]
+fn tp_fault_inside_collective_recovers_bounded_on_both_carriers() {
     let schedule = gpipe(2, 4).unwrap();
     let model = mlp_chain(8, 2, 2, schedule.n_stages(), 93).unwrap();
     let data = mb_data(&schedule, 8, 2, 94);
-
-    let smooth = build(&model, &schedule, 1);
-    let bumpy = build(&model, &schedule, 2);
-    bumpy.set_tp_lanes(true);
-    // Aim the fault at shard actor 1's first collective so the death
-    // lands while rank 0 is parked in the lane rendezvous.
-    let coll_at = bumpy.runtime().program().actors[1]
-        .iter()
-        .position(|i| matches!(i, Instr::Collective { .. }))
-        .expect("shard stream has a collective");
     let policy = RetryPolicy {
         max_retries: 2,
         backoff: Duration::ZERO,
         rebalance_after: None,
     };
-    let t0 = std::time::Instant::now();
-    for step in 0..3 {
-        if step == 1 {
-            bumpy
-                .runtime()
-                .inject_fault(1, Fault::DieAtInstr(coll_at))
-                .unwrap();
+    type FaultAt = fn(usize) -> Fault;
+    let cases: [(TransportKind, FaultAt, u64); 3] = [
+        (TransportKind::Mpsc, Fault::DieAtInstr, 20),
+        (TransportKind::UnixSocket, Fault::DieAtInstr, 20),
+        (TransportKind::UnixSocket, Fault::KillAtInstr, 30),
+    ];
+    for (carrier, fault_at, bound_secs) in cases {
+        let smooth = build_on(&model, &schedule, 1, Some(TransportKind::Mpsc));
+        let bumpy = build_on(&model, &schedule, 2, Some(carrier));
+        // Aim the fault at shard actor 1's first collective so it lands
+        // while rank 0 is waiting inside it.
+        let coll_at = bumpy.runtime().program().actors[1]
+            .iter()
+            .position(|i| matches!(i, Instr::Collective { .. }))
+            .expect("shard stream has a collective");
+        let cell = format!("{carrier} {:?}", fault_at(coll_at));
+        let t0 = std::time::Instant::now();
+        for step in 0..3 {
+            if step == 1 {
+                bumpy.runtime().inject_fault(1, fault_at(coll_at)).unwrap();
+            }
+            let a = smooth.step_with_recovery(&data, policy).unwrap();
+            let b = bumpy.step_with_recovery(&data, policy).unwrap();
+            assert_eq!(a.losses, b.losses, "{cell} step {step}: losses diverged");
         }
-        let a = smooth.step_with_recovery(&data, policy).unwrap();
-        let b = bumpy.step_with_recovery(&data, policy).unwrap();
-        assert_eq!(a.losses, b.losses, "step {step}: losses diverged");
-    }
-    assert!(
-        bumpy.metrics().counter("recoveries_total") >= 1,
-        "fault was never recovered"
-    );
-    assert!(
-        t0.elapsed() < Duration::from_secs(20),
-        "lane fault recovery was not bounded: {:?}",
-        t0.elapsed()
-    );
-    let pa = smooth.params().unwrap();
-    let pb = bumpy.params().unwrap();
-    for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
-        assert_eq!(a.data(), b.data(), "param {p} not bit-identical");
-    }
-}
-
-/// kill -9 mid-collective *on the wire*: a shard actor on the socket
-/// transport vanishes (endpoint severed, no abort broadcast, no
-/// goodbye) right at its first collective instruction, while its ring
-/// peers are blocked receiving from it. Detection must be bounded
-/// (closed connections + reply-link EOF + heartbeat silence), recovery
-/// must respawn the severed endpoint, and the retried trajectory must
-/// stay bit-identical to an unsharded mpsc twin.
-#[test]
-fn tp_kill9_mid_collective_over_socket_recovers_bitwise() {
-    let schedule = gpipe(2, 4).unwrap();
-    let model = mlp_chain(8, 2, 2, schedule.n_stages(), 95).unwrap();
-    let data = mb_data(&schedule, 8, 2, 96);
-
-    let smooth = build(&model, &schedule, 1);
-    let bumpy = {
-        let t = compile_train_step(
-            &model.jaxpr,
-            model.n_params,
-            &schedule,
-            Optimizer::Sgd { lr: 0.05 },
-            CompileOptions {
-                tp: Some(TpConfig::model_parallel(2)),
-                transport: Some(TransportKind::UnixSocket),
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        t.init(&model.init).unwrap();
-        t
-    };
-    // On a socket fabric every collective takes the serial message
-    // ring, so the kill lands while a ring peer is blocked in `Recv`
-    // on the severed endpoint.
-    let coll_at = bumpy.runtime().program().actors[1]
-        .iter()
-        .position(|i| matches!(i, Instr::Collective { .. }))
-        .expect("shard stream has a collective");
-    let policy = RetryPolicy {
-        max_retries: 2,
-        backoff: Duration::ZERO,
-        rebalance_after: None,
-    };
-    let t0 = std::time::Instant::now();
-    for step in 0..3 {
-        if step == 1 {
-            bumpy
-                .runtime()
-                .inject_fault(1, Fault::KillAtInstr(coll_at))
-                .unwrap();
+        assert!(
+            bumpy.metrics().counter("recoveries_total") >= 1,
+            "{cell}: fault was never recovered"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(bound_secs),
+            "{cell}: recovery was not bounded: {:?}",
+            t0.elapsed()
+        );
+        let pa = smooth.params().unwrap();
+        let pb = bumpy.params().unwrap();
+        for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
+            assert_eq!(a.data(), b.data(), "{cell}: param {p} not bit-identical");
         }
-        let a = smooth.step_with_recovery(&data, policy).unwrap();
-        let b = bumpy.step_with_recovery(&data, policy).unwrap();
-        assert_eq!(a.losses, b.losses, "step {step}: losses diverged");
-    }
-    assert!(
-        bumpy.metrics().counter("recoveries_total") >= 1,
-        "the kill was never recovered"
-    );
-    assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "kill -9 mid-collective recovery was not bounded: {:?}",
-        t0.elapsed()
-    );
-    let pa = smooth.params().unwrap();
-    let pb = bumpy.params().unwrap();
-    for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
-        assert_eq!(a.data(), b.data(), "param {p} not bit-identical");
+        assert_eq!(
+            bumpy.runtime().lane_live_slots(),
+            0,
+            "{cell}: stale slots leaked"
+        );
     }
 }
 

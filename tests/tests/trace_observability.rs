@@ -114,7 +114,7 @@ fn trace_timeline_is_consistent_after_respawn() {
     with_watchdog("trace_timeline_after_respawn", || {
         let (trainer, data) = build_trainer(92);
         let (_, before) = trainer.step_traced(&data).unwrap();
-        trainer.runtime().inject_failure(2);
+        trainer.runtime().inject_fault(2, Fault::DieNow).unwrap();
         let (_, after) = trainer
             .step_traced_with_recovery(&data, fast_retry())
             .unwrap();
