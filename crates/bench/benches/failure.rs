@@ -7,10 +7,11 @@
 //!   `ActorDied` once the stage dies mid-stream (the abort broadcast
 //!   must wake every peer blocked in `Recv`; before the fail-fast
 //!   protocol this hung forever);
-//! * **recover time** — `Runtime::recover` alone: respawn the dead
-//!   thread, rewire peers, re-place driver-held `Param`/`State` buffers;
+//! * **recover time** — `Trainer::recover`: respawn the dead thread,
+//!   rewire peers (`Runtime::recover`), then re-place the trainer's
+//!   restore point — parameters and optimizer moments — fleet-wide;
 //! * **retry time** — `Trainer::step_with_recovery` after the manual
-//!   recover: snapshot restore plus the full retried step.
+//!   recover: the full retried step on the already-restored fleet.
 //!
 //! Also measures time-to-error for a pure task error (no death, no
 //! respawn needed) at each stage, and asserts after every recovery that
@@ -28,7 +29,7 @@
 //! is severed with no abort broadcast, detection rests on closed
 //! connections and heartbeat silence), endpoint respawn
 //! (`reconnect_us` — sever → re-bind → re-dial inside
-//! `Runtime::recover`), the retried step, and the marginal cost of a
+//! `Trainer::recover`, state restore included), the retried step, and the marginal cost of a
 //! forced connection drop mid-step (`drop_redial_us`).
 //!
 //! Writes `BENCH_failure.json` at the workspace root.
@@ -135,7 +136,7 @@ fn main() {
             }
             death_tte.push(t0.elapsed());
             let t0 = Instant::now();
-            let report = trainer.runtime().recover().unwrap();
+            let report = trainer.recover().unwrap();
             recover.push(t0.elapsed());
             assert_eq!(report.respawned, vec![stage]);
             let t0 = Instant::now();
@@ -271,7 +272,7 @@ fn main() {
         }
         kill9_detect.push(t0.elapsed());
         let t0 = Instant::now();
-        let report = trainer.runtime().recover().unwrap();
+        let report = trainer.recover().unwrap();
         wire_recover.push(t0.elapsed());
         assert_eq!(report.respawned, vec![1]);
         let t0 = Instant::now();

@@ -1,0 +1,538 @@
+//! The fleet handle: one launched program, the runtime executing it,
+//! and the **single restore point** that goes back onto the actors
+//! after a fault.
+//!
+//! The paper's driver is a thin single controller over actor object
+//! stores (§4.1, §4.3), and a forward-only step is the same task graph
+//! with the backward half projected away. [`crate::Trainer`] and
+//! [`crate::ForwardStep`] are therefore two projections of this one
+//! handle: they differ in what they compile and return, not in how a
+//! step is run, measured, recovered or rebalanced.
+//!
+//! State lives in one place. The runtime keeps no copy of any buffer
+//! (`Runtime::recover` hands back empty stores); the restore point here
+//! — parameters, then optimizer moments, none for a forward step — is
+//! what [`Fleet::recover`] and [`Fleet::rebalance`] re-place fleet-wide.
+
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
+
+use raxpp_ir::{Shape, Tensor};
+use raxpp_runtime::{
+    ActorProfile, Metrics, RebalanceReport, RecoveryReport, Runtime, RuntimeError, StepEvent,
+    StepStats, StepTrace, TransportKind, TransportStats,
+};
+use raxpp_sched::{DpMap, Schedule, TpMap};
+use raxpp_taskgraph::{
+    bucket_collectives, check_send_recv_order, dp_split, dp_treated, insert_frees,
+    replicate_program, shard_program, ActorId, BufferId, FetchRole, MpmdProgram,
+};
+
+use crate::compile::{CoreError, DpConfig, StepMeta, TpConfig};
+use crate::optimizer::Optimizer;
+use crate::trainer::{RetryPolicy, StepResult};
+
+/// A launched step program with everything needed to run, observe and
+/// repair it.
+#[derive(Debug)]
+pub(crate) struct Fleet {
+    pub(crate) runtime: Runtime,
+    /// Cross-step counters/gauges/histograms (see `docs/observability.md`
+    /// for the catalog).
+    pub(crate) metrics: Metrics,
+    /// The pipeline schedule the step was compiled for.
+    pub(crate) schedule: Schedule,
+    pub(crate) meta: StepMeta,
+    /// Compile-time host actor → the host now running its stages
+    /// (identity until the first rebalance). `meta`'s placements stay in
+    /// compile-time host space and go through this map at every use.
+    hosts: Mutex<Vec<usize>>,
+    /// Last-known-good state (parameters, then optimizer moments), set
+    /// by [`Fleet::install`] and after every step the retry ladder
+    /// completes: the only thing ever re-placed after a fault, so a
+    /// retry is bitwise-identical.
+    restore_point: Mutex<Option<Vec<Tensor>>>,
+    /// Cumulative [`TransportStats`] at the last metrics flush — the
+    /// subtrahend for per-step `transport_*` counter deltas (socket
+    /// transports only; stays zero on mpsc).
+    wire_prev: Mutex<TransportStats>,
+}
+
+impl Fleet {
+    /// The compile tail every step program goes through, training or
+    /// forward-only: tensor-parallel sharding, data-parallel
+    /// replication, free insertion, collective bucketing, and the
+    /// ordering checks. Returns the actor arithmetic of the two axes.
+    ///
+    /// `dp` carries, next to the config, what ZeRO-1 needs to rebuild
+    /// each parameter's update on a first-dim slice.
+    pub(crate) fn lower(
+        program: &mut MpmdProgram,
+        tp: Option<&TpConfig>,
+        dp: Option<(DpConfig, &Optimizer, &[Shape])>,
+    ) -> Result<(TpMap, DpMap), CoreError> {
+        // Rewrite the finished host-actor program into `degree` shard
+        // streams per pipeline actor.
+        let mut degree = 1;
+        if let Some(cfg) = tp {
+            degree = cfg.mesh.axis_size(&cfg.axis).ok_or_else(|| {
+                CoreError::BadInput(format!(
+                    "tensor-parallel axis {:?} is not an axis of the mesh",
+                    cfg.axis
+                ))
+            })?;
+            if degree > 1 {
+                *program = shard_program(program, &cfg.mesh, &cfg.axis)
+                    .map_err(|e| CoreError::BadInput(format!("tensor-parallel lowering: {e}")))?;
+            }
+        }
+        let tp = TpMap::new(degree);
+        // Clone the (possibly TP-sharded) pipeline into `replicas`
+        // copies that each consume a disjoint slice of the global batch,
+        // linked by DP-axis gradient all-reduce sums, optionally sharding
+        // optimizer state (ZeRO-1, first-dim — composes with any tp
+        // degree).
+        let dp = match dp {
+            Some((cfg, optimizer, param_shapes)) if cfg.replicas > 1 => {
+                let base = program.n_actors();
+                let mut build = |param: usize, start: usize, len: usize| {
+                    optimizer
+                        .sharded_update_jaxpr(&param_shapes[param], start, len)
+                        .map_err(|e| e.to_string())
+                };
+                let zero1: Option<&mut dyn FnMut(usize, usize, usize) -> Result<_, String>> =
+                    if cfg.zero1 { Some(&mut build) } else { None };
+                *program = replicate_program(program, cfg.replicas, zero1)
+                    .map_err(|e| CoreError::BadInput(format!("data-parallel lowering: {e}")))?;
+                DpMap::new(cfg.replicas, base)
+            }
+            _ => DpMap::new(1, program.n_actors()),
+        };
+        insert_frees(program);
+        if tp.degree() > 1 || dp.replicas() > 1 {
+            // Coalesce back-to-back collectives into contiguous buckets
+            // (hoisting the frees insert_frees interleaved) so the lane
+            // runtime's panel streaming sees every collective a Run's
+            // outputs feed directly behind that Run.
+            bucket_collectives(program);
+        }
+        check_send_recv_order(program).map_err(|(a, b)| {
+            CoreError::BadInput(format!(
+                "internal error: send/recv order broken between {a}/{b}"
+            ))
+        })?;
+        // Full static verification (shape-level abstract execution) in
+        // debug builds; release builds trust the pass structure.
+        #[cfg(debug_assertions)]
+        raxpp_taskgraph::verify_program(program)
+            .map_err(|e| CoreError::BadInput(format!("internal error: {e}")))?;
+        Ok((tp, dp))
+    }
+
+    /// The handle over a freshly launched `runtime` executing the
+    /// program `meta` describes.
+    pub(crate) fn new(runtime: Runtime, meta: StepMeta, schedule: &Schedule) -> Fleet {
+        Fleet {
+            runtime,
+            metrics: Metrics::new(),
+            schedule: schedule.clone(),
+            meta,
+            hosts: Mutex::new((0..schedule.n_actors()).collect()),
+            restore_point: Mutex::new(None),
+            wire_prev: Mutex::new(TransportStats::default()),
+        }
+    }
+
+    /// The raw runtime actor of `(replica, compile-time host, tp rank)` —
+    /// the DP block offset composed outside the TP rank expansion of the
+    /// host's current home. All ranks and replicas hold bitwise-identical
+    /// copies, so reads pick replica 0, rank 0.
+    fn raw_actor(&self, rep: usize, host: ActorId, rank: usize) -> usize {
+        let host = self.hosts.lock().unwrap()[host];
+        let (tp, dp) = (&self.meta.tp, &self.meta.dp);
+        dp.replica_actor(rep, tp.shard_actor(host, rank))
+    }
+
+    /// Whether an optimizer-state slot of full shape `s` is held as
+    /// per-replica first-dim slices (ZeRO-1) rather than whole.
+    fn sliced(&self, s: &Shape) -> bool {
+        self.meta.zero1 && dp_treated(s, self.meta.dp.replicas())
+    }
+
+    /// Refreshes the `actors_alive` / `stages_per_actor_max` gauges
+    /// from the runtime and the composed fold assignment.
+    fn update_fleet_gauges(&self) {
+        self.metrics
+            .set_gauge("actors_alive", self.runtime.alive_actors() as f64);
+        let hosts = self.hosts.lock().unwrap();
+        let mut per_host: HashMap<usize, usize> = HashMap::new();
+        for &a in &self.schedule.stage_actor() {
+            *per_host.entry(hosts[a]).or_insert(0) += 1;
+        }
+        let max = per_host.values().copied().max().unwrap_or(0);
+        self.metrics.set_gauge("stages_per_actor_max", max as f64);
+    }
+
+    /// Checks `state` (parameters, then optimizer moments, all
+    /// full-shape) against the compiled shapes, places it fleet-wide and
+    /// makes it the restore point.
+    pub(crate) fn install(&self, state: Vec<Tensor>) -> Result<(), CoreError> {
+        let meta = &self.meta;
+        if state.len() != meta.param_shapes.len() + meta.state_init.len() {
+            return Err(CoreError::BadInput(format!(
+                "expected {} parameters and {} optimizer moments, got {} tensors",
+                meta.param_shapes.len(),
+                meta.state_init.len(),
+                state.len()
+            )));
+        }
+        let moment_shapes = meta.state_init.iter().map(|(_, _, s)| s);
+        let shapes = meta.param_shapes.iter().chain(moment_shapes);
+        for (i, (t, s)) in state.iter().zip(shapes).enumerate() {
+            if t.shape() != s {
+                return Err(CoreError::BadInput(format!(
+                    "state tensor {i} shape mismatch: {} vs {s}",
+                    t.shape()
+                )));
+            }
+        }
+        self.place_state(&state)?;
+        *self.restore_point() = Some(state);
+        self.update_fleet_gauges();
+        Ok(())
+    }
+
+    /// The restore point, `None` until the first [`Fleet::install`].
+    pub(crate) fn restore_point(&self) -> MutexGuard<'_, Option<Vec<Tensor>>> {
+        self.restore_point.lock().unwrap()
+    }
+
+    /// Places a full state on every actor: parameters to all of their
+    /// replicas, moments to their owners in every DP replica — sliced
+    /// per replica under ZeRO-1.
+    fn place_state(&self, state: &[Tensor]) -> Result<(), CoreError> {
+        let (params, moments) = state.split_at(self.meta.param_shapes.len());
+        self.runtime.place_params(params)?;
+        let replicas = self.meta.dp.replicas();
+        let mut items: Vec<(usize, BufferId, Tensor)> = Vec::new();
+        for (&(a, b, ref s), t) in self.meta.state_init.iter().zip(moments) {
+            for rep in 0..replicas {
+                let tt = if self.sliced(s) {
+                    // The host-side mirror of `Prim::SliceFirst`.
+                    let (start, len) = dp_split(s.dim(0), replicas, rep);
+                    t.slice_dim(0, start, len)?
+                } else {
+                    t.clone()
+                };
+                for r in 0..self.meta.tp.degree() {
+                    items.push((self.raw_actor(rep, a, r), b, tt.clone()));
+                }
+            }
+        }
+        if !items.is_empty() {
+            self.runtime.place_buffers(&items)?;
+        }
+        Ok(())
+    }
+
+    /// Re-places the restore point on the whole fleet. The respawned or
+    /// re-programmed actors need it; placing it everywhere also rolls
+    /// the survivors back to the same step.
+    fn restore(&self) -> Result<(), CoreError> {
+        match self.restore_point().as_ref() {
+            Some(state) => self.place_state(state),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads the current (updated) parameter values back from the
+    /// actors.
+    pub(crate) fn params(&self) -> Result<Vec<Tensor>, CoreError> {
+        let read = |&(a, b)| Ok(self.runtime.read_buffer(self.raw_actor(0, a, 0), b)?);
+        self.meta.param_read.iter().map(read).collect()
+    }
+
+    /// Reads the full live state (parameters, then optimizer moments)
+    /// back from the actors — O(1) `Arc` handle moves per tensor, not
+    /// data copies. ZeRO-1 state slices are read from every replica and
+    /// reassembled, so captured state (and hence checkpoints) is always
+    /// full-shape and portable across DP degrees.
+    pub(crate) fn capture_state(&self) -> Result<Vec<Tensor>, CoreError> {
+        let mut tensors = self.params()?;
+        for &(a, b, ref s) in &self.meta.state_init {
+            if self.sliced(s) {
+                let slices: Vec<Tensor> = (0..self.meta.dp.replicas())
+                    .map(|rep| self.runtime.read_buffer(self.raw_actor(rep, a, 0), b))
+                    .collect::<Result<_, _>>()?;
+                let slices: Vec<&Tensor> = slices.iter().collect();
+                tensors.push(Tensor::concat(&slices, 0)?);
+            } else {
+                tensors.push(self.runtime.read_buffer(self.raw_actor(0, a, 0), b)?);
+            }
+        }
+        Ok(tensors)
+    }
+
+    /// Runs one step over `data[input][mubatch]`: validates the input
+    /// counts, dispatches, publishes the step's metrics, and sorts the
+    /// fetched buffers into `outputs[output][mubatch]` (and gradients).
+    /// Output 0 is the loss in a forward-only program too — it is the
+    /// training step's forward half.
+    pub(crate) fn run(&self, data: &[Vec<Tensor>]) -> Result<StepResult, CoreError> {
+        let meta = &self.meta;
+        if data.len() != meta.data_shapes.len() {
+            return Err(CoreError::BadInput(format!(
+                "expected {} data inputs, got {}",
+                meta.data_shapes.len(),
+                data.len()
+            )));
+        }
+        for (i, mbs) in data.iter().enumerate() {
+            if mbs.len() != meta.n_mubatches {
+                return Err(CoreError::BadInput(format!(
+                    "data input {i} has {} microbatches, expected {}",
+                    mbs.len(),
+                    meta.n_mubatches
+                )));
+            }
+        }
+        let out = match self.runtime.step(data) {
+            Ok(o) => o,
+            Err(e) => {
+                self.metrics.inc("step_failures_total", 1);
+                return Err(e.into());
+            }
+        };
+        self.publish(&out.stats, out.trace.as_ref());
+        let mut outputs: Vec<Vec<Option<Tensor>>> =
+            vec![vec![None; meta.n_mubatches]; meta.n_outputs];
+        let mut grads: Vec<Option<Tensor>> = vec![None; meta.param_shapes.len()];
+        for (f, t) in out.fetched {
+            match f.role {
+                FetchRole::Output { output, mubatch } => outputs[output][mubatch] = Some(t),
+                FetchRole::Grad(p) => grads[p] = Some(t),
+            }
+        }
+        let all = |row: Vec<Option<Tensor>>, what| -> Vec<Tensor> {
+            row.into_iter().map(|t| t.expect(what)).collect()
+        };
+        let outputs: Vec<Vec<Tensor>> = outputs
+            .into_iter()
+            .map(|row| all(row, "missing output"))
+            .collect();
+        let losses: Vec<f32> = outputs[0]
+            .iter()
+            .map(|t| t.item().expect("loss must be scalar"))
+            .collect();
+        Ok(StepResult {
+            mean_loss: losses.iter().sum::<f32>() / losses.len().max(1) as f32,
+            losses,
+            outputs,
+            // Gradient fetches are compiled in for every parameter or
+            // for none.
+            grads: grads
+                .iter()
+                .any(Option::is_some)
+                .then(|| all(grads, "missing grad")),
+            stats: out.stats,
+        })
+    }
+
+    /// Publishes one successful step into the metrics registry.
+    fn publish(&self, stats: &StepStats, trace: Option<&StepTrace>) {
+        let m = &self.metrics;
+        m.inc("steps_total", 1);
+        m.observe("step_time_s", stats.wall.as_secs_f64());
+        let alloc = stats.alloc_stats();
+        m.inc("alloc_allocated_total", alloc.allocated);
+        m.inc("alloc_reused_total", alloc.reused);
+        m.inc("alloc_freed_total", alloc.freed);
+        let touched = alloc.allocated + alloc.reused;
+        if touched > 0 {
+            m.set_gauge("alloc_reuse_rate", alloc.reused as f64 / touched as f64);
+        }
+        if self.runtime.transport_kind() != TransportKind::Mpsc {
+            // Wire counters are cumulative on the transport; publish
+            // per-step deltas so they compose with counter semantics.
+            let now = self.runtime.transport_stats();
+            let mut prev = self.wire_prev.lock().unwrap();
+            let delta = |f: fn(&TransportStats) -> u64| f(&now).saturating_sub(f(&prev));
+            m.inc("transport_bytes_tx", delta(|s| s.bytes_tx));
+            m.inc("transport_bytes_rx", delta(|s| s.bytes_rx));
+            m.inc("reconnects_total", delta(|s| s.reconnects));
+            m.inc("heartbeat_misses_total", delta(|s| s.heartbeat_misses));
+            *prev = now;
+        }
+        // Fleet-wide totals of one profile kind — (invocations, µs) —
+        // and of one byte counter.
+        let kind = |k: &str| {
+            let entries = stats.profiles.iter().filter_map(|p| p.get(k));
+            entries.fold((0u64, 0u64), |(n, us), (dur, count)| {
+                (n + count as u64, us + dur.as_micros() as u64)
+            })
+        };
+        let bytes = |f: fn(&ActorProfile) -> u64| stats.profiles.iter().map(f).sum::<u64>();
+        if self.meta.tp.degree() > 1 {
+            m.inc("tp_collectives_total", kind("collective").0);
+            m.inc("tp_bytes_reduced", bytes(ActorProfile::bytes_reduced));
+            let wire = bytes(ActorProfile::bytes_wire);
+            m.inc("tp_bytes_wire", wire);
+            m.inc("tp_collective_wait_us", kind("collective_wait").1);
+            // A contribution published early overlaps its transfer to
+            // all t-1 peers, so the overlapped share of the wire volume
+            // is bytes_overlap × (t-1) out of bytes_wire.
+            if wire > 0 {
+                let overlap =
+                    bytes(ActorProfile::bytes_overlap) * (self.meta.tp.degree() as u64 - 1);
+                m.set_gauge("tp_overlap_ratio", overlap as f64 / wire as f64);
+            }
+        }
+        if self.meta.dp.replicas() > 1 {
+            m.inc("dp_collectives_total", kind("dp_collective").0);
+            m.inc("dp_bytes_wire", bytes(ActorProfile::dp_bytes_wire));
+            m.inc("dp_collective_wait_us", kind("dp_collective_wait").1);
+            // Each replica runs its compiled (per-replica) schedule:
+            // the global batch divided by the DP degree.
+            m.set_gauge(
+                "dp_microbatches_per_replica",
+                (self.meta.n_mubatches / self.meta.dp.replicas()) as f64,
+            );
+        }
+        if let (Some(trace), 1, 1) = (trace, self.meta.tp.degree(), self.meta.dp.replicas()) {
+            // Bubble accounting maps trace actors 1:1 onto pipeline
+            // ranks; under tensor or data parallelism each rank owns
+            // multiple actor timelines, so the report is only computed
+            // for pure PP.
+            let report = crate::observe::bubble_report(trace, &self.schedule);
+            m.set_gauge("bubble_fraction_measured", report.measured_bubble);
+        }
+    }
+
+    /// Runs `f` with per-instruction tracing forced on, restoring the
+    /// previous setting afterwards.
+    pub(crate) fn traced<T>(&self, f: impl FnOnce() -> T) -> T {
+        let was = self.runtime.tracing_enabled();
+        self.runtime.set_tracing(true);
+        let out = f();
+        self.runtime.set_tracing(was);
+        out
+    }
+
+    /// The retry ladder: runs the step; on a recoverable failure either
+    /// folds a repeatedly-dying actor away ([`Fleet::rebalance`]) or
+    /// backs off and respawns ([`Fleet::recover`]) — both put the
+    /// restore point back — and tries again, up to `policy.max_retries`
+    /// times. The state a successful step leaves becomes the restore
+    /// point: that step will never be retried.
+    ///
+    /// Also returns what the step survived, in timeline order: the
+    /// abort/death events of every failed attempt that was traced, a
+    /// `"retry"` marker per round, and a `"rebalanced"` marker per fold.
+    pub(crate) fn run_with_recovery(
+        &self,
+        data: &[Vec<Tensor>],
+        policy: RetryPolicy,
+    ) -> Result<(StepResult, Vec<StepEvent>), CoreError> {
+        let mut attempt = 0u32;
+        let mut deaths: HashMap<usize, u32> = HashMap::new();
+        let mut events: Vec<StepEvent> = Vec::new();
+        let marker = |kind: &str, detail: String| StepEvent {
+            ts_ns: self.runtime.now_ns(),
+            actor: None,
+            kind: kind.to_string(),
+            detail,
+        };
+        loop {
+            match self.run(data) {
+                Ok(out) => {
+                    let state = self.capture_state()?;
+                    *self.restore_point() = Some(state);
+                    return Ok((out, events));
+                }
+                Err(CoreError::Runtime(e))
+                    if e.is_recoverable() && attempt < policy.max_retries =>
+                {
+                    // Keep the failed attempt's abort/death events; its
+                    // spans are droppable (the successful attempt rewrites
+                    // the same instruction timeline).
+                    if let Some(t) = self.runtime.take_step_trace() {
+                        events.extend(t.events);
+                    }
+                    let detail = format!("attempt {} after: {e}", attempt + 1);
+                    events.push(marker("retry", detail));
+                    if let Some(report) = self.maybe_rebalance(&e, policy, &mut deaths)? {
+                        let detail = format!("retired {:?}", report.retired);
+                        events.push(marker("rebalanced", detail));
+                    } else {
+                        let backoff = policy.backoff * 2u32.saturating_pow(attempt);
+                        if !backoff.is_zero() {
+                            std::thread::sleep(backoff);
+                        }
+                        self.recover()?;
+                        self.metrics.inc("retries_total", 1);
+                    }
+                    attempt += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The rebalance rung of the recovery ladder: when `policy` enables
+    /// elastic mode and `e` is the `rebalance_after`-th death of the
+    /// same actor within this step's retry loop (and at least one other
+    /// actor survives), folds that actor away instead of respawning it.
+    /// Returns the report when a rebalance happened.
+    fn maybe_rebalance(
+        &self,
+        e: &RuntimeError,
+        policy: RetryPolicy,
+        deaths: &mut HashMap<usize, u32>,
+    ) -> Result<Option<RebalanceReport>, CoreError> {
+        let (RuntimeError::ActorDied { actor }, Some(after)) = (e, policy.rebalance_after) else {
+            return Ok(None);
+        };
+        let count = deaths.entry(*actor).or_insert(0);
+        *count += 1;
+        // A fold retires the dead actor's whole host group in every
+        // replica (t × R raw actors); without at least one more group's
+        // worth of survivors there is nothing to fold onto.
+        let group = self.meta.tp.degree() * self.meta.dp.replicas();
+        if *count < after.max(1) || self.runtime.alive_actors() <= group {
+            return Ok(None);
+        }
+        self.rebalance(&[*actor]).map(Some)
+    }
+
+    /// Respawns dead actors ([`Runtime::recover`]) and re-places the
+    /// restore point on the whole fleet.
+    pub(crate) fn recover(&self) -> Result<RecoveryReport, CoreError> {
+        let report = self.runtime.recover()?;
+        self.metrics.inc("recoveries_total", 1);
+        self.metrics
+            .inc("respawned_actors_total", report.respawned.len() as u64);
+        self.restore()?;
+        Ok(report)
+    }
+
+    /// Permanently folds the given actors' stages onto the survivors
+    /// ([`Runtime::rebalance`]), respawns any survivor that died in the
+    /// same incident, and re-places the restore point under the new
+    /// program.
+    pub(crate) fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, CoreError> {
+        let report = self.runtime.rebalance(dead)?;
+        self.runtime.recover()?;
+        // `report.assign` is in raw actor space, `hosts` in host space.
+        // Host-level uniform folds guarantee `assign[host*t] = new_host*t`
+        // (replica 0, rank 0), which recovers the host mapping for any
+        // tp/dp degree.
+        let t = self.meta.tp.degree();
+        for host in self.hosts.lock().unwrap().iter_mut() {
+            *host = report.assign[*host * t] / t;
+        }
+        self.restore()?;
+        self.metrics.inc("rebalances_total", 1);
+        self.update_fleet_gauges();
+        Ok(report)
+    }
+}

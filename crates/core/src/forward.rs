@@ -24,17 +24,14 @@
 //! (`docs/resilience.md`).
 
 use std::path::Path;
-use std::sync::Mutex;
 
 use raxpp_ir::{Jaxpr, Shape, Tensor};
 use raxpp_runtime::{Metrics, RebalanceReport, RecoveryReport, Runtime, TransportKind};
-use raxpp_sched::{Schedule, TpMap};
-use raxpp_taskgraph::{
-    bucket_collectives, check_send_recv_order, forward_project, insert_frees, pipeline_model,
-    shard_program, unroll_loop, FetchRole, MpmdProgram, UnrollOptions,
-};
+use raxpp_sched::Schedule;
+use raxpp_taskgraph::{forward_project, pipeline_model, unroll_loop, UnrollOptions};
 
-use crate::trainer::{CompileOptions, CoreError, TpConfig};
+use crate::compile::{CompileOptions, CoreError, StepMeta, TpConfig};
+use crate::fleet::Fleet;
 
 /// Options for [`compile_forward_step`].
 #[derive(Debug, Clone, Default)]
@@ -63,25 +60,15 @@ impl ForwardOptions {
 }
 
 /// A compiled, launched forward-only step bound to a live MPMD runtime
-/// — the serving analogue of [`crate::Trainer`].
+/// — the serving analogue of [`crate::Trainer`], and a projection of the
+/// same fleet handle: its restore point is the currently-loaded
+/// parameter generation (no optimizer moments), re-placed fleet-wide
+/// after a recovery or rebalance so degraded-mode serving keeps
+/// answering from the same weights, and its metrics registry is the one
+/// the serving tier layers its request-level metrics on.
 #[derive(Debug)]
 pub struct ForwardStep {
-    runtime: Runtime,
-    n_params: usize,
-    n_outputs: usize,
-    n_mubatches: usize,
-    n_data_inputs: usize,
-    param_shapes: Vec<Shape>,
-    data_shapes: Vec<Shape>,
-    schedule: Schedule,
-    tp: TpMap,
-    /// The currently-loaded parameters — re-placed fleet-wide after a
-    /// recovery or rebalance so degraded-mode serving keeps answering
-    /// from the same weight generation.
-    params: Mutex<Option<Vec<Tensor>>>,
-    /// Forward-step counters/histograms (the serving tier layers its
-    /// request-level latency metrics on the same registry).
-    metrics: Metrics,
+    fleet: Fleet,
 }
 
 /// Compiles a traced model into a launched [`ForwardStep`].
@@ -108,55 +95,23 @@ pub fn compile_forward_step(
     opts: ForwardOptions,
 ) -> Result<ForwardStep, CoreError> {
     let model = pipeline_model(jaxpr, n_params)?;
-    let param_shapes = model.param_shapes();
-    let data_shapes = model.data_shapes();
-    let n_outputs = jaxpr.outvars().len();
-    let n_data_inputs = jaxpr.invars().len() - n_params;
     let compiled = unroll_loop(&model, schedule, UnrollOptions::default())?;
-    let mut program: MpmdProgram = forward_project(&compiled.program)?;
-    let tp = match &opts.tp {
-        Some(cfg) => {
-            let degree = cfg.mesh.axis_size(&cfg.axis).ok_or_else(|| {
-                CoreError::BadInput(format!(
-                    "tensor-parallel axis {:?} is not an axis of the mesh",
-                    cfg.axis
-                ))
-            })?;
-            if degree > 1 {
-                program = shard_program(&program, &cfg.mesh, &cfg.axis)
-                    .map_err(|e| CoreError::BadInput(format!("tensor-parallel lowering: {e}")))?;
-            }
-            TpMap::new(degree)
-        }
-        None => TpMap::new(1),
-    };
-    insert_frees(&mut program);
-    if tp.degree() > 1 {
-        bucket_collectives(&mut program);
-    }
-    check_send_recv_order(&program).map_err(|(a, b)| {
-        CoreError::BadInput(format!(
-            "internal error: send/recv order broken between {a}/{b}"
-        ))
-    })?;
-    #[cfg(debug_assertions)]
-    raxpp_taskgraph::verify_program(&program)
-        .map_err(|e| CoreError::BadInput(format!("internal error: {e}")))?;
-
-    let kind = opts.transport.unwrap_or_else(TransportKind::from_env);
-    let runtime = Runtime::with_transport(program, kind);
-    Ok(ForwardStep {
-        runtime,
-        n_params,
-        n_outputs,
+    let mut program = forward_project(&compiled.program)?;
+    let (tp, dp) = Fleet::lower(&mut program, opts.tp.as_ref(), None)?;
+    let meta = StepMeta {
+        param_shapes: model.param_shapes(),
+        data_shapes: model.data_shapes(),
+        n_outputs: model.out_shapes().len(),
         n_mubatches: schedule.n_mubatches(),
-        n_data_inputs,
-        param_shapes,
-        data_shapes,
-        schedule: schedule.clone(),
+        state_init: Vec::new(),
+        param_read: Vec::new(),
         tp,
-        params: Mutex::new(None),
-        metrics: Metrics::new(),
+        dp,
+        zero1: false,
+    };
+    let kind = opts.transport.unwrap_or_else(TransportKind::from_env);
+    Ok(ForwardStep {
+        fleet: Fleet::new(Runtime::with_transport(program, kind), meta, schedule),
     })
 }
 
@@ -173,25 +128,7 @@ impl ForwardStep {
     /// Returns [`CoreError::BadInput`] on count/shape mismatches, or a
     /// runtime placement failure.
     pub fn load_params(&self, params: &[Tensor]) -> Result<(), CoreError> {
-        if params.len() != self.n_params {
-            return Err(CoreError::BadInput(format!(
-                "expected {} parameters, got {}",
-                self.n_params,
-                params.len()
-            )));
-        }
-        for (p, t) in params.iter().enumerate() {
-            if t.shape() != &self.param_shapes[p] {
-                return Err(CoreError::BadInput(format!(
-                    "parameter {p} shape mismatch: {} vs {}",
-                    t.shape(),
-                    self.param_shapes[p]
-                )));
-            }
-        }
-        self.runtime.place_params(params)?;
-        *self.params.lock().unwrap() = Some(params.to_vec());
-        Ok(())
+        self.fleet.install(params.to_vec())
     }
 
     /// Loads the parameter tensors of the newest valid checkpoint
@@ -207,20 +144,14 @@ impl ForwardStep {
     /// checkpoint with too few / mis-shaped parameter tensors.
     pub fn load_latest_checkpoint(&self, dir: impl AsRef<Path>) -> Result<Option<u64>, CoreError> {
         let mgr = crate::checkpoint::CheckpointManager::new(dir.as_ref(), usize::MAX);
-        let Some((step, tensors)) = mgr
+        let Some((step, mut tensors)) = mgr
             .latest_valid()
             .map_err(|e| CoreError::BadInput(format!("checkpoint scan failed: {e}")))?
         else {
             return Ok(None);
         };
-        if tensors.len() < self.n_params {
-            return Err(CoreError::BadInput(format!(
-                "checkpoint has {} tensors, serving needs {} parameters",
-                tensors.len(),
-                self.n_params
-            )));
-        }
-        self.load_params(&tensors[..self.n_params])?;
+        tensors.truncate(self.n_params());
+        self.fleet.install(tensors)?;
         Ok(Some(step))
     }
 
@@ -238,52 +169,12 @@ impl ForwardStep {
     /// [`CoreError::Runtime`] on a fleet failure (the caller decides
     /// between [`ForwardStep::recover`] and [`ForwardStep::rebalance`]).
     pub fn forward(&self, data: &[Vec<Tensor>]) -> Result<Vec<Vec<Tensor>>, CoreError> {
-        if data.len() != self.n_data_inputs {
-            return Err(CoreError::BadInput(format!(
-                "expected {} data inputs, got {}",
-                self.n_data_inputs,
-                data.len()
-            )));
-        }
-        for (i, mbs) in data.iter().enumerate() {
-            if mbs.len() != self.n_mubatches {
-                return Err(CoreError::BadInput(format!(
-                    "data input {i} has {} microbatches, expected {}",
-                    mbs.len(),
-                    self.n_mubatches
-                )));
-            }
-        }
-        if self.params.lock().unwrap().is_none() {
+        if self.fleet.restore_point().is_none() {
             return Err(CoreError::BadInput(
                 "no parameters loaded: call load_params first".into(),
             ));
         }
-        let out = match self.runtime.step(data) {
-            Ok(o) => o,
-            Err(e) => {
-                self.metrics.inc("forward_failures_total", 1);
-                return Err(e.into());
-            }
-        };
-        self.metrics.inc("forward_steps_total", 1);
-        self.metrics
-            .observe("forward_step_time_s", out.stats.wall.as_secs_f64());
-        let mut outputs: Vec<Vec<Option<Tensor>>> =
-            vec![vec![None; self.n_mubatches]; self.n_outputs];
-        for (f, t) in out.fetched {
-            if let FetchRole::Output { output, mubatch } = f.role {
-                outputs[output][mubatch] = Some(t);
-            }
-        }
-        Ok(outputs
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|t| t.expect("missing forward output"))
-                    .collect()
-            })
-            .collect())
+        Ok(self.fleet.run(data)?.outputs)
     }
 
     /// Respawns dead actors and re-places the current weight generation
@@ -295,15 +186,7 @@ impl ForwardStep {
     /// Returns [`CoreError::Runtime`] when the fleet cannot be
     /// repaired.
     pub fn recover(&self) -> Result<RecoveryReport, CoreError> {
-        let report = self.runtime.recover()?;
-        self.metrics.inc("recoveries_total", 1);
-        self.metrics
-            .inc("respawned_actors_total", report.respawned.len() as u64);
-        let params = self.params.lock().unwrap();
-        if let Some(p) = params.as_ref() {
-            self.runtime.place_params(p)?;
-        }
-        Ok(report)
+        self.fleet.recover()
     }
 
     /// Permanently folds the given actors' stages onto survivors and
@@ -316,69 +199,61 @@ impl ForwardStep {
     /// Returns [`CoreError::Runtime`] when no survivor remains or the
     /// program cannot be re-placed.
     pub fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, CoreError> {
-        let report = self.runtime.rebalance(dead)?;
-        self.runtime.recover()?;
-        let params = self.params.lock().unwrap();
-        if let Some(p) = params.as_ref() {
-            self.runtime.place_params(p)?;
-        }
-        drop(params);
-        self.metrics.inc("rebalances_total", 1);
-        Ok(report)
+        self.fleet.rebalance(dead)
     }
 
     /// Pipeline slots per forward step (`schedule.n_mubatches()`).
     pub fn n_mubatches(&self) -> usize {
-        self.n_mubatches
+        self.fleet.meta.n_mubatches
     }
 
     /// Number of model outputs per microbatch.
     pub fn n_outputs(&self) -> usize {
-        self.n_outputs
+        self.fleet.meta.n_outputs
     }
 
     /// Number of data inputs of the traced function.
     pub fn n_data_inputs(&self) -> usize {
-        self.n_data_inputs
+        self.fleet.meta.data_shapes.len()
     }
 
     /// Number of model parameters.
     pub fn n_params(&self) -> usize {
-        self.n_params
+        self.fleet.meta.param_shapes.len()
     }
 
     /// Shapes of the model parameters.
     pub fn param_shapes(&self) -> &[Shape] {
-        &self.param_shapes
+        &self.fleet.meta.param_shapes
     }
 
     /// Per-microbatch shapes of the data inputs — what one pipeline
     /// slot consumes (the serving tier pads empty slots with zeros of
     /// these shapes).
     pub fn data_shapes(&self) -> &[Shape] {
-        &self.data_shapes
+        &self.fleet.meta.data_shapes
     }
 
     /// The pipeline schedule the step was compiled for.
     pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+        &self.fleet.schedule
     }
 
     /// The compiled tensor-parallel degree (1 for pure pipeline).
     pub fn tp_degree(&self) -> usize {
-        self.tp.degree()
+        self.fleet.meta.tp.degree()
     }
 
     /// The forward-step metrics registry (the serving tier publishes
     /// its request-level `serve_*` metrics into the same registry —
     /// `docs/observability.md`).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.fleet.metrics
     }
 
     /// The underlying runtime (fault injection and program inspection
     /// in tests; tracing).
     pub fn runtime(&self) -> &Runtime {
-        &self.runtime
+        &self.fleet.runtime
     }
 }

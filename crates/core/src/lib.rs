@@ -63,17 +63,20 @@ mod doc_parallelism {}
 mod doc_determinism {}
 
 pub mod checkpoint;
+mod compile;
 pub mod experiments;
+mod fleet;
 mod forward;
 mod observe;
 mod optimizer;
 mod trainer;
 
 pub use checkpoint::CheckpointManager;
+pub use compile::{compile_worker_program, CompileOptions, CoreError, DpConfig, TpConfig};
 pub use forward::{compile_forward_step, ForwardOptions, ForwardStep};
 pub use observe::{bubble_report, BubbleReport, StageReport};
 pub use optimizer::Optimizer;
 pub use trainer::{
-    compile_train_step, compile_train_step_on, compile_worker_program, CheckpointPolicy,
-    CompileOptions, CoreError, DpConfig, RemoteMesh, RetryPolicy, StepResult, TpConfig, Trainer,
+    compile_train_step, compile_train_step_on, CheckpointPolicy, RemoteMesh, RetryPolicy,
+    StepResult, Trainer,
 };

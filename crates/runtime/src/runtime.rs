@@ -32,11 +32,12 @@
 //!   dispatched actor per command — also on the error path — so the
 //!   reply channels are in a clean, reusable state after a failed step
 //!   and the same `Runtime` can run the next step.
-//! * **Recovery.** [`Runtime::recover`] respawns dead actor threads,
-//!   rewires the surviving actors' channels to the replacements, and
-//!   re-places the parameter/state buffers the driver holds resident
-//!   copies of (`raxpp-core`'s trainer then restores its post-step
-//!   snapshot on top for bitwise-identical retries).
+//! * **Recovery.** [`Runtime::recover`] respawns dead actor threads and
+//!   rewires the surviving actors' channels to the replacements. The
+//!   replacements come back with empty stores: the runtime keeps no
+//!   copy of any buffer, so the caller re-places state (`raxpp-core`'s
+//!   fleet handle restores its post-step restore point fleet-wide for
+//!   bitwise-identical retries).
 //!
 //! Tensors are `Arc`-backed handles, so placing a buffer, sending it to
 //! a peer actor, and fetching it back to the driver are all O(1) moves
@@ -102,15 +103,12 @@ pub struct StepOutputs {
 /// What [`Runtime::recover`] did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Actors whose threads were respawned.
+    /// Actors whose threads were respawned (with empty stores).
     pub respawned: Vec<usize>,
-    /// Driver-held resident buffers re-placed onto respawned actors.
-    pub replaced_buffers: usize,
 }
 
 /// What [`Runtime::rebalance`] did: which actors were permanently
-/// retired, where every old actor's work now lives, and how many
-/// driver-held resident buffers migrated to host survivors.
+/// retired and where every old actor's work now lives.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
     /// Actors permanently retired by this call, ascending.
@@ -118,9 +116,6 @@ pub struct RebalanceReport {
     /// `assign[a]` is the actor now hosting old actor `a`'s stages
     /// (survivors map to themselves).
     pub assign: Vec<usize>,
-    /// Driver-held resident buffers migrated from retired actors onto
-    /// their hosts.
-    pub migrated_buffers: usize,
 }
 
 struct Inner {
@@ -135,10 +130,6 @@ struct Inner {
     /// Monotone command sequence counter; the `Execute` seq is the step
     /// epoch.
     seq: u64,
-    /// Last tensor explicitly placed per (actor, buffer) — the
-    /// driver-held copies re-placed onto respawned actors. Per-step data
-    /// placements are not recorded.
-    resident: HashMap<(usize, BufferId), Tensor>,
     /// Trace of the most recent traced step (success or failure),
     /// retrievable with [`Runtime::take_step_trace`].
     last_trace: Option<StepTrace>,
@@ -324,7 +315,6 @@ impl Runtime {
                 actors,
                 transport,
                 seq: 0,
-                resident: HashMap::new(),
                 last_trace: None,
                 retired: vec![false; n],
                 assign_history: Vec::new(),
@@ -443,10 +433,10 @@ impl Runtime {
             .store(timeout.as_millis().max(1) as u64, Ordering::Relaxed);
     }
 
-    /// Places the model parameters on their actors (done once; parameters
-    /// stay resident across steps and are updated in place by optimizer
-    /// tasks). The driver keeps a handle to each placed tensor so
-    /// [`Runtime::recover`] can re-place it after an actor respawn.
+    /// Places the model parameters on their actors (parameters stay
+    /// resident across steps and are updated in place by optimizer
+    /// tasks). The runtime keeps no copy: after [`Runtime::recover`]
+    /// respawns an actor, the caller places them again.
     ///
     /// # Errors
     ///
@@ -458,7 +448,7 @@ impl Runtime {
             InputSource::Param(i) => Some(params.get(i)),
             _ => None,
         })?;
-        self.place(&mut inner, per_actor, true)
+        self.place(&mut inner, per_actor)
     }
 
     /// Runs one step: places the per-microbatch data inputs, dispatches
@@ -489,7 +479,7 @@ impl Runtime {
             }
             _ => None,
         })?;
-        self.place(inner, per_actor, false)?;
+        self.place(inner, per_actor)?;
 
         // One fused dispatch per actor (§4.4): the Execute seq is the
         // step epoch tagging every data message of this step.
@@ -627,8 +617,7 @@ impl Runtime {
 
     /// Places arbitrary buffers on actors (e.g. optimizer state appended
     /// by `raxpp-core`'s compiler, which the program lists with a
-    /// `State` source). The driver keeps a handle to each placed tensor
-    /// so [`Runtime::recover`] can re-place it after an actor respawn.
+    /// `State` source).
     ///
     /// # Errors
     ///
@@ -643,7 +632,7 @@ impl Runtime {
             }
             per_actor[*actor].push((*buf, t.clone()));
         }
-        self.place(&mut inner, per_actor, true)
+        self.place(&mut inner, per_actor)
     }
 
     /// Reads one buffer from an actor's store (e.g. an updated parameter).
@@ -729,19 +718,18 @@ impl Runtime {
     }
 
     /// Respawns dead actors and reconnects the fleet: each dead actor's
-    /// thread is replaced, every survivor's channel to it is rewired, and
-    /// the parameter/state buffers the driver holds resident copies of
-    /// (from [`Runtime::place_params`] / [`Runtime::place_buffers`]) are
-    /// re-placed on the replacements.
+    /// thread is replaced and every survivor's channel to it is rewired.
     ///
-    /// Values updated in place by optimizer tasks since their placement
-    /// are *not* recovered from here — `raxpp-core`'s trainer restores
-    /// its own post-step snapshot on top to resume bitwise-identically.
+    /// A replacement starts with an **empty store**. The runtime holds
+    /// no copy of parameters or optimizer state, so the caller must
+    /// place them again before the next step — `raxpp-core`'s fleet
+    /// handle re-places its post-step restore point fleet-wide, which is
+    /// what makes a recovered run bitwise-identical.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError`] if re-placement on a respawned actor
-    /// fails.
+    /// Infallible today; the `Result` leaves room for a transport that
+    /// can fail to respawn.
     pub fn recover(&self) -> Result<RecoveryReport, RuntimeError> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -801,20 +789,7 @@ impl Runtime {
         if let Some(h) = &self.hub {
             h.gc(&inner.retired, inner.seq + 1);
         }
-        // Re-place the driver-held resident copies on the replacements.
-        let mut per_actor: PerActor = vec![Vec::new(); n];
-        let mut replaced_buffers = 0;
-        for (&(a, buf), t) in &inner.resident {
-            if dead.contains(&a) {
-                per_actor[a].push((buf, t.clone()));
-                replaced_buffers += 1;
-            }
-        }
-        self.place(inner, per_actor, false)?;
-        Ok(RecoveryReport {
-            respawned: dead,
-            replaced_buffers,
-        })
+        Ok(RecoveryReport { respawned: dead })
     }
 
     /// Permanently folds the given actors' pipeline stages onto the
@@ -826,14 +801,13 @@ impl Runtime {
     /// co-located sends/recvs collapse to local moves, and cross-actor
     /// transfers are rewired to the new owners. The folded actors are
     /// shut down and marked *retired* — they are never respawned, and
-    /// [`Runtime::recover`] skips them from then on. Driver-held
-    /// resident copies (params/state) that lived on a retired actor are
-    /// migrated to its replacement.
+    /// [`Runtime::recover`] skips them from then on.
     ///
-    /// Call [`Runtime::recover`] afterwards to respawn any survivor
-    /// that died in the same incident; the caller (e.g. `raxpp-core`'s
-    /// trainer) is responsible for restoring optimizer-updated values
-    /// from its own snapshot on top.
+    /// Only the program moves: the buffers a retired actor held go with
+    /// its store. Call [`Runtime::recover`] afterwards to respawn any
+    /// survivor that died in the same incident, then place parameters
+    /// and state again under the new program (`raxpp-core`'s fleet
+    /// handle does both and restores its restore point).
     ///
     /// # Errors
     ///
@@ -930,42 +904,10 @@ impl Runtime {
             let assign = assign.clone();
             let _ = inner.post(a, Command::Reprogram { assign });
         }
-        // Migrate driver-held resident copies off the retired actors.
-        let moved: Vec<((usize, BufferId), Tensor)> = inner
-            .resident
-            .iter()
-            .filter(|((a, _), _)| retired.contains(a))
-            .map(|(k, t)| (*k, t.clone()))
-            .collect();
-        let mut per_actor: PerActor = vec![Vec::new(); n];
-        let migrated = moved.len();
-        for ((a, buf), t) in moved {
-            inner.resident.remove(&(a, buf));
-            let host = assign[a];
-            inner.resident.insert((host, buf), t.clone());
-            per_actor[host].push((buf, t));
-        }
-        if let Err(e) = self.place(inner, per_actor, false) {
-            // A dead survivor is tolerable here: the migrated copies are
-            // already recorded in `resident`, so recover() re-places
-            // them when it respawns the host.
-            if !matches!(e, RuntimeError::ActorDied { .. }) {
-                return Err(e);
-            }
-        }
-        Ok(RebalanceReport {
-            retired,
-            assign,
-            migrated_buffers: migrated,
-        })
+        Ok(RebalanceReport { retired, assign })
     }
 
-    fn place(
-        &self,
-        inner: &mut Inner,
-        per_actor: PerActor,
-        record_resident: bool,
-    ) -> Result<(), RuntimeError> {
+    fn place(&self, inner: &mut Inner, per_actor: PerActor) -> Result<(), RuntimeError> {
         let targets: Vec<usize> = (0..per_actor.len())
             .filter(|&a| !per_actor[a].is_empty())
             .collect();
@@ -978,21 +920,9 @@ impl Runtime {
             },
             |kind| matches!(kind, ReplyKind::Placed).then_some(Ok(())),
         );
-        let mut first_err = None;
-        for (&a, r) in targets.iter().zip(placed) {
-            match r {
-                Ok(()) if record_resident => {
-                    for (b, t) in &per_actor[a] {
-                        inner.resident.insert((a, *b), t.clone());
-                    }
-                }
-                Ok(()) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        // Every reply is collected above, so the first error can be
+        // reported without leaving a reply channel out of step.
+        placed.into_iter().collect()
     }
 
     /// Fetches `bufs(actor)` from every target's store, in order.

@@ -108,7 +108,7 @@ fn golden_chrome_trace_schema() {
                 ts_ns: 6_000,
                 actor: None,
                 kind: "rebalanced".into(),
-                detail: "retired [2], migrated 3 buffers".into(),
+                detail: "retired [2]".into(),
             },
         ],
     };
@@ -124,7 +124,7 @@ fn golden_chrome_trace_schema() {
         "\"args\": {\"instr\": 1, \"step\": 3, \"bytes\": 64}},\n",
         "  {\"name\": \"retry: attempt 2\", \"cat\": \"retry\", \"ph\": \"i\", \"ts\": 5.000, ",
         "\"pid\": 0, \"tid\": 0, \"s\": \"g\", \"args\": {\"step\": 3}},\n",
-        "  {\"name\": \"rebalanced: retired [2], migrated 3 buffers\", ",
+        "  {\"name\": \"rebalanced: retired [2]\", ",
         "\"cat\": \"rebalanced\", \"ph\": \"i\", \"ts\": 6.000, ",
         "\"pid\": 0, \"tid\": 0, \"s\": \"g\", \"args\": {\"step\": 3}}\n",
         "]",

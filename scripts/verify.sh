@@ -29,6 +29,9 @@ scripts/check_doc_links.sh
 echo "==> knob table check (docs/observability.md vs the RAXPP_* names sources read)"
 scripts/check_env_knobs.sh
 
+echo "==> metric catalogue check (docs/observability.md vs the names core and serve publish)"
+scripts/check_metric_catalog.sh
+
 echo "==> rebalance-under-TP regression (folds must stay bitwise, not refused)"
 cargo test -q -p raxpp-integration --test tensor_parallel tp_rebalance_folds_bitwise
 

@@ -1,7 +1,10 @@
 //! Integration: the public API fails loudly and precisely — no hangs, no
 //! silent misbehaviour.
 
-use raxpp_core::{compile_train_step, CompileOptions, CoreError, Optimizer, RemoteMesh};
+use raxpp_core::{
+    compile_forward_step, compile_train_step, CompileOptions, CoreError, ForwardOptions, Optimizer,
+    RemoteMesh,
+};
 use raxpp_ir::{Tensor, TraceCtx};
 use raxpp_models::mlp_chain;
 use raxpp_sched::{gpipe, one_f1b};
@@ -70,19 +73,41 @@ fn wrong_parameter_count_rejected_at_init() {
     ));
 }
 
+/// A wrong input count or microbatch count — too few *and* too many (a
+/// surplus used to train on a prefix and report success) — is rejected
+/// before anything runs, and the forward-only step of the same model
+/// rejects it in the same words.
 #[test]
-fn wrong_data_arity_rejected_at_step() {
+fn wrong_data_arity_rejected_at_step_and_forward() {
     let model = mlp_chain(4, 2, 4, 2, 95).unwrap();
+    let schedule = gpipe(2, 2).unwrap();
     let trainer = compile_train_step(
         &model.jaxpr,
         model.n_params,
-        &gpipe(2, 2).unwrap(),
+        &schedule,
         Optimizer::Sgd { lr: 0.1 },
         CompileOptions::default(),
     )
     .unwrap();
     trainer.init(&model.init).unwrap();
-    assert!(matches!(trainer.step(&[]), Err(CoreError::BadInput(_))));
+    let opts = ForwardOptions::default();
+    let step = compile_forward_step(&model.jaxpr, model.n_params, &schedule, opts).unwrap();
+    step.load_params(&model.init).unwrap();
+    let message = |r: Result<(), CoreError>| match r {
+        Err(CoreError::BadInput(m)) => m,
+        other => panic!("expected BadInput, got {other:?}"),
+    };
+    for (data, want) in [
+        (vec![], "expected 1 data inputs, got 0"),
+        (vec![vec![Tensor::zeros([2, 4]); 1]], "has 1 microbatches"),
+        (vec![vec![Tensor::zeros([2, 4]); 3]], "has 3 microbatches"),
+    ] {
+        let train = message(trainer.step(&data).map(drop));
+        assert!(train.contains(want), "{train}");
+        assert_eq!(train, message(step.forward(&data).map(drop)));
+    }
+    assert_eq!(trainer.metrics().counter("step_failures_total"), 0);
+    trainer.step(&[vec![Tensor::zeros([2, 4]); 2]]).unwrap();
 }
 
 #[test]

@@ -176,27 +176,42 @@ fn failing_step_then_succeeding_step_regression() {
     });
 }
 
+/// A manual recovery puts back the *trained* state, not the weights the
+/// run started from: after one committed step, a death, and
+/// `Trainer::recover`, a plain `step` matches an uninterrupted twin
+/// bitwise — on either transport. (The runtime alone only respawns; the
+/// replacement's store comes back empty.)
 #[test]
-fn recover_respawns_dead_actors_and_replaces_resident_buffers() {
+fn recover_respawns_dead_actors_and_restores_the_trained_state() {
     with_watchdog("recover_respawns", || {
+        let (twin, twin_data) = build_trainer(91);
+        let want1 = twin.step(&twin_data).unwrap().losses;
+        let want2 = twin.step(&twin_data).unwrap().losses;
         for kind in TRANSPORTS {
             let (trainer, data) = build_trainer_on(91, kind);
+            // A successful recovered step commits the post-step state
+            // as the restore point.
+            let first = trainer.step_with_recovery(&data, fast_retry()).unwrap();
+            assert_eq!(first.losses, want1, "{kind}: first step diverged");
             trainer.runtime().inject_fault(1, Fault::DieNow).unwrap();
             match trainer.step(&data) {
                 Err(CoreError::Runtime(RuntimeError::ActorDied { .. })) => {}
                 other => panic!("{kind}: expected ActorDied, got {other:?}"),
             }
-            let report = trainer.runtime().recover().unwrap();
+            let report = trainer.recover().unwrap();
             assert_eq!(report.respawned, vec![1], "exactly actor 1 respawned");
-            assert!(
-                report.replaced_buffers > 0,
-                "driver-held param/state copies re-placed on the respawn"
-            );
-            // A second recover is a no-op.
-            let again = trainer.runtime().recover().unwrap();
+            // A second recover finds nobody to respawn.
+            let again = trainer.recover().unwrap();
             assert!(again.respawned.is_empty());
-            // The runtime is fully functional again.
-            trainer.step(&data).unwrap();
+            assert_eq!(trainer.metrics().counter("recoveries_total"), 2);
+            assert_eq!(trainer.metrics().counter("respawned_actors_total"), 1);
+            // The respawned actor holds the post-step-1 weights like
+            // everyone else: step 2 is the twin's step 2.
+            let second = trainer.step(&data).unwrap();
+            assert_eq!(
+                second.losses, want2,
+                "{kind}: step after a manual recover is not bitwise identical"
+            );
             let peaks = trainer.runtime().peak_store_bytes().unwrap();
             assert_eq!(peaks.len(), N_STAGES);
         }

@@ -397,3 +397,34 @@ fn traced_dispatches_carry_serve_spans() {
         server.shutdown();
     });
 }
+
+/// A `ForwardStep` is a projection of the same fleet handle a `Trainer`
+/// is: folding an actor away moves the fleet-shape gauges on the serving
+/// registry too, the shrunken fleet answers with the same bits from the
+/// same weights, and a forward dispatch is counted as a runtime step.
+#[test]
+fn forward_rebalance_moves_fleet_gauges_and_replies_stay_bitwise() {
+    with_watchdog("forward_rebalance_moves_fleet_gauges", || {
+        let schedule = gpipe(2, 2).unwrap();
+        let model = mlp_chain(8, 2, 4, 2, 41).unwrap();
+        let data = mb_data(&model, &schedule, 8, 42);
+        let opts = ForwardOptions::default();
+        let step = compile_forward_step(&model.jaxpr, model.n_params, &schedule, opts).unwrap();
+        step.load_params(&model.init).unwrap();
+        let m = step.metrics();
+        let shape = || (m.gauge("actors_alive"), m.gauge("stages_per_actor_max"));
+        assert_eq!(shape(), (Some(2.0), Some(1.0)));
+        let want = step.forward(&data).unwrap();
+
+        assert_eq!(step.rebalance(&[1]).unwrap().retired, vec![1]);
+        assert_eq!(shape(), (Some(1.0), Some(2.0)));
+        assert_eq!(m.counter("rebalances_total"), 1);
+
+        let got = step.forward(&data).unwrap();
+        for (a, b) in want.iter().flatten().zip(got.iter().flatten()) {
+            assert_eq!(a.data(), b.data(), "an output changed after the fold");
+        }
+        assert_eq!(m.counter("steps_total"), 2);
+        assert_eq!(m.counter("step_failures_total"), 0);
+    });
+}

@@ -141,3 +141,82 @@ fn trace_timeline_is_consistent_after_respawn() {
         );
     });
 }
+
+/// One ladder behind both recovered-step entry points: the same fault
+/// sequence — a task error (respawn rung), a death under an elastic
+/// policy (rebalance rung), a clean step — through `step_with_recovery`
+/// and `step_traced_with_recovery` computes the same bits and moves the
+/// same counters. The traced twin also hands back what the ladder saw,
+/// in timeline order.
+#[test]
+fn traced_and_untraced_recovery_share_one_ladder() {
+    with_watchdog("traced_and_untraced_share_one_ladder", || {
+        let (plain, data) = build_trainer(93);
+        let (traced, _) = build_trainer(93);
+        let policy = RetryPolicy {
+            rebalance_after: Some(1),
+            ..fast_retry()
+        };
+        // [retries, recoveries, rebalances, steps, failed attempts]
+        let counters = |t: &Trainer| {
+            let names = [
+                "retries",
+                "recoveries",
+                "rebalances",
+                "steps",
+                "step_failures",
+            ];
+            names.map(|c| t.metrics().counter(&format!("{c}_total")))
+        };
+        let faults = [
+            Some((0, Fault::ErrorAtInstr(0))),
+            Some((2, Fault::DieAtInstr(1))),
+            None,
+        ];
+        for (step, fault) in faults.into_iter().enumerate() {
+            if let Some((actor, fault)) = fault {
+                plain.runtime().inject_fault(actor, fault.clone()).unwrap();
+                traced.runtime().inject_fault(actor, fault).unwrap();
+            }
+            let a = plain.step_with_recovery(&data, policy).unwrap();
+            let (b, trace) = traced.step_traced_with_recovery(&data, policy).unwrap();
+            assert_eq!(a.losses, b.losses, "step {step}: losses diverged");
+            assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
+            for (ta, tb) in a.outputs.iter().flatten().zip(b.outputs.iter().flatten()) {
+                assert_eq!(ta.data(), tb.data(), "step {step}: outputs diverged");
+            }
+            assert_eq!(counters(&plain), counters(&traced), "step {step}");
+
+            let kinds: Vec<&str> = trace.events.iter().map(|e| e.kind.as_str()).collect();
+            assert!(
+                trace.events.iter().map(|e| e.ts_ns).is_sorted(),
+                "{kinds:?}"
+            );
+            match step {
+                // The failure records, then the retry marker.
+                0 => assert!(
+                    kinds.contains(&"abort") && kinds.ends_with(&["retry"]),
+                    "{kinds:?}"
+                ),
+                // Death records, the retry marker, then the fold — whose
+                // detail is the retired-actor list alone.
+                1 => {
+                    assert!(kinds.ends_with(&["retry", "rebalanced"]), "{kinds:?}");
+                    assert_eq!(trace.events.last().unwrap().detail, "retired [2]");
+                }
+                _ => assert!(kinds.is_empty(), "clean step carries events: {kinds:?}"),
+            }
+        }
+        // One respawn round, one fold (which is not a respawn round),
+        // three steps that survived two failed attempts between them.
+        assert_eq!(counters(&traced), [1, 1, 1, 3, 2]);
+        for (a, b) in plain
+            .params()
+            .unwrap()
+            .iter()
+            .zip(&traced.params().unwrap())
+        {
+            assert_eq!(a.data(), b.data(), "a parameter diverged");
+        }
+    });
+}
