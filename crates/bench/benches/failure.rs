@@ -18,11 +18,11 @@
 //! the retried step's losses are **bitwise identical** to an
 //! uninterrupted twin run — the determinism contract of recovery.
 //!
-//! Two degraded-mode figures ride along: **rebalance latency**
+//! One degraded-mode figure rides along: **rebalance latency**
 //! (`Trainer::rebalance` folding a dead actor's stages onto the
-//! survivors, bitwise parity asserted afterwards) and **checkpoint
-//! save/load throughput** (the v2 checksummed format through
-//! `save_checkpoint`/`restore_checkpoint`, fsynced on save).
+//! survivors, bitwise parity asserted afterwards). Checkpoint size and
+//! save/load times are the benchmark's `core.ckpt_*` metrics
+//! (`crates/bench/src/bin/benchmark/README.md`).
 //!
 //! A **wire** section repeats the drills on the Unix-socket transport:
 //! kill -9 detection latency (`kill9_detect_us` — the actor's endpoint
@@ -212,33 +212,6 @@ fn main() {
     }
     let rebalance = median(&rebalance_times);
     println!("rebalance (fold 1 of {STAGES} actors): {rebalance:>9.2?}");
-
-    // Checkpoint throughput: fsynced v2 save and checksum-verified load
-    // of the full training state.
-    let ckpt_path = workspace_root().join("target/bench-failure-ckpt.bin");
-    let (trainer, data) = build(3000);
-    trainer.step(&data).unwrap();
-    let mut save_times = Vec::new();
-    let mut load_times = Vec::new();
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        let mut f = std::fs::File::create(&ckpt_path).unwrap();
-        trainer.save_checkpoint(&mut f).unwrap();
-        f.sync_all().unwrap();
-        save_times.push(t0.elapsed());
-        let t0 = Instant::now();
-        let bytes = std::fs::read(&ckpt_path).unwrap();
-        trainer.restore_checkpoint(bytes.as_slice()).unwrap();
-        load_times.push(t0.elapsed());
-    }
-    let ckpt_mb = std::fs::metadata(&ckpt_path).unwrap().len() as f64 / (1024.0 * 1024.0);
-    let _ = std::fs::remove_file(&ckpt_path);
-    let ckpt_save_mb_s = ckpt_mb / secs(median(&save_times));
-    let ckpt_load_mb_s = ckpt_mb / secs(median(&load_times));
-    println!(
-        "checkpoint ({ckpt_mb:.2} MiB): save {ckpt_save_mb_s:>8.1} MiB/s  \
-         load {ckpt_load_mb_s:>8.1} MiB/s"
-    );
     rule(76);
 
     // Wire resilience: the same drills over the Unix-socket transport.
@@ -322,6 +295,10 @@ fn main() {
         ),
         ("trials_per_stage", Json::Num(trials as f64)),
         (
+            "available_cores",
+            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
+        (
             "stages",
             Json::Arr(
                 results
@@ -349,9 +326,6 @@ fn main() {
                 ("drop_redial_us", Json::Num(secs(drop_redial) * 1e6)),
             ]),
         ),
-        ("ckpt_size_mb", Json::Num(ckpt_mb)),
-        ("ckpt_save_mb_s", Json::Num(ckpt_save_mb_s)),
-        ("ckpt_load_mb_s", Json::Num(ckpt_load_mb_s)),
         ("bitwise_recovery_parity", Json::Bool(true)),
     ]);
     let path = workspace_root().join("BENCH_failure.json");

@@ -190,21 +190,15 @@ pub fn time_it(label: &str, warmup: usize, iters: usize, mut f: impl FnMut()) ->
     mean
 }
 
-/// The `p`-th percentile (0..=100) of a set of durations, by
-/// nearest-rank on a sorted copy.
-pub fn percentile(samples: &[Duration], p: f64) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
+/// The median of a set of durations (the lower middle of an even
+/// count; zero for an empty set).
+pub fn median(samples: &[Duration]) -> Duration {
     let mut sorted = samples.to_vec();
     sorted.sort();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.max(1).min(sorted.len()) - 1]
-}
-
-/// The median of a set of durations.
-pub fn median(samples: &[Duration]) -> Duration {
-    percentile(samples, 50.0)
+    sorted
+        .get(sorted.len().saturating_sub(1) / 2)
+        .copied()
+        .unwrap_or(Duration::ZERO)
 }
 
 #[cfg(test)]
@@ -228,11 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn percentiles() {
-        let xs: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
+    fn medians() {
+        let xs: Vec<Duration> = (1..=100).rev().map(Duration::from_millis).collect();
         assert_eq!(median(&xs), Duration::from_millis(50));
-        assert_eq!(percentile(&xs, 95.0), Duration::from_millis(95));
-        assert_eq!(percentile(&[], 50.0), Duration::ZERO);
+        assert_eq!(median(&xs[..3]), Duration::from_millis(99));
+        assert_eq!(median(&[]), Duration::ZERO);
     }
 
     #[test]

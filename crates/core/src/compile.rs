@@ -6,7 +6,7 @@
 use std::fmt;
 
 use raxpp_ir::{IrError, Jaxpr, Shape};
-use raxpp_mesh::{AxisRules, Mesh};
+use raxpp_mesh::Mesh;
 use raxpp_runtime::{RuntimeError, TransportKind};
 use raxpp_sched::{DpMap, Schedule, TpMap};
 use raxpp_taskgraph::{
@@ -79,16 +79,13 @@ impl From<IrError> for CoreError {
 pub struct TpConfig {
     /// The device mesh each pipeline actor's stage is sharded over.
     pub mesh: Mesh,
-    /// Logical-axis → mesh-axis assignment (Megatron-style row/column
-    /// placement for planning with [`raxpp_mesh::plan_matmul`]).
-    pub rules: AxisRules,
     /// Name of the mesh axis weights are sharded over.
     pub axis: String,
 }
 
 impl TpConfig {
     /// The canonical single-axis configuration: a 1-D `"model"` mesh of
-    /// the given degree, with the `"hidden"` logical axis mapped onto it.
+    /// the given degree.
     ///
     /// # Panics
     ///
@@ -97,7 +94,6 @@ impl TpConfig {
         assert!(degree > 0, "tensor-parallel degree must be positive");
         TpConfig {
             mesh: Mesh::new(&[("model", degree)]).expect("1-D mesh is always valid"),
-            rules: AxisRules::new(&[("hidden", "model")]),
             axis: "model".to_string(),
         }
     }
@@ -199,42 +195,6 @@ impl Default for CompileOptions {
     }
 }
 
-fn next_buffer_id(program: &MpmdProgram) -> u32 {
-    let mut max = 0;
-    let mut bump = |b: BufferId| max = max.max(b.0 + 1);
-    for p in &program.placements {
-        bump(p.buf);
-    }
-    for f in &program.fetches {
-        bump(f.buf);
-    }
-    for stream in &program.actors {
-        for i in stream {
-            match i {
-                Instr::Run {
-                    inputs, outputs, ..
-                } => {
-                    inputs.iter().copied().for_each(&mut bump);
-                    outputs.iter().copied().for_each(&mut bump);
-                }
-                Instr::Send { buf, .. } | Instr::Free { buf } => bump(*buf),
-                Instr::Recv { buf, src, .. } | Instr::Copy { dst: buf, src } => {
-                    bump(*buf);
-                    bump(*src);
-                }
-                Instr::Collective {
-                    dst, src, wires, ..
-                } => {
-                    bump(*dst);
-                    bump(*src);
-                    wires.iter().copied().for_each(&mut bump);
-                }
-            }
-        }
-    }
-    max
-}
-
 /// Compiles the identical training-step program as
 /// [`compile_train_step`] **without** launching a runtime.
 ///
@@ -303,7 +263,7 @@ pub(crate) fn compile_step(
         },
     )?;
     let program = &mut compiled.program;
-    let mut next = next_buffer_id(program);
+    let mut next = program.fresh_buffer_floor();
     let mut alloc = || {
         next += 1;
         BufferId(next - 1)

@@ -465,8 +465,8 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
     out
 }
 
-/// Naive reference matmul (the seed repo's kernel, kept verbatim for
-/// parity tests and the `step_time` bench's pre-optimization baseline).
+/// Naive reference matmul (the seed repo's kernel, kept verbatim as
+/// the oracle of the parity tests).
 pub fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {

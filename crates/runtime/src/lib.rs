@@ -31,9 +31,11 @@
 
 mod actor;
 mod collective;
+mod env;
 mod error;
 mod exec;
 mod fault;
+mod fold;
 mod lane;
 mod metrics;
 mod runtime;

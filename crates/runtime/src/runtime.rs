@@ -56,9 +56,11 @@ use raxpp_ir::Tensor;
 use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
 
 use crate::actor::{Command, Epoch, ExecFailure, Reply, ReplyKind, DRIVER};
+use crate::env;
 use crate::error::RuntimeError;
 use crate::exec::{ActorProfile, StepStats};
 use crate::fault::Fault;
+use crate::fold::plan_fold;
 use crate::lane::LaneHub;
 use crate::trace::{ActorTrace, StepEvent, StepTrace};
 use crate::transport::{
@@ -68,11 +70,6 @@ use crate::transport::{
 /// How long the driver blocks between reply polls while waiting on a
 /// step — bounds the latency of detecting a silent actor death.
 const REPLY_POLL: Duration = Duration::from_millis(20);
-
-/// Default step timeout (overridable via `RAXPP_STEP_TIMEOUT_MS` or
-/// [`Runtime::set_step_timeout`]) — the last-resort bound when the
-/// abort protocol itself is broken.
-const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The driver's handle on one actor, whatever the transport: a command
 /// port out, an in-process reply receiver back (socket transports pump
@@ -195,20 +192,6 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-fn step_timeout_from_env() -> Duration {
-    std::env::var("RAXPP_STEP_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_STEP_TIMEOUT)
-}
-
-fn tracing_from_env() -> bool {
-    std::env::var("RAXPP_TRACE")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
-}
-
 /// Buffers to place, grouped by destination actor.
 type PerActor = Vec<Vec<(BufferId, Tensor)>>;
 
@@ -319,9 +302,9 @@ impl Runtime {
                 retired: vec![false; n],
                 assign_history: Vec::new(),
             }),
-            step_timeout: AtomicU64::new(step_timeout_from_env().as_millis() as u64),
+            step_timeout: AtomicU64::new(env::STEP_TIMEOUT.read().as_millis() as u64),
             hub,
-            tracing: AtomicBool::new(tracing_from_env()),
+            tracing: AtomicBool::new(env::TRACE.read()),
             origin,
         }
     }
@@ -819,64 +802,16 @@ impl Runtime {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let n = inner.actors.len();
-        for &d in dead {
-            if d >= n {
-                return Err(RuntimeError::BadInput(format!("unknown actor {d}")));
-            }
-            if inner.retired[d] {
-                return Err(RuntimeError::BadInput(format!("actor {d} already retired")));
-            }
-        }
-        let mut assign: Vec<usize> = (0..n).collect();
-        if dead.is_empty() {
-            return Ok(RebalanceReport {
-                assign,
-                ..RebalanceReport::default()
-            });
-        }
-        // Folds happen at *host* granularity: a host is one pipeline
-        // position together with all of its TP ranks and DP replicas.
-        // Losing any raw actor retires the whole host everywhere —
-        // identically in every replica, rank-preservingly within each
-        // TP lane group — so collective memberships stay aligned across
-        // ranks and replicas after the fold ({h·t+r} → {s·t+r} in every
-        // replica block).
-        let (t, base, replicas) = {
+        let (assign, retired) = {
             let p = &inner.program;
             let t = p.tp.as_ref().map_or(1, |m| m.degree.max(1));
             let base = p.dp.map_or(n, |m| m.base_actors);
             let replicas = p.dp.map_or(1, |m| m.replicas.max(1));
-            (t, base, replicas)
+            plan_fold(t, base, replicas, &inner.retired, dead)?
         };
-        let hosts = base / t;
-        let mut dead_hosts: Vec<usize> = dead.iter().map(|&d| (d % base) / t).collect();
-        dead_hosts.sort_unstable();
-        dead_hosts.dedup();
-        let host_alive = |h: usize| {
-            !dead_hosts.contains(&h)
-                && (0..replicas).all(|rep| (0..t).all(|r| !inner.retired[rep * base + h * t + r]))
-        };
-        let alive_hosts: Vec<usize> = (0..hosts).filter(|&h| host_alive(h)).collect();
-        if alive_hosts.is_empty() {
-            return Err(RuntimeError::Rebalance("no surviving actors".into()));
+        if retired.is_empty() {
+            return Ok(RebalanceReport { retired, assign });
         }
-        let mut retired = Vec::new();
-        for &h in &dead_hosts {
-            // Nearest surviving host by pipeline distance; ties go to
-            // the lower index so the mapping is deterministic.
-            let s = alive_hosts
-                .iter()
-                .copied()
-                .min_by_key(|&s| (s.abs_diff(h), s))
-                .expect("alive_hosts is non-empty");
-            for rep in 0..replicas {
-                for r in 0..t {
-                    assign[rep * base + h * t + r] = rep * base + s * t + r;
-                    retired.push(rep * base + h * t + r);
-                }
-            }
-        }
-        retired.sort_unstable();
         let new_program = replace_program(&inner.program, &assign)
             .map_err(|e| RuntimeError::Rebalance(e.to_string()))?;
         // Point of no return: retire the folded actors.

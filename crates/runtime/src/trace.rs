@@ -14,8 +14,8 @@
 //!
 //! Tracing is off by default and zero-cost when disabled: actors see a
 //! single `traced` flag per `Execute` dispatch and skip every recording
-//! branch when it is false (asserted at ≤1% overhead by the `step_time`
-//! bench). Recording only *observes* execution — timestamps and byte
+//! branch when it is false (what enabling it costs is the benchmark's
+//! `runtime.trace_overhead`). Recording only *observes* execution — timestamps and byte
 //! counts — so it cannot perturb the bit-compatibility contract
 //! (`determinism_guard` runs with tracing enabled).
 

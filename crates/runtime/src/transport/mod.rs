@@ -31,7 +31,7 @@ pub(crate) mod wire;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use raxpp_taskgraph::MpmdProgram;
 
@@ -42,15 +42,6 @@ use crate::runtime::ActorLink;
 
 pub use socket::{serve_worker, WorkerConfig};
 pub(crate) use socket::{Endpoint, Scheme, SocketTransport};
-
-/// Parses a millisecond duration from `var`, falling back to `default`.
-pub(crate) fn env_ms(var: &str, default: u64) -> Duration {
-    let ms = std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default);
-    Duration::from_millis(ms)
-}
 
 /// Which carrier the actor fabric runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,21 +55,15 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Reads `RAXPP_TRANSPORT`: empty/`mpsc`/`thread` select the
-    /// in-process transport, `socket`/`uds`/`unix` the Unix-socket
-    /// transport, `tcp` the TCP transport. Unknown values fall back to
-    /// mpsc.
+    /// Reads `RAXPP_TRANSPORT`: unset, empty, `mpsc` or `thread` select
+    /// the in-process transport, `socket`/`uds`/`unix` the Unix-socket
+    /// transport, `tcp` the TCP transport.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, naming it and the accepted forms.
     pub fn from_env() -> TransportKind {
-        match std::env::var("RAXPP_TRANSPORT")
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "socket" | "uds" | "unix" => TransportKind::UnixSocket,
-            "tcp" => TransportKind::Tcp,
-            _ => TransportKind::Mpsc,
-        }
+        crate::env::TRANSPORT.read()
     }
 }
 

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use raxpp_taskgraph::MpmdProgram;
 
 use crate::actor::{actor_main, Command, Exit, Msg, Payload, Reply, DRIVER};
+use crate::env::WireKnobs;
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 use crate::transport::wire::{
@@ -47,31 +48,13 @@ use crate::transport::wire::{
     encode_msg, encode_reply, read_frame, write_frame, CMD, DATA, HEARTBEAT, HELLO, LINK_CMD,
     LINK_DATA, LINK_REPLY, REPLY,
 };
-use crate::transport::{
-    env_ms, CmdPort, Fabric, ReplyPort, Transport, TransportKind, TransportStats,
-};
+use crate::transport::{CmdPort, Fabric, ReplyPort, Transport, TransportKind, TransportStats};
 
 /// How often the accept pump polls its (non-blocking) listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(3);
 /// First connect-retry backoff; doubles per attempt up to [`DIAL_BACKOFF_CAP`].
 const DIAL_BACKOFF: Duration = Duration::from_millis(1);
 const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(64);
-
-fn connect_budget() -> Duration {
-    env_ms("RAXPP_WIRE_CONNECT_TIMEOUT_MS", 1500)
-}
-
-fn write_timeout() -> Duration {
-    env_ms("RAXPP_WIRE_WRITE_TIMEOUT_MS", 5000)
-}
-
-pub(crate) fn heartbeat_interval() -> Duration {
-    env_ms("RAXPP_WIRE_HB_INTERVAL_MS", 25)
-}
-
-pub(crate) fn heartbeat_timeout() -> Duration {
-    env_ms("RAXPP_WIRE_HB_TIMEOUT_MS", 500)
-}
 
 /// Wire scheme: Unix-domain sockets (default) or TCP over loopback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,8 +234,7 @@ pub(crate) struct Endpoint {
     chaos: Mutex<Chaos>,
     stats: Arc<WireStats>,
     routes: Routes,
-    connect_budget: Duration,
-    write_timeout: Duration,
+    knobs: WireKnobs,
 }
 
 impl Endpoint {
@@ -263,6 +245,7 @@ impl Endpoint {
         scheme: Scheme,
         stats: Arc<WireStats>,
         routes: Routes,
+        knobs: WireKnobs,
     ) -> std::io::Result<Arc<Endpoint>> {
         let sp = sock_path(dir, me);
         let _ = std::fs::remove_file(&sp);
@@ -294,8 +277,7 @@ impl Endpoint {
             chaos: Mutex::new(Chaos::default()),
             stats,
             routes,
-            connect_budget: connect_budget(),
-            write_timeout: write_timeout(),
+            knobs,
         });
         let pump = Arc::clone(&ep);
         std::thread::Builder::new()
@@ -419,7 +401,7 @@ impl Endpoint {
         let deadline = if quick {
             Instant::now()
         } else {
-            Instant::now() + self.connect_budget
+            Instant::now() + self.knobs.connect_budget
         };
         let mut backoff = DIAL_BACKOFF;
         let stream = loop {
@@ -441,7 +423,7 @@ impl Endpoint {
                 Err(_) => return Err(()),
             }
         };
-        stream.set_write_timeout(self.write_timeout);
+        stream.set_write_timeout(self.knobs.write_timeout);
         let hello = encode_hello(self.me, link_kind);
         let mut s = stream;
         match write_frame(&mut s, &hello) {
@@ -646,9 +628,9 @@ impl Drop for Endpoint {
 }
 
 /// Starts the worker-side heartbeat pump: a beacon on the driver link
-/// every [`heartbeat_interval`] while the endpoint lives.
+/// every `RAXPP_WIRE_HB_INTERVAL_MS` while the endpoint lives.
 pub(crate) fn spawn_heartbeat(ep: Arc<Endpoint>) {
-    let interval = heartbeat_interval();
+    let interval = ep.knobs.hb_interval;
     let _ = std::thread::Builder::new()
         .name(format!("raxpp-hb-{}", ep.me))
         .spawn(move || {
@@ -692,43 +674,41 @@ pub(crate) struct SocketTransport {
     own_dir: bool,
     driver_ep: Arc<Endpoint>,
     stats: Arc<WireStats>,
-    hb_timeout: Duration,
+    /// Read once here; every endpoint this transport binds shares it.
+    knobs: WireKnobs,
     backend: Backend,
 }
 
 impl SocketTransport {
-    fn driver_endpoint(
-        n: usize,
-        dir: &Path,
-        scheme: Scheme,
-        stats: &Arc<WireStats>,
-    ) -> Arc<Endpoint> {
+    /// Binds the driver's endpoint in `dir`. The `RAXPP_WIRE_*` knobs
+    /// are read here, once per fleet.
+    fn new(n: usize, dir: PathBuf, own_dir: bool, scheme: Scheme, backend: Backend) -> Self {
+        let stats = Arc::new(WireStats::default());
+        let knobs = WireKnobs::from_env();
         let routes = Routes::Driver {
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             last_heard: (0..n).map(|_| Mutex::new(Instant::now())).collect(),
         };
-        Endpoint::bind(DRIVER, dir, scheme, Arc::clone(stats), routes)
-            .expect("bind driver endpoint")
+        let driver_ep = Endpoint::bind(DRIVER, &dir, scheme, Arc::clone(&stats), routes, knobs)
+            .expect("bind driver endpoint");
+        SocketTransport {
+            n,
+            scheme,
+            dir,
+            own_dir,
+            driver_ep,
+            stats,
+            knobs,
+            backend,
+        }
     }
 
     /// Thread-backed socket fleet in a fresh temp directory.
     pub(crate) fn threads(n: usize, scheme: Scheme) -> SocketTransport {
         let dir = fresh_fleet_dir();
         std::fs::create_dir_all(&dir).expect("create fleet dir");
-        let stats = Arc::new(WireStats::default());
-        let driver_ep = Self::driver_endpoint(n, &dir, scheme, &stats);
-        SocketTransport {
-            n,
-            scheme,
-            dir,
-            own_dir: true,
-            driver_ep,
-            stats,
-            hb_timeout: heartbeat_timeout(),
-            backend: Backend::Threads {
-                eps: (0..n).map(|_| None).collect(),
-            },
-        }
+        let eps = (0..n).map(|_| None).collect();
+        Self::new(n, dir, true, scheme, Backend::Threads { eps })
     }
 
     /// Process-backed fleet: `spawn(a)` launches worker `a` (which must
@@ -741,21 +721,9 @@ impl SocketTransport {
         spawn: Box<dyn FnMut(usize) -> std::io::Result<Child> + Send>,
     ) -> std::io::Result<SocketTransport> {
         std::fs::create_dir_all(dir)?;
-        let stats = Arc::new(WireStats::default());
-        let driver_ep = Self::driver_endpoint(n, dir, scheme, &stats);
-        Ok(SocketTransport {
-            n,
-            scheme,
-            dir: dir.to_path_buf(),
-            own_dir: false,
-            driver_ep,
-            stats,
-            hb_timeout: heartbeat_timeout(),
-            backend: Backend::Processes {
-                children: (0..n).map(|_| None).collect(),
-                spawn,
-            },
-        })
+        let children = (0..n).map(|_| None).collect();
+        let backend = Backend::Processes { children, spawn };
+        Ok(Self::new(n, dir.to_path_buf(), false, scheme, backend))
     }
 }
 
@@ -799,7 +767,8 @@ impl Transport for SocketTransport {
                     inbox: Mutex::new(Some(inbox_tx)),
                     cmd: Mutex::new(Some(cmd_tx)),
                 };
-                let ep = Endpoint::bind(a, &self.dir, self.scheme, Arc::clone(&self.stats), routes)
+                let stats = Arc::clone(&self.stats);
+                let ep = Endpoint::bind(a, &self.dir, self.scheme, stats, routes, self.knobs)
                     .expect("bind worker endpoint");
                 spawn_heartbeat(Arc::clone(&ep));
                 let fabric = Fabric::Wire {
@@ -865,7 +834,7 @@ impl Transport for SocketTransport {
     }
 
     fn heartbeat_suspect(&self, a: usize) -> bool {
-        self.driver_ep.heard_elapsed(a) > self.hb_timeout
+        self.driver_ep.heard_elapsed(a) > self.knobs.hb_timeout
     }
 
     fn note_heartbeat_miss(&self) {
@@ -984,7 +953,14 @@ pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result
         inbox: Mutex::new(Some(inbox_tx)),
         cmd: Mutex::new(Some(cmd_tx)),
     };
-    let ep = Endpoint::bind(cfg.me, &cfg.dir, scheme, stats, routes)?;
+    let ep = Endpoint::bind(
+        cfg.me,
+        &cfg.dir,
+        scheme,
+        stats,
+        routes,
+        WireKnobs::from_env(),
+    )?;
     spawn_heartbeat(Arc::clone(&ep));
     let fabric = Fabric::Wire {
         ep: Arc::clone(&ep),

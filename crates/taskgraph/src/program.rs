@@ -446,6 +446,48 @@ impl MpmdProgram {
         JaxprId(self.jaxprs.len() as u32 - 1)
     }
 
+    /// The smallest buffer id strictly above every id the program
+    /// mentions — in any instruction stream (collective `wires`
+    /// included), placement or fetch. Passes that append instructions
+    /// allocate their fresh buffers from here.
+    pub fn fresh_buffer_floor(&self) -> u32 {
+        let mut max = 0u32;
+        let mut see = |b: &BufferId| max = max.max(b.0 + 1);
+        for instr in self.actors.iter().flatten() {
+            match instr {
+                Instr::Run {
+                    inputs, outputs, ..
+                } => {
+                    inputs.iter().for_each(&mut see);
+                    outputs.iter().for_each(&mut see);
+                }
+                Instr::Send { buf, .. } | Instr::Free { buf } => see(buf),
+                Instr::Recv { buf, src, .. } => {
+                    see(buf);
+                    see(src);
+                }
+                Instr::Copy { dst, src } => {
+                    see(dst);
+                    see(src);
+                }
+                Instr::Collective {
+                    dst, src, wires, ..
+                } => {
+                    see(dst);
+                    see(src);
+                    wires.iter().for_each(&mut see);
+                }
+            }
+        }
+        for p in &self.placements {
+            see(&p.buf);
+        }
+        for f in &self.fetches {
+            see(&f.buf);
+        }
+        max
+    }
+
     /// Counts `Run` instructions matching a predicate on their label.
     pub fn count_runs(&self, pred: impl Fn(&TaskLabel) -> bool) -> usize {
         self.actors
@@ -510,5 +552,73 @@ mod tests {
         assert_eq!(p.num_instrs(), 3);
         assert_eq!(p.count_runs(|_| true), 0);
         assert!(p.dump().contains("send b0 -> actor 1"));
+    }
+
+    #[test]
+    fn fresh_buffer_floor_clears_every_mentioned_id() {
+        assert_eq!(MpmdProgram::default().fresh_buffer_floor(), 0);
+        let (lo, hi) = (BufferId(1), BufferId(40));
+        let shape = Shape::new([2]);
+        let run = |inputs, outputs| Instr::Run {
+            jaxpr: JaxprId(0),
+            inputs,
+            outputs,
+            label: TaskLabel::GradReduce { param: 0 },
+        };
+        let recv = |buf, src| Instr::Recv {
+            buf,
+            src,
+            from: 0,
+            shape: shape.clone(),
+        };
+        let collective = |dst, src, wires| Instr::Collective {
+            kind: CollectiveKind::AllReduce,
+            dst,
+            src,
+            group: vec![0, 1],
+            wires,
+            dim: 0,
+            axis: CollectiveAxis::Tp,
+        };
+        // One program per place an id can hide in: the highest id sits
+        // there and nowhere else.
+        let with_hi_in_stream = [
+            run(vec![hi], vec![lo]),
+            run(vec![lo], vec![hi]),
+            Instr::Send { buf: hi, to: 0 },
+            Instr::Free { buf: hi },
+            recv(hi, lo),
+            recv(lo, hi),
+            Instr::Copy { dst: hi, src: lo },
+            Instr::Copy { dst: lo, src: hi },
+            collective(hi, lo, vec![lo, lo]),
+            collective(lo, hi, vec![lo, lo]),
+            collective(lo, lo, vec![lo, hi]),
+        ];
+        let base = MpmdProgram {
+            actors: vec![vec![Instr::Free { buf: lo }], vec![]],
+            ..MpmdProgram::default()
+        };
+        assert_eq!(base.fresh_buffer_floor(), lo.0 + 1);
+        for instr in with_hi_in_stream {
+            let mut p = base.clone();
+            p.actors[1].push(instr.clone());
+            assert_eq!(p.fresh_buffer_floor(), hi.0 + 1, "{instr}");
+        }
+        let mut placed = base.clone();
+        placed.placements.push(InputPlacement {
+            buf: hi,
+            actor: 0,
+            shape,
+            source: InputSource::Param(0),
+        });
+        assert_eq!(placed.fresh_buffer_floor(), hi.0 + 1);
+        let mut fetched = base;
+        fetched.fetches.push(Fetch {
+            buf: hi,
+            actor: 0,
+            role: FetchRole::Grad(0),
+        });
+        assert_eq!(fetched.fresh_buffer_floor(), hi.0 + 1);
     }
 }

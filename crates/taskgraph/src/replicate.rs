@@ -70,7 +70,6 @@ use crate::program::{
     ActorId, BufferId, CollectiveAxis, CollectiveKind, DpMeta, Fetch, FetchRole, InputSource,
     Instr, JaxprId, MpmdProgram, TaskLabel,
 };
-use crate::shard::fresh_buffer_floor;
 
 /// Error raised by [`replicate_program`].
 #[derive(Debug)]
@@ -192,7 +191,7 @@ pub fn replicate_program(
         jaxprs: program.jaxprs.clone(),
         ..MpmdProgram::default()
     };
-    let mut next = fresh_buffer_floor(program);
+    let mut next = program.fresh_buffer_floor();
     let mut fresh = || {
         let b = BufferId(next);
         next += 1;

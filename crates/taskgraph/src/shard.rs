@@ -406,7 +406,7 @@ pub fn shard_program(
     }
 
     // Fresh wire ids start above every id the program mentions.
-    let mut next_wire = fresh_buffer_floor(program);
+    let mut next_wire = program.fresh_buffer_floor();
     let mut fresh = || {
         let b = BufferId(next_wire);
         next_wire += 1;
@@ -630,47 +630,6 @@ pub fn bucket_collectives(program: &mut MpmdProgram) {
             i = j;
         }
     }
-}
-
-/// The smallest buffer id strictly above every id `program` mentions —
-/// the floor for freshly-allocated collective wire ids (shared with
-/// `replicate_program`, which allocates its DP wires the same way).
-pub(crate) fn fresh_buffer_floor(program: &MpmdProgram) -> u32 {
-    let mut max = 0u32;
-    let mut see = |b: &BufferId| max = max.max(b.0 + 1);
-    for instr in program.actors.iter().flatten() {
-        match instr {
-            Instr::Run {
-                inputs, outputs, ..
-            } => {
-                inputs.iter().for_each(&mut see);
-                outputs.iter().for_each(&mut see);
-            }
-            Instr::Send { buf, .. } | Instr::Free { buf } => see(buf),
-            Instr::Recv { buf, src, .. } => {
-                see(buf);
-                see(src);
-            }
-            Instr::Copy { dst, src } => {
-                see(dst);
-                see(src);
-            }
-            Instr::Collective {
-                dst, src, wires, ..
-            } => {
-                see(dst);
-                see(src);
-                wires.iter().for_each(&mut see);
-            }
-        }
-    }
-    for p in &program.placements {
-        see(&p.buf);
-    }
-    for f in &program.fetches {
-        see(&f.buf);
-    }
-    max
 }
 
 #[cfg(test)]

@@ -177,6 +177,16 @@ fn dp_shards_the_batch_and_tracks_dp1_within_bounds() {
                     1e-4,
                     &format!("{} dp={dp} tp={tp} step {step} losses", schedule.name()),
                 );
+                // Executed, not just compiled: every actor of every
+                // replica ran its replica's N/d forward tasks, no more.
+                for (a, profile) in got.stats.profiles.iter().enumerate() {
+                    assert_eq!(
+                        profile.get("fwd").map(|(_, count)| count as usize),
+                        Some(GLOBAL_MB / dp),
+                        "{} dp={dp} tp={tp} step {step}: actor {a} forward tasks != N/d",
+                        schedule.name()
+                    );
+                }
             }
             assert!(
                 trainer.metrics().counter("dp_collectives_total") > 0,

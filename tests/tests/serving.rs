@@ -133,9 +133,10 @@ fn forward_projection_matches_training_forward_bitwise() {
     );
 }
 
-/// The acceptance gate: a request served through a padded multi-slot
-/// dispatch is bitwise-identical to running it alone through an
-/// unbatched (one-slot) forward program.
+/// The acceptance gate: at every slot count, a request served through
+/// the batching engine — alone in its dispatch, every other slot padded
+/// — is bitwise-identical to running it alone through an unbatched
+/// (one-slot) forward program.
 #[test]
 fn served_request_matches_the_unbatched_forward_program() {
     with_watchdog(
@@ -153,28 +154,34 @@ fn served_request_matches_the_unbatched_forward_program() {
             single.load_params(&params).unwrap();
             let want = single.forward(&[vec![req.clone()]]).unwrap();
 
-            // The serving path: four slots, three of them padded.
-            let step =
-                compile_forward_step(&jaxpr, 2, &gpipe(2, 4).unwrap(), ForwardOptions::default())
-                    .unwrap();
-            step.load_params(&params).unwrap();
-            let server = Server::start(
-                step,
-                ServeConfig {
-                    max_wait: Duration::from_millis(2),
-                    ..ServeConfig::default()
-                },
-            );
-            let got = server.infer(vec![req]).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (o, t) in got.iter().enumerate() {
-                assert_eq!(
-                    t.data(),
-                    want[o][0].data(),
-                    "output {o}: batched+padded serving must equal the unbatched forward"
+            for n_slots in [1, 2, 4, 8] {
+                let step = compile_forward_step(
+                    &jaxpr,
+                    2,
+                    &gpipe(2, n_slots).unwrap(),
+                    ForwardOptions::default(),
+                )
+                .unwrap();
+                step.load_params(&params).unwrap();
+                let server = Server::start(
+                    step,
+                    ServeConfig {
+                        max_wait: Duration::from_millis(2),
+                        ..ServeConfig::default()
+                    },
                 );
+                let got = server.infer(vec![req.clone()]).unwrap();
+                assert_eq!(got.len(), want.len());
+                for (o, t) in got.iter().enumerate() {
+                    assert_eq!(
+                        t.data(),
+                        want[o][0].data(),
+                        "n_slots={n_slots} output {o}: batched+padded serving must equal \
+                         the unbatched forward"
+                    );
+                }
+                server.shutdown();
             }
-            server.shutdown();
         },
     );
 }
