@@ -53,10 +53,15 @@ pub(crate) enum Command {
         seq: u64,
         bufs: Vec<(BufferId, Tensor)>,
     },
+    /// The step's one exchange (§4.4): the actor's data inputs ride in,
+    /// its share of the program's fetches rides back in the reply.
     Execute {
         seq: u64,
         /// Record per-instruction spans into a ring buffer this step.
         traced: bool,
+        /// This actor's data inputs for the step, inserted into its
+        /// store before the stream runs.
+        inputs: Vec<(BufferId, Tensor)>,
     },
     Fetch {
         seq: u64,
@@ -97,6 +102,9 @@ pub(crate) enum ExecFailure {
 /// partial traces of aborted steps are exactly what post-mortems need).
 pub(crate) struct ExecOutcome {
     pub(crate) result: Result<ActorProfile, ExecFailure>,
+    /// This actor's share of `program.fetches`, in program order; empty
+    /// when the stream failed.
+    pub(crate) fetched: Vec<Tensor>,
     pub(crate) trace: Option<ActorTrace>,
 }
 
@@ -246,6 +254,32 @@ impl ActorState {
         t.ok_or_else(|| StreamFailure::Error(format!("{what} of missing buffer {buf}")))
     }
 
+    /// Inserts buffers arriving with a command (`Place`'s payload, the
+    /// data inputs riding `Execute`), after the command-boundary
+    /// reclaim: every legitimately outstanding send of previous steps
+    /// has been consumed (the driver collects all replies before the
+    /// next command), so any incomplete token belongs to an aborted
+    /// epoch whose receiver will never complete it — also on an actor
+    /// whose stream tail had no Recvs and which therefore survived a
+    /// peer's abort without observing it. Reclaiming first matters
+    /// because the buffer ids inserted here (and by the stream that
+    /// follows) may still sit parked in the deferred-deletion list;
+    /// their bytes would otherwise be double-counted in live/peak
+    /// accounting.
+    fn install(&mut self, bufs: Vec<(BufferId, Tensor)>) {
+        self.store.abandon_outstanding_sends();
+        for (b, t) in bufs {
+            self.store.insert(b, t);
+        }
+    }
+
+    /// This actor's share of the program's fetches, in program order —
+    /// what rides back in the `Executed` reply.
+    fn fetch_outputs(&self) -> Result<Vec<Tensor>, StreamFailure> {
+        let mine = self.program.fetches.iter().filter(|f| f.actor == self.me);
+        mine.map(|f| self.load(f.buf, "fetch")).collect()
+    }
+
     /// Sends one data message for the current epoch to `to`. A closed
     /// peer inbox means that actor is dead: this is a cascade of the
     /// peer's failure, not a genuine error on this actor.
@@ -370,28 +404,15 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
         // Commands that answer produce `(seq, kind)`; the rest `continue`.
         let (seq, kind) = match c {
             Command::Place { seq, bufs } => {
-                // Command boundary: every legitimately outstanding send
-                // of previous steps has been consumed (the driver
-                // collects all replies before the next command), so any
-                // incomplete token belongs to an aborted epoch whose
-                // receiver will never complete it. Reclaim now, before
-                // this placement re-inserts buffer ids that may still sit
-                // parked in the deferred-deletion list — otherwise their
-                // bytes are double-counted in live/peak accounting.
-                st.store.abandon_outstanding_sends();
-                for (b, t) in bufs {
-                    st.store.insert(b, t);
-                }
+                st.install(bufs);
                 (seq, ReplyKind::Placed)
             }
-            Command::Execute { seq, traced } => {
-                // Same boundary reclaim as Place: an actor whose stream
-                // tail had no Recvs can survive a peer's abort without
-                // ever observing it, replying Ok while holding ghost
-                // parked buffers from the aborted epoch. Those ids are
-                // re-inserted by this very step, double-counting their
-                // bytes until reclaimed here.
-                st.store.abandon_outstanding_sends();
+            Command::Execute {
+                seq,
+                traced,
+                inputs,
+            } => {
+                st.install(inputs);
                 st.epoch = seq;
                 st.mailbox.purge_stale(seq);
                 if let Some(l) = &st.lane {
@@ -401,8 +422,14 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                     l.hub.begin_epoch_actor(st.me, seq);
                 }
                 let mut ring = traced.then(|| SpanRing::new(DEFAULT_SPAN_CAPACITY));
-                let result = match execute_stream(st, &mut ring) {
-                    Ok(profile) => Ok(profile),
+                let mut fetched = Vec::new();
+                let ran = execute_stream(st, &mut ring)
+                    .and_then(|profile| Ok((profile, st.fetch_outputs()?)));
+                let result = match ran {
+                    Ok((profile, outputs)) => {
+                        fetched = outputs;
+                        Ok(profile)
+                    }
                     Err(StreamFailure::Die) => return Exit::Died,
                     Err(StreamFailure::Killed) => return Exit::Killed,
                     Err(StreamFailure::Error(message)) => {
@@ -419,7 +446,11 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                     }
                 };
                 let trace = ring.take().map(|r| r.into_trace(st.me));
-                let outcome = ExecOutcome { result, trace };
+                let outcome = ExecOutcome {
+                    result,
+                    fetched,
+                    trace,
+                };
                 (seq, ReplyKind::Executed(Box::new(outcome)))
             }
             Command::Fetch { seq, bufs } => {

@@ -131,11 +131,14 @@ impl ActorProfile {
 /// Statistics of one training step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepStats {
-    /// Wall-clock duration of the dispatched step (excluding input
-    /// placement).
+    /// Wall-clock duration of the whole step on the driver: from
+    /// validating the inputs, through the one `Execute` exchange per
+    /// actor that carries them out and the fetched outputs back, to the
+    /// last reply.
     pub wall: Duration,
-    /// Number of driver→actor dispatch messages this step (1 per actor —
-    /// task fusion, §4.4).
+    /// Number of driver↔actor exchanges this step: one `Execute` per
+    /// actor in service (task fusion, §4.4) and nothing else — inputs
+    /// and fetches ride it.
     pub rpcs: usize,
     /// Per-actor instruction-kind profiles.
     pub profiles: Vec<ActorProfile>,

@@ -4,7 +4,9 @@
 //! A [`Runtime`] spawns one OS thread per actor (standing in for the
 //! paper's Ray workers, each managing an SPMD device group). The driver
 //! dispatches each actor's *entire fused instruction stream* in a single
-//! message per step (§4.4); all cross-actor coordination happens through
+//! message per step (§4.4) — the step's data inputs ride that message
+//! and its fetched outputs ride the reply, so a step is one exchange per
+//! actor; all cross-actor coordination happens through
 //! per-actor inbox channels carrying per-peer FIFO streams (standing in
 //! for NCCL P2P, whose matching-order requirement the compiler's §4.2
 //! pass guarantees).
@@ -45,7 +47,6 @@
 //! interpreter and its allocator counters are accumulated into the
 //! actor's [`ActorProfile`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -434,9 +435,10 @@ impl Runtime {
         self.place(&mut inner, per_actor)
     }
 
-    /// Runs one step: places the per-microbatch data inputs, dispatches
-    /// every actor's fused stream (one message each), and fetches the
-    /// result buffers.
+    /// Runs one step as one exchange per actor (§4.4): each `Execute`
+    /// carries the actor's per-microbatch data inputs and dispatches its
+    /// fused stream, and each reply brings back the actor's share of the
+    /// program's fetches.
     ///
     /// `data[input][mubatch]` follows the traced function's data-input
     /// order.
@@ -454,27 +456,31 @@ impl Runtime {
     pub fn step(&self, data: &[Vec<Tensor>]) -> Result<StepOutputs, RuntimeError> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
+        let start = Instant::now();
         let program = Arc::clone(&inner.program);
         let n = program.n_actors();
-        let per_actor = gather_placements(&program, |source| match source {
+        let mut per_actor = gather_placements(&program, |source| match source {
             InputSource::Data { input, mubatch } => {
                 Some(data.get(input).and_then(|mbs| mbs.get(mubatch)))
             }
             _ => None,
         })?;
-        self.place(inner, per_actor)?;
 
         // One fused dispatch per actor (§4.4): the Execute seq is the
         // step epoch tagging every data message of this step.
         let traced = self.tracing.load(Ordering::Relaxed);
-        let start = Instant::now();
         let epoch = inner.next_seq();
         let mut slots: Vec<Slot> = (0..n)
             .map(|a| {
                 if inner.retired[a] {
                     return Slot::Idle; // folded away: no stream, no reply expected
                 }
-                match inner.post(a, Command::Execute { seq: epoch, traced }) {
+                let execute = Command::Execute {
+                    seq: epoch,
+                    traced,
+                    inputs: std::mem::take(&mut per_actor[a]),
+                };
+                match inner.post(a, execute) {
                     Ok(()) => Slot::Waiting,
                     Err(e) => Slot::Fatal(e),
                 }
@@ -561,32 +567,31 @@ impl Runtime {
         if let Some(err) = step_error(&slots) {
             return Err(err);
         }
-        let profiles = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Replied(Ok(p), _) => p,
-                Slot::Idle => ActorProfile::default(),
+        // Each reply carries its actor's fetches in program order, so
+        // one pass over `program.fetches` reassembles them.
+        let mut profiles = Vec::with_capacity(n);
+        let mut outputs = Vec::with_capacity(n);
+        for slot in slots {
+            let (profile, fetched) = match slot {
+                Slot::Replied(Ok(p), fetched, _) => (p, fetched),
+                Slot::Idle => Default::default(),
                 _ => unreachable!("step_error covers every other slot"),
-            })
-            .collect();
-        let wall = start.elapsed();
-
-        // Fetch results.
-        let mut wanted: Vec<Vec<BufferId>> = vec![Vec::new(); n];
-        for f in &program.fetches {
-            wanted[f.actor].push(f.buf);
-        }
-        let targets: Vec<usize> = (0..n).filter(|&a| !wanted[a].is_empty()).collect();
-        let replies = self.fetch(inner, &targets, |a| wanted[a].clone());
-        let mut by_buf: HashMap<(usize, BufferId), Tensor> = HashMap::new();
-        for (&a, r) in targets.iter().zip(replies) {
-            by_buf.extend(wanted[a].iter().map(|b| (a, *b)).zip(r?));
+            };
+            profiles.push(profile);
+            outputs.push(fetched.into_iter());
         }
         let fetched = program
             .fetches
             .iter()
-            .map(|f| (*f, by_buf[&(f.actor, f.buf)].clone()))
-            .collect();
+            .map(|f| {
+                let t = outputs[f.actor].next().ok_or_else(|| RuntimeError::Exec {
+                    actor: f.actor,
+                    message: format!("protocol error: reply lacks fetched buffer {}", f.buf),
+                })?;
+                Ok((*f, t))
+            })
+            .collect::<Result<_, RuntimeError>>()?;
+        let wall = start.elapsed();
         Ok(StepOutputs {
             fetched,
             stats: StepStats {
@@ -629,7 +634,18 @@ impl Runtime {
         if actor >= inner.actors.len() || inner.retired[actor] {
             return Err(RuntimeError::ActorDied { actor });
         }
-        let mut replies = self.fetch(&mut inner, &[actor], |_| vec![buf]);
+        let mut replies = self.call(
+            &mut inner,
+            &[actor],
+            |_, seq| Command::Fetch {
+                seq,
+                bufs: vec![buf],
+            },
+            |kind| match kind {
+                ReplyKind::Fetched(r) => Some(r),
+                _ => None,
+            },
+        );
         let mut tensors = replies.pop().expect("one target, one reply")?;
         Ok(tensors.pop().expect("one buffer fetched, one tensor"))
     }
@@ -860,24 +876,6 @@ impl Runtime {
         placed.into_iter().collect()
     }
 
-    /// Fetches `bufs(actor)` from every target's store, in order.
-    fn fetch(
-        &self,
-        inner: &mut Inner,
-        targets: &[usize],
-        bufs: impl Fn(usize) -> Vec<BufferId>,
-    ) -> Vec<Result<Vec<Tensor>, RuntimeError>> {
-        self.call(
-            inner,
-            targets,
-            |a, seq| Command::Fetch { seq, bufs: bufs(a) },
-            |kind| match kind {
-                ReplyKind::Fetched(r) => Some(r),
-                _ => None,
-            },
-        )
-    }
-
     /// The driver's one request/reply exchange: sends `make(actor, seq)`
     /// to every target under one fresh sequence number, then collects
     /// every dispatched reply — also on the error path, so the reply
@@ -950,8 +948,13 @@ enum Slot {
     Idle,
     /// Dispatched; its `Executed` reply is outstanding.
     Waiting,
-    /// The actor's own report, with its spans when the step was traced.
-    Replied(Result<ActorProfile, ExecFailure>, Option<ActorTrace>),
+    /// The actor's own report: result, fetched buffers, and its spans
+    /// when the step was traced.
+    Replied(
+        Result<ActorProfile, ExecFailure>,
+        Vec<Tensor>,
+        Option<ActorTrace>,
+    ),
     /// The driver's verdict on an actor that cannot report: died or
     /// timed out.
     Fatal(RuntimeError),
@@ -965,18 +968,18 @@ impl Slot {
             return false;
         }
         if let ReplyKind::Executed(res) = r.kind {
-            *self = Slot::Replied(res.result, res.trace);
+            *self = Slot::Replied(res.result, res.fetched, res.trace);
         }
         true
     }
 
     fn failed(&self) -> bool {
-        matches!(self, Slot::Fatal(_) | Slot::Replied(Err(_), _))
+        matches!(self, Slot::Fatal(_) | Slot::Replied(Err(_), ..))
     }
 
     fn take_trace(&mut self) -> Option<ActorTrace> {
         match self {
-            Slot::Replied(_, trace) => trace.take(),
+            Slot::Replied(.., trace) => trace.take(),
             _ => None,
         }
     }
@@ -989,8 +992,8 @@ fn failure_events(ts_ns: u64, slots: &[Slot]) -> Vec<StepEvent> {
         let (kind, detail) = match slot {
             Slot::Fatal(RuntimeError::Timeout { .. }) => ("timeout", format!("actor {a}")),
             Slot::Fatal(e) => ("actor_died", e.to_string()),
-            Slot::Replied(Err(ExecFailure::Error(m)), _) => ("abort", m.clone()),
-            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), _) => {
+            Slot::Replied(Err(ExecFailure::Error(m)), ..) => ("abort", m.clone()),
+            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), ..) => {
                 let who = if *by == DRIVER {
                     "driver".to_string()
                 } else {
@@ -1025,8 +1028,8 @@ fn step_error(slots: &[Slot]) -> Option<RuntimeError> {
                 died.get_or_insert(e.clone());
                 continue;
             }
-            Slot::Replied(Err(ExecFailure::Error(message)), _) => (&mut error, a, message),
-            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), _) => {
+            Slot::Replied(Err(ExecFailure::Error(message)), ..) => (&mut error, a, message),
+            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), ..) => {
                 (&mut cascade, if *by == DRIVER { a } else { *by }, reason)
             }
             _ => continue,

@@ -192,7 +192,7 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if self.pos + n > self.b.len() {
+        if n > self.b.len() - self.pos {
             return Err(format!(
                 "truncated frame: wanted {n} bytes at {}, have {}",
                 self.pos,
@@ -216,6 +216,29 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u32`-counted list. The count is checked against the bytes
+    /// left before anything is sized from it: every element occupies at
+    /// least `min_bytes` of the frame, so a corrupt or truncated count
+    /// can never drive an allocation beyond the remaining input.
+    fn list<T>(
+        &mut self,
+        min_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> DecResult<T>,
+    ) -> DecResult<Vec<T>> {
+        let n = self.u32()? as usize;
+        let left = self.b.len() - self.pos;
+        if n.saturating_mul(min_bytes) > left {
+            return Err(format!(
+                "truncated frame: {n} elements of >= {min_bytes} bytes, {left} bytes left"
+            ));
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(elem(self)?);
+        }
+        Ok(items)
+    }
+
     pub(crate) fn actor(&mut self) -> DecResult<usize> {
         let v = self.u64()?;
         Ok(if v == u64::MAX {
@@ -236,13 +259,18 @@ impl<'a> Dec<'a> {
         for _ in 0..rank {
             dims.push(self.u64()? as usize);
         }
-        let shape = Shape::new(dims);
-        let numel = shape.numel();
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(f32::from_bits(self.u32()?));
-        }
-        Tensor::from_vec(shape, data).map_err(|e| format!("bad tensor: {e}"))
+        // The payload must be present in full before anything is
+        // allocated for it (`take` checks the checked byte count).
+        let bytes = dims
+            .iter()
+            .try_fold(4usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| format!("tensor dims {dims:?} overflow"))?;
+        let data = self
+            .take(bytes)?
+            .chunks_exact(4)
+            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
+            .collect();
+        Tensor::from_vec(Shape::new(dims), data).map_err(|e| format!("bad tensor: {e}"))
     }
 
     fn stats(&mut self) -> DecResult<EvalStats> {
@@ -362,22 +390,38 @@ fn decode_fault(d: &mut Dec<'_>) -> DecResult<Fault> {
 // Command
 // ---------------------------------------------------------------------
 
+/// Buffers to insert into a store: `Place`'s payload and the data
+/// inputs riding `Execute`.
+fn encode_bufs(e: &mut Enc, bufs: &[(BufferId, Tensor)]) {
+    e.u32(bufs.len() as u32);
+    for (b, t) in bufs {
+        e.u32(b.0);
+        e.tensor(t);
+    }
+}
+
+fn decode_bufs(d: &mut Dec<'_>) -> DecResult<Vec<(BufferId, Tensor)>> {
+    // Buffer id + tensor rank: the least one entry occupies.
+    d.list(4 + 1, |d| Ok((BufferId(d.u32()?), d.tensor()?)))
+}
+
 pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
     let mut e = Enc::new(CMD);
     match c {
         Command::Place { seq, bufs } => {
             e.u8(0);
             e.u64(*seq);
-            e.u32(bufs.len() as u32);
-            for (b, t) in bufs {
-                e.u32(b.0);
-                e.tensor(t);
-            }
+            encode_bufs(&mut e, bufs);
         }
-        Command::Execute { seq, traced } => {
+        Command::Execute {
+            seq,
+            traced,
+            inputs,
+        } => {
             e.u8(1);
             e.u64(*seq);
             e.u8(*traced as u8);
+            encode_bufs(&mut e, inputs);
         }
         Command::Fetch { seq, bufs } => {
             e.u8(2);
@@ -414,39 +458,24 @@ pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
 
 pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
     Ok(match d.u8()? {
-        0 => {
-            let seq = d.u64()?;
-            let n = d.u32()? as usize;
-            let mut bufs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let b = BufferId(d.u32()?);
-                bufs.push((b, d.tensor()?));
-            }
-            Command::Place { seq, bufs }
-        }
+        0 => Command::Place {
+            seq: d.u64()?,
+            bufs: decode_bufs(d)?,
+        },
         1 => Command::Execute {
             seq: d.u64()?,
             traced: d.u8()? != 0,
+            inputs: decode_bufs(d)?,
         },
-        2 => {
-            let seq = d.u64()?;
-            let n = d.u32()? as usize;
-            let mut bufs = Vec::with_capacity(n);
-            for _ in 0..n {
-                bufs.push(BufferId(d.u32()?));
-            }
-            Command::Fetch { seq, bufs }
-        }
+        2 => Command::Fetch {
+            seq: d.u64()?,
+            bufs: d.list(4, |d| Ok(BufferId(d.u32()?)))?,
+        },
         3 => Command::PeakBytes { seq: d.u64()? },
         4 => Command::LiveBytes { seq: d.u64()? },
-        5 => {
-            let n = d.u32()? as usize;
-            let mut assign = Vec::with_capacity(n);
-            for _ in 0..n {
-                assign.push(d.u64()? as usize);
-            }
-            Command::Reprogram { assign }
-        }
+        5 => Command::Reprogram {
+            assign: d.list(8, |d| Ok(d.u64()? as usize))?,
+        },
         6 => Command::InjectFault(decode_fault(d)?),
         7 => Command::HealWire,
         8 => Command::Shutdown,
@@ -542,11 +571,8 @@ fn encode_trace(e: &mut Enc, t: &ActorTrace) {
 fn decode_trace(d: &mut Dec<'_>) -> DecResult<ActorTrace> {
     let actor = d.actor()?;
     let dropped = d.u64()?;
-    let n = d.u32()? as usize;
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        spans.push(decode_span(d)?);
-    }
+    // instr + kind + name length + three u64s + alloc flag.
+    let spans = d.list(4 + 1 + 4 + 24 + 1, decode_span)?;
     Ok(ActorTrace {
         actor,
         spans,
@@ -554,14 +580,22 @@ fn decode_trace(d: &mut Dec<'_>) -> DecResult<ActorTrace> {
     })
 }
 
+fn encode_tensors(e: &mut Enc, ts: &[Tensor]) {
+    e.u32(ts.len() as u32);
+    for t in ts {
+        e.tensor(t);
+    }
+}
+
+fn decode_tensors(d: &mut Dec<'_>) -> DecResult<Vec<Tensor>> {
+    d.list(1, Dec::tensor) // a tensor is at least its rank byte
+}
+
 fn encode_result_tensors(e: &mut Enc, r: &Result<Vec<Tensor>, String>) {
     match r {
         Ok(ts) => {
             e.u8(0);
-            e.u32(ts.len() as u32);
-            for t in ts {
-                e.tensor(t);
-            }
+            encode_tensors(e, ts);
         }
         Err(m) => {
             e.u8(1);
@@ -572,14 +606,7 @@ fn encode_result_tensors(e: &mut Enc, r: &Result<Vec<Tensor>, String>) {
 
 fn decode_result_tensors(d: &mut Dec<'_>) -> DecResult<Result<Vec<Tensor>, String>> {
     Ok(match d.u8()? {
-        0 => {
-            let n = d.u32()? as usize;
-            let mut ts = Vec::with_capacity(n);
-            for _ in 0..n {
-                ts.push(d.tensor()?);
-            }
-            Ok(ts)
-        }
+        0 => Ok(decode_tensors(d)?),
         _ => Err(d.str()?),
     })
 }
@@ -606,6 +633,7 @@ pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
                     e.str(reason);
                 }
             }
+            encode_tensors(&mut e, &o.fetched);
             match &o.trace {
                 Some(t) => {
                     e.u8(1);
@@ -640,11 +668,16 @@ pub(crate) fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
                 }),
                 k => return Err(format!("unknown exec result kind {k}")),
             };
+            let fetched = decode_tensors(d)?;
             let trace = match d.u8()? {
                 0 => None,
                 _ => Some(decode_trace(d)?),
             };
-            ReplyKind::Executed(Box::new(ExecOutcome { result, trace }))
+            ReplyKind::Executed(Box::new(ExecOutcome {
+                result,
+                fetched,
+                trace,
+            }))
         }
         2 => ReplyKind::Fetched(decode_result_tensors(d)?),
         3 => ReplyKind::StoreBytes(d.u64()? as usize),
@@ -672,11 +705,20 @@ pub(crate) fn encode_hello(from: usize, link_kind: u8) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    fn decode_cmd_frame(b: &[u8]) -> DecResult<Command> {
+        let mut d = Dec::new(b);
+        assert_eq!(d.u8()?, CMD);
+        decode_command(&mut d)
+    }
+
+    fn decode_reply_frame(b: &[u8]) -> DecResult<Reply> {
+        let mut d = Dec::new(b);
+        assert_eq!(d.u8()?, REPLY);
+        decode_reply(&mut d)
+    }
+
     fn roundtrip_cmd(c: Command) -> Command {
-        let b = encode_command(&c);
-        let mut d = Dec::new(&b);
-        assert_eq!(d.u8().unwrap(), CMD);
-        decode_command(&mut d).unwrap()
+        decode_cmd_frame(&encode_command(&c)).unwrap()
     }
 
     #[test]
@@ -698,9 +740,11 @@ mod tests {
         let exec = Command::Execute {
             seq: 9,
             traced: true,
+            inputs: Vec::new(),
         };
-        // tag + command kind + seq + traced: nothing else rides along.
-        assert_eq!(encode_command(&exec).len(), 1 + 1 + 8 + 1);
+        // tag + command kind + seq + traced + input count: a step with
+        // no data inputs for this actor carries nothing else.
+        assert_eq!(encode_command(&exec).len(), 1 + 1 + 8 + 1 + 4);
         assert_eq!(roundtrip_cmd(exec.clone()), exec);
         match roundtrip_cmd(Command::Reprogram {
             assign: vec![0, 1, 1, 3],
@@ -757,6 +801,7 @@ mod tests {
             seq: 3,
             kind: ReplyKind::Executed(Box::new(ExecOutcome {
                 result: Ok(p.clone()),
+                fetched: vec![t.clone()],
                 trace: Some(ActorTrace {
                     actor: 1,
                     spans: vec![SpanEvent {
@@ -780,6 +825,7 @@ mod tests {
         match r2.kind {
             ReplyKind::Executed(o) => {
                 assert_eq!(o.result.as_ref().unwrap(), &p);
+                assert_eq!(o.fetched, vec![t.clone()]);
                 let tr = o.trace.unwrap();
                 assert_eq!(tr.spans[0].kind, "wire");
                 assert_eq!(tr.spans[0].bytes, 12);
@@ -797,6 +843,139 @@ mod tests {
             ReplyKind::Fetched(Ok(ts)) => assert_eq!(ts[0].data(), t.data()),
             _ => panic!("wrong reply kind"),
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The two frames of a step, built from a seed: an `Execute` with
+    /// data inputs of mixed rank and the `Executed` reply carrying the
+    /// fetches (profile and one span included, so every field of the
+    /// reply sits in front of or behind the new bytes).
+    fn step_frames(seed: u64) -> (Command, Reply) {
+        use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tensor = |rank: usize| {
+            let dims: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..4)).collect();
+            Tensor::randn(Shape::new(dims), 1.0, &mut rng)
+        };
+        let inputs = vec![
+            (BufferId(7), tensor(2)),
+            (BufferId(8), tensor(0)),
+            (BufferId(1 << 20), tensor(3)),
+        ];
+        let fetched = vec![tensor(0), tensor(2)];
+        let mut p = ActorProfile::default();
+        p.add_entry("fwd", Duration::from_micros(5), 2);
+        let span = SpanEvent {
+            instr: 1,
+            kind: "fwd",
+            name: "fwd s0 mb0".into(),
+            start_ns: 3,
+            dur_ns: 4,
+            bytes: 0,
+            alloc: Some(EvalStats::default()),
+        };
+        let execute = Command::Execute {
+            seq: seed,
+            traced: true,
+            inputs,
+        };
+        let reply = Reply {
+            seq: seed,
+            kind: ReplyKind::Executed(Box::new(ExecOutcome {
+                result: Ok(p),
+                fetched,
+                trace: Some(ActorTrace {
+                    actor: 0,
+                    spans: vec![span],
+                    dropped: 0,
+                }),
+            })),
+        };
+        (execute, reply)
+    }
+
+    #[test]
+    fn step_frames_roundtrip_bitwise_and_every_truncation_is_a_typed_error() {
+        for seed in [1, 2, 3, 1207] {
+            let (execute, reply) = step_frames(seed);
+            let cmd_bytes = encode_command(&execute);
+            let decoded = decode_cmd_frame(&cmd_bytes).unwrap();
+            assert_eq!(decoded, execute, "seq, flag, ids and shapes");
+            let (Command::Execute { inputs, .. }, Command::Execute { inputs: got, .. }) =
+                (&execute, &decoded)
+            else {
+                unreachable!()
+            };
+            for ((_, t0), (_, t1)) in inputs.iter().zip(got) {
+                assert_eq!(bits(t0), bits(t1), "input bits survive the wire");
+            }
+            let reply_bytes = encode_reply(&reply);
+            let ReplyKind::Executed(want) = &reply.kind else {
+                unreachable!()
+            };
+            match decode_reply_frame(&reply_bytes).unwrap().kind {
+                ReplyKind::Executed(got) => {
+                    assert_eq!(got.result, want.result);
+                    assert_eq!(got.fetched.len(), want.fetched.len());
+                    for (t0, t1) in want.fetched.iter().zip(&got.fetched) {
+                        assert_eq!(t0.shape(), t1.shape());
+                        assert_eq!(bits(t0), bits(t1), "fetched bits survive the wire");
+                    }
+                    assert_eq!(got.trace.unwrap().spans.len(), 1);
+                }
+                _ => panic!("wrong reply kind"),
+            }
+            // Every proper prefix: a typed error, never a panic.
+            for len in 1..cmd_bytes.len() {
+                assert!(decode_cmd_frame(&cmd_bytes[..len]).is_err(), "cmd {len}");
+            }
+            for len in 1..reply_bytes.len() {
+                let r = decode_reply_frame(&reply_bytes[..len]);
+                assert!(r.is_err(), "reply prefix {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_on_the_wire_never_allocate_beyond_the_remaining_input() {
+        // An `Execute` claiming 2^32 - 1 inputs with nothing behind it:
+        // rejected on the count, before any `Vec` is sized from it.
+        let mut e = Enc::new(CMD);
+        e.u8(1);
+        e.u64(1);
+        e.u8(0);
+        e.u32(u32::MAX);
+        let err = decode_cmd_frame(&e.into_bytes()).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+
+        // One input whose dims promise 2^40 elements (and one whose
+        // element count overflows) over a 16-byte payload.
+        for dims in [[1u64 << 20, 1 << 20], [u64::MAX, 8]] {
+            let mut e = Enc::new(CMD);
+            e.u8(1);
+            e.u64(1);
+            e.u8(0);
+            e.u32(1);
+            e.u32(0); // buffer id
+            e.u8(2); // rank
+            e.u64(dims[0]);
+            e.u64(dims[1]);
+            e.u64(0);
+            e.u64(0);
+            assert!(decode_cmd_frame(&e.into_bytes()).is_err(), "{dims:?}");
+        }
+
+        // An `Executed` reply claiming 2^32 - 1 fetched tensors.
+        let mut e = Enc::new(REPLY);
+        e.u64(1);
+        e.u8(1); // Executed
+        e.u8(1); // Err(Error(..))
+        e.str("boom");
+        e.u32(u32::MAX);
+        assert!(decode_reply_frame(&e.into_bytes()).is_err());
     }
 
     #[test]

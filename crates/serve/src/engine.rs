@@ -70,34 +70,7 @@ impl Engine {
     /// The engine loop. Returns the step on shutdown so the server can
     /// hand it back to the caller.
     pub(crate) fn run(mut self) -> ForwardStep {
-        loop {
-            let msg = if self.batch.is_empty() {
-                // Nothing forming: block until traffic arrives.
-                match self.rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break, // all senders gone
-                }
-            } else {
-                // A dispatch is forming: wait at most until the oldest
-                // request's admission deadline, then pad and launch.
-                let deadline = self.batch[0].enqueued + self.cfg.max_wait;
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    self.dispatch();
-                    continue;
-                }
-                match self.rx.recv_timeout(left) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        self.dispatch();
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        self.dispatch();
-                        break;
-                    }
-                }
-            };
+        while let Some(msg) = self.next_message() {
             match msg {
                 Msg::Request(req) => {
                     self.plan
@@ -155,6 +128,36 @@ impl Engine {
         self.step
     }
 
+    /// The next mailbox message, in mailbox order; `None` once every
+    /// sender is gone. Admission is work-conserving: traffic already
+    /// queued is taken without consulting the clock, so a backlog fills
+    /// every slot. Only an empty mailbox lets `max_wait` — from the
+    /// oldest carried request's admission — bound the wait for *future*
+    /// arrivals, after which the forming dispatch launches padded.
+    fn next_message(&mut self) -> Option<Msg> {
+        loop {
+            if let Ok(msg) = self.rx.try_recv() {
+                return Some(msg);
+            }
+            let Some(oldest) = self.batch.first() else {
+                // Nothing forming: block until traffic arrives.
+                return self.rx.recv().ok();
+            };
+            let deadline = oldest.enqueued + self.cfg.max_wait;
+            match self
+                .rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(msg) => return Some(msg),
+                Err(mpsc::RecvTimeoutError::Timeout) => self.dispatch(),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    self.dispatch();
+                    return None;
+                }
+            }
+        }
+    }
+
     /// Launches the forming dispatch: pads the free slots, runs one
     /// forward step, demuxes each filled slot's outputs to its ticket
     /// (padded outputs are discarded), and updates the latency gauges.
@@ -184,10 +187,17 @@ impl Engine {
         let t0 = Instant::now();
         let result = self.step.forward(&data);
         metrics.observe("serve_batch_time_s", t0.elapsed().as_secs_f64());
+        // Depth drops before any reply is sent: a client woken by its
+        // ticket must never observe its own request still counted as
+        // queued. The engine is the gauge's only writer.
+        let carried = self.batch.len();
+        let depth = self.queue_depth.fetch_sub(carried, Ordering::Relaxed) - carried;
+        metrics.set_gauge("serve_queue_depth", depth as f64);
         match result {
             Ok(outputs) => {
                 self.consecutive_failures = 0;
                 metrics.inc("serve_batches_total", 1);
+                metrics.inc("serve_replies_total", carried as u64);
                 // Latency of each carried request, admission -> reply.
                 let lat_ns: Vec<u64> = self
                     .batch
@@ -197,12 +207,7 @@ impl Engine {
                 self.record_trace(&lat_ns);
                 for (slot, req) in self.batch.drain(..).enumerate() {
                     let out = outputs.iter().map(|row| row[slot].clone()).collect();
-                    // Depth drops before the reply is sent: a client
-                    // woken by its ticket must never observe its own
-                    // request still counted as queued.
-                    self.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     let _ = req.reply.send(Ok(out));
-                    metrics.inc("serve_replies_total", 1);
                 }
                 for ns in &lat_ns {
                     if self.window.len() == self.cfg.latency_window.max(1) {
@@ -210,27 +215,21 @@ impl Engine {
                     }
                     self.window.push_back(ns / 1_000);
                 }
-                let mut sorted: Vec<u64> = self.window.iter().copied().collect();
-                sorted.sort_unstable();
-                metrics.set_gauge("serve_p50_us", percentile(&sorted, 50.0));
-                metrics.set_gauge("serve_p99_us", percentile(&sorted, 99.0));
+                let mut sample: Vec<u64> = self.window.iter().copied().collect();
+                metrics.set_gauge("serve_p50_us", percentile(&mut sample, 50.0));
+                metrics.set_gauge("serve_p99_us", percentile(&mut sample, 99.0));
             }
             Err(e) => {
                 self.consecutive_failures += 1;
                 metrics.inc("serve_failed_batches_total", 1);
+                metrics.inc("serve_request_failures_total", carried as u64);
                 let msg = e.to_string();
                 for req in self.batch.drain(..) {
-                    self.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     let _ = req.reply.send(Err(ServeError::Dispatch(msg.clone())));
-                    metrics.inc("serve_request_failures_total", 1);
                 }
                 self.repair(&e);
             }
         }
-        metrics.set_gauge(
-            "serve_queue_depth",
-            self.queue_depth.load(Ordering::Relaxed) as f64,
-        );
         self.plan.reset();
     }
 
@@ -293,27 +292,18 @@ impl Engine {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (µs); 0 for
-/// an empty window.
-fn percentile(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of a sample (µs), 0 for an empty window.
+/// By selection, not by sorting: the window is re-ranked after every
+/// dispatch, and a full sort of it showed up between two forwards.
+/// Reorders `sample`.
+fn percentile(sample: &mut [u64], p: f64) -> f64 {
+    if sample.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as f64
+    let rank = ((p / 100.0) * sample.len() as f64).ceil() as usize;
+    let rank = rank.clamp(1, sample.len()) - 1;
+    *sample.select_nth_unstable(rank).1 as f64
 }
 
 #[cfg(test)]
-mod tests {
-    use super::percentile;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&s, 50.0), 50.0);
-        assert_eq!(percentile(&s, 99.0), 99.0);
-        assert_eq!(percentile(&s, 100.0), 100.0);
-        assert_eq!(percentile(&[7], 99.0), 7.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-}
+mod tests;

@@ -10,10 +10,12 @@
 //! * **Continuous batching at step granularity.** A forward dispatch
 //!   always executes `schedule.n_mubatches()` pipeline slots; an
 //!   arriving request takes the next free slot of the dispatch being
-//!   formed ([`raxpp_sched::SlotPlan`]). The dispatch launches the
-//!   moment every slot is taken, or when the admission deadline
-//!   ([`ServeConfig::max_wait`]) of its oldest request fires — only
-//!   then are the remaining slots padded, and their outputs are
+//!   formed ([`raxpp_sched::SlotPlan`]). Queued requests are admitted
+//!   before the clock is consulted, so a backlog fills every slot; the
+//!   dispatch launches the moment every slot is taken, or when the
+//!   mailbox is empty and the admission deadline
+//!   ([`ServeConfig::max_wait`]) of its oldest request has passed —
+//!   only then are the remaining slots padded, and their outputs are
 //!   discarded.
 //! * **Zero-downtime weight swaps.** [`Server::swap_weights`] /
 //!   [`Server::load_latest_checkpoint`] install a new parameter
@@ -100,8 +102,10 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Admission deadline: how long the oldest queued request may wait
     /// for the dispatch to fill before the engine pads the remaining
-    /// slots and launches anyway. Lower bounds tail latency under
-    /// trickle load; higher improves slot utilization. Default 2 ms.
+    /// slots and launches anyway. It bounds the wait for *future*
+    /// arrivals only — requests already queued are admitted first.
+    /// Lower bounds tail latency under trickle load; higher improves
+    /// slot utilization. Default 2 ms.
     pub max_wait: Duration,
     /// After this many *consecutive* failed dispatches with a known
     /// dead actor, fold that actor's stages onto survivors

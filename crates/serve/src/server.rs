@@ -106,8 +106,11 @@ impl Server {
     ///
     /// The request joins the dispatch currently being formed (or opens
     /// the next one when that dispatch is full) and is answered when
-    /// its dispatch completes: at the latest after
-    /// [`ServeConfig::max_wait`] plus one forward step.
+    /// its dispatch completes. A dispatch launches when it is full, or
+    /// when the mailbox is empty and its oldest request has waited
+    /// [`ServeConfig::max_wait`]; so the reply arrives after the
+    /// dispatches queued ahead of this request, plus at most `max_wait`,
+    /// plus one forward step.
     ///
     /// # Errors
     ///
@@ -139,8 +142,7 @@ impl Server {
             enqueued: Instant::now(),
             reply: reply_tx,
         };
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.set_gauge("serve_queue_depth", depth as f64);
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.metrics.inc("serve_requests_total", 1);
         if self.tx.send(Msg::Request(req)).is_err() {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);

@@ -2,6 +2,7 @@
 //! swaps, shutdown. (Parity with training and fault handling live in
 //! the workspace-level `tests/tests/serving.rs`.)
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use raxpp_ir::{Jaxpr, Tensor, TraceCtx};
@@ -115,6 +116,69 @@ fn full_dispatch_needs_no_deadline() {
     t1.wait().unwrap();
     assert_eq!(server.metrics().counter("serve_padded_slots_total"), 0);
     server.shutdown();
+}
+
+/// A standing backlog fills every slot: whatever already sits in the
+/// mailbox is admitted before the deadline is consulted. `max_wait` is
+/// zero, so the deadline of every queued request has long passed — the
+/// condition under which the engine used to launch one request per
+/// 4-slot dispatch (fill 0.25).
+#[test]
+fn a_standing_backlog_fills_every_slot() {
+    const SLOTS: usize = 4;
+    const OUTSTANDING: usize = 64;
+    const REQUESTS: usize = 1200;
+    const POOL: usize = 8;
+    // What each input must be answered with: the unbatched forward.
+    let single = forward_step(1);
+    let want: Vec<Vec<Tensor>> = (0..POOL)
+        .map(|i| {
+            let out = single.forward(&[vec![request(i)]]).unwrap();
+            out.into_iter().map(|mut row| row.remove(0)).collect()
+        })
+        .collect();
+
+    let server = Server::start(
+        forward_step(SLOTS),
+        ServeConfig {
+            max_wait: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    );
+    // One client holding OUTSTANDING tickets, replacing each as it is
+    // answered.
+    let mut outstanding = VecDeque::new();
+    let mut submitted = 0;
+    loop {
+        while submitted < REQUESTS && outstanding.len() < OUTSTANDING {
+            let t = server.submit(vec![request(submitted % POOL)]).unwrap();
+            outstanding.push_back((t, submitted % POOL));
+            submitted += 1;
+        }
+        let Some((ticket, input)) = outstanding.pop_front() else {
+            break;
+        };
+        let got = ticket.wait().unwrap();
+        assert_eq!(got.len(), want[input].len());
+        for (g, w) in got.iter().zip(&want[input]) {
+            assert_eq!(
+                g.data(),
+                w.data(),
+                "reply differs from the unbatched forward"
+            );
+        }
+    }
+    assert_eq!(server.queue_depth(), 0);
+    // Joining the engine orders its last gauge write before the read.
+    let step = server.shutdown();
+    let m = step.metrics();
+    assert_eq!(m.counter("serve_replies_total"), REQUESTS as u64);
+    let dispatched_slots = m.counter("serve_batches_total") * SLOTS as u64;
+    let fill = REQUESTS as f64 / dispatched_slots as f64;
+    assert!(fill >= 0.9, "slot fill {fill} under a standing backlog");
+    // The engine is the gauge's only writer: an idle server reports an
+    // empty queue, whatever order the client threads' submits ran in.
+    assert_eq!(m.gauge("serve_queue_depth"), Some(0.0));
 }
 
 #[test]

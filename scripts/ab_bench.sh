@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# The A/B protocol behind every speed claim (ROADMAP item 1): build the
+# benchmark of <parent-ref> and of the working tree, run N alternated
+# parent/change pairs — pair i uses seed i on both sides, odd pairs run
+# the parent first, even pairs the change — and hand both sets of
+# reports to `benchmark compare`. Run order alone moves latency medians
+# by 5–10 % on the 2-core box, which is why the order alternates and
+# why this is a script rather than a habit.
+#
+#   scripts/ab_bench.sh [-n PAIRS] <parent-ref> [workload ...]
+#
+# PAIRS defaults to 10, the least a claim may rest on; no workload
+# means all five (≈ 2 min per side per pair). Everything lands under
+# target/ab_bench/: a snapshot of the parent (`git archive`, so nothing
+# is registered in .git and `rm -rf` is the clean-up), parent.jsonl and
+# change.jsonl with one report per run. Run length is the benchmark's
+# own (`run_seconds` of BENCHMARK.json) on both sides.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    echo "usage: scripts/ab_bench.sh [-n PAIRS] <parent-ref> [workload ...]" >&2
+    exit 2
+}
+
+pairs=10
+while getopts n: opt; do
+    case $opt in
+    n) pairs=$OPTARG ;;
+    *) usage ;;
+    esac
+done
+shift $((OPTIND - 1))
+[ $# -ge 1 ] || usage
+[[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
+ref=$(git rev-parse --verify "$1^{commit}")
+shift
+workloads=("$@")
+
+# The benchmark refuses to start while any RAXPP_* variable is set.
+unset $(compgen -v RAXPP_)
+
+out=$PWD/target/ab_bench
+package=crates/bench/src/bin/benchmark
+rm -rf "$out"
+mkdir -p "$out/parent"
+git archive "$ref" | tar -x -C "$out/parent"
+
+echo "==> building parent ($ref) and change"
+cargo build --release --quiet --manifest-path "$out/parent/$package/Cargo.toml"
+cargo build --release --quiet --manifest-path "$package/Cargo.toml"
+
+# One side of one pair: every requested workload, reports appended to
+# <side>.jsonl. Each binary runs from the root of its own checkout.
+run_side() {
+    local side=$1 root=$2 seed=$3
+    local bin=$root/$package/target/release/benchmark
+    if [ ${#workloads[@]} -eq 0 ]; then
+        (cd "$root" && "$bin" --seed "$seed" --out "$out/$side.jsonl" >/dev/null)
+    else
+        for w in "${workloads[@]}"; do
+            (cd "$root" && "$bin" --workload "$w" --seed "$seed" --out "$out/$side.jsonl" >/dev/null)
+        done
+    fi
+}
+
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+        echo "==> pair $i/$pairs (seed $i): parent, change"
+        run_side parent "$out/parent" "$i"
+        run_side change "$PWD" "$i"
+    else
+        echo "==> pair $i/$pairs (seed $i): change, parent"
+        run_side change "$PWD" "$i"
+        run_side parent "$out/parent" "$i"
+    fi
+done
+
+echo "==> compare (A = parent $ref, B = change; reports in $out)"
+"$package/target/release/benchmark" compare "$out/parent.jsonl" "$out/change.jsonl"

@@ -218,6 +218,50 @@ fn recover_respawns_dead_actors_and_restores_the_trained_state() {
     });
 }
 
+/// A step's data inputs ride its `Execute` and are in the stores when
+/// the stream fails. Whether the failing actor reports the error itself
+/// or dies, `recover()` plus a plain retry is bitwise the uninterrupted
+/// step, and the resident set is back at its pre-fault size: the aborted
+/// attempt's copies of the inputs were overwritten by the retry's and
+/// freed by its stream, not parked beside them.
+#[test]
+fn fault_on_a_step_fed_through_execute_leaves_no_ghost_inputs() {
+    with_watchdog("fault_on_a_step_fed_through_execute", || {
+        let (twin, twin_data) = build_trainer(95);
+        let want1 = twin.step(&twin_data).unwrap().losses;
+        let want2 = twin.step(&twin_data).unwrap().losses;
+        for kind in TRANSPORTS {
+            // Actor 0's `Execute` carries the data inputs; the last
+            // actor's carries none and its reply the fetched losses.
+            for actor in [0, N_STAGES - 1] {
+                for fault in [Fault::ErrorAtInstr(1), Fault::DieAtInstr(1)] {
+                    let what = format!("{kind}/actor {actor}/{fault:?}");
+                    let (trainer, data) = build_trainer_on(95, kind);
+                    let first = trainer.step_with_recovery(&data, fast_retry()).unwrap();
+                    assert_eq!(first.losses, want1, "{what}: first step diverged");
+                    let baseline = trainer.runtime().live_store_bytes().unwrap();
+
+                    trainer.runtime().inject_fault(actor, fault).unwrap();
+                    assert!(
+                        matches!(trainer.step(&data), Err(CoreError::Runtime(_))),
+                        "{what}: injected fault did not surface"
+                    );
+                    trainer.recover().unwrap();
+                    let retried = trainer.step(&data).unwrap();
+                    assert_eq!(retried.losses, want2, "{what}: retry is not bitwise");
+                    assert_eq!(
+                        trainer.runtime().live_store_bytes().unwrap(),
+                        baseline,
+                        "{what}: resident bytes did not return to the pre-fault set"
+                    );
+                    // One exchange per actor in service, inputs included.
+                    assert_eq!(retried.stats.rpcs, N_STAGES, "{what}");
+                }
+            }
+        }
+    });
+}
+
 #[test]
 fn retry_exhaustion_reports_last_error() {
     with_watchdog("retry_exhaustion", || {

@@ -284,6 +284,51 @@ fn weight_generations_never_mix_within_a_request() {
         server.swap_weights(scaled_eye(2.0)).unwrap();
         let out = server.infer(vec![x.clone()]).unwrap();
         assert_eq!(out[1].data(), gen_b.as_slice());
+
+        // The same contract behind a standing backlog: bursts submitted
+        // faster than they are served (so the engine drains many queued
+        // requests per loop turn) with a swap released into the middle
+        // of each. In admission order the replies are a run of the old
+        // generation, then a run of the new one — never interleaved,
+        // never mixed. (`crates/serve/src/engine/tests.rs` pins the exact
+        // interleaving against a scripted mailbox.)
+        let (mut old, mut new) = (&gen_b, &gen_a);
+        for round in 0..6 {
+            let scale = if round % 2 == 0 { 1.0 } else { 2.0 };
+            let release = std::sync::Barrier::new(2);
+            let tickets = std::thread::scope(|s| {
+                let swapper = s.spawn(|| {
+                    release.wait();
+                    server.swap_weights(scaled_eye(scale)).unwrap();
+                });
+                let tickets: Vec<_> = (0..48)
+                    .map(|i| {
+                        if i == 8 {
+                            release.wait();
+                        }
+                        server.submit(vec![x.clone()]).unwrap()
+                    })
+                    .collect();
+                swapper.join().unwrap();
+                tickets
+            });
+            let mut switched = false;
+            for (i, t) in tickets.into_iter().enumerate() {
+                let out = t.wait().unwrap();
+                let y = out[1].data();
+                if y == new.as_slice() {
+                    switched = true;
+                } else {
+                    assert_eq!(
+                        y,
+                        old.as_slice(),
+                        "round {round}, reply {i} mixes generations"
+                    );
+                    assert!(!switched, "round {round}: reply {i} left admission order");
+                }
+            }
+            std::mem::swap(&mut old, &mut new);
+        }
         server.shutdown();
     });
 }
