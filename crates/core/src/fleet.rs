@@ -22,7 +22,7 @@ use raxpp_runtime::{
     ActorProfile, Metrics, RebalanceReport, RecoveryReport, Runtime, RuntimeError, StepEvent,
     StepStats, StepTrace, TransportKind, TransportStats,
 };
-use raxpp_sched::{DpMap, Schedule, TpMap};
+use raxpp_sched::{simulate, DpMap, Schedule, TpMap, UniformCost};
 use raxpp_taskgraph::{
     bucket_collectives, check_send_recv_order, dp_split, dp_treated, insert_frees,
     replicate_program, shard_program, ActorId, BufferId, FetchRole, MpmdProgram,
@@ -42,6 +42,10 @@ pub(crate) struct Fleet {
     pub(crate) metrics: Metrics,
     /// The pipeline schedule the step was compiled for.
     pub(crate) schedule: Schedule,
+    /// Idle share the schedule itself prescribes
+    /// (`simulate(..).bubble_ratio` under unit costs), computed once:
+    /// the subtrahend of the `bubble_excess` gauge.
+    ideal_bubble: f64,
     pub(crate) meta: StepMeta,
     /// Compile-time host actor → the host now running its stages
     /// (identity until the first rebalance). `meta`'s placements stay in
@@ -132,10 +136,16 @@ impl Fleet {
     /// The handle over a freshly launched `runtime` executing the
     /// program `meta` describes.
     pub(crate) fn new(runtime: Runtime, meta: StepMeta, schedule: &Schedule) -> Fleet {
+        // A forward-only step runs none of the schedule's backward tasks.
+        let mut cost = UniformCost::default();
+        if meta.param_read.is_empty() {
+            (cost.bwd, cost.wgrad) = (0.0, 0.0);
+        }
         Fleet {
             runtime,
             metrics: Metrics::new(),
             schedule: schedule.clone(),
+            ideal_bubble: simulate(schedule, cost).map_or(0.0, |sim| sim.bubble_ratio),
             meta,
             hosts: Mutex::new((0..schedule.n_actors()).collect()),
             restore_point: Mutex::new(None),
@@ -350,6 +360,18 @@ impl Fleet {
         let touched = alloc.allocated + alloc.reused;
         if touched > 0 {
             m.set_gauge("alloc_reuse_rate", alloc.reused as f64 / touched as f64);
+        }
+        // Where the actors' time went, tracing off: the share of actor
+        // time blocked in `Recv`, and how much of it the schedule does
+        // not account for (a placement or runtime regression shows here
+        // without a benchmark run).
+        let actor_time = stats.rpcs as f64 * stats.wall.as_secs_f64();
+        if actor_time > 0.0 {
+            let recv = stats.profiles.iter().filter_map(|p| p.get("recv"));
+            let recv_s: f64 = recv.map(|(dur, _)| dur.as_secs_f64()).sum();
+            let wait = recv_s / actor_time;
+            m.set_gauge("recv_wait_share", wait);
+            m.set_gauge("bubble_excess", wait - self.ideal_bubble);
         }
         if self.runtime.transport_kind() != TransportKind::Mpsc {
             // Wire counters are cumulative on the transport; publish

@@ -157,6 +157,25 @@ fn plan_threads(macs: usize, rows: usize) -> usize {
     num_threads().min(cores()).min(rows.div_ceil(MR)).max(1)
 }
 
+/// Runs `work(index, chunk)` over the `size`-element chunks of `out` in
+/// parallel: one scoped worker per chunk after the first, and the first
+/// chunk on the calling thread — which would otherwise sit parked in
+/// `thread::scope` while one more worker than needed competes with the
+/// other actors' kernels for the cores.
+fn par_chunks(out: &mut [f32], size: usize, work: impl Fn(usize, &mut [f32]) + Sync) {
+    let work = &work;
+    let mut chunks = out.chunks_mut(size).enumerate();
+    let first = chunks.next();
+    std::thread::scope(|s| {
+        for (ci, chunk) in chunks {
+            s.spawn(move || work(ci, chunk));
+        }
+        if let Some((ci, chunk)) = first {
+            work(ci, chunk);
+        }
+    });
+}
+
 /// Packs `b` (`[k,n]` row-major) into column panels of width [`NR`]:
 /// panel `j0 = i·NR` (width `w = min(NR, n-j0)`) lives at offset
 /// `j0·k`, with its row `p` stored contiguously at `j0·k + p·w`. The
@@ -278,11 +297,8 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
         return out;
     }
     let rows_per = m.div_ceil(nt);
-    let bp = &bp;
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            s.spawn(move || matmul_rows(a, bp, chunk, ci * rows_per, k, n));
-        }
+    par_chunks(&mut out, rows_per * n, |ci, chunk| {
+        matmul_rows(a, &bp, chunk, ci * rows_per, k, n)
     });
     out
 }
@@ -385,11 +401,8 @@ pub(crate) fn batch_matmul(
         return out;
     }
     let rows_per = total_rows.div_ceil(nt);
-    let bp = &packed;
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            s.spawn(move || batch_rows(a, bp, chunk, ci * rows_per, m, k, n));
-        }
+    par_chunks(&mut out, rows_per * n, |ci, chunk| {
+        batch_rows(a, &packed, chunk, ci * rows_per, m, k, n)
     });
     out
 }
@@ -430,14 +443,10 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
         // Batched case: parallelize over batch slices instead of rows.
         if nt > 1 {
             let per = batch.div_ceil(nt);
-            std::thread::scope(|s| {
-                for (ci, chunk) in out.chunks_mut(per * m * n).enumerate() {
-                    s.spawn(move || {
-                        for (bi, slot) in chunk.chunks_mut(m * n).enumerate() {
-                            let b = ci * per + bi;
-                            transpose_tile(&src[b * m * n..(b + 1) * m * n], slot, 0, n, m, n);
-                        }
-                    });
+            par_chunks(&mut out, per * m * n, |ci, chunk| {
+                for (bi, slot) in chunk.chunks_mut(m * n).enumerate() {
+                    let b = ci * per + bi;
+                    transpose_tile(&src[b * m * n..(b + 1) * m * n], slot, 0, n, m, n);
                 }
             });
         } else {
@@ -456,11 +465,8 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
     }
     // Single large matrix: parallelize over output row ranges.
     let jrows_per = n.div_ceil(nt);
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(jrows_per * m).enumerate() {
-            let j0 = ci * jrows_per;
-            s.spawn(move || transpose_tile(src, chunk, j0, chunk.len() / m, m, n));
-        }
+    par_chunks(&mut out, jrows_per * m, |ci, chunk| {
+        transpose_tile(src, chunk, ci * jrows_per, chunk.len() / m, m, n)
     });
     out
 }

@@ -3,11 +3,17 @@
 //!
 //! The unroller walks the schedule's tasks in a global topological order
 //! that respects every actor's local order (the same traversal the
-//! paper's runtime uses) and, immediately after each producing task,
-//! emits the matching send/receive pair — guaranteeing that sends and
-//! receives between any actor pair appear in the same order on both
-//! sides, the property that prevents deadlock with NCCL-style P2P
-//! (paper §4.2, Figure 5).
+//! paper's runtime uses). Communication follows one placement rule:
+//! **send eagerly, wait at first use**. A `Send` is emitted immediately
+//! after its producing task; the matching `Recv` is emitted in the
+//! consumer's stream directly before the first instruction that reads
+//! the received buffer, preceded only by earlier still-pending receives
+//! from the same sender. Sends and receives between any actor pair
+//! therefore appear in the same order on both sides — the property that
+//! prevents deadlock with NCCL-style P2P (paper §4.2, Figure 5) — and a
+//! blocking `Recv` never sits in front of work that does not need its
+//! data: the runtime's per-peer mailbox queues are the prefetch buffer,
+//! an early arrival simply waits there.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -115,6 +121,9 @@ struct Ctx<'m> {
     saved_ct: HashMap<(usize, usize), Vec<BufferId>>,
     acc: HashMap<(usize, usize), BufferId>,
     sent: HashSet<(BufferId, ActorId)>,
+    /// Per receiving actor, the `(buffer, sender)` of every receive whose
+    /// `Send` is emitted but whose first reader is not, in send order.
+    pending: Vec<Vec<(BufferId, ActorId)>>,
     buf_shape: HashMap<BufferId, Shape>,
 }
 
@@ -161,28 +170,57 @@ impl<'m> Ctx<'m> {
         id
     }
 
+    /// Appends `instr` to `actor`'s stream; a `Run` goes behind the
+    /// pending receives of its inputs. (Outputs are always fresh buffers
+    /// and a received buffer is never sent on, so inputs are the only way
+    /// the loop touches one.)
     fn push(&mut self, actor: ActorId, instr: Instr) {
+        if let Instr::Run { inputs, .. } = &instr {
+            self.land(actor, inputs);
+        }
         self.prog.actors[actor].push(instr);
     }
 
-    /// Sends `buf` from `from` to `to`, appending the matching receive to
-    /// `to`'s stream immediately (§4.2 ordering discipline). Deduplicates
-    /// repeated sends of the same buffer to the same destination.
+    /// Emits the pending receives of `touched` buffers into `actor`'s
+    /// stream, each preceded by every earlier pending receive from the
+    /// same sender: per pair, receive order stays send order (§4.2).
+    fn land(&mut self, actor: ActorId, touched: &[BufferId]) {
+        // Per sender, the last pending position that has to land.
+        let mut upto: HashMap<ActorId, usize> = HashMap::new();
+        for (i, (buf, from)) in self.pending[actor].iter().enumerate() {
+            if touched.contains(buf) {
+                upto.insert(*from, i);
+            }
+        }
+        if upto.is_empty() {
+            return;
+        }
+        let mut pos = 0;
+        self.pending[actor].retain(|&(buf, from)| {
+            let lands = upto.get(&from).is_some_and(|&last| pos <= last);
+            pos += 1;
+            if lands {
+                self.prog.actors[actor].push(Instr::Recv {
+                    buf,
+                    src: buf,
+                    from,
+                    shape: self.buf_shape[&buf].clone(),
+                });
+            }
+            !lands
+        });
+    }
+
+    /// Sends `buf` from `from` to `to` right away; the matching receive
+    /// stays pending until `to` first reads `buf` ([`Ctx::land`]) — the
+    /// receiver's mailbox is the prefetch buffer. Deduplicates repeated
+    /// sends of the same buffer to the same destination.
     fn send(&mut self, buf: BufferId, from: ActorId, to: ActorId) {
         if from == to || !self.sent.insert((buf, to)) {
             return;
         }
-        let shape = self.buf_shape[&buf].clone();
         self.push(from, Instr::Send { buf, to });
-        self.push(
-            to,
-            Instr::Recv {
-                buf,
-                src: buf,
-                from,
-                shape,
-            },
-        );
+        self.pending[to].push((buf, from));
     }
 
     /// Emits `dst = a + b` on `actor`.
@@ -271,7 +309,8 @@ impl<'m> Ctx<'m> {
                 },
             },
         );
-        // Ship activations to remote consumers right away (§4.2).
+        // Ship activations to remote consumers right away (§4.2); each
+        // consumer receives them at its first use.
         for (o, meta) in stage.outputs.iter().enumerate() {
             let buf = self.act_buf[&(s, o, mb)];
             for &consumer in &meta.consumers {
@@ -353,8 +392,13 @@ impl<'m> Ctx<'m> {
             },
         );
 
-        // Route backward outputs.
-        for (buf, meta) in outputs.into_iter().zip(metas) {
+        // Route backward outputs, input cotangents first: another actor
+        // waits for those, the gradient accumulation is local.
+        let (cts, grads): (Vec<_>, Vec<_>) = outputs
+            .into_iter()
+            .zip(metas)
+            .partition(|(_, meta)| matches!(meta, BwdOut::InputCotangent { .. }));
+        for (buf, meta) in cts.into_iter().chain(grads) {
             match meta {
                 BwdOut::ParamGrad { param } => {
                     if self.opts.loop_commuting {
@@ -515,6 +559,7 @@ pub fn unroll_loop(
         saved_ct: HashMap::new(),
         acc: HashMap::new(),
         sent: HashSet::new(),
+        pending: vec![Vec::new(); n_actors],
         buf_shape: HashMap::new(),
     };
 
@@ -660,6 +705,13 @@ pub fn unroll_loop(
             actor: owner,
             role: FetchRole::Grad(p),
         });
+    }
+
+    // Receives no instruction of the loop reads (a naive-mode partial
+    // that is itself the fetched gradient) land at the end, in send order.
+    for a in 0..n_actors {
+        let unread: Vec<BufferId> = ctx.pending[a].iter().map(|&(buf, _)| buf).collect();
+        ctx.land(a, &unread);
     }
 
     // Per-microbatch global outputs (loss, metrics) are fetched from

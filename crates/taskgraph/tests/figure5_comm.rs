@@ -1,15 +1,16 @@
 //! Reconstruction of the paper's Figure 5 / §4.2 communication-inference
 //! properties on compiled programs:
 //!
-//! 1. send/receive pairs are emitted immediately after the producing
-//!    task, so receives act as *prefetches* — they appear in the
-//!    consumer's stream strictly before the consuming task, usually with
-//!    unrelated compute in between (the overlap the paper describes for
-//!    `f2(3)` running while `b2(2)`'s operand is in flight);
+//! 1. a send is emitted immediately after the producing task, and its
+//!    receive directly before the first instruction that reads the
+//!    buffer — the actor waits at use, not at arrival, so a blocking
+//!    receive never sits in front of work that does not need the data
+//!    (the early arrival waits in the runtime's mailbox, which is the
+//!    prefetch buffer: `f2(3)` runs while `b2(2)`'s operand is in flight);
 //! 2. per actor pair, send order equals receive order (the property that
-//!    avoids NCCL deadlock);
-//! 3. a naive "receive right before use" placement would differ — we
-//!    count how many receives are hoisted above intervening compute.
+//!    avoids NCCL deadlock) — the one reason a receive may sit earlier
+//!    than its own first reader: a later receive from the same sender is
+//!    needed first.
 
 use raxpp_ir::{Jaxpr, TraceCtx};
 use raxpp_sched::one_f1b;
@@ -42,43 +43,50 @@ fn compile() -> MpmdProgram {
     compiled.program
 }
 
-/// For each Recv, how many Run instructions sit between it and the first
-/// Run consuming its buffer.
-fn prefetch_distances(program: &MpmdProgram) -> Vec<usize> {
-    let mut out = Vec::new();
-    for stream in &program.actors {
+/// A receive is placed at its first reader: nothing the actor could
+/// have done without the data (`Run`, `Send`, `Collective`) sits between
+/// the two, unless per-pair FIFO forced the receive early — a later
+/// receive from the same sender comes before that reader.
+#[test]
+fn receives_wait_at_first_use_not_at_arrival() {
+    let program = compile();
+    let mut checked = 0;
+    for (a, stream) in program.actors.iter().enumerate() {
         for (i, instr) in stream.iter().enumerate() {
-            let Instr::Recv { buf, .. } = instr else {
+            let Instr::Recv { buf, from, .. } = instr else {
                 continue;
             };
-            let mut runs_between = 0;
-            for later in &stream[i + 1..] {
-                if let Instr::Run { inputs, .. } = later {
-                    if inputs.contains(buf) {
-                        out.push(runs_between);
-                        break;
-                    }
-                    runs_between += 1;
-                }
-            }
+            let reader = stream[i + 1..]
+                .iter()
+                .position(|later| match later {
+                    Instr::Run {
+                        inputs, outputs, ..
+                    } => inputs.contains(buf) || outputs.contains(buf),
+                    Instr::Send { buf: sent, .. } => sent == buf,
+                    _ => false,
+                })
+                .map(|p| i + 1 + p)
+                .unwrap_or_else(|| panic!("actor {a}: receive of {buf} at {i} is never read"));
+            let between = &stream[i + 1..reader];
+            let fifo_forced = between
+                .iter()
+                .any(|x| matches!(x, Instr::Recv { from: f, .. } if f == from));
+            let work = between.iter().position(|x| {
+                matches!(
+                    x,
+                    Instr::Run { .. } | Instr::Send { .. } | Instr::Collective { .. }
+                )
+            });
+            assert!(
+                fifo_forced || work.is_none(),
+                "actor {a}: receive of {buf} at {i} blocks in front of {:?}, \
+                 which does not need it (first reader at {reader})",
+                between[work.unwrap()]
+            );
+            checked += 1;
         }
     }
-    out
-}
-
-#[test]
-fn receives_are_prefetches_not_blocking_waits() {
-    let program = compile();
-    let distances = prefetch_distances(&program);
-    assert!(!distances.is_empty());
-    // At least some receives are hoisted above unrelated compute — the
-    // §4.2 overlap property (e.g. a cotangent arriving while the actor
-    // still runs forward tasks of other microbatches).
-    let hoisted = distances.iter().filter(|&&d| d > 0).count();
-    assert!(
-        hoisted > 0,
-        "no receive overlaps compute; placement is naive: {distances:?}"
-    );
+    assert_eq!(checked, 2 * 3 * 8, "every receive of the program checked");
 }
 
 #[test]

@@ -15,6 +15,12 @@
 # is registered in .git and `rm -rf` is the clean-up), parent.jsonl and
 # change.jsonl with one report per run. Run length is the benchmark's
 # own (`run_seconds` of BENCHMARK.json) on both sides.
+#
+# The pairs are followed by one `--trace 1` run per side (seed 0,
+# reports in {parent,change}_traced.jsonl) and, under the `compare`
+# table, the four per-layer rows that explain a step-time difference —
+# where the actors' time went — so the evidence a claim has to quote
+# comes from the same invocation as the claim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,15 +57,16 @@ cargo build --release --quiet --manifest-path "$out/parent/$package/Cargo.toml"
 cargo build --release --quiet --manifest-path "$package/Cargo.toml"
 
 # One side of one pair: every requested workload, reports appended to
-# <side>.jsonl. Each binary runs from the root of its own checkout.
+# <reports>.jsonl. Each binary runs from the root of its own checkout.
 run_side() {
-    local side=$1 root=$2 seed=$3
+    local reports=$1 root=$2 seed=$3 trace=${4:-0}
     local bin=$root/$package/target/release/benchmark
+    local args=(--seed "$seed" --trace "$trace" --out "$out/$reports.jsonl")
     if [ ${#workloads[@]} -eq 0 ]; then
-        (cd "$root" && "$bin" --seed "$seed" --out "$out/$side.jsonl" >/dev/null)
+        (cd "$root" && "$bin" "${args[@]}" >/dev/null)
     else
         for w in "${workloads[@]}"; do
-            (cd "$root" && "$bin" --workload "$w" --seed "$seed" --out "$out/$side.jsonl" >/dev/null)
+            (cd "$root" && "$bin" --workload "$w" "${args[@]}" >/dev/null)
         done
     fi
 }
@@ -76,5 +83,17 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
+echo "==> traced run (seed 0): parent, change"
+run_side parent_traced "$out/parent" 0 1
+run_side change_traced "$PWD" 0 1
+
+# `compare` exits 1 when an end-to-end row is worse than its bound; the
+# evidence rows are printed either way and the script exits with it.
+compare=("$package/target/release/benchmark" compare)
+status=0
 echo "==> compare (A = parent $ref, B = change; reports in $out)"
-"$package/target/release/benchmark" compare "$out/parent.jsonl" "$out/change.jsonl"
+"${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
+echo "==> where the actors' time went (one traced run per side)"
+"${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup) ' || true
+exit "$status"

@@ -7,9 +7,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use raxpp_core::{compile_train_step, CompileOptions, Optimizer};
+use raxpp_integration::replay_makespan;
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx, TracedTensor};
-use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule, Task};
+use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, simulate, Schedule, Task, UniformCost};
 use raxpp_taskgraph::{
     check_send_recv_order, insert_frees, pipeline_model, unroll_loop, UnrollOptions,
 };
@@ -200,6 +201,24 @@ fn compiled_programs_are_well_formed() {
                     schedule.name()
                 );
                 assert!(compiled.program.num_rpcs() <= schedule.n_actors());
+                // Placement adds no idle time to the schedule's own. The
+                // one exception, by name: `loop_commuting: false` with a
+                // weight shared across actors. Not per-pair FIFO (a forced
+                // early receive was sent earlier by the same sender, so it
+                // never waits longer than the one that forced it): the
+                // naive scheme pushes the owner's per-microbatch
+                // `AccumGrad` add while the *producing* actor is walked,
+                // so it — and the receive it reads — lands wherever the
+                // owner's stream happens to end, ahead of owner tasks that
+                // do not need it. That cost is what the ablation measures.
+                let cost = UniformCost::default();
+                let got = replay_makespan(&compiled.program, cost);
+                let want = simulate(&schedule, cost).unwrap().makespan;
+                if !commuting && model.share_first_last {
+                    assert!(got >= want, "{model:?} {}", schedule.name());
+                } else {
+                    assert_eq!(got, want, "{model:?} {} stream replay", schedule.name());
+                }
             }
         }
     }

@@ -109,6 +109,24 @@ fn recovered_step_trace_carries_retry_and_failure_events() {
     });
 }
 
+/// The regression signal of ROADMAP item 1 needs no trace and no
+/// benchmark: every step publishes where the actors' time went.
+#[test]
+fn every_step_publishes_recv_wait_share_and_bubble_excess() {
+    with_watchdog("recv_wait_gauges", || {
+        let (trainer, data) = build_trainer(95);
+        // A plain step: the gauges come from `StepStats`, not a trace.
+        trainer.step(&data).unwrap();
+        let m = trainer.metrics();
+        let wait = m.gauge("recv_wait_share").expect("recv_wait_share set");
+        let excess = m.gauge("bubble_excess").expect("bubble_excess set");
+        assert!((0.0..=1.0).contains(&wait), "recv_wait_share {wait}");
+        assert!((-1.0..=1.0).contains(&excess), "bubble_excess {excess}");
+        // The schedule's own bubble is what separates the two.
+        assert!(excess <= wait, "excess {excess} > wait {wait}");
+    });
+}
+
 #[test]
 fn trace_timeline_is_consistent_after_respawn() {
     with_watchdog("trace_timeline_after_respawn", || {
