@@ -1,6 +1,6 @@
 //! Hierarchical collective timing shared by the baselines.
 
-use raxpp_mesh::LinkSpec;
+use raxpp_simcluster::LinkSpec;
 
 /// Time to materialize `full_bytes` on every GPU from shards spread over
 /// `nodes × gpus_per_node` ranks: the inter-node phase moves the off-node

@@ -8,11 +8,10 @@
 //! a hierarchical (NVLink intra-node + InfiniBand inter-node) cost
 //! model, which is what makes FSDP viable at all at this scale.
 
-use raxpp_mesh::{collective_time, Collective};
 use raxpp_models::{static_state_bytes, ModelConfig};
+use raxpp_simcluster::{collective_time, ClusterSpec, Collective};
 
 use crate::cluster_ext::hierarchical_gather_time;
-use raxpp_simcluster::ClusterSpec;
 
 /// FSDP run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

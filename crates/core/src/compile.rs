@@ -6,7 +6,6 @@
 use std::fmt;
 
 use raxpp_ir::{IrError, Jaxpr, Shape};
-use raxpp_mesh::Mesh;
 use raxpp_runtime::{RuntimeError, TransportKind};
 use raxpp_sched::{DpMap, Schedule, TpMap};
 use raxpp_taskgraph::{
@@ -63,8 +62,8 @@ impl From<IrError> for CoreError {
     }
 }
 
-/// Intra-stage tensor parallelism for [`compile_train_step`]: the mesh
-/// and axis every pipeline stage is sharded over.
+/// Intra-stage tensor parallelism for [`compile_train_step`]: the
+/// degree every pipeline stage is sharded to.
 ///
 /// With `degree() > 1` the compiled program is rewritten by
 /// [`raxpp_taskgraph::shard_program`]: every pipeline actor `a` expands
@@ -77,36 +76,24 @@ impl From<IrError> for CoreError {
 /// `docs/parallelism.md`).
 #[derive(Debug, Clone)]
 pub struct TpConfig {
-    /// The device mesh each pipeline actor's stage is sharded over.
-    pub mesh: Mesh,
-    /// Name of the mesh axis weights are sharded over.
-    pub axis: String,
+    degree: usize,
 }
 
 impl TpConfig {
-    /// The canonical single-axis configuration: a 1-D `"model"` mesh of
-    /// the given degree.
+    /// Model parallelism of the given degree: every stage's weights are
+    /// sharded over `degree` ranks.
     ///
     /// # Panics
     ///
     /// Panics if `degree` is zero.
     pub fn model_parallel(degree: usize) -> TpConfig {
         assert!(degree > 0, "tensor-parallel degree must be positive");
-        TpConfig {
-            mesh: Mesh::new(&[("model", degree)]).expect("1-D mesh is always valid"),
-            axis: "model".to_string(),
-        }
+        TpConfig { degree }
     }
 
-    /// The mesh axis tensors are sharded over.
-    pub fn mesh_axis(&self) -> &str {
-        &self.axis
-    }
-
-    /// The tensor-parallel degree (size of the sharding axis; 1 when the
-    /// axis is unknown to the mesh, which [`compile_train_step`] rejects).
+    /// The tensor-parallel degree.
     pub fn degree(&self) -> usize {
-        self.mesh.axis_size(&self.axis).unwrap_or(0)
+        self.degree
     }
 }
 
@@ -167,9 +154,9 @@ pub struct CompileOptions {
     /// Also fetch the accumulated gradients every step (useful for
     /// validation; production steps fetch only losses).
     pub fetch_grads: bool,
-    /// Intra-stage tensor parallelism: shard every pipeline stage over
-    /// this mesh axis (PP×TP composition). `None` (the default) and
-    /// degree-1 meshes compile the pure-pipeline program unchanged.
+    /// Intra-stage tensor parallelism: shard every pipeline stage to
+    /// this degree (PP×TP composition). `None` (the default) and
+    /// degree 1 compile the pure-pipeline program unchanged.
     pub tp: Option<TpConfig>,
     /// Data parallelism: replicate the (possibly TP-sharded) pipeline
     /// over a DP axis (PP×TP×DP composition). `None` (the default) and

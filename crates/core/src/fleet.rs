@@ -77,20 +77,11 @@ impl Fleet {
     ) -> Result<(TpMap, DpMap), CoreError> {
         // Rewrite the finished host-actor program into `degree` shard
         // streams per pipeline actor.
-        let mut degree = 1;
-        if let Some(cfg) = tp {
-            degree = cfg.mesh.axis_size(&cfg.axis).ok_or_else(|| {
-                CoreError::BadInput(format!(
-                    "tensor-parallel axis {:?} is not an axis of the mesh",
-                    cfg.axis
-                ))
-            })?;
-            if degree > 1 {
-                *program = shard_program(program, &cfg.mesh, &cfg.axis)
-                    .map_err(|e| CoreError::BadInput(format!("tensor-parallel lowering: {e}")))?;
-            }
+        let tp = TpMap::new(tp.map_or(1, TpConfig::degree));
+        if tp.degree() > 1 {
+            *program = shard_program(program, tp.degree())
+                .map_err(|e| CoreError::BadInput(format!("tensor-parallel lowering: {e}")))?;
         }
-        let tp = TpMap::new(degree);
         // Clone the (possibly TP-sharded) pipeline into `replicas`
         // copies that each consume a disjoint slice of the global batch,
         // linked by DP-axis gradient all-reduce sums, optionally sharding

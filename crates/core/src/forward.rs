@@ -36,8 +36,8 @@ use crate::fleet::Fleet;
 /// Options for [`compile_forward_step`].
 #[derive(Debug, Clone, Default)]
 pub struct ForwardOptions {
-    /// Intra-stage tensor parallelism: shard every pipeline stage over
-    /// this mesh axis, exactly as in training (PP×TP). The forward
+    /// Intra-stage tensor parallelism: shard every pipeline stage to
+    /// this degree, exactly as in training (PP×TP). The forward
     /// program is projected *first* and sharded *second*, so the
     /// sharded forward compute is the same the training step runs.
     pub tp: Option<TpConfig>,

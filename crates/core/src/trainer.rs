@@ -77,18 +77,6 @@ impl CheckpointPolicy {
             keep: keep.max(1),
         }
     }
-
-    /// Builds a policy from the environment: `RAXPP_CKPT_DIR` (required
-    /// — `None` when unset) and `RAXPP_CKPT_EVERY` (default 1). Three
-    /// generations are kept.
-    pub fn from_env() -> Option<CheckpointPolicy> {
-        let dir = std::env::var_os("RAXPP_CKPT_DIR")?;
-        let every = std::env::var("RAXPP_CKPT_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        Some(CheckpointPolicy::new(PathBuf::from(dir), every, 3))
-    }
 }
 
 /// A compiled, launched training step bound to a live MPMD runtime.
@@ -99,8 +87,8 @@ pub struct Trainer {
     /// Successful `step_with_recovery` steps so far — the step number
     /// stamped into periodic checkpoints.
     steps_done: AtomicU64,
-    /// Periodic on-disk checkpointing, seeded from the environment
-    /// (`RAXPP_CKPT_DIR`/`RAXPP_CKPT_EVERY`) at compile time.
+    /// Periodic on-disk checkpointing; off until
+    /// [`Trainer::set_checkpoint_policy`] installs a policy.
     ckpt: Mutex<Option<CheckpointPolicy>>,
 }
 
@@ -169,7 +157,7 @@ pub fn compile_train_step_on(
     Ok(Trainer {
         fleet: Fleet::new(runtime, meta, schedule),
         steps_done: AtomicU64::new(0),
-        ckpt: Mutex::new(CheckpointPolicy::from_env()),
+        ckpt: Mutex::new(None),
     })
 }
 
@@ -322,9 +310,8 @@ impl Trainer {
         self.steps_done.load(Ordering::SeqCst)
     }
 
-    /// Installs (or clears) the periodic checkpoint policy. The policy
-    /// is otherwise seeded from `RAXPP_CKPT_DIR`/`RAXPP_CKPT_EVERY` at
-    /// compile time.
+    /// Installs (or clears) the periodic checkpoint policy; a fresh
+    /// trainer has none.
     pub fn set_checkpoint_policy(&self, policy: Option<CheckpointPolicy>) {
         *self.ckpt.lock().unwrap() = policy;
     }
@@ -473,8 +460,8 @@ impl Trainer {
 /// **Substitution note:** on real hardware each actor is a Ray worker
 /// driving `spmd_shape` GPUs through XLA; here each actor is a thread
 /// executing the logical (unsharded) computation with the CPU
-/// interpreter, while `raxpp-mesh`/`raxpp-simcluster` model the intra-
-/// actor SPMD behaviour (local shapes, collectives, timing) analytically.
+/// interpreter, while `raxpp-simcluster` models the intra-actor SPMD
+/// behaviour (collectives, timing) analytically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteMesh {
     n_actors: usize,

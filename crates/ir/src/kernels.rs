@@ -103,22 +103,37 @@ mod avx512 {
 /// Resolution order: [`set_num_threads`] override, then the
 /// `RAXPP_THREADS` environment variable, then
 /// `std::thread::available_parallelism()`.
+///
+/// # Panics
+///
+/// Panics when `RAXPP_THREADS` is set to anything but a positive whole
+/// number.
 pub fn num_threads() -> usize {
     let cached = THREADS.load(Ordering::Relaxed);
     if cached != UNSET {
         return cached;
     }
-    let n = std::env::var("RAXPP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let n = threads_from(std::env::var("RAXPP_THREADS").ok().as_deref());
     THREADS.store(n, Ordering::Relaxed);
     n
+}
+
+/// The thread budget a `RAXPP_THREADS` value selects: every core when
+/// unset or blank, the number when it is a positive whole number.
+///
+/// # Panics
+///
+/// Panics on any other value, naming the variable and the value — a
+/// mistyped knob must not quietly select the default (the rule
+/// `raxpp-runtime`'s `env.rs` applies to its knobs).
+fn threads_from(raw: Option<&str>) -> usize {
+    match raw.map(str::trim).filter(|v| !v.is_empty()) {
+        None => cores(),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => panic!("RAXPP_THREADS={v:?} is not a positive whole number"),
+        },
+    }
 }
 
 /// Overrides the kernel worker-thread budget for this process
@@ -535,6 +550,23 @@ mod tests {
 
     fn seq(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect()
+    }
+
+    #[test]
+    fn thread_knob_never_quietly_selects_the_default() {
+        for raw in [None, Some(""), Some("  ")] {
+            assert_eq!(threads_from(raw), cores(), "{raw:?}");
+        }
+        assert_eq!(threads_from(Some(" 3 ")), 3);
+        for raw in ["two", "0", "-1", "1.5"] {
+            let message = *std::panic::catch_unwind(|| threads_from(Some(raw)))
+                .expect_err("a mistyped value must be refused")
+                .downcast::<String>()
+                .expect("panic carries a String");
+            for part in ["RAXPP_THREADS", raw, "a positive whole number"] {
+                assert!(message.contains(part), "{message:?} does not name {part:?}");
+            }
+        }
     }
 
     #[test]

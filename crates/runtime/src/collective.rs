@@ -211,7 +211,7 @@ fn assemble_disjoint_blocks(parts: &[Tensor], dim: usize) -> Tensor {
                 let col = i % full;
                 (r * blk..(r + 1) * blk).contains(&col) || v.to_bits() == (-0.0f32).to_bits()
             }),
-            "disjoint_reduce contribution padding is not -0.0"
+            "disjoint all-reduce contribution padding is not -0.0"
         );
         for row in 0..rows {
             let off = row * full + r * blk;
@@ -418,15 +418,13 @@ pub(crate) fn run_collective(
     // Per-axis routing: DP all-reduces are true sums of different
     // per-replica contributions (batch sharding), folded elementwise in
     // pinned replica-ascending order — never the disjoint-assembly fast
-    // path, which assumes -0.0-padded non-overlapping blocks. TP
-    // consults the program's TpMeta flag. Wait/wire metrics split by
-    // axis so each mesh dimension is observable.
+    // path, which assumes -0.0-padded non-overlapping blocks — what
+    // every TP all-reduce of a `shard_program` output (a program with
+    // `tp` metadata) sums. Wait/wire metrics split by axis so each
+    // mesh dimension is observable.
     let (disjoint, wait_kind) = match axis {
         CollectiveAxis::Dp => (false, "dp_collective_wait"),
-        CollectiveAxis::Tp => (
-            st.program.tp.as_ref().is_some_and(|m| m.disjoint_reduce),
-            "collective_wait",
-        ),
+        CollectiveAxis::Tp => (st.program.tp.is_some(), "collective_wait"),
     };
     let combine = |parts: &[Tensor]| combine_collective(kind, dim, parts, disjoint);
     // The group is looked up by the instruction's exact membership, so

@@ -2,14 +2,16 @@
 //! retire and where their work goes, as a pure function of the fleet's
 //! shape — callable without a fleet.
 
+use raxpp_sched::{DpMap, TpMap};
+
 use crate::error::RuntimeError;
 
 /// Plans the fold of `dead` onto the survivors of a fleet of
-/// `retired.len()` actors laid out as `replicas` blocks of `base`
-/// actors, each block holding `base / t` hosts of `t` TP ranks.
-/// Returns `(assign, newly_retired)`: `assign[a]` is the actor that
-/// hosts old actor `a`'s stages from now on (survivors map to
-/// themselves), `newly_retired` is ascending.
+/// `retired.len()` actors laid out as `dp.replicas()` blocks of
+/// `dp.base_actors()` actors, each block holding hosts of `tp.degree()`
+/// TP ranks. Returns `(assign, newly_retired)`: `assign[a]` is the
+/// actor that hosts old actor `a`'s stages from now on (survivors map
+/// to themselves), `newly_retired` is ascending.
 ///
 /// Folds happen at *host* granularity: a host is one pipeline position
 /// together with all of its TP ranks and DP replicas. Losing any raw
@@ -18,9 +20,8 @@ use crate::error::RuntimeError;
 /// memberships stay aligned across ranks and replicas after the fold
 /// ({h·t+r} → {s·t+r} in every replica block).
 pub(crate) fn plan_fold(
-    t: usize,
-    base: usize,
-    replicas: usize,
+    tp: TpMap,
+    dp: DpMap,
     retired: &[bool],
     dead: &[usize],
 ) -> Result<(Vec<usize>, Vec<usize>), RuntimeError> {
@@ -37,14 +38,17 @@ pub(crate) fn plan_fold(
     if dead.is_empty() {
         return Ok((assign, Vec::new()));
     }
-    let hosts = base / t;
-    let mut dead_hosts: Vec<usize> = dead.iter().map(|&d| (d % base) / t).collect();
+    let hosts = dp.base_actors() / tp.degree();
+    // The raw actors of host `h`: every TP rank in every replica.
+    let raw_of = |h: usize| {
+        (0..dp.replicas()).flat_map(move |rep| {
+            (0..tp.degree()).map(move |r| dp.replica_actor(rep, tp.shard_actor(h, r)))
+        })
+    };
+    let mut dead_hosts: Vec<usize> = dead.iter().map(|&d| tp.host_of(dp.base_of(d))).collect();
     dead_hosts.sort_unstable();
     dead_hosts.dedup();
-    let host_alive = |h: usize| {
-        !dead_hosts.contains(&h)
-            && (0..replicas).all(|rep| (0..t).all(|r| !retired[rep * base + h * t + r]))
-    };
+    let host_alive = |h: usize| !dead_hosts.contains(&h) && raw_of(h).all(|a| !retired[a]);
     let alive_hosts: Vec<usize> = (0..hosts).filter(|&h| host_alive(h)).collect();
     if alive_hosts.is_empty() {
         return Err(RuntimeError::Rebalance("no surviving actors".into()));
@@ -58,11 +62,9 @@ pub(crate) fn plan_fold(
             .copied()
             .min_by_key(|&s| (s.abs_diff(h), s))
             .expect("alive_hosts is non-empty");
-        for rep in 0..replicas {
-            for r in 0..t {
-                assign[rep * base + h * t + r] = rep * base + s * t + r;
-                newly_retired.push(rep * base + h * t + r);
-            }
+        for (from, onto) in raw_of(h).zip(raw_of(s)) {
+            assign[from] = onto;
+            newly_retired.push(from);
         }
     }
     newly_retired.sort_unstable();
@@ -82,7 +84,8 @@ mod tests {
         retired: &[bool],
         dead: &[usize],
     ) -> Vec<usize> {
-        let (assign, newly_retired) = plan_fold(t, base, replicas, retired, dead).unwrap();
+        let (tp, dp) = (TpMap::new(t), DpMap::new(replicas, base));
+        let (assign, newly_retired) = plan_fold(tp, dp, retired, dead).unwrap();
         let moved: Vec<usize> = (0..assign.len()).filter(|&a| assign[a] != a).collect();
         assert_eq!(newly_retired, moved, "exactly the folded actors retire");
         assign
@@ -108,17 +111,24 @@ mod tests {
     #[test]
     fn bad_requests_are_refused() {
         let retired = [false, true, false, false];
+        let (tp1, tp2) = (TpMap::new(1), TpMap::new(2));
         assert_eq!(
-            plan_fold(1, 4, 1, &retired, &[1]),
+            plan_fold(tp1, DpMap::new(1, 4), &retired, &[1]),
             Err(RuntimeError::BadInput("actor 1 already retired".into()))
         );
         assert_eq!(
-            plan_fold(1, 4, 1, &NONE[..4], &[4]),
+            plan_fold(tp1, DpMap::new(1, 4), &NONE[..4], &[4]),
             Err(RuntimeError::BadInput("unknown actor 4".into()))
         );
         let none_left = Err(RuntimeError::Rebalance("no surviving actors".into()));
-        assert_eq!(plan_fold(1, 2, 1, &NONE[..2], &[0, 1]), none_left);
+        assert_eq!(
+            plan_fold(tp1, DpMap::new(1, 2), &NONE[..2], &[0, 1]),
+            none_left
+        );
         // One rank of each TP host is every host.
-        assert_eq!(plan_fold(2, 4, 1, &NONE[..4], &[0, 3]), none_left);
+        assert_eq!(
+            plan_fold(tp2, DpMap::new(1, 4), &NONE[..4], &[0, 3]),
+            none_left
+        );
     }
 }

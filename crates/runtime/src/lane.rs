@@ -57,6 +57,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use raxpp_ir::{Shape, Tensor};
+use raxpp_sched::TpMap;
 use raxpp_taskgraph::TpMeta;
 
 /// A step sequence number (the driver's `Execute` seq).
@@ -67,9 +68,9 @@ type Epoch = u64;
 /// member actors. Built once per program with collectives (on a
 /// transport that supports lanes); immutable except for the group map.
 pub(crate) struct LaneHub {
-    /// Tensor-parallel degree (1 when the program has no TP axis; TP
-    /// lane groups and run dedup then do not exist).
-    degree: usize,
+    /// Tensor-parallel layout (degree 1 when the program has no TP
+    /// axis; TP lane groups and run dedup then do not exist).
+    tp: TpMap,
     replicated: Arc<Vec<bool>>,
     /// Membership-keyed rendezvous groups (rank-ascending actor lists).
     groups: Mutex<HashMap<Vec<usize>, Arc<LaneGroup>>>,
@@ -78,7 +79,7 @@ pub(crate) struct LaneHub {
 impl LaneHub {
     pub(crate) fn new(tp: Option<&TpMeta>) -> LaneHub {
         LaneHub {
-            degree: tp.map_or(1, |m| m.degree),
+            tp: TpMap::new(tp.map_or(1, |m| m.degree.max(1))),
             replicated: Arc::new(tp.map(|m| m.replicated.clone()).unwrap_or_default()),
             groups: Mutex::new(HashMap::new()),
         }
@@ -100,11 +101,9 @@ impl LaneHub {
     /// membership lookups, plus the actor's TP lane group and rank when
     /// the program is tensor-parallel.
     pub(crate) fn ctx_for(self: &Arc<Self>, a: usize) -> LaneCtx {
-        let lane = (self.degree > 1).then(|| {
-            let host = a / self.degree;
-            let members: Vec<usize> = (host * self.degree..(host + 1) * self.degree).collect();
-            (self.group(&members), a % self.degree)
-        });
+        let tp = self.tp;
+        let lane =
+            (tp.degree() > 1).then(|| (self.group(&tp.group_of(tp.host_of(a))), tp.rank_of(a)));
         LaneCtx {
             hub: Arc::clone(self),
             lane,

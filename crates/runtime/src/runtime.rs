@@ -54,6 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raxpp_ir::Tensor;
+use raxpp_sched::{DpMap, TpMap};
 use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
 
 use crate::actor::{Command, Epoch, ExecFailure, Reply, ReplyKind, DRIVER};
@@ -820,10 +821,13 @@ impl Runtime {
         let n = inner.actors.len();
         let (assign, retired) = {
             let p = &inner.program;
-            let t = p.tp.as_ref().map_or(1, |m| m.degree.max(1));
-            let base = p.dp.map_or(n, |m| m.base_actors);
-            let replicas = p.dp.map_or(1, |m| m.replicas.max(1));
-            plan_fold(t, base, replicas, &inner.retired, dead)?
+            let tp = TpMap::new(p.tp.as_ref().map_or(1, |m| m.degree.max(1)));
+            // (`max`: an actor-less fleet has nothing to fold, and
+            // `plan_fold` says so before it consults the layout.)
+            let dp = p.dp.map_or(DpMap::new(1, n.max(1)), |m| {
+                DpMap::new(m.replicas.max(1), m.base_actors)
+            });
+            plan_fold(tp, dp, &inner.retired, dead)?
         };
         if retired.is_empty() {
             return Ok(RebalanceReport { retired, assign });

@@ -5,11 +5,13 @@
 //! data-parallel axis of degree `R` (see `raxpp-taskgraph`'s
 //! `replicate_program`), replica `rep`'s copy of base actor `a` is
 //! `rep*base + a`: replicas occupy contiguous blocks of the raw actor
-//! space. [`DpMap`] centralizes that arithmetic so the compiler, the
-//! runtime, and tests all agree on replica-actor identity, exactly as
-//! [`TpMap`](crate::TpMap) does for the tensor-parallel axis — the two
-//! compose, with the TP expansion applied first (so `base` is already
-//! `hosts * t`).
+//! space. [`DpMap`] is that arithmetic, and the only copy of it: the
+//! compiler (`replicate_program`'s axis expansion and batch-range
+//! re-indexing, `replace_program`'s replica-uniformity check, the
+//! verifier's alignment check) and the runtime (host-fold planning)
+//! call it, exactly as they call [`TpMap`](crate::TpMap) for the
+//! tensor-parallel axis — the two compose, with the TP expansion
+//! applied first (so `base` is already `hosts * t`).
 
 /// Mapping between base (single-replica) actor indices and raw
 /// (replicated) actor indices.

@@ -3,9 +3,11 @@
 //! When a pipeline of `A` host actors is sharded over a tensor-parallel
 //! axis of degree `t` (see `raxpp-taskgraph`'s `shard_program`), every
 //! host actor `a` expands into the contiguous rank block
-//! `a*t .. a*t + t - 1`. [`TpMap`] centralizes that arithmetic so the
-//! compiler, the runtime, and tests all agree on shard-task identity:
-//! shard actor `a*t + r` is "(pipeline actor `a`, tp rank `r`)".
+//! `a*t .. a*t + t - 1`. [`TpMap`] is that arithmetic, and the only
+//! copy of it: the compiler (`shard_program`'s axis expansion, the
+//! verifier's alignment check) and the runtime (lane groups, host-fold
+//! planning) call it, so they agree on shard-task identity: shard actor
+//! `a*t + r` is "(pipeline actor `a`, tp rank `r`)".
 
 /// Mapping between host (pipeline) actor indices and tensor-parallel
 /// shard actor indices.

@@ -13,12 +13,14 @@
 
 #![warn(missing_docs)]
 
+mod collective;
 mod config;
 mod sim;
 mod specs;
 mod trace;
 mod tuner;
 
+pub use collective::{collective_time, Collective, LinkSpec};
 pub use config::{ParallelConfig, ScheduleKind};
 pub use sim::{simulate_pipeline, Breakdown, SimError, SimEvent, SimOptions, StepReport};
 pub use specs::{ClusterSpec, EfficiencyModel, GpuSpec};

@@ -7,12 +7,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use raxpp_mesh::{collective_time, Collective};
 use raxpp_models::{
     activation_bytes_per_layer, remat_compute_factor, static_state_bytes, ModelConfig, RematPolicy,
 };
 use raxpp_sched::{simulate as sched_simulate, Dir, ScheduleError, Task, UniformCost};
 
+use crate::collective::{collective_time, Collective};
 use crate::config::ParallelConfig;
 use crate::specs::ClusterSpec;
 

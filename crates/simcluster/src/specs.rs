@@ -7,7 +7,7 @@
 //! *shape* of the paper's results (orderings, crossovers, ratios) is what
 //! the benchmarks check.
 
-use raxpp_mesh::LinkSpec;
+use crate::collective::LinkSpec;
 
 /// One GPU's compute and memory capability.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -281,7 +281,6 @@ mod tests {
         p.tp = Some(crate::program::TpMeta {
             degree: 2,
             replicated: Vec::new(),
-            disjoint_reduce: true,
         });
         assert!(forward_project(&p).is_err());
     }

@@ -23,6 +23,7 @@
 #![deny(missing_docs)]
 
 mod automark;
+mod expand;
 mod forward;
 mod model;
 mod program;

@@ -132,8 +132,9 @@ impl fmt::Display for CollectiveKind {
 /// collectives are *true sums* of genuinely different per-replica
 /// contributions (each replica trains on its own slice of the global
 /// batch), folded elementwise in pinned replica-ascending order, while
-/// TP all-reduces consult [`TpMeta::disjoint_reduce`] for the
-/// disjoint-block assembly fast path.
+/// the TP all-reduces of a `shard_program` output (one that carries
+/// [`TpMeta`]) sum disjoint `-0.0`-padded blocks and take the
+/// block-assembly fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveAxis {
     /// Tensor-parallel lane group (the ranks of one pipeline host).
@@ -355,7 +356,17 @@ pub struct Fetch {
 /// the same kind (only buffer ids and jaxpr variants differ). `insert_frees`
 /// preserves the alignment because its pin set (placements + fetches) is
 /// a buffer-id set shared by all ranks. The runtime relies on this to
-/// key its lane rendezvous by instruction index.
+/// key its lane rendezvous by instruction index, and `verify_program`
+/// checks it.
+///
+/// Every TP-axis [`CollectiveKind::AllReduce`] of such a program sums
+/// contributions with *disjoint support*: each rank's tensor is its own
+/// block padded to full width with `-0.0` (the mini-partitioner only
+/// shards matmuls on the rhs last dim, so partial results are disjoint
+/// columns, never partial sums). Since `x + (-0.0)` is bitwise `x` for
+/// every `f32` (including both zeros, under round-to-nearest), the
+/// rank-ascending fold equals block concatenation bit for bit, and the
+/// runtime assembles blocks instead of folding full tensors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpMeta {
     /// Tensor-parallel degree `t`: host actor `a`'s streams are
@@ -366,17 +377,6 @@ pub struct TpMeta {
     /// (by the replicated-buffer invariant) bitwise-identical input
     /// values, so each instance needs to execute on only one lane.
     pub replicated: Vec<bool>,
-    /// Whether every [`CollectiveKind::AllReduce`] in the program sums
-    /// contributions with *disjoint support*: each rank's tensor is its
-    /// own block padded to full width with `-0.0`. Since `x + (-0.0)`
-    /// is bitwise `x` for every `f32` (including both zeros, under
-    /// round-to-nearest), the rank-ascending fold then equals block
-    /// concatenation bit for bit, and the runtime may assemble blocks
-    /// instead of folding full tensors. Always `true` for
-    /// `shard_program` output (the mini-partitioner only shards matmuls
-    /// on the rhs last dim, so partial results are disjoint columns,
-    /// never partial sums).
-    pub disjoint_reduce: bool,
 }
 
 /// Data-parallel structure of a replicated program, recorded by

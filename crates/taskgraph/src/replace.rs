@@ -28,6 +28,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
+use raxpp_sched::DpMap;
+
 use crate::program::{ActorId, BufferId, Instr, MpmdProgram};
 use crate::unroll::{check_send_recv_order, insert_frees};
 
@@ -135,20 +137,21 @@ pub fn replace_program(
         // would leave isomorphic-looking groups whose members sit at
         // different stream offsets — a runtime deadlock, so reject it
         // here.
-        let (base, reps) = (dp.base_actors, dp.replicas);
+        let dp = DpMap::new(dp.replicas, dp.base_actors);
         for (a, &h) in assign.iter().enumerate() {
-            if h / base != a / base {
+            if dp.replica_of(h) != dp.replica_of(a) {
                 return Err(ReplaceError::Unsupported(format!(
                     "assignment moves actor {a} across data-parallel replicas (to {h}); \
                      folds must stay within a replica"
                 )));
             }
-            if assign[a % base] % base != h % base {
+            if dp.base_of(assign[dp.base_of(a)]) != dp.base_of(h) {
                 return Err(ReplaceError::Unsupported(format!(
                     "assignment folds actor {a} differently from its replica-0 \
                      counterpart {}; folds must be replica-uniform (same base-actor \
-                     pattern in all {reps} replicas)",
-                    a % base
+                     pattern in all {} replicas)",
+                    dp.base_of(a),
+                    dp.replicas()
                 )));
             }
         }
@@ -329,16 +332,11 @@ fn simulate(
                                 g.get_mut(&(h, h2)).map(VecDeque::pop_front);
                             }
                             chan.entry((a, *to)).or_default().push_back(*buf);
-                            out[h].push(Instr::Send { buf: *buf, to: h2 });
+                            out[h].push(instr.map_actors(|m| assign[m]));
                             true
                         }
                     }
-                    Instr::Recv {
-                        buf,
-                        src,
-                        from,
-                        shape,
-                    } => {
+                    Instr::Recv { buf, src, from, .. } => {
                         let queue = chan.entry((*from, a)).or_default();
                         if queue.front() != Some(src) {
                             false // wait for the matching old-pair send
@@ -354,12 +352,7 @@ fn simulate(
                                     });
                                 }
                             } else {
-                                out[h].push(Instr::Recv {
-                                    buf: *buf,
-                                    src: *src,
-                                    from: f2,
-                                    shape: shape.clone(),
-                                });
+                                out[h].push(instr.map_actors(|m| assign[m]));
                             }
                             avail[h].insert(*buf);
                             true
@@ -381,13 +374,7 @@ fn simulate(
                         }
                     }
                     Instr::Collective {
-                        kind,
-                        dst,
-                        src,
-                        group,
-                        wires,
-                        dim,
-                        axis,
+                        dst, src, group, ..
                     } => {
                         if !avail[h].contains(src) {
                             false
@@ -398,8 +385,13 @@ fn simulate(
                             // and group-uniform folds keep the member
                             // streams isomorphic, so no cross-member
                             // ordering needs modeling here.
-                            let new_group: Vec<ActorId> =
-                                group.iter().map(|&m| assign[m]).collect();
+                            let moved = instr.map_actors(|m| assign[m]);
+                            let Instr::Collective {
+                                group: new_group, ..
+                            } = &moved
+                            else {
+                                unreachable!("map_actors keeps the instruction kind")
+                            };
                             let distinct = new_group.windows(2).all(|w| w[0] < w[1]);
                             let old_rank = group.iter().position(|&m| m == a);
                             let new_rank = new_group.iter().position(|&m| m == h);
@@ -417,15 +409,7 @@ fn simulate(
                                 });
                             }
                             avail[h].insert(*dst);
-                            out[h].push(Instr::Collective {
-                                kind: *kind,
-                                dst: *dst,
-                                src: *src,
-                                group: new_group,
-                                wires: wires.clone(),
-                                dim: *dim,
-                                axis: *axis,
-                            });
+                            out[h].push(moved);
                             true
                         }
                     }

@@ -65,10 +65,12 @@ use std::collections::HashMap;
 use std::fmt;
 
 use raxpp_ir::{IrError, Jaxpr, Shape};
+use raxpp_sched::DpMap;
 
+use crate::expand::{expand_axis, AxisRule, Fresh};
 use crate::program::{
-    ActorId, BufferId, CollectiveAxis, CollectiveKind, DpMeta, Fetch, FetchRole, InputSource,
-    Instr, JaxprId, MpmdProgram, TaskLabel,
+    ActorId, BufferId, CollectiveAxis, CollectiveKind, DpMeta, Fetch, FetchRole, InputPlacement,
+    InputSource, Instr, JaxprId, MpmdProgram, TaskLabel,
 };
 
 /// Error raised by [`replicate_program`].
@@ -180,7 +182,10 @@ pub fn replicate_program(
     if replicas == 1 {
         return Ok(program.clone());
     }
-    let n = program.n_actors();
+    if program.actors.is_empty() {
+        return Err(ReplicateError::BadInput("program has no actors".into()));
+    }
+    let map = DpMap::new(replicas, program.n_actors());
     let shapes: HashMap<BufferId, &Shape> = program
         .placements
         .iter()
@@ -191,12 +196,7 @@ pub fn replicate_program(
         jaxprs: program.jaxprs.clone(),
         ..MpmdProgram::default()
     };
-    let mut next = program.fresh_buffer_floor();
-    let mut fresh = || {
-        let b = BufferId(next);
-        next += 1;
-        b
-    };
+    let mut fresh = Fresh::above(program);
 
     // Decide the DP lowering per parameter from its Update instruction
     // (one owner per parameter; TP rank copies are identical). Every
@@ -204,7 +204,7 @@ pub fn replicate_program(
     // genuinely different gradients under batch sharding, so no shape
     // is exempt. ZeRO-1 state sharding additionally needs a first dim
     // wide enough to slice (`dp_treated`).
-    let mut dp_params: HashMap<usize, DpParam> = HashMap::new();
+    let mut params: HashMap<usize, DpParam> = HashMap::new();
     for instr in program.actors.iter().flatten() {
         let Instr::Run {
             inputs,
@@ -214,7 +214,7 @@ pub fn replicate_program(
         else {
             continue;
         };
-        if dp_params.contains_key(param) {
+        if params.contains_key(param) {
             continue;
         }
         let shape = *shapes.get(&inputs[0]).ok_or_else(|| {
@@ -229,16 +229,16 @@ pub fn replicate_program(
                     let j = build(*param, start, len).map_err(ReplicateError::Zero1)?;
                     upds.push(out.add_jaxpr(j));
                 }
-                Some((upds, fresh()))
+                Some((upds, fresh.next()))
             }
             _ => None,
         };
-        dp_params.insert(
+        params.insert(
             *param,
             DpParam {
                 full,
                 dim: shape.rank().saturating_sub(1),
-                assembled: fresh(),
+                assembled: fresh.next(),
                 zero1: z,
             },
         );
@@ -260,176 +260,8 @@ pub fn replicate_program(
         .max()
         .unwrap_or(0);
 
-    out.actors = vec![Vec::new(); n * replicas];
-    for rep in 0..replicas {
-        for (a, stream) in program.actors.iter().enumerate() {
-            let s = &mut out.actors[rep * n + a];
-            for instr in stream {
-                match instr {
-                    Instr::Run {
-                        jaxpr,
-                        inputs,
-                        outputs,
-                        label,
-                    } => {
-                        let dpp = match label {
-                            TaskLabel::Update { param } => dp_params.get(param),
-                            _ => None,
-                        };
-                        let Some(dpp) = dpp else {
-                            s.push(instr.clone());
-                            continue;
-                        };
-                        let group: Vec<ActorId> = (0..replicas).map(|r| r * n + a).collect();
-                        // True-sum gradient all-reduce: the gradient
-                        // buffer itself is every replica's wire (same
-                        // id on all ranks — stores are per-actor), and
-                        // the pinned replica-ascending fold sums the
-                        // genuinely different per-replica gradients
-                        // into the shared assembled buffer.
-                        s.push(Instr::Collective {
-                            kind: CollectiveKind::AllReduce,
-                            dst: dpp.assembled,
-                            src: inputs[1],
-                            group: group.clone(),
-                            wires: vec![inputs[1]; replicas],
-                            dim: dpp.dim,
-                            axis: CollectiveAxis::Dp,
-                        });
-                        let mut new_inputs = inputs.clone();
-                        new_inputs[1] = dpp.assembled;
-                        match &dpp.zero1 {
-                            Some((upds, pw)) => {
-                                let mut new_outputs = outputs.clone();
-                                new_outputs[0] = *pw;
-                                s.push(Instr::Run {
-                                    jaxpr: upds[rep],
-                                    inputs: new_inputs,
-                                    outputs: new_outputs,
-                                    label: *label,
-                                });
-                                // Disjoint-block param fold: each
-                                // replica contributes its -0.0-padded
-                                // first-dim slice, so this sum is
-                                // bitwise concatenation.
-                                s.push(Instr::Collective {
-                                    kind: CollectiveKind::AllReduce,
-                                    dst: outputs[0],
-                                    src: *pw,
-                                    group,
-                                    wires: vec![*pw; replicas],
-                                    dim: dpp.dim,
-                                    axis: CollectiveAxis::Dp,
-                                });
-                            }
-                            None => s.push(Instr::Run {
-                                jaxpr: *jaxpr,
-                                inputs: new_inputs,
-                                outputs: outputs.clone(),
-                                label: *label,
-                            }),
-                        }
-                    }
-                    Instr::Send { buf, to } => s.push(Instr::Send {
-                        buf: *buf,
-                        to: rep * n + to,
-                    }),
-                    Instr::Recv {
-                        buf,
-                        src,
-                        from,
-                        shape,
-                    } => s.push(Instr::Recv {
-                        buf: *buf,
-                        src: *src,
-                        from: rep * n + from,
-                        shape: shape.clone(),
-                    }),
-                    Instr::Collective {
-                        kind,
-                        dst,
-                        src,
-                        group,
-                        wires,
-                        dim,
-                        axis,
-                    } => s.push(Instr::Collective {
-                        kind: *kind,
-                        dst: *dst,
-                        src: *src,
-                        group: group.iter().map(|m| rep * n + m).collect(),
-                        wires: wires.clone(),
-                        dim: *dim,
-                        axis: *axis,
-                    }),
-                    other => s.push(other.clone()),
-                }
-            }
-        }
-    }
-
-    // Placements go to every replica. Parameters and state are
-    // replicated; data placements are *sharded* — replica `rep`'s copy
-    // of local microbatch `m` is global microbatch `rep * n_mub + m`,
-    // so replicas consume disjoint contiguous slices of the global
-    // batch. Under ZeRO-1 the state slots of sharded parameters shrink
-    // to the replica's first-dim slice shape.
-    let zero1_on = zero1.is_some();
-    for rep in 0..replicas {
-        for p in &program.placements {
-            let mut q = p.clone();
-            q.actor = rep * n + p.actor;
-            match p.source {
-                InputSource::Data { input, mubatch } => {
-                    q.source = InputSource::Data {
-                        input,
-                        mubatch: rep * n_mub + mubatch,
-                    };
-                }
-                InputSource::State { param, .. } => {
-                    if let Some(dpp) = dp_params.get(&param) {
-                        if dpp.zero1.is_some() {
-                            let (_, len) = dp_split(dpp.full, replicas, rep);
-                            let mut dims = p.shape.dims().to_vec();
-                            dims[0] = len;
-                            q.shape = Shape::new(dims);
-                        }
-                    }
-                }
-                InputSource::Param(_) => {}
-            }
-            out.placements.push(q);
-        }
-    }
-    // Fetches: per-microbatch outputs live on the replica that consumed
-    // the microbatch, so Output fetches fan out to all replicas under
-    // their global indices; gradient fetches repoint to the assembled
-    // (summed) buffer, read once from replica 0 — every replica's copy
-    // is bitwise-identical after the pinned fold.
-    out.fetches = Vec::with_capacity(program.fetches.len() * replicas);
-    for f in &program.fetches {
-        match f.role {
-            FetchRole::Output { output, mubatch } => {
-                for rep in 0..replicas {
-                    out.fetches.push(Fetch {
-                        buf: f.buf,
-                        actor: rep * n + f.actor,
-                        role: FetchRole::Output {
-                            output,
-                            mubatch: rep * n_mub + mubatch,
-                        },
-                    });
-                }
-            }
-            FetchRole::Grad(param) => {
-                let mut q = *f;
-                if let Some(dpp) = dp_params.get(&param) {
-                    q.buf = dpp.assembled;
-                }
-                out.fetches.push(q);
-            }
-        }
-    }
+    let mut rule = DpRule { map, n_mub, params };
+    expand_axis(program, &map, &mut rule, &mut out);
 
     // New jaxprs (ZeRO-1 updates) are replicated verbatim across
     // TP ranks: same ids, same buffers, bitwise-identical inputs.
@@ -439,32 +271,148 @@ pub fn replicate_program(
     }
     out.dp = Some(DpMeta {
         replicas,
-        base_actors: n,
-        zero1: zero1_on,
+        base_actors: map.base_actors(),
+        zero1: zero1.is_some(),
     });
-    debug_assert!(replica_streams_aligned(&out, replicas, n));
     Ok(out)
 }
 
-/// Checks the replica-alignment invariant the runtime's rendezvous slot
-/// keying relies on: every replica's copy of an actor stream has the
-/// same length and the same instruction kind at every index.
-fn replica_streams_aligned(program: &MpmdProgram, replicas: usize, n: usize) -> bool {
-    let kind = |i: &Instr| match i {
-        Instr::Run { .. } => 0u8,
-        Instr::Send { .. } => 1,
-        Instr::Recv { .. } => 2,
-        Instr::Copy { .. } => 3,
-        Instr::Free { .. } => 4,
-        Instr::Collective { .. } => 5,
-    };
-    (0..n).all(|a| {
-        (1..replicas).all(|rep| {
-            let s0 = &program.actors[a];
-            let sr = &program.actors[rep * n + a];
-            s0.len() == sr.len() && s0.iter().zip(sr).all(|(x, y)| kind(x) == kind(y))
-        })
-    })
+/// The data-parallel rule set of [`expand_axis`].
+struct DpRule {
+    map: DpMap,
+    /// Microbatches one replica consumes.
+    n_mub: usize,
+    /// Per updated parameter.
+    params: HashMap<usize, DpParam>,
+}
+
+impl AxisRule for DpRule {
+    /// An `Update` gains its gradient all-reduce and, under ZeRO-1, runs
+    /// the replica's sharded update followed by the parameter fold;
+    /// every other `Run` is copied.
+    fn run(&mut self, run: &Instr, group: &[ActorId], streams: &mut [Vec<Instr>]) {
+        let Instr::Run {
+            jaxpr,
+            inputs,
+            outputs,
+            label,
+        } = run
+        else {
+            unreachable!("expand_axis hands rules only Runs")
+        };
+        let dpp = match label {
+            TaskLabel::Update { param } => self.params.get(param),
+            _ => None,
+        };
+        let Some(dpp) = dpp else {
+            for &actor in group {
+                streams[actor].push(run.clone());
+            }
+            return;
+        };
+        let replicas = group.len();
+        for (rep, &actor) in group.iter().enumerate() {
+            let s = &mut streams[actor];
+            // True-sum gradient all-reduce: the gradient buffer itself
+            // is every replica's wire (same id on all ranks — stores
+            // are per-actor), and the pinned replica-ascending fold
+            // sums the genuinely different per-replica gradients into
+            // the shared assembled buffer.
+            s.push(Instr::Collective {
+                kind: CollectiveKind::AllReduce,
+                dst: dpp.assembled,
+                src: inputs[1],
+                group: group.to_vec(),
+                wires: vec![inputs[1]; replicas],
+                dim: dpp.dim,
+                axis: CollectiveAxis::Dp,
+            });
+            let mut new_inputs = inputs.clone();
+            new_inputs[1] = dpp.assembled;
+            match &dpp.zero1 {
+                Some((upds, pw)) => {
+                    let mut new_outputs = outputs.clone();
+                    new_outputs[0] = *pw;
+                    s.push(Instr::Run {
+                        jaxpr: upds[rep],
+                        inputs: new_inputs,
+                        outputs: new_outputs,
+                        label: *label,
+                    });
+                    // Disjoint-block param fold: each replica
+                    // contributes its -0.0-padded first-dim slice, so
+                    // this sum is bitwise concatenation.
+                    s.push(Instr::Collective {
+                        kind: CollectiveKind::AllReduce,
+                        dst: outputs[0],
+                        src: *pw,
+                        group: group.to_vec(),
+                        wires: vec![*pw; replicas],
+                        dim: dpp.dim,
+                        axis: CollectiveAxis::Dp,
+                    });
+                }
+                None => s.push(Instr::Run {
+                    jaxpr: *jaxpr,
+                    inputs: new_inputs,
+                    outputs: outputs.clone(),
+                    label: *label,
+                }),
+            }
+        }
+    }
+
+    /// Parameters and state are replicated; data placements are
+    /// *sharded* — replica `rep`'s copy of local microbatch `m` is the
+    /// global microbatch [`DpMap::global_mubatch`], so replicas consume
+    /// disjoint contiguous slices of the global batch. Under ZeRO-1 the
+    /// state slots of sharded parameters shrink to the replica's
+    /// first-dim slice shape.
+    fn placement(&self, p: &InputPlacement, rep: usize) -> InputPlacement {
+        let mut q = p.clone();
+        match p.source {
+            InputSource::Data { input, mubatch } => {
+                q.source = InputSource::Data {
+                    input,
+                    mubatch: self.map.global_mubatch(rep, mubatch, self.n_mub),
+                };
+            }
+            InputSource::State { param, .. } => {
+                if let Some(dpp) = self.params.get(&param).filter(|d| d.zero1.is_some()) {
+                    let (_, len) = dp_split(dpp.full, self.map.replicas(), rep);
+                    let mut dims = p.shape.dims().to_vec();
+                    dims[0] = len;
+                    q.shape = Shape::new(dims);
+                }
+            }
+            InputSource::Param(_) => {}
+        }
+        q
+    }
+
+    /// Per-microbatch outputs live on the replica that consumed the
+    /// microbatch, so `Output` fetches fan out to all replicas under
+    /// their global indices; gradient fetches repoint to the assembled
+    /// (summed) buffer, read once from replica 0 — every replica's copy
+    /// is bitwise-identical after the pinned fold.
+    fn fetch(&self, f: &Fetch, rep: usize) -> Option<Fetch> {
+        let mut q = *f;
+        match f.role {
+            FetchRole::Output { output, mubatch } => {
+                q.role = FetchRole::Output {
+                    output,
+                    mubatch: self.map.global_mubatch(rep, mubatch, self.n_mub),
+                };
+            }
+            FetchRole::Grad(_) if rep > 0 => return None,
+            FetchRole::Grad(param) => {
+                if let Some(dpp) = self.params.get(&param) {
+                    q.buf = dpp.assembled;
+                }
+            }
+        }
+        Some(q)
+    }
 }
 
 #[cfg(test)]
@@ -614,7 +562,7 @@ mod tests {
         let p = with_update(two_stage_program());
         let r = replicate_program(&p, 2, None).unwrap();
         assert_eq!(r.placements.len(), p.placements.len() * 2);
-        let n = p.n_actors();
+        let dp = DpMap::new(2, p.n_actors());
         // Per-microbatch outputs live on the replica that consumed the
         // microbatch: one fetch per replica, under global indices.
         let orig_outputs = p
@@ -633,8 +581,8 @@ mod tests {
             let FetchRole::Output { mubatch, .. } = f.role else {
                 unreachable!()
             };
-            let rep = f.actor / n;
-            assert!((rep * n_mub..(rep + 1) * n_mub).contains(&mubatch));
+            let rep = dp.replica_of(f.actor);
+            assert!(dp.mubatch_range(rep, n_mub).contains(&mubatch));
         }
         // Gradient fetches read the assembled sum, not the replica-local
         // partial gradient, from replica 0.
@@ -657,14 +605,14 @@ mod tests {
         let p = with_update(two_stage_program());
         let replicas = 2;
         let r = replicate_program(&p, replicas, None).unwrap();
-        let n = p.n_actors();
+        let dp = DpMap::new(replicas, p.n_actors());
         let n_mub = 2; // gpipe(2, 2)
         let mut seen = vec![false; replicas * n_mub];
         for q in &r.placements {
             if let InputSource::Data { mubatch, .. } = q.source {
-                let rep = q.actor / n;
+                let rep = dp.replica_of(q.actor);
                 assert!(
-                    (rep * n_mub..(rep + 1) * n_mub).contains(&mubatch),
+                    dp.mubatch_range(rep, n_mub).contains(&mubatch),
                     "replica {rep} placed out-of-range microbatch {mubatch}"
                 );
                 seen[mubatch] = true;
@@ -809,8 +757,7 @@ mod tests {
             .unwrap()
             .shape
             .clone();
-        let mesh = raxpp_mesh::Mesh::new(&[("model", 2)]).unwrap();
-        let sharded = crate::shard::shard_program(&p, &mesh, "model").unwrap();
+        let sharded = crate::shard::shard_program(&p, 2).unwrap();
         let full = shape.dim(0);
         let mut build = |_param: usize, start: usize, len: usize| -> Result<Jaxpr, String> {
             let mut b = GraphBuilder::new();
@@ -860,8 +807,7 @@ mod tests {
     #[test]
     fn composes_with_tp_sharding() {
         let p = with_update(two_stage_program());
-        let mesh = raxpp_mesh::Mesh::new(&[("model", 2)]).unwrap();
-        let sharded = crate::shard::shard_program(&p, &mesh, "model").unwrap();
+        let sharded = crate::shard::shard_program(&p, 2).unwrap();
         let mut r = replicate_program(&sharded, 2, None).unwrap();
         assert_eq!(r.n_actors(), p.n_actors() * 2 * 2);
         insert_frees(&mut r);
@@ -869,20 +815,21 @@ mod tests {
         // Both axes present: TP collectives within replicas, DP
         // collectives across them.
         let (mut tp_colls, mut dp_colls) = (0, 0);
+        let meta = r.dp.unwrap();
+        let dp = DpMap::new(meta.replicas, meta.base_actors);
         for i in r.actors.iter().flatten() {
             if let Instr::Collective { axis, group, .. } = i {
                 match axis {
                     CollectiveAxis::Tp => {
                         tp_colls += 1;
                         // TP groups stay within one replica block.
-                        let base = r.dp.unwrap().base_actors;
-                        assert!(group.iter().all(|&m| m / base == group[0] / base));
+                        let rep = dp.replica_of(group[0]);
+                        assert!(group.iter().all(|&m| dp.replica_of(m) == rep));
                     }
                     CollectiveAxis::Dp => {
                         dp_colls += 1;
                         // DP groups span replicas, one member each.
-                        let base = r.dp.unwrap().base_actors;
-                        let reps: Vec<usize> = group.iter().map(|&m| m / base).collect();
+                        let reps: Vec<usize> = group.iter().map(|&m| dp.replica_of(m)).collect();
                         assert_eq!(reps, vec![0, 1]);
                     }
                 }
@@ -1003,10 +950,11 @@ mod tests {
         let p = with_update(two_stage_program());
         let r = replicate_program(&p, 2, None).unwrap();
         let n_mub = 2; // gpipe(2, 2)
+        let dp = DpMap::new(2, p.n_actors());
         for (q, rep) in r.placements.chunks(p.placements.len()).zip([0usize, 1]) {
             for (np, op) in q.iter().zip(&p.placements) {
                 assert_eq!(np.buf, op.buf);
-                assert_eq!(np.actor, rep * p.n_actors() + op.actor);
+                assert_eq!(np.actor, dp.replica_actor(rep, op.actor));
                 // Param/state sources survive verbatim; data sources are
                 // shifted to the replica's global microbatch range.
                 match (np.source, op.source) {
@@ -1018,7 +966,7 @@ mod tests {
                         },
                     ) => {
                         assert_eq!(input, oi);
-                        assert_eq!(mubatch, rep * n_mub + om);
+                        assert_eq!(mubatch, dp.global_mubatch(rep, om, n_mub));
                     }
                     (ns, os) => assert_eq!(ns, os),
                 }

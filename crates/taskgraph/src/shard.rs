@@ -28,8 +28,9 @@
 use std::collections::HashMap;
 
 use raxpp_ir::{GraphBuilder, IrError, Jaxpr, Prim, VarId};
-use raxpp_mesh::{Mesh, MeshError};
+use raxpp_sched::TpMap;
 
+use crate::expand::{expand_axis, AxisRule, Fresh};
 use crate::program::{
     ActorId, BufferId, CollectiveAxis, CollectiveKind, Fetch, InputPlacement, Instr, JaxprId,
     MpmdProgram, TaskLabel, TpMeta,
@@ -38,20 +39,15 @@ use crate::program::{
 /// Error raised by [`shard_program`].
 #[derive(Debug)]
 pub enum ShardError {
-    /// The tensor-parallel mesh axis is unknown.
-    BadAxis(String),
     /// The input program already contains collectives (double sharding).
     AlreadySharded,
     /// Building a per-rank jaxpr variant failed (a partitioner bug).
     Ir(IrError),
-    /// A mesh query failed.
-    Mesh(MeshError),
 }
 
 impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardError::BadAxis(msg) => write!(f, "bad tensor-parallel axis: {msg}"),
             ShardError::AlreadySharded => {
                 write!(
                     f,
@@ -59,7 +55,6 @@ impl std::fmt::Display for ShardError {
                 )
             }
             ShardError::Ir(e) => write!(f, "shard codegen failed: {e}"),
-            ShardError::Mesh(e) => write!(f, "mesh error: {e}"),
         }
     }
 }
@@ -69,12 +64,6 @@ impl std::error::Error for ShardError {}
 impl From<IrError> for ShardError {
     fn from(e: IrError) -> Self {
         ShardError::Ir(e)
-    }
-}
-
-impl From<MeshError> for ShardError {
-    fn from(e: MeshError) -> Self {
-        ShardError::Mesh(e)
     }
 }
 
@@ -326,31 +315,112 @@ fn shard_jaxpr(
     Ok((b.finish(outs)?, specs))
 }
 
-/// Lowers `program` onto a tensor-parallel mesh axis: every host actor
-/// `a` becomes `t = mesh.axis_size(axis)` rank actors `a*t .. a*t+t-1`,
-/// each running a per-rank shard of `a`'s stream linked by
-/// [`Instr::Collective`] ring collectives. `degree == 1` returns the
-/// program unchanged.
+/// The tensor-parallel rule set of [`expand_axis`]: a `Run` of a
+/// sharded jaxpr becomes the rank's variant followed by the reassembly
+/// collectives of its sharded outputs; everything program-visible stays
+/// replicated, so placements are plain copies and fetches read rank 0.
+struct TpRule {
+    /// Per input [`JaxprId`].
+    lowered: Vec<Lowered>,
+    fresh: Fresh,
+}
+
+impl AxisRule for TpRule {
+    fn run(&mut self, run: &Instr, group: &[ActorId], streams: &mut [Vec<Instr>]) {
+        let Instr::Run {
+            jaxpr,
+            inputs,
+            outputs,
+            label,
+        } = run
+        else {
+            unreachable!("expand_axis hands rules only Runs")
+        };
+        match &self.lowered[jaxpr.0 as usize] {
+            Lowered::Shared(nj) => {
+                for &actor in group {
+                    streams[actor].push(Instr::Run {
+                        jaxpr: *nj,
+                        inputs: inputs.clone(),
+                        outputs: outputs.clone(),
+                        label: *label,
+                    });
+                }
+            }
+            Lowered::PerRank { variants, outs } => {
+                // One wire set per sharded output, shared by all
+                // ranks of this instruction instance.
+                let wire_sets: Vec<Option<Vec<BufferId>>> = outs
+                    .iter()
+                    .map(|s| {
+                        s.as_ref()
+                            .map(|_| group.iter().map(|_| self.fresh.next()).collect())
+                    })
+                    .collect();
+                for (r, &actor) in group.iter().enumerate() {
+                    let run_outs: Vec<BufferId> = outputs
+                        .iter()
+                        .zip(&wire_sets)
+                        .map(|(orig, w)| match w {
+                            Some(ws) => ws[r],
+                            None => *orig,
+                        })
+                        .collect();
+                    streams[actor].push(Instr::Run {
+                        jaxpr: variants[r],
+                        inputs: inputs.clone(),
+                        outputs: run_outs,
+                        label: *label,
+                    });
+                    for (o, (spec, wires)) in outs.iter().zip(&wire_sets).enumerate() {
+                        if let (Some((kind, dim)), Some(wires)) = (spec, wires) {
+                            streams[actor].push(Instr::Collective {
+                                kind: *kind,
+                                dst: outputs[o],
+                                src: wires[r],
+                                group: group.to_vec(),
+                                wires: wires.clone(),
+                                dim: *dim,
+                                axis: CollectiveAxis::Tp,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn placement(&self, p: &InputPlacement, _rank: usize) -> InputPlacement {
+        p.clone()
+    }
+
+    fn fetch(&self, f: &Fetch, rank: usize) -> Option<Fetch> {
+        // Rank 0's buffers are bitwise-identical to every other rank's
+        // (and to the `tp = 1` run's).
+        (rank == 0).then_some(*f)
+    }
+}
+
+/// Lowers `program` onto a tensor-parallel axis of degree `t`: every
+/// host actor `a` becomes the `t` rank actors of
+/// [`TpMap::group_of`]`(a)`, each running a per-rank shard of `a`'s
+/// stream linked by [`Instr::Collective`] ring collectives. `t == 1`
+/// returns the program unchanged.
 ///
-/// Sends and receives are remapped rank-to-rank (`to*t + r`), which is
-/// sound because of the replicated-buffer invariant documented at the
-/// module level. Placements are duplicated onto every rank; fetches are
-/// remapped to rank 0, whose buffers are bitwise-identical to every
-/// other rank's (and to the `tp = 1` run's).
+/// Sends and receives are remapped rank-to-rank, which is sound because
+/// of the replicated-buffer invariant documented at the module level.
+/// Placements are duplicated onto every rank; fetches read rank 0.
 ///
 /// # Errors
 ///
-/// Returns [`ShardError::BadAxis`] if `axis` is not a mesh axis,
-/// [`ShardError::AlreadySharded`] if `program` already contains
+/// Returns [`ShardError::AlreadySharded`] if `program` already contains
 /// collectives, and [`ShardError::Ir`] if per-rank codegen fails.
-pub fn shard_program(
-    program: &MpmdProgram,
-    mesh: &Mesh,
-    axis: &str,
-) -> Result<MpmdProgram, ShardError> {
-    let t = mesh
-        .axis_size(axis)
-        .ok_or_else(|| ShardError::BadAxis(format!("mesh {mesh} has no axis {axis:?}")))?;
+///
+/// # Panics
+///
+/// Panics if `t` is zero.
+pub fn shard_program(program: &MpmdProgram, t: usize) -> Result<MpmdProgram, ShardError> {
+    let map = TpMap::new(t);
     if t == 1 {
         return Ok(program.clone());
     }
@@ -404,169 +474,25 @@ pub fn shard_program(
         }
         lowered.push(Lowered::PerRank { variants, outs });
     }
-
-    // Fresh wire ids start above every id the program mentions.
-    let mut next_wire = program.fresh_buffer_floor();
-    let mut fresh = || {
-        let b = BufferId(next_wire);
-        next_wire += 1;
-        b
-    };
-
-    out.actors = vec![Vec::new(); program.n_actors() * t];
-    for (a, stream) in program.actors.iter().enumerate() {
-        for instr in stream {
-            match instr {
-                Instr::Run {
-                    jaxpr,
-                    inputs,
-                    outputs,
-                    label,
-                } => match &lowered[jaxpr.0 as usize] {
-                    Lowered::Shared(nj) => {
-                        for r in 0..t {
-                            out.actors[a * t + r].push(Instr::Run {
-                                jaxpr: *nj,
-                                inputs: inputs.clone(),
-                                outputs: outputs.clone(),
-                                label: *label,
-                            });
-                        }
-                    }
-                    Lowered::PerRank { variants, outs } => {
-                        let group: Vec<ActorId> = (0..t).map(|r| a * t + r).collect();
-                        // One wire set per sharded output, shared by all
-                        // ranks of this instruction instance.
-                        let wire_sets: Vec<Option<Vec<BufferId>>> = outs
-                            .iter()
-                            .map(|s| s.as_ref().map(|_| (0..t).map(|_| fresh()).collect()))
-                            .collect();
-                        for r in 0..t {
-                            let run_outs: Vec<BufferId> = outputs
-                                .iter()
-                                .zip(&wire_sets)
-                                .map(|(orig, w)| match w {
-                                    Some(ws) => ws[r],
-                                    None => *orig,
-                                })
-                                .collect();
-                            out.actors[a * t + r].push(Instr::Run {
-                                jaxpr: variants[r],
-                                inputs: inputs.clone(),
-                                outputs: run_outs,
-                                label: *label,
-                            });
-                            for (o, (spec, wires)) in outs.iter().zip(&wire_sets).enumerate() {
-                                if let (Some((kind, dim)), Some(wires)) = (spec, wires) {
-                                    out.actors[a * t + r].push(Instr::Collective {
-                                        kind: *kind,
-                                        dst: outputs[o],
-                                        src: wires[r],
-                                        group: group.clone(),
-                                        wires: wires.clone(),
-                                        dim: *dim,
-                                        axis: CollectiveAxis::Tp,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                },
-                Instr::Send { buf, to } => {
-                    for r in 0..t {
-                        out.actors[a * t + r].push(Instr::Send {
-                            buf: *buf,
-                            to: to * t + r,
-                        });
-                    }
-                }
-                Instr::Recv {
-                    buf,
-                    src,
-                    from,
-                    shape,
-                } => {
-                    for r in 0..t {
-                        out.actors[a * t + r].push(Instr::Recv {
-                            buf: *buf,
-                            src: *src,
-                            from: from * t + r,
-                            shape: shape.clone(),
-                        });
-                    }
-                }
-                Instr::Copy { dst, src } => {
-                    for r in 0..t {
-                        out.actors[a * t + r].push(Instr::Copy {
-                            dst: *dst,
-                            src: *src,
-                        });
-                    }
-                }
-                Instr::Free { buf } => {
-                    for r in 0..t {
-                        out.actors[a * t + r].push(Instr::Free { buf: *buf });
-                    }
-                }
-                Instr::Collective { .. } => unreachable!("checked above"),
-            }
-        }
-    }
-
-    for p in &program.placements {
-        for r in 0..t {
-            out.placements.push(InputPlacement {
-                buf: p.buf,
-                actor: p.actor * t + r,
-                shape: p.shape.clone(),
-                source: p.source,
-            });
-        }
-    }
-    for f in &program.fetches {
-        out.fetches.push(Fetch {
-            buf: f.buf,
-            actor: f.actor * t,
-            role: f.role,
-        });
-    }
-    // Record the tensor-parallel structure for the runtime's shard-lane
-    // execution: which jaxprs are replicated verbatim across ranks (one
-    // lane may execute them on behalf of its host), and that every
-    // all-reduce this pass emits sums disjoint -0.0-padded blocks (the
-    // lane rendezvous may assemble blocks instead of folding).
+    // Record which jaxprs are replicated verbatim across ranks: one lane
+    // may execute them on behalf of its host.
     let mut replicated = vec![false; out.jaxprs.len()];
     for l in &lowered {
         if let Lowered::Shared(nj) = l {
             replicated[nj.0 as usize] = true;
         }
     }
+
+    let mut rule = TpRule {
+        lowered,
+        fresh: Fresh::above(program),
+    };
+    expand_axis(program, &map, &mut rule, &mut out);
     out.tp = Some(TpMeta {
         degree: t,
         replicated,
-        disjoint_reduce: true,
     });
-    debug_assert!(lane_streams_aligned(&out, t));
     Ok(out)
-}
-
-/// Checks the lane-alignment invariant [`TpMeta`] documents: all `t`
-/// rank streams of a host actor have the same length and the same
-/// instruction kind at every index.
-fn lane_streams_aligned(program: &MpmdProgram, t: usize) -> bool {
-    let kind = |i: &Instr| match i {
-        Instr::Run { .. } => 0u8,
-        Instr::Send { .. } => 1,
-        Instr::Recv { .. } => 2,
-        Instr::Copy { .. } => 3,
-        Instr::Free { .. } => 4,
-        Instr::Collective { .. } => 5,
-    };
-    program.actors.chunks(t).all(|ranks| {
-        ranks.windows(2).all(|w| {
-            w[0].len() == w[1].len() && w[0].iter().zip(&w[1]).all(|(x, y)| kind(x) == kind(y))
-        })
-    })
 }
 
 /// Coalesces back-to-back collectives into contiguous *buckets* by
@@ -662,33 +588,20 @@ mod tests {
         .program
     }
 
-    fn tp_mesh(t: usize) -> Mesh {
-        Mesh::new(&[("model", t)]).unwrap()
-    }
-
     #[test]
     fn degree_one_is_identity() {
         let p = two_stage_program();
-        let s = shard_program(&p, &tp_mesh(1), "model").unwrap();
+        let s = shard_program(&p, 1).unwrap();
         assert_eq!(s.n_actors(), p.n_actors());
         assert_eq!(s.num_instrs(), p.num_instrs());
     }
 
     #[test]
-    fn unknown_axis_rejected() {
-        let p = two_stage_program();
-        assert!(matches!(
-            shard_program(&p, &tp_mesh(2), "nope"),
-            Err(ShardError::BadAxis(_))
-        ));
-    }
-
-    #[test]
     fn double_sharding_rejected() {
         let p = two_stage_program();
-        let s = shard_program(&p, &tp_mesh(2), "model").unwrap();
+        let s = shard_program(&p, 2).unwrap();
         assert!(matches!(
-            shard_program(&s, &tp_mesh(2), "model"),
+            shard_program(&s, 2),
             Err(ShardError::AlreadySharded)
         ));
     }
@@ -697,7 +610,7 @@ mod tests {
     fn sharded_program_verifies_and_has_collectives() {
         let p = two_stage_program();
         for t in [2, 4] {
-            let mut s = shard_program(&p, &tp_mesh(t), "model").unwrap();
+            let mut s = shard_program(&p, t).unwrap();
             assert_eq!(s.n_actors(), p.n_actors() * t);
             insert_frees(&mut s);
             verify_program(&s).unwrap();
@@ -717,7 +630,7 @@ mod tests {
     fn fetches_on_rank_zero_placements_on_all() {
         let p = two_stage_program();
         let t = 2;
-        let s = shard_program(&p, &tp_mesh(t), "model").unwrap();
+        let s = shard_program(&p, t).unwrap();
         assert_eq!(s.placements.len(), p.placements.len() * t);
         assert_eq!(s.fetches.len(), p.fetches.len());
         for (f, orig) in s.fetches.iter().zip(&p.fetches) {

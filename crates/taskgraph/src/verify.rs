@@ -9,7 +9,11 @@
 //! * receives match sends in order and shape per actor pair (§4.2);
 //! * frees hit live buffers exactly once;
 //! * every fetch target is live at the end of the step;
-//! * the streams make progress to completion (no deadlock).
+//! * the streams make progress to completion (no deadlock);
+//! * along every recorded axis ([`MpmdProgram::tp`], [`MpmdProgram::dp`])
+//!   the copies of an actor are index-aligned — equal length, equal
+//!   instruction kind at every index — which is what the runtime's
+//!   rendezvous slots are keyed by.
 //!
 //! The compiler's output is verified in tests and in
 //! `debug_assertions` builds of `raxpp-core`; the checker is also useful
@@ -19,8 +23,10 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use raxpp_ir::Shape;
+use raxpp_sched::{DpMap, TpMap};
 
-use crate::program::{BufferId, Instr, MpmdProgram};
+use crate::expand::streams_aligned;
+use crate::program::{BufferId, CollectiveAxis, Instr, MpmdProgram};
 
 /// A violated program invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +79,17 @@ pub enum VerifyError {
         /// Actors stuck mid-stream with their cursor positions.
         stuck: Vec<(usize, usize)>,
     },
+    /// Two copies of one actor along a recorded axis differ in length or
+    /// in instruction kind at `pos`.
+    Misaligned {
+        /// The axis the two actors are copies along.
+        axis: CollectiveAxis,
+        /// Copy 0 and the copy that departs from it.
+        actors: (usize, usize),
+        /// First index at which the streams differ (the shorter
+        /// stream's length when one is a prefix of the other).
+        pos: usize,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -99,6 +116,14 @@ impl fmt::Display for VerifyError {
             VerifyError::Deadlock { stuck } => {
                 write!(f, "program cannot complete; stuck at {stuck:?}")
             }
+            VerifyError::Misaligned {
+                axis,
+                actors: (a, b),
+                pos,
+            } => write!(
+                f,
+                "{axis} copies on actors {a} and {b} are not index-aligned at instr {pos}"
+            ),
         }
     }
 }
@@ -112,6 +137,23 @@ impl std::error::Error for VerifyError {}
 /// Returns the first violated invariant.
 pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
     let n = program.n_actors();
+    let misaligned = |axis| {
+        move |(a, b, pos)| VerifyError::Misaligned {
+            axis,
+            actors: (a, b),
+            pos,
+        }
+    };
+    if let Some(tp) = &program.tp {
+        // TP rank blocks are contiguous in every replica, so one map
+        // over all `n / degree` hosts covers the whole actor space.
+        let map = TpMap::new(tp.degree.max(1));
+        streams_aligned(program, &map, n / map.degree()).map_err(misaligned(CollectiveAxis::Tp))?;
+    }
+    if let Some(dp) = &program.dp {
+        let map = DpMap::new(dp.replicas.max(1), dp.base_actors.max(1));
+        streams_aligned(program, &map, dp.base_actors).map_err(misaligned(CollectiveAxis::Dp))?;
+    }
     let mut live: Vec<HashMap<BufferId, Shape>> = vec![HashMap::new(); n];
     for p in &program.placements {
         live[p.actor].insert(p.buf, p.shape.clone());
@@ -491,6 +533,29 @@ mod tests {
             Err(VerifyError::CommMismatch { .. }) | Err(VerifyError::Deadlock { .. }) => {}
             other => panic!("expected comm mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn detects_misaligned_rank_streams() {
+        let mut p = crate::shard::shard_program(&compiled_program(false), 2).unwrap();
+        verify_program(&p).unwrap();
+        // Swap two adjacent instructions of different kinds in rank 1 of
+        // host 0 only: its lane rendezvous would pair different
+        // instructions at `pos`.
+        let kind = std::mem::discriminant::<Instr>;
+        let pos = p.actors[1]
+            .windows(2)
+            .position(|w| kind(&w[0]) != kind(&w[1]))
+            .unwrap();
+        p.actors[1].swap(pos, pos + 1);
+        assert_eq!(
+            verify_program(&p),
+            Err(VerifyError::Misaligned {
+                axis: CollectiveAxis::Tp,
+                actors: (0, 1),
+                pos,
+            })
+        );
     }
 
     #[test]

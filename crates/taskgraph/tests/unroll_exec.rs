@@ -6,7 +6,6 @@
 use std::collections::{HashMap, VecDeque};
 
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx};
-use raxpp_mesh::Mesh;
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
     check_send_recv_order, insert_frees, pipeline_model, shard_program, unroll_loop,
@@ -477,8 +476,7 @@ fn tensor_parallel_shards_are_bitwise_identical() {
         let unfused = unroll_loop(&model, &schedule, UnrollOptions::default())
             .unwrap()
             .program;
-        let mesh = Mesh::new(&[("model", t)]).unwrap();
-        let mut sharded = shard_program(&unfused, &mesh, "model").unwrap();
+        let mut sharded = shard_program(&unfused, t).unwrap();
         insert_frees(&mut sharded);
         let n_allgather = sharded
             .actors

@@ -216,7 +216,7 @@ fn aborted_save_leaves_previous_generation_loadable() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `RAXPP_CKPT_EVERY` cadence: with `every: 2` only even steps hit
+/// `CheckpointPolicy::every` cadence: with `every: 2` only even steps hit
 /// disk, and rotation keeps the newest `keep` generations.
 #[test]
 fn cadence_and_rotation_follow_the_policy() {

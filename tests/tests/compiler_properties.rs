@@ -6,13 +6,17 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use raxpp_core::{compile_train_step, CompileOptions, Optimizer};
+use raxpp_core::{
+    compile_train_step, compile_worker_program, CompileOptions, DpConfig, Optimizer, TpConfig,
+};
 use raxpp_integration::replay_makespan;
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx, TracedTensor};
-use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, simulate, Schedule, Task, UniformCost};
+use raxpp_sched::{
+    gpipe, interleaved_1f1b, one_f1b, simulate, zero_bubble_h1, Schedule, Task, UniformCost,
+};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, UnrollOptions,
+    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, verify_program, UnrollOptions,
 };
 
 /// A randomly-shaped pipeline model description.
@@ -101,6 +105,7 @@ fn schedules_for(n_stages: usize, n_mb: usize) -> Vec<Schedule> {
     let mut out = vec![
         gpipe(n_stages, n_mb).unwrap(),
         one_f1b(n_stages, n_mb).unwrap(),
+        zero_bubble_h1(n_stages, n_mb).unwrap(),
     ];
     // Interleaved variant when the stage count splits over fewer actors.
     if n_stages.is_multiple_of(2) && n_mb.is_multiple_of(2) {
@@ -173,11 +178,13 @@ fn random_pipelines_match_reference() {
 }
 
 /// The compiled loop always satisfies the §4.2 matching-order
-/// property and fuses into exactly one stream per actor.
+/// property and fuses into exactly one stream per actor — and stays
+/// well formed when crossed with both expansion axes.
 #[test]
 fn compiled_programs_are_well_formed() {
     for model in all_models() {
-        let (jaxpr, n_params) = trace(&model, 3);
+        // Width 4: the TP cells below need a weight dim that halves.
+        let (jaxpr, n_params) = trace(&model, 4);
         let pmodel = pipeline_model(&jaxpr, n_params).unwrap();
         for schedule in schedules_for(model.n_stages, 4) {
             for commuting in [true, false] {
@@ -218,6 +225,30 @@ fn compiled_programs_are_well_formed() {
                     assert!(got >= want, "{model:?} {}", schedule.name());
                 } else {
                     assert_eq!(got, want, "{model:?} {} stream replay", schedule.name());
+                }
+                // The same loop through the whole compile tail (optimizer
+                // updates appended, then shard → replicate → insert_frees
+                // → bucket_collectives) on every tp × dp cell: matched
+                // order, and a verifier pass that now includes the
+                // index-alignment of rank and replica streams.
+                for (tp, dp) in [(2, 1), (1, 2), (2, 2)] {
+                    let cell = format!("{model:?} {} tp={tp} dp={dp}", schedule.name());
+                    let program = compile_worker_program(
+                        &jaxpr,
+                        n_params,
+                        &schedule,
+                        Optimizer::Sgd { lr: 0.1 },
+                        CompileOptions {
+                            loop_commuting: commuting,
+                            tp: Some(TpConfig::model_parallel(tp)),
+                            dp: Some(DpConfig::replicas(dp)),
+                            ..CompileOptions::default()
+                        },
+                    )
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_eq!(program.n_actors(), schedule.n_actors() * tp * dp, "{cell}");
+                    assert!(check_send_recv_order(&program).is_ok(), "{cell}");
+                    verify_program(&program).unwrap_or_else(|e| panic!("{cell}: {e}"));
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Executable tensor parallelism (PP×TP composition): a pipeline whose
-//! stages are sharded over a `"model"` mesh axis must train end-to-end
+//! stages are sharded to a tensor-parallel degree must train end-to-end
 //! **bit-identical** to the unsharded pipeline — same losses, same
 //! parameters, same checkpoints — while actually exchanging data through
 //! real collectives, and the whole composition must survive fault
@@ -15,7 +15,7 @@ use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::{mlp_chain, BuiltModel};
 use raxpp_runtime::{ActorProfile, Fault, StepTrace, TransportKind};
-use raxpp_sched::{gpipe, one_f1b, Schedule, TpMap};
+use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveKind, Instr};
 
 /// Both collective carriers, by the transport that selects them:
@@ -70,7 +70,12 @@ fn mb_data(schedule: &Schedule, width: usize, batch: usize, seed: u64) -> Vec<Ve
 /// collective instructions.
 #[test]
 fn tp_training_is_bitwise_identical_across_degrees() {
-    for (schedule, seed) in [(gpipe(4, 4).unwrap(), 81), (one_f1b(4, 4).unwrap(), 82)] {
+    for (schedule, seed) in [
+        (gpipe(4, 4).unwrap(), 81),
+        (one_f1b(4, 4).unwrap(), 82),
+        (interleaved_1f1b(2, 4, 2).unwrap(), 83),
+        (zero_bubble_h1(4, 4).unwrap(), 84),
+    ] {
         let model = mlp_chain(8, 2, 4, schedule.n_stages(), seed).unwrap();
         let data = mb_data(&schedule, 8, 2, seed + 1);
 
