@@ -19,8 +19,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use raxpp_ir::{Shape, Tensor};
 use raxpp_runtime::{
-    ActorProfile, Metrics, RebalanceReport, RecoveryReport, Runtime, RuntimeError, StepEvent,
-    StepStats, StepTrace, TransportKind, TransportStats,
+    Kind, Metrics, RebalanceReport, RecoveryReport, Runtime, RuntimeError, StepEvent, StepStats,
+    TransportKind, TransportStats,
 };
 use raxpp_sched::{simulate, DpMap, Schedule, TpMap, UniformCost};
 use raxpp_taskgraph::{
@@ -304,7 +304,7 @@ impl Fleet {
                 return Err(e.into());
             }
         };
-        self.publish(&out.stats, out.trace.as_ref());
+        self.publish(&out.stats);
         let mut outputs: Vec<Vec<Option<Tensor>>> =
             vec![vec![None; meta.n_mubatches]; meta.n_outputs];
         let mut grads: Vec<Option<Tensor>> = vec![None; meta.param_shapes.len()];
@@ -340,11 +340,15 @@ impl Fleet {
     }
 
     /// Publishes one successful step into the metrics registry.
-    fn publish(&self, stats: &StepStats, trace: Option<&StepTrace>) {
+    fn publish(&self, stats: &StepStats) {
         let m = &self.metrics;
         m.inc("steps_total", 1);
         m.observe("step_time_s", stats.wall.as_secs_f64());
-        let alloc = stats.alloc_stats();
+        // The fleet's profile: (time, invocations) of a kind and the
+        // byte counters, summed over actors.
+        let total = stats.total();
+        let of = |k: Kind| total.get(k.as_str()).unwrap_or_default();
+        let alloc = total.alloc_stats();
         m.inc("alloc_allocated_total", alloc.allocated);
         m.inc("alloc_reused_total", alloc.reused);
         m.inc("alloc_freed_total", alloc.freed);
@@ -358,9 +362,7 @@ impl Fleet {
         // without a benchmark run).
         let actor_time = stats.rpcs as f64 * stats.wall.as_secs_f64();
         if actor_time > 0.0 {
-            let recv = stats.profiles.iter().filter_map(|p| p.get("recv"));
-            let recv_s: f64 = recv.map(|(dur, _)| dur.as_secs_f64()).sum();
-            let wait = recv_s / actor_time;
+            let wait = of(Kind::Recv).0.as_secs_f64() / actor_time;
             m.set_gauge("recv_wait_share", wait);
             m.set_gauge("bubble_excess", wait - self.ideal_bubble);
         }
@@ -376,34 +378,26 @@ impl Fleet {
             m.inc("heartbeat_misses_total", delta(|s| s.heartbeat_misses));
             *prev = now;
         }
-        // Fleet-wide totals of one profile kind — (invocations, µs) —
-        // and of one byte counter.
-        let kind = |k: &str| {
-            let entries = stats.profiles.iter().filter_map(|p| p.get(k));
-            entries.fold((0u64, 0u64), |(n, us), (dur, count)| {
-                (n + count as u64, us + dur.as_micros() as u64)
-            })
-        };
-        let bytes = |f: fn(&ActorProfile) -> u64| stats.profiles.iter().map(f).sum::<u64>();
         if self.meta.tp.degree() > 1 {
-            m.inc("tp_collectives_total", kind("collective").0);
-            m.inc("tp_bytes_reduced", bytes(ActorProfile::bytes_reduced));
-            let wire = bytes(ActorProfile::bytes_wire);
+            m.inc("tp_collectives_total", of(Kind::Collective).1.into());
+            m.inc("tp_bytes_reduced", total.bytes_reduced());
+            let wire = total.bytes_wire();
             m.inc("tp_bytes_wire", wire);
-            m.inc("tp_collective_wait_us", kind("collective_wait").1);
+            let wait = of(Kind::CollectiveWait).0;
+            m.inc("tp_collective_wait_us", wait.as_micros() as u64);
             // A contribution published early overlaps its transfer to
             // all t-1 peers, so the overlapped share of the wire volume
             // is bytes_overlap × (t-1) out of bytes_wire.
             if wire > 0 {
-                let overlap =
-                    bytes(ActorProfile::bytes_overlap) * (self.meta.tp.degree() as u64 - 1);
+                let overlap = total.bytes_overlap() * (self.meta.tp.degree() as u64 - 1);
                 m.set_gauge("tp_overlap_ratio", overlap as f64 / wire as f64);
             }
         }
         if self.meta.dp.replicas() > 1 {
-            m.inc("dp_collectives_total", kind("dp_collective").0);
-            m.inc("dp_bytes_wire", bytes(ActorProfile::dp_bytes_wire));
-            m.inc("dp_collective_wait_us", kind("dp_collective_wait").1);
+            m.inc("dp_collectives_total", of(Kind::DpCollective).1.into());
+            m.inc("dp_bytes_wire", total.dp_bytes_wire());
+            let wait = of(Kind::DpCollectiveWait).0;
+            m.inc("dp_collective_wait_us", wait.as_micros() as u64);
             // Each replica runs its compiled (per-replica) schedule:
             // the global batch divided by the DP degree.
             m.set_gauge(
@@ -411,13 +405,18 @@ impl Fleet {
                 (self.meta.n_mubatches / self.meta.dp.replicas()) as f64,
             );
         }
-        if let (Some(trace), 1, 1) = (trace, self.meta.tp.degree(), self.meta.dp.replicas()) {
+        if (self.meta.tp.degree(), self.meta.dp.replicas()) == (1, 1) {
             // Bubble accounting maps trace actors 1:1 onto pipeline
             // ranks; under tensor or data parallelism each rank owns
             // multiple actor timelines, so the report is only computed
-            // for pure PP.
-            let report = crate::observe::bubble_report(trace, &self.schedule);
-            m.set_gauge("bubble_fraction_measured", report.measured_bubble);
+            // for pure PP. A traced step's trace stays parked in the
+            // runtime for whoever takes it.
+            self.runtime.with_step_trace(|trace| {
+                if let Some(trace) = trace {
+                    let report = crate::observe::bubble_report(trace, &self.schedule);
+                    m.set_gauge("bubble_fraction_measured", report.measured_bubble);
+                }
+            });
         }
     }
 

@@ -3,30 +3,19 @@
 //! schedule — the loop-closer between the analytical model and the real
 //! runtime (the paper's Fig. 8-style analysis).
 //!
-//! The measured side reads the trace's instruction spans: compute time
-//! is everything that runs a task graph (`fwd`, `bwd`, `bwdw`,
-//! `accum_grad`, `ct_sum`, `grad_reduce`, `update`), communication is
-//! `send`, and a `recv` span is almost entirely *waiting* for upstream
-//! data — the executable form of the pipeline bubble. The predicted side
+//! The measured side reads each actor's spans folded back into its
+//! profile (`ActorTrace::profile`): compute time is every kind that
+//! runs a task graph (`Kind::is_compute`), communication is `send`, and
+//! `recv` time is almost entirely *waiting* for upstream data — the
+//! executable form of the pipeline bubble. The predicted side
 //! simulates the same schedule under a [`UniformCost`] model whose
 //! `fwd`/`bwd`/`wgrad` durations are the medians measured in this very
 //! trace, so the two sides are directly comparable.
 
 use std::fmt;
 
-use raxpp_runtime::StepTrace;
+use raxpp_runtime::{Kind, StepTrace};
 use raxpp_sched::{simulate, Schedule, UniformCost};
-
-/// Span kinds that count as compute when reading a trace.
-const COMPUTE_KINDS: [&str; 7] = [
-    "fwd",
-    "bwd",
-    "bwdw",
-    "accum_grad",
-    "ct_sum",
-    "grad_reduce",
-    "update",
-];
 
 /// One actor's time breakdown for a step.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +107,7 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
     let mut end_ns = 0u64;
     for at in &trace.actors {
         for s in &at.spans {
-            if s.kind == "op" {
+            if s.kind == Kind::Op.as_str() {
                 continue;
             }
             start_ns = start_ns.min(s.start_ns);
@@ -132,20 +121,20 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
     };
 
     // Trace-derived uniform cost model: median per-kind task durations.
-    let kind_durs = |kind: &str| -> Vec<f64> {
+    let kind_durs = |kind: Kind| -> Vec<f64> {
         trace
             .actors
             .iter()
             .flat_map(|at| at.spans.iter())
-            .filter(|s| s.kind == kind)
+            .filter(|s| s.kind == kind.as_str())
             .map(|s| s.dur_ns as f64 / 1e9)
             .collect()
     };
-    let fwd = median(kind_durs("fwd")).unwrap_or(1.0);
+    let fwd = median(kind_durs(Kind::Fwd)).unwrap_or(1.0);
     let cost = UniformCost {
         fwd,
-        bwd: median(kind_durs("bwd")).unwrap_or(2.0 * fwd),
-        wgrad: median(kind_durs("bwdw")).unwrap_or(fwd),
+        bwd: median(kind_durs(Kind::Bwd)).unwrap_or(2.0 * fwd),
+        wgrad: median(kind_durs(Kind::BwdW)).unwrap_or(fwd),
         p2p: 0.0,
     };
     let sim = simulate(schedule, cost).ok();
@@ -155,25 +144,17 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
     let mut stages = Vec::with_capacity(n_actors);
     let mut total_busy_s = 0.0;
     for a in 0..n_actors {
-        let spans = trace
-            .actors
-            .iter()
-            .find(|at| at.actor == a)
-            .map(|at| at.spans.as_slice())
-            .unwrap_or(&[]);
-        let mut compute_s = 0.0;
-        let mut comm_s = 0.0;
-        let mut wait_s = 0.0;
-        for s in spans {
-            let dur = s.dur_ns as f64 / 1e9;
-            if COMPUTE_KINDS.contains(&s.kind) {
-                compute_s += dur;
-            } else if s.kind == "send" {
-                comm_s += dur;
-            } else if s.kind == "recv" {
-                wait_s += dur;
-            }
-        }
+        let at = trace.actors.iter().find(|at| at.actor == a);
+        let profile = at.map(|at| at.profile()).unwrap_or_default();
+        let secs = |k: &Kind| {
+            profile
+                .get(k.as_str())
+                .map_or(0.0, |(d, _)| d.as_secs_f64())
+        };
+        let compute = Kind::ALL.iter().filter(|k| k.is_compute());
+        let compute_s: f64 = compute.map(secs).sum();
+        let comm_s = secs(&Kind::Send);
+        let wait_s = secs(&Kind::Recv);
         total_busy_s += compute_s + comm_s;
         let measured_idle_frac = if window_s > 0.0 {
             (1.0 - (compute_s + comm_s) / window_s).max(0.0)

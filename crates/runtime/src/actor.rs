@@ -16,7 +16,7 @@ use crate::exec::{execute_stream, ActorProfile, StreamFailure};
 use crate::fault::Fault;
 use crate::lane::LaneCtx;
 use crate::store::{ObjectStore, SendToken};
-use crate::trace::{ActorTrace, SpanRing, DEFAULT_SPAN_CAPACITY};
+use crate::trace::ActorTrace;
 use crate::transport::{Fabric, ReplyPort};
 
 /// A step sequence number: the `Execute` command's sequence number tags
@@ -421,10 +421,9 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                     // before any member can touch this epoch's.
                     l.hub.begin_epoch_actor(st.me, seq);
                 }
-                let mut ring = traced.then(|| SpanRing::new(DEFAULT_SPAN_CAPACITY));
                 let mut fetched = Vec::new();
-                let ran = execute_stream(st, &mut ring)
-                    .and_then(|profile| Ok((profile, st.fetch_outputs()?)));
+                let (ran, trace) = execute_stream(st, traced);
+                let ran = ran.and_then(|profile| Ok((profile, st.fetch_outputs()?)));
                 let result = match ran {
                     Ok((profile, outputs)) => {
                         fetched = outputs;
@@ -445,7 +444,6 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                         Err(ExecFailure::Aborted { by, reason })
                     }
                 };
-                let trace = ring.take().map(|r| r.into_trace(st.me));
                 let outcome = ExecOutcome {
                     result,
                     fetched,

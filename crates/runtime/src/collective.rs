@@ -23,10 +23,11 @@ use raxpp_ir::{PanelObserver, Shape, Tensor};
 use raxpp_taskgraph::{BufferId, CollectiveAxis, CollectiveKind, Instr};
 
 use crate::actor::{ActorState, Epoch, Mailbox};
-use crate::exec::{ns_since, ActorProfile, StreamFailure};
+use crate::exec::StreamFailure;
+use crate::kind::Kind;
 use crate::lane::{Contribution, GroupState, LaneCtx, LaneGroup};
 use crate::store::SendToken;
-use crate::trace::SpanEvent;
+use crate::trace::Recorder;
 
 /// How long a lane parks on the group condvar between abort probes.
 const LANE_POLL: Duration = Duration::from_millis(1);
@@ -390,15 +391,13 @@ fn gather_ring(
 
 /// Executes the collective at `stream[idx]` and stores its result in
 /// `dst`: gather on the carrier the transport selected, then the one
-/// shared combine, slice, accounting and span tail. Returns this
-/// actor's rank in the group and the collective's wire volume (its span
-/// bytes); when the step is traced (`spans` is `Some`) the rendezvous
-/// wait is pushed as its own span.
+/// shared combine, slice and accounting. Returns the collective's wire
+/// volume (its span bytes); the rendezvous wait is recorded as an
+/// interval of its own inside the instruction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_collective(
     st: &mut ActorState,
-    profile: &mut ActorProfile,
-    spans: Option<&mut Vec<SpanEvent>>,
+    rec: &mut Recorder,
     idx: usize,
     kind: CollectiveKind,
     dst: BufferId,
@@ -407,7 +406,7 @@ pub(crate) fn run_collective(
     wires: &[BufferId],
     dim: usize,
     axis: CollectiveAxis,
-) -> Result<(usize, u64), StreamFailure> {
+) -> Result<u64, StreamFailure> {
     let me = st.me;
     let t = group.len();
     let rank = group.iter().position(|&m| m == me).ok_or_else(|| {
@@ -423,8 +422,8 @@ pub(crate) fn run_collective(
     // `tp` metadata) sums. Wait/wire metrics split by axis so each
     // mesh dimension is observable.
     let (disjoint, wait_kind) = match axis {
-        CollectiveAxis::Dp => (false, "dp_collective_wait"),
-        CollectiveAxis::Tp => (st.program.tp.is_some(), "collective_wait"),
+        CollectiveAxis::Dp => (false, Kind::DpCollectiveWait),
+        CollectiveAxis::Tp => (st.program.tp.is_some(), Kind::CollectiveWait),
     };
     let combine = |parts: &[Tensor]| combine_collective(kind, dim, parts, disjoint);
     // The group is looked up by the instruction's exact membership, so
@@ -453,21 +452,12 @@ pub(crate) fn run_collective(
         })
         .map_err(|e| StreamFailure::Error(format!("{kind} {dst}: {e}")))?;
     let reduces = !matches!(kind, CollectiveKind::AllGather);
-    let wire = profile.count_collective(axis, reduces, t, numel);
+    let wire = rec.profile.count_collective(axis, reduces, t, numel);
     if let Some((start, dur)) = wait {
-        profile.record(wait_kind, dur);
-        if let Some(spans) = spans {
-            spans.push(SpanEvent {
-                instr: idx as u32,
-                kind: wait_kind,
-                name: format!("{wait_kind} (rank {rank}/{t})"),
-                start_ns: ns_since(st.origin, start),
-                dur_ns: dur.as_nanos() as u64,
-                bytes: 0,
-                alloc: None,
-            });
-        }
+        rec.sub(idx, wait_kind, start, dur, 0, || {
+            format!("{} (rank {rank}/{t})", wait_kind.as_str())
+        });
     }
     st.store.insert(dst, combined);
-    Ok((rank, wire))
+    Ok(wire)
 }

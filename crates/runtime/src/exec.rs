@@ -1,33 +1,46 @@
 //! The instruction-stream executor: one pass over an actor's fused
-//! stream (§4.4), recording per-kind wall time into an [`ActorProfile`]
-//! and, when the step is traced, one span per instruction.
+//! stream (§4.4) that writes **one record per instruction**.
+//!
+//! [`execute_stream`] owns a [`Recorder`] for the step. Each arm of the
+//! instruction match does the work and yields only what it alone knows
+//! — the payload `bytes` and the interpreter's `alloc` counters — and
+//! the loop body ends in the single [`Recorder::instr`] call. Intervals
+//! *inside* an instruction (`op` from the interpreter hook, `wire`, the
+//! rendezvous waits of [`run_collective`]) go through [`Recorder::sub`]
+//! in the order they happen. What the recorder does with a record —
+//! the profile entry, the span, the one branch on being traced — is
+//! `trace.rs`'s business; nothing here knows whether the step is traced.
+//!
+//! Names are rendered by [`span_name`], and only when a span is
+//! actually pushed: an untraced step takes the same calls with the ring
+//! absent and formats nothing.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raxpp_ir::{eval_with_stats_observed, EvalStats, PanelObserver, Tensor};
-use raxpp_taskgraph::{CollectiveAxis, Instr, TaskLabel};
+use raxpp_taskgraph::{CollectiveAxis, Instr, MpmdProgram};
 
 use crate::actor::ActorState;
 use crate::collective::{lane_wait, run_collective, LaneObserver};
 use crate::fault::check_fault;
+use crate::kind::Kind;
 use crate::lane::RunSlot;
 use crate::store::SendToken;
-use crate::trace::{SpanEvent, SpanRing};
+use crate::trace::{ActorTrace, Recorder, SpanRing};
 
 /// Per-instruction-kind wall-clock accounting for one actor's step.
 ///
-/// Keys are instruction kinds (`"fwd"`, `"bwd"`, `"bwdw"`,
-/// `"accum_grad"`, `"ct_sum"`, `"grad_reduce"`, `"update"`, `"send"`,
-/// `"recv"`, `"free"`). `recv` time is mostly *waiting* for upstream
+/// Stored per [`Kind`]; read by kind name (`"fwd"`, `"recv"`, … —
+/// [`Kind::as_str`]). `recv` time is mostly *waiting* for upstream
 /// data — the executable analogue of the pipeline bubble. The profile
 /// also carries the interpreter's buffer-allocator counters summed over
 /// the step's `Run` instructions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActorProfile {
-    entries: HashMap<&'static str, (Duration, u32)>,
+    /// `(nanoseconds, invocations)` per [`Kind`], by discriminant.
+    entries: [(u64, u32); Kind::COUNT],
     // Crate-visible so the wire codec can reinstate them verbatim.
     pub(crate) alloc: EvalStats,
     pub(crate) bytes_reduced: u64,
@@ -37,16 +50,30 @@ pub struct ActorProfile {
 }
 
 impl ActorProfile {
-    pub(crate) fn record(&mut self, kind: &'static str, dur: Duration) {
-        self.add_entry(kind, dur, 1);
+    /// Adds `count` invocations totalling `dur` to one kind.
+    pub(crate) fn add(&mut self, kind: Kind, dur: Duration, count: u32) {
+        let e = &mut self.entries[kind as usize];
+        e.0 += dur.as_nanos() as u64;
+        e.1 += count;
     }
 
-    /// Adds `count` invocations totalling `dur` to one kind (also the
-    /// wire decoder's way of reinstating an entry verbatim).
-    pub(crate) fn add_entry(&mut self, kind: &'static str, dur: Duration, count: u32) {
-        let e = self.entries.entry(kind).or_insert((Duration::ZERO, 0));
-        e.0 += dur;
-        e.1 += count;
+    /// [`ActorProfile::add`] by kind name.
+    #[cfg(test)]
+    pub(crate) fn add_entry(&mut self, kind: &str, dur: Duration, count: u32) {
+        self.add(Kind::parse(kind).expect("a kind name"), dur, count);
+    }
+
+    /// Adds everything `other` accounts — entries, allocator counters
+    /// and byte counters — to this profile.
+    pub fn merge(&mut self, other: &ActorProfile) {
+        for (kind, dur, count) in other.by_kind() {
+            self.add(kind, dur, count);
+        }
+        self.alloc.merge(&other.alloc);
+        self.bytes_reduced += other.bytes_reduced;
+        self.bytes_wire += other.bytes_wire;
+        self.bytes_overlap += other.bytes_overlap;
+        self.dp_bytes_wire += other.dp_bytes_wire;
     }
 
     /// The one per-axis wire-byte accounting of a collective over a
@@ -73,14 +100,22 @@ impl ActorProfile {
         wire
     }
 
-    /// Total time and invocation count for an instruction kind.
-    pub fn get(&self, kind: &str) -> Option<(Duration, u32)> {
-        self.entries.get(kind).copied()
+    /// The kinds that were recorded at least once, with their totals.
+    pub(crate) fn by_kind(&self) -> impl Iterator<Item = (Kind, Duration, u32)> + '_ {
+        let recorded = Kind::ALL.into_iter().zip(self.entries);
+        recorded.filter_map(|(k, (ns, c))| (c > 0).then_some((k, Duration::from_nanos(ns), c)))
     }
 
-    /// All recorded kinds with their totals, unordered.
+    /// Total time and invocation count for an instruction kind.
+    pub fn get(&self, kind: &str) -> Option<(Duration, u32)> {
+        let kind = Kind::parse(kind)?;
+        let entry = self.by_kind().find(|&(k, ..)| k == kind);
+        entry.map(|(_, dur, count)| (dur, count))
+    }
+
+    /// All recorded kinds with their totals.
     pub fn entries(&self) -> impl Iterator<Item = (&'static str, Duration, u32)> + '_ {
-        self.entries.iter().map(|(&k, &(d, c))| (k, d, c))
+        self.by_kind().map(|(k, d, c)| (k.as_str(), d, c))
     }
 
     /// Buffer-allocator counters (allocated / reused / freed) summed
@@ -145,13 +180,19 @@ pub struct StepStats {
 }
 
 impl StepStats {
-    /// Buffer-allocator counters summed across all actors for this step.
-    pub fn alloc_stats(&self) -> EvalStats {
-        let mut total = EvalStats::default();
+    /// The fleet's profile for this step: every actor's profile merged
+    /// into one.
+    pub fn total(&self) -> ActorProfile {
+        let mut total = ActorProfile::default();
         for p in &self.profiles {
-            total.merge(p.alloc_stats());
+            total.merge(p);
         }
         total
+    }
+
+    /// Buffer-allocator counters summed across all actors for this step.
+    pub fn alloc_stats(&self) -> EvalStats {
+        self.total().alloc
     }
 }
 
@@ -166,49 +207,54 @@ pub(crate) enum StreamFailure {
     Killed,
 }
 
-fn label_kind(label: &TaskLabel) -> &'static str {
-    match label {
-        TaskLabel::Fwd { .. } => "fwd",
-        TaskLabel::Bwd { .. } => "bwd",
-        TaskLabel::BwdW { .. } => "bwdw",
-        TaskLabel::AccumGrad { .. } => "accum_grad",
-        TaskLabel::CotangentSum { .. } => "ct_sum",
-        TaskLabel::GradReduce { .. } => "grad_reduce",
-        TaskLabel::Update { .. } => "update",
+/// A top-level span's name: the task label for `Run`, kind, result and
+/// rank for `Collective`, and the instruction's own rendering otherwise.
+fn span_name(instr: &Instr, me: usize) -> String {
+    match instr {
+        Instr::Run { label, .. } => label.to_string(),
+        Instr::Collective {
+            kind, dst, group, ..
+        } => {
+            let rank = group.iter().position(|&m| m == me);
+            let rank = rank.expect("the collective ran, so this actor is a member");
+            format!("{kind} {dst} (rank {rank}/{})", group.len())
+        }
+        _ => instr.to_string(),
     }
 }
 
-/// Nanoseconds from the runtime-wide span origin to `t`.
-pub(crate) fn ns_since(origin: Instant, t: Instant) -> u64 {
-    t.saturating_duration_since(origin).as_nanos() as u64
-}
-
+/// Runs this actor's stream for the current epoch. Returns the step's
+/// profile, or why the stream stopped, and — when `traced` — the spans
+/// recorded up to that point (a failed step's partial trace is the
+/// post-mortem record).
 pub(crate) fn execute_stream(
     st: &mut ActorState,
-    ring: &mut Option<SpanRing>,
-) -> Result<ActorProfile, StreamFailure> {
+    traced: bool,
+) -> (Result<ActorProfile, StreamFailure>, Option<ActorTrace>) {
+    let program = Arc::clone(&st.program);
+    let ring = traced.then(|| SpanRing::for_stream(program.actors[st.me].len()));
+    let mut rec = Recorder::new(ring, st.origin);
+    let ran = run_stream(st, &program, &mut rec);
+    let (profile, trace) = rec.finish(st.me);
+    (ran.map(|()| profile), trace)
+}
+
+fn run_stream(
+    st: &mut ActorState,
+    program: &MpmdProgram,
+    rec: &mut Recorder,
+) -> Result<(), StreamFailure> {
     let me = st.me;
     let epoch = st.epoch;
-    let origin = st.origin;
-    let traced = ring.is_some();
-    let program = Arc::clone(&st.program);
     let stream = &program.actors[me];
-    let mut profile = ActorProfile::default();
     // The rendezvous handle (cheap Arc clones): present iff the
     // transport carries collectives through shared memory.
     let lane = st.lane.clone();
     for (idx, instr) in stream.iter().enumerate() {
         check_fault(&mut st.faults, idx, instr)?;
-        // Span bookkeeping lives behind `traced`: the untraced path pays
-        // one branch per field, no formatting, no extra timestamps (the
-        // `t0`/`elapsed` pair below predates tracing — it feeds
-        // `ActorProfile`).
-        let mut span_name = String::new();
-        let mut span_bytes = 0u64;
-        let mut span_alloc: Option<EvalStats> = None;
-        let mut op_spans: Vec<SpanEvent> = Vec::new();
-        let t0 = Instant::now();
-        match instr {
+        // Each arm yields what it alone knows: the payload bytes and
+        // the interpreter's allocator counters.
+        let (bytes, alloc): (u64, Option<EvalStats>) = match instr {
             Instr::Run {
                 jaxpr,
                 inputs,
@@ -256,8 +302,8 @@ pub(crate) fn execute_stream(
                         adopted = Some(outs);
                     }
                 }
-                let outs = match adopted {
-                    Some(outs) => outs,
+                let (outs, stats) = match adopted {
+                    Some(outs) => (outs, None),
                     None => {
                         // O(1) handle copies; the store keeps its
                         // references, so the interpreter can never
@@ -281,32 +327,15 @@ pub(crate) fn execute_stream(
                             }
                             _ => None,
                         };
-                        let mut hook_fn;
-                        let hook: Option<raxpp_ir::EvalHook<'_>> = if traced {
-                            hook_fn = |_i: usize, name: &'static str, s: Instant, e: Instant| {
-                                op_spans.push(SpanEvent {
-                                    instr: idx as u32,
-                                    kind: "op",
-                                    name: name.to_string(),
-                                    start_ns: ns_since(origin, s),
-                                    dur_ns: e.saturating_duration_since(s).as_nanos() as u64,
-                                    bytes: 0,
-                                    alloc: None,
-                                });
-                            };
-                            Some(&mut hook_fn)
-                        } else {
-                            None
-                        };
-                        let panels = observer.as_mut().map(|o| o as &mut dyn PanelObserver);
-                        let (outs, stats) = eval_with_stats_observed(graph, &args, hook, panels)
-                            .map_err(|e| StreamFailure::Error(format!("{label}: {e}")))?;
-                        if let Some(obs) = &observer {
-                            profile.bytes_overlap += obs.bytes;
+                        let (outs, stats) = {
+                            let mut op_hook = rec.op_hook(idx);
+                            let hook = op_hook.as_mut().map(|h| h as raxpp_ir::EvalHook<'_>);
+                            let panels = observer.as_mut().map(|o| o as &mut dyn PanelObserver);
+                            eval_with_stats_observed(graph, &args, hook, panels)
                         }
-                        profile.alloc.merge(&stats);
-                        if traced {
-                            span_alloc = Some(stats);
+                        .map_err(|e| StreamFailure::Error(format!("{label}: {e}")))?;
+                        if let Some(obs) = &observer {
+                            rec.profile.bytes_overlap += obs.bytes;
                         }
                         if let Some(g) = dedup {
                             let mut s = g.state.lock().unwrap();
@@ -320,40 +349,30 @@ pub(crate) fn execute_stream(
                             drop(s);
                             g.cv.notify_all();
                         }
-                        outs
+                        (outs, Some(stats))
                     }
                 };
-                if traced {
-                    span_name = format!("{label}");
-                }
                 for (b, t) in outputs.iter().zip(outs) {
                     st.store.insert(*b, t);
                 }
+                (0, stats)
             }
             Instr::Send { buf, to } => {
                 let t = st.load(*buf, "send")?;
-                if traced {
-                    span_name = format!("send {buf} -> actor {to}");
-                    span_bytes = 4 * t.numel() as u64;
-                }
+                let bytes = 4 * t.numel() as u64;
                 let token = SendToken::new();
                 st.store.record_send(*buf, token.clone());
-                let wire_t0 = Instant::now();
-                st.send_data(*to, *buf, t, token)?;
                 // On a socket fabric the send is a synchronous wire
                 // write; record it as its own span so transport cost is
                 // separable from store bookkeeping in the trace.
-                if traced && st.fabric.is_wire() {
-                    op_spans.push(SpanEvent {
-                        instr: idx as u32,
-                        kind: "wire",
-                        name: format!("wire {buf} -> actor {to}"),
-                        start_ns: ns_since(origin, wire_t0),
-                        dur_ns: wire_t0.elapsed().as_nanos() as u64,
-                        bytes: span_bytes,
-                        alloc: None,
+                let wire_t0 = st.fabric.is_wire().then(Instant::now);
+                st.send_data(*to, *buf, t, token)?;
+                if let Some(t0) = wire_t0 {
+                    rec.sub(idx, Kind::Wire, t0, t0.elapsed(), bytes, || {
+                        format!("wire {buf} -> actor {to}")
                     });
                 }
+                (bytes, None)
             }
             Instr::Recv {
                 buf,
@@ -375,19 +394,15 @@ pub(crate) fn execute_stream(
                     )));
                 }
                 token.complete();
-                if traced {
-                    span_name = format!("recv {buf} <- actor {from}");
-                    span_bytes = 4 * t.numel() as u64;
-                }
+                let bytes = 4 * t.numel() as u64;
                 st.store.insert(*buf, t);
+                (bytes, None)
             }
             Instr::Copy { dst, src } => {
                 let t = st.load(*src, "copy")?;
-                if traced {
-                    span_name = format!("copy {src} -> {dst}");
-                    span_bytes = 4 * t.numel() as u64;
-                }
+                let bytes = 4 * t.numel() as u64;
                 st.store.insert(*dst, t);
+                (bytes, None)
             }
             Instr::Free { buf } => {
                 if !st.store.free(*buf) {
@@ -395,9 +410,7 @@ pub(crate) fn execute_stream(
                         "free of missing buffer {buf}"
                     )));
                 }
-                if traced {
-                    span_name = format!("free {buf}");
-                }
+                (0, None)
             }
             Instr::Collective {
                 kind,
@@ -408,53 +421,12 @@ pub(crate) fn execute_stream(
                 dim,
                 axis,
             } => {
-                let spans = traced.then_some(&mut op_spans);
-                let (rank, wire) = run_collective(
-                    st,
-                    &mut profile,
-                    spans,
-                    idx,
-                    *kind,
-                    *dst,
-                    *src,
-                    group,
-                    wires,
-                    *dim,
-                    *axis,
-                )?;
-                if traced {
-                    span_name = format!("{kind} {dst} (rank {rank}/{})", group.len());
-                    span_bytes = wire;
-                }
+                let wire =
+                    run_collective(st, rec, idx, *kind, *dst, *src, group, wires, *dim, *axis)?;
+                (wire, None)
             }
-        }
-        let kind = match instr {
-            Instr::Run { label, .. } => label_kind(label),
-            Instr::Send { .. } => "send",
-            Instr::Recv { .. } => "recv",
-            Instr::Copy { .. } => "copy",
-            Instr::Free { .. } => "free",
-            Instr::Collective { axis, .. } => match axis {
-                CollectiveAxis::Tp => "collective",
-                CollectiveAxis::Dp => "dp_collective",
-            },
         };
-        let dur = t0.elapsed();
-        profile.record(kind, dur);
-        if let Some(r) = ring.as_mut() {
-            for s in op_spans {
-                r.push(s);
-            }
-            r.push(SpanEvent {
-                instr: idx as u32,
-                kind,
-                name: span_name,
-                start_ns: ns_since(origin, t0),
-                dur_ns: dur.as_nanos() as u64,
-                bytes: span_bytes,
-                alloc: span_alloc,
-            });
-        }
+        rec.instr(idx, Kind::of(instr), bytes, alloc, || span_name(instr, me));
     }
-    Ok(profile)
+    Ok(())
 }

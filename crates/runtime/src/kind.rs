@@ -1,0 +1,232 @@
+//! The one taxonomy a step's time is accounted under: what an
+//! [`ActorProfile`](crate::ActorProfile) is indexed by, what a
+//! [`SpanEvent`](crate::SpanEvent)'s `kind` names and what the wire
+//! codec sends as one byte.
+
+use raxpp_taskgraph::{CollectiveAxis, Instr, TaskLabel};
+
+/// What an instruction — or a named interval inside one — spent its
+/// time on. The discriminant is the wire encoding: append only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Kind {
+    /// Forward task of one stage for one microbatch.
+    Fwd,
+    /// Backward task (the activation-gradient half under a
+    /// split-backward schedule).
+    Bwd,
+    /// Deferred weight-gradient half of a split backward.
+    BwdW,
+    /// Local gradient accumulation.
+    AccumGrad,
+    /// Cotangent sum over several consumer stages.
+    CtSum,
+    /// Cross-actor reduce of shared-weight partial gradients.
+    GradReduce,
+    /// Optimizer update of one parameter.
+    Update,
+    /// `Send`: store bookkeeping plus the hand-off to the fabric.
+    Send,
+    /// `Recv`: almost entirely *waiting* for upstream data — the
+    /// executable form of the pipeline bubble.
+    Recv,
+    /// `Copy`: a send/recv pair folded onto one actor by a rebalance.
+    Copy,
+    /// `Free`: buffer deletion.
+    Free,
+    /// One tensor-parallel collective executed by one rank.
+    Collective,
+    /// One data-parallel collective executed by one replica.
+    DpCollective,
+    /// The interval a rank spent parked at its tensor-parallel
+    /// rendezvous, inside its [`Kind::Collective`].
+    CollectiveWait,
+    /// The data-parallel analogue of [`Kind::CollectiveWait`].
+    DpCollectiveWait,
+    /// One interpreter equation inside a `Run` (trace only).
+    Op,
+    /// The synchronous socket write inside a `Send` (trace only).
+    Wire,
+    /// One served request's lifetime, recorded by `raxpp-serve` onto a
+    /// pseudo-actor track (trace only).
+    Serve,
+}
+
+impl Kind {
+    /// Number of kinds.
+    pub const COUNT: usize = 18;
+
+    /// Every kind, in discriminant order.
+    pub const ALL: [Kind; Kind::COUNT] = [
+        Kind::Fwd,
+        Kind::Bwd,
+        Kind::BwdW,
+        Kind::AccumGrad,
+        Kind::CtSum,
+        Kind::GradReduce,
+        Kind::Update,
+        Kind::Send,
+        Kind::Recv,
+        Kind::Copy,
+        Kind::Free,
+        Kind::Collective,
+        Kind::DpCollective,
+        Kind::CollectiveWait,
+        Kind::DpCollectiveWait,
+        Kind::Op,
+        Kind::Wire,
+        Kind::Serve,
+    ];
+
+    /// The name profiles and traces are read by (a trace's `cat`).
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Kind::Fwd => "fwd",
+            Kind::Bwd => "bwd",
+            Kind::BwdW => "bwdw",
+            Kind::AccumGrad => "accum_grad",
+            Kind::CtSum => "ct_sum",
+            Kind::GradReduce => "grad_reduce",
+            Kind::Update => "update",
+            Kind::Send => "send",
+            Kind::Recv => "recv",
+            Kind::Copy => "copy",
+            Kind::Free => "free",
+            Kind::Collective => "collective",
+            Kind::DpCollective => "dp_collective",
+            Kind::CollectiveWait => "collective_wait",
+            Kind::DpCollectiveWait => "dp_collective_wait",
+            Kind::Op => "op",
+            Kind::Wire => "wire",
+            Kind::Serve => "serve",
+        }
+    }
+
+    /// The kind a wire byte stands for; `None` for a byte no kind has.
+    pub fn from_u8(byte: u8) -> Option<Kind> {
+        Kind::ALL.get(usize::from(byte)).copied()
+    }
+
+    /// The kind named `name`, the inverse of [`Kind::as_str`].
+    pub(crate) fn parse(name: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|k| k.as_str() == name)
+    }
+
+    /// The kind an instruction's time is accounted under.
+    pub fn of(instr: &Instr) -> Kind {
+        match instr {
+            Instr::Run { label, .. } => match label {
+                TaskLabel::Fwd { .. } => Kind::Fwd,
+                TaskLabel::Bwd { .. } => Kind::Bwd,
+                TaskLabel::BwdW { .. } => Kind::BwdW,
+                TaskLabel::AccumGrad { .. } => Kind::AccumGrad,
+                TaskLabel::CotangentSum { .. } => Kind::CtSum,
+                TaskLabel::GradReduce { .. } => Kind::GradReduce,
+                TaskLabel::Update { .. } => Kind::Update,
+            },
+            Instr::Send { .. } => Kind::Send,
+            Instr::Recv { .. } => Kind::Recv,
+            Instr::Copy { .. } => Kind::Copy,
+            Instr::Free { .. } => Kind::Free,
+            Instr::Collective { axis, .. } => match axis {
+                CollectiveAxis::Tp => Kind::Collective,
+                CollectiveAxis::Dp => Kind::DpCollective,
+            },
+        }
+    }
+
+    /// Whether this is the time of a `Run` task graph.
+    pub fn is_compute(self) -> bool {
+        self as u8 <= Kind::Update as u8
+    }
+
+    /// Whether this names an interval *inside* an instruction's own
+    /// span — a share of its parent's time, not time of its own.
+    pub fn is_nested(self) -> bool {
+        matches!(
+            self,
+            Kind::CollectiveWait | Kind::DpCollectiveWait | Kind::Op | Kind::Wire
+        )
+    }
+
+    /// Whether an [`ActorProfile`](crate::ActorProfile) accounts this
+    /// kind: everything an instruction stream itself spends time on.
+    /// The rest exist only as trace spans.
+    pub(crate) fn is_profiled(self) -> bool {
+        !matches!(self, Kind::Op | Kind::Wire | Kind::Serve)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raxpp_taskgraph::{program_stats, JaxprId, MpmdProgram};
+
+    /// `raxpp-taskgraph` cannot see this crate, so its `program_stats`
+    /// keeps the task-label half of the table; this pins the two equal.
+    #[test]
+    fn run_kinds_match_taskgraph_stats() {
+        let labels = [
+            TaskLabel::Fwd {
+                mubatch: 0,
+                stage: 0,
+            },
+            TaskLabel::Bwd {
+                mubatch: 0,
+                stage: 0,
+            },
+            TaskLabel::BwdW {
+                mubatch: 0,
+                stage: 0,
+            },
+            TaskLabel::AccumGrad { param: 0 },
+            TaskLabel::CotangentSum { stage: 0 },
+            TaskLabel::GradReduce { param: 0 },
+            TaskLabel::Update { param: 0 },
+        ];
+        for label in labels {
+            let run = Instr::Run {
+                jaxpr: JaxprId(0),
+                inputs: vec![],
+                outputs: vec![],
+                label,
+            };
+            let kind = Kind::of(&run);
+            assert!(kind.is_compute() && !kind.is_nested());
+            let program = MpmdProgram {
+                jaxprs: vec![],
+                actors: vec![vec![run]],
+                placements: vec![],
+                fetches: vec![],
+                tp: None,
+                dp: None,
+            };
+            let by_kind = program_stats(&program).runs_by_kind;
+            assert_eq!(by_kind.keys().copied().collect::<Vec<_>>(), [kind.as_str()]);
+        }
+    }
+
+    /// The span-category table of `docs/observability.md` is the
+    /// human-readable copy of [`Kind::ALL`]: same names, each once.
+    #[test]
+    fn doc_span_category_table_is_kind_all() {
+        let doc = include_str!("../../../docs/observability.md");
+        let table = doc
+            .split("| `cat` | Meaning |")
+            .nth(1)
+            .expect("the span-category table");
+        let mut documented: Vec<&str> = table
+            .lines()
+            .skip(2) // rest of the header line, then the |---| rule
+            .take_while(|l| l.starts_with('|'))
+            .flat_map(|row| {
+                let cat = row.split('|').nth(1).expect("a cat cell");
+                cat.split('`').skip(1).step_by(2)
+            })
+            .collect();
+        let mut kinds: Vec<&str> = Kind::ALL.iter().map(|k| k.as_str()).collect();
+        documented.sort_unstable();
+        kinds.sort_unstable();
+        assert_eq!(documented, kinds);
+    }
+}

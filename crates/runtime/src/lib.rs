@@ -36,6 +36,7 @@ mod error;
 mod exec;
 mod fault;
 mod fold;
+mod kind;
 mod lane;
 mod metrics;
 mod runtime;
@@ -47,6 +48,7 @@ pub use actor::DRIVER_PEER;
 pub use error::RuntimeError;
 pub use exec::{ActorProfile, StepStats};
 pub use fault::Fault;
+pub use kind::Kind;
 pub use metrics::{HistogramSummary, MetricValue, Metrics};
 pub use runtime::{RebalanceReport, RecoveryReport, Runtime, StepOutputs};
 pub use store::{ObjectStore, SendToken};

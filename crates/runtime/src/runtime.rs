@@ -87,16 +87,15 @@ pub(crate) struct ActorLink {
 }
 
 /// The outputs of one step: every fetched buffer with its [`Fetch`]
-/// descriptor (gradients, per-microbatch losses/metrics).
+/// descriptor (gradients, per-microbatch losses/metrics). A traced
+/// step's trace is not here: it is parked in the runtime until
+/// [`Runtime::take_step_trace`] moves it out.
 #[derive(Debug, Clone)]
 pub struct StepOutputs {
     /// Fetched buffers in program fetch order.
     pub fetched: Vec<(Fetch, Tensor)>,
     /// Step statistics.
     pub stats: StepStats,
-    /// The step's trace when tracing was enabled (`RAXPP_TRACE=1` or
-    /// [`Runtime::set_tracing`]); `None` otherwise.
-    pub trace: Option<StepTrace>,
 }
 
 /// What [`Runtime::recover`] did.
@@ -129,8 +128,9 @@ struct Inner {
     /// Monotone command sequence counter; the `Execute` seq is the step
     /// epoch.
     seq: u64,
-    /// Trace of the most recent traced step (success or failure),
-    /// retrievable with [`Runtime::take_step_trace`].
+    /// Trace of the most recent step if it was traced (success or
+    /// failure) — its one home until [`Runtime::take_step_trace`] moves
+    /// it out.
     last_trace: Option<StepTrace>,
     /// Actors permanently removed by [`Runtime::rebalance`]: never
     /// dispatched to, never respawned by [`Runtime::recover`].
@@ -369,12 +369,20 @@ impl Runtime {
         self.tracing.load(Ordering::Relaxed)
     }
 
-    /// Takes the trace of the most recent traced step, successful or
-    /// failed. Failed steps leave their (partial) trace here even though
+    /// Takes the trace of the most recent step, successful or failed,
+    /// if it was traced (`RAXPP_TRACE=1` or [`Runtime::set_tracing`]) —
+    /// the only way a trace leaves the runtime, and one-shot. Failed
+    /// steps leave their (partial) trace here even though
     /// [`Runtime::step`] returns an error — the abort events and the
     /// spans executed before the failure are the post-mortem record.
     pub fn take_step_trace(&self) -> Option<StepTrace> {
         self.inner.lock().unwrap().last_trace.take()
+    }
+
+    /// Reads the parked trace [`Runtime::take_step_trace`] would take,
+    /// leaving it in place.
+    pub fn with_step_trace<T>(&self, read: impl FnOnce(Option<&StepTrace>) -> T) -> T {
+        read(self.inner.lock().unwrap().last_trace.as_ref())
     }
 
     /// Nanoseconds elapsed since the runtime's launch — the zero point
@@ -559,12 +567,11 @@ impl Runtime {
         // Assemble the step trace (also for failed steps — the partial
         // spans plus the abort events are the post-mortem record) before
         // the error return below.
-        let step_trace = traced.then(|| StepTrace {
+        inner.last_trace = traced.then(|| StepTrace {
             step: epoch,
             actors: slots.iter_mut().filter_map(Slot::take_trace).collect(),
             events: failure_events(self.now_ns(), &slots),
         });
-        inner.last_trace = step_trace.clone();
         if let Some(err) = step_error(&slots) {
             return Err(err);
         }
@@ -600,7 +607,6 @@ impl Runtime {
                 rpcs,
                 profiles,
             },
-            trace: step_trace,
         })
     }
 
@@ -947,6 +953,9 @@ fn recv_reply(
 }
 
 /// Where one actor stands in the step being collected.
+// Every slot of a successful step ends up `Replied`, so boxing the large
+// variant would buy an allocation per actor per step and save nothing.
+#[allow(clippy::large_enum_variant)]
 enum Slot {
     /// Retired: nothing dispatched, no reply expected.
     Idle,

@@ -3,26 +3,42 @@
 //! JSON (loadable in `chrome://tracing` and <https://ui.perfetto.dev>).
 //!
 //! Tracing is the executable counterpart of `raxpp-simcluster`'s
-//! predicted timelines (the paper's Figure 8-style plots): each actor
-//! thread records one [`SpanEvent`] per executed instruction — task
-//! label, instruction kind, monotonic start/duration, bytes moved for
-//! `Send`/`Recv`, and the interpreter's buffer-reuse counters for `Run`
-//! — into a [`SpanRing`] it exclusively owns (one actor = one OS
-//! thread, so recording is lock-free by construction). The driver
-//! collects the rings with the `Executed` replies and assembles a
-//! [`StepTrace`] keyed by the step's epoch.
+//! predicted timelines (the paper's Figure 8-style plots).
 //!
-//! Tracing is off by default and zero-cost when disabled: actors see a
-//! single `traced` flag per `Execute` dispatch and skip every recording
-//! branch when it is false (what enabling it costs is the benchmark's
-//! `runtime.trace_overhead`). Recording only *observes* execution — timestamps and byte
-//! counts — so it cannot perturb the bit-compatibility contract
-//! (`determinism_guard` runs with tracing enabled).
+//! **One record, two views.** The actor's instruction loop reports each
+//! instruction once, to the [`Recorder`] it owns for the step:
+//! `(index, Kind, bytes, alloc)` plus a closure that can render a name.
+//! The recorder reads the clock — once per instruction; a span starts
+//! where its predecessor ended, so an actor's top-level spans tile its
+//! stream — adds `(duration, 1)` to the step's [`ActorProfile`] under
+//! the kind and, iff the step is traced, pushes the matching
+//! [`SpanEvent`] onto a [`SpanRing`] the actor exclusively owns (one
+//! actor = one OS thread, so recording is lock-free by construction).
+//! Intervals inside an instruction (`op`, `wire`, the rendezvous waits)
+//! take the same path through [`Recorder::sub`]. The profile and the
+//! trace are therefore written by the same call from the same duration:
+//! [`ActorTrace::profile`] folds the spans back into the profile, entry
+//! for entry. Both ride the actor's `Executed` reply; the driver
+//! assembles the rings into a [`StepTrace`] keyed by the step's epoch.
+//!
+//! Tracing is off by default. An untraced step makes the very same
+//! recorder calls with the ring absent: whether a record also becomes a
+//! span is decided once, in `Recorder::record`, and names are rendered
+//! only behind that branch (the interpreter is likewise handed an `op`
+//! hook only when there is a ring to fill). What enabling it costs is
+//! the benchmark's `runtime.trace_overhead`. Recording only *observes* execution —
+//! timestamps and byte counts — so it cannot perturb the
+//! bit-compatibility contract (`determinism_guard` runs with tracing
+//! enabled).
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use raxpp_ir::EvalStats;
+
+use crate::exec::ActorProfile;
+use crate::kind::Kind;
 
 /// Default capacity of one actor's span ring (events per step).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
@@ -87,11 +103,9 @@ pub struct SpanEvent {
     /// Index of the instruction in the actor's fused stream (op spans
     /// carry their parent `Run`'s index).
     pub instr: u32,
-    /// Instruction kind: one of `"fwd"`, `"bwd"`, `"bwdw"`,
-    /// `"accum_grad"`, `"ct_sum"`, `"grad_reduce"`, `"update"`,
-    /// `"send"`, `"recv"`, `"copy"`, `"collective"`, `"free"`, `"op"`
-    /// for interpreter sub-spans, or `"collective_wait"` for the parked
-    /// interval inside a lane-mode collective.
+    /// What the span's time was spent on: a [`Kind`] name
+    /// ([`Kind::as_str`]) — an instruction kind, or one of the kinds
+    /// nested inside an instruction ([`Kind::is_nested`]).
     pub kind: &'static str,
     /// Human-readable name: the task label rendering (`fwd(mb=0, s=1)`),
     /// a transport description (`send b12 -> actor 1`), or the primitive
@@ -146,14 +160,23 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    /// Creates a ring holding at most `capacity` spans (minimum 1).
+    /// Creates a ring holding at most `capacity` spans (minimum 1). The
+    /// buffer grows on demand up to that bound.
     pub fn new(capacity: usize) -> SpanRing {
-        let cap = capacity.max(1);
         SpanRing {
-            buf: VecDeque::with_capacity(cap.min(DEFAULT_SPAN_CAPACITY)),
-            cap,
+            buf: VecDeque::new(),
+            cap: capacity.max(1),
             dropped: 0,
         }
+    }
+
+    /// The ring an actor records a step of a `len`-instruction stream
+    /// into: [`DEFAULT_SPAN_CAPACITY`], with room reserved for one span
+    /// per instruction (sub-spans grow it).
+    pub(crate) fn for_stream(len: usize) -> SpanRing {
+        let mut ring = SpanRing::new(DEFAULT_SPAN_CAPACITY);
+        ring.buf.reserve(len.min(ring.cap));
+        ring
     }
 
     /// Appends a span, evicting the oldest one when full.
@@ -180,12 +203,128 @@ impl SpanRing {
         self.dropped
     }
 
-    /// Drains the ring into an [`ActorTrace`] for actor `actor`.
+    /// Hands the ring's spans over as the [`ActorTrace`] of actor
+    /// `actor`, without copying them.
     pub fn into_trace(self, actor: usize) -> ActorTrace {
         ActorTrace {
             actor,
-            spans: self.buf.into_iter().collect(),
+            spans: self.buf.into(),
             dropped: self.dropped,
+        }
+    }
+}
+
+/// Nanoseconds from the runtime-wide span origin to `t`.
+fn ns_since(origin: Instant, t: Instant) -> u64 {
+    t.saturating_duration_since(origin).as_nanos() as u64
+}
+
+/// The step's one book: every instruction, and every named interval
+/// inside one, is recorded here once. The profile is always written;
+/// the ring is present iff the step is traced.
+pub(crate) struct Recorder {
+    pub(crate) profile: ActorProfile,
+    ring: Option<SpanRing>,
+    /// The runtime-wide zero point of span timestamps.
+    origin: Instant,
+    /// Where the previous instruction ended and the next one starts.
+    cursor: Instant,
+}
+
+impl Recorder {
+    /// A recorder whose first instruction starts now.
+    pub(crate) fn new(ring: Option<SpanRing>, origin: Instant) -> Recorder {
+        Recorder {
+            profile: ActorProfile::default(),
+            ring,
+            origin,
+            cursor: Instant::now(),
+        }
+    }
+
+    /// What the step recorded: its profile and, if it was traced, the
+    /// spans of actor `actor`.
+    pub(crate) fn finish(self, actor: usize) -> (ActorProfile, Option<ActorTrace>) {
+        let trace = self.ring.map(|ring| ring.into_trace(actor));
+        (self.profile, trace)
+    }
+
+    /// Records the instruction at `idx`: it ends now and started where
+    /// its predecessor ended, so top-level spans tile the stream on one
+    /// clock read each.
+    pub(crate) fn instr(
+        &mut self,
+        idx: usize,
+        kind: Kind,
+        bytes: u64,
+        alloc: Option<EvalStats>,
+        name: impl FnOnce() -> String,
+    ) {
+        let (start, end) = (self.cursor, Instant::now());
+        self.cursor = end;
+        let dur = end.saturating_duration_since(start);
+        self.record(idx, kind, start, dur, bytes, alloc, name);
+    }
+
+    /// Records a named interval inside the instruction at `idx`.
+    pub(crate) fn sub(
+        &mut self,
+        idx: usize,
+        kind: Kind,
+        start: Instant,
+        dur: Duration,
+        bytes: u64,
+        name: impl FnOnce() -> String,
+    ) {
+        self.record(idx, kind, start, dur, bytes, None, name);
+    }
+
+    /// The interpreter hook recording one `op` span per equation of the
+    /// `Run` at `idx`; `None` on an untraced step, so the interpreter
+    /// takes no timestamps.
+    pub(crate) fn op_hook(
+        &mut self,
+        idx: usize,
+    ) -> Option<impl FnMut(usize, &'static str, Instant, Instant) + '_> {
+        self.ring.is_some().then_some(
+            move |_eqn: usize, op: &'static str, s: Instant, e: Instant| {
+                self.sub(idx, Kind::Op, s, e.saturating_duration_since(s), 0, || {
+                    op.to_string()
+                })
+            },
+        )
+    }
+
+    /// The one write: the profile entry always (for the kinds a profile
+    /// accounts), the span iff the step is traced — `name` is rendered
+    /// only then.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        idx: usize,
+        kind: Kind,
+        start: Instant,
+        dur: Duration,
+        bytes: u64,
+        alloc: Option<EvalStats>,
+        name: impl FnOnce() -> String,
+    ) {
+        if kind.is_profiled() {
+            self.profile.add(kind, dur, 1);
+        }
+        if let Some(stats) = &alloc {
+            self.profile.alloc.merge(stats);
+        }
+        if let Some(ring) = &mut self.ring {
+            ring.push(SpanEvent {
+                instr: idx as u32,
+                kind: kind.as_str(),
+                name: name(),
+                start_ns: ns_since(self.origin, start),
+                dur_ns: dur.as_nanos() as u64,
+                bytes,
+                alloc,
+            });
         }
     }
 }
@@ -200,6 +339,29 @@ pub struct ActorTrace {
     /// Spans lost to ring overflow (0 unless the stream exceeded the
     /// ring capacity).
     pub dropped: u64,
+}
+
+impl ActorTrace {
+    /// Folds the spans back into the [`ActorProfile`] the actor reported
+    /// for the step: time and count per kind, plus the allocator
+    /// counters of the `Run` spans. Trace-only kinds (`op`, `wire`,
+    /// `serve`) are not part of a profile; neither are the profile's
+    /// byte counters part of a trace. On a step that lost no spans this
+    /// equals `StepStats::profiles[actor]` entry for entry, because one
+    /// call wrote both from the same duration.
+    pub fn profile(&self) -> ActorProfile {
+        let mut profile = ActorProfile::default();
+        for s in &self.spans {
+            let Some(kind) = Kind::parse(s.kind).filter(|k| k.is_profiled()) else {
+                continue;
+            };
+            profile.add(kind, Duration::from_nanos(s.dur_ns), 1);
+            if let Some(stats) = &s.alloc {
+                profile.alloc.merge(stats);
+            }
+        }
+        profile
+    }
 }
 
 /// A step-level (non-span) event: aborts, deaths, timeouts observed by

@@ -10,9 +10,9 @@
 //! contract from this property.
 //!
 //! Actor ids are `u64` on the wire; the driver's pseudo-id
-//! (`usize::MAX`) maps to `u64::MAX`. Span/profile kind strings are
-//! `&'static str` in-process, so they are interned through the fixed
-//! [`KINDS`] table rather than sent as strings.
+//! (`usize::MAX`) maps to `u64::MAX`. A span's or profile entry's kind
+//! travels as its one [`Kind`] byte; a byte no kind has is a protocol
+//! error like any other.
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -23,6 +23,7 @@ use raxpp_taskgraph::BufferId;
 use crate::actor::{Command, ExecFailure, ExecOutcome, Msg, Payload, Reply, ReplyKind};
 use crate::exec::ActorProfile;
 use crate::fault::Fault;
+use crate::kind::Kind;
 use crate::store::SendToken;
 use crate::trace::{ActorTrace, SpanEvent};
 
@@ -47,46 +48,6 @@ pub(crate) const LINK_DATA: u8 = 2;
 /// Upper bound on a single frame (1 GiB) — a corrupt length prefix
 /// must not drive a giant allocation.
 const MAX_FRAME: u32 = 1 << 30;
-
-/// The interning table for `&'static str` span/profile kinds. Order is
-/// part of the wire format; append only.
-pub(crate) const KINDS: [&str; 17] = [
-    "fwd",
-    "bwd",
-    "bwdw",
-    "accum_grad",
-    "ct_sum",
-    "grad_reduce",
-    "update",
-    "send",
-    "recv",
-    "copy",
-    "free",
-    "collective",
-    "dp_collective",
-    "collective_wait",
-    "dp_collective_wait",
-    "op",
-    "wire",
-];
-
-fn kind_index(kind: &'static str) -> u8 {
-    KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .map(|i| i as u8)
-        .unwrap_or(u8::MAX)
-}
-
-fn kind_from_index(i: u8, fallback: String) -> &'static str {
-    KINDS
-        .get(i as usize)
-        .copied()
-        // Unknown index: a kind missing from the table (a dev error
-        // caught by the codec round-trip tests). Leaking the fallback
-        // keeps decode total rather than lossy.
-        .unwrap_or_else(|| Box::leak(fallback.into_boxed_str()))
-}
 
 // ---------------------------------------------------------------------
 // Framing
@@ -271,6 +232,11 @@ impl<'a> Dec<'a> {
             .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
             .collect();
         Tensor::from_vec(Shape::new(dims), data).map_err(|e| format!("bad tensor: {e}"))
+    }
+
+    fn kind(&mut self) -> DecResult<Kind> {
+        let byte = self.u8()?;
+        Kind::from_u8(byte).ok_or_else(|| format!("unknown span kind {byte}"))
     }
 
     fn stats(&mut self) -> DecResult<EvalStats> {
@@ -488,10 +454,9 @@ pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
 // ---------------------------------------------------------------------
 
 fn encode_profile(e: &mut Enc, p: &ActorProfile) {
-    let entries: Vec<(&'static str, Duration, u32)> = p.entries().collect();
-    e.u32(entries.len() as u32);
-    for (kind, dur, count) in entries {
-        e.u8(kind_index(kind));
+    e.u32(p.by_kind().count() as u32);
+    for (kind, dur, count) in p.by_kind() {
+        e.u8(kind as u8);
         e.u64(dur.as_nanos() as u64);
         e.u32(count);
     }
@@ -506,11 +471,10 @@ fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
     let n = d.u32()? as usize;
     let mut p = ActorProfile::default();
     for _ in 0..n {
-        let i = d.u8()?;
-        let kind = kind_from_index(i, format!("kind{i}"));
+        let kind = d.kind()?;
         let dur = Duration::from_nanos(d.u64()?);
         let count = d.u32()?;
-        p.add_entry(kind, dur, count);
+        p.add(kind, dur, count);
     }
     p.alloc = d.stats()?;
     p.bytes_reduced = d.u64()?;
@@ -522,7 +486,9 @@ fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
 
 fn encode_span(e: &mut Enc, s: &SpanEvent) {
     e.u32(s.instr);
-    e.u8(kind_index(s.kind));
+    // A name outside the table (only a hand-built span can carry one)
+    // encodes as a byte the decoder rejects.
+    e.u8(Kind::parse(s.kind).map_or(u8::MAX, |k| k as u8));
     e.str(&s.name);
     e.u64(s.start_ns);
     e.u64(s.dur_ns);
@@ -538,8 +504,7 @@ fn encode_span(e: &mut Enc, s: &SpanEvent) {
 
 fn decode_span(d: &mut Dec<'_>) -> DecResult<SpanEvent> {
     let instr = d.u32()?;
-    let i = d.u8()?;
-    let kind = kind_from_index(i, format!("kind{i}"));
+    let kind = d.kind()?.as_str();
     let name = d.str()?;
     let start_ns = d.u64()?;
     let dur_ns = d.u64()?;
@@ -978,10 +943,40 @@ mod tests {
         assert!(decode_reply_frame(&e.into_bytes()).is_err());
     }
 
+    /// A garbage kind byte — in a profile entry or in a span — is a
+    /// typed error: nothing is interned, leaked or guessed for it.
     #[test]
-    fn every_runtime_kind_is_interned() {
-        for k in KINDS {
-            assert_eq!(kind_from_index(kind_index(k), String::new()), k);
+    fn an_unknown_kind_byte_is_a_typed_error() {
+        let (_, mut reply) = step_frames(1);
+        let fwd = encode_reply(&reply);
+        // The same reply under another kind differs in the kind bytes
+        // and nowhere else, which is how this test finds them.
+        let ReplyKind::Executed(o) = &mut reply.kind else {
+            unreachable!()
+        };
+        let mut p = ActorProfile::default();
+        p.add_entry("bwd", Duration::from_micros(5), 2);
+        o.result = Ok(p);
+        o.trace.as_mut().unwrap().spans[0].kind = "bwd";
+        let bwd = encode_reply(&reply);
+        let kind_bytes: Vec<usize> = (0..fwd.len()).filter(|&i| fwd[i] != bwd[i]).collect();
+        assert_eq!(kind_bytes.len(), 2, "one profile entry, one span");
+        for at in kind_bytes {
+            for garbage in [Kind::COUNT as u8, 0xFF] {
+                let mut bytes = fwd.clone();
+                bytes[at] = garbage;
+                let err = decode_reply_frame(&bytes).err().expect("a typed error");
+                assert!(err.contains("unknown span kind"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_byte() {
+        for (i, k) in Kind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "ALL is in wire order");
+            assert_eq!(Dec::new(&[k as u8]).kind(), Ok(k));
+            assert_eq!(Kind::parse(k.as_str()), Some(k));
         }
     }
 }

@@ -154,15 +154,14 @@ fn traced_step_records_spans_end_to_end() {
     let rt = Runtime::new(program);
     rt.place_params(&params).unwrap();
 
-    // Untraced by default: no trace in the outputs, none stashed.
-    let out = rt.step(&data).unwrap();
-    assert!(out.trace.is_none());
+    // Untraced by default: no trace parked.
+    rt.step(&data).unwrap();
     assert!(rt.take_step_trace().is_none());
 
     rt.set_tracing(true);
     assert!(rt.tracing_enabled());
-    let out = rt.step(&data).unwrap();
-    let trace = out.trace.expect("traced step returns a trace");
+    rt.step(&data).unwrap();
+    let trace = rt.take_step_trace().expect("traced step parks a trace");
     assert_eq!(trace.actors.len(), 2, "one ActorTrace per actor");
     assert!(trace.events.is_empty(), "clean step has no step events");
 
@@ -198,14 +197,14 @@ fn traced_step_records_spans_end_to_end() {
         assert_eq!(at.spans.iter().filter(|s| s.kind == "fwd").count(), 4);
         assert_eq!(at.spans.iter().filter(|s| s.kind == "bwd").count(), 4);
     }
-    // The same trace is also stashed for `take_step_trace` (the path
-    // `Trainer::step_traced` uses); taking it is one-shot.
-    assert_eq!(rt.take_step_trace(), Some(trace));
+    // `take_step_trace` (the path `Trainer::step_traced` uses) moved
+    // the trace out of its one home; taking it is one-shot.
     assert!(rt.take_step_trace().is_none());
 
     // Tracing off again: back to zero-overhead mode.
     rt.set_tracing(false);
-    assert!(rt.step(&data).unwrap().trace.is_none());
+    rt.step(&data).unwrap();
+    assert!(rt.take_step_trace().is_none());
 }
 
 #[test]

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use raxpp_core::{CoreError, ForwardStep};
 use raxpp_ir::Tensor;
-use raxpp_runtime::{ActorTrace, RuntimeError, SpanEvent, StepTrace};
+use raxpp_runtime::{ActorTrace, Kind, RuntimeError, SpanEvent, StepTrace};
 use raxpp_sched::SlotPlan;
 
 use crate::server::{Msg, Request};
@@ -275,7 +275,7 @@ impl Engine {
             .enumerate()
             .map(|(slot, (req, &ns))| SpanEvent {
                 instr: slot as u32,
-                kind: "serve",
+                kind: Kind::Serve.as_str(),
                 name: format!("request {} (slot {slot})", req.id),
                 start_ns: now_ns.saturating_sub(ns),
                 dur_ns: ns,

@@ -5,13 +5,16 @@
 
 use std::time::Duration;
 
-use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, Trainer};
+use raxpp_core::{
+    compile_train_step, CompileOptions, DpConfig, Optimizer, RetryPolicy, StepResult, TpConfig,
+    Trainer,
+};
 use raxpp_integration::with_watchdog;
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::mlp_chain;
-use raxpp_runtime::{Fault, MetricValue};
-use raxpp_sched::gpipe;
+use raxpp_runtime::{Fault, Kind, MetricValue, StepTrace, TransportKind};
+use raxpp_sched::{gpipe, one_f1b};
 
 const N_STAGES: usize = 4;
 
@@ -235,6 +238,108 @@ fn traced_and_untraced_recovery_share_one_ladder() {
             .zip(&traced.params().unwrap())
         {
             assert_eq!(a.data(), b.data(), "a parameter diverged");
+        }
+    });
+}
+
+/// One traced `one_f1b(2, 4)` step on each of the four fleets the
+/// recorder's paths differ on: pure PP, tp = 2 and dp = 2 (lane
+/// rendezvous, the nested `*_wait` kinds), and the tp = 2 program over
+/// Unix sockets (ring carrier, `wire` sub-spans, profile and trace both
+/// crossing the codec).
+fn traced_fleets() -> Vec<(&'static str, StepResult, StepTrace)> {
+    let schedule = one_f1b(2, 4).unwrap();
+    let model = mlp_chain(8, 2, 4, 2, 95).unwrap();
+    let mut rng = StdRng::seed_from_u64(96);
+    // Each replica runs the schedule on its own share of the batch.
+    let mut batch = |replicas: usize| -> Vec<Vec<Tensor>> {
+        vec![(0..replicas * schedule.n_mubatches())
+            .map(|_| Tensor::randn([2, 8], 1.0, &mut rng))
+            .collect()]
+    };
+    let fleets = [
+        ("pp", 1, 1, TransportKind::Mpsc),
+        ("tp2", 2, 1, TransportKind::Mpsc),
+        ("dp2", 1, 2, TransportKind::Mpsc),
+        ("tp2 over uds", 2, 1, TransportKind::UnixSocket),
+    ];
+    let traced = fleets.map(|(name, tp, dp, transport)| {
+        let trainer = compile_train_step(
+            &model.jaxpr,
+            model.n_params,
+            &schedule,
+            Optimizer::Sgd { lr: 0.05 },
+            CompileOptions {
+                tp: Some(TpConfig::model_parallel(tp)),
+                dp: Some(DpConfig::replicas(dp)),
+                transport: Some(transport),
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap();
+        trainer.init(&model.init).unwrap();
+        let (result, trace) = trainer.step_traced(&batch(dp)).unwrap();
+        assert_eq!(trace.actors.len(), 2 * tp * dp, "{name}");
+        (name, result, trace)
+    });
+    traced.into()
+}
+
+/// The books reconcile because there is one: the profile an actor
+/// reports and the fold of the spans it recorded were written by the
+/// same call from the same duration.
+#[test]
+fn profile_is_the_fold_of_the_trace() {
+    with_watchdog("profile_is_the_fold_of_the_trace", || {
+        for (name, result, trace) in traced_fleets() {
+            for at in &trace.actors {
+                assert_eq!(at.dropped, 0, "{name}");
+                let folded = at.profile();
+                let reported = &result.stats.profiles[at.actor];
+                for kind in Kind::ALL {
+                    assert_eq!(
+                        folded.get(kind.as_str()),
+                        reported.get(kind.as_str()),
+                        "{name}: actor {} kind {}",
+                        at.actor,
+                        kind.as_str()
+                    );
+                }
+                assert_eq!(folded.alloc_stats(), reported.alloc_stats(), "{name}");
+            }
+            let kinds = |k: Kind| {
+                trace
+                    .actors
+                    .iter()
+                    .flat_map(|a| &a.spans)
+                    .any(|s| s.kind == k.as_str())
+            };
+            assert_eq!(kinds(Kind::CollectiveWait), name == "tp2", "{name}");
+            assert_eq!(kinds(Kind::DpCollectiveWait), name == "dp2", "{name}");
+            assert_eq!(kinds(Kind::Wire), name == "tp2 over uds", "{name}");
+        }
+    });
+}
+
+/// An instruction's span starts where its predecessor's ended, so an
+/// actor's top-level spans account for its whole stream: their
+/// durations sum exactly to last end − first start.
+#[test]
+fn top_level_spans_tile_each_actors_stream() {
+    with_watchdog("top_level_spans_tile_each_actors_stream", || {
+        for (name, _, trace) in traced_fleets() {
+            let nested = Kind::ALL.map(|k| k.is_nested().then_some(k.as_str()));
+            for at in &trace.actors {
+                let top = at.spans.iter().filter(|s| !nested.contains(&Some(s.kind)));
+                let top: Vec<_> = top.collect();
+                let (first, last) = (top[0], top[top.len() - 1]);
+                assert_eq!(
+                    top.iter().map(|s| s.dur_ns).sum::<u64>(),
+                    last.start_ns + last.dur_ns - first.start_ns,
+                    "{name}: actor {}",
+                    at.actor
+                );
+            }
         }
     });
 }
