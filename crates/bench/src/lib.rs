@@ -1,11 +1,11 @@
-//! Shared helpers for the paper-reproduction bench harnesses: pretty
-//! tables on stdout plus machine-readable JSON records, emitted by an
-//! in-tree writer (the workspace builds with an empty registry, so
-//! there is no serde here).
+//! Helpers of the failure drill (`benches/failure.rs`): a JSON record
+//! emitted by an in-tree writer (the workspace builds with an empty
+//! registry, so there is no serde here) and a median. The whole-stack
+//! benchmark is the package under `src/bin/benchmark/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A minimal JSON value for the artifact dumps.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,71 +123,9 @@ pub fn write_json(path: &Path, value: &Json) {
     let _ = fs::write(path, value.to_string_pretty() + "\n");
 }
 
-/// Writes one experiment's records as JSON under
-/// `target/paper_artifacts/<name>.json` (best-effort).
-pub fn dump_json(name: &str, records: &[Compared]) {
-    let arr = Json::Arr(records.iter().map(Compared::to_json).collect());
-    let path = workspace_root()
-        .join("target/paper_artifacts")
-        .join(format!("{name}.json"));
-    write_json(&path, &arr);
-}
-
 /// Prints a horizontal rule sized for the harness tables.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Formats a relative error in percent.
-pub fn pct_err(measured: f64, paper: f64) -> String {
-    format!("{:+.1}%", (measured - paper) / paper * 100.0)
-}
-
-/// A (measured, paper) pair for the JSON dumps.
-#[derive(Debug)]
-pub struct Compared {
-    /// Label of the data point.
-    pub label: String,
-    /// Value measured by the simulator.
-    pub measured: f64,
-    /// Value reported in the paper (if any).
-    pub paper: Option<f64>,
-}
-
-impl Compared {
-    /// Convenience constructor.
-    pub fn new(label: impl Into<String>, measured: f64, paper: Option<f64>) -> Compared {
-        Compared {
-            label: label.into(),
-            measured,
-            paper,
-        }
-    }
-
-    /// This record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", Json::Str(self.label.clone())),
-            ("measured", Json::Num(self.measured)),
-            ("paper", self.paper.map(Json::Num).unwrap_or(Json::Null)),
-        ])
-    }
-}
-
-/// Times `f` over `iters` iterations after `warmup` discarded ones and
-/// prints the mean per-iteration wall time. Returns the mean duration.
-/// The hand-rolled replacement for the criterion micro-bench harness.
-pub fn time_it(label: &str, warmup: usize, iters: usize, mut f: impl FnMut()) -> Duration {
-    for _ in 0..warmup {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mean = t0.elapsed() / iters.max(1) as u32;
-    println!("{label:<40} {mean:>12.2?}/iter  ({iters} iters)");
-    mean
 }
 
 /// The median of a set of durations (the lower middle of an even
@@ -227,12 +165,5 @@ mod tests {
         assert_eq!(median(&xs), Duration::from_millis(50));
         assert_eq!(median(&xs[..3]), Duration::from_millis(99));
         assert_eq!(median(&[]), Duration::ZERO);
-    }
-
-    #[test]
-    fn compared_to_json() {
-        let c = Compared::new("x", 1.5, None);
-        let s = c.to_json().to_string_pretty();
-        assert!(s.contains("\"paper\": null"), "{s}");
     }
 }

@@ -14,10 +14,10 @@
 //!   optimizer, and fuses everything into one instruction stream per
 //!   actor (`raxpp-taskgraph`),
 //! * the [`Trainer`] drives the threaded single-controller MPMD runtime
-//!   (`raxpp-runtime`),
-//! * [`experiments`] regenerates the paper's evaluation on the
-//!   calibrated cluster simulator (`raxpp-simcluster` +
-//!   `raxpp-baselines`).
+//!   (`raxpp-runtime`).
+//!
+//! The paper's *evaluation* (Table 1, Figures 6-10) is a model of a
+//! cluster this crate never touches; it lives in `raxpp-simcluster`.
 //!
 //! # Example: train a 2-stage MLP with 1F1B
 //!
@@ -64,7 +64,6 @@ mod doc_determinism {}
 
 pub mod checkpoint;
 mod compile;
-pub mod experiments;
 mod fleet;
 mod forward;
 mod observe;

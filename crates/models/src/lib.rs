@@ -1,27 +1,14 @@
-//! `raxpp-models` — model configurations and workloads for the paper's
-//! evaluation.
-//!
-//! Two halves:
-//!
-//! * **Analytic**: [`ModelConfig`] describes GPT-3 175B and Llama2 70B
-//!   exactly as the paper trains them, with the parameter-count, model-
-//!   FLOPs, and activation-memory formulas the `raxpp-simcluster`
-//!   performance model is built on (validated against Table 1's
-//!   step-time/TFLOPS pairs).
-//! * **Executable**: [`mlp_chain`] and [`tiny_lm`] trace small but real
-//!   networks (attention, layer norm, residuals, tied embeddings) over
-//!   `raxpp-ir` for end-to-end training through the MPMD runtime.
+//! `raxpp-models` — small executable workloads: [`mlp_chain`] and
+//! [`tiny_lm`] trace real networks (attention, layer norm, residuals,
+//! tied embeddings) over `raxpp-ir` for end-to-end training through the
+//! MPMD runtime, with the synthetic data that feeds them. The analytic
+//! descriptions of the paper's GPT-3 / Llama2 workloads live with the
+//! cluster model in `raxpp-simcluster`.
 
 #![warn(missing_docs)]
 
 mod builders;
-mod config;
 mod data;
-mod memory;
 
 pub use builders::{causal_mask, mlp_chain, one_hot, tiny_lm, BuiltModel, TinyLmConfig};
-pub use config::ModelConfig;
 pub use data::{lm_batches, CharVocab, SyntheticTask};
-pub use memory::{
-    activation_bytes_per_layer, remat_compute_factor, static_state_bytes, RematPolicy,
-};

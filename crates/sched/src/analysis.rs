@@ -1,14 +1,18 @@
 //! Schedule analytics: idealized timing, bubble ratio, and activation
 //! memory high-water marks.
 //!
-//! This module evaluates schedules under a *uniform* cost model (one
-//! duration per forward task, one per backward, a flat P2P latency). It is
-//! the tool used for Figure 2-style reasoning — e.g. "1F1B bounds live
-//! activations by the stage count". The full machine model with kernel
-//! efficiency, bandwidth, and memory capacity lives in `raxpp-simcluster`.
+//! [`time_schedule`] lowers a schedule into the timeline engine
+//! ([`crate::timeline`]) under any [`CostModel`]; [`simulate`] is its
+//! front end for the *uniform* cost model (one duration per forward
+//! task, one per backward, a flat P2P latency) — the tool used for
+//! Figure 2-style reasoning, e.g. "1F1B bounds live activations by the
+//! stage count". The full machine model with kernel efficiency,
+//! bandwidth, and memory capacity is `raxpp-simcluster`'s cost model over
+//! the same lowering.
 
 use crate::schedule::{Schedule, ScheduleError};
 use crate::task::{Dir, Task};
+use crate::timeline::{self, CostModel, Op, Transfer};
 
 /// Uniform task costs for idealized schedule analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,6 +67,135 @@ pub struct SimResult {
     pub peak_live_activations: Vec<usize>,
 }
 
+impl CostModel for UniformCost {
+    /// `arrival = end + p2p`; links never serialise, sends never block.
+    fn transfer(&mut self, _from: usize, _to: usize, ready: f64) -> Transfer {
+        Transfer {
+            arrival: ready + self.p2p,
+            blocks_sender: false,
+        }
+    }
+}
+
+/// A schedule's tasks as timed by the engine ([`time_schedule`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskTimeline {
+    /// Executed tasks per actor, in execution order.
+    pub tasks: Vec<Vec<TimelineEntry>>,
+    /// The latest actor clock.
+    pub makespan: f64,
+    /// Per actor, time spent waiting for remote dependencies to arrive.
+    pub exposed_recv: Vec<f64>,
+    /// Per actor, time blocking sends held it until delivery.
+    pub send_blocked: Vec<f64>,
+}
+
+/// Lowers `schedule` into one [`Op`] stream per actor: each task
+/// receives its dependencies ([`Task::deps`]), computes for
+/// `dur(task)`, and sends its result to the actors of its consumers —
+/// a local hand-off when the consumer runs on the same actor, so a
+/// task placed ahead of its own local dependency blocks like any other
+/// unmet receive. Also returns, per actor, the op index of each task's
+/// compute.
+fn lower(schedule: &Schedule, dur: impl Fn(&Task) -> f64) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
+    let n_stages = schedule.n_stages();
+    let n_mb = schedule.n_mubatches();
+    let owner = schedule.stage_actor();
+    let split = schedule.split_backward();
+    let key = |t: &Task| ((t.stage * n_mb + t.mubatch) * 3 + t.dir as usize) as u64;
+    let mut streams = Vec::with_capacity(schedule.n_actors());
+    let mut compute_at = Vec::with_capacity(schedule.n_actors());
+    for (a, tasks) in schedule.actors().iter().enumerate() {
+        let mut ops = Vec::with_capacity(4 * tasks.len());
+        let mut computes = Vec::with_capacity(tasks.len());
+        for t in tasks {
+            for d in t.deps(n_stages) {
+                ops.push(Op::Recv {
+                    from: owner[d.stage],
+                    key: key(&d),
+                });
+            }
+            computes.push(ops.len());
+            ops.push(Op::Compute { dur: dur(t) });
+            // Consumers: the same stage's backward (of a forward) or
+            // weight gradient (of a split backward), and the next stage
+            // along the task's direction.
+            let same_stage = match t.dir {
+                Dir::Fwd => true,
+                Dir::Bwd => split,
+                Dir::BwdW => false,
+            };
+            let next_stage = match t.dir {
+                Dir::Fwd if t.stage + 1 < n_stages => Some(owner[t.stage + 1]),
+                Dir::Bwd if t.stage > 0 => Some(owner[t.stage - 1]),
+                _ => None,
+            };
+            if same_stage {
+                ops.push(Op::Send { to: a, key: key(t) });
+            }
+            if let Some(to) = next_stage.filter(|&to| to != a || !same_stage) {
+                ops.push(Op::Send { to, key: key(t) });
+            }
+        }
+        streams.push(ops);
+        compute_at.push(computes);
+    }
+    (streams, compute_at)
+}
+
+/// Times in-order execution of `schedule` with the timeline engine
+/// ([`crate::timeline::run`]): a task occupies its actor for
+/// `dur(task)` as priced by `cost.task`, and every dependency crossing
+/// actors is one transfer priced by `cost.transfer`.
+///
+/// # Errors
+///
+/// Returns [`ScheduleError::Deadlock`] naming the task at each blocked
+/// actor's cursor if execution cannot complete — [`Schedule`]s
+/// constructed through the public API never deadlock.
+pub fn time_schedule(
+    schedule: &Schedule,
+    dur: impl Fn(&Task) -> f64,
+    cost: &mut impl CostModel,
+) -> Result<TaskTimeline, ScheduleError> {
+    let (streams, compute_at) = lower(schedule, dur);
+    let timeline = timeline::run(&streams, cost).map_err(|d| ScheduleError::Deadlock {
+        // An actor only ever blocks in the receives in front of a task:
+        // the first one whose compute is still ahead of the cursor.
+        blocked: d
+            .blocked
+            .iter()
+            .map(|&(a, op)| schedule.actor_tasks(a)[compute_at[a].partition_point(|&c| c < op)])
+            .collect(),
+    })?;
+    let tasks = compute_at
+        .iter()
+        .enumerate()
+        .map(|(a, computes)| {
+            let entry = |(&task, &op): (&Task, &usize)| {
+                let span = timeline.spans[a][op];
+                TimelineEntry {
+                    task,
+                    start: span.start,
+                    end: span.end,
+                }
+            };
+            schedule
+                .actor_tasks(a)
+                .iter()
+                .zip(computes)
+                .map(entry)
+                .collect()
+        })
+        .collect();
+    Ok(TaskTimeline {
+        tasks,
+        makespan: timeline.makespan,
+        exposed_recv: timeline.exposed_recv,
+        send_blocked: timeline.send_blocked,
+    })
+}
+
 /// Simulates in-order execution of `schedule` under `cost`.
 ///
 /// Each actor executes its task list in order; a task starts when the
@@ -76,86 +209,17 @@ pub struct SimResult {
 /// this only fires for hand-crafted invalid inputs.
 pub fn simulate(schedule: &Schedule, cost: UniformCost) -> Result<SimResult, ScheduleError> {
     let n_actors = schedule.n_actors();
-    let n_stages = schedule.n_stages();
-    let n_mb = schedule.n_mubatches();
-    let stage_actor = schedule.stage_actor();
-    let owner = |t: &Task| stage_actor[t.stage];
-
-    // Dense completion table indexed by (stage, mubatch, dir) — the
-    // greedy walk is on the tuner's hot path.
-    let idx = |t: &Task| {
-        (t.stage * n_mb + t.mubatch) * 3
-            + match t.dir {
-                Dir::Fwd => 0,
-                Dir::Bwd => 1,
-                Dir::BwdW => 2,
-            }
+    let dur = |t: &Task| match t.dir {
+        Dir::Fwd => cost.fwd,
+        Dir::Bwd => cost.bwd,
+        Dir::BwdW => cost.wgrad,
     };
-    let mut completion: Vec<f64> = vec![f64::NAN; n_stages * n_mb * 3];
-    let done = |c: &[f64], t: &Task| !c[idx(t)].is_nan();
-    let mut cursor = vec![0usize; n_actors];
-    let mut actor_time = vec![0.0f64; n_actors];
-    let mut timeline: Vec<Vec<TimelineEntry>> = vec![Vec::new(); n_actors];
+    let TaskTimeline {
+        tasks: timeline,
+        makespan,
+        ..
+    } = time_schedule(schedule, dur, &mut { cost })?;
 
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for a in 0..n_actors {
-            let tasks = schedule.actor_tasks(a);
-            while cursor[a] < tasks.len() {
-                let t = tasks[cursor[a]];
-                let deps = t.deps(n_stages);
-                let Some(ready) = deps
-                    .iter()
-                    .map(|d| {
-                        if done(&completion, d) {
-                            Some(if owner(d) != a {
-                                completion[idx(d)] + cost.p2p
-                            } else {
-                                completion[idx(d)]
-                            })
-                        } else {
-                            None
-                        }
-                    })
-                    .try_fold(0.0f64, |acc, c| c.map(|c| acc.max(c)))
-                else {
-                    break;
-                };
-                let start = actor_time[a].max(ready);
-                let dur = match t.dir {
-                    Dir::Fwd => cost.fwd,
-                    Dir::Bwd => cost.bwd,
-                    Dir::BwdW => cost.wgrad,
-                };
-                let end = start + dur;
-                completion[idx(&t)] = end;
-                timeline[a].push(TimelineEntry {
-                    task: t,
-                    start,
-                    end,
-                });
-                actor_time[a] = end;
-                cursor[a] += 1;
-                progressed = true;
-            }
-            if cursor[a] < schedule.actor_tasks(a).len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked = (0..n_actors)
-                .filter(|&a| cursor[a] < schedule.actor_tasks(a).len())
-                .map(|a| schedule.actor_tasks(a)[cursor[a]])
-                .collect();
-            return Err(ScheduleError::Deadlock { blocked });
-        }
-    }
-
-    let makespan = actor_time.iter().copied().fold(0.0, f64::max);
     let busy: f64 = timeline
         .iter()
         .flat_map(|tl| tl.iter().map(|e| e.end - e.start))
@@ -169,22 +233,22 @@ pub fn simulate(schedule: &Schedule, cost: UniformCost) -> Result<SimResult, Sch
     // Activation liveness per actor: interval from fwd end to the end of
     // the matching backward — the weight-gradient half when the schedule
     // splits backward (residuals stay live until W consumes them).
-    let split = schedule.split_backward();
+    let freeing = if schedule.split_backward() {
+        Dir::BwdW
+    } else {
+        Dir::Bwd
+    };
+    let n_mb = schedule.n_mubatches();
+    let mut freed_at = vec![makespan; schedule.n_stages() * n_mb];
+    for e in timeline.iter().flatten().filter(|e| e.task.dir == freeing) {
+        freed_at[e.task.stage * n_mb + e.task.mubatch] = e.end;
+    }
     let mut peak = vec![0usize; n_actors];
     for a in 0..n_actors {
         let mut events: Vec<(f64, i32)> = Vec::new();
-        for e in &timeline[a] {
-            if e.task.dir == Dir::Fwd {
-                let b = if split {
-                    Task::bwd_w(e.task.mubatch, e.task.stage)
-                } else {
-                    Task::bwd(e.task.mubatch, e.task.stage)
-                };
-                let c = completion[idx(&b)];
-                let free = if c.is_nan() { makespan } else { c };
-                events.push((e.end, 1));
-                events.push((free, -1));
-            }
+        for e in timeline[a].iter().filter(|e| e.task.dir == Dir::Fwd) {
+            events.push((e.end, 1));
+            events.push((freed_at[e.task.stage * n_mb + e.task.mubatch], -1));
         }
         events.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap().then(x.1.cmp(&y.1)));
         let mut live = 0i32;
@@ -388,6 +452,110 @@ mod tests {
             zb.peak_live_activations, zb_big.peak_live_activations,
             "ZB memory must be independent of the microbatch count"
         );
+    }
+
+    /// The deadlock of `schedule.rs::deadlocking_order_rejected`, past
+    /// validation: both front ends report the task at each blocked
+    /// actor's cursor.
+    #[test]
+    fn cyclic_schedule_is_a_typed_deadlock_naming_the_blocked_tasks() {
+        let s = Schedule::unchecked(
+            2,
+            2,
+            vec![
+                vec![
+                    Task::fwd(0, 0),
+                    Task::bwd(0, 0),
+                    Task::fwd(1, 0),
+                    Task::bwd(1, 0),
+                ],
+                vec![
+                    Task::fwd(1, 1),
+                    Task::bwd(1, 1),
+                    Task::fwd(0, 1),
+                    Task::bwd(0, 1),
+                ],
+            ],
+        );
+        let want = ScheduleError::Deadlock {
+            blocked: vec![Task::bwd(0, 0), Task::fwd(1, 1)],
+        };
+        assert_eq!(simulate(&s, UniformCost::default()), Err(want.clone()));
+        let timed = time_schedule(&s, |_| 1.0, &mut UniformCost::default());
+        assert_eq!(timed.unwrap_err(), want);
+        // A task ahead of its own local dependency blocks too.
+        let s = Schedule::unchecked(1, 1, vec![vec![Task::bwd(0, 0), Task::fwd(0, 0)]]);
+        assert_eq!(
+            simulate(&s, UniformCost::default()),
+            Err(ScheduleError::Deadlock {
+                blocked: vec![Task::bwd(0, 0)]
+            })
+        );
+    }
+
+    /// `simulate` is a lowering into the timeline engine; these are the
+    /// FNV-1a hashes of everything the pre-engine walker (commit
+    /// a6c3ead) returned — makespan, bubble ratio, every timeline entry
+    /// and the activation peaks, bit for bit — over pp ∈ {2,4,8} ×
+    /// mb ∈ {4,8,16,32}, per builder and cost row.
+    #[test]
+    fn simulate_is_bit_equal_to_the_pre_engine_walker() {
+        use crate::builders::zero_bubble_h1;
+        const GOLDEN: [[u64; 3]; 4] = [
+            [0x9ab89d20094619db, 0xcad1aa2da3825af3, 0x038988e91367193d],
+            [0x2024cbfd64b85281, 0x0986c3e684ff37f0, 0x15b365287cd1aa91],
+            [0xb717c337e4bbc060, 0xda072c0df72962c5, 0x4048cd080f443c11],
+            [0xc84b90078db9bd01, 0x3a7777d9781e10f8, 0xc4e5e63159ff5a0e],
+        ];
+        let costs = [
+            UniformCost::default(),
+            UniformCost {
+                p2p: 0.5,
+                ..UniformCost::default()
+            },
+            UniformCost {
+                fwd: 0.3,
+                bwd: 0.7,
+                wgrad: 0.2,
+                p2p: 0.1,
+            },
+        ];
+        fn fnv(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        for (b, golden) in GOLDEN.iter().enumerate() {
+            for (cost, want) in costs.iter().zip(golden) {
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for pp in [2usize, 4, 8] {
+                    for mb in [4usize, 8, 16, 32] {
+                        let s = match b {
+                            0 => gpipe(pp, mb),
+                            1 => one_f1b(pp, mb),
+                            2 => interleaved_1f1b(pp, mb, 2),
+                            _ => zero_bubble_h1(pp, mb),
+                        };
+                        // interleaved_1f1b needs mb to be a multiple of pp.
+                        let Ok(s) = s else { continue };
+                        let r = simulate(&s, *cost).unwrap();
+                        fnv(&mut h, r.makespan.to_bits());
+                        fnv(&mut h, r.bubble_ratio.to_bits());
+                        for e in r.timeline.iter().flatten() {
+                            let task =
+                                (e.task.stage * 64 + e.task.mubatch) * 3 + e.task.dir as usize;
+                            fnv(&mut h, task as u64);
+                            fnv(&mut h, e.start.to_bits());
+                            fnv(&mut h, e.end.to_bits());
+                        }
+                        for &p in &r.peak_live_activations {
+                            fnv(&mut h, p as u64);
+                        }
+                    }
+                }
+                assert_eq!(h, *want, "builder {b}, cost {cost:?}");
+            }
+        }
     }
 
     #[test]

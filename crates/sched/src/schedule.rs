@@ -109,6 +109,18 @@ impl Schedule {
         Ok(s)
     }
 
+    /// A schedule that skipped validation, to exercise the error paths
+    /// the public constructor makes unreachable.
+    #[cfg(test)]
+    pub(crate) fn unchecked(n_stages: usize, n_mubatches: usize, actors: Vec<Vec<Task>>) -> Self {
+        Schedule {
+            name: "unchecked".into(),
+            n_stages,
+            n_mubatches,
+            actors,
+        }
+    }
+
     /// The schedule's human-readable name.
     pub fn name(&self) -> &str {
         &self.name

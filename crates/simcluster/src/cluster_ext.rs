@@ -1,6 +1,6 @@
 //! Hierarchical collective timing shared by the baselines.
 
-use raxpp_simcluster::LinkSpec;
+use crate::collective::LinkSpec;
 
 /// Time to materialize `full_bytes` on every GPU from shards spread over
 /// `nodes × gpus_per_node` ranks: the inter-node phase moves the off-node

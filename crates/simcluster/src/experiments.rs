@@ -1,16 +1,12 @@
 //! Drivers that regenerate every table and figure of the paper's
 //! evaluation (§5). Each function returns structured rows; the
-//! `raxpp-bench` harnesses print them next to the paper's reported
+//! `paper_tables` example prints them next to the paper's reported
 //! numbers (also recorded here, in [`paper`]).
 
-use raxpp_baselines::{
-    nemo_gpt3_config, nemo_llama2_config, simulate_fsdp, simulate_nemo, simulate_spmd_pp,
-    spmd_pp_gpt3_config, FsdpConfig, FsdpReport,
-};
-use raxpp_models::{ModelConfig, RematPolicy};
-use raxpp_simcluster::{
-    simulate_pipeline, ClusterSpec, ParallelConfig, ScheduleKind, SimError, SimOptions, StepReport,
-};
+use crate::config::{ModelConfig, ParallelConfig, ScheduleKind};
+use crate::fsdp::{simulate_fsdp, FsdpConfig, FsdpReport};
+use crate::sim::{simulate_pipeline, SimError, SimOptions, StepReport};
+use crate::specs::ClusterSpec;
 
 /// The paper's reported numbers, for paper-vs-measured printing.
 pub mod paper {
@@ -54,91 +50,60 @@ pub mod paper {
     pub const REMAT_SHARE: f64 = 0.20;
 }
 
-/// The paper's JaxPP configuration for Llama2 70B (Table 1): PP=4, TP=8,
-/// DP=2, GA=16, microbatch 4, circular repeat 5.
-pub fn jaxpp_llama2_config() -> ParallelConfig {
-    ParallelConfig {
-        pp: 4,
-        tp: 8,
-        dp: 2,
-        microbatch: 4,
-        n_microbatches: 16,
-        circular_repeat: 5,
-        schedule: ScheduleKind::Interleaved1F1B,
-    }
-}
-
-/// One point of Figure 6: GPT-3 175B on 64 GPUs, GBS 128, sweeping
-/// circular repeat and microbatch size.
+/// One point of the Figure 6 / Figure 7 sweeps: GPT-3 175B on 64 GPUs
+/// (PP=8, TP=8) under interleaved 1F1B.
 #[derive(Debug, Clone)]
-pub struct Fig6Point {
+pub struct SweepPoint {
     /// Circular repeat degree.
     pub circular_repeat: usize,
     /// Microbatch size.
     pub microbatch: usize,
+    /// Number of microbatches (gradient accumulation).
+    pub n_microbatches: usize,
     /// Simulated step (or the reason the configuration is infeasible).
     pub report: Result<StepReport, SimError>,
 }
 
-/// Regenerates Figure 6 on `cluster`.
-pub fn figure6(cluster: &ClusterSpec) -> Vec<Fig6Point> {
+fn sweep_point(
+    cluster: &ClusterSpec,
+    circular_repeat: usize,
+    microbatch: usize,
+    n_microbatches: usize,
+) -> SweepPoint {
+    let par = ParallelConfig {
+        microbatch,
+        n_microbatches,
+        circular_repeat,
+        ..ParallelConfig::jaxpp_gpt3(1)
+    };
     let gpt3 = ModelConfig::gpt3_175b();
+    SweepPoint {
+        circular_repeat,
+        microbatch,
+        n_microbatches,
+        report: simulate_pipeline(&gpt3, par, cluster, &SimOptions::default()),
+    }
+}
+
+/// Regenerates Figure 6 on `cluster`: GBS 128, sweeping circular repeat
+/// and microbatch size.
+pub fn figure6(cluster: &ClusterSpec) -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for &microbatch in &[1usize, 2, 4] {
         for &repeat in &[1usize, 2, 3, 4, 6, 12] {
-            let par = ParallelConfig {
-                pp: 8,
-                tp: 8,
-                dp: 1,
-                microbatch,
-                n_microbatches: 128 / microbatch,
-                circular_repeat: repeat,
-                schedule: ScheduleKind::Interleaved1F1B,
-            };
-            let report = simulate_pipeline(&gpt3, par, cluster, &SimOptions::default());
-            out.push(Fig6Point {
-                circular_repeat: repeat,
-                microbatch,
-                report,
-            });
+            out.push(sweep_point(cluster, repeat, microbatch, 128 / microbatch));
         }
     }
     out
 }
 
-/// One point of Figure 7: repeat 6, sweeping gradient accumulation and
-/// microbatch size.
-#[derive(Debug, Clone)]
-pub struct Fig7Point {
-    /// Microbatch size.
-    pub microbatch: usize,
-    /// Number of microbatches (gradient accumulation).
-    pub n_microbatches: usize,
-    /// Simulated step.
-    pub report: Result<StepReport, SimError>,
-}
-
-/// Regenerates Figure 7 on `cluster`.
-pub fn figure7(cluster: &ClusterSpec) -> Vec<Fig7Point> {
-    let gpt3 = ModelConfig::gpt3_175b();
+/// Regenerates Figure 7 on `cluster`: repeat 6, sweeping gradient
+/// accumulation and microbatch size.
+pub fn figure7(cluster: &ClusterSpec) -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for &microbatch in &[1usize, 2, 4] {
         for &ga in &[8usize, 16, 32, 64, 128] {
-            let par = ParallelConfig {
-                pp: 8,
-                tp: 8,
-                dp: 1,
-                microbatch,
-                n_microbatches: ga,
-                circular_repeat: 6,
-                schedule: ScheduleKind::Interleaved1F1B,
-            };
-            let report = simulate_pipeline(&gpt3, par, cluster, &SimOptions::default());
-            out.push(Fig7Point {
-                microbatch,
-                n_microbatches: ga,
-                report,
-            });
+            out.push(sweep_point(cluster, 6, microbatch, ga));
         }
     }
     out
@@ -184,7 +149,7 @@ pub struct Table1Row {
     /// System name as in the paper.
     pub system: &'static str,
     /// Workload name.
-    pub model: &'static str,
+    pub model: String,
     /// Global batch size in sequences.
     pub gbs: usize,
     /// Total GPUs.
@@ -199,6 +164,25 @@ pub struct Table1Row {
     pub paper_tflops: f64,
 }
 
+/// `(gbs, step seconds, TFLOPS/device)` as simulated.
+type Measured = (usize, f64, f64);
+
+fn pipeline(
+    model: &ModelConfig,
+    par: ParallelConfig,
+    cluster: &ClusterSpec,
+    opts: SimOptions,
+) -> Result<Measured, SimError> {
+    let r = simulate_pipeline(model, par, cluster, &opts)?;
+    Ok((par.global_batch(), r.step_time, r.tflops_per_gpu))
+}
+
+fn fsdp(model: &ModelConfig, gpus: usize, cluster: &ClusterSpec) -> Result<Measured, SimError> {
+    let cfg = FsdpConfig::paper(gpus);
+    let r = simulate_fsdp(model, cfg, cluster).map_err(SimError::Invalid)?;
+    Ok((cfg.global_batch, r.step_time, r.tflops_per_gpu))
+}
+
 /// Regenerates every row of Table 1 (and therefore Figure 9) on
 /// `cluster`.
 ///
@@ -209,113 +193,50 @@ pub struct Table1Row {
 pub fn table1(cluster: &ClusterSpec) -> Result<Vec<Table1Row>, SimError> {
     let gpt3 = ModelConfig::gpt3_175b();
     let llama2 = ModelConfig::llama2_70b();
+    let fused = cluster.fused();
+    let (jaxpp, spmd, nemo) = (
+        SimOptions::default(),
+        SimOptions::spmd_pp(),
+        SimOptions::nemo(),
+    );
     let mut rows = Vec::new();
-
-    for (i, &(gpus, ps, pt)) in paper::JAXPP_GPT3.iter().enumerate() {
-        let dp = 1 << i;
-        let par = ParallelConfig::jaxpp_gpt3(dp);
-        debug_assert_eq!(par.gpus(), gpus);
-        let r = simulate_pipeline(&gpt3, par, cluster, &SimOptions::default())?;
+    // `paper` is the paper's (GPUs, step seconds, TFLOPS/device).
+    let mut push = |system, model: &ModelConfig, measured: Measured, paper: (usize, f64, f64)| {
         rows.push(Table1Row {
-            system: "RaxPP (JaxPP)",
-            model: "GPT-3 175B",
-            gbs: par.global_batch(),
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
+            system,
+            model: model.name.clone(),
+            gbs: measured.0,
+            gpus: paper.0,
+            step_time: measured.1,
+            tflops: measured.2,
+            paper_step: paper.1,
+            paper_tflops: paper.2,
+        })
+    };
+    for (i, &paper) in paper::JAXPP_GPT3.iter().enumerate() {
+        let par = ParallelConfig::jaxpp_gpt3(1 << i);
+        debug_assert_eq!(par.gpus(), paper.0);
+        push(
+            "RaxPP (JaxPP)",
+            &gpt3,
+            pipeline(&gpt3, par, cluster, jaxpp)?,
+            paper,
+        );
     }
-    for &(gpus, ps, pt) in paper::FSDP_GPT3.iter() {
-        let cfg = FsdpConfig::paper(gpus);
-        let r = simulate_fsdp(&gpt3, cfg, cluster).map_err(SimError::Invalid)?;
-        rows.push(Table1Row {
-            system: "JAX FSDP",
-            model: "GPT-3 175B",
-            gbs: cfg.global_batch,
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
+    for &paper in &paper::FSDP_GPT3 {
+        push("JAX FSDP", &gpt3, fsdp(&gpt3, paper.0, cluster)?, paper);
     }
-    {
-        let (gpus, ps, pt) = paper::SPMD_PP_GPT3;
-        let par = spmd_pp_gpt3_config();
-        let r = simulate_spmd_pp(&gpt3, par, cluster)?;
-        rows.push(Table1Row {
-            system: "JAX SPMD PP",
-            model: "GPT-3 175B",
-            gbs: par.global_batch(),
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
-    }
-    {
-        let (gpus, ps, pt) = paper::NEMO_GPT3;
-        let par = nemo_gpt3_config();
-        let r = simulate_nemo(&gpt3, par, cluster)?;
-        rows.push(Table1Row {
-            system: "NeMo",
-            model: "GPT-3 175B",
-            gbs: par.global_batch(),
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
-    }
-    {
-        let (gpus, ps, pt) = paper::JAXPP_LLAMA2;
-        let par = jaxpp_llama2_config();
-        let r = simulate_pipeline(&llama2, par, cluster, &SimOptions::default())?;
-        rows.push(Table1Row {
-            system: "RaxPP (JaxPP)",
-            model: "Llama2 70B",
-            gbs: par.global_batch(),
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
-    }
-    {
-        let (gpus, ps, pt) = paper::FSDP_LLAMA2;
-        let cfg = FsdpConfig::paper(gpus);
-        let r = simulate_fsdp(&llama2, cfg, cluster).map_err(SimError::Invalid)?;
-        rows.push(Table1Row {
-            system: "JAX FSDP",
-            model: "Llama2 70B",
-            gbs: cfg.global_batch,
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
-    }
-    {
-        let (gpus, ps, pt) = paper::NEMO_LLAMA2;
-        let par = nemo_llama2_config();
-        let r = simulate_nemo(&llama2, par, cluster)?;
-        rows.push(Table1Row {
-            system: "NeMo",
-            model: "Llama2 70B",
-            gbs: par.global_batch(),
-            gpus,
-            step_time: r.step_time,
-            tflops: r.tflops_per_gpu,
-            paper_step: ps,
-            paper_tflops: pt,
-        });
-    }
+    let par = ParallelConfig::spmd_pp_gpt3();
+    let measured = pipeline(&gpt3, par, cluster, spmd)?;
+    push("JAX SPMD PP", &gpt3, measured, paper::SPMD_PP_GPT3);
+    let measured = pipeline(&gpt3, ParallelConfig::nemo_gpt3(), &fused, nemo)?;
+    push("NeMo", &gpt3, measured, paper::NEMO_GPT3);
+    let measured = pipeline(&llama2, ParallelConfig::jaxpp_llama2(), cluster, jaxpp)?;
+    push("RaxPP (JaxPP)", &llama2, measured, paper::JAXPP_LLAMA2);
+    let paper = paper::FSDP_LLAMA2;
+    push("JAX FSDP", &llama2, fsdp(&llama2, paper.0, cluster)?, paper);
+    let measured = pipeline(&llama2, ParallelConfig::nemo_llama2(), &fused, nemo)?;
+    push("NeMo", &llama2, measured, paper::NEMO_LLAMA2);
     Ok(rows)
 }
 
@@ -344,16 +265,15 @@ pub struct Fig10 {
 /// Propagates simulator errors.
 pub fn figure10(cluster: &ClusterSpec) -> Result<Fig10, SimError> {
     let gpt3 = ModelConfig::gpt3_175b();
-    let spmd_cfg = spmd_pp_gpt3_config();
-    let spmd_pp = simulate_spmd_pp(&gpt3, spmd_cfg, cluster)?;
+    let spmd_cfg = ParallelConfig::spmd_pp_gpt3();
+    let spmd_pp = simulate_pipeline(&gpt3, spmd_cfg, cluster, &SimOptions::spmd_pp())?;
     let spmd_async_p2p = simulate_pipeline(
         &gpt3,
         spmd_cfg,
         cluster,
         &SimOptions {
             async_p2p: true,
-            force_remat: Some(RematPolicy::Full),
-            ..SimOptions::default()
+            ..SimOptions::spmd_pp()
         },
     )?;
     let f1b_cfg = ParallelConfig {
@@ -412,7 +332,7 @@ mod tests {
     fn figure7_more_accumulation_helps() {
         let pts = figure7(&ClusterSpec::eos());
         for mbs in [1usize, 2, 4] {
-            let series: Vec<&Fig7Point> = pts.iter().filter(|p| p.microbatch == mbs).collect();
+            let series: Vec<&SweepPoint> = pts.iter().filter(|p| p.microbatch == mbs).collect();
             let first = series
                 .first()
                 .unwrap()
@@ -506,7 +426,7 @@ mod tests {
         let f = figure10(&ClusterSpec::eos()).unwrap();
         // Remat is the dominant overhead (§5.3): the 1F1B schedule frees
         // enough memory to drop it, saving around 20% of the step.
-        use raxpp_models::RematPolicy as RP;
+        use crate::memory::RematPolicy as RP;
         assert_eq!(f.spmd_pp.remat_policy, RP::Full);
         assert_ne!(f.one_f1b.remat_policy, RP::Full);
         let remat_share = (f.spmd_async_p2p.step_time - f.one_f1b.step_time) / f.spmd_pp.step_time;

@@ -8,10 +8,11 @@
 //! a hierarchical (NVLink intra-node + InfiniBand inter-node) cost
 //! model, which is what makes FSDP viable at all at this scale.
 
-use raxpp_models::{static_state_bytes, ModelConfig};
-use raxpp_simcluster::{collective_time, ClusterSpec, Collective};
-
 use crate::cluster_ext::hierarchical_gather_time;
+use crate::collective::{collective_time, Collective};
+use crate::config::ModelConfig;
+use crate::memory::{activation_bytes_per_layer, static_state_bytes, RematPolicy};
+use crate::specs::ClusterSpec;
 
 /// FSDP run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,10 +121,9 @@ pub fn simulate_fsdp(
     let exposed_comm = (comm * (1.0 - cfg.overlap)).max(remat);
 
     // Optimizer pass over the sharded state.
-    const HBM_BW: f64 = 3.35e12;
     let params_per_gpu = model.n_params() as f64 / cfg.shard_domain as f64;
     let static_bytes = static_state_bytes(params_per_gpu);
-    let opt = 2.0 * static_bytes / HBM_BW;
+    let opt = 2.0 * static_bytes / cluster.gpu.hbm_bandwidth;
 
     let jitter = 1.0
         + cluster.jitter_per_doubling
@@ -135,18 +135,9 @@ pub fn simulate_fsdp(
 
     // Memory: sharded state + double-buffered gathered layer weights +
     // per-layer input checkpoints + one layer's live working set.
-    let checkpoints = raxpp_models::activation_bytes_per_layer(
-        model,
-        seqs_per_gpu,
-        1,
-        raxpp_models::RematPolicy::Full,
-    ) * model.n_layers as f64;
-    let working_set = raxpp_models::activation_bytes_per_layer(
-        model,
-        seqs_per_gpu,
-        1,
-        raxpp_models::RematPolicy::Selective,
-    );
+    let checkpoints = activation_bytes_per_layer(model, seqs_per_gpu, 1, RematPolicy::Full)
+        * model.n_layers as f64;
+    let working_set = activation_bytes_per_layer(model, seqs_per_gpu, 1, RematPolicy::Selective);
     let gathered_layer = 2.0 * model.n_params() as f64 / model.n_layers as f64 * 2.0; // double-buffered
     let peak_mem_bytes = static_bytes + checkpoints + working_set + gathered_layer;
 

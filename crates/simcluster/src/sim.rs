@@ -7,13 +7,16 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use raxpp_models::{
-    activation_bytes_per_layer, remat_compute_factor, static_state_bytes, ModelConfig, RematPolicy,
+use raxpp_sched::{
+    simulate as sched_simulate, time_schedule, CostModel, Dir, ScheduleError, Task, TimelineEntry,
+    Transfer, UniformCost,
 };
-use raxpp_sched::{simulate as sched_simulate, Dir, ScheduleError, Task, UniformCost};
 
 use crate::collective::{collective_time, Collective};
-use crate::config::ParallelConfig;
+use crate::config::{ModelConfig, ParallelConfig};
+use crate::memory::{
+    activation_bytes_per_layer, remat_compute_factor, static_state_bytes, RematPolicy,
+};
 use crate::specs::ClusterSpec;
 
 /// Error raised by the simulator.
@@ -80,9 +83,6 @@ pub struct SimOptions {
     /// (ZeRO-1 / Megatron's distributed optimizer). NeMo enables this by
     /// default at these scales; JaxPP's Table 1 runs do not need it.
     pub zero1_optimizer: bool,
-    /// Record the per-task timeline in the report (for trace export and
-    /// visualization). Off by default to keep tuner sweeps lean.
-    pub record_timeline: bool,
 }
 
 impl Default for SimOptions {
@@ -94,7 +94,6 @@ impl Default for SimOptions {
             per_task_rpc: false,
             rpc_rtt: 150e-6,
             zero1_optimizer: false,
-            record_timeline: false,
         }
     }
 }
@@ -120,17 +119,30 @@ pub struct Breakdown {
     pub dp_and_opt: f64,
 }
 
-/// One executed task in a recorded simulation timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimEvent {
-    /// Actor (pipeline rank) the task ran on.
-    pub actor: usize,
-    /// The task.
-    pub task: Task,
-    /// Start time in seconds.
-    pub start: f64,
-    /// End time in seconds.
-    pub end: f64,
+/// The cluster's pricing of the pipeline walk: every task pays the
+/// dispatch overhead before it runs, every `(from, to)` link carries one
+/// transfer at a time, and a synchronous send holds its sender until
+/// delivery.
+struct ClusterCost {
+    dispatch: f64,
+    p2p_time: f64,
+    async_p2p: bool,
+    link_free: HashMap<(usize, usize), f64>,
+}
+
+impl CostModel for ClusterCost {
+    fn task(&mut self, _actor: usize, start: f64, dur: f64) -> f64 {
+        start + self.dispatch + dur
+    }
+
+    fn transfer(&mut self, from: usize, to: usize, ready: f64) -> Transfer {
+        let free = self.link_free.entry((from, to)).or_insert(0.0);
+        *free = ready.max(*free) + self.p2p_time;
+        Transfer {
+            arrival: *free,
+            blocks_sender: !self.async_p2p,
+        }
+    }
 }
 
 /// Result of simulating one training step.
@@ -150,9 +162,8 @@ pub struct StepReport {
     pub peak_mem_bytes: f64,
     /// The simulated configuration.
     pub config: ParallelConfig,
-    /// Per-task timeline, when requested via
-    /// [`SimOptions::record_timeline`].
-    pub timeline: Vec<SimEvent>,
+    /// Executed tasks per actor (pipeline rank), in execution order.
+    pub timeline: Vec<Vec<TimelineEntry>>,
 }
 
 /// Simulates one training step of `model` under `par` on `cluster`.
@@ -247,157 +258,52 @@ pub fn simulate_pipeline(
         * collective_time(Collective::AllReduce, act_bytes, par.tp, cluster.intra_link)
         * cluster.tp_comm_exposed;
     let remat_extra = remat_compute_factor(policy) * stage_fwd_compute;
-    let fwd_dur = stage_fwd_compute + tp_comm_fwd;
-    let bwd_dur = 2.0 * stage_fwd_compute + 2.0 * tp_comm_fwd + remat_extra;
     let dispatch = cluster.dispatch_overhead + if opts.per_task_rpc { opts.rpc_rtt } else { 0.0 };
     // Activation shard crossing pipeline stages (per TP rank, over IB).
     let p2p_bytes = act_bytes / par.tp as f64;
     let p2p_time = cluster.inter_link.p2p_time(p2p_bytes);
 
-    // ---- Event-driven walk of the schedule ---------------------------
-    let stage_actor = schedule.stage_actor();
-    // Dense tables indexed by (stage, mubatch, dir): this walk runs for
-    // every candidate the tuner enumerates.
-    let n_mb = schedule.n_mubatches();
-    let idx = |t: &Task| {
-        (t.stage * n_mb + t.mubatch) * 3
-            + match t.dir {
-                Dir::Fwd => 0,
-                Dir::Bwd => 1,
-                Dir::BwdW => 2,
-            }
+    // ---- Timed walk of the schedule (the one engine) ------------------
+    // Split-backward schedules split the 2x-forward backward into two
+    // ~1x halves: B (activation gradients, critical path, pays the
+    // rematerialization) and W (weight gradients, deferrable).
+    let split = schedule.split_backward();
+    // (compute, remat, tp) of one task; it runs for their sum.
+    let parts = |t: &Task| match t.dir {
+        Dir::Fwd | Dir::BwdW => (stage_fwd_compute, 0.0, tp_comm_fwd),
+        Dir::Bwd if split => (stage_fwd_compute, remat_extra, tp_comm_fwd),
+        Dir::Bwd => (2.0 * stage_fwd_compute, remat_extra, 2.0 * tp_comm_fwd),
     };
-    let mut completion: Vec<f64> = vec![f64::NAN; n_stages * n_mb * 3];
-    let mut arrival: Vec<f64> = vec![f64::NAN; n_stages * n_mb * 3];
-    let mut actor_time = vec![0.0f64; par.pp];
-    let mut link_free: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut busy_compute = vec![0.0f64; par.pp];
-    let mut busy_remat = vec![0.0f64; par.pp];
-    let mut busy_tp = vec![0.0f64; par.pp];
-    let mut busy_dispatch = vec![0.0f64; par.pp];
-    let mut sync_block = vec![0.0f64; par.pp];
-    let mut exposed_p2p = vec![0.0f64; par.pp];
-
-    let mut timeline: Vec<SimEvent> = Vec::new();
-    let mut cursor = vec![0usize; par.pp];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for a in 0..par.pp {
-            let tasks = schedule.actor_tasks(a);
-            while cursor[a] < tasks.len() {
-                let t = tasks[cursor[a]];
-                let deps = t.deps(n_stages);
-                let mut ready_local: f64 = 0.0;
-                let mut ready_remote: f64 = 0.0;
-                let mut ok = true;
-                for d in &deps {
-                    if stage_actor[d.stage] == a {
-                        let c = completion[idx(d)];
-                        if c.is_nan() {
-                            ok = false;
-                            break;
-                        }
-                        ready_local = ready_local.max(c);
-                    } else {
-                        let c = arrival[idx(d)];
-                        if c.is_nan() {
-                            ok = false;
-                            break;
-                        }
-                        ready_remote = ready_remote.max(c);
-                    }
-                }
-                if !ok {
-                    break;
-                }
-                let base = actor_time[a].max(ready_local);
-                exposed_p2p[a] += (ready_remote - base).max(0.0);
-                let start = base.max(ready_remote);
-                // Split-backward schedules split the 2x-forward backward
-                // into two ~1x halves: B (activation gradients, critical
-                // path, pays the rematerialization) and W (weight
-                // gradients, deferrable).
-                let split = schedule.split_backward();
-                let (dur, compute, remat, tp) = match t.dir {
-                    Dir::Fwd => (fwd_dur, stage_fwd_compute, 0.0, tp_comm_fwd),
-                    Dir::Bwd if split => (
-                        stage_fwd_compute + tp_comm_fwd + remat_extra,
-                        stage_fwd_compute,
-                        remat_extra,
-                        tp_comm_fwd,
-                    ),
-                    Dir::Bwd => (
-                        bwd_dur,
-                        2.0 * stage_fwd_compute,
-                        remat_extra,
-                        2.0 * tp_comm_fwd,
-                    ),
-                    Dir::BwdW => (
-                        stage_fwd_compute + tp_comm_fwd,
-                        stage_fwd_compute,
-                        0.0,
-                        tp_comm_fwd,
-                    ),
-                };
-                let end = start + dispatch + dur;
-                completion[idx(&t)] = end;
-                if opts.record_timeline {
-                    timeline.push(SimEvent {
-                        actor: a,
-                        task: t,
-                        start,
-                        end,
-                    });
-                }
-                busy_compute[a] += compute;
-                busy_remat[a] += remat;
-                busy_tp[a] += tp;
-                busy_dispatch[a] += dispatch;
-                actor_time[a] = end;
-
-                // Schedule the outgoing transfer to the (unique) next
-                // consumer stage, if remote.
-                let consumer = match t.dir {
-                    Dir::Fwd if t.stage + 1 < n_stages => Some(t.stage + 1),
-                    Dir::Bwd if t.stage > 0 => Some(t.stage - 1),
-                    _ => None,
-                };
-                if let Some(c) = consumer {
-                    let b = stage_actor[c];
-                    if b != a {
-                        let lf = link_free.entry((a, b)).or_insert(0.0);
-                        let t_start = end.max(*lf);
-                        let t_end = t_start + p2p_time;
-                        *lf = t_end;
-                        arrival[idx(&t)] = t_end;
-                        if !opts.async_p2p {
-                            // Synchronous send: the producer blocks until
-                            // delivery (§5.3 / Figure 10).
-                            sync_block[a] += t_end - end;
-                            actor_time[a] = actor_time[a].max(t_end);
-                        }
-                    } else {
-                        arrival[idx(&t)] = end;
-                    }
-                }
-                cursor[a] += 1;
-                progressed = true;
-            }
-            if cursor[a] < tasks.len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            return Err(SimError::Schedule(ScheduleError::Deadlock {
-                blocked: vec![],
-            }));
-        }
-    }
-    let makespan = actor_time.iter().copied().fold(0.0, f64::max);
+    let dur = |t: &Task| {
+        let (compute, remat, tp) = parts(t);
+        compute + tp + remat
+    };
+    let mut cost = ClusterCost {
+        dispatch,
+        p2p_time,
+        async_p2p: opts.async_p2p,
+        link_free: HashMap::new(),
+    };
+    let walk = time_schedule(&schedule, dur, &mut cost)?;
+    let makespan = walk.makespan;
+    // Per-GPU averages: a per-task quantity is summed per actor in task
+    // order, then averaged over the actors.
+    let n = par.pp as f64;
+    let avg = |v: &[f64]| v.iter().sum::<f64>() / n;
+    let busy = |part: &dyn Fn(&Task) -> f64| {
+        let per_actor: Vec<f64> = schedule
+            .actors()
+            .iter()
+            .map(|tasks| tasks.iter().map(part).sum())
+            .collect();
+        avg(&per_actor)
+    };
+    let busy_compute = busy(&|t| parts(t).0);
+    let busy_remat = busy(&|t| parts(t).1);
+    let busy_tp = busy(&|t| parts(t).2);
+    let busy_dispatch = busy(&|_| dispatch);
+    let sync_block = avg(&walk.send_blocked);
+    let exposed_p2p = avg(&walk.exposed_recv);
 
     // ---- Post-loop costs ----------------------------------------------
     // DP gradient all-reduce (bf16 grads of the per-GPU shard) over IB.
@@ -408,30 +314,22 @@ pub fn simulate_pipeline(
         cluster.inter_link,
     ) * (1.0 - opts.dp_overlap);
     // Optimizer: memory-bound pass over the training state.
-    const HBM_BW: f64 = 3.35e12; // H100 HBM3
-    let opt_time = 2.0 * static_bytes / HBM_BW;
+    let opt_time = 2.0 * static_bytes / cluster.gpu.hbm_bandwidth;
     // Straggler/contention growth beyond the 8-node rail-optimized
     // domain: the effect that keeps weak scaling at ≈93% (Figure 8).
     let nodes = (par.gpus() as f64 / cluster.gpus_per_node as f64).max(1.0);
     let jitter = 1.0 + cluster.jitter_per_doubling * (nodes / 8.0).log2().max(0.0);
     let step_time = (makespan + dp_allreduce + opt_time) * jitter;
 
-    let n = par.pp as f64;
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / n;
-    let idle = makespan
-        - avg(&busy_compute)
-        - avg(&busy_remat)
-        - avg(&busy_tp)
-        - avg(&busy_dispatch)
-        - avg(&sync_block)
-        - avg(&exposed_p2p);
+    let idle =
+        makespan - busy_compute - busy_remat - busy_tp - busy_dispatch - sync_block - exposed_p2p;
     let breakdown = Breakdown {
-        compute: avg(&busy_compute),
-        remat: avg(&busy_remat),
-        tp_comm: avg(&busy_tp),
-        p2p_exposed: avg(&exposed_p2p),
-        sync_send_block: avg(&sync_block),
-        dispatch: avg(&busy_dispatch),
+        compute: busy_compute,
+        remat: busy_remat,
+        tp_comm: busy_tp,
+        p2p_exposed: exposed_p2p,
+        sync_send_block: sync_block,
+        dispatch: busy_dispatch,
         bubble: idle.max(0.0),
         dp_and_opt: dp_allreduce + opt_time,
     };
@@ -449,7 +347,7 @@ pub fn simulate_pipeline(
         remat_policy: policy,
         peak_mem_bytes: peak_mem,
         config: par,
-        timeline,
+        timeline: walk.tasks,
     })
 }
 

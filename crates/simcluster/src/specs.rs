@@ -16,6 +16,10 @@ pub struct GpuSpec {
     pub peak_flops: f64,
     /// Device memory in bytes (H100: 80 GB).
     pub memory_bytes: f64,
+    /// Device-memory bandwidth in bytes/s (H100 SXM5 HBM3: 3.35 TB/s,
+    /// NVIDIA's datasheet figure). Prices the memory-bound optimizer
+    /// pass over the resident training state.
+    pub hbm_bandwidth: f64,
 }
 
 impl GpuSpec {
@@ -24,6 +28,7 @@ impl GpuSpec {
         GpuSpec {
             peak_flops: 989e12,
             memory_bytes: 80e9,
+            hbm_bandwidth: 3.35e12,
         }
     }
 }
@@ -122,6 +127,16 @@ impl ClusterSpec {
             efficiency: EfficiencyModel::xla(),
             tp_comm_exposed: 0.4,
             jitter_per_doubling: 0.015,
+        }
+    }
+
+    /// The same cluster running NeMo/Transformer-Engine-style fused
+    /// kernels ([`EfficiencyModel::fused`]) — the NeMo baseline's
+    /// machine.
+    pub fn fused(self) -> ClusterSpec {
+        ClusterSpec {
+            efficiency: EfficiencyModel::fused(),
+            ..self
         }
     }
 }

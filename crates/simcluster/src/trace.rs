@@ -6,119 +6,72 @@
 //! warm-up bubbles, steady-state interleaving, and cool-down drain
 //! exactly as the paper's Figure 2 diagrams them.
 
-use std::io::Write;
+use raxpp_sched::{Dir, TimelineEntry};
 
-use raxpp_sched::{Dir, SimResult};
-
-use crate::sim::{SimEvent, StepReport};
-
-/// Serializes a recorded timeline to chrome-trace JSON.
+/// Serializes a timeline (per actor, its executed tasks — what both
+/// [`raxpp_sched::simulate`] and [`crate::simulate_pipeline`] return)
+/// to chrome-trace JSON.
 ///
-/// Times are exported in microseconds (the format's unit). Events use
-/// the runtime's span schema — the same `fwd(mb=…, s=…)` names and
+/// The format's unit is microseconds: pass `us_per_unit = 1e6` for a
+/// [`crate::StepReport`] (seconds) and `1.0` to read a unitless
+/// uniform-cost simulation as microseconds. Events use the runtime's
+/// span schema — the same `fwd(mb=…, s=…)` names and
 /// `name`/`cat`/`ph`/`ts`/`dur`/`pid`/`tid`/`args` field order that
 /// `raxpp-runtime`'s `StepTrace::chrome_trace_json` emits — so a
 /// predicted timeline diffs cleanly against a measured one. The category
 /// is the task direction so the UI can color by it.
-pub fn chrome_trace_json(events: &[SimEvent]) -> String {
+pub fn chrome_trace_json(timeline: &[Vec<TimelineEntry>], us_per_unit: f64) -> String {
+    let n_events: usize = timeline.iter().map(Vec::len).sum();
     let mut out = String::from("[\n");
-    for (i, e) in events.iter().enumerate() {
+    let events = timeline
+        .iter()
+        .enumerate()
+        .flat_map(|(actor, tasks)| tasks.iter().map(move |e| (actor, e)));
+    for (i, (actor, e)) in events.enumerate() {
         let name = match e.task.dir {
             Dir::Fwd => "fwd",
             Dir::Bwd => "bwd",
             Dir::BwdW => "bwdw",
         };
-        let ts = e.start * 1e6;
-        let dur = (e.end - e.start) * 1e6;
+        let ts = e.start * us_per_unit;
+        let dur = (e.end - e.start) * us_per_unit;
         out.push_str(&format!(
             concat!(
                 "  {{\"name\": \"{}(mb={}, s={})\", \"cat\": \"{}\", \"ph\": \"X\", ",
                 "\"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 0, \"tid\": {}, ",
                 "\"args\": {{\"mubatch\": {}, \"stage\": {}}}}}"
             ),
-            name,
-            e.task.mubatch,
-            e.task.stage,
-            name,
-            ts,
-            dur,
-            e.actor,
-            e.task.mubatch,
-            e.task.stage,
+            name, e.task.mubatch, e.task.stage, name, ts, dur, actor, e.task.mubatch, e.task.stage,
         ));
-        out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < n_events { ",\n" } else { "\n" });
     }
     out.push(']');
     out
 }
 
-/// Exports a `raxpp-sched` uniform-cost [`SimResult`] (the predicted
-/// timeline a `bubble_report` diffs against) in the same chrome-trace
-/// schema as the measured runtime traces: load the predicted and the
-/// measured JSON side by side in Perfetto to see where the real pipeline
-/// deviates from the model.
-///
-/// Simulated time is unitless; it is exported as microseconds directly.
-pub fn predicted_chrome_trace_json(result: &SimResult) -> String {
-    let events: Vec<SimEvent> = result
-        .timeline
-        .iter()
-        .enumerate()
-        .flat_map(|(actor, tl)| {
-            tl.iter().map(move |e| SimEvent {
-                actor,
-                task: e.task,
-                start: e.start / 1e6,
-                end: e.end / 1e6,
-            })
-        })
-        .collect();
-    chrome_trace_json(&events)
-}
-
-/// Writes a [`StepReport`]'s recorded timeline as a chrome-trace file.
-///
-/// # Errors
-///
-/// Returns an I/O error from writing, or `InvalidInput` when the report
-/// has no recorded timeline (simulate with
-/// [`crate::SimOptions::record_timeline`] set).
-pub fn write_chrome_trace(report: &StepReport, mut w: impl Write) -> std::io::Result<()> {
-    if report.timeline.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "report has no timeline; set SimOptions::record_timeline",
-        ));
-    }
-    w.write_all(chrome_trace_json(&report.timeline).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ParallelConfig;
+    use crate::config::{ModelConfig, ParallelConfig};
     use crate::sim::{simulate_pipeline, SimOptions};
     use crate::specs::ClusterSpec;
-    use raxpp_models::ModelConfig;
     use raxpp_sched::Task;
 
     #[test]
     fn trace_json_is_wellformed() {
-        let events = vec![
-            SimEvent {
-                actor: 0,
+        let timeline = vec![
+            vec![TimelineEntry {
                 task: Task::fwd(0, 0),
                 start: 0.0,
                 end: 0.5,
-            },
-            SimEvent {
-                actor: 1,
+            }],
+            vec![TimelineEntry {
                 task: Task::bwd(0, 1),
                 start: 0.5,
                 end: 1.5,
-            },
+            }],
         ];
-        let json = chrome_trace_json(&events);
+        let json = chrome_trace_json(&timeline, 1e6);
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
         assert!(json.contains("\"fwd(mb=0, s=0)\""));
@@ -132,7 +85,7 @@ mod tests {
     fn predicted_export_matches_runtime_schema() {
         use raxpp_sched::{gpipe, simulate, UniformCost};
         let r = simulate(&gpipe(4, 4).unwrap(), UniformCost::default()).unwrap();
-        let json = predicted_chrome_trace_json(&r);
+        let json = chrome_trace_json(&r.timeline, 1.0);
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
         // Runtime span naming: fwd(mb=0, s=0), one entry per task.
@@ -149,29 +102,11 @@ mod tests {
             &ModelConfig::gpt3_175b(),
             ParallelConfig::jaxpp_gpt3(1),
             &ClusterSpec::eos(),
-            &SimOptions {
-                record_timeline: true,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
-        // 48 stages × 32 microbatches × (fwd + bwd).
-        assert_eq!(r.timeline.len(), 48 * 32 * 2);
-        let mut buf = Vec::new();
-        write_chrome_trace(&r, &mut buf).unwrap();
-        assert!(buf.len() > 10_000);
-    }
-
-    #[test]
-    fn unrecorded_simulation_refuses_export() {
-        let r = simulate_pipeline(
-            &ModelConfig::gpt3_175b(),
-            ParallelConfig::jaxpp_gpt3(1),
-            &ClusterSpec::eos(),
             &SimOptions::default(),
         )
         .unwrap();
-        let mut buf = Vec::new();
-        assert!(write_chrome_trace(&r, &mut buf).is_err());
+        // 48 stages × 32 microbatches × (fwd + bwd), always recorded.
+        assert_eq!(r.timeline.iter().map(Vec::len).sum::<usize>(), 48 * 32 * 2);
+        assert!(chrome_trace_json(&r.timeline, 1e6).len() > 10_000);
     }
 }

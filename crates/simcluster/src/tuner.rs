@@ -9,9 +9,7 @@
 //! winner doubles as a validation of the calibration: the paper's
 //! hand-chosen flagship configuration should rank at or near the top.
 
-use raxpp_models::ModelConfig;
-
-use crate::config::{ParallelConfig, ScheduleKind};
+use crate::config::{ModelConfig, ParallelConfig, ScheduleKind};
 use crate::sim::{simulate_pipeline, SimOptions, StepReport};
 use crate::specs::ClusterSpec;
 

@@ -1,12 +1,30 @@
 //! Property-style tests over the performance model: for every feasible
 //! sampled configuration, the simulator's invariants hold. Cases are
-//! drawn from the in-tree deterministic PRNG instead of proptest.
+//! drawn from a deterministic in-file PRNG (the crate depends on
+//! `raxpp-sched` alone).
 
-use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_models::ModelConfig;
+use std::ops::Range;
+
 use raxpp_simcluster::{
-    simulate_pipeline, ClusterSpec, ParallelConfig, ScheduleKind, SimError, SimOptions,
+    simulate_pipeline, ClusterSpec, ModelConfig, ParallelConfig, ScheduleKind, SimError, SimOptions,
 };
+
+/// SplitMix64 (Steele, Lea & Flood 2014).
+struct StdRng(u64);
+
+impl StdRng {
+    fn seed_from_u64(seed: u64) -> StdRng {
+        StdRng(seed)
+    }
+
+    fn gen_range(&mut self, range: Range<usize>) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        range.start + ((z ^ (z >> 31)) % range.len() as u64) as usize
+    }
+}
 
 const CASES: u64 = 48;
 

@@ -28,6 +28,7 @@ mod forward;
 mod model;
 mod program;
 mod replace;
+mod replay;
 mod replicate;
 mod shard;
 mod stage;
@@ -43,6 +44,7 @@ pub use program::{
     InputSource, Instr, JaxprId, MpmdProgram, TaskLabel, TpMeta,
 };
 pub use replace::{replace_program, ReplaceError};
+pub use replay::replay;
 pub use replicate::{dp_split, dp_treated, replicate_program, ReplicateError};
 pub use shard::{bucket_collectives, shard_program, ShardError};
 pub use stage::{partition_stages, StageFwd, StageInput, StageOutput, StagedForward};

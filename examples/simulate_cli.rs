@@ -13,10 +13,9 @@
 
 use std::collections::HashMap;
 
-use raxpp_models::ModelConfig;
 use raxpp_simcluster::{
-    simulate_pipeline, tune, write_chrome_trace, ClusterSpec, ParallelConfig, ScheduleKind,
-    SimOptions, TunerOptions,
+    chrome_trace_json, simulate_pipeline, tune, ClusterSpec, ModelConfig, ParallelConfig,
+    ScheduleKind, SimOptions, TunerOptions,
 };
 
 fn usage() -> ! {
@@ -101,7 +100,6 @@ fn main() {
     };
     let opts = SimOptions {
         async_p2p: !flags.iter().any(|f| f == "sync-p2p"),
-        record_timeline: args.contains_key("trace"),
         ..SimOptions::default()
     };
     match simulate_pipeline(&model, par, &eos, &opts) {
@@ -130,8 +128,7 @@ fn main() {
                 b.compute, b.remat, b.tp_comm, b.p2p_exposed, b.dispatch, b.bubble, b.dp_and_opt
             );
             if let Some(path) = args.get("trace") {
-                let f = std::fs::File::create(path).expect("create trace file");
-                write_chrome_trace(&r, f).expect("write trace");
+                std::fs::write(path, chrome_trace_json(&r.timeline, 1e6)).expect("write trace");
                 println!("trace         : {path} (open at https://ui.perfetto.dev)");
             }
         }

@@ -22,7 +22,7 @@ use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::mlp_chain;
 use raxpp_sched::{gpipe, simulate, UniformCost};
-use raxpp_simcluster::predicted_chrome_trace_json;
+use raxpp_simcluster::chrome_trace_json;
 
 const STAGES: usize = 4;
 const N_MB: usize = 4;
@@ -89,7 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let sim = simulate(&schedule, cost)?;
     let predicted_path = "target/trace_predicted.json";
-    fs::write(predicted_path, predicted_chrome_trace_json(&sim))?;
+    // Simulated time is unitless; read it as microseconds.
+    fs::write(predicted_path, chrome_trace_json(&sim.timeline, 1.0))?;
     println!("wrote {predicted_path} (same schema; diff against the measured trace)");
 
     println!("\n{report}");

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: release build, full test suite, format
 # check, clippy (warnings are errors), rustdoc (warnings are errors),
-# doc cross-reference, knob-table, metric-catalogue and crate-map
-# checks, the socket-transport gate, and the benchmark contract. Run
-# from anywhere inside the repo.
+# doc cross-reference, knob-table, metric-catalogue, crate-map and
+# paper-artefact checks, the socket-transport gate, and the benchmark
+# contract. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +36,9 @@ scripts/check_metric_catalog.sh
 
 echo "==> crate map check (crates/ vs README.md, DESIGN.md and [workspace.dependencies])"
 scripts/check_crate_map.sh
+
+echo "==> paper artefact check (EXPERIMENTS.md blocks vs paper_tables --all)"
+scripts/check_experiments.sh
 
 echo "==> rebalance-under-TP regression (folds must stay bitwise, not refused)"
 cargo test -q -p raxpp-integration --test tensor_parallel tp_rebalance_folds_bitwise

@@ -1,11 +1,7 @@
 //! Shared helpers for the integration tests in `tests/tests/`.
 
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
-
-use raxpp_sched::UniformCost;
-use raxpp_taskgraph::{BufferId, Instr, MpmdProgram, TaskLabel};
 
 /// Default watchdog budget per test body, overridable with
 /// `RAXPP_TEST_TIMEOUT_SECS`.
@@ -58,56 +54,5 @@ where
                  (deadlock? transport={transport})"
             );
         }
-    }
-}
-
-/// Deterministic unit-cost replay of compiled streams: every actor walks
-/// its stream in order; a `Run` costs `cost.fwd` / `bwd` / `wgrad` by its
-/// [`TaskLabel`] and nothing otherwise; a `Recv` blocks until the
-/// matching `Send` has been walked and completes at the later of the two
-/// clocks (plus `cost.p2p`). Returns the makespan — what the step would
-/// take if instruction placement were the only source of idle time, to be
-/// held against `raxpp_sched::simulate` on the schedule the streams were
-/// compiled from.
-///
-/// # Panics
-///
-/// Panics when the streams deadlock (a `Recv` whose `Send` is never
-/// reached).
-pub fn replay_makespan(program: &MpmdProgram, cost: UniformCost) -> f64 {
-    let n = program.n_actors();
-    let mut clock = vec![0.0f64; n];
-    let mut cursor = vec![0usize; n];
-    let mut sent: HashMap<(usize, usize, BufferId), f64> = HashMap::new();
-    loop {
-        let mut progressed = false;
-        for a in 0..n {
-            while let Some(instr) = program.actors[a].get(cursor[a]) {
-                match instr {
-                    Instr::Run { label, .. } => {
-                        clock[a] += match label {
-                            TaskLabel::Fwd { .. } => cost.fwd,
-                            TaskLabel::Bwd { .. } => cost.bwd,
-                            TaskLabel::BwdW { .. } => cost.wgrad,
-                            _ => 0.0,
-                        }
-                    }
-                    Instr::Send { buf, to } => {
-                        sent.insert((a, *to, *buf), clock[a]);
-                    }
-                    Instr::Recv { src, from, .. } => match sent.get(&(*from, a, *src)) {
-                        Some(&at) => clock[a] = clock[a].max(at + cost.p2p),
-                        None => break,
-                    },
-                    _ => {}
-                }
-                cursor[a] += 1;
-                progressed = true;
-            }
-        }
-        if (0..n).all(|a| cursor[a] == program.actors[a].len()) {
-            return clock.into_iter().fold(0.0, f64::max);
-        }
-        assert!(progressed, "replay deadlocked at cursors {cursor:?}");
     }
 }

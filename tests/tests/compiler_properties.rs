@@ -9,14 +9,14 @@
 use raxpp_core::{
     compile_train_step, compile_worker_program, CompileOptions, DpConfig, Optimizer, TpConfig,
 };
-use raxpp_integration::replay_makespan;
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx, TracedTensor};
 use raxpp_sched::{
     gpipe, interleaved_1f1b, one_f1b, simulate, zero_bubble_h1, Schedule, Task, UniformCost,
 };
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, verify_program, UnrollOptions,
+    check_send_recv_order, insert_frees, pipeline_model, replay, unroll_loop, verify_program,
+    UnrollOptions,
 };
 
 /// A randomly-shaped pipeline model description.
@@ -219,7 +219,7 @@ fn compiled_programs_are_well_formed() {
                 // owner's stream happens to end, ahead of owner tasks that
                 // do not need it. That cost is what the ablation measures.
                 let cost = UniformCost::default();
-                let got = replay_makespan(&compiled.program, cost);
+                let got = replay(&compiled.program, cost).unwrap().makespan;
                 let want = simulate(&schedule, cost).unwrap().makespan;
                 if !commuting && model.share_first_last {
                     assert!(got >= want, "{model:?} {}", schedule.name());

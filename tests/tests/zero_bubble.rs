@@ -4,9 +4,11 @@
 
 use raxpp_core::{compile_train_step, CompileOptions, Optimizer};
 use raxpp_ir::Tensor;
-use raxpp_models::{mlp_chain, ModelConfig};
+use raxpp_models::mlp_chain;
 use raxpp_sched::{one_f1b, zero_bubble_h1, Dir};
-use raxpp_simcluster::{simulate_pipeline, ClusterSpec, ParallelConfig, ScheduleKind, SimOptions};
+use raxpp_simcluster::{
+    simulate_pipeline, ClusterSpec, ModelConfig, ParallelConfig, ScheduleKind, SimOptions,
+};
 
 #[test]
 fn split_backward_training_matches_combined() {
