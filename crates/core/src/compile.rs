@@ -111,7 +111,7 @@ impl TpConfig {
 ///
 /// Determinism is a **two-tier contract** (see `docs/determinism.md`):
 /// at a *fixed* degree, runs are bitwise-reproducible through faults,
-/// recovery, rebalances, checkpoint resume, and lane-mode flips;
+/// recovery, rebalances, checkpoint resume, and transports;
 /// *across* degrees, step-0 per-microbatch losses are bitwise equal and
 /// later loss curves agree within documented fp32-summation bounds
 /// (the gradient fold associates differently for different `d`).

@@ -106,9 +106,9 @@ impl Fleet {
         insert_frees(program);
         if tp.degree() > 1 || dp.replicas() > 1 {
             // Coalesce back-to-back collectives into contiguous buckets
-            // (hoisting the frees insert_frees interleaved) so the lane
-            // runtime's panel streaming sees every collective a Run's
-            // outputs feed directly behind that Run.
+            // (hoisting the frees insert_frees interleaved between them).
+            // No measured need on the ring: a candidate for deletion
+            // (ROADMAP item 6).
             bucket_collectives(program);
         }
         check_send_recv_order(program).map_err(|(a, b)| {
@@ -381,17 +381,9 @@ impl Fleet {
         if self.meta.tp.degree() > 1 {
             m.inc("tp_collectives_total", of(Kind::Collective).1.into());
             m.inc("tp_bytes_reduced", total.bytes_reduced());
-            let wire = total.bytes_wire();
-            m.inc("tp_bytes_wire", wire);
+            m.inc("tp_bytes_wire", total.bytes_wire());
             let wait = of(Kind::CollectiveWait).0;
             m.inc("tp_collective_wait_us", wait.as_micros() as u64);
-            // A contribution published early overlaps its transfer to
-            // all t-1 peers, so the overlapped share of the wire volume
-            // is bytes_overlap × (t-1) out of bytes_wire.
-            if wire > 0 {
-                let overlap = total.bytes_overlap() * (self.meta.tp.degree() as u64 - 1);
-                m.set_gauge("tp_overlap_ratio", overlap as f64 / wire as f64);
-            }
         }
         if self.meta.dp.replicas() > 1 {
             m.inc("dp_collectives_total", of(Kind::DpCollective).1.into());

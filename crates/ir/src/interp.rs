@@ -15,14 +15,11 @@
 //! oracle the parity tests compare [`eval`] against bit for bit. It is
 //! only ever called directly: no switch routes [`eval`] through it.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::error::{IrError, Result};
 use crate::graph::Jaxpr;
-use crate::kernels;
 use crate::prim::Prim;
-use crate::shape::Shape;
 use crate::tensor::{gelu, gelu_grad, Tensor};
 
 /// Buffer-allocator counters for one [`eval_with_stats`] run.
@@ -197,162 +194,6 @@ fn last_use_table(jaxpr: &Jaxpr) -> Vec<usize> {
 /// evaluation pays nothing.
 pub type EvalHook<'a> = &'a mut dyn FnMut(usize, &'static str, Instant, Instant);
 
-/// A consumer of completed output-row panels for
-/// [`eval_with_stats_observed`]: selected graph outputs are *streamed*
-/// to the observer panel-by-panel while their producing matmul is still
-/// multiplying later rows.
-///
-/// This is the compute side of tensor-parallel compute/communication
-/// overlap — the runtime hands finished rows to the collective
-/// rendezvous early. Streaming never changes *what* is computed: each
-/// published panel holds exactly the bytes the final output tensor
-/// holds at those rows (see [`kernels::matmul_streamed`]), so
-/// observation cannot perturb the bit-compatibility contract.
-pub trait PanelObserver {
-    /// Whether graph output `out_idx` should be streamed if its
-    /// producer supports it. Consulted once per output during planning.
-    fn wants(&mut self, out_idx: usize) -> bool;
-    /// Announces the full shape of output `out_idx` before its first
-    /// panel publishes.
-    fn begin(&mut self, out_idx: usize, shape: &Shape);
-    /// Rows `row0 .. row0 + data.len()/row_len` of output `out_idx` are
-    /// final; `data` holds them row-major. Panels arrive in ascending
-    /// row order and exactly cover the output.
-    fn publish(&mut self, out_idx: usize, row0: usize, row_len: usize, data: &[f32]);
-}
-
-/// How one matmul equation streams its panels to the observer.
-enum StreamPlan {
-    /// The graph output *is* the matmul result: publish raw row panels.
-    Direct { out_idx: usize },
-    /// The graph output is `PadLast(matmul)` and the matmul result has
-    /// no other consumer (the sharded backward weight-gradient shape):
-    /// pad each completed panel into the full-width buffer and publish
-    /// padded rows, then reuse the assembled padded tensor when the pad
-    /// equation executes.
-    FusedPad {
-        out_idx: usize,
-        pad_eqn: usize,
-        start: usize,
-        full: usize,
-        value: f32,
-    },
-}
-
-/// Matmul equations eligible for panel streaming: for each graph output
-/// the observer wants, its defining equation if that is a `MatMul` (or
-/// a `PadLast` over a single-use `MatMul`, which streams fused).
-fn stream_plans(jaxpr: &Jaxpr, obs: &mut dyn PanelObserver) -> HashMap<usize, StreamPlan> {
-    let eqns = jaxpr.eqns();
-    let mut def_eqn: Vec<Option<usize>> = vec![None; jaxpr.num_vars()];
-    let mut use_count = vec![0usize; jaxpr.num_vars()];
-    for (i, e) in eqns.iter().enumerate() {
-        def_eqn[e.output.index()] = Some(i);
-        for v in &e.inputs {
-            use_count[v.index()] += 1;
-        }
-    }
-    let mut out_uses = vec![0usize; jaxpr.num_vars()];
-    for v in jaxpr.outvars() {
-        out_uses[v.index()] += 1;
-    }
-    let mut plans = HashMap::new();
-    for (oi, &v) in jaxpr.outvars().iter().enumerate() {
-        if !obs.wants(oi) {
-            continue;
-        }
-        let Some(d) = def_eqn[v.index()] else {
-            continue;
-        };
-        match &eqns[d].prim {
-            Prim::MatMul => {
-                plans.entry(d).or_insert(StreamPlan::Direct { out_idx: oi });
-            }
-            Prim::PadLast { start, full, value } => {
-                let u = eqns[d].inputs[0];
-                let Some(mm) = def_eqn[u.index()] else {
-                    continue;
-                };
-                // Fuse only when the pad is the matmul's sole consumer
-                // and the raw result is not itself a graph output, and
-                // the pad parameters are valid for the matmul's width
-                // (invalid ones fall through to pad_last's own error).
-                if matches!(eqns[mm].prim, Prim::MatMul)
-                    && use_count[u.index()] == 1
-                    && out_uses[u.index()] == 0
-                    && jaxpr.shape(u).rank() == 2
-                    && start + jaxpr.shape(u).dim(1) <= *full
-                {
-                    plans.entry(mm).or_insert(StreamPlan::FusedPad {
-                        out_idx: oi,
-                        pad_eqn: d,
-                        start: *start,
-                        full: *full,
-                        value: *value,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    plans
-}
-
-/// Executes one planned matmul equation, streaming completed panels to
-/// `obs`. Returns the matmul result tensor; for [`StreamPlan::FusedPad`]
-/// additionally deposits the assembled padded tensor in `prepared`
-/// under the pad equation's index.
-fn stream_matmul(
-    plan: &StreamPlan,
-    operands: &[Tensor],
-    obs: &mut dyn PanelObserver,
-    prepared: &mut HashMap<usize, Tensor>,
-) -> Result<Tensor> {
-    let (a, b) = (&operands[0], &operands[1]);
-    let out_shape = a.shape().matmul(b.shape())?;
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let n = b.shape().dim(1);
-    match plan {
-        StreamPlan::Direct { out_idx } => {
-            obs.begin(*out_idx, &out_shape);
-            let data = kernels::matmul_streamed(a.data(), b.data(), m, k, n, &mut |row0, panel| {
-                obs.publish(*out_idx, row0, n, panel);
-            });
-            Tensor::from_vec(out_shape, data)
-        }
-        StreamPlan::FusedPad {
-            out_idx,
-            pad_eqn,
-            start,
-            full,
-            value,
-        } => {
-            // Build the padded output exactly as `Tensor::pad_last`
-            // does — a `value`-filled buffer with each row's block
-            // copied in at `start` — but row panel by row panel, so
-            // padded rows publish while the multiply continues.
-            let pad_shape = Shape::new([m, *full]);
-            obs.begin(*out_idx, &pad_shape);
-            let mut padded = vec![*value; m * *full];
-            let data = kernels::matmul_streamed(a.data(), b.data(), m, k, n, &mut |row0, panel| {
-                let rows = panel.len().checked_div(n).unwrap_or(0);
-                for r in 0..rows {
-                    let dst = (row0 + r) * *full + *start;
-                    padded[dst..dst + n].copy_from_slice(&panel[r * n..(r + 1) * n]);
-                }
-                obs.publish(
-                    *out_idx,
-                    row0,
-                    *full,
-                    &padded[row0 * *full..(row0 + rows) * *full],
-                );
-            });
-            prepared.insert(*pad_eqn, Tensor::from_vec(pad_shape, padded)?);
-            Tensor::from_vec(out_shape, data)
-        }
-    }
-}
-
 /// Evaluates a graph on concrete inputs, returning outputs and
 /// buffer-allocator statistics.
 ///
@@ -382,25 +223,7 @@ pub fn eval_with_stats(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<(Vec<Tensor>,
 pub fn eval_with_stats_hooked(
     jaxpr: &Jaxpr,
     inputs: &[Tensor],
-    hook: Option<EvalHook<'_>>,
-) -> Result<(Vec<Tensor>, EvalStats)> {
-    eval_with_stats_observed(jaxpr, inputs, hook, None)
-}
-
-/// [`eval_with_stats_hooked`] with an optional [`PanelObserver`]: graph
-/// outputs the observer wants, whose producer is a streamable matmul
-/// (see `stream_plans`), publish completed row panels to the observer
-/// *during* the multiply. Outputs, statistics, and buffer lifetimes are
-/// identical to the unobserved path.
-///
-/// # Errors
-///
-/// See [`eval_with_stats`].
-pub fn eval_with_stats_observed(
-    jaxpr: &Jaxpr,
-    inputs: &[Tensor],
     mut hook: Option<EvalHook<'_>>,
-    mut observer: Option<&mut dyn PanelObserver>,
 ) -> Result<(Vec<Tensor>, EvalStats)> {
     if inputs.len() != jaxpr.invars().len() {
         return Err(IrError::ArityMismatch {
@@ -411,11 +234,6 @@ pub fn eval_with_stats_observed(
     }
     let mut stats = EvalStats::default();
     let last_use = last_use_table(jaxpr);
-    let plans = match observer.as_deref_mut() {
-        Some(obs) => stream_plans(jaxpr, obs),
-        None => HashMap::new(),
-    };
-    let mut prepared: HashMap<usize, Tensor> = HashMap::new();
     let mut env: Vec<Option<Tensor>> = vec![None; jaxpr.num_vars()];
     for (&v, t) in jaxpr.invars().iter().zip(inputs) {
         if t.shape() != jaxpr.shape(v) {
@@ -450,25 +268,7 @@ pub fn eval_with_stats_observed(
             })?);
         }
         let t0 = hook.as_ref().map(|_| Instant::now());
-        let out = if let Some(plan) = plans.get(&i) {
-            // Streamed matmul: same kernel order and output bytes as
-            // eval_prim_owned's MatMul arm, plus panel publication.
-            stats.allocated += 1;
-            stream_matmul(
-                plan,
-                &operands,
-                observer.as_deref_mut().expect("plans imply observer"),
-                &mut prepared,
-            )?
-        } else if let Some(t) = prepared.remove(&i) {
-            // Pad equation fused into its producing matmul: the padded
-            // tensor was assembled (bit-identically) during streaming;
-            // operand take/free bookkeeping above already ran.
-            stats.allocated += 1;
-            t
-        } else {
-            eval_prim_owned(&eqn.prim, operands, &mut stats)?
-        };
+        let out = eval_prim_owned(&eqn.prim, operands, &mut stats)?;
         if let (Some(h), Some(t0)) = (hook.as_mut(), t0) {
             h(i, eqn.prim.name(), t0, Instant::now());
         }
@@ -737,75 +537,6 @@ mod tests {
         // x itself is untouched.
         let _ = rng.next_u64();
         assert_eq!(t.numel(), 8);
-    }
-
-    /// Records every panel a [`PanelObserver`] sees, reassembling each
-    /// streamed output for comparison against the unobserved run.
-    struct Recorder {
-        wants: Vec<usize>,
-        begun: Vec<(usize, Shape)>,
-        bufs: std::collections::HashMap<usize, Vec<f32>>,
-    }
-
-    impl PanelObserver for Recorder {
-        fn wants(&mut self, out_idx: usize) -> bool {
-            self.wants.contains(&out_idx)
-        }
-        fn begin(&mut self, out_idx: usize, shape: &Shape) {
-            self.begun.push((out_idx, shape.clone()));
-            self.bufs.insert(out_idx, vec![f32::NAN; shape.numel()]);
-        }
-        fn publish(&mut self, out_idx: usize, row0: usize, row_len: usize, data: &[f32]) {
-            let buf = self.bufs.get_mut(&out_idx).unwrap();
-            buf[row0 * row_len..row0 * row_len + data.len()].copy_from_slice(data);
-        }
-    }
-
-    #[test]
-    fn observed_eval_streams_matmul_outputs_bitwise() {
-        // y1 = x @ w (direct matmul output), y2 = pad_last(a @ w2)
-        // with the matmul consumed only by the pad (the fused case).
-        let mut b = GraphBuilder::new();
-        let x = b.input([70, 8]);
-        let w = b.input([8, 4]);
-        let w2 = b.input([4, 6]);
-        let y1 = b.emit(Prim::MatMul, &[x, w]).unwrap();
-        let a = b.emit(Prim::Tanh, &[y1]).unwrap();
-        let h = b.emit(Prim::MatMul, &[a, w2]).unwrap();
-        let y2 = b
-            .emit(
-                Prim::PadLast {
-                    start: 6,
-                    full: 12,
-                    value: -0.0,
-                },
-                &[h],
-            )
-            .unwrap();
-        let j = b.finish(vec![y1, y2]).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let inputs = vec![
-            Tensor::randn([70, 8], 1.0, &mut rng),
-            Tensor::randn([8, 4], 0.5, &mut rng),
-            Tensor::randn([4, 6], 0.5, &mut rng),
-        ];
-        let (want, want_stats) = eval_with_stats(&j, &inputs).unwrap();
-        let mut rec = Recorder {
-            wants: vec![0, 1],
-            begun: Vec::new(),
-            bufs: Default::default(),
-        };
-        let (got, got_stats) = eval_with_stats_observed(&j, &inputs, None, Some(&mut rec)).unwrap();
-        assert_eq!(got_stats, want_stats, "observation changed allocator stats");
-        for (o, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(a.data(), b.data(), "output {o} not bit-identical");
-        }
-        // Both outputs streamed: the direct matmul and the fused pad.
-        assert_eq!(rec.begun.len(), 2, "{:?}", rec.begun);
-        for (oi, shape) in &rec.begun {
-            assert_eq!(shape, want[*oi].shape());
-            assert_eq!(rec.bufs[oi], want[*oi].data(), "streamed output {oi}");
-        }
     }
 
     #[test]

@@ -318,52 +318,6 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
     out
 }
 
-/// Output rows per streamed panel in [`matmul_streamed`]: large enough
-/// that packing and loop overhead amortize, small enough that the first
-/// panel is ready early in the multiply.
-pub const STREAM_PANEL_ROWS: usize = 64;
-
-/// Blocked 2-D matmul `[m,k] @ [k,n]` that hands each completed panel of
-/// [`STREAM_PANEL_ROWS`] output rows to `sink(row0, panel)` as soon as
-/// its last element is written, then returns the full result buffer.
-///
-/// This is the compute half of tensor-parallel compute/communication
-/// overlap: a shard lane can publish finished rows to the collective
-/// rendezvous while later rows are still multiplying. Bit-compatible
-/// with `matmul`: rows are independent (no partition ever splits a
-/// reduction) and every element reduces `p`-ascending in the same
-/// `matmul_rows` micro-kernel, so chunking by rows changes nothing —
-/// each published panel holds exactly the bytes the final buffer holds
-/// at those rows.
-pub fn matmul_streamed(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    sink: &mut dyn FnMut(usize, &[f32]),
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if n == 0 || m == 0 {
-        return out;
-    }
-    if k == 0 {
-        // Degenerate contraction: the zero buffer is already final.
-        sink(0, &out);
-        return out;
-    }
-    let bp = pack_b(b, k, n);
-    let mut r0 = 0;
-    while r0 < m {
-        let rows = (m - r0).min(STREAM_PANEL_ROWS);
-        let chunk = &mut out[r0 * n..(r0 + rows) * n];
-        matmul_rows(a, &bp, chunk, r0, k, n);
-        sink(r0, chunk);
-        r0 += rows;
-    }
-    out
-}
-
 /// One batch slice's rows for the batched matmul (`bp` holds each
 /// batch's `b` slice packed by [`pack_b`], concatenated).
 fn batch_rows(a: &[f32], bp: &[f32], out: &mut [f32], grow0: usize, m: usize, k: usize, n: usize) {
@@ -586,26 +540,6 @@ mod tests {
                 matmul_naive(&a, &b, m, k, n),
                 "({m},{k},{n})"
             );
-        }
-    }
-
-    #[test]
-    fn streamed_matmul_is_bitwise_and_panels_reassemble() {
-        for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (63, 16, 9), (64, 8, 8), (130, 17, 33)] {
-            let a = seq(m * k);
-            let b = seq(k * n);
-            let want = matmul(&a, &b, m, k, n);
-            let mut published = vec![f32::NAN; m * n];
-            let mut next_row = 0usize;
-            let got = matmul_streamed(&a, &b, m, k, n, &mut |row0, panel| {
-                assert_eq!(row0, next_row, "panels arrive in row order");
-                assert_eq!(panel.len() % n, 0);
-                published[row0 * n..row0 * n + panel.len()].copy_from_slice(panel);
-                next_row = row0 + panel.len() / n;
-            });
-            assert_eq!(got, want, "({m},{k},{n}) streamed result differs");
-            assert_eq!(published, want, "({m},{k},{n}) panels don't reassemble");
-            assert_eq!(next_row, m);
         }
     }
 

@@ -47,8 +47,7 @@ pub use dtype::DType;
 pub use error::{IrError, Result};
 pub use graph::{Eqn, GraphBuilder, Jaxpr, VarId};
 pub use interp::{
-    eval, eval_prim, eval_reference, eval_with_stats, eval_with_stats_hooked,
-    eval_with_stats_observed, EvalHook, EvalStats, PanelObserver,
+    eval, eval_prim, eval_reference, eval_with_stats, eval_with_stats_hooked, EvalHook, EvalStats,
 };
 pub use kernels::{num_threads, set_num_threads};
 pub use optimize::{optimize, OptimizeStats};

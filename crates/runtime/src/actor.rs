@@ -14,7 +14,6 @@ use raxpp_taskgraph::{replace_program, BufferId, MpmdProgram};
 
 use crate::exec::{execute_stream, ActorProfile, StreamFailure};
 use crate::fault::Fault;
-use crate::lane::LaneCtx;
 use crate::store::{ObjectStore, SendToken};
 use crate::trace::ActorTrace;
 use crate::transport::{Fabric, ReplyPort};
@@ -171,21 +170,6 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking abort probe for lane-rendezvous waits: drains
-    /// whatever sits in the inbox and reports an abort at `epoch` or
-    /// later without consuming it (the abort stays pending so a
-    /// subsequent `Recv`/`recv_from` observes it too). Data messages
-    /// are stashed in the per-peer queues as usual.
-    pub(crate) fn poll_abort(&mut self, epoch: Epoch) -> Option<(usize, String)> {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.intake(msg, epoch);
-        }
-        match &self.pending_abort {
-            Some((e, by, reason)) if *e >= epoch => Some((*by, reason.clone())),
-            _ => None,
-        }
-    }
-
     /// Receives the next current-epoch data message from `from`,
     /// stashing messages from other peers. Any abort for this epoch (or
     /// a later one — the shutdown poison uses `u64::MAX`) ends the wait.
@@ -238,11 +222,6 @@ pub(crate) struct ActorState {
     pub(crate) faults: VecDeque<Fault>,
     /// The runtime-wide zero point for span timestamps.
     pub(crate) origin: Instant,
-    /// This actor's handle on the shared-memory collective rendezvous:
-    /// `Some` iff the program has collective groups *and* the transport
-    /// supports lanes. Its presence alone selects the collective
-    /// carrier (rendezvous vs message ring).
-    pub(crate) lane: Option<LaneCtx>,
 }
 
 impl ActorState {
@@ -304,13 +283,9 @@ impl ActorState {
     }
 
     /// Poisons every peer's inbox for `epoch` (§4.1-style abort
-    /// broadcast) and every collective group this actor belongs to —
-    /// group peers may be parked on a group condvar rather than the
-    /// mailbox, so the poison must reach both. Safe to call more than
-    /// once; receivers drop duplicates as stale after the epoch
-    /// advances.
+    /// broadcast). Safe to call more than once; receivers drop
+    /// duplicates as stale after the epoch advances.
     fn broadcast_abort(&self, epoch: Epoch, reason: &str) {
-        self.poison_groups(epoch, self.me, reason);
         for j in 0..self.fabric.n() {
             if j == self.me {
                 continue;
@@ -323,14 +298,6 @@ impl ActorState {
                     payload: Payload::Abort(reason.to_string()),
                 },
             );
-        }
-    }
-
-    /// Poisons `epoch` in this actor's collective groups on behalf of
-    /// actor `by`.
-    fn poison_groups(&self, epoch: Epoch, by: usize, reason: &str) {
-        if let Some(l) = &self.lane {
-            l.hub.poison_actor(self.me, epoch, by, reason);
         }
     }
 }
@@ -348,7 +315,6 @@ pub(crate) enum Exit {
     Killed,
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn actor_main(
     me: usize,
     program: Arc<MpmdProgram>,
@@ -357,7 +323,6 @@ pub(crate) fn actor_main(
     fabric: Fabric,
     inbox: Receiver<Msg>,
     origin: Instant,
-    lane: Option<LaneCtx>,
 ) -> Exit {
     let n = fabric.n();
     let mut st = ActorState {
@@ -369,7 +334,6 @@ pub(crate) fn actor_main(
         epoch: 0,
         faults: VecDeque::new(),
         origin,
-        lane,
     };
     // The death guard: any exit that is not an orderly shutdown — an
     // injected death or a panic in actor code — broadcasts an abort for
@@ -415,12 +379,6 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                 st.install(inputs);
                 st.epoch = seq;
                 st.mailbox.purge_stale(seq);
-                if let Some(l) = &st.lane {
-                    // Retire the previous epoch's rendezvous slots and
-                    // poison in every group this actor belongs to,
-                    // before any member can touch this epoch's.
-                    l.hub.begin_epoch_actor(st.me, seq);
-                }
                 let mut fetched = Vec::new();
                 let (ran, trace) = execute_stream(st, traced);
                 let ran = ran.and_then(|profile| Ok((profile, st.fetch_outputs()?)));
@@ -437,9 +395,6 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                         Err(ExecFailure::Error(message))
                     }
                     Err(StreamFailure::Aborted { by, reason }) => {
-                        // Cascade: group peers parked on a condvar
-                        // can't see the mailbox abort that woke us.
-                        st.poison_groups(seq, by, &reason);
                         st.store.abandon_outstanding_sends();
                         Err(ExecFailure::Aborted { by, reason })
                     }

@@ -6,7 +6,7 @@
 //! — the payload `bytes` and the interpreter's `alloc` counters — and
 //! the loop body ends in the single [`Recorder::instr`] call. Intervals
 //! *inside* an instruction (`op` from the interpreter hook, `wire`, the
-//! rendezvous waits of [`run_collective`]) go through [`Recorder::sub`]
+//! ring waits of [`run_collective`]) go through [`Recorder::sub`]
 //! in the order they happen. What the recorder does with a record —
 //! the profile entry, the span, the one branch on being traced — is
 //! `trace.rs`'s business; nothing here knows whether the step is traced.
@@ -15,18 +15,16 @@
 //! actually pushed: an untraced step takes the same calls with the ring
 //! absent and formats nothing.
 
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use raxpp_ir::{eval_with_stats_observed, EvalStats, PanelObserver, Tensor};
+use raxpp_ir::{eval_with_stats_hooked, EvalStats, Tensor};
 use raxpp_taskgraph::{CollectiveAxis, Instr, MpmdProgram};
 
 use crate::actor::ActorState;
-use crate::collective::{lane_wait, run_collective, LaneObserver};
+use crate::collective::run_collective;
 use crate::fault::check_fault;
 use crate::kind::Kind;
-use crate::lane::RunSlot;
 use crate::store::SendToken;
 use crate::trace::{ActorTrace, Recorder, SpanRing};
 
@@ -45,7 +43,6 @@ pub struct ActorProfile {
     pub(crate) alloc: EvalStats,
     pub(crate) bytes_reduced: u64,
     pub(crate) bytes_wire: u64,
-    pub(crate) bytes_overlap: u64,
     pub(crate) dp_bytes_wire: u64,
 }
 
@@ -72,14 +69,13 @@ impl ActorProfile {
         self.alloc.merge(&other.alloc);
         self.bytes_reduced += other.bytes_reduced;
         self.bytes_wire += other.bytes_wire;
-        self.bytes_overlap += other.bytes_overlap;
         self.dp_bytes_wire += other.dp_bytes_wire;
     }
 
     /// The one per-axis wire-byte accounting of a collective over a
     /// `t`-member group whose contribution has `numel` elements:
-    /// `(t-1) × 4 × numel`, the volume of its ring exchange, whichever
-    /// carrier moved it. Returns that volume.
+    /// `(t-1) × 4 × numel`, the volume of its ring exchange. Returns
+    /// that volume.
     pub(crate) fn count_collective(
         &mut self,
         axis: CollectiveAxis,
@@ -137,19 +133,16 @@ impl ActorProfile {
     /// actor this step — `(t-1) × 4 × numel` per collective of any
     /// kind, including all-gathers (which move blocks without reducing
     /// and therefore do not appear in [`ActorProfile::bytes_reduced`]).
-    /// Counted identically on both collective carriers, so overlap
-    /// wins are measurable per kind.
     pub fn bytes_wire(&self) -> u64 {
         self.bytes_wire
     }
 
-    /// Of [`ActorProfile::bytes_wire`], the bytes this actor published
-    /// to the lane rendezvous *early* — row panels streamed out of a
-    /// producing matmul while it was still multiplying, i.e. collective
-    /// payload made available behind compute. Zero on the message-ring
-    /// carrier (socket transports).
+    /// Always 0: nothing is published ahead of its collective since the
+    /// shared-memory rendezvous went. Kept for its one caller, the
+    /// frozen benchmark (`crates/bench/src/bin/benchmark/src/train.rs`,
+    /// the `runtime.tp_overlap_ratio` row); ROADMAP 7d deletes both.
     pub fn bytes_overlap(&self) -> u64 {
-        self.bytes_overlap
+        0
     }
 
     /// Ring wire volume of every *data-parallel* collective on this
@@ -247,9 +240,6 @@ fn run_stream(
     let me = st.me;
     let epoch = st.epoch;
     let stream = &program.actors[me];
-    // The rendezvous handle (cheap Arc clones): present iff the
-    // transport carries collectives through shared memory.
-    let lane = st.lane.clone();
     for (idx, instr) in stream.iter().enumerate() {
         check_fault(&mut st.faults, idx, instr)?;
         // Each arm yields what it alone knows: the payload bytes and
@@ -261,101 +251,27 @@ fn run_stream(
                 outputs,
                 label,
             } => {
-                // Replicated-run dedup: a jaxpr replicated verbatim
-                // across the lane group computes bit-identical outputs
-                // on every rank from bit-identical replicated inputs,
-                // so one lane executes it and the others adopt the
-                // result (O(1) Arc handle clones; in-place stealing in
-                // later runs is safe because every consumer holds store
-                // clones, keeping shared buffers non-uniquely owned).
-                let dedup = lane
-                    .as_ref()
-                    .filter(|l| l.replicated.get(jaxpr.0 as usize) == Some(&true))
-                    .and_then(|l| l.lane.as_ref().map(|(g, _)| g));
-                let key = (epoch, idx as u32);
-                let mut adopted: Option<Vec<Tensor>> = None;
-                if let Some(g) = dedup {
-                    let claimed = {
-                        let mut s = g.state.lock().unwrap();
-                        match s.runs.entry(key) {
-                            Entry::Vacant(e) => {
-                                e.insert(RunSlot::Claimed);
-                                true
-                            }
-                            Entry::Occupied(_) => false,
-                        }
-                    };
-                    if !claimed {
-                        let degree = g.degree;
-                        let outs =
-                            lane_wait(&mut st.mailbox, g, epoch, |s| match s.runs.get_mut(&key) {
-                                Some(RunSlot::Done { outs, takers }) => {
-                                    *takers += 1;
-                                    let o = outs.clone();
-                                    if *takers == degree {
-                                        s.runs.remove(&key);
-                                    }
-                                    Some(o)
-                                }
-                                _ => None,
-                            })?;
-                        adopted = Some(outs);
-                    }
+                // O(1) handle copies; the store keeps its references,
+                // so the interpreter can never mutate resident buffers.
+                let args: Vec<Tensor> = inputs
+                    .iter()
+                    .map(|b| {
+                        st.store.get(*b).cloned().ok_or_else(|| {
+                            StreamFailure::Error(format!("{label}: missing input {b}"))
+                        })
+                    })
+                    .collect::<Result<_, StreamFailure>>()?;
+                let graph = &program.jaxprs[jaxpr.0 as usize];
+                let (outs, stats) = {
+                    let mut op_hook = rec.op_hook(idx);
+                    let hook = op_hook.as_mut().map(|h| h as raxpp_ir::EvalHook<'_>);
+                    eval_with_stats_hooked(graph, &args, hook)
                 }
-                let (outs, stats) = match adopted {
-                    Some(outs) => (outs, None),
-                    None => {
-                        // O(1) handle copies; the store keeps its
-                        // references, so the interpreter can never
-                        // mutate resident buffers.
-                        let args: Vec<Tensor> = inputs
-                            .iter()
-                            .map(|b| {
-                                st.store.get(*b).cloned().ok_or_else(|| {
-                                    StreamFailure::Error(format!("{label}: missing input {b}"))
-                                })
-                            })
-                            .collect::<Result<_, StreamFailure>>()?;
-                        let graph = &program.jaxprs[jaxpr.0 as usize];
-                        // Compute/communication overlap: outputs that
-                        // feed the collective bucket directly after this
-                        // Run stream their row panels into the
-                        // rendezvous while the matmul is still running.
-                        let mut observer = match &lane {
-                            Some(l) if dedup.is_none() => {
-                                LaneObserver::for_run(l, me, epoch, stream, idx, outputs)
-                            }
-                            _ => None,
-                        };
-                        let (outs, stats) = {
-                            let mut op_hook = rec.op_hook(idx);
-                            let hook = op_hook.as_mut().map(|h| h as raxpp_ir::EvalHook<'_>);
-                            let panels = observer.as_mut().map(|o| o as &mut dyn PanelObserver);
-                            eval_with_stats_observed(graph, &args, hook, panels)
-                        }
-                        .map_err(|e| StreamFailure::Error(format!("{label}: {e}")))?;
-                        if let Some(obs) = &observer {
-                            rec.profile.bytes_overlap += obs.bytes;
-                        }
-                        if let Some(g) = dedup {
-                            let mut s = g.state.lock().unwrap();
-                            s.runs.insert(
-                                key,
-                                RunSlot::Done {
-                                    outs: outs.clone(),
-                                    takers: 1,
-                                },
-                            );
-                            drop(s);
-                            g.cv.notify_all();
-                        }
-                        (outs, Some(stats))
-                    }
-                };
+                .map_err(|e| StreamFailure::Error(format!("{label}: {e}")))?;
                 for (b, t) in outputs.iter().zip(outs) {
                     st.store.insert(*b, t);
                 }
-                (0, stats)
+                (0, Some(stats))
             }
             Instr::Send { buf, to } => {
                 let t = st.load(*buf, "send")?;

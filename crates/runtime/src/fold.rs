@@ -16,7 +16,7 @@ use crate::error::RuntimeError;
 /// Folds happen at *host* granularity: a host is one pipeline position
 /// together with all of its TP ranks and DP replicas. Losing any raw
 /// actor retires the whole host everywhere — identically in every
-/// replica, rank-preservingly within each TP lane group — so collective
+/// replica, rank-preservingly within each TP rank group — so collective
 /// memberships stay aligned across ranks and replicas after the fold
 /// ({h·t+r} → {s·t+r} in every replica block).
 pub(crate) fn plan_fold(

@@ -37,7 +37,6 @@ mod exec;
 mod fault;
 mod fold;
 mod kind;
-mod lane;
 mod metrics;
 mod runtime;
 mod store;

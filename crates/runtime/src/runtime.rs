@@ -63,7 +63,6 @@ use crate::error::RuntimeError;
 use crate::exec::{ActorProfile, StepStats};
 use crate::fault::Fault;
 use crate::fold::plan_fold;
-use crate::lane::LaneHub;
 use crate::trace::{ActorTrace, StepEvent, StepTrace};
 use crate::transport::{
     CmdPort, MpscTransport, Scheme, SocketTransport, Transport, TransportKind, TransportStats,
@@ -173,12 +172,6 @@ pub struct Runtime {
     /// Step timeout in milliseconds (atomic so tests can tighten it on
     /// a shared runtime without exclusive access).
     step_timeout: AtomicU64,
-    /// The shared-memory collective rendezvous: `Some` iff the
-    /// transport supports lanes and the program has collective groups
-    /// ([`raxpp_taskgraph::TpMeta`] with degree > 1 or
-    /// [`raxpp_taskgraph::DpMeta`] with more than one replica). On
-    /// every other transport collectives ride the message ring.
-    hub: Option<Arc<LaneHub>>,
     /// Whether [`Runtime::step`] records per-instruction span traces.
     tracing: AtomicBool,
     /// The shared zero point of every span timestamp: all actors (and
@@ -242,10 +235,8 @@ impl Runtime {
     /// Spawns the actor fleet on an explicit transport: in-process
     /// mpsc, or thread-backed workers whose every fabric byte crosses
     /// a Unix-domain/TCP socket. Execution is bitwise-identical across
-    /// transports. The transport also picks how collectives travel:
-    /// shared-memory rendezvous in process, the message ring over
-    /// sockets — bitwise-equal by construction, since both only gather
-    /// contributions for one shared combine.
+    /// transports: point-to-point traffic and collectives alike are
+    /// ordinary messages on whichever fabric is chosen.
     pub fn with_transport(program: MpmdProgram, kind: TransportKind) -> Runtime {
         let n = program.n_actors();
         let transport: Box<dyn Transport> = match kind {
@@ -282,17 +273,10 @@ impl Runtime {
 
     fn build(program: MpmdProgram, mut transport: Box<dyn Transport>) -> Runtime {
         let n = program.n_actors();
-        let tp_sharded = program.tp.as_ref().is_some_and(|m| m.degree > 1);
-        let dp_replicated = program.dp.as_ref().is_some_and(|m| m.replicas > 1);
-        let hub = (transport.supports_lanes() && (tp_sharded || dp_replicated))
-            .then(|| Arc::new(LaneHub::new(program.tp.as_ref().filter(|m| m.degree > 1))));
         let program = Arc::new(program);
         let origin = Instant::now();
         let actors = (0..n)
-            .map(|a| {
-                let lane = hub.as_ref().map(|h| h.ctx_for(a));
-                transport.spawn_actor(a, &program, origin, lane)
-            })
+            .map(|a| transport.spawn_actor(a, &program, origin))
             .collect();
         Runtime {
             inner: Mutex::new(Inner {
@@ -305,7 +289,6 @@ impl Runtime {
                 assign_history: Vec::new(),
             }),
             step_timeout: AtomicU64::new(env::STEP_TIMEOUT.read().as_millis() as u64),
-            hub,
             tracing: AtomicBool::new(env::TRACE.read()),
             origin,
         }
@@ -341,17 +324,6 @@ impl Runtime {
 
     fn timeout(&self) -> Duration {
         Duration::from_millis(self.step_timeout.load(Ordering::Relaxed))
-    }
-
-    /// Number of live rendezvous slots (staged collective contributions
-    /// plus deduplicated-run results) across every collective group.
-    /// Between steps this should be exactly the slots of the last
-    /// completed epoch — recovery and rebalance GC anything older, so a
-    /// monotone growth here across fault/recover cycles is a leak.
-    /// Always 0 for programs without collective groups and on socket
-    /// transports (the message ring holds no shared slots).
-    pub fn lane_live_slots(&self) -> usize {
-        self.hub.as_ref().map_or(0, |h| h.live_slots())
     }
 
     /// Enables or disables per-instruction step tracing (initially set
@@ -767,10 +739,7 @@ impl Runtime {
             // what unblocks an old thread the driver declared dead
             // while it was still wedged in a receive.
             let old = inner.actors[a].handle.take();
-            let lane = self.hub.as_ref().map(|h| h.ctx_for(a));
-            let link = inner
-                .transport
-                .spawn_actor(a, &inner.program, self.origin, lane);
+            let link = inner.transport.spawn_actor(a, &inner.program, self.origin);
             if let Some(h) = old {
                 let _ = h.join();
             }
@@ -787,13 +756,6 @@ impl Runtime {
                     }
                 }
             }
-        }
-        // Drop collective-group slots poisoned by the incident: groups
-        // whose membership includes retired actors are never used again
-        // (remapped programs reference survivor groups only), and live
-        // groups may hold contributions staged during the aborted epoch.
-        if let Some(h) = &self.hub {
-            h.gc(&inner.retired, inner.seq + 1);
         }
         Ok(RecoveryReport { respawned: dead })
     }
@@ -848,13 +810,6 @@ impl Runtime {
             }
             inner.actors[d].dead = true;
             inner.retired[d] = true;
-        }
-        // GC collective-group slots now referencing retired members —
-        // the remapped program never rendezvouses on those memberships
-        // again, so without this their staged tensors leak for the
-        // lifetime of the run.
-        if let Some(h) = &self.hub {
-            h.gc(&inner.retired, inner.seq + 1);
         }
         inner.program = Arc::new(new_program);
         inner.assign_history.push(assign.clone());

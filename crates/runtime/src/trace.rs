@@ -14,7 +14,7 @@
 //! the kind and, iff the step is traced, pushes the matching
 //! [`SpanEvent`] onto a [`SpanRing`] the actor exclusively owns (one
 //! actor = one OS thread, so recording is lock-free by construction).
-//! Intervals inside an instruction (`op`, `wire`, the rendezvous waits)
+//! Intervals inside an instruction (`op`, `wire`, the collective waits)
 //! take the same path through [`Recorder::sub`]. The profile and the
 //! trace are therefore written by the same call from the same duration:
 //! [`ActorTrace::profile`] folds the spans back into the profile, entry
@@ -60,17 +60,16 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 ///   ring collective — all-gather, all-reduce, or reduce-scatter —
 ///   executed by one rank; `bytes` carries the rank's ring-received
 ///   wire volume).
-/// - **4** — adds the `"collective_wait"` span kind (the interval a
-///   shard lane spent parked at the collective rendezvous waiting for
-///   its peers' contributions — the exposed, non-overlapped share of
-///   communication; emitted only in lane mode, nested inside its
-///   `"collective"` span). In lane mode the `"collective"` span's
-///   `bytes` carries the modelled wire volume `(t-1) * 4 * numel`
-///   (equal to what the serial ring physically receives).
+/// - **4** — adds the `"collective_wait"` span kind (the time a rank
+///   spent blocked in its ring receives waiting for its peers'
+///   contributions — the exposed share of communication; nested inside
+///   its `"collective"` span, starting at the first receive and as long
+///   as the rounds' waits summed). The `"collective"` span's `bytes`
+///   carries the wire volume `(t-1) * 4 * numel` the ring receives.
 /// - **5** — adds the `"dp_collective"` and `"dp_collective_wait"`
 ///   span kinds: the data-parallel gradient all-reduce between
-///   pipeline replicas and the interval a replica spent parked at its
-///   rendezvous. Same shape as `"collective"`/`"collective_wait"`,
+///   pipeline replicas and the time a replica spent blocked in its
+///   ring receives. Same shape as `"collective"`/`"collective_wait"`,
 ///   separate kinds so TP and DP traffic stay distinguishable in a
 ///   3-D (dp × tp × pp) trace.
 /// - **6** — adds the `"wire"` span kind (the synchronous socket write

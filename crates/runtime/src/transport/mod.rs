@@ -37,7 +37,6 @@ use raxpp_taskgraph::MpmdProgram;
 
 use crate::actor::{actor_main, Command, Msg, Payload, Reply, DRIVER};
 use crate::fault::Fault;
-use crate::lane::LaneCtx;
 use crate::runtime::ActorLink;
 
 pub use socket::{serve_worker, WorkerConfig};
@@ -99,24 +98,9 @@ pub(crate) trait Transport: Send {
     /// Which carrier this is.
     fn kind(&self) -> TransportKind;
 
-    /// Whether actors share an address space, so tensor/data-parallel
-    /// collectives can meet in the `LaneHub` rendezvous. This is the
-    /// *only* selector of the collective carrier: socket transports
-    /// return false and their collectives ride the message ring, which
-    /// is bitwise-identical by construction.
-    fn supports_lanes(&self) -> bool {
-        true
-    }
-
     /// Spawns (or respawns) actor `a` and returns its driver-side
     /// link. Respawn must fully retire any previous incarnation first.
-    fn spawn_actor(
-        &mut self,
-        a: usize,
-        program: &Arc<MpmdProgram>,
-        origin: Instant,
-        lane: Option<LaneCtx>,
-    ) -> ActorLink;
+    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink;
 
     /// Best-effort abort broadcast to every actor's data inbox.
     fn broadcast_abort(&self, epoch: u64, reason: &str);
@@ -316,13 +300,7 @@ impl Transport for MpscTransport {
         TransportKind::Mpsc
     }
 
-    fn spawn_actor(
-        &mut self,
-        a: usize,
-        program: &Arc<MpmdProgram>,
-        origin: Instant,
-        lane: Option<LaneCtx>,
-    ) -> ActorLink {
+    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink {
         // First spawn takes the pre-created inbox; respawn installs a
         // fresh channel in the shared row.
         let inbox_rx = match self.pending[a].take() {
@@ -350,7 +328,6 @@ impl Transport for MpscTransport {
                     fabric,
                     inbox_rx,
                     origin,
-                    lane,
                 );
             })
             .expect("spawn actor thread");

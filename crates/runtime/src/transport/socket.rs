@@ -735,20 +735,7 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn supports_lanes(&self) -> bool {
-        // Shared-memory rendezvous cannot span processes; all
-        // collectives take the (bitwise-identical) message-ring path.
-        false
-    }
-
-    fn spawn_actor(
-        &mut self,
-        a: usize,
-        program: &Arc<MpmdProgram>,
-        origin: Instant,
-        lane: Option<crate::lane::LaneCtx>,
-    ) -> ActorLink {
-        debug_assert!(lane.is_none(), "socket transport runs without lanes");
+    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink {
         let (reply_tx, reply_rx) = channel::<Reply>();
         // Order matters: sever the old presence first so nothing stale
         // can accept, then install the fresh reply slot and clear the
@@ -780,8 +767,7 @@ impl Transport for SocketTransport {
                 let handle = std::thread::Builder::new()
                     .name(format!("raxpp-actor-{a}"))
                     .spawn(move || {
-                        let _ =
-                            actor_main(a, program, cmd_rx, reply, fabric, inbox_rx, origin, None);
+                        let _ = actor_main(a, program, cmd_rx, reply, fabric, inbox_rx, origin);
                     })
                     .expect("spawn actor thread");
                 eps[a] = Some(ep);
@@ -975,7 +961,6 @@ pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result
         fabric,
         inbox_rx,
         Instant::now(),
-        None,
     );
     if matches!(exit, Exit::Killed) {
         std::process::abort();

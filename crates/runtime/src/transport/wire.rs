@@ -463,7 +463,6 @@ fn encode_profile(e: &mut Enc, p: &ActorProfile) {
     e.stats(p.alloc_stats());
     e.u64(p.bytes_reduced());
     e.u64(p.bytes_wire());
-    e.u64(p.bytes_overlap());
     e.u64(p.dp_bytes_wire());
 }
 
@@ -479,7 +478,6 @@ fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
     p.alloc = d.stats()?;
     p.bytes_reduced = d.u64()?;
     p.bytes_wire = d.u64()?;
-    p.bytes_overlap = d.u64()?;
     p.dp_bytes_wire = d.u64()?;
     Ok(p)
 }
@@ -760,7 +758,6 @@ mod tests {
         };
         p.bytes_reduced = 64;
         p.bytes_wire = 128;
-        p.bytes_overlap = 32;
         p.dp_bytes_wire = 16;
         let r = Reply {
             seq: 3,

@@ -5,8 +5,8 @@
 //! host actor `a` expands into the contiguous rank block
 //! `a*t .. a*t + t - 1`. [`TpMap`] is that arithmetic, and the only
 //! copy of it: the compiler (`shard_program`'s axis expansion, the
-//! verifier's alignment check) and the runtime (lane groups, host-fold
-//! planning) call it, so they agree on shard-task identity: shard actor
+//! verifier's alignment check) and the runtime (host-fold planning)
+//! call it, so they agree on shard-task identity: shard actor
 //! `a*t + r` is "(pipeline actor `a`, tp rank `r`)".
 
 /// Mapping between host (pipeline) actor indices and tensor-parallel

@@ -205,10 +205,9 @@ impl Engine {
                     .map(|r| r.enqueued.elapsed().as_nanos() as u64)
                     .collect();
                 self.record_trace(&lat_ns);
-                for (slot, req) in self.batch.drain(..).enumerate() {
-                    let out = outputs.iter().map(|row| row[slot].clone()).collect();
-                    let _ = req.reply.send(Ok(out));
-                }
+                // Like the depth above, the latency gauges are published
+                // before any reply: a client woken by its ticket must
+                // find its own request already in them.
                 for ns in &lat_ns {
                     if self.window.len() == self.cfg.latency_window.max(1) {
                         self.window.pop_front();
@@ -218,6 +217,10 @@ impl Engine {
                 let mut sample: Vec<u64> = self.window.iter().copied().collect();
                 metrics.set_gauge("serve_p50_us", percentile(&mut sample, 50.0));
                 metrics.set_gauge("serve_p99_us", percentile(&mut sample, 99.0));
+                for (slot, req) in self.batch.drain(..).enumerate() {
+                    let out = outputs.iter().map(|row| row[slot].clone()).collect();
+                    let _ = req.reply.send(Ok(out));
+                }
             }
             Err(e) => {
                 self.consecutive_failures += 1;

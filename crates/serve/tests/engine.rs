@@ -99,6 +99,20 @@ fn deadline_fires_and_pads_a_partial_dispatch() {
     server.shutdown();
 }
 
+/// A reply is the last thing a dispatch publishes: the client it wakes
+/// reads latency gauges that already include its request. Fresh servers
+/// only — on a warm one the previous dispatch's value hides the race.
+#[test]
+fn latency_gauges_are_published_before_the_reply() {
+    for i in 0..50 {
+        let server = Server::start(forward_step(1), ServeConfig::default());
+        server.infer(vec![request(i)]).unwrap();
+        let p99 = server.metrics().gauge("serve_p99_us");
+        assert!(p99.is_some(), "server {i}: reply overtook serve_p99_us");
+        server.shutdown();
+    }
+}
+
 #[test]
 fn full_dispatch_needs_no_deadline() {
     // max_wait far beyond the test's patience: only slot-full dispatch

@@ -7,10 +7,11 @@
 //! ([`TpMap::shard_actor`] / [`DpMap::replica_actor`]). Point-to-point
 //! traffic and existing collective groups are rewired copy-to-copy,
 //! placements and fetches fan out, and the copies' streams stay
-//! *index-aligned* ([`streams_aligned`]) — the property the runtime's
-//! rendezvous keys on. What an axis *means* is the caller's
-//! [`AxisRule`]: what a `Run` becomes on each copy, how a placement
-//! differs per copy, and which copies a fetch reads.
+//! *index-aligned* ([`streams_aligned`]) — the property that lets the
+//! members of a group meet their collectives in the same order. What an
+//! axis *means* is the caller's [`AxisRule`]: what a `Run` becomes on
+//! each copy, how a placement differs per copy, and which copies a
+//! fetch reads.
 
 use raxpp_sched::{DpMap, TpMap};
 
@@ -134,9 +135,10 @@ pub(crate) fn expand_axis(
 
 /// Checks that the first `n_base` input actors' copies along `map` are
 /// index-aligned: equal stream length and equal instruction kind at
-/// every index, which is what the runtime's rendezvous slots are keyed
-/// by. Returns the first offending `(copy-0 actor, other copy's actor,
-/// index)`; a copy the program has no stream for offends at index 0.
+/// every index, so the members of a group meet their collectives in
+/// the same order. Returns the first offending `(copy-0 actor, other
+/// copy's actor, index)`; a copy the program has no stream for offends
+/// at index 0.
 pub(crate) fn streams_aligned(
     program: &MpmdProgram,
     map: &impl AxisMap,

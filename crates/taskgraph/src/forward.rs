@@ -278,10 +278,7 @@ mod tests {
     fn projection_rejects_sharded_programs() {
         let compiled = two_stage_loop();
         let mut p = compiled.program.clone();
-        p.tp = Some(crate::program::TpMeta {
-            degree: 2,
-            replicated: Vec::new(),
-        });
+        p.tp = Some(crate::program::TpMeta { degree: 2 });
         assert!(forward_project(&p).is_err());
     }
 

@@ -137,7 +137,7 @@ impl fmt::Display for CollectiveKind {
 /// block-assembly fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveAxis {
-    /// Tensor-parallel lane group (the ranks of one pipeline host).
+    /// Tensor-parallel rank group (the ranks of one pipeline host).
     Tp,
     /// Data-parallel replica group (the same position in every replica).
     Dp,
@@ -346,18 +346,17 @@ pub struct Fetch {
 }
 
 /// Tensor-parallel structure of a sharded program, recorded by
-/// `shard_program` so the runtime can run the rank streams of one host
-/// actor as concurrent *shard lanes* with an in-actor rendezvous
-/// instead of the serialized message-ring walk.
+/// `shard_program` so the runtime and trainer can do rank arithmetic
+/// (`raxpp_sched::TpMap`) over the rank streams of one host actor.
 ///
 /// The lowering keeps the `t` rank streams of every host actor
 /// *aligned*: instruction `i` of rank `r`'s stream and instruction `i`
 /// of rank `r'`'s stream come from the same host instruction and have
 /// the same kind (only buffer ids and jaxpr variants differ). `insert_frees`
 /// preserves the alignment because its pin set (placements + fetches) is
-/// a buffer-id set shared by all ranks. The runtime relies on this to
-/// key its lane rendezvous by instruction index, and `verify_program`
-/// checks it.
+/// a buffer-id set shared by all ranks. Every member of a group
+/// therefore meets its collectives in the same order — what the ring's
+/// per-pair FIFO matching relies on — and `verify_program` checks it.
 ///
 /// Every TP-axis [`CollectiveKind::AllReduce`] of such a program sums
 /// contributions with *disjoint support*: each rank's tensor is its own
@@ -367,16 +366,11 @@ pub struct Fetch {
 /// every `f32` (including both zeros, under round-to-nearest), the
 /// rank-ascending fold equals block concatenation bit for bit, and the
 /// runtime assembles blocks instead of folding full tensors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpMeta {
     /// Tensor-parallel degree `t`: host actor `a`'s streams are
     /// `a*t .. a*t+t-1`.
     pub degree: usize,
-    /// Per [`JaxprId`]: `true` when the jaxpr is replicated verbatim on
-    /// every rank of its host — same jaxpr, same input buffer ids, and
-    /// (by the replicated-buffer invariant) bitwise-identical input
-    /// values, so each instance needs to execute on only one lane.
-    pub replicated: Vec<bool>,
 }
 
 /// Data-parallel structure of a replicated program, recorded by

@@ -129,9 +129,9 @@ pub fn replace_program(
         }
     }
     if let Some(dp) = &program.dp {
-        // Data-parallel programs rendezvous DP collectives by
-        // instruction index, which stays aligned across replicas only
-        // when the fold acts identically in every replica: each raw
+        // The members of a DP group must meet their collectives in the
+        // same order, which stays true across replicas only when the
+        // fold acts identically in every replica: each raw
         // actor must stay inside its replica block, and the base-actor
         // fold pattern must be the same in all blocks. Anything else
         // would leave isomorphic-looking groups whose members sit at
@@ -182,7 +182,7 @@ pub fn replace_program(
         actors: streams,
         placements: Vec::new(),
         fetches: Vec::new(),
-        tp: program.tp.clone(),
+        tp: program.tp,
         dp: program.dp,
     };
     // Remap placements; folding can land the same data buffer (shared id
@@ -381,8 +381,8 @@ fn simulate(
                         } else {
                             // In replay terms a collective is a local
                             // compute (contribute src, define dst): the
-                            // runtime's rendezvous synchronizes members,
-                            // and group-uniform folds keep the member
+                            // runtime's ring synchronizes members, and
+                            // group-uniform folds keep the member
                             // streams isomorphic, so no cross-member
                             // ordering needs modeling here.
                             let moved = instr.map_actors(|m| assign[m]);

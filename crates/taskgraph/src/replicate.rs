@@ -22,7 +22,7 @@
 //! (`g = g_0 + g_1 + … + g_{R-1}`, always in that association). That
 //! pin is what makes the determinism contract two-tier: any run at
 //! fixed `R` is bitwise-reproducible (through faults, recovery,
-//! rebalance, checkpoint resume, and lanes↔serial execution), while
+//! rebalance, checkpoint resume, and every transport), while
 //! runs at *different* `R` agree only within fp32 summation-
 //! reassociation bounds — see `docs/determinism.md`. Pre-update
 //! (step-0) per-microbatch losses are still bitwise-equal across every
@@ -37,11 +37,11 @@
 //! across replicas — stores are per-actor, so identical ids never
 //! collide, and the id-keyed pin set of `insert_frees` then produces
 //! identical `Free` positions in every replica, keeping the replica
-//! streams index-aligned (the invariant the runtime's rendezvous slot
-//! keying relies on, see [`TpMeta`]). The gradient all-reduce reuses
-//! the gradient buffer id itself as every replica's wire
-//! (`wires[rep] == src` on all ranks) and lands in a freshly-allocated
-//! assembled-gradient buffer shared by all replicas.
+//! streams index-aligned (so every member of a group meets its
+//! collectives in the same order, see [`TpMeta`]). The gradient
+//! all-reduce reuses the gradient buffer id itself as every replica's
+//! wire (`wires[rep] == src` on all ranks) and lands in a
+//! freshly-allocated assembled-gradient buffer shared by all replicas.
 //!
 //! # ZeRO-1
 //!
@@ -263,12 +263,7 @@ pub fn replicate_program(
     let mut rule = DpRule { map, n_mub, params };
     expand_axis(program, &map, &mut rule, &mut out);
 
-    // New jaxprs (ZeRO-1 updates) are replicated verbatim across
-    // TP ranks: same ids, same buffers, bitwise-identical inputs.
-    out.tp = program.tp.clone();
-    if let Some(tp) = &mut out.tp {
-        tp.replicated.resize(out.jaxprs.len(), true);
-    }
+    out.tp = program.tp;
     out.dp = Some(DpMeta {
         replicas,
         base_actors: map.base_actors(),
@@ -799,9 +794,6 @@ mod tests {
             })
             .count();
         assert!(dp_colls > 0 && dp_colls % 2 == 0);
-        // The extended replicated table covers the new ZeRO-1 jaxprs.
-        let tp = r.tp.as_ref().unwrap();
-        assert_eq!(tp.replicated.len(), r.jaxprs.len());
     }
 
     #[test]
@@ -837,9 +829,6 @@ mod tests {
         }
         assert!(tp_colls > 0);
         assert!(dp_colls > 0);
-        // The extended replicated table covers the new mask jaxprs.
-        let tp = r.tp.as_ref().unwrap();
-        assert_eq!(tp.replicated.len(), r.jaxprs.len());
     }
 
     #[test]

@@ -474,45 +474,33 @@ pub fn shard_program(program: &MpmdProgram, t: usize) -> Result<MpmdProgram, Sha
         }
         lowered.push(Lowered::PerRank { variants, outs });
     }
-    // Record which jaxprs are replicated verbatim across ranks: one lane
-    // may execute them on behalf of its host.
-    let mut replicated = vec![false; out.jaxprs.len()];
-    for l in &lowered {
-        if let Lowered::Shared(nj) = l {
-            replicated[nj.0 as usize] = true;
-        }
-    }
-
     let mut rule = TpRule {
         lowered,
         fresh: Fresh::above(program),
     };
     expand_axis(program, &map, &mut rule, &mut out);
-    out.tp = Some(TpMeta {
-        degree: t,
-        replicated,
-    });
+    out.tp = Some(TpMeta { degree: t });
     Ok(out)
 }
 
 /// Coalesces back-to-back collectives into contiguous *buckets* by
-/// sliding the `Free` instructions `insert_frees` interleaves between a
-/// `Run` and its reassembly collectives (and between the collectives of
-/// consecutive sharded `Run`s) past the collective block they interrupt.
+/// sliding the `Free` instructions `insert_frees` interleaves *between
+/// the collectives* of a `Run`'s reassembly (and of consecutive sharded
+/// `Run`s) past the collective block they interrupt. Frees between a
+/// `Run` and its first collective stay where they are.
 ///
-/// After the pass, every maximal run of `Collective` instructions in a
-/// stream is a bucket the runtime executes with a *single* lane
-/// rendezvous (one barrier and one combine round for the whole bucket)
-/// instead of one serialized ring walk per tensor — the per-message
-/// overhead amortizes over the bucket. Delaying a `Free` past a
-/// collective is always sound for liveness (the buffer simply stays
-/// resident a few instructions longer); the pass still refuses to move
-/// a `Free` across a collective that mentions the freed id (a freed
-/// wire id could in principle be redefined as a collective `dst`).
+/// After the pass the collectives of a bucket are adjacent in the
+/// stream and the hoisted `Free`s follow the last of them. Delaying a
+/// `Free` past a collective is always sound for liveness (the buffer
+/// simply stays resident a few instructions longer); the pass still
+/// refuses to move a `Free` across a collective that mentions the freed
+/// id (a freed wire id could in principle be redefined as a collective
+/// `dst`).
 ///
-/// Call after [`crate::unroll::insert_frees`]. Streams stay lane-aligned
-/// (the decision depends only on instruction kinds and ids, which are
-/// symmetric across ranks), and no-op for programs without collectives.
+/// Call after [`crate::unroll::insert_frees`]. Streams stay
+/// index-aligned (the decision depends only on instruction kinds and
+/// ids, which are symmetric across ranks), and no-op for programs
+/// without collectives.
 pub fn bucket_collectives(program: &mut MpmdProgram) {
     for stream in &mut program.actors {
         let mut i = 0;

@@ -12,8 +12,8 @@
 //! * the streams make progress to completion (no deadlock);
 //! * along every recorded axis ([`MpmdProgram::tp`], [`MpmdProgram::dp`])
 //!   the copies of an actor are index-aligned — equal length, equal
-//!   instruction kind at every index — which is what the runtime's
-//!   rendezvous slots are keyed by.
+//!   instruction kind at every index — so the members of a group meet
+//!   their collectives in the same order.
 //!
 //! The compiler's output is verified in tests and in
 //! `debug_assertions` builds of `raxpp-core`; the checker is also useful
@@ -540,8 +540,8 @@ mod tests {
         let mut p = crate::shard::shard_program(&compiled_program(false), 2).unwrap();
         verify_program(&p).unwrap();
         // Swap two adjacent instructions of different kinds in rank 1 of
-        // host 0 only: its lane rendezvous would pair different
-        // instructions at `pos`.
+        // host 0 only: its ranks would no longer run the same
+        // instruction at `pos`.
         let kind = std::mem::discriminant::<Instr>;
         let pos = p.actors[1]
             .windows(2)

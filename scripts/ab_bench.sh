@@ -19,9 +19,10 @@
 # The pairs are followed by one `--trace 1` run per side (seed 0,
 # reports in {parent,change}_traced.jsonl) and, under the `compare`
 # table, the per-layer rows that explain a step-time difference — where
-# the actors' time went (four rows), what tracing costs and how much of
-# the actors' time no kind accounts for (the two rows a telemetry change
-# must quote) — so the evidence a claim has to quote comes from the same
+# the actors' time went (four rows, then the share blocked in TP and DP
+# collectives), what tracing costs and how much of the actors' time no
+# kind accounts for (the two rows a telemetry change must quote) — so
+# the evidence a claim has to quote comes from the same
 # invocation as the claim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -97,5 +98,5 @@ echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
 echo "==> where the actors' time went, and what observing it costs (one traced run per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
-    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|trace_overhead|unaccounted_share) ' || true
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share) ' || true
 exit "$status"

@@ -255,8 +255,9 @@ fn wire_chaotic_run_matches_mpsc_fault_free_run_bitwise() {
 /// rank-preservingly. The shrunken fleet must end bit-identical to an
 /// *unsharded* fault-free twin — chaining the TP-vs-PP,
 /// faulty-vs-smooth, and fold determinism contracts in one run — and
-/// the collective hub must end with zero live rendezvous slots (the
-/// stale-slot GC contract after aborts and folds).
+/// the survivors' stores must end holding exactly the bytes the fleet
+/// held before the first fault (nothing an aborted epoch or a fold
+/// touched is stranded).
 #[test]
 fn tp_chaotic_run_matches_unsharded_fault_free_run_bitwise() {
     with_watchdog(
@@ -293,6 +294,12 @@ fn tp_chaotic_run_matches_unsharded_fault_free_run_bitwise() {
                 // One death = permanent loss: fold the host group.
                 rebalance_after: Some(1),
             };
+
+            // One fault-free step fixes the resident set the soak must
+            // return to.
+            let warm = smooth.step(&data).unwrap().losses;
+            assert_eq!(chaotic.step(&data).unwrap().losses, warm);
+            let baseline: usize = chaotic.runtime().live_store_bytes().unwrap().iter().sum();
 
             let mut faults = StdRng::seed_from_u64(76);
             for step in 0..STEPS {
@@ -332,20 +339,21 @@ fn tp_chaotic_run_matches_unsharded_fault_free_run_bitwise() {
             );
             assert!(chaotic.metrics().counter("tp_collectives_total") > 0);
             // Folds retire whole host groups: every retired actor's
-            // lane partner is retired with it.
+            // rank partner is retired with it.
             let retired = chaotic.runtime().retired_actors();
             assert!(!retired.is_empty());
             for &a in &retired {
                 assert!(
                     retired.contains(&(a ^ 1)),
-                    "actor {a} folded without its lane partner"
+                    "actor {a} folded without its rank partner"
                 );
             }
-            // Stale-slot GC: no rendezvous slot survives the soak.
+            let after = chaotic.runtime().live_store_bytes().unwrap();
+            assert!(retired.iter().all(|&a| after[a] == 0));
             assert_eq!(
-                chaotic.runtime().lane_live_slots(),
-                0,
-                "lane hub leaked rendezvous slots across aborts/folds"
+                after.iter().sum::<usize>(),
+                baseline,
+                "live store bytes drifted across aborts/folds"
             );
 
             let pa = smooth.params().unwrap();
@@ -363,7 +371,8 @@ fn tp_chaotic_run_matches_unsharded_fault_free_run_bitwise() {
 /// folds the dead actor's pipeline host in **both** replicas, keeping
 /// the replica streams aligned and the DP collective groups intact.
 /// Must end bit-identical to a fault-free twin of the **same degree**
-/// (tier 1 of `docs/determinism.md`) with zero live rendezvous slots.
+/// (tier 1 of `docs/determinism.md`) with the live store bytes back at
+/// their pre-fault total.
 #[test]
 fn dp_chaotic_run_matches_fault_free_run_bitwise() {
     with_watchdog("dp_chaotic_run_matches_fault_free_run_bitwise", || {
@@ -400,6 +409,12 @@ fn dp_chaotic_run_matches_fault_free_run_bitwise() {
             backoff: Duration::ZERO,
             rebalance_after: Some(1),
         };
+
+        // One fault-free step fixes the resident set the soak must
+        // return to.
+        let warm = smooth.step(&data).unwrap().losses;
+        assert_eq!(chaotic.step(&data).unwrap().losses, warm);
+        let baseline: usize = chaotic.runtime().live_store_bytes().unwrap().iter().sum();
 
         let mut faults = StdRng::seed_from_u64(79);
         for step in 0..STEPS {
@@ -447,10 +462,12 @@ fn dp_chaotic_run_matches_fault_free_run_bitwise() {
                 "actor {a} folded without its replica twin {twin}"
             );
         }
+        let after = chaotic.runtime().live_store_bytes().unwrap();
+        assert!(retired.iter().all(|&a| after[a] == 0));
         assert_eq!(
-            chaotic.runtime().lane_live_slots(),
-            0,
-            "lane hub leaked rendezvous slots across aborts/folds"
+            after.iter().sum::<usize>(),
+            baseline,
+            "live store bytes drifted across aborts/folds"
         );
 
         let pa = smooth.params().unwrap();

@@ -5,8 +5,8 @@
 //!
 //! * **Tier 1 — fixed degree, bitwise.** At any fixed `d`, runs are
 //!   bitwise-reproducible through faults, recovery, elastic rebalance,
-//!   checkpoint save/resume, and across the two collective carriers
-//!   (shared-memory rendezvous on mpsc, message ring on sockets).
+//!   checkpoint save/resume, and across transports (the collective
+//!   ring rides in-process mpsc and Unix sockets alike).
 //! * **Tier 2 — across degrees, bounded.** Step-0 (pre-update)
 //!   per-microbatch losses are bitwise equal for every `d` over the
 //!   same global batch; after updates, losses and parameters agree
@@ -36,8 +36,7 @@ fn build(
     build_on(model, schedule, tp, dp, optimizer, None)
 }
 
-/// A trainer on an explicit transport — which also fixes the collective
-/// carrier: rendezvous on `Mpsc`, ring on `UnixSocket`.
+/// A trainer on an explicit transport.
 fn build_on(
     model: &BuiltModel,
     schedule: &Schedule,
@@ -214,9 +213,9 @@ fn dp_shards_the_batch_and_tracks_dp1_within_bounds() {
     }
 }
 
-/// Tier 1: at a fixed degree, two identical runs — one on mpsc (the
-/// shared-memory rendezvous), one over Unix sockets (the collective
-/// ring) — are bitwise equal, losses and parameters, step after step.
+/// Tier 1: at a fixed degree, two identical runs — one on mpsc, one
+/// over Unix sockets — are bitwise equal, losses and parameters, step
+/// after step.
 #[test]
 fn dp_runs_are_bitwise_reproducible_at_fixed_degree() {
     const GLOBAL_MB: usize = 4;
@@ -232,15 +231,15 @@ fn dp_runs_are_bitwise_reproducible_at_fixed_degree() {
         let dp = Some(DpConfig::replicas(2));
         build_on(&model, &schedule, 2, dp, optimizer, Some(transport))
     };
-    let lanes = on(TransportKind::Mpsc);
-    let ring = on(TransportKind::UnixSocket);
+    let mpsc = on(TransportKind::Mpsc);
+    let uds = on(TransportKind::UnixSocket);
     for step in 0..3 {
-        let a = lanes.step(&data).unwrap();
-        let b = ring.step(&data).unwrap();
+        let a = mpsc.step(&data).unwrap();
+        let b = uds.step(&data).unwrap();
         assert_eq!(a.losses, b.losses, "step {step}: mpsc vs uds diverged");
     }
-    let pa = lanes.params().unwrap();
-    let pb = ring.params().unwrap();
+    let pa = mpsc.params().unwrap();
+    let pb = uds.params().unwrap();
     for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
         assert_eq!(a.data(), b.data(), "param {p}: mpsc vs uds diverged");
     }
@@ -377,8 +376,8 @@ fn dp_checkpoints_are_portable_across_degrees() {
 }
 
 /// Tier 1 through faults: killing a replica actor mid-stream — aimed at
-/// its first DP collective, so its group peers are parked in the
-/// rendezvous — must cascade-abort, respawn, restore, and stay
+/// its first DP collective, so its group peers are blocked in the
+/// ring — must cascade-abort, respawn, restore, and stay
 /// bit-identical to an uninterrupted run of the same degree, within a
 /// bounded wall-clock.
 #[test]
@@ -421,8 +420,10 @@ fn dp_replica_death_mid_all_reduce_recovers_bitwise() {
         .expect("replica 1 has a DP collective");
 
     let t0 = std::time::Instant::now();
+    let mut baseline = Vec::new();
     for step in 0..3 {
         if step == 1 {
+            baseline = bumpy.runtime().live_store_bytes().unwrap();
             bumpy
                 .runtime()
                 .inject_fault(victim, Fault::DieAtInstr(coll_at))
@@ -446,8 +447,12 @@ fn dp_replica_death_mid_all_reduce_recovers_bitwise() {
     for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
         assert_eq!(a.data(), b.data(), "param {p} not bit-identical");
     }
-    // Recovery must not leak rendezvous slots.
-    assert_eq!(bumpy.runtime().lane_live_slots(), 0, "stale slots leaked");
+    // Nothing the aborted epoch staged outlives recovery.
+    assert_eq!(
+        bumpy.runtime().live_store_bytes().unwrap(),
+        baseline,
+        "live store bytes not back at the pre-fault baseline"
+    );
 }
 
 /// Tier 1 through elastic rebalance: folding a dead host away retires
@@ -475,6 +480,7 @@ fn dp_rebalance_folds_bitwise() {
     // dp=2 × tp=2 × 2 hosts = 8 raw actors; killing raw actor 2 (host
     // 1, rank 0, replica 0) must fold host 1 in BOTH replicas: retired
     // = {2, 3, 6, 7}.
+    let baseline = bumpy.runtime().live_store_bytes().unwrap();
     let report = bumpy.rebalance(&[2]).unwrap();
     assert_eq!(
         report.retired,
@@ -502,14 +508,21 @@ fn dp_rebalance_folds_bitwise() {
             );
         }
     }
-    assert_eq!(bumpy.runtime().lane_live_slots(), 0, "stale slots leaked");
+    // The fold moves the resident set, it neither leaks nor loses any.
+    let after = bumpy.runtime().live_store_bytes().unwrap();
+    assert!(report.retired.iter().all(|&a| after[a] == 0));
+    assert_eq!(
+        after.iter().sum::<usize>(),
+        baseline.iter().sum::<usize>(),
+        "live store bytes not back at the pre-fold baseline"
+    );
 }
 
 /// The full tier-1 sweep in one trajectory: a dp=2 × tp=2 ZeRO-1 run
 /// that survives an injected death and an elastic fold stays bitwise
 /// equal — losses every step, parameters at the end — to an undisturbed
-/// mpsc run of the same degree, whichever carrier its collectives ride
-/// (rendezvous on mpsc, ring over Unix sockets).
+/// mpsc run of the same degree, whichever fabric its collective rings
+/// ride (mpsc, Unix sockets).
 #[test]
 fn dp_fixed_degree_determinism_sweep() {
     let optimizer = Optimizer::adam(0.01);
@@ -522,7 +535,7 @@ fn dp_fixed_degree_determinism_sweep() {
         rebalance_after: None,
     };
 
-    for carrier in [TransportKind::Mpsc, TransportKind::UnixSocket] {
+    for transport in [TransportKind::Mpsc, TransportKind::UnixSocket] {
         let zero1 = || Some(DpConfig::zero1(2));
         let smooth = build_on(
             &model,
@@ -532,15 +545,19 @@ fn dp_fixed_degree_determinism_sweep() {
             optimizer,
             Some(TransportKind::Mpsc),
         );
-        let chaos = build_on(&model, &schedule, 2, zero1(), optimizer, Some(carrier));
+        let chaos = build_on(&model, &schedule, 2, zero1(), optimizer, Some(transport));
 
+        let mut baseline = 0;
         for step in 0..4 {
             match step {
                 // Step 1: kill a replica-1 actor mid-step, recover bitwise.
-                1 => chaos
-                    .runtime()
-                    .inject_fault(4, Fault::DieAtInstr(1))
-                    .unwrap(),
+                1 => {
+                    baseline = chaos.runtime().live_store_bytes().unwrap().iter().sum();
+                    chaos
+                        .runtime()
+                        .inject_fault(4, Fault::DieAtInstr(1))
+                        .unwrap()
+                }
                 // Step 2: fold host 1 away in both replicas.
                 2 => {
                     chaos.rebalance(&[2]).unwrap();
@@ -549,7 +566,10 @@ fn dp_fixed_degree_determinism_sweep() {
             }
             let a = smooth.step_with_recovery(&data, policy).unwrap();
             let b = chaos.step_with_recovery(&data, policy).unwrap();
-            assert_eq!(a.losses, b.losses, "{carrier} step {step}: losses diverged");
+            assert_eq!(
+                a.losses, b.losses,
+                "{transport} step {step}: losses diverged"
+            );
         }
         let pa = smooth.params().unwrap();
         let pb = chaos.params().unwrap();
@@ -557,13 +577,19 @@ fn dp_fixed_degree_determinism_sweep() {
             assert_eq!(
                 a.data(),
                 b.data(),
-                "{carrier}: param {p} diverged after the sweep"
+                "{transport}: param {p} diverged after the sweep"
             );
         }
+        // Neither the aborted epoch nor the fold leaked or lost a byte.
         assert_eq!(
-            chaos.runtime().lane_live_slots(),
-            0,
-            "{carrier}: stale slots leaked"
+            chaos
+                .runtime()
+                .live_store_bytes()
+                .unwrap()
+                .iter()
+                .sum::<usize>(),
+            baseline,
+            "{transport}: live store bytes not back at the pre-fault baseline"
         );
     }
 }

@@ -3,10 +3,9 @@
 //! **bit-identical** to the unsharded pipeline — same losses, same
 //! parameters, same checkpoints — while actually exchanging data through
 //! real collectives, and the whole composition must survive fault
-//! injection and recovery. The transport picks how a collective
-//! travels (shared-memory rendezvous on mpsc, message ring on sockets);
-//! the twins below pin that the two carriers are interchangeable bit
-//! for bit.
+//! injection and recovery. A collective is a ring of ordinary messages
+//! on whatever fabric the fleet runs; the twins below pin that the
+//! transports are interchangeable bit for bit.
 
 use std::time::Duration;
 
@@ -18,13 +17,13 @@ use raxpp_runtime::{ActorProfile, Fault, StepTrace, TransportKind};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveKind, Instr};
 
-/// Both collective carriers, by the transport that selects them:
-/// in-process mpsc → shared-memory rendezvous, Unix sockets → ring.
-const CARRIERS: [TransportKind; 2] = [TransportKind::Mpsc, TransportKind::UnixSocket];
+/// The in-process fabric and a socket one: every collective rides the
+/// same message ring on both.
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::Mpsc, TransportKind::UnixSocket];
 
 /// A trainer on the environment's default transport (`RAXPP_TRANSPORT`,
-/// so the socket gate of `scripts/verify.sh` runs this whole suite on
-/// the ring carrier).
+/// so the socket gate of `scripts/verify.sh` runs this whole suite
+/// over Unix sockets).
 fn build(model: &BuiltModel, schedule: &Schedule, tp: usize) -> Trainer {
     build_on(model, schedule, tp, None)
 }
@@ -253,14 +252,13 @@ fn tp_checkpoints_are_byte_identical_across_degrees() {
     assert_eq!(a.losses, b.losses);
 }
 
-/// The carrier twins: the shared-memory rendezvous (mpsc) and the
-/// message ring (Unix sockets) must be bit-for-bit interchangeable —
-/// step by step, across schedules, tp degrees, and traced/untraced
-/// execution — and every cell must match the tp=1 baseline. Traced
-/// rendezvous steps must additionally surface the `collective_wait`
-/// spans the observability layer documents; the ring never emits them.
+/// The transport twins: in-process mpsc and Unix sockets must be
+/// bit-for-bit interchangeable — step by step, across schedules, tp
+/// degrees, and traced/untraced execution — and every cell must match
+/// the tp=1 baseline. Traced steps must additionally surface the
+/// `collective_wait` spans the observability layer documents, on both.
 #[test]
-fn tp_rendezvous_and_ring_carriers_are_bitwise_identical() {
+fn tp_is_bitwise_identical_across_transports() {
     for (schedule, seed) in [(gpipe(2, 4).unwrap(), 91), (one_f1b(2, 4).unwrap(), 92)] {
         let model = mlp_chain(8, 2, 4, schedule.n_stages(), seed).unwrap();
         let data = mb_data(&schedule, 8, 2, seed + 1);
@@ -274,23 +272,18 @@ fn tp_rendezvous_and_ring_carriers_are_bitwise_identical() {
 
         for tp in [2usize, 4] {
             let mut wire_bytes = Vec::new();
-            for carrier in CARRIERS {
-                let cell = format!("{} tp={tp} on {carrier}", schedule.name());
-                let trainer = build_on(&model, &schedule, tp, Some(carrier));
+            for transport in TRANSPORTS {
+                let cell = format!("{} tp={tp} on {transport}", schedule.name());
+                let trainer = build_on(&model, &schedule, tp, Some(transport));
                 // Untraced, untraced, traced, traced: every step must
-                // continue the exact tp=1 trajectory on either carrier.
+                // continue the exact tp=1 trajectory on either fabric.
                 for (step, want) in base_losses.iter().enumerate() {
                     let losses = if step >= 2 {
                         let (result, trace) = trainer.step_traced(&data).unwrap();
-                        let waits = count_spans(&trace, "collective_wait");
-                        if carrier == TransportKind::Mpsc {
-                            assert!(
-                                waits > 0,
-                                "{cell}: traced step has no collective_wait spans"
-                            );
-                        } else {
-                            assert_eq!(waits, 0, "{cell}: the ring must not emit collective_wait");
-                        }
+                        assert!(
+                            count_spans(&trace, "collective_wait") > 0,
+                            "{cell}: traced step has no collective_wait spans"
+                        );
                         result.losses
                     } else {
                         trainer.step(&data).unwrap().losses
@@ -306,61 +299,73 @@ fn tp_rendezvous_and_ring_carriers_are_bitwise_identical() {
                 }
                 wire_bytes.push(trainer.metrics().counter("tp_bytes_wire"));
             }
-            // Wire accounting covers every collective on both carriers.
+            // Wire accounting covers every collective on both fabrics.
             assert!(wire_bytes[0] > 0, "tp={tp}: no wire bytes recorded");
             assert_eq!(
                 wire_bytes[0], wire_bytes[1],
-                "tp={tp}: carriers count wire bytes alike"
+                "tp={tp}: transports count wire bytes alike"
             );
         }
     }
 }
 
-/// Pins the selection itself: nothing but the transport decides how a
-/// collective travels. The same TP program streams matmul panels into
-/// the rendezvous (`bytes_overlap > 0`, a `collective_wait` profile
-/// kind) on mpsc, and moves the identical wire volume with no overlap
-/// and no rendezvous wait over Unix sockets.
+/// There is one way a collective travels: on mpsc and on Unix sockets
+/// the same TP program moves the same non-zero wire volume, and every
+/// rank that executes a collective accounts the time it spent blocked
+/// on its ring peers.
 #[test]
-fn tp_collective_carrier_is_chosen_by_the_transport() {
+fn collectives_ride_the_message_fabric() {
     let schedule = gpipe(2, 2).unwrap();
     let model = mlp_chain(8, 2, 2, schedule.n_stages(), 97).unwrap();
     let data = mb_data(&schedule, 8, 2, 98);
-    let profile = |carrier| {
-        let trainer = build_on(&model, &schedule, 2, Some(carrier));
-        assert_eq!(trainer.runtime().transport_kind(), carrier);
+    let wire = TRANSPORTS.map(|transport| {
+        let trainer = build_on(&model, &schedule, 2, Some(transport));
+        assert_eq!(trainer.runtime().transport_kind(), transport);
         let profiles = trainer.step(&data).unwrap().stats.profiles;
-        let sum = |f: fn(&ActorProfile) -> u64| profiles.iter().map(f).sum::<u64>();
-        let waits = profiles.iter().any(|p| p.get("collective_wait").is_some());
-        (
-            sum(ActorProfile::bytes_wire),
-            sum(ActorProfile::bytes_overlap),
-            waits,
-        )
-    };
-    let (mpsc_wire, mpsc_overlap, mpsc_waits) = profile(TransportKind::Mpsc);
-    let (uds_wire, uds_overlap, uds_waits) = profile(TransportKind::UnixSocket);
-    assert!(mpsc_wire > 0, "the TP program moved no collective bytes");
-    assert_eq!(
-        mpsc_wire, uds_wire,
-        "both carriers account the same wire volume"
-    );
-    assert!(
-        mpsc_overlap > 0 && mpsc_waits,
-        "mpsc must take the rendezvous"
-    );
-    assert!(uds_overlap == 0 && !uds_waits, "sockets must take the ring");
+        for (a, p) in profiles.iter().enumerate() {
+            assert_eq!(
+                p.get("collective").is_some(),
+                p.get("collective_wait").is_some(),
+                "{transport}: actor {a} ran a collective without accounting its wait"
+            );
+        }
+        profiles.iter().map(ActorProfile::bytes_wire).sum::<u64>()
+    });
+    assert!(wire[0] > 0, "the TP program moved no collective bytes");
+    assert_eq!(wire[0], wire[1], "transports account the same wire volume");
+}
+
+/// An odd ring: tp = 3 takes two rounds and splits the width into
+/// non-power-of-two blocks, and must still train bit-identical to tp=1.
+#[test]
+fn tp3_odd_ring_is_bitwise_identical_to_tp1() {
+    let schedule = one_f1b(2, 4).unwrap();
+    let model = mlp_chain(12, 2, 2, schedule.n_stages(), 99).unwrap();
+    let data = mb_data(&schedule, 12, 2, 100);
+    let baseline = build_on(&model, &schedule, 1, Some(TransportKind::Mpsc));
+    let trainer = build_on(&model, &schedule, 3, Some(TransportKind::Mpsc));
+    for step in 0..3 {
+        let want = baseline.step(&data).unwrap().losses;
+        let got = trainer.step(&data).unwrap().losses;
+        assert_eq!(got, want, "tp=3 step {step}: losses not bit-identical");
+    }
+    assert!(trainer.metrics().counter("tp_bytes_wire") > 0);
+    let (pa, pb) = (baseline.params().unwrap(), trainer.params().unwrap());
+    for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
+        assert_eq!(a.data(), b.data(), "tp=3: param {p} not bit-identical");
+    }
 }
 
 /// An actor lost *inside* a collective (at the collective instruction)
-/// must wake its peers on either carrier, cascade into a bounded abort,
-/// and recover to a bit-identical trajectory. A death poisons its
-/// rendezvous group so condvar-parked lanes are not left blocked (mpsc)
-/// and aborts the ring peers blocked in `Recv` (sockets). kill -9 on
+/// must wake its peers on either fabric, cascade into a bounded abort,
+/// and recover to a bit-identical trajectory: the death's abort
+/// broadcast ends the ring receives its peers are blocked in. kill -9 on
 /// the wire is the hard case: the endpoint is severed with no abort
 /// broadcast and no goodbye, so detection rests on closed connections,
 /// reply-link EOF and heartbeat silence alone, and recovery must
-/// respawn the severed endpoint.
+/// respawn the severed endpoint. ("Carriers" in the name are the two
+/// transports; the name is older than the single carrier and is kept
+/// because the tier-1 floor list pins it.)
 #[test]
 fn tp_fault_inside_collective_recovers_bounded_on_both_carriers() {
     let schedule = gpipe(2, 4).unwrap();
@@ -377,19 +382,21 @@ fn tp_fault_inside_collective_recovers_bounded_on_both_carriers() {
         (TransportKind::UnixSocket, Fault::DieAtInstr, 20),
         (TransportKind::UnixSocket, Fault::KillAtInstr, 30),
     ];
-    for (carrier, fault_at, bound_secs) in cases {
+    for (transport, fault_at, bound_secs) in cases {
         let smooth = build_on(&model, &schedule, 1, Some(TransportKind::Mpsc));
-        let bumpy = build_on(&model, &schedule, 2, Some(carrier));
+        let bumpy = build_on(&model, &schedule, 2, Some(transport));
         // Aim the fault at shard actor 1's first collective so it lands
         // while rank 0 is waiting inside it.
         let coll_at = bumpy.runtime().program().actors[1]
             .iter()
             .position(|i| matches!(i, Instr::Collective { .. }))
             .expect("shard stream has a collective");
-        let cell = format!("{carrier} {:?}", fault_at(coll_at));
+        let cell = format!("{transport} {:?}", fault_at(coll_at));
         let t0 = std::time::Instant::now();
+        let mut baseline = Vec::new();
         for step in 0..3 {
             if step == 1 {
+                baseline = bumpy.runtime().live_store_bytes().unwrap();
                 bumpy.runtime().inject_fault(1, fault_at(coll_at)).unwrap();
             }
             let a = smooth.step_with_recovery(&data, policy).unwrap();
@@ -410,10 +417,11 @@ fn tp_fault_inside_collective_recovers_bounded_on_both_carriers() {
         for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
             assert_eq!(a.data(), b.data(), "{cell}: param {p} not bit-identical");
         }
+        // Nothing the aborted epoch staged outlives recovery.
         assert_eq!(
-            bumpy.runtime().lane_live_slots(),
-            0,
-            "{cell}: stale slots leaked"
+            bumpy.runtime().live_store_bytes().unwrap(),
+            baseline,
+            "{cell}: live store bytes not back at the pre-fault baseline"
         );
     }
 }
@@ -443,6 +451,7 @@ fn tp_rebalance_folds_bitwise() {
     // Fold pipeline host 1 away: both of its shard ranks (raw actors 2
     // and 3) must retire together, landing host 1's stages on host 0's
     // rank actors.
+    let baseline = bumpy.runtime().live_store_bytes().unwrap();
     let report = bumpy.rebalance(&[2]).unwrap();
     assert_eq!(
         report.retired,
@@ -477,10 +486,13 @@ fn tp_rebalance_folds_bitwise() {
             );
         }
     }
-    // No stale rendezvous slots survive the fold (the hub GC contract).
+    // The fold moves the resident set, it neither leaks nor loses any:
+    // the survivors hold exactly what the fleet held before.
+    let after = bumpy.runtime().live_store_bytes().unwrap();
+    assert_eq!((after[2], after[3]), (0, 0), "retired actors hold bytes");
     assert_eq!(
-        bumpy.runtime().lane_live_slots(),
-        0,
-        "stale lane slots leaked"
+        after.iter().sum::<usize>(),
+        baseline.iter().sum::<usize>(),
+        "live store bytes not back at the pre-fold baseline"
     );
 }
