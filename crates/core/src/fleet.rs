@@ -24,8 +24,8 @@ use raxpp_runtime::{
 };
 use raxpp_sched::{simulate, DpMap, Schedule, TpMap, UniformCost};
 use raxpp_taskgraph::{
-    bucket_collectives, check_send_recv_order, dp_split, dp_treated, insert_frees,
-    replicate_program, shard_program, ActorId, BufferId, FetchRole, MpmdProgram,
+    bucket_collectives, dp_split, dp_treated, insert_frees, replicate_program, shard_program,
+    verify_program, ActorId, BufferId, FetchRole, MpmdProgram,
 };
 
 use crate::compile::{CoreError, DpConfig, StepMeta, TpConfig};
@@ -65,8 +65,8 @@ pub(crate) struct Fleet {
 impl Fleet {
     /// The compile tail every step program goes through, training or
     /// forward-only: tensor-parallel sharding, data-parallel
-    /// replication, free insertion, collective bucketing, and the
-    /// ordering checks. Returns the actor arithmetic of the two axes.
+    /// replication, free insertion, collective bucketing, and static
+    /// verification. Returns the actor arithmetic of the two axes.
     ///
     /// `dp` carries, next to the config, what ZeRO-1 needs to rebuild
     /// each parameter's update on a first-dim slice.
@@ -111,16 +111,9 @@ impl Fleet {
             // (ROADMAP item 6).
             bucket_collectives(program);
         }
-        check_send_recv_order(program).map_err(|(a, b)| {
-            CoreError::BadInput(format!(
-                "internal error: send/recv order broken between {a}/{b}"
-            ))
-        })?;
-        // Full static verification (shape-level abstract execution) in
-        // debug builds; release builds trust the pass structure.
-        #[cfg(debug_assertions)]
-        raxpp_taskgraph::verify_program(program)
-            .map_err(|e| CoreError::BadInput(format!("internal error: {e}")))?;
+        // The one checker, in every build profile: shape-level abstract
+        // execution of all streams, §4.2 matching order included.
+        verify_program(program).map_err(|e| CoreError::BadInput(format!("internal error: {e}")))?;
         Ok((tp, dp))
     }
 

@@ -1,7 +1,6 @@
 //! The runtime crate's environment knobs, read and parsed in one place.
 //!
-//! Each knob is read once, where a `Runtime` or a socket transport is
-//! constructed. Unset or empty selects the default; a value that is set
+//! Each knob is read once, where a `Runtime` is constructed. Unset or empty selects the default; a value that is set
 //! but not one of the accepted forms panics there, naming the variable,
 //! the value and the forms — a mistyped knob must not quietly select
 //! the default (`RAXPP_TRANSPORT=sockets` would otherwise run the socket
@@ -69,47 +68,14 @@ pub(crate) const TRACE: Knob<bool> = Knob {
     },
 };
 
-const fn millis(var: &'static str, default_ms: u64) -> Knob<Duration> {
-    Knob {
-        var,
-        accepted: "a whole number of milliseconds",
-        default: Duration::from_millis(default_ms),
-        form: |v| v.parse().ok().map(Duration::from_millis),
-    }
-}
-
 /// The driver's reply-timeout backstop — the last-resort bound when the
 /// abort protocol itself is broken.
-pub(crate) const STEP_TIMEOUT: Knob<Duration> = millis("RAXPP_STEP_TIMEOUT_MS", 60_000);
-const WIRE_CONNECT: Knob<Duration> = millis("RAXPP_WIRE_CONNECT_TIMEOUT_MS", 1500);
-const WIRE_WRITE: Knob<Duration> = millis("RAXPP_WIRE_WRITE_TIMEOUT_MS", 5000);
-const WIRE_HB_INTERVAL: Knob<Duration> = millis("RAXPP_WIRE_HB_INTERVAL_MS", 25);
-const WIRE_HB_TIMEOUT: Knob<Duration> = millis("RAXPP_WIRE_HB_TIMEOUT_MS", 500);
-
-/// The socket fabric's four deadlines, read together so every endpoint
-/// of one transport shares them.
-#[derive(Clone, Copy)]
-pub(crate) struct WireKnobs {
-    /// Total budget of one dial (bounded retries inside).
-    pub(crate) connect_budget: Duration,
-    /// Write deadline per frame.
-    pub(crate) write_timeout: Duration,
-    /// Worker heartbeat period.
-    pub(crate) hb_interval: Duration,
-    /// Driver-side silence threshold.
-    pub(crate) hb_timeout: Duration,
-}
-
-impl WireKnobs {
-    pub(crate) fn from_env() -> WireKnobs {
-        WireKnobs {
-            connect_budget: WIRE_CONNECT.read(),
-            write_timeout: WIRE_WRITE.read(),
-            hb_interval: WIRE_HB_INTERVAL.read(),
-            hb_timeout: WIRE_HB_TIMEOUT.read(),
-        }
-    }
-}
+pub(crate) const STEP_TIMEOUT: Knob<Duration> = Knob {
+    var: "RAXPP_STEP_TIMEOUT_MS",
+    accepted: "a whole number of milliseconds",
+    default: Duration::from_millis(60_000),
+    form: |v| v.parse().ok().map(Duration::from_millis),
+};
 
 #[cfg(test)]
 mod tests {
@@ -161,19 +127,9 @@ mod tests {
             &[],
         );
         let ms = Duration::from_millis;
-        let timeouts = [
-            STEP_TIMEOUT,
-            WIRE_CONNECT,
-            WIRE_WRITE,
-            WIRE_HB_INTERVAL,
-            WIRE_HB_TIMEOUT,
-        ];
-        for knob in timeouts {
-            let good = [(" 40 ", ms(40)), ("0", ms(0))];
-            check(knob, &good, &["5s", "abc", "-1", "1.5"]);
-        }
-        // The defaults docs/observability.md documents.
-        let documented = [60_000, 1500, 5000, 25, 500].map(ms);
-        assert_eq!(timeouts.map(|k| k.default), documented);
+        let good = [(" 40 ", ms(40)), ("0", ms(0))];
+        check(STEP_TIMEOUT, &good, &["5s", "abc", "-1", "1.5"]);
+        // The default docs/observability.md documents.
+        assert_eq!(STEP_TIMEOUT.default, ms(60_000));
     }
 }

@@ -48,7 +48,7 @@
 //! actor's [`ActorProfile`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,10 +57,10 @@ use raxpp_ir::Tensor;
 use raxpp_sched::{DpMap, TpMap};
 use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
 
-use crate::actor::{Command, Epoch, ExecFailure, Reply, ReplyKind, DRIVER};
+use crate::actor::{Command, ExecFailure, Reply, ReplyKind, DRIVER};
 use crate::env;
 use crate::error::RuntimeError;
-use crate::exec::{ActorProfile, StepStats};
+use crate::exec::StepStats;
 use crate::fault::Fault;
 use crate::fold::plan_fold;
 use crate::trace::{ActorTrace, StepEvent, StepTrace};
@@ -468,74 +468,20 @@ impl Runtime {
             })
             .collect();
         let rpcs = slots.iter().filter(|s| matches!(s, Slot::Waiting)).count();
-        let mut abort_sent = false;
-        if slots.iter().any(Slot::failed) {
-            inner
-                .transport
-                .broadcast_abort(epoch, "actor died before dispatch");
-            abort_sent = true;
-        }
-        let deadline = Instant::now() + self.timeout();
-        loop {
-            let mut progressed = false;
-            for (a, slot) in slots.iter_mut().enumerate() {
-                while matches!(slot, Slot::Waiting) {
-                    match inner.actors[a].reply.try_recv() {
-                        Ok(r) => progressed |= slot.file(r, epoch),
-                        Err(TryRecvError::Empty) => {
-                            // Heartbeat suspicion (socket transports
-                            // only): an actor whose reply link is open
-                            // but silent — e.g. a one-way partition
-                            // toward the driver — is declared timed out
-                            // long before the step-timeout backstop.
-                            if inner.transport.heartbeat_suspect(a) {
-                                *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
-                                inner.transport.note_heartbeat_miss();
-                                progressed = true;
-                            }
-                            break;
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            inner.actors[a].dead = true;
-                            *slot = Slot::Fatal(RuntimeError::ActorDied { actor: a });
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            if !abort_sent && slots.iter().any(Slot::failed) {
-                // Wake peers blocked in Recv on the failed epoch. The
-                // failing actor (or its death guard) broadcast already;
-                // this covers deaths whose guard ran under an older
-                // epoch, and is harmless otherwise.
-                inner
-                    .transport
-                    .broadcast_abort(epoch, "step aborted by driver");
-                abort_sent = true;
-            }
-            let Some(a) = slots.iter().position(|s| matches!(s, Slot::Waiting)) else {
-                break;
-            };
-            if progressed {
-                continue;
-            }
-            if Instant::now() >= deadline {
-                for (a, slot) in slots.iter_mut().enumerate() {
-                    if matches!(slot, Slot::Waiting) {
-                        *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
-                    }
-                }
-                if !abort_sent {
-                    inner.transport.broadcast_abort(epoch, "step timeout");
-                }
-                break;
-            }
-            // Block briefly on one pending actor; silent deaths surface
-            // as channel disconnects on the next try_recv sweep.
-            if let Ok(r) = inner.actors[a].reply.recv_timeout(REPLY_POLL) {
-                slots[a].file(r, epoch);
-            }
-        }
+        // A failure wakes the peers blocked in Recv on this epoch. The
+        // failing actor (or its death guard) broadcast already; this
+        // covers deaths whose guard ran under an older epoch, and is
+        // harmless otherwise.
+        let transport = &*inner.transport;
+        let abort = |reason: &str| transport.broadcast_abort(epoch, reason);
+        collect(
+            &mut inner.actors,
+            transport,
+            &mut slots,
+            epoch,
+            self.timeout(),
+            abort,
+        );
         // Assemble the step trace (also for failed steps — the partial
         // spans plus the abort events are the post-mortem record) before
         // the error return below.
@@ -553,7 +499,10 @@ impl Runtime {
         let mut outputs = Vec::with_capacity(n);
         for slot in slots {
             let (profile, fetched) = match slot {
-                Slot::Replied(Ok(p), fetched, _) => (p, fetched),
+                Slot::Replied(ReplyKind::Executed(outcome)) => (
+                    outcome.result.expect("step_error saw none"),
+                    outcome.fetched,
+                ),
                 Slot::Idle => Default::default(),
                 _ => unreachable!("step_error covers every other slot"),
             };
@@ -856,98 +805,149 @@ impl Runtime {
         unpack: impl Fn(ReplyKind) -> Option<Result<T, String>>,
     ) -> Vec<Result<T, RuntimeError>> {
         let seq = inner.next_seq();
+        let mut slots: Vec<Slot> = inner.actors.iter().map(|_| Slot::Idle).collect();
+        for &a in targets {
+            slots[a] = match inner.post(a, make(a, seq)) {
+                Ok(()) => Slot::Waiting,
+                Err(e) => Slot::Fatal(e),
+            };
+        }
+        // No peer waits on these commands, so a failure wakes nobody.
         let timeout = self.timeout();
-        let sent: Vec<Result<(), RuntimeError>> = targets
-            .iter()
-            .map(|&a| inner.post(a, make(a, seq)))
-            .collect();
-        let mut collect = |a: usize| {
-            let kind = recv_reply(&inner.actors[a], a, seq, timeout).inspect_err(|e| {
-                if matches!(e, RuntimeError::ActorDied { .. }) {
-                    inner.actors[a].dead = true;
-                }
-            })?;
-            let message = match unpack(kind) {
-                Some(Ok(v)) => return Ok(v),
-                Some(Err(message)) => message,
-                None => "protocol error: unexpected reply kind".into(),
+        collect(
+            &mut inner.actors,
+            &*inner.transport,
+            &mut slots,
+            seq,
+            timeout,
+            |_| {},
+        );
+        let result = |a: usize| {
+            let message = match std::mem::replace(&mut slots[a], Slot::Idle) {
+                Slot::Fatal(e) => return Err(e),
+                Slot::Replied(kind) => match unpack(kind) {
+                    Some(Ok(v)) => return Ok(v),
+                    Some(Err(message)) => message,
+                    None => "protocol error: unexpected reply kind".into(),
+                },
+                Slot::Idle | Slot::Waiting => unreachable!("collect leaves no slot waiting"),
             };
             Err(RuntimeError::Exec { actor: a, message })
         };
-        targets
-            .iter()
-            .zip(sent)
-            .map(|(&a, sent)| sent.and_then(|()| collect(a)))
-            .collect()
+        targets.iter().copied().map(result).collect()
     }
 }
 
-/// Drains stale replies until the one matching `seq` arrives.
-fn recv_reply(
-    link: &ActorLink,
-    actor: usize,
+/// The driver's one reply collector: returns once no slot is `Waiting`
+/// on its reply to `seq`. Replies to other sequence numbers are stale
+/// (an aborted earlier command's) and dropped; a closed reply channel
+/// marks the actor dead; an actor whose link is open but silent past
+/// the heartbeat threshold (socket transports only — e.g. a one-way
+/// partition toward the driver) is declared timed out long before
+/// `timeout`, the last-resort bound. `on_failure(reason)` runs once, as
+/// soon as any slot has failed.
+fn collect(
+    actors: &mut [ActorLink],
+    transport: &dyn Transport,
+    slots: &mut [Slot],
     seq: u64,
     timeout: Duration,
-) -> Result<ReplyKind, RuntimeError> {
+    on_failure: impl Fn(&str),
+) {
+    let mut notified = false;
+    let mut notify_once = |slots: &[Slot], reason: &str| {
+        if !notified && slots.iter().any(Slot::failed) {
+            on_failure(reason);
+            notified = true;
+        }
+    };
+    notify_once(slots, "actor died before dispatch");
     let deadline = Instant::now() + timeout;
     loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match link.reply.recv_timeout(remaining) {
-            Ok(r) if r.seq == seq => return Ok(r.kind),
-            Ok(r) if r.seq < seq => continue, // stale reply from an aborted command
-            Ok(_) => {
-                return Err(RuntimeError::Exec {
-                    actor,
-                    message: "protocol error: reply from the future".into(),
-                })
+        let mut progressed = false;
+        for (a, slot) in slots.iter_mut().enumerate() {
+            while matches!(slot, Slot::Waiting) {
+                match actors[a].reply.try_recv() {
+                    Ok(r) => progressed |= slot.file(r, seq),
+                    Err(TryRecvError::Empty) => {
+                        if transport.heartbeat_suspect(a) {
+                            *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                            transport.note_heartbeat_miss();
+                            progressed = true;
+                        }
+                        break;
+                    }
+                    Err(TryRecvError::Disconnected) => {
+                        actors[a].dead = true;
+                        *slot = Slot::Fatal(RuntimeError::ActorDied { actor: a });
+                        progressed = true;
+                    }
+                }
             }
-            Err(RecvTimeoutError::Timeout) => return Err(RuntimeError::Timeout { actor }),
-            Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::ActorDied { actor }),
+        }
+        notify_once(slots, "step aborted by driver");
+        let Some(a) = slots.iter().position(|s| matches!(s, Slot::Waiting)) else {
+            break;
+        };
+        if progressed {
+            continue;
+        }
+        if Instant::now() >= deadline {
+            for (a, slot) in slots.iter_mut().enumerate() {
+                if matches!(slot, Slot::Waiting) {
+                    *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                }
+            }
+            notify_once(slots, "step timeout");
+            break;
+        }
+        // Block briefly on one pending actor; silent deaths surface
+        // as channel disconnects on the next try_recv sweep.
+        if let Ok(r) = actors[a].reply.recv_timeout(REPLY_POLL) {
+            slots[a].file(r, seq);
         }
     }
 }
 
-/// Where one actor stands in the step being collected.
-// Every slot of a successful step ends up `Replied`, so boxing the large
-// variant would buy an allocation per actor per step and save nothing.
-#[allow(clippy::large_enum_variant)]
+/// Where one actor stands in the exchange being collected.
 enum Slot {
-    /// Retired: nothing dispatched, no reply expected.
+    /// Nothing dispatched (retired, or not a target): no reply expected.
     Idle,
-    /// Dispatched; its `Executed` reply is outstanding.
+    /// Dispatched; its reply is outstanding.
     Waiting,
-    /// The actor's own report: result, fetched buffers, and its spans
-    /// when the step was traced.
-    Replied(
-        Result<ActorProfile, ExecFailure>,
-        Vec<Tensor>,
-        Option<ActorTrace>,
-    ),
+    /// The actor's reply to this exchange.
+    Replied(ReplyKind),
     /// The driver's verdict on an actor that cannot report: died or
     /// timed out.
     Fatal(RuntimeError),
 }
 
 impl Slot {
-    /// Files an `Execute` reply for `epoch`. Returns false for a stale
-    /// reply from an earlier aborted command (dropped).
-    fn file(&mut self, r: Reply, epoch: Epoch) -> bool {
-        if r.seq != epoch {
+    /// Files a reply to `seq`. Returns false for a stale reply from an
+    /// earlier aborted command (dropped).
+    fn file(&mut self, r: Reply, seq: u64) -> bool {
+        if r.seq != seq {
             return false;
         }
-        if let ReplyKind::Executed(res) = r.kind {
-            *self = Slot::Replied(res.result, res.fetched, res.trace);
-        }
+        *self = Slot::Replied(r.kind);
         true
     }
 
+    /// The failure an `Executed` reply reports, if any.
+    fn exec_failure(&self) -> Option<&ExecFailure> {
+        match self {
+            Slot::Replied(ReplyKind::Executed(outcome)) => outcome.result.as_ref().err(),
+            _ => None,
+        }
+    }
+
     fn failed(&self) -> bool {
-        matches!(self, Slot::Fatal(_) | Slot::Replied(Err(_), ..))
+        matches!(self, Slot::Fatal(_)) || self.exec_failure().is_some()
     }
 
     fn take_trace(&mut self) -> Option<ActorTrace> {
         match self {
-            Slot::Replied(.., trace) => trace.take(),
+            Slot::Replied(ReplyKind::Executed(outcome)) => outcome.trace.take(),
             _ => None,
         }
     }
@@ -957,11 +957,11 @@ impl Slot {
 /// with a fatal driver-side verdict or a failed report.
 fn failure_events(ts_ns: u64, slots: &[Slot]) -> Vec<StepEvent> {
     let event = |(a, slot): (usize, &Slot)| {
-        let (kind, detail) = match slot {
-            Slot::Fatal(RuntimeError::Timeout { .. }) => ("timeout", format!("actor {a}")),
-            Slot::Fatal(e) => ("actor_died", e.to_string()),
-            Slot::Replied(Err(ExecFailure::Error(m)), ..) => ("abort", m.clone()),
-            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), ..) => {
+        let (kind, detail) = match (slot, slot.exec_failure()) {
+            (Slot::Fatal(RuntimeError::Timeout { .. }), _) => ("timeout", format!("actor {a}")),
+            (Slot::Fatal(e), _) => ("actor_died", e.to_string()),
+            (_, Some(ExecFailure::Error(m))) => ("abort", m.clone()),
+            (_, Some(ExecFailure::Aborted { by, reason })) => {
                 let who = if *by == DRIVER {
                     "driver".to_string()
                 } else {
@@ -987,17 +987,17 @@ fn failure_events(ts_ns: u64, slots: &[Slot]) -> Vec<StepEvent> {
 fn step_error(slots: &[Slot]) -> Option<RuntimeError> {
     let (mut error, mut died, mut timeout, mut cascade) = (None, None, None, None);
     for (a, slot) in slots.iter().enumerate() {
-        let (class, actor, message) = match slot {
-            Slot::Fatal(e @ RuntimeError::Timeout { .. }) => {
+        let (class, actor, message) = match (slot, slot.exec_failure()) {
+            (Slot::Fatal(e @ RuntimeError::Timeout { .. }), _) => {
                 timeout.get_or_insert(e.clone());
                 continue;
             }
-            Slot::Fatal(e) => {
+            (Slot::Fatal(e), _) => {
                 died.get_or_insert(e.clone());
                 continue;
             }
-            Slot::Replied(Err(ExecFailure::Error(message)), ..) => (&mut error, a, message),
-            Slot::Replied(Err(ExecFailure::Aborted { by, reason }), ..) => {
+            (_, Some(ExecFailure::Error(message))) => (&mut error, a, message),
+            (_, Some(ExecFailure::Aborted { by, reason })) => {
                 (&mut cascade, if *by == DRIVER { a } else { *by }, reason)
             }
             _ => continue,

@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 use raxpp_taskgraph::MpmdProgram;
 
 use crate::actor::{actor_main, Command, Exit, Msg, Payload, Reply, DRIVER};
-use crate::env::WireKnobs;
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 use crate::transport::wire::{
@@ -50,6 +49,15 @@ use crate::transport::wire::{
 };
 use crate::transport::{CmdPort, Fabric, ReplyPort, Transport, TransportKind, TransportStats};
 
+/// Total budget of one dial (bounded retries inside).
+const CONNECT_BUDGET: Duration = Duration::from_millis(1500);
+/// Write deadline per frame.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(5000);
+/// Worker heartbeat period.
+const HB_INTERVAL: Duration = Duration::from_millis(25);
+/// Driver-side silence threshold: an actor not heard from for this long
+/// is suspected dead.
+const HB_TIMEOUT: Duration = Duration::from_millis(500);
 /// How often the accept pump polls its (non-blocking) listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(3);
 /// First connect-retry backoff; doubles per attempt up to [`DIAL_BACKOFF_CAP`].
@@ -234,7 +242,6 @@ pub(crate) struct Endpoint {
     chaos: Mutex<Chaos>,
     stats: Arc<WireStats>,
     routes: Routes,
-    knobs: WireKnobs,
 }
 
 impl Endpoint {
@@ -245,7 +252,6 @@ impl Endpoint {
         scheme: Scheme,
         stats: Arc<WireStats>,
         routes: Routes,
-        knobs: WireKnobs,
     ) -> std::io::Result<Arc<Endpoint>> {
         let sp = sock_path(dir, me);
         let _ = std::fs::remove_file(&sp);
@@ -277,7 +283,6 @@ impl Endpoint {
             chaos: Mutex::new(Chaos::default()),
             stats,
             routes,
-            knobs,
         });
         let pump = Arc::clone(&ep);
         std::thread::Builder::new()
@@ -401,7 +406,7 @@ impl Endpoint {
         let deadline = if quick {
             Instant::now()
         } else {
-            Instant::now() + self.knobs.connect_budget
+            Instant::now() + CONNECT_BUDGET
         };
         let mut backoff = DIAL_BACKOFF;
         let stream = loop {
@@ -423,7 +428,7 @@ impl Endpoint {
                 Err(_) => return Err(()),
             }
         };
-        stream.set_write_timeout(self.knobs.write_timeout);
+        stream.set_write_timeout(WRITE_TIMEOUT);
         let hello = encode_hello(self.me, link_kind);
         let mut s = stream;
         match write_frame(&mut s, &hello) {
@@ -628,15 +633,14 @@ impl Drop for Endpoint {
 }
 
 /// Starts the worker-side heartbeat pump: a beacon on the driver link
-/// every `RAXPP_WIRE_HB_INTERVAL_MS` while the endpoint lives.
+/// every [`HB_INTERVAL`] while the endpoint lives.
 pub(crate) fn spawn_heartbeat(ep: Arc<Endpoint>) {
-    let interval = ep.knobs.hb_interval;
     let _ = std::thread::Builder::new()
         .name(format!("raxpp-hb-{}", ep.me))
         .spawn(move || {
             while ep.alive.load(Ordering::Relaxed) {
                 let _ = ep.send_heartbeat();
-                std::thread::sleep(interval);
+                std::thread::sleep(HB_INTERVAL);
             }
         });
 }
@@ -674,22 +678,18 @@ pub(crate) struct SocketTransport {
     own_dir: bool,
     driver_ep: Arc<Endpoint>,
     stats: Arc<WireStats>,
-    /// Read once here; every endpoint this transport binds shares it.
-    knobs: WireKnobs,
     backend: Backend,
 }
 
 impl SocketTransport {
-    /// Binds the driver's endpoint in `dir`. The `RAXPP_WIRE_*` knobs
-    /// are read here, once per fleet.
+    /// Binds the driver's endpoint in `dir`.
     fn new(n: usize, dir: PathBuf, own_dir: bool, scheme: Scheme, backend: Backend) -> Self {
         let stats = Arc::new(WireStats::default());
-        let knobs = WireKnobs::from_env();
         let routes = Routes::Driver {
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             last_heard: (0..n).map(|_| Mutex::new(Instant::now())).collect(),
         };
-        let driver_ep = Endpoint::bind(DRIVER, &dir, scheme, Arc::clone(&stats), routes, knobs)
+        let driver_ep = Endpoint::bind(DRIVER, &dir, scheme, Arc::clone(&stats), routes)
             .expect("bind driver endpoint");
         SocketTransport {
             n,
@@ -698,7 +698,6 @@ impl SocketTransport {
             own_dir,
             driver_ep,
             stats,
-            knobs,
             backend,
         }
     }
@@ -755,7 +754,7 @@ impl Transport for SocketTransport {
                     cmd: Mutex::new(Some(cmd_tx)),
                 };
                 let stats = Arc::clone(&self.stats);
-                let ep = Endpoint::bind(a, &self.dir, self.scheme, stats, routes, self.knobs)
+                let ep = Endpoint::bind(a, &self.dir, self.scheme, stats, routes)
                     .expect("bind worker endpoint");
                 spawn_heartbeat(Arc::clone(&ep));
                 let fabric = Fabric::Wire {
@@ -820,7 +819,7 @@ impl Transport for SocketTransport {
     }
 
     fn heartbeat_suspect(&self, a: usize) -> bool {
-        self.driver_ep.heard_elapsed(a) > self.knobs.hb_timeout
+        self.driver_ep.heard_elapsed(a) > HB_TIMEOUT
     }
 
     fn note_heartbeat_miss(&self) {
@@ -939,14 +938,7 @@ pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result
         inbox: Mutex::new(Some(inbox_tx)),
         cmd: Mutex::new(Some(cmd_tx)),
     };
-    let ep = Endpoint::bind(
-        cfg.me,
-        &cfg.dir,
-        scheme,
-        stats,
-        routes,
-        WireKnobs::from_env(),
-    )?;
+    let ep = Endpoint::bind(cfg.me, &cfg.dir, scheme, stats, routes)?;
     spawn_heartbeat(Arc::clone(&ep));
     let fabric = Fabric::Wire {
         ep: Arc::clone(&ep),

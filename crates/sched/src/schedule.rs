@@ -4,6 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::task::{Dir, Task};
+use crate::timeline::{self, Deadlock};
 
 /// Error raised when a schedule violates the pipeline execution model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,8 +237,32 @@ impl Schedule {
             }
         }
         // Deadlock freedom under in-order execution.
-        self.check_progress()?;
-        Ok(())
+        self.walk(|_, _| ())
+    }
+
+    /// Visits every task in the §4.2 order ([`timeline::walk`] over the
+    /// per-actor lists): a task is visited, as `visit(actor, task)`,
+    /// once all of its [`Task::deps`] have been.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::Deadlock`] naming the task at each
+    /// blocked actor's cursor when in-order execution cannot complete.
+    pub fn walk(&self, mut visit: impl FnMut(usize, Task)) -> Result<(), ScheduleError> {
+        let lens: Vec<usize> = self.actors.iter().map(Vec::len).collect();
+        let mut done: HashSet<Task> = HashSet::new();
+        timeline::walk(&lens, |a, i| {
+            let t = self.actors[a][i];
+            let ready = t.deps(self.n_stages).iter().all(|d| done.contains(d));
+            if ready {
+                visit(a, t);
+                done.insert(t);
+            }
+            Ok(ready)
+        })
+        .map_err(|Deadlock { blocked }| ScheduleError::Deadlock {
+            blocked: blocked.iter().map(|&(a, i)| self.actors[a][i]).collect(),
+        })
     }
 
     /// Folds this schedule onto fewer actors: `assign[a]` names the new
@@ -275,89 +300,14 @@ impl Schedule {
                 )));
             }
         }
-        // Replay the original schedule in dependency order (the same walk
-        // as `check_progress`), appending to the merged lists.
         let mut folded: Vec<Vec<Task>> = vec![Vec::new(); k];
-        let mut done: HashSet<Task> = HashSet::new();
-        let mut cursor = vec![0usize; self.actors.len()];
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for (a, tasks) in self.actors.iter().enumerate() {
-                while cursor[a] < tasks.len() {
-                    let t = tasks[cursor[a]];
-                    if t.deps(self.n_stages).iter().all(|d| done.contains(d)) {
-                        done.insert(t);
-                        folded[assign[a]].push(t);
-                        cursor[a] += 1;
-                        progressed = true;
-                    } else {
-                        break;
-                    }
-                }
-                if cursor[a] < tasks.len() {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !progressed {
-                let blocked = self
-                    .actors
-                    .iter()
-                    .enumerate()
-                    .filter(|(a, tasks)| cursor[*a] < tasks.len())
-                    .map(|(a, tasks)| tasks[cursor[a]])
-                    .collect();
-                return Err(ScheduleError::Deadlock { blocked });
-            }
-        }
+        self.walk(|a, t| folded[assign[a]].push(t))?;
         Schedule::new(
             format!("{}/folded(actors={k})", self.name),
             self.n_stages,
             self.n_mubatches,
             folded,
         )
-    }
-
-    /// Simulates in-order execution (each actor blocks on its next task's
-    /// dependencies) and fails if execution cannot complete.
-    fn check_progress(&self) -> Result<(), ScheduleError> {
-        let mut done: HashSet<Task> = HashSet::new();
-        let mut cursor = vec![0usize; self.actors.len()];
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for (a, tasks) in self.actors.iter().enumerate() {
-                while cursor[a] < tasks.len() {
-                    let t = tasks[cursor[a]];
-                    if t.deps(self.n_stages).iter().all(|d| done.contains(d)) {
-                        done.insert(t);
-                        cursor[a] += 1;
-                        progressed = true;
-                    } else {
-                        break;
-                    }
-                }
-                if cursor[a] < tasks.len() {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            if !progressed {
-                let blocked = self
-                    .actors
-                    .iter()
-                    .enumerate()
-                    .filter(|(a, tasks)| cursor[*a] < tasks.len())
-                    .map(|(a, tasks)| tasks[cursor[a]])
-                    .collect();
-                return Err(ScheduleError::Deadlock { blocked });
-            }
-        }
     }
 }
 

@@ -1,5 +1,11 @@
-//! The one timeline engine: an in-order walk of per-actor operation
-//! streams under a [`CostModel`].
+//! The one in-order traversal ([`walk`], paper §4.2) and the one
+//! timeline engine on top of it ([`run`]: the walk of per-actor
+//! operation streams under a [`CostModel`]).
+//!
+//! [`walk`] is the only function in the workspace that owns per-actor
+//! cursors: [`crate::Schedule::walk`] (behind `Schedule::validate`,
+//! `Schedule::fold` and the unroller), [`run`], and the taskgraph
+//! crate's `verify_program` and `replace_program` are closures over it.
 //!
 //! Every question of the form "how long does this schedule / this
 //! compiled program take on these actors" is a *lowering* into streams
@@ -88,12 +94,53 @@ pub struct Timeline {
     pub makespan: f64,
 }
 
-/// In-order execution cannot complete: every unfinished actor waits in
-/// a `Recv` whose `Send` is never reached.
+/// In-order execution cannot complete: every unfinished actor's next op
+/// waits on something no other actor will ever do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deadlock {
     /// `(actor, index of the op at its cursor)` for each blocked actor.
     pub blocked: Vec<(usize, usize)>,
+}
+
+/// The §4.2 traversal: visits the ops of `lens.len()` in-order streams
+/// (`lens[a]` ops on actor `a`) in a global order that respects every
+/// actor's local order. Actors are swept in ascending order and each
+/// runs as far as it can: `step(actor, index)` is asked to execute the
+/// op at the actor's cursor and answers whether it ran (`false` = its
+/// dependencies are not met yet; it is asked again next sweep).
+///
+/// The visiting order is a contract: the unroller numbers buffers in it
+/// and every fold merges streams in it.
+///
+/// # Errors
+///
+/// Returns the first error of `step`, or [`Deadlock`] (converted into
+/// `E`) naming each unfinished actor's cursor when a whole sweep
+/// advances nobody.
+pub fn walk<E: From<Deadlock>>(
+    lens: &[usize],
+    mut step: impl FnMut(usize, usize) -> Result<bool, E>,
+) -> Result<(), E> {
+    let mut cursor = vec![0usize; lens.len()];
+    loop {
+        let mut progressed = false;
+        for (a, &len) in lens.iter().enumerate() {
+            while cursor[a] < len && step(a, cursor[a])? {
+                cursor[a] += 1;
+                progressed = true;
+            }
+        }
+        let blocked: Vec<(usize, usize)> = (0..lens.len())
+            .filter(|&a| cursor[a] < lens[a])
+            .map(|a| (a, cursor[a]))
+            .collect();
+        if blocked.is_empty() {
+            return Ok(());
+        }
+        if !progressed {
+            return Err(Deadlock { blocked }.into());
+        }
+    }
 }
 
 /// Walks `streams` (one per actor) in order under `cost`: each actor
@@ -120,52 +167,38 @@ pub fn run(streams: &[Vec<Op>], cost: &mut impl CostModel) -> Result<Timeline, D
         .filter(|op| matches!(op, Op::Send { .. }))
         .count();
     let mut arrivals: HashMap<(usize, usize, u64), f64> = HashMap::with_capacity(n_sends);
-    loop {
-        let mut progressed = false;
-        for a in 0..n {
-            while let Some(&op) = streams[a].get(spans[a].len()) {
-                let start = clock[a];
-                match op {
-                    Op::Compute { dur } => clock[a] = cost.task(a, start, dur),
-                    Op::Send { to, key } => {
-                        let arrival = if to == a {
-                            start
-                        } else {
-                            let t = cost.transfer(a, to, start);
-                            if t.blocks_sender {
-                                send_blocked[a] += t.arrival - start;
-                                clock[a] = start.max(t.arrival);
-                            }
-                            t.arrival
-                        };
-                        arrivals.insert((a, to, key), arrival);
+    let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
+    walk(&lens, |a, i| {
+        let start = clock[a];
+        match streams[a][i] {
+            Op::Compute { dur } => clock[a] = cost.task(a, start, dur),
+            Op::Send { to, key } => {
+                let arrival = if to == a {
+                    start
+                } else {
+                    let t = cost.transfer(a, to, start);
+                    if t.blocks_sender {
+                        send_blocked[a] += t.arrival - start;
+                        clock[a] = start.max(t.arrival);
                     }
-                    Op::Recv { from, key } => {
-                        let Some(&arrival) = arrivals.get(&(from, a, key)) else {
-                            break;
-                        };
-                        exposed_recv[a] += (arrival - start).max(0.0);
-                        clock[a] = start.max(arrival);
-                    }
-                }
-                spans[a].push(Span {
-                    start,
-                    end: clock[a],
-                });
-                progressed = true;
+                    t.arrival
+                };
+                arrivals.insert((a, to, key), arrival);
+            }
+            Op::Recv { from, key } => {
+                let Some(&arrival) = arrivals.get(&(from, a, key)) else {
+                    return Ok(false);
+                };
+                exposed_recv[a] += (arrival - start).max(0.0);
+                clock[a] = start.max(arrival);
             }
         }
-        let blocked: Vec<(usize, usize)> = (0..n)
-            .filter(|&a| spans[a].len() < streams[a].len())
-            .map(|a| (a, spans[a].len()))
-            .collect();
-        if blocked.is_empty() {
-            break;
-        }
-        if !progressed {
-            return Err(Deadlock { blocked });
-        }
-    }
+        spans[a].push(Span {
+            start,
+            end: clock[a],
+        });
+        Ok::<bool, Deadlock>(true)
+    })?;
     Ok(Timeline {
         spans,
         exposed_recv,
@@ -304,6 +337,49 @@ mod tests {
         let t = run(&streams, &mut Links::new(5.0, true)).unwrap();
         assert_eq!(t.makespan, 1.0);
         assert_eq!(t.send_blocked, [0.0]);
+    }
+
+    #[test]
+    fn walk_sweeps_actors_in_order_and_each_runs_as_far_as_it_can() {
+        // Actor 0's second op waits for actor 1's first. The visiting
+        // order is the contract: 0 runs until it blocks, 1 runs out,
+        // the next sweep finishes 0.
+        let mut seen = Vec::new();
+        walk(&[3, 2], |a, i| {
+            let ready = (a, i) != (0, 1) || seen.contains(&(1, 0));
+            if ready {
+                seen.push((a, i));
+            }
+            Ok::<bool, Deadlock>(ready)
+        })
+        .unwrap();
+        assert_eq!(seen, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 2)]);
+    }
+
+    #[test]
+    fn walk_returns_the_steps_own_error_at_once() {
+        #[derive(Debug, PartialEq)]
+        enum E {
+            Blocked(Deadlock),
+            At(usize, usize),
+        }
+        impl From<Deadlock> for E {
+            fn from(d: Deadlock) -> E {
+                E::Blocked(d)
+            }
+        }
+        let err = walk(
+            &[2, 2],
+            |a, i| if a == 1 { Err(E::At(a, i)) } else { Ok(true) },
+        );
+        assert_eq!(err, Err(E::At(1, 0)));
+        let err = walk(&[1, 1], |a, _| Ok::<bool, E>(a == 0));
+        assert_eq!(
+            err,
+            Err(E::Blocked(Deadlock {
+                blocked: vec![(1, 0)]
+            }))
+        );
     }
 
     #[test]

@@ -19,19 +19,28 @@
 //!   (merged streams share buffer ids that the old per-actor `Free`s
 //!   would double-delete).
 //!
-//! The merged stream order is derived by simulating the original program
-//! to completion (the §4.2 FIFO discipline keyed by *old* actor pairs)
-//! and appending each old actor's instructions to its host's stream in a
-//! globally feasible order, so the result is deadlock-free by
-//! construction and re-checked with [`check_send_recv_order`].
+//! The merged stream order is derived in one pass: the original program
+//! is replayed to completion in the §4.2 order
+//! ([`raxpp_sched::timeline::walk`]) and each old actor's instructions
+//! are appended to its host's stream as they execute, so the result is
+//! deadlock-free by construction. A receive that still crosses hosts
+//! waits on the *merged* channel's own FIFO — the queue of its new actor
+//! pair, which is what the runtime's mailbox is — so per pair the merged
+//! receive order is the merged send order; and a send that still crosses
+//! hosts waits until it is the next value its receiver's stream takes
+//! from the sending host, the one order that stream can drain. A fold
+//! whose streams admit no such order (the receiver would have to take
+//! its receives in another order; re-placement moves none) is refused
+//! with [`ReplaceError::Stuck`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
+use raxpp_sched::timeline::{walk, Deadlock};
 use raxpp_sched::DpMap;
 
 use crate::program::{ActorId, BufferId, Instr, MpmdProgram};
-use crate::unroll::{check_send_recv_order, insert_frees};
+use crate::unroll::insert_frees;
 
 /// Why a program could not be re-placed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,14 +52,6 @@ pub enum ReplaceError {
     /// progress. `(old_actor, instruction_index)` pairs of the stuck
     /// cursors.
     Stuck(Vec<(usize, usize)>),
-    /// Two old channels merged onto one new actor pair in incompatible
-    /// orders; the §4.2 matching-order property cannot be restored.
-    OrderConflict {
-        /// Sending (new) actor.
-        from: ActorId,
-        /// Receiving (new) actor.
-        to: ActorId,
-    },
     /// A compute instruction would overwrite a buffer whose pre-overwrite
     /// value is still owed to a co-located receive.
     LocalOverwrite {
@@ -76,10 +77,6 @@ impl fmt::Display for ReplaceError {
             ReplaceError::Stuck(stuck) => {
                 write!(f, "re-placement replay stalled at {stuck:?}")
             }
-            ReplaceError::OrderConflict { from, to } => write!(
-                f,
-                "merged channels {from} -> {to} have incompatible FIFO orders"
-            ),
             ReplaceError::LocalOverwrite { actor, buf } => write!(
                 f,
                 "actor {actor}: {buf} overwritten while a co-located receive still owes its value"
@@ -90,6 +87,12 @@ impl fmt::Display for ReplaceError {
 }
 
 impl std::error::Error for ReplaceError {}
+
+impl From<Deadlock> for ReplaceError {
+    fn from(d: Deadlock) -> Self {
+        ReplaceError::Stuck(d.blocked)
+    }
+}
 
 /// Re-places `program` onto the actors named by `assign`.
 ///
@@ -157,25 +160,7 @@ pub fn replace_program(
         }
     }
 
-    // Pass 1: free replay. If merged channels come out order-consistent
-    // (they always do for chain pipelines folded onto contiguous blocks),
-    // we are done; otherwise replay again with pass 1's receiver order as
-    // a send-gating oracle.
-    let streams = simulate(program, assign, None)?;
-    let streams = if order_ok(&streams) {
-        streams
-    } else {
-        let oracle = receiver_order(&streams);
-        let retry = simulate(program, assign, Some(&oracle))?;
-        if !order_ok(&retry) {
-            let bad = find_order_conflict(&retry);
-            return Err(ReplaceError::OrderConflict {
-                from: bad.0,
-                to: bad.1,
-            });
-        }
-        retry
-    };
+    let streams = simulate(program, assign)?;
 
     let mut out = MpmdProgram {
         jaxprs: program.jaxprs.clone(),
@@ -201,67 +186,21 @@ pub fn replace_program(
         out.fetches.push(f);
     }
     insert_frees(&mut out);
-    debug_assert!(check_send_recv_order(&out).is_ok());
     Ok(out)
 }
 
-/// Receiver-side FIFO order per new directed pair, extracted from a set
-/// of merged streams.
-fn receiver_order(streams: &[Vec<Instr>]) -> HashMap<(usize, usize), VecDeque<BufferId>> {
-    let mut order: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
-    for (b, stream) in streams.iter().enumerate() {
-        for instr in stream {
-            if let Instr::Recv { src, from, .. } = instr {
-                order.entry((*from, b)).or_default().push_back(*src);
-            }
-        }
-    }
-    order
-}
-
-fn sender_order(streams: &[Vec<Instr>]) -> HashMap<(usize, usize), VecDeque<BufferId>> {
-    let mut order: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
-    for (a, stream) in streams.iter().enumerate() {
-        for instr in stream {
-            if let Instr::Send { buf, to } = instr {
-                order.entry((a, *to)).or_default().push_back(*buf);
-            }
-        }
-    }
-    order
-}
-
-fn order_ok(streams: &[Vec<Instr>]) -> bool {
-    sender_order(streams) == receiver_order(streams)
-}
-
-fn find_order_conflict(streams: &[Vec<Instr>]) -> (usize, usize) {
-    let sends = sender_order(streams);
-    let recvs = receiver_order(streams);
-    let mut pairs: Vec<(usize, usize)> = sends.keys().chain(recvs.keys()).copied().collect();
-    pairs.sort_unstable();
-    for pair in pairs {
-        if sends.get(&pair).unwrap_or(&VecDeque::new())
-            != recvs.get(&pair).unwrap_or(&VecDeque::new())
-        {
-            return pair;
-        }
-    }
-    unreachable!("find_order_conflict called on consistent streams")
-}
-
-/// Globally replays `program` under `assign`, appending each executed
-/// instruction (transport rewritten) to its host's output stream.
+/// Globally replays `program` under `assign` in one pass, appending
+/// each executed instruction (transport rewritten) to its host's output
+/// stream.
 ///
-/// Channels are keyed by the *old* actor pair, so the old per-pair FIFO
-/// discipline drives matching even after merging. With `oracle` set,
-/// cross-actor sends additionally wait until they are next in the target
-/// pair's required receive order.
-fn simulate(
-    program: &MpmdProgram,
-    assign: &[ActorId],
-    oracle: Option<&HashMap<(usize, usize), VecDeque<BufferId>>>,
-) -> Result<Vec<Vec<Instr>>, ReplaceError> {
+/// A cross-host receive waits on the queue of its *new* actor pair — the
+/// merged channel's own FIFO, which is what the runtime's mailbox is —
+/// so merged receive order is merged send order by construction. A
+/// co-located pair keeps its old-pair queue. A cross-host send goes out
+/// only when it is the next value its (old) receiver's stream expects
+/// from the sending host: the receiver takes that host's values in its
+/// own stream order, so any other send order could never be drained.
+fn simulate(program: &MpmdProgram, assign: &[ActorId]) -> Result<Vec<Vec<Instr>>, ReplaceError> {
     let n = program.n_actors();
     let mut out: Vec<Vec<Instr>> = vec![Vec::new(); n];
     // Buffers available per NEW actor (placements land pre-step).
@@ -269,13 +208,35 @@ fn simulate(
     for p in &program.placements {
         avail[assign[p.actor]].insert(p.buf);
     }
-    // In-flight values keyed by OLD directed pair.
+    // In-flight values: keyed by the OLD directed pair when co-located,
+    // by the NEW pair when they cross hosts.
     let mut chan: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
+    let chan_key = |from: usize, to: usize| {
+        if assign[from] == assign[to] {
+            (from, to)
+        } else {
+            (assign[from], assign[to])
+        }
+    };
+    // Per (old receiver, sending host): the wire ids the receiver's
+    // stream takes from that host, in stream order.
+    let mut expected: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
+    for (b, stream) in program.actors.iter().enumerate() {
+        for instr in stream {
+            if let Instr::Recv { src, from, .. } = instr {
+                if assign[*from] != assign[b] {
+                    expected
+                        .entry((b, assign[*from]))
+                        .or_default()
+                        .push_back(*src);
+                }
+            }
+        }
+    }
     // Values a dropped (co-located) send still owes to its receive, per
     // new actor: overwriting such a buffer before the receive runs would
     // deliver the wrong value.
     let mut owed: Vec<HashMap<BufferId, usize>> = vec![HashMap::new(); n];
-    let mut gate = oracle.cloned();
 
     let streams: Vec<Vec<&Instr>> = program
         .actors
@@ -286,156 +247,126 @@ fn simulate(
                 .collect()
         })
         .collect();
-    let mut cursor = vec![0usize; n];
-
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for a in 0..n {
-            let h = assign[a];
-            while cursor[a] < streams[a].len() {
-                let instr = streams[a][cursor[a]];
-                let stepped = match instr {
-                    Instr::Run {
-                        inputs, outputs, ..
-                    } => {
-                        if !inputs.iter().all(|b| avail[h].contains(b)) {
-                            false
-                        } else {
-                            for b in outputs {
-                                if owed[h].get(b).copied().unwrap_or(0) > 0 {
-                                    return Err(ReplaceError::LocalOverwrite { actor: h, buf: *b });
-                                }
-                                avail[h].insert(*b);
-                            }
-                            out[h].push(instr.clone());
-                            true
+    let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
+    walk(&lens, |a, i| {
+        let h = assign[a];
+        let instr = streams[a][i];
+        Ok(match instr {
+            Instr::Run {
+                inputs, outputs, ..
+            } => {
+                if !inputs.iter().all(|b| avail[h].contains(b)) {
+                    false
+                } else {
+                    for b in outputs {
+                        if owed[h].get(b).copied().unwrap_or(0) > 0 {
+                            return Err(ReplaceError::LocalOverwrite { actor: h, buf: *b });
                         }
+                        avail[h].insert(*b);
                     }
-                    Instr::Send { buf, to } => {
-                        let h2 = assign[*to];
-                        if !avail[h].contains(buf) {
-                            false
-                        } else if h2 == h {
-                            // Local move: the value is owed to the
-                            // matching receive, nothing on the wire.
-                            chan.entry((a, *to)).or_default().push_back(*buf);
-                            *owed[h].entry(*buf).or_insert(0) += 1;
-                            true
-                        } else if gate
-                            .as_ref()
-                            .is_some_and(|g| g.get(&(h, h2)).and_then(|q| q.front()) != Some(buf))
-                        {
-                            false // not this send's turn on the merged wire
-                        } else {
-                            if let Some(g) = gate.as_mut() {
-                                g.get_mut(&(h, h2)).map(VecDeque::pop_front);
-                            }
-                            chan.entry((a, *to)).or_default().push_back(*buf);
-                            out[h].push(instr.map_actors(|m| assign[m]));
-                            true
-                        }
-                    }
-                    Instr::Recv { buf, src, from, .. } => {
-                        let queue = chan.entry((*from, a)).or_default();
-                        if queue.front() != Some(src) {
-                            false // wait for the matching old-pair send
-                        } else {
-                            queue.pop_front();
-                            let f2 = assign[*from];
-                            if f2 == h {
-                                *owed[h].get_mut(src).expect("owed entry for local recv") -= 1;
-                                if buf != src {
-                                    out[h].push(Instr::Copy {
-                                        dst: *buf,
-                                        src: *src,
-                                    });
-                                }
-                            } else {
-                                out[h].push(instr.map_actors(|m| assign[m]));
-                            }
-                            avail[h].insert(*buf);
-                            true
-                        }
-                    }
-                    Instr::Copy { dst, src } => {
-                        if !avail[h].contains(src) {
-                            false
-                        } else {
-                            if owed[h].get(dst).copied().unwrap_or(0) > 0 {
-                                return Err(ReplaceError::LocalOverwrite {
-                                    actor: h,
-                                    buf: *dst,
-                                });
-                            }
-                            avail[h].insert(*dst);
-                            out[h].push(instr.clone());
-                            true
-                        }
-                    }
-                    Instr::Collective {
-                        dst, src, group, ..
-                    } => {
-                        if !avail[h].contains(src) {
-                            false
-                        } else {
-                            // In replay terms a collective is a local
-                            // compute (contribute src, define dst): the
-                            // runtime's ring synchronizes members, and
-                            // group-uniform folds keep the member
-                            // streams isomorphic, so no cross-member
-                            // ordering needs modeling here.
-                            let moved = instr.map_actors(|m| assign[m]);
-                            let Instr::Collective {
-                                group: new_group, ..
-                            } = &moved
-                            else {
-                                unreachable!("map_actors keeps the instruction kind")
-                            };
-                            let distinct = new_group.windows(2).all(|w| w[0] < w[1]);
-                            let old_rank = group.iter().position(|&m| m == a);
-                            let new_rank = new_group.iter().position(|&m| m == h);
-                            if !distinct || old_rank != new_rank {
-                                return Err(ReplaceError::Unsupported(format!(
-                                    "assignment folds collective group {group:?} \
-                                     non-uniformly; members must stay distinct and \
-                                     keep their rank positions"
-                                )));
-                            }
-                            if owed[h].get(dst).copied().unwrap_or(0) > 0 {
-                                return Err(ReplaceError::LocalOverwrite {
-                                    actor: h,
-                                    buf: *dst,
-                                });
-                            }
-                            avail[h].insert(*dst);
-                            out[h].push(moved);
-                            true
-                        }
-                    }
-                    Instr::Free { .. } => unreachable!("frees are stripped before replay"),
-                };
-                if !stepped {
-                    break;
+                    out[h].push(instr.clone());
+                    true
                 }
-                cursor[a] += 1;
-                progressed = true;
             }
-            if cursor[a] < streams[a].len() {
-                all_done = false;
+            Instr::Send { buf, to } => {
+                let h2 = assign[*to];
+                if !avail[h].contains(buf) {
+                    false
+                } else if h2 == h {
+                    // Local move: the value is owed to the matching
+                    // receive, nothing on the wire.
+                    chan.entry((a, *to)).or_default().push_back(*buf);
+                    *owed[h].entry(*buf).or_insert(0) += 1;
+                    true
+                } else if expected.get(&(*to, h)).and_then(|q| q.front()) != Some(buf) {
+                    false // not this send's turn in its receiver's stream
+                } else {
+                    expected.get_mut(&(*to, h)).map(VecDeque::pop_front);
+                    chan.entry((h, h2)).or_default().push_back(*buf);
+                    out[h].push(instr.map_actors(|m| assign[m]));
+                    true
+                }
             }
-        }
-        if all_done {
-            return Ok(out);
-        }
-        if !progressed {
-            let stuck = (0..n)
-                .filter(|&a| cursor[a] < streams[a].len())
-                .map(|a| (a, cursor[a]))
-                .collect();
-            return Err(ReplaceError::Stuck(stuck));
-        }
-    }
+            Instr::Recv { buf, src, from, .. } => {
+                let queue = chan.entry(chan_key(*from, a)).or_default();
+                if queue.front() != Some(src) {
+                    false // wait for the matching send
+                } else {
+                    queue.pop_front();
+                    let f2 = assign[*from];
+                    if f2 == h {
+                        *owed[h].get_mut(src).expect("owed entry for local recv") -= 1;
+                        if buf != src {
+                            out[h].push(Instr::Copy {
+                                dst: *buf,
+                                src: *src,
+                            });
+                        }
+                    } else {
+                        out[h].push(instr.map_actors(|m| assign[m]));
+                    }
+                    avail[h].insert(*buf);
+                    true
+                }
+            }
+            Instr::Copy { dst, src } => {
+                if !avail[h].contains(src) {
+                    false
+                } else {
+                    if owed[h].get(dst).copied().unwrap_or(0) > 0 {
+                        return Err(ReplaceError::LocalOverwrite {
+                            actor: h,
+                            buf: *dst,
+                        });
+                    }
+                    avail[h].insert(*dst);
+                    out[h].push(instr.clone());
+                    true
+                }
+            }
+            Instr::Collective {
+                dst, src, group, ..
+            } => {
+                if !avail[h].contains(src) {
+                    false
+                } else {
+                    // In replay terms a collective is a local compute
+                    // (contribute src, define dst): the runtime's ring
+                    // synchronizes members, and group-uniform folds keep
+                    // the member streams isomorphic, so no cross-member
+                    // ordering needs modeling here.
+                    let moved = instr.map_actors(|m| assign[m]);
+                    let Instr::Collective {
+                        group: new_group, ..
+                    } = &moved
+                    else {
+                        unreachable!("map_actors keeps the instruction kind")
+                    };
+                    let distinct = new_group.windows(2).all(|w| w[0] < w[1]);
+                    let old_rank = group.iter().position(|&m| m == a);
+                    let new_rank = new_group.iter().position(|&m| m == h);
+                    if !distinct || old_rank != new_rank {
+                        return Err(ReplaceError::Unsupported(format!(
+                            "assignment folds collective group {group:?} \
+                             non-uniformly; members must stay distinct and \
+                             keep their rank positions"
+                        )));
+                    }
+                    if owed[h].get(dst).copied().unwrap_or(0) > 0 {
+                        return Err(ReplaceError::LocalOverwrite {
+                            actor: h,
+                            buf: *dst,
+                        });
+                    }
+                    avail[h].insert(*dst);
+                    out[h].push(moved);
+                    true
+                }
+            }
+            Instr::Free { .. } => unreachable!("frees are stripped before replay"),
+        })
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -443,7 +374,7 @@ mod tests {
     use super::*;
     use crate::model::pipeline_model;
     use crate::program::TaskLabel;
-    use crate::unroll::{unroll_loop, UnrollOptions};
+    use crate::unroll::{check_send_recv_order, unroll_loop, UnrollOptions};
     use crate::verify::verify_program;
     use raxpp_ir::TraceCtx;
     use raxpp_sched::{gpipe, one_f1b};

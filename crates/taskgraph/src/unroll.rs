@@ -2,8 +2,8 @@
 //! (paper §4.2-§4.4).
 //!
 //! The unroller walks the schedule's tasks in a global topological order
-//! that respects every actor's local order (the same traversal the
-//! paper's runtime uses). Communication follows one placement rule:
+//! that respects every actor's local order ([`Schedule::walk`], the same
+//! traversal the paper's runtime uses). Communication follows one placement rule:
 //! **send eagerly, wait at first use**. A `Send` is emitted immediately
 //! after its producing task; the matching `Recv` is emitted in the
 //! consumer's stream directly before the first instruction that reads
@@ -617,46 +617,13 @@ pub fn unroll_loop(
         }
     }
 
-    // Global topological walk over the schedule, respecting each actor's
-    // local order (the §4.2 traversal).
-    {
-        let mut done: HashSet<Task> = HashSet::new();
-        let mut cursor = vec![0usize; n_actors];
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for a in 0..n_actors {
-                let tasks = schedule.actor_tasks(a);
-                while cursor[a] < tasks.len() {
-                    let t = tasks[cursor[a]];
-                    if !t.deps(schedule.n_stages()).iter().all(|d| done.contains(d)) {
-                        break;
-                    }
-                    match t.dir {
-                        Dir::Fwd => ctx.run_fwd(t),
-                        Dir::Bwd => ctx.run_bwd(t),
-                        Dir::BwdW => ctx.run_bwd_w(t),
-                    }
-                    done.insert(t);
-                    cursor[a] += 1;
-                    progressed = true;
-                }
-                if cursor[a] < tasks.len() {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !progressed {
-                let blocked = (0..n_actors)
-                    .filter(|&a| cursor[a] < schedule.actor_tasks(a).len())
-                    .map(|a| schedule.actor_tasks(a)[cursor[a]])
-                    .collect();
-                return Err(CompileError::Schedule(ScheduleError::Deadlock { blocked }));
-            }
-        }
-    }
+    // The §4.2 traversal: buffer ids and receive placement follow its
+    // visiting order.
+    schedule.walk(|_, t| match t.dir {
+        Dir::Fwd => ctx.run_fwd(t),
+        Dir::Bwd => ctx.run_bwd(t),
+        Dir::BwdW => ctx.run_bwd_w(t),
+    })?;
 
     // Final gradients. Commuted mode: one cross-actor reduction per shared
     // weight (§3.4); naive mode already reduced per microbatch.
@@ -815,8 +782,9 @@ pub fn insert_frees(program: &mut MpmdProgram) {
 /// Checks the matching-order property of §4.2 on a compiled program: for
 /// every ordered actor pair `(a, b)`, the sequence of buffers `a` sends to
 /// `b` equals the sequence of buffers `b` receives from `a`. Returns the
-/// offending pair on failure. Used by tests and by the runtime's debug
-/// assertions.
+/// offending pair on failure. The order clause of
+/// [`crate::verify_program`] on its own, for tests and hand-built
+/// programs.
 pub fn check_send_recv_order(program: &MpmdProgram) -> Result<(), (ActorId, ActorId)> {
     let n = program.n_actors();
     for a in 0..n {

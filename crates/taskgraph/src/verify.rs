@@ -6,23 +6,26 @@
 //! * every buffer a `Run`/`Send` uses is live (defined by a placement,
 //!   an earlier `Run` output, or a `Recv` — and not yet freed);
 //! * `Run` operand/result counts and shapes match the jaxpr's signature;
-//! * receives match sends in order and shape per actor pair (§4.2);
+//! * receives match sends in order and shape per actor pair (§4.2), and
+//!   no message is left on a wire when the step ends;
 //! * frees hit live buffers exactly once;
 //! * every fetch target is live at the end of the step;
-//! * the streams make progress to completion (no deadlock);
+//! * the streams make progress to completion (no deadlock) under the
+//!   §4.2 traversal, [`raxpp_sched::timeline::walk`];
 //! * along every recorded axis ([`MpmdProgram::tp`], [`MpmdProgram::dp`])
 //!   the copies of an actor are index-aligned — equal length, equal
 //!   instruction kind at every index — so the members of a group meet
 //!   their collectives in the same order.
 //!
-//! The compiler's output is verified in tests and in
-//! `debug_assertions` builds of `raxpp-core`; the checker is also useful
-//! for anyone generating [`MpmdProgram`]s by hand.
+//! `raxpp-core` verifies every program it compiles, in every build
+//! profile; the checker is also useful for anyone generating
+//! [`MpmdProgram`]s by hand.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use raxpp_ir::Shape;
+use raxpp_sched::timeline::{walk, Deadlock};
 use raxpp_sched::{DpMap, TpMap};
 
 use crate::expand::streams_aligned;
@@ -130,6 +133,12 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+impl From<Deadlock> for VerifyError {
+    fn from(d: Deadlock) -> Self {
+        VerifyError::Deadlock { stuck: d.blocked }
+    }
+}
+
 /// Verifies `program` (see the module docs for the invariant list).
 ///
 /// # Errors
@@ -193,230 +202,218 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
 
     // In-flight messages per directed pair.
     let mut wires: HashMap<(usize, usize), VecDeque<(BufferId, Shape)>> = HashMap::new();
-    let mut cursor = vec![0usize; n];
-
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for a in 0..n {
-            let stream = &program.actors[a];
-            while cursor[a] < stream.len() {
-                let pos = cursor[a];
-                match &stream[pos] {
-                    Instr::Run {
-                        jaxpr,
-                        inputs,
-                        outputs,
-                        ..
-                    } => {
-                        let jx = &program.jaxprs[jaxpr.0 as usize];
-                        if inputs.len() != jx.invars().len() || outputs.len() != jx.outvars().len()
-                        {
+    let lens: Vec<usize> = program.actors.iter().map(Vec::len).collect();
+    walk(&lens, |a, pos| {
+        match &program.actors[a][pos] {
+            Instr::Run {
+                jaxpr,
+                inputs,
+                outputs,
+                ..
+            } => {
+                let jx = &program.jaxprs[jaxpr.0 as usize];
+                if inputs.len() != jx.invars().len() || outputs.len() != jx.outvars().len() {
+                    return Err(VerifyError::SignatureMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!(
+                            "arity mismatch: {}/{} operands, {}/{} results",
+                            inputs.len(),
+                            jx.invars().len(),
+                            outputs.len(),
+                            jx.outvars().len()
+                        ),
+                    });
+                }
+                for (b, &v) in inputs.iter().zip(jx.invars()) {
+                    let Some(shape) = live[a].get(b) else {
+                        return Err(VerifyError::UseOfDeadBuffer {
+                            actor: a,
+                            pos,
+                            buf: *b,
+                        });
+                    };
+                    if shape != jx.shape(v) {
+                        return Err(VerifyError::SignatureMismatch {
+                            actor: a,
+                            pos,
+                            detail: format!(
+                                "operand {b} has shape {shape}, jaxpr wants {}",
+                                jx.shape(v)
+                            ),
+                        });
+                    }
+                }
+                for (b, &v) in outputs.iter().zip(jx.outvars()) {
+                    live[a].insert(*b, jx.shape(v).clone());
+                }
+            }
+            Instr::Send { buf, to } => {
+                let Some(shape) = live[a].get(buf) else {
+                    return Err(VerifyError::UseOfDeadBuffer {
+                        actor: a,
+                        pos,
+                        buf: *buf,
+                    });
+                };
+                wires
+                    .entry((a, *to))
+                    .or_default()
+                    .push_back((*buf, shape.clone()));
+            }
+            Instr::Recv {
+                buf,
+                src,
+                from,
+                shape,
+            } => {
+                let queue = wires.entry((*from, a)).or_default();
+                let Some((id, wire_shape)) = queue.front() else {
+                    return Ok(false); // wait for the sender
+                };
+                if id != src {
+                    return Err(VerifyError::CommMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!(
+                            "expected {src} from actor {from}, wire has {id} \
+                             (§4.2 order violated)"
+                        ),
+                    });
+                }
+                if wire_shape != shape {
+                    return Err(VerifyError::CommMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!("shape mismatch on {src}: wire {wire_shape}, recv {shape}"),
+                    });
+                }
+                queue.pop_front();
+                live[a].insert(*buf, shape.clone());
+            }
+            Instr::Copy { dst, src } => {
+                let Some(shape) = live[a].get(src).cloned() else {
+                    return Err(VerifyError::UseOfDeadBuffer {
+                        actor: a,
+                        pos,
+                        buf: *src,
+                    });
+                };
+                live[a].insert(*dst, shape);
+            }
+            Instr::Free { buf } => {
+                if live[a].remove(buf).is_none() {
+                    return Err(VerifyError::BadFree {
+                        actor: a,
+                        pos,
+                        buf: *buf,
+                    });
+                }
+            }
+            Instr::Collective {
+                kind,
+                dst,
+                src,
+                group,
+                wires: coll_wires,
+                dim,
+                ..
+            } => {
+                if group.is_empty() || coll_wires.len() != group.len() {
+                    return Err(VerifyError::SignatureMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!(
+                            "collective group/wires size mismatch: {} vs {}",
+                            group.len(),
+                            coll_wires.len()
+                        ),
+                    });
+                }
+                if !group.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(VerifyError::SignatureMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!("collective group {group:?} not rank-ascending"),
+                    });
+                }
+                let Some(rank) = group.iter().position(|&g| g == a) else {
+                    return Err(VerifyError::SignatureMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!("actor {a} not in its collective group {group:?}"),
+                    });
+                };
+                if coll_wires[rank] != *src {
+                    return Err(VerifyError::SignatureMismatch {
+                        actor: a,
+                        pos,
+                        detail: format!(
+                            "collective src {src} is not this rank's wire {}",
+                            coll_wires[rank]
+                        ),
+                    });
+                }
+                let Some(shape) = live[a].get(src) else {
+                    return Err(VerifyError::UseOfDeadBuffer {
+                        actor: a,
+                        pos,
+                        buf: *src,
+                    });
+                };
+                let t = group.len();
+                use crate::program::CollectiveKind;
+                let out_shape = match kind {
+                    CollectiveKind::AllReduce => shape.clone(),
+                    CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {
+                        if *dim >= shape.rank() {
                             return Err(VerifyError::SignatureMismatch {
                                 actor: a,
                                 pos,
-                                detail: format!(
-                                    "arity mismatch: {}/{} operands, {}/{} results",
-                                    inputs.len(),
-                                    jx.invars().len(),
-                                    outputs.len(),
-                                    jx.outvars().len()
-                                ),
+                                detail: format!("collective dim {dim} out of range for {shape}"),
                             });
                         }
-                        for (b, &v) in inputs.iter().zip(jx.invars()) {
-                            let Some(shape) = live[a].get(b) else {
-                                return Err(VerifyError::UseOfDeadBuffer {
-                                    actor: a,
-                                    pos,
-                                    buf: *b,
-                                });
-                            };
-                            if shape != jx.shape(v) {
+                        let mut dims = shape.dims().to_vec();
+                        if matches!(kind, CollectiveKind::AllGather) {
+                            dims[*dim] *= t;
+                        } else {
+                            if dims[*dim] % t != 0 {
                                 return Err(VerifyError::SignatureMismatch {
                                     actor: a,
                                     pos,
                                     detail: format!(
-                                        "operand {b} has shape {shape}, jaxpr wants {}",
-                                        jx.shape(v)
+                                        "reduce_scatter dim {dim} of {shape} not \
+                                         divisible by group size {t}"
                                     ),
                                 });
                             }
+                            dims[*dim] /= t;
                         }
-                        for (b, &v) in outputs.iter().zip(jx.outvars()) {
-                            live[a].insert(*b, jx.shape(v).clone());
-                        }
+                        Shape::new(dims)
                     }
-                    Instr::Send { buf, to } => {
-                        let Some(shape) = live[a].get(buf) else {
-                            return Err(VerifyError::UseOfDeadBuffer {
-                                actor: a,
-                                pos,
-                                buf: *buf,
-                            });
-                        };
-                        wires
-                            .entry((a, *to))
-                            .or_default()
-                            .push_back((*buf, shape.clone()));
-                    }
-                    Instr::Recv {
-                        buf,
-                        src,
-                        from,
-                        shape,
-                    } => {
-                        let queue = wires.entry((*from, a)).or_default();
-                        let Some((id, wire_shape)) = queue.front() else {
-                            break; // wait for the sender
-                        };
-                        if id != src {
-                            return Err(VerifyError::CommMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!(
-                                    "expected {src} from actor {from}, wire has {id} \
-                                     (§4.2 order violated)"
-                                ),
-                            });
-                        }
-                        if wire_shape != shape {
-                            return Err(VerifyError::CommMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!(
-                                    "shape mismatch on {src}: wire {wire_shape}, recv {shape}"
-                                ),
-                            });
-                        }
-                        queue.pop_front();
-                        live[a].insert(*buf, shape.clone());
-                    }
-                    Instr::Copy { dst, src } => {
-                        let Some(shape) = live[a].get(src).cloned() else {
-                            return Err(VerifyError::UseOfDeadBuffer {
-                                actor: a,
-                                pos,
-                                buf: *src,
-                            });
-                        };
-                        live[a].insert(*dst, shape);
-                    }
-                    Instr::Free { buf } => {
-                        if live[a].remove(buf).is_none() {
-                            return Err(VerifyError::BadFree {
-                                actor: a,
-                                pos,
-                                buf: *buf,
-                            });
-                        }
-                    }
-                    Instr::Collective {
-                        kind,
-                        dst,
-                        src,
-                        group,
-                        wires: coll_wires,
-                        dim,
-                        ..
-                    } => {
-                        if group.is_empty() || coll_wires.len() != group.len() {
-                            return Err(VerifyError::SignatureMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!(
-                                    "collective group/wires size mismatch: {} vs {}",
-                                    group.len(),
-                                    coll_wires.len()
-                                ),
-                            });
-                        }
-                        if !group.windows(2).all(|w| w[0] < w[1]) {
-                            return Err(VerifyError::SignatureMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!("collective group {group:?} not rank-ascending"),
-                            });
-                        }
-                        let Some(rank) = group.iter().position(|&g| g == a) else {
-                            return Err(VerifyError::SignatureMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!("actor {a} not in its collective group {group:?}"),
-                            });
-                        };
-                        if coll_wires[rank] != *src {
-                            return Err(VerifyError::SignatureMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!(
-                                    "collective src {src} is not this rank's wire {}",
-                                    coll_wires[rank]
-                                ),
-                            });
-                        }
-                        let Some(shape) = live[a].get(src) else {
-                            return Err(VerifyError::UseOfDeadBuffer {
-                                actor: a,
-                                pos,
-                                buf: *src,
-                            });
-                        };
-                        let t = group.len();
-                        use crate::program::CollectiveKind;
-                        let out_shape = match kind {
-                            CollectiveKind::AllReduce => shape.clone(),
-                            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {
-                                if *dim >= shape.rank() {
-                                    return Err(VerifyError::SignatureMismatch {
-                                        actor: a,
-                                        pos,
-                                        detail: format!(
-                                            "collective dim {dim} out of range for {shape}"
-                                        ),
-                                    });
-                                }
-                                let mut dims = shape.dims().to_vec();
-                                if matches!(kind, CollectiveKind::AllGather) {
-                                    dims[*dim] *= t;
-                                } else {
-                                    if dims[*dim] % t != 0 {
-                                        return Err(VerifyError::SignatureMismatch {
-                                            actor: a,
-                                            pos,
-                                            detail: format!(
-                                                "reduce_scatter dim {dim} of {shape} not \
-                                                 divisible by group size {t}"
-                                            ),
-                                        });
-                                    }
-                                    dims[*dim] /= t;
-                                }
-                                Shape::new(dims)
-                            }
-                        };
-                        live[a].insert(*dst, out_shape);
-                    }
-                }
-                cursor[a] += 1;
-                progressed = true;
-            }
-            if cursor[a] < stream.len() {
-                all_done = false;
+                };
+                live[a].insert(*dst, out_shape);
             }
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let stuck = (0..n)
-                .filter(|&a| cursor[a] < program.actors[a].len())
-                .map(|a| (a, cursor[a]))
-                .collect();
-            return Err(VerifyError::Deadlock { stuck });
-        }
-    }
+        Ok(true)
+    })?;
 
+    // Every message sent was received: a value left on a wire would sit
+    // in the receiver's mailbox into the next step.
+    if let Some((&(from, to), queue)) = wires
+        .iter()
+        .filter(|(_, queue)| !queue.is_empty())
+        .min_by_key(|(&pair, _)| pair)
+    {
+        return Err(VerifyError::CommMismatch {
+            actor: to,
+            pos: lens[to],
+            detail: format!(
+                "{} sent by actor {from} is never received",
+                queue.front().expect("non-empty").0
+            ),
+        });
+    }
     for f in &program.fetches {
         if !live[f.actor].contains_key(&f.buf) {
             return Err(VerifyError::MissingFetch {
@@ -532,6 +529,21 @@ mod tests {
         match verify_program(&p) {
             Err(VerifyError::CommMismatch { .. }) | Err(VerifyError::Deadlock { .. }) => {}
             other => panic!("expected comm mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn detects_unreceived_send() {
+        let mut p = compiled_program(false);
+        // A parameter stays live all step: sending it on is a legal
+        // instruction, but nobody receives it, so the value would sit
+        // in actor 1's mailbox into the next step.
+        let param = p.placements.iter().find(|pl| pl.actor == 0).unwrap().buf;
+        p.actors[0].push(Instr::Send { buf: param, to: 1 });
+        crate::unroll::check_send_recv_order(&p).unwrap_err();
+        match verify_program(&p) {
+            Err(VerifyError::CommMismatch { actor: 1, .. }) => {}
+            other => panic!("expected an unreceived send, got {other:?}"),
         }
     }
 

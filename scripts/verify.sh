@@ -46,11 +46,11 @@ cargo test -q -p raxpp-integration --test tensor_parallel tp_rebalance_folds_bit
 echo "==> socket-transport gate (resilience suites over the wire, bounded time)"
 # The same failure/chaos/rebalance/checkpoint contracts must hold
 # bitwise when every actor fabric message crosses a Unix-domain
-# socket. The per-test watchdog (RAXPP_TEST_TIMEOUT_SECS) turns any
-# wire deadlock into a fast named failure rather than a hung gate.
+# socket. The per-test watchdog (120 s) turns any wire deadlock into a
+# fast named failure rather than a hung gate.
 # tensor_parallel and data_parallel ride along because sockets are the
 # only place collectives take the message ring: this gate is its CI home.
-RAXPP_TRANSPORT=socket RAXPP_TEST_TIMEOUT_SECS=120 cargo test -q -p raxpp-integration \
+RAXPP_TRANSPORT=socket cargo test -q -p raxpp-integration \
     --test failure_semantics \
     --test chaos_soak \
     --test elastic_rebalance \

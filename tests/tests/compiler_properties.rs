@@ -9,24 +9,14 @@
 use raxpp_core::{
     compile_train_step, compile_worker_program, CompileOptions, DpConfig, Optimizer, TpConfig,
 };
+use raxpp_integration::{random_schedule, schedules_for, trace, RandomModel};
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx, TracedTensor};
-use raxpp_sched::{
-    gpipe, interleaved_1f1b, one_f1b, simulate, zero_bubble_h1, Schedule, Task, UniformCost,
-};
+use raxpp_ir::{eval, value_and_grad, Tensor};
+use raxpp_sched::{one_f1b, simulate, Schedule, ScheduleError, Task, UniformCost};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, replay, unroll_loop, verify_program,
-    UnrollOptions,
+    check_send_recv_order, insert_frees, pipeline_model, replace_program, replay, unroll_loop,
+    verify_program, MpmdProgram, ReplaceError, UnrollOptions,
 };
-
-/// A randomly-shaped pipeline model description.
-#[derive(Debug, Clone)]
-struct RandomModel {
-    layers: usize,
-    n_stages: usize,
-    share_first_last: bool,
-    skip_from_first: bool,
-}
 
 fn random_model(rng: &mut StdRng) -> RandomModel {
     let layers = rng.gen_range(2usize..7);
@@ -54,62 +44,6 @@ fn all_models() -> Vec<RandomModel> {
                 }
             }
         }
-    }
-    out
-}
-
-/// Traces the random model: a chain of tanh layers with optional weight
-/// sharing between the first and last layer and an optional skip
-/// connection from the first stage's output to the loss.
-fn trace(model: &RandomModel, width: usize) -> (Jaxpr, usize) {
-    let ctx = TraceCtx::new();
-    let n_weights = if model.share_first_last {
-        model.layers - 1
-    } else {
-        model.layers
-    };
-    let ws: Vec<TracedTensor> = (0..n_weights).map(|_| ctx.input([width, width])).collect();
-    let x = ctx.input([2, width]);
-    let mut h = x;
-    let mut first_out = None;
-    let per_stage = model.layers / model.n_stages;
-    let extra = model.layers % model.n_stages;
-    let mut boundaries = Vec::new();
-    let mut acc = 0;
-    for s in 0..model.n_stages - 1 {
-        acc += per_stage + usize::from(s < extra);
-        boundaries.push(acc);
-    }
-    for i in 0..model.layers {
-        let w = if model.share_first_last && i == model.layers - 1 {
-            &ws[0] // tied weight
-        } else {
-            &ws[i.min(n_weights - 1)]
-        };
-        h = h.matmul(w).unwrap().tanh();
-        if i == 0 {
-            first_out = Some(h.clone());
-        }
-        if boundaries.contains(&(i + 1)) {
-            h = ctx.pipeline_yield(&h);
-        }
-    }
-    if model.skip_from_first {
-        h = h.add(first_out.as_ref().unwrap()).unwrap();
-    }
-    let loss = h.mul(&h).unwrap().sum().scale(0.5);
-    (ctx.finish(&[loss]).unwrap(), n_weights)
-}
-
-fn schedules_for(n_stages: usize, n_mb: usize) -> Vec<Schedule> {
-    let mut out = vec![
-        gpipe(n_stages, n_mb).unwrap(),
-        one_f1b(n_stages, n_mb).unwrap(),
-        zero_bubble_h1(n_stages, n_mb).unwrap(),
-    ];
-    // Interleaved variant when the stage count splits over fewer actors.
-    if n_stages.is_multiple_of(2) && n_mb.is_multiple_of(2) {
-        out.push(interleaved_1f1b(2, n_mb, n_stages / 2).unwrap());
     }
     out
 }
@@ -300,6 +234,129 @@ fn rotated_user_schedules_still_work() {
             }
             Err(_) => {
                 // Rejected orders are fine; the validator's job.
+            }
+        }
+    }
+}
+
+/// Schedules nobody wrote: a random linear extension of the dependency
+/// order per actor validates (the generator constructs it through
+/// `Schedule::new`), and the same lists with one dependent pair swapped
+/// on one actor are a typed `Deadlock` naming the task now stuck in
+/// front of its own dependency — never a panic.
+#[test]
+fn random_legal_schedules_validate_and_a_swapped_pair_deadlocks() {
+    for case in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(7100 + case);
+        let schedule = random_schedule(&mut rng);
+        let n_stages = schedule.n_stages();
+        // Every (actor, i, j) with task i a direct dependency of task j.
+        let mut pairs = Vec::new();
+        for (a, tasks) in schedule.actors().iter().enumerate() {
+            for (j, t) in tasks.iter().enumerate() {
+                let deps = t.deps(n_stages);
+                pairs.extend(
+                    (0..j)
+                        .filter(|&i| deps.contains(&tasks[i]))
+                        .map(|i| (a, i, j)),
+                );
+            }
+        }
+        let (a, i, j) = pairs[rng.gen_range(0..pairs.len())];
+        let mut actors = schedule.actors().to_vec();
+        actors[a].swap(i, j);
+        let stuck = actors[a][i];
+        match Schedule::new("swapped", n_stages, schedule.n_mubatches(), actors) {
+            Err(ScheduleError::Deadlock { blocked }) => {
+                assert!(blocked.contains(&stuck), "case {case}: {blocked:?}");
+            }
+            other => panic!("case {case}: expected a deadlock, got {other:?}"),
+        }
+    }
+}
+
+/// Folds actor `k + 1` of `program` onto actor `k`: the result verifies
+/// or the refusal is a typed `ReplaceError`.
+fn adjacent_fold(program: &MpmdProgram, k: usize) -> Result<MpmdProgram, ReplaceError> {
+    let assign: Vec<usize> = (0..program.n_actors())
+        .map(|a| if a == k + 1 { k } else { a })
+        .collect();
+    let folded = replace_program(program, &assign)?;
+    verify_program(&folded).unwrap_or_else(|e| panic!("fold {} -> {k}: {e}", k + 1));
+    Ok(folded)
+}
+
+/// Each sampled schedule × a random model (tied weights, skip from the
+/// first stage) compiles into a verified program that replays to the
+/// schedule's own makespan, and every adjacent fold of it either
+/// re-places into a verified program or is refused with a typed error.
+#[test]
+fn random_schedules_compile_replay_and_fold() {
+    let (mut folds, mut refused) = (0, 0);
+    for case in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(7400 + case);
+        let schedule = random_schedule(&mut rng);
+        let n_stages = schedule.n_stages();
+        let model = RandomModel {
+            layers: n_stages + rng.gen_range(0usize..3),
+            n_stages,
+            share_first_last: rng.next_u64().is_multiple_of(2),
+            skip_from_first: rng.next_u64().is_multiple_of(2),
+        };
+        let cell = format!("case {case}: {model:?}\n{schedule}");
+        let (jaxpr, n_params) = trace(&model, 3);
+        let pmodel = pipeline_model(&jaxpr, n_params).unwrap();
+        let mut program = unroll_loop(&pmodel, &schedule, UnrollOptions::default())
+            .unwrap_or_else(|e| panic!("{cell}: {e}"))
+            .program;
+        insert_frees(&mut program);
+        verify_program(&program).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let cost = UniformCost::default();
+        assert_eq!(
+            replay(&program, cost).unwrap().makespan,
+            simulate(&schedule, cost).unwrap().makespan,
+            "{cell}"
+        );
+        for k in 0..schedule.n_actors() - 1 {
+            folds += 1;
+            match adjacent_fold(&program, k) {
+                Ok(_) => {}
+                Err(ReplaceError::Stuck(_)) => refused += 1,
+                Err(e) => panic!("{cell} fold {} -> {k}: {e}", k + 1),
+            }
+        }
+    }
+    // The refusals are all `Stuck`, and all of one kind: random stage
+    // placement lets a receiver's in-order stream take the merged
+    // host's values in an order its (now co-located, in-order) senders
+    // cannot produce, and re-placement moves no receive. Pinned, so a
+    // change in either direction is seen.
+    assert_eq!((folds, refused), (125, 13));
+}
+
+/// The skip connection crossing two stage boundaries (stage 0 feeds the
+/// loss in stage 2) folds under every three-actor builder, both ways.
+#[test]
+fn skip_connection_pipelines_fold() {
+    let (jaxpr, n_params) = trace(
+        &RandomModel {
+            layers: 5,
+            n_stages: 3,
+            share_first_last: false,
+            skip_from_first: true,
+        },
+        3,
+    );
+    let pmodel = pipeline_model(&jaxpr, n_params).unwrap();
+    for schedule in schedules_for(3, 4) {
+        for loop_commuting in [true, false] {
+            let mut program = unroll_loop(&pmodel, &schedule, UnrollOptions { loop_commuting })
+                .unwrap()
+                .program;
+            insert_frees(&mut program);
+            for k in 0..2 {
+                adjacent_fold(&program, k)
+                    .unwrap_or_else(|e| panic!("{} fold {} -> {k}: {e}", schedule.name(), k + 1));
             }
         }
     }

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, Trainer};
-use raxpp_integration::with_watchdog;
+use raxpp_integration::{trace, with_watchdog, RandomModel};
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::{set_num_threads, Tensor};
 use raxpp_models::{mlp_chain, BuiltModel};
@@ -44,10 +44,11 @@ fn build(model: &BuiltModel, schedule: &Schedule) -> Trainer {
     t
 }
 
-fn make_data(schedule: &Schedule, seed: u64) -> Vec<Vec<Tensor>> {
+/// One `[rows, 6]` microbatch per schedule slot.
+fn make_data(schedule: &Schedule, rows: usize, seed: u64) -> Vec<Vec<Tensor>> {
     let mut rng = StdRng::seed_from_u64(seed + 1);
     vec![(0..schedule.n_mubatches())
-        .map(|_| Tensor::randn([3, 6], 1.0, &mut rng))
+        .map(|_| Tensor::randn([rows, 6], 1.0, &mut rng))
         .collect()]
 }
 
@@ -56,13 +57,16 @@ fn make_data(schedule: &Schedule, seed: u64) -> Vec<Vec<Tensor>> {
 /// bit-identical losses and parameters at every kernel thread count.
 fn run_elastic(schedule: &Schedule, seed: u64) {
     let model = mlp_chain(6, 3, 4, schedule.n_stages(), seed).unwrap();
-    let data = make_data(schedule, seed);
+    run_elastic_on(&model, schedule, make_data(schedule, 3, seed));
+}
+
+fn run_elastic_on(model: &BuiltModel, schedule: &Schedule, data: Vec<Vec<Tensor>>) {
     let n = schedule.n_actors();
 
     for threads in [1usize, 4] {
         set_num_threads(threads);
-        let smooth = build(&model, schedule);
-        let elastic = build(&model, schedule);
+        let smooth = build(model, schedule);
+        let elastic = build(model, schedule);
 
         for step in 0..4 {
             if step == 2 {
@@ -124,6 +128,39 @@ fn one_f1b_survives_permanent_actor_loss_bitwise() {
     });
 }
 
+/// A skip connection crossing two stage boundaries (stage 0 feeds the
+/// loss in stage 2): losing the middle actor merges a channel the
+/// two-pass re-placement could not order (`RuntimeError::Rebalance`
+/// before PR 24); the fold must now succeed and stay bitwise.
+#[test]
+fn skip_connection_pipeline_survives_losing_the_middle_actor_bitwise() {
+    with_watchdog(
+        "skip_connection_pipeline_survives_losing_the_middle_actor",
+        || {
+            let shape = RandomModel {
+                layers: 5,
+                n_stages: 3,
+                share_first_last: false,
+                skip_from_first: true,
+            };
+            let (jaxpr, n_params) = trace(&shape, 6);
+            let mut rng = StdRng::seed_from_u64(65);
+            let model = BuiltModel {
+                jaxpr,
+                n_params,
+                init: (0..n_params)
+                    .map(|_| Tensor::randn([6, 6], 0.4, &mut rng))
+                    .collect(),
+            };
+            for (schedule, seed) in [(gpipe(3, 4), 65), (one_f1b(3, 4), 66)] {
+                let schedule = schedule.unwrap();
+                // `trace` fixes two rows per microbatch.
+                run_elastic_on(&model, &schedule, make_data(&schedule, 2, seed));
+            }
+        },
+    );
+}
+
 /// The traced recovery path must record the `"rebalanced"` step event
 /// (schema v2) and stay bit-identical too.
 #[test]
@@ -131,7 +168,7 @@ fn rebalance_is_traced_and_bitwise() {
     with_watchdog("rebalance_is_traced_and_bitwise", || {
         let schedule = gpipe(4, 4).unwrap();
         let model = mlp_chain(6, 3, 4, schedule.n_stages(), 63).unwrap();
-        let data = make_data(&schedule, 63);
+        let data = make_data(&schedule, 3, 63);
         let smooth = build(&model, &schedule);
         let elastic = build(&model, &schedule);
 
@@ -165,7 +202,7 @@ fn successive_losses_fold_down_to_half_the_fleet() {
     with_watchdog("successive_losses_fold_down_to_half_the_fleet", || {
         let schedule = gpipe(4, 4).unwrap();
         let model = mlp_chain(6, 3, 4, schedule.n_stages(), 64).unwrap();
-        let data = make_data(&schedule, 64);
+        let data = make_data(&schedule, 3, 64);
         let smooth = build(&model, &schedule);
         let elastic = build(&model, &schedule);
 

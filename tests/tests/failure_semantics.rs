@@ -374,6 +374,47 @@ fn one_way_partition_toward_driver_is_bounded_timeout_then_heals() {
     });
 }
 
+/// Every driver exchange is bounded by the heartbeat, not only
+/// `Execute`: a store query toward a worker whose replies and
+/// heartbeats are partitioned away must give up at the heartbeat
+/// threshold (0.5 s), far inside the step timeout it used to wait out,
+/// and `recover()` must leave a clean fleet. On mpsc the partition is a
+/// no-op and the query simply answers.
+#[test]
+fn store_query_toward_partitioned_worker_is_bounded_by_the_heartbeat() {
+    with_watchdog("store_query_partition", || {
+        let seed = 97;
+        let baseline = mpsc_baseline(seed);
+        for kind in TRANSPORTS {
+            let (trainer, data) = build_trainer_on(seed, kind);
+            let step_timeout = Duration::from_secs(6);
+            trainer.runtime().set_step_timeout(step_timeout);
+            trainer
+                .runtime()
+                .inject_fault(2, Fault::Partition { to: DRIVER_PEER })
+                .unwrap();
+            let t0 = Instant::now();
+            let answer = trainer.runtime().live_store_bytes();
+            if kind == TransportKind::Mpsc {
+                answer.unwrap();
+            } else {
+                assert_eq!(answer, Err(RuntimeError::Timeout { actor: 2 }), "{kind}");
+                assert!(
+                    t0.elapsed() < step_timeout / 2,
+                    "{kind}: query waited {:?}, the step timeout is {step_timeout:?}",
+                    t0.elapsed()
+                );
+                trainer.recover().unwrap();
+            }
+            assert_eq!(
+                trainer.runtime().live_store_bytes().unwrap().len(),
+                N_STAGES
+            );
+            assert_eq!(trainer.step(&data).unwrap().losses, baseline, "{kind}");
+        }
+    });
+}
+
 /// One-way partition between two *workers*: stage 0's activations
 /// toward stage 1 vanish, both keep heartbeating, so the only backstop
 /// is the step timeout (`RAXPP_STEP_TIMEOUT_MS`, here shrunk via
