@@ -43,10 +43,10 @@ fn adjacent_fold(n: usize, k: usize) -> Vec<usize> {
     (0..n).map(|a| if a == k + 1 { k } else { a }).collect()
 }
 
-/// The tp × dp cells every training program is compiled at.
-fn cells() -> [(usize, DpConfig); 5] {
+/// The tp × dp cells every training program is compiled at, besides
+/// the plain pipeline.
+fn cells() -> [(usize, DpConfig); 4] {
     [
-        (1, DpConfig::replicas(1)),
         (2, DpConfig::replicas(1)),
         (1, DpConfig::replicas(2)),
         (2, DpConfig::replicas(2)),
@@ -113,7 +113,8 @@ fn rows() -> Vec<(String, u64)> {
                 };
                 let sgd = Optimizer::Sgd { lr: 0.1 };
 
-                // The unrolled loop with its frees, and its forward half.
+                // The unrolled loop with its frees, its forward half, and
+                // the whole step program (optimizer updates appended).
                 let unrolled = unroll_loop(&pmodel, &schedule, UnrollOptions { loop_commuting })
                     .unwrap()
                     .program;
@@ -121,12 +122,14 @@ fn rows() -> Vec<(String, u64)> {
                 insert_frees(&mut forward);
                 let mut looped = unrolled;
                 insert_frees(&mut looped);
+                let step = compiled(&model, &schedule, sgd, opts.clone());
                 let mut h = Fnv::new();
                 h.program(&looped);
                 h.program(&forward);
-                rows.push((row("loop + forward"), h.0));
+                h.program(&step);
+                rows.push((row("loop + forward + step"), h.0));
 
-                // The whole step program at every tp × dp cell.
+                // The step program at every tp × dp cell.
                 let mut h = Fnv::new();
                 for (tp, dp) in cells() {
                     h.program(&compiled(
@@ -144,7 +147,6 @@ fn rows() -> Vec<(String, u64)> {
 
                 // Every adjacent fold of the loop and of the step program
                 // (what `Runtime::rebalance` re-places), errors included.
-                let step = compiled(&model, &schedule, sgd, opts);
                 for k in 0..n - 1 {
                     let mut h = Fnv::new();
                     for program in [&looped, &step] {
@@ -224,151 +226,154 @@ fn rows() -> Vec<(String, u64)> {
     rows
 }
 
-/// PR 24 edited twelve rows: the adjacent folds of the skip-connection
+/// PR 24 edited 43 rows. Twelve adjacent folds of the skip-connection
 /// model were `ReplaceError::Stuck` at `56ee630` (two-pass re-placement
 /// gated the sends by an order its one in-order sender could not take)
 /// and are programs since re-placement is one pass on the merged FIFO.
+/// The 31 rows with a tp or dp degree above one lost the
+/// `bucket_collectives` pass: their `Free`s are back at the last use,
+/// between the collectives of a bucket; nothing else moved.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
     ("4/4 | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
-    ("4/4 | gpipe(pp=4, mb=4) | lc | loop + forward", 0xc703c52327fdfac5),
-    ("4/4 | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0x746fedb5813704f0),
+    ("4/4 | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0xda82a2049a716a33),
+    ("4/4 | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0x18ea7c80efea9e94), // PR 24: no `bucket_collectives`
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0x04c22c26e6b15c64),
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0xe1852890dc83d5f4),
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x310d08312ff5403e),
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | loop + forward", 0xc703c52327fdfac5),
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0x746fedb5813704f0),
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0xda82a2049a716a33),
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0x18ea7c80efea9e94), // PR 24: no `bucket_collectives`
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x04c22c26e6b15c64),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xe1852890dc83d5f4),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x310d08312ff5403e),
     ("4/4 | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | loop + forward", 0x63d9ef7c83076490),
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0xaabae7018a758284),
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x2ad33f4dde360310),
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x9158cdbf3f3266f6), // PR 24: no `bucket_collectives`
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0xf97609652a2d6685),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | loop + forward", 0x63d9ef7c83076490),
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0xaabae7018a758284),
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x2ad33f4dde360310),
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x9158cdbf3f3266f6), // PR 24: no `bucket_collectives`
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf97609652a2d6685),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward", 0xda91a04ade64da54),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xcdadd33ef4b4c0c1),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0x5b8a3aa22f05fd20),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0x325de26db1ace54d), // PR 24: no `bucket_collectives`
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0x69dd833b62137a15),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x6237cd58153d3b8f),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward", 0xda91a04ade64da54),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xcdadd33ef4b4c0c1),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x5b8a3aa22f05fd20),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0x325de26db1ace54d), // PR 24: no `bucket_collectives`
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x69dd833b62137a15),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x6237cd58153d3b8f),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward", 0xd89c385cf9aa92a0),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x42e08448c46d0f19),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0xe66fd749f89f8024),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x927652b30a885e5b), // PR 24: no `bucket_collectives`
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0xabd621dc1fb9a653),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward", 0xd89c385cf9aa92a0),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x42e08448c46d0f19),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xe66fd749f89f8024),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x927652b30a885e5b), // PR 24: no `bucket_collectives`
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0xabd621dc1fb9a653),
     ("4/2 tied | gpipe(pp=2, mb=4) | Schedule::fold", 0x47d244affaa8bfa2),
-    ("4/2 tied | gpipe(pp=2, mb=4) | lc | loop + forward", 0x537e9efeb4a9e08e),
-    ("4/2 tied | gpipe(pp=2, mb=4) | lc | compile tp/dp", 0xabdd6e0e519ef765),
+    ("4/2 tied | gpipe(pp=2, mb=4) | lc | loop + forward + step", 0xe434a8ce1224e56b),
+    ("4/2 tied | gpipe(pp=2, mb=4) | lc | compile tp/dp", 0xca27393a30571bfc), // PR 24: no `bucket_collectives`
     ("4/2 tied | gpipe(pp=2, mb=4) | lc | fold 1 -> 0", 0xa4dc64424a580f1d),
-    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | loop + forward", 0x37b3ef1858cfd1a3),
-    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | compile tp/dp", 0x7268ee8b5ff194a6),
+    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | loop + forward + step", 0x5b5a8a85fd5925a9),
+    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | compile tp/dp", 0x920623099a055e1a), // PR 24: no `bucket_collectives`
     ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x15ec94b64471adbb),
     ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward", 0x24e38bb9dc900cd3),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xcfcf131aef6e348c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xebab5c1ef36bef91), // PR 24: no `bucket_collectives`
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward", 0xa72dadff294174b0),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0xc02550cd9b5e047c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0xb3cd9c89a1590699), // PR 24: no `bucket_collectives`
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | Schedule::fold", 0x8f34d68e10f76812),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | loop + forward", 0x559d875b60f6ece6),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | compile tp/dp", 0x8fe25b9032bd2580),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | loop + forward + step", 0x1ca434d711743d70),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | compile tp/dp", 0x56a7380e90cef626), // PR 24: no `bucket_collectives`
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | fold 1 -> 0", 0xffdd0e38cb76fa98),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | loop + forward", 0x604d799874150d40),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | compile tp/dp", 0xd69f83c3457be6fd),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | loop + forward + step", 0xb42ab4ea6c0006c1),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | compile tp/dp", 0x30ece82eded73c66), // PR 24: no `bucket_collectives`
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x6e7d1997cfd1d293),
     ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward", 0x24e38bb9dc900cd3),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xcfcf131aef6e348c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xebab5c1ef36bef91), // PR 24: no `bucket_collectives`
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward", 0xa72dadff294174b0),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0xc02550cd9b5e047c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0xb3cd9c89a1590699), // PR 24: no `bucket_collectives`
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | loop + forward", 0x63b4df55a82d94b6),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0x5efb08775d1a8e8e),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0x275833c39f1c4eea),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0xe32659c71007ab90), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0xaf03a327baa33c44),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0x955d9911b3226719),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x35f80f71336c36c7),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | loop + forward", 0x1bfe6bea7f7a353e),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0x40d5febaf859c3fc),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0x321720bb511dbf76),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0xea02f320f21b7092), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf7f029d826badfa2),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xee1b5fefb70250bd),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xb64926d740f33d09),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | loop + forward", 0xa112a66e1fcc87db),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x952deb83ebef9297),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x1120d99b0d72bedf),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0xea8270f96f553847), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0x06cadae2f8047ba1),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xfde8afc5c8ffca98),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x2bc49522efe335dc),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | loop + forward", 0x61c0b362e64f7c01),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0xa9d84e54d50b40e2),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x287a9d04778116d8),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0xfe5b958739e663b9), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xb9faaeabc68dd12c),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x04166fc812273713),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x366888ef98821e3b),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward", 0x1b2baf11b4c869b9),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xbdad55aa6c49da21),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0xc7a19f4fbaf541fb),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xa2ca5e6aa31eed8b), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0xa7b1b7425ba8b23f),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x0b0854a051c1f0c6),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0x010986490ed9b58a),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward", 0x9d86aa4766b603c4),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xcf853a8c926976e3),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x72179b042b717d82),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xd15191135d994d9b), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xce20e29abe6ca41a),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xb4d86f97f79f7c55),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x7f05147749450133),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward", 0xa0102bc33f8cc9ea),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x1d3dc488832771ed),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0x9da58f2876ae5562),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x6f80314cbd4d3f1b), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0x7bd3a994f4e03a6a),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward", 0x5fb38da2a22680f2),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0xc05db75c5e965d92),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xb99f6ada3d2fd0e3),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x10b4fa7d6f572013), // PR 24: no `bucket_collectives`
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0x371995e101d004bb),
     ("5/3 skip | gpipe(pp=3, mb=4) | Schedule::fold", 0x2e680166fa95997d),
-    ("5/3 skip | gpipe(pp=3, mb=4) | lc | loop + forward", 0xe5e91f4e5456a11b),
-    ("5/3 skip | gpipe(pp=3, mb=4) | lc | compile tp/dp", 0xab06307f7f72c222),
+    ("5/3 skip | gpipe(pp=3, mb=4) | lc | loop + forward + step", 0xf16110322f4f778e),
+    ("5/3 skip | gpipe(pp=3, mb=4) | lc | compile tp/dp", 0xc95ed592878be057), // PR 24: no `bucket_collectives`
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
-    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | loop + forward", 0xe5e91f4e5456a11b),
-    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | compile tp/dp", 0xab06307f7f72c222),
+    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | loop + forward + step", 0xf16110322f4f778e),
+    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | compile tp/dp", 0xc95ed592878be057), // PR 24: no `bucket_collectives`
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | Schedule::fold", 0x4991bfd4838dfd30),
-    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | loop + forward", 0xc826d151c411c116),
-    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | compile tp/dp", 0xeb8bfc25bbb1e5eb),
+    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | loop + forward + step", 0x7abd710cf02d8858),
+    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | compile tp/dp", 0xacc5d34ad08f0b95), // PR 24: no `bucket_collectives`
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
-    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | loop + forward", 0xc826d151c411c116),
-    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | compile tp/dp", 0xeb8bfc25bbb1e5eb),
+    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | loop + forward + step", 0x7abd710cf02d8858),
+    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | compile tp/dp", 0xacc5d34ad08f0b95), // PR 24: no `bucket_collectives`
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | Schedule::fold", 0x33c398659cc0ff25),
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | loop + forward", 0x2e83de191d2d5923),
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | compile tp/dp", 0xc836ffe13b1cf63b),
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | loop + forward + step", 0xa458d03af3b59a78),
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | compile tp/dp", 0xe4cdb8314bd87f7a), // PR 24: no `bucket_collectives`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | loop + forward", 0x2e83de191d2d5923),
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | compile tp/dp", 0xc836ffe13b1cf63b),
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | loop + forward + step", 0xa458d03af3b59a78),
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | compile tp/dp", 0xe4cdb8314bd87f7a), // PR 24: no `bucket_collectives`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
     ("benchmark | mlp_gpipe_pp4", 0x73625d4752b2e453),
     ("benchmark | lm_1f1b_pp2", 0xd6065f582d6f64a2),
     ("benchmark | mlp_1f1b_pp4_uds", 0xde5debb4ebaca1ba),
-    ("benchmark | mlp_gpipe_pp2_tp2_dp2", 0xa99c83fe2000d239),
+    ("benchmark | mlp_gpipe_pp2_tp2_dp2", 0xc072bced0f133c9d), // PR 24: no `bucket_collectives`
 ];
 
 #[test]
