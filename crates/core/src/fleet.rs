@@ -65,7 +65,8 @@ pub(crate) struct Fleet {
 impl Fleet {
     /// The compile tail every step program goes through, training or
     /// forward-only: tensor-parallel sharding, data-parallel
-    /// replication, free insertion and static verification. Returns the actor arithmetic of the two axes.
+    /// replication, free insertion and static verification. Returns the
+    /// actor arithmetic of the two axes.
     ///
     /// `dp` carries, next to the config, what ZeRO-1 needs to rebuild
     /// each parameter's update on a first-dim slice.

@@ -1,12 +1,12 @@
 //! The runtime crate's environment knobs, read and parsed in one place.
 //!
-//! Each knob is read once, where a `Runtime` is constructed. Unset or empty selects the default; a value that is set
-//! but not one of the accepted forms panics there, naming the variable,
-//! the value and the forms — a mistyped knob must not quietly select
-//! the default (`RAXPP_TRANSPORT=sockets` would otherwise run the socket
-//! gate of `scripts/verify.sh` without touching a socket). Names,
-//! defaults and meanings are the rows of the knob table in
-//! `docs/observability.md`.
+//! Each knob is read once, where a `Runtime` is constructed. Unset or
+//! empty selects the default; a value that is set but not one of the
+//! accepted forms panics there, naming the variable, the value and the
+//! forms — a mistyped knob must not quietly select the default
+//! (`RAXPP_TRANSPORT=sockets` would otherwise run the socket gate of
+//! `scripts/verify.sh` without touching a socket). Names, defaults and
+//! meanings are the rows of the knob table in `docs/observability.md`.
 
 use std::time::Duration;
 

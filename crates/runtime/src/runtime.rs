@@ -813,13 +813,12 @@ impl Runtime {
             };
         }
         // No peer waits on these commands, so a failure wakes nobody.
-        let timeout = self.timeout();
         collect(
             &mut inner.actors,
             &*inner.transport,
             &mut slots,
             seq,
-            timeout,
+            self.timeout(),
             |_| {},
         );
         let result = |a: usize| {

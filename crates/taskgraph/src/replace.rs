@@ -211,13 +211,6 @@ fn simulate(program: &MpmdProgram, assign: &[ActorId]) -> Result<Vec<Vec<Instr>>
     // In-flight values: keyed by the OLD directed pair when co-located,
     // by the NEW pair when they cross hosts.
     let mut chan: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
-    let chan_key = |from: usize, to: usize| {
-        if assign[from] == assign[to] {
-            (from, to)
-        } else {
-            (assign[from], assign[to])
-        }
-    };
     // Per (old receiver, sending host): the wire ids the receiver's
     // stream takes from that host, in stream order.
     let mut expected: HashMap<(usize, usize), VecDeque<BufferId>> = HashMap::new();
@@ -281,19 +274,23 @@ fn simulate(program: &MpmdProgram, assign: &[ActorId]) -> Result<Vec<Vec<Instr>>
                 } else if expected.get(&(*to, h)).and_then(|q| q.front()) != Some(buf) {
                     false // not this send's turn in its receiver's stream
                 } else {
-                    expected.get_mut(&(*to, h)).map(VecDeque::pop_front);
+                    expected
+                        .get_mut(&(*to, h))
+                        .expect("front checked")
+                        .pop_front();
                     chan.entry((h, h2)).or_default().push_back(*buf);
                     out[h].push(instr.map_actors(|m| assign[m]));
                     true
                 }
             }
             Instr::Recv { buf, src, from, .. } => {
-                let queue = chan.entry(chan_key(*from, a)).or_default();
+                let f2 = assign[*from];
+                let pair = if f2 == h { (*from, a) } else { (f2, h) };
+                let queue = chan.entry(pair).or_default();
                 if queue.front() != Some(src) {
                     false // wait for the matching send
                 } else {
                     queue.pop_front();
-                    let f2 = assign[*from];
                     if f2 == h {
                         *owed[h].get_mut(src).expect("owed entry for local recv") -= 1;
                         if buf != src {

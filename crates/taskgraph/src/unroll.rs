@@ -3,8 +3,9 @@
 //!
 //! The unroller walks the schedule's tasks in a global topological order
 //! that respects every actor's local order ([`Schedule::walk`], the same
-//! traversal the paper's runtime uses). Communication follows one placement rule:
-//! **send eagerly, wait at first use**. A `Send` is emitted immediately
+//! traversal the paper's runtime uses). Communication follows one
+//! placement rule: **send eagerly, wait at first use**. A `Send` is
+//! emitted immediately
 //! after its producing task; the matching `Recv` is emitted in the
 //! consumer's stream directly before the first instruction that reads
 //! the received buffer, preceded only by earlier still-pending receives

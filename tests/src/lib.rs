@@ -8,7 +8,7 @@ use raxpp_ir::{Jaxpr, TraceCtx, TracedTensor};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Dir, Schedule, Task};
 
 /// Watchdog budget per test body.
-const DEFAULT_TEST_TIMEOUT_SECS: u64 = 120;
+const TEST_TIMEOUT_SECS: u64 = 120;
 
 /// Runs a test body under a watchdog: if it does not finish within
 /// 120 s, the test fails immediately instead of hanging the whole
@@ -21,7 +21,6 @@ pub fn with_watchdog<F>(name: &str, f: F)
 where
     F: FnOnce() + Send + 'static,
 {
-    let timeout = DEFAULT_TEST_TIMEOUT_SECS;
     let (done_tx, done_rx) = channel::<()>();
     let handle = std::thread::Builder::new()
         .name(format!("watchdog-{name}"))
@@ -30,7 +29,7 @@ where
             let _ = done_tx.send(());
         })
         .expect("spawn watchdog thread");
-    match done_rx.recv_timeout(Duration::from_secs(timeout)) {
+    match done_rx.recv_timeout(Duration::from_secs(TEST_TIMEOUT_SECS)) {
         Ok(()) => {
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);
@@ -50,7 +49,7 @@ where
             let transport =
                 std::env::var("RAXPP_TRANSPORT").unwrap_or_else(|_| "mpsc (default)".into());
             panic!(
-                "watchdog: test {name:?} did not finish within {timeout}s \
+                "watchdog: test {name:?} did not finish within {TEST_TIMEOUT_SECS}s \
                  (deadlock? transport={transport})"
             );
         }
@@ -123,6 +122,11 @@ pub fn schedules_for(n_stages: usize, n_mb: usize) -> Vec<Schedule> {
         out.push(interleaved_1f1b(2, n_mb, n_stages / 2).unwrap());
     }
     out
+}
+
+/// The assignment folding actor `k + 1` of `n` onto actor `k`.
+pub fn adjacent_fold(n: usize, k: usize) -> Vec<usize> {
+    (0..n).map(|a| if a == k + 1 { k } else { a }).collect()
 }
 
 /// A random legal schedule nobody wrote: 2–4 actors, up to two stages

@@ -9,7 +9,7 @@
 use raxpp_core::{
     compile_train_step, compile_worker_program, CompileOptions, DpConfig, Optimizer, TpConfig,
 };
-use raxpp_integration::{random_schedule, schedules_for, trace, RandomModel};
+use raxpp_integration::{adjacent_fold, random_schedule, schedules_for, trace, RandomModel};
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{eval, value_and_grad, Tensor};
 use raxpp_sched::{one_f1b, simulate, Schedule, ScheduleError, Task, UniformCost};
@@ -277,11 +277,8 @@ fn random_legal_schedules_validate_and_a_swapped_pair_deadlocks() {
 
 /// Folds actor `k + 1` of `program` onto actor `k`: the result verifies
 /// or the refusal is a typed `ReplaceError`.
-fn adjacent_fold(program: &MpmdProgram, k: usize) -> Result<MpmdProgram, ReplaceError> {
-    let assign: Vec<usize> = (0..program.n_actors())
-        .map(|a| if a == k + 1 { k } else { a })
-        .collect();
-    let folded = replace_program(program, &assign)?;
+fn fold_verified(program: &MpmdProgram, k: usize) -> Result<MpmdProgram, ReplaceError> {
+    let folded = replace_program(program, &adjacent_fold(program.n_actors(), k))?;
     verify_program(&folded).unwrap_or_else(|e| panic!("fold {} -> {k}: {e}", k + 1));
     Ok(folded)
 }
@@ -319,7 +316,7 @@ fn random_schedules_compile_replay_and_fold() {
         );
         for k in 0..schedule.n_actors() - 1 {
             folds += 1;
-            match adjacent_fold(&program, k) {
+            match fold_verified(&program, k) {
                 Ok(_) => {}
                 Err(ReplaceError::Stuck(_)) => refused += 1,
                 Err(e) => panic!("{cell} fold {} -> {k}: {e}", k + 1),
@@ -355,7 +352,7 @@ fn skip_connection_pipelines_fold() {
                 .program;
             insert_frees(&mut program);
             for k in 0..2 {
-                adjacent_fold(&program, k)
+                fold_verified(&program, k)
                     .unwrap_or_else(|e| panic!("{} fold {} -> {k}: {e}", schedule.name(), k + 1));
             }
         }

@@ -9,7 +9,7 @@
 //! paste over `PINS`.
 
 use raxpp_core::{compile_worker_program, CompileOptions, DpConfig, Optimizer, TpConfig};
-use raxpp_integration::{schedules_for, trace, RandomModel};
+use raxpp_integration::{adjacent_fold, schedules_for, trace, RandomModel};
 use raxpp_models::{mlp_chain, tiny_lm, BuiltModel, TinyLmConfig};
 use raxpp_sched::{gpipe, one_f1b, Schedule};
 use raxpp_taskgraph::{
@@ -36,11 +36,6 @@ impl Fnv {
         self.text(&p.dump());
         self.text(&format!("{:?}{:?}", p.placements, p.fetches));
     }
-}
-
-/// Folding actor `k + 1` onto actor `k`.
-fn adjacent_fold(n: usize, k: usize) -> Vec<usize> {
-    (0..n).map(|a| if a == k + 1 { k } else { a }).collect()
 }
 
 /// The tp × dp cells every training program is compiled at, besides
