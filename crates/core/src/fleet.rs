@@ -24,8 +24,8 @@ use raxpp_runtime::{
 };
 use raxpp_sched::{simulate, DpMap, Schedule, TpMap, UniformCost};
 use raxpp_taskgraph::{
-    dp_split, dp_treated, insert_frees, replicate_program, shard_program, verify_program, ActorId,
-    BufferId, FetchRole, MpmdProgram,
+    bucket_collectives, dp_split, dp_treated, insert_frees, replicate_program, shard_program,
+    verify_program, ActorId, BufferId, FetchRole, MpmdProgram,
 };
 
 use crate::compile::{CoreError, DpConfig, StepMeta, TpConfig};
@@ -65,8 +65,8 @@ pub(crate) struct Fleet {
 impl Fleet {
     /// The compile tail every step program goes through, training or
     /// forward-only: tensor-parallel sharding, data-parallel
-    /// replication, free insertion and static verification. Returns the
-    /// actor arithmetic of the two axes.
+    /// replication, free insertion, collective bucketing and static
+    /// verification. Returns the actor arithmetic of the two axes.
     ///
     /// `dp` carries, next to the config, what ZeRO-1 needs to rebuild
     /// each parameter's update on a first-dim slice.
@@ -104,6 +104,11 @@ impl Fleet {
             _ => DpMap::new(1, program.n_actors()),
         };
         insert_frees(program);
+        if tp.degree() > 1 || dp.replicas() > 1 {
+            // Coalesce back-to-back collectives into contiguous buckets
+            // (hoisting the frees insert_frees interleaved between them).
+            bucket_collectives(program);
+        }
         // The one checker, in every build profile: shape-level abstract
         // execution of all streams, §4.2 matching order included.
         verify_program(program).map_err(|e| CoreError::BadInput(format!("internal error: {e}")))?;

@@ -46,7 +46,7 @@ pub use program::{
 pub use replace::{replace_program, ReplaceError};
 pub use replay::replay;
 pub use replicate::{dp_split, dp_treated, replicate_program, ReplicateError};
-pub use shard::{shard_program, ShardError};
+pub use shard::{bucket_collectives, shard_program, ShardError};
 pub use stage::{partition_stages, StageFwd, StageInput, StageOutput, StagedForward};
 pub use stats::{program_stats, ProgramStats};
 pub use unroll::{

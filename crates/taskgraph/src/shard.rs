@@ -483,6 +483,76 @@ pub fn shard_program(program: &MpmdProgram, t: usize) -> Result<MpmdProgram, Sha
     Ok(out)
 }
 
+/// Coalesces back-to-back collectives into contiguous *buckets* by
+/// sliding the `Free` instructions `insert_frees` interleaves *between
+/// the collectives* of a `Run`'s reassembly (and of consecutive sharded
+/// `Run`s) past the collective block they interrupt. Frees between a
+/// `Run` and its first collective stay where they are.
+///
+/// After the pass the collectives of a bucket are adjacent in the
+/// stream and the hoisted `Free`s follow the last of them. Delaying a
+/// `Free` past a collective is always sound for liveness (the buffer
+/// simply stays resident a few instructions longer); the pass still
+/// refuses to move a `Free` across a collective that mentions the freed
+/// id (a freed wire id could in principle be redefined as a collective
+/// `dst`).
+///
+/// What the pass is kept for, measured when its deletion was tried
+/// (`EXPERIMENTS.md` "PR 24"): with the `Free`s left between the ring
+/// collectives, the fleet's peak store bytes sit one buffer higher in
+/// the median — the fitting explanation, unverified, is that a `Free`
+/// issued while the ring still sends the freed buffer is parked until a
+/// later deletion point, where one issued after the bucket is not.
+///
+/// Call after [`crate::unroll::insert_frees`]. Streams stay
+/// index-aligned (the decision depends only on instruction kinds and
+/// ids, which are symmetric across ranks), and no-op for programs
+/// without collectives.
+pub fn bucket_collectives(program: &mut MpmdProgram) {
+    for stream in &mut program.actors {
+        let mut i = 0;
+        while i < stream.len() {
+            if !matches!(stream[i], Instr::Collective { .. }) {
+                i += 1;
+                continue;
+            }
+            // Extend the bucket over [i, j), hoisting safe Frees out.
+            let mut deferred: Vec<Instr> = Vec::new();
+            let mut j = i;
+            while j < stream.len() {
+                match &stream[j] {
+                    Instr::Collective { .. } => j += 1,
+                    Instr::Free { buf } => {
+                        // Safe to defer unless a later collective in the
+                        // bucket mentions this id.
+                        let mentioned = stream[j + 1..]
+                            .iter()
+                            .take_while(|n| {
+                                matches!(n, Instr::Collective { .. } | Instr::Free { .. })
+                            })
+                            .any(|n| match n {
+                                Instr::Collective {
+                                    dst, src, wires, ..
+                                } => dst == buf || src == buf || wires.contains(buf),
+                                _ => false,
+                            });
+                        if mentioned {
+                            break;
+                        }
+                        deferred.push(stream.remove(j));
+                    }
+                    _ => break,
+                }
+            }
+            // Reinsert the deferred frees right after the bucket.
+            for (k, f) in deferred.into_iter().enumerate() {
+                stream.insert(j + k, f);
+            }
+            i = j;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

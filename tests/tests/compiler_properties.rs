@@ -161,10 +161,10 @@ fn compiled_programs_are_well_formed() {
                     assert_eq!(got, want, "{model:?} {} stream replay", schedule.name());
                 }
                 // The same loop through the whole compile tail (optimizer
-                // updates appended, then shard → replicate → insert_frees)
-                // on every tp × dp cell: matched order, and a verifier pass
-                // that includes the index-alignment of rank and replica
-                // streams.
+                // updates appended, then shard → replicate → insert_frees
+                // → bucket_collectives) on every tp × dp cell: matched
+                // order, and a verifier pass that includes the
+                // index-alignment of rank and replica streams.
                 for (tp, dp) in [(2, 1), (1, 2), (2, 2)] {
                     let cell = format!("{model:?} {} tp={tp} dp={dp}", schedule.name());
                     let program = compile_worker_program(
