@@ -216,8 +216,8 @@ fn main() {
 
     // Wire resilience: the same drills over the Unix-socket transport.
     // kill -9 severs actor 1's endpoint mid-stream with no abort
-    // broadcast — detection rests on closed connections, reply-link EOF
-    // and heartbeat silence; recovery re-binds the endpoint and every
+    // broadcast — detection rests on closed connections, control-link
+    // EOF and heartbeat silence; recovery re-binds the endpoint and every
     // peer transparently re-dials.
     let mut kill9_detect = Vec::new();
     let mut wire_recover = Vec::new();

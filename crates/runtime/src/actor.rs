@@ -1,7 +1,9 @@
-//! The actor side of the runtime: the command/reply protocol an actor
-//! speaks with the driver, the per-peer FIFO [`Mailbox`] over its data
-//! inbox, and the command loop itself (with the death guard that
-//! poisons the fleet when an actor exits abnormally).
+//! The actor side of the runtime: the one envelope every participant
+//! sends ([`Msg`]), the command/reply protocol an actor speaks with the
+//! driver, the [`Mailbox`] over the actor's one inbox (per-peer FIFO
+//! data, commands in arrival order), and the command loop itself (with
+//! the death guard that poisons the fleet when an actor exits
+//! abnormally).
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -16,13 +18,14 @@ use crate::exec::{execute_stream, ActorProfile, StreamFailure};
 use crate::fault::Fault;
 use crate::store::{ObjectStore, SendToken};
 use crate::trace::ActorTrace;
-use crate::transport::{Fabric, ReplyPort};
+use crate::transport::Fabric;
 
 /// A step sequence number: the `Execute` command's sequence number tags
 /// every data message the step produces.
 pub(crate) type Epoch = u64;
 
-/// `from` id the driver uses when it broadcasts aborts itself.
+/// The driver's id on the fabric: the `from` of its commands and
+/// aborts, the `to` of every reply.
 pub(crate) const DRIVER: usize = usize::MAX;
 
 /// The peer id naming the *driver* in wire faults — e.g.
@@ -32,17 +35,26 @@ pub(crate) const DRIVER: usize = usize::MAX;
 pub const DRIVER_PEER: usize = DRIVER;
 
 pub(crate) enum Payload {
-    /// A tensor for `buf`, completing via the send token.
-    Data(BufferId, Tensor, SendToken),
-    /// The sender abandoned this epoch; the receiver must too.
-    Abort(String),
+    /// A tensor for `buf` in step `epoch`, completing via the send token.
+    Data(Epoch, BufferId, Tensor, SendToken),
+    /// The sender abandoned `epoch`; the receiver must too.
+    Abort(Epoch, String),
+    /// Driver → actor.
+    Command(Command),
+    /// Actor → driver.
+    Reply(Reply),
+    /// The participant `from` left: posted by whoever saw it go, never
+    /// sent by the leaver. Carries the incarnation that left, so a late
+    /// goodbye never marks a replacement dead.
+    Gone(u64),
 }
 
-/// One message on an actor's inbox: the per-peer FIFO streams are
-/// demultiplexed by `from` on the receiving side.
+/// The one envelope of the fabric: whatever travels between two
+/// participants (the actors, and the driver as [`DRIVER`]) lands in the
+/// receiver's one inbox as a `Msg`. Per-pair FIFO order is the
+/// carrier's; the receiver demultiplexes by `from`.
 pub(crate) struct Msg {
     pub(crate) from: usize,
-    pub(crate) epoch: Epoch,
     pub(crate) payload: Payload,
 }
 
@@ -120,12 +132,15 @@ pub(crate) struct Reply {
     pub(crate) kind: ReplyKind,
 }
 
-/// Per-peer FIFO demultiplexer over the actor's single inbox. Queues
-/// hold data that arrived from other peers while a `Recv` waited on a
-/// specific one; aborts are surfaced immediately, stale epochs dropped.
+/// The demultiplexer over the actor's one inbox. Queues hold data that
+/// arrived from other peers while a `Recv` waited on a specific one, and
+/// commands that arrived while a stream ran; aborts are surfaced
+/// immediately, stale epochs dropped.
 pub(crate) struct Mailbox {
     rx: Receiver<Msg>,
     queues: Vec<VecDeque<(Epoch, BufferId, Tensor, SendToken)>>,
+    /// Commands not yet served, in arrival order.
+    commands: VecDeque<Command>,
     /// An abort observed for an epoch not yet abandoned.
     pending_abort: Option<(Epoch, usize, String)>,
 }
@@ -135,6 +150,7 @@ impl Mailbox {
         Mailbox {
             rx,
             queues: (0..n).map(|_| VecDeque::new()).collect(),
+            commands: VecDeque::new(),
             pending_abort: None,
         }
     }
@@ -154,18 +170,40 @@ impl Mailbox {
         }
     }
 
+    /// Files one envelope. Data and aborts of epochs before `epoch` are
+    /// stale (an aborted earlier step's) and dropped. Of two pending
+    /// aborts the later epoch's wins: the earlier epoch is purged first,
+    /// and its abort must not mask the next one's. The driver's
+    /// departure queues as a `Shutdown`: the actor's service is over
+    /// either way.
     fn intake(&mut self, msg: Msg, epoch: Epoch) {
-        if msg.epoch < epoch {
-            return; // stale: from an aborted earlier step
-        }
         match msg.payload {
-            Payload::Abort(reason) => {
-                if self.pending_abort.is_none() {
-                    self.pending_abort = Some((msg.epoch, msg.from, reason));
-                }
+            Payload::Data(e, buf, t, token) if e >= epoch => {
+                self.queues[msg.from].push_back((e, buf, t, token));
             }
-            Payload::Data(buf, t, token) => {
-                self.queues[msg.from].push_back((msg.epoch, buf, t, token));
+            Payload::Abort(e, reason)
+                if e >= epoch && self.pending_abort.as_ref().is_none_or(|(p, _, _)| e > *p) =>
+            {
+                self.pending_abort = Some((e, msg.from, reason));
+            }
+            Payload::Command(c) => self.commands.push_back(c),
+            Payload::Gone(_) => self.commands.push_back(Command::Shutdown),
+            _ => {} // stale, or a reply (never addressed to an actor)
+        }
+    }
+
+    /// The next command in arrival order — first those that arrived
+    /// while a stream ran. Data and aborts met while waiting are filed
+    /// against `epoch`, the last stream's. A closed inbox reads as
+    /// `Shutdown`.
+    fn next_command(&mut self, epoch: Epoch) -> Command {
+        loop {
+            if let Some(c) = self.commands.pop_front() {
+                return c;
+            }
+            match self.rx.recv() {
+                Ok(msg) => self.intake(msg, epoch),
+                Err(_) => return Command::Shutdown,
             }
         }
     }
@@ -271,8 +309,7 @@ impl ActorState {
     ) -> Result<(), StreamFailure> {
         let msg = Msg {
             from: self.me,
-            epoch: self.epoch,
-            payload: Payload::Data(buf, t, token),
+            payload: Payload::Data(self.epoch, buf, t, token),
         };
         self.fabric
             .send(to, msg)
@@ -280,25 +317,6 @@ impl ActorState {
                 by: to,
                 reason: format!("actor {to} hung up"),
             })
-    }
-
-    /// Poisons every peer's inbox for `epoch` (§4.1-style abort
-    /// broadcast). Safe to call more than once; receivers drop
-    /// duplicates as stale after the epoch advances.
-    fn broadcast_abort(&self, epoch: Epoch, reason: &str) {
-        for j in 0..self.fabric.n() {
-            if j == self.me {
-                continue;
-            }
-            let _ = self.fabric.send(
-                j,
-                Msg {
-                    from: self.me,
-                    epoch,
-                    payload: Payload::Abort(reason.to_string()),
-                },
-            );
-        }
     }
 }
 
@@ -318,8 +336,6 @@ pub(crate) enum Exit {
 pub(crate) fn actor_main(
     me: usize,
     program: Arc<MpmdProgram>,
-    cmd: Receiver<Command>,
-    reply: ReplyPort,
     fabric: Fabric,
     inbox: Receiver<Msg>,
     origin: Instant,
@@ -341,32 +357,34 @@ pub(crate) fn actor_main(
     // is the thread-scale stand-in for Ray's actor-death notifications.
     // A *kill* deliberately skips the guard: SIGKILL leaves no time for
     // goodbyes, and the bounded-time claim must hold without them.
-    let exit = std::panic::catch_unwind(AssertUnwindSafe(|| actor_loop(&mut st, &cmd, &reply)));
+    let exit = std::panic::catch_unwind(AssertUnwindSafe(|| actor_loop(&mut st)));
     let exit = match exit {
         Ok(Exit::Clean) => Exit::Clean,
         Ok(Exit::Killed) => Exit::Killed,
         Ok(Exit::Died) => {
-            st.broadcast_abort(st.epoch, &format!("actor {me} died"));
+            st.fabric
+                .broadcast_abort(me, st.epoch, &format!("actor {me} died"));
             Exit::Died
         }
         Err(_) => {
-            st.broadcast_abort(st.epoch, &format!("actor {me} panicked"));
+            st.fabric
+                .broadcast_abort(me, st.epoch, &format!("actor {me} panicked"));
             Exit::Died
         }
     };
     // On a socket fabric, tear the endpoint down on *every* exit: this
-    // closes the reply link (the driver's death signal) and errors
-    // peers' cached data links. No-op in process. Must come after the
-    // death broadcast above so the poison gets out first.
+    // closes the link to the driver (whose reader posts `Gone`) and
+    // errors peers' cached data links. No-op in process, where the
+    // thread's own guard posts `Gone`. Must come after the death
+    // broadcast above so the poison gets out first.
     st.fabric.sever();
-    // Dropping `reply` (mpsc) tells the driver this actor is gone.
     exit
 }
 
-fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -> Exit {
-    while let Ok(c) = cmd.recv() {
+fn actor_loop(st: &mut ActorState) -> Exit {
+    loop {
         // Commands that answer produce `(seq, kind)`; the rest `continue`.
-        let (seq, kind) = match c {
+        let (seq, kind) = match st.mailbox.next_command(st.epoch) {
             Command::Place { seq, bufs } => {
                 st.install(bufs);
                 (seq, ReplyKind::Placed)
@@ -390,7 +408,7 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
                     Err(StreamFailure::Die) => return Exit::Died,
                     Err(StreamFailure::Killed) => return Exit::Killed,
                     Err(StreamFailure::Error(message)) => {
-                        st.broadcast_abort(seq, &message);
+                        st.fabric.broadcast_abort(st.me, seq, &message);
                         st.store.abandon_outstanding_sends();
                         Err(ExecFailure::Error(message))
                     }
@@ -449,10 +467,57 @@ fn actor_loop(st: &mut ActorState, cmd: &Receiver<Command>, reply: &ReplyPort) -
             }
             Command::Shutdown => return Exit::Clean,
         };
-        // A closed reply port means the driver is gone.
-        if reply.send(Reply { seq, kind }).is_err() {
+        // A driver that cannot be reached is gone.
+        let reply = Msg {
+            from: st.me,
+            payload: Payload::Reply(Reply { seq, kind }),
+        };
+        if st.fabric.send(DRIVER, reply).is_err() {
             return Exit::Clean;
         }
     }
-    Exit::Clean
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::channel;
+
+    use super::*;
+
+    /// Commands share the actor's one inbox with the data: one that
+    /// arrives while a stream is receiving is queued, not lost or
+    /// reordered, and is served after the stream in arrival order. The
+    /// driver's departure reads as a `Shutdown` behind them.
+    #[test]
+    fn a_command_arriving_mid_stream_is_served_after_it_in_arrival_order() {
+        let (tx, rx) = channel();
+        let mut mailbox = Mailbox::new(2, rx);
+        let command = |seq| Msg {
+            from: DRIVER,
+            payload: Payload::Command(Command::PeakBytes { seq }),
+        };
+        let data = Payload::Data(5, BufferId(3), Tensor::scalar(1.0), SendToken::new());
+        tx.send(command(1)).unwrap();
+        tx.send(Msg {
+            from: 1,
+            payload: data,
+        })
+        .unwrap();
+        tx.send(command(2)).unwrap();
+        // The stream's `Recv` reaches past the first command to the data.
+        let Ok((buf, _, _)) = mailbox.recv_from(1, 5) else {
+            panic!("the data is received");
+        };
+        assert_eq!(buf, BufferId(3));
+        tx.send(command(3)).unwrap();
+        tx.send(Msg {
+            from: DRIVER,
+            payload: Payload::Gone(0),
+        })
+        .unwrap();
+        for seq in 1..=3 {
+            assert_eq!(mailbox.next_command(5), Command::PeakBytes { seq });
+        }
+        assert_eq!(mailbox.next_command(5), Command::Shutdown);
+    }
 }

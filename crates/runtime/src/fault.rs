@@ -29,8 +29,8 @@ pub enum Fault {
     /// thread exits silently; on a socket transport the endpoint is
     /// severed too; on the process backend the worker process calls
     /// `abort()`. Peers discover the death only through closed
-    /// connections and the driver through reply-channel disconnect or
-    /// heartbeat silence — always in bounded time.
+    /// connections and the driver through the `Gone` its departure
+    /// posts or heartbeat silence — always in bounded time.
     KillNow,
     /// kill -9 just before executing instruction `n` of the next fused
     /// stream — "worker SIGKILLed mid-step" (e.g. mid-collective).

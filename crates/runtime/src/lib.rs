@@ -3,7 +3,7 @@
 //!
 //! The [`Runtime`] plays the role of JaxPP's driver process plus its Ray
 //! actor fleet: it spawns one thread per actor, places parameter and data
-//! buffers into per-actor [`ObjectStore`]s, dispatches each actor's fused
+//! buffers into per-actor object stores, dispatches each actor's fused
 //! instruction stream in a single message per step (§4.4), moves
 //! activations over per-pair FIFO channels with NCCL-style matching-order
 //! semantics (§4.2), and honours deferred buffer deletion through the
@@ -50,9 +50,5 @@ pub use fault::Fault;
 pub use kind::Kind;
 pub use metrics::{HistogramSummary, MetricValue, Metrics};
 pub use runtime::{RebalanceReport, RecoveryReport, Runtime, StepOutputs};
-pub use store::{ObjectStore, SendToken};
-pub use trace::{
-    ActorTrace, SpanEvent, SpanRing, StepEvent, StepTrace, DEFAULT_SPAN_CAPACITY,
-    TRACE_SCHEMA_VERSION,
-};
+pub use trace::{ActorTrace, SpanEvent, StepEvent, StepTrace, TRACE_SCHEMA_VERSION};
 pub use transport::{serve_worker, TransportKind, TransportStats, WorkerConfig};

@@ -6,10 +6,11 @@
 //! dispatches each actor's *entire fused instruction stream* in a single
 //! message per step (§4.4) — the step's data inputs ride that message
 //! and its fetched outputs ride the reply, so a step is one exchange per
-//! actor; all cross-actor coordination happens through
-//! per-actor inbox channels carrying per-peer FIFO streams (standing in
-//! for NCCL P2P, whose matching-order requirement the compiler's §4.2
-//! pass guarantees).
+//! actor. The driver is one more participant on the actors' fabric: it
+//! and every actor own one inbox each, and commands, replies, data and
+//! aborts all travel as one envelope over per-pair FIFO streams
+//! (standing in for NCCL P2P, whose matching-order requirement the
+//! compiler's §4.2 pass guarantees).
 //!
 //! # Failure protocol
 //!
@@ -22,7 +23,7 @@
 //!   (the `Execute` sequence number) it belongs to. Stale messages from
 //!   an aborted step are drained instead of being matched against the
 //!   next step's expectations, so one failed step can never desynchronize
-//!   the command/reply channels or the data streams.
+//!   the driver's exchanges or the data streams.
 //! * **Abort broadcast.** When an instruction errors on an actor, the
 //!   actor broadcasts a poison `Abort` message to *every* peer inbox
 //!   before replying, so peers blocked in `Recv` wake and abandon the
@@ -31,11 +32,17 @@
 //!   broadcasts on the actors' behalf when it detects a death itself —
 //!   the thread-scale analogue of Ray's death notifications.
 //! * **Complete reply collection.** The driver collects one reply per
-//!   dispatched actor per command — also on the error path — so the
-//!   reply channels are in a clean, reusable state after a failed step
-//!   and the same `Runtime` can run the next step.
+//!   dispatched actor per command — also on the error path — so its
+//!   inbox holds nothing but stale replies after a failed step and the
+//!   same `Runtime` can run the next step.
+//! * **One death signal.** The driver learns of a death from exactly
+//!   three sources: a `Gone` envelope in its inbox (posted by an mpsc
+//!   actor thread's exit guard, or by the socket reader of a control
+//!   link at EOF), a command it cannot send, and silence — heartbeat
+//!   suspicion or the step deadline. A `Gone` names the incarnation
+//!   that left, so a late goodbye never marks a replacement dead.
 //! * **Recovery.** [`Runtime::recover`] respawns dead actor threads and
-//!   rewires the surviving actors' channels to the replacements. The
+//!   rewires the surviving actors' fabric to the replacements. The
 //!   replacements come back with empty stores: the runtime keeps no
 //!   copy of any buffer, so the caller re-places state (`raxpp-core`'s
 //!   fleet handle restores its post-step restore point fleet-wide for
@@ -48,7 +55,7 @@
 //! actor's [`ActorProfile`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,7 +64,7 @@ use raxpp_ir::Tensor;
 use raxpp_sched::{DpMap, TpMap};
 use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
 
-use crate::actor::{Command, ExecFailure, Reply, ReplyKind, DRIVER};
+use crate::actor::{Command, ExecFailure, Msg, Payload, Reply, ReplyKind, DRIVER};
 use crate::env;
 use crate::error::RuntimeError;
 use crate::exec::StepStats;
@@ -65,20 +72,16 @@ use crate::fault::Fault;
 use crate::fold::plan_fold;
 use crate::trace::{ActorTrace, StepEvent, StepTrace};
 use crate::transport::{
-    CmdPort, MpscTransport, Scheme, SocketTransport, Transport, TransportKind, TransportStats,
+    Fabric, MpscTransport, Scheme, SocketTransport, Transport, TransportKind, TransportStats,
 };
 
-/// How long the driver blocks between reply polls while waiting on a
-/// step — bounds the latency of detecting a silent actor death.
+/// How long the driver blocks on its inbox between heartbeat checks
+/// while waiting on an exchange — bounds the latency of detecting a
+/// silent actor.
 const REPLY_POLL: Duration = Duration::from_millis(20);
 
-/// The driver's handle on one actor, whatever the transport: a command
-/// port out, an in-process reply receiver back (socket transports pump
-/// into it and drop the sender on connection EOF — the same
-/// `Disconnected` the mpsc transport produces on thread death).
+/// The driver's handle on one actor, whatever the transport.
 pub(crate) struct ActorLink {
-    pub(crate) cmd: CmdPort,
-    pub(crate) reply: Receiver<Reply>,
     /// The actor thread, when the transport runs actors in this
     /// process (`None` on the process backend).
     pub(crate) handle: Option<JoinHandle<()>>,
@@ -120,9 +123,15 @@ struct Inner {
     /// lock, plus a `Reprogram` broadcast) by [`Runtime::rebalance`].
     program: Arc<MpmdProgram>,
     actors: Vec<ActorLink>,
+    /// Each actor's current incarnation (bumped per respawn): a `Gone`
+    /// naming an earlier one is a late goodbye and is dropped.
+    incarnation: Vec<u64>,
+    /// The driver's handle on the fabric: commands and aborts go out
+    /// through it.
+    fabric: Fabric,
+    /// The driver's one inbox: every actor's replies and departures.
+    inbox: Receiver<Msg>,
     /// The fleet factory and carrier-specific driver operations.
-    /// Declared after `actors` so links (reply receivers, cached
-    /// command ports) drop before the transport tears the fleet down.
     transport: Box<dyn Transport>,
     /// Monotone command sequence counter; the `Execute` seq is the step
     /// epoch.
@@ -152,11 +161,88 @@ impl Inner {
     /// not dialed again; an unreachable one is marked dead.
     fn post(&mut self, a: usize, cmd: Command) -> Result<(), RuntimeError> {
         let link = &mut self.actors[a];
-        if link.dead || link.cmd.send(cmd).is_err() {
+        let msg = Msg {
+            from: DRIVER,
+            payload: Payload::Command(cmd),
+        };
+        if link.dead || self.fabric.send(a, msg).is_err() {
             link.dead = true;
             return Err(RuntimeError::ActorDied { actor: a });
         }
         Ok(())
+    }
+
+    /// Files one envelope from the driver's inbox: a departure of an
+    /// actor's current incarnation marks it dead, and a reply is handed
+    /// back with its sender. Anything else is dropped.
+    fn receive(&mut self, msg: Msg) -> Option<(usize, Reply)> {
+        match msg.payload {
+            Payload::Reply(r) => Some((msg.from, r)),
+            Payload::Gone(incarnation) if self.incarnation.get(msg.from) == Some(&incarnation) => {
+                self.actors[msg.from].dead = true;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// The driver's one reply collector: returns once no slot is
+    /// `Waiting` on its reply to `seq`. Replies to other sequence
+    /// numbers are stale (an aborted earlier command's) and dropped; a
+    /// dead actor's slot fails with `ActorDied`; an actor silent past
+    /// the heartbeat threshold (socket transports only — e.g. a one-way
+    /// partition toward the driver) is declared timed out long before
+    /// `timeout`, the last-resort bound. As soon as any slot has
+    /// failed, `abort` (the step's epoch) is broadcast once.
+    fn collect(&mut self, slots: &mut [Slot], seq: u64, timeout: Duration, abort: Option<u64>) {
+        let mut notified = false;
+        let mut notify_once = |fabric: &Fabric, slots: &[Slot], reason: &str| {
+            if !notified && slots.iter().any(Slot::failed) {
+                if let Some(epoch) = abort {
+                    fabric.broadcast_abort(DRIVER, epoch, reason);
+                }
+                notified = true;
+            }
+        };
+        notify_once(&self.fabric, slots, "actor died before dispatch");
+        let deadline = Instant::now() + timeout;
+        let mut next = None;
+        loop {
+            // File what was delivered (blocking briefly below when
+            // nothing was), then judge who is still waiting.
+            while let Some(msg) = next.take().or_else(|| self.inbox.try_recv().ok()) {
+                if let Some((a, r)) = self.receive(msg) {
+                    if let Some(slot) = slots.get_mut(a) {
+                        slot.file(r, seq);
+                    }
+                }
+            }
+            for (a, slot) in slots.iter_mut().enumerate() {
+                if !matches!(slot, Slot::Waiting) {
+                    continue;
+                }
+                if self.actors[a].dead {
+                    *slot = Slot::Fatal(RuntimeError::ActorDied { actor: a });
+                } else if self.transport.heartbeat_suspect(a) {
+                    *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                    self.transport.note_heartbeat_miss();
+                }
+            }
+            notify_once(&self.fabric, slots, "step aborted by driver");
+            if !slots.iter().any(|s| matches!(s, Slot::Waiting)) {
+                break;
+            }
+            if Instant::now() >= deadline {
+                for (a, slot) in slots.iter_mut().enumerate() {
+                    if matches!(slot, Slot::Waiting) {
+                        *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
+                    }
+                }
+                notify_once(&self.fabric, slots, "step timeout");
+                break;
+            }
+            next = self.inbox.recv_timeout(REPLY_POLL).ok();
+        }
     }
 }
 
@@ -239,12 +325,13 @@ impl Runtime {
     /// ordinary messages on whichever fabric is chosen.
     pub fn with_transport(program: MpmdProgram, kind: TransportKind) -> Runtime {
         let n = program.n_actors();
+        let (tx, inbox) = channel();
         let transport: Box<dyn Transport> = match kind {
-            TransportKind::Mpsc => Box::new(MpscTransport::new(n)),
-            TransportKind::UnixSocket => Box::new(SocketTransport::threads(n, Scheme::Uds)),
-            TransportKind::Tcp => Box::new(SocketTransport::threads(n, Scheme::Tcp)),
+            TransportKind::Mpsc => Box::new(MpscTransport::new(n, tx)),
+            TransportKind::UnixSocket => Box::new(SocketTransport::threads(n, Scheme::Uds, tx)),
+            TransportKind::Tcp => Box::new(SocketTransport::threads(n, Scheme::Tcp, tx)),
         };
-        Runtime::build(program, transport)
+        Runtime::build(program, transport, inbox)
     }
 
     /// Spawns the actor fleet as separate OS processes over sockets in
@@ -267,21 +354,29 @@ impl Runtime {
     ) -> std::io::Result<Runtime> {
         let n = program.n_actors();
         let scheme = if tcp { Scheme::Tcp } else { Scheme::Uds };
-        let transport = Box::new(SocketTransport::processes(n, dir, scheme, spawn)?);
-        Ok(Runtime::build(program, transport))
+        let (tx, inbox) = channel();
+        let transport = Box::new(SocketTransport::processes(n, dir, scheme, spawn, tx)?);
+        Ok(Runtime::build(program, transport, inbox))
     }
 
-    fn build(program: MpmdProgram, mut transport: Box<dyn Transport>) -> Runtime {
+    fn build(
+        program: MpmdProgram,
+        mut transport: Box<dyn Transport>,
+        inbox: Receiver<Msg>,
+    ) -> Runtime {
         let n = program.n_actors();
         let program = Arc::new(program);
         let origin = Instant::now();
         let actors = (0..n)
-            .map(|a| transport.spawn_actor(a, &program, origin))
+            .map(|a| transport.spawn_actor(a, 0, &program, origin))
             .collect();
         Runtime {
             inner: Mutex::new(Inner {
                 program,
                 actors,
+                incarnation: vec![0; n],
+                fabric: transport.fabric(),
+                inbox,
                 transport,
                 seq: 0,
                 last_trace: None,
@@ -472,16 +567,7 @@ impl Runtime {
         // failing actor (or its death guard) broadcast already; this
         // covers deaths whose guard ran under an older epoch, and is
         // harmless otherwise.
-        let transport = &*inner.transport;
-        let abort = |reason: &str| transport.broadcast_abort(epoch, reason);
-        collect(
-            &mut inner.actors,
-            transport,
-            &mut slots,
-            epoch,
-            self.timeout(),
-            abort,
-        );
+        inner.collect(&mut slots, epoch, self.timeout(), Some(epoch));
         // Assemble the step trace (also for failed steps — the partial
         // spans plus the abort events are the post-mortem record) before
         // the error return below.
@@ -645,7 +731,7 @@ impl Runtime {
     }
 
     /// Respawns dead actors and reconnects the fleet: each dead actor's
-    /// thread is replaced and every survivor's channel to it is rewired.
+    /// thread is replaced and every survivor's route to it is rewired.
     ///
     /// A replacement starts with an **empty store**. The runtime holds
     /// no copy of parameters or optimizer state, so the caller must
@@ -669,18 +755,12 @@ impl Runtime {
         for a in 0..n {
             let _ = inner.post(a, Command::HealWire);
         }
+        // Every departure already announced marks its actor dead.
+        while let Ok(msg) = inner.inbox.try_recv() {
+            inner.receive(msg);
+        }
         let dead: Vec<usize> = (0..n)
-            .filter(|&a| {
-                if inner.retired[a] {
-                    return false;
-                }
-                let gone = match inner.actors[a].handle.as_ref() {
-                    Some(h) => h.is_finished(),
-                    // Process backend: no thread handle; ask the child.
-                    None => inner.transport.finished(a),
-                };
-                inner.actors[a].dead || gone
-            })
+            .filter(|&a| !inner.retired[a] && inner.actors[a].dead)
             .collect();
         for &a in &dead {
             // Respawn before joining the old thread: on socket
@@ -688,7 +768,11 @@ impl Runtime {
             // what unblocks an old thread the driver declared dead
             // while it was still wedged in a receive.
             let old = inner.actors[a].handle.take();
-            let link = inner.transport.spawn_actor(a, &inner.program, self.origin);
+            inner.incarnation[a] += 1;
+            let incarnation = inner.incarnation[a];
+            let link = inner
+                .transport
+                .spawn_actor(a, incarnation, &inner.program, self.origin);
             if let Some(h) = old {
                 let _ = h.join();
             }
@@ -786,17 +870,18 @@ impl Runtime {
             |kind| matches!(kind, ReplyKind::Placed).then_some(Ok(())),
         );
         // Every reply is collected above, so the first error can be
-        // reported without leaving a reply channel out of step.
+        // reported without leaving a reply behind to desync the next
+        // exchange.
         placed.into_iter().collect()
     }
 
     /// The driver's one request/reply exchange: sends `make(actor, seq)`
     /// to every target under one fresh sequence number, then collects
-    /// every dispatched reply — also on the error path, so the reply
-    /// channels stay synchronized. `unpack` extracts the expected reply
-    /// kind's payload (`None` = some other kind, a protocol error). An
-    /// actor that turns out unreachable is marked dead. Results align
-    /// with `targets`.
+    /// every dispatched reply — also on the error path, so no reply is
+    /// left to desync the next exchange. `unpack` extracts the expected
+    /// reply kind's payload (`None` = some other kind, a protocol
+    /// error). An actor that turns out unreachable is marked dead.
+    /// Results align with `targets`.
     fn call<T>(
         &self,
         inner: &mut Inner,
@@ -813,14 +898,7 @@ impl Runtime {
             };
         }
         // No peer waits on these commands, so a failure wakes nobody.
-        collect(
-            &mut inner.actors,
-            &*inner.transport,
-            &mut slots,
-            seq,
-            self.timeout(),
-            |_| {},
-        );
+        inner.collect(&mut slots, seq, self.timeout(), None);
         let result = |a: usize| {
             let message = match std::mem::replace(&mut slots[a], Slot::Idle) {
                 Slot::Fatal(e) => return Err(e),
@@ -834,77 +912,6 @@ impl Runtime {
             Err(RuntimeError::Exec { actor: a, message })
         };
         targets.iter().copied().map(result).collect()
-    }
-}
-
-/// The driver's one reply collector: returns once no slot is `Waiting`
-/// on its reply to `seq`. Replies to other sequence numbers are stale
-/// (an aborted earlier command's) and dropped; a closed reply channel
-/// marks the actor dead; an actor whose link is open but silent past
-/// the heartbeat threshold (socket transports only — e.g. a one-way
-/// partition toward the driver) is declared timed out long before
-/// `timeout`, the last-resort bound. `on_failure(reason)` runs once, as
-/// soon as any slot has failed.
-fn collect(
-    actors: &mut [ActorLink],
-    transport: &dyn Transport,
-    slots: &mut [Slot],
-    seq: u64,
-    timeout: Duration,
-    on_failure: impl Fn(&str),
-) {
-    let mut notified = false;
-    let mut notify_once = |slots: &[Slot], reason: &str| {
-        if !notified && slots.iter().any(Slot::failed) {
-            on_failure(reason);
-            notified = true;
-        }
-    };
-    notify_once(slots, "actor died before dispatch");
-    let deadline = Instant::now() + timeout;
-    loop {
-        let mut progressed = false;
-        for (a, slot) in slots.iter_mut().enumerate() {
-            while matches!(slot, Slot::Waiting) {
-                match actors[a].reply.try_recv() {
-                    Ok(r) => progressed |= slot.file(r, seq),
-                    Err(TryRecvError::Empty) => {
-                        if transport.heartbeat_suspect(a) {
-                            *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
-                            transport.note_heartbeat_miss();
-                            progressed = true;
-                        }
-                        break;
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        actors[a].dead = true;
-                        *slot = Slot::Fatal(RuntimeError::ActorDied { actor: a });
-                        progressed = true;
-                    }
-                }
-            }
-        }
-        notify_once(slots, "step aborted by driver");
-        let Some(a) = slots.iter().position(|s| matches!(s, Slot::Waiting)) else {
-            break;
-        };
-        if progressed {
-            continue;
-        }
-        if Instant::now() >= deadline {
-            for (a, slot) in slots.iter_mut().enumerate() {
-                if matches!(slot, Slot::Waiting) {
-                    *slot = Slot::Fatal(RuntimeError::Timeout { actor: a });
-                }
-            }
-            notify_once(slots, "step timeout");
-            break;
-        }
-        // Block briefly on one pending actor; silent deaths surface
-        // as channel disconnects on the next try_recv sweep.
-        if let Ok(r) = actors[a].reply.recv_timeout(REPLY_POLL) {
-            slots[a].file(r, seq);
-        }
     }
 }
 
@@ -922,14 +929,13 @@ enum Slot {
 }
 
 impl Slot {
-    /// Files a reply to `seq`. Returns false for a stale reply from an
-    /// earlier aborted command (dropped).
-    fn file(&mut self, r: Reply, seq: u64) -> bool {
-        if r.seq != seq {
-            return false;
+    /// Files a reply to `seq` into a waiting slot. A stale reply (an
+    /// earlier aborted command's), or one that arrives after the
+    /// driver's verdict, is dropped.
+    fn file(&mut self, r: Reply, seq: u64) {
+        if matches!(self, Slot::Waiting) && r.seq == seq {
+            *self = Slot::Replied(r.kind);
         }
-        *self = Slot::Replied(r.kind);
-        true
     }
 
     /// The failure an `Executed` reply reports, if any.
@@ -1019,12 +1025,60 @@ impl Drop for Runtime {
         // it can reach the Shutdown command: epoch MAX outranks every
         // current epoch.
         inner
-            .transport
-            .broadcast_abort(u64::MAX, "runtime shutdown");
+            .fabric
+            .broadcast_abort(DRIVER, u64::MAX, "runtime shutdown");
         for link in &mut inner.actors {
             if let Some(h) = link.handle.take() {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An empty two-actor fleet: enough for exchanges that run no stream.
+    fn fleet() -> Runtime {
+        let program = MpmdProgram {
+            jaxprs: Vec::new(),
+            actors: vec![Vec::new(); 2],
+            placements: Vec::new(),
+            fetches: Vec::new(),
+            tp: None,
+            dp: None,
+        };
+        Runtime::with_transport(program, TransportKind::Mpsc)
+    }
+
+    /// The incarnation rule, forced: a goodbye from an actor's replaced
+    /// incarnation is dropped however late it lands, while one from the
+    /// current incarnation is a death.
+    #[test]
+    fn a_late_goodbye_never_marks_the_replacement_dead() {
+        let rt = fleet();
+        rt.inject_fault(1, Fault::DieNow).unwrap();
+        assert_eq!(
+            rt.live_store_bytes(),
+            Err(RuntimeError::ActorDied { actor: 1 })
+        );
+        assert_eq!(rt.recover().unwrap().respawned, vec![1]);
+        let (late, current) = {
+            let mut inner = rt.inner.lock().unwrap();
+            let gone = |incarnation| Msg {
+                from: 1,
+                payload: Payload::Gone(incarnation),
+            };
+            inner.receive(gone(0));
+            let late = inner.actors[1].dead;
+            inner.receive(gone(1));
+            (late, inner.actors[1].dead)
+        };
+        // The forged goodbye condemned a live thread: respawning
+        // retires it, so the runtime can shut down whatever the verdict.
+        assert_eq!(rt.recover().unwrap().respawned, vec![1]);
+        assert!(!late, "a late goodbye marked the replacement dead");
+        assert!(current, "the current incarnation's goodbye is a death");
     }
 }

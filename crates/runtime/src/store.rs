@@ -20,28 +20,28 @@ use raxpp_taskgraph::BufferId;
 /// Completion token of one asynchronous send: set once the receiver has
 /// taken the payload.
 #[derive(Debug, Clone, Default)]
-pub struct SendToken(Arc<AtomicBool>);
+pub(crate) struct SendToken(Arc<AtomicBool>);
 
 impl SendToken {
     /// Creates an incomplete token.
-    pub fn new() -> SendToken {
+    pub(crate) fn new() -> SendToken {
         SendToken::default()
     }
 
     /// Marks the send complete (called by the receiving side).
-    pub fn complete(&self) {
+    pub(crate) fn complete(&self) {
         self.0.store(true, Ordering::Release);
     }
 
     /// Whether the send has completed.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
 
 /// An actor's buffer store.
 #[derive(Debug, Default)]
-pub struct ObjectStore {
+pub(crate) struct ObjectStore {
     bufs: HashMap<BufferId, Tensor>,
     outstanding: HashMap<BufferId, Vec<SendToken>>,
     pending: Vec<(BufferId, Tensor, Vec<SendToken>)>,
@@ -51,7 +51,7 @@ pub struct ObjectStore {
 
 impl ObjectStore {
     /// Creates an empty store.
-    pub fn new() -> ObjectStore {
+    pub(crate) fn new() -> ObjectStore {
         ObjectStore::default()
     }
 
@@ -62,7 +62,7 @@ impl ObjectStore {
     /// *old* tensor (with its tokens) in the pending queue, exactly as
     /// [`ObjectStore::free`] would: the tokens belong to the old
     /// allocation, and must never pin the new one.
-    pub fn insert(&mut self, buf: BufferId, t: Tensor) {
+    pub(crate) fn insert(&mut self, buf: BufferId, t: Tensor) {
         self.live_bytes += 4 * t.numel();
         if let Some(old) = self.bufs.insert(buf, t) {
             let tokens = self.outstanding.remove(&buf).unwrap_or_default();
@@ -76,12 +76,12 @@ impl ObjectStore {
     }
 
     /// Reads a buffer.
-    pub fn get(&self, buf: BufferId) -> Option<&Tensor> {
+    pub(crate) fn get(&self, buf: BufferId) -> Option<&Tensor> {
         self.bufs.get(&buf)
     }
 
     /// Records an in-flight send of `buf` tracked by `token`.
-    pub fn record_send(&mut self, buf: BufferId, token: SendToken) {
+    pub(crate) fn record_send(&mut self, buf: BufferId, token: SendToken) {
         self.outstanding.entry(buf).or_default().push(token);
     }
 
@@ -94,7 +94,7 @@ impl ObjectStore {
     /// mark) until [`ObjectStore::drain_pending`] reclaims it.
     ///
     /// Returns `false` if the buffer was unknown.
-    pub fn free(&mut self, buf: BufferId) -> bool {
+    pub(crate) fn free(&mut self, buf: BufferId) -> bool {
         self.drain_pending();
         let Some(t) = self.bufs.remove(&buf) else {
             return false;
@@ -111,7 +111,7 @@ impl ObjectStore {
 
     /// Reclaims pending deletions whose sends have completed. Returns how
     /// many buffers were reclaimed.
-    pub fn drain_pending(&mut self) -> usize {
+    pub(crate) fn drain_pending(&mut self) -> usize {
         let before = self.pending.len();
         let mut reclaimed_bytes = 0;
         self.pending.retain(|(_, t, tokens)| {
@@ -132,7 +132,7 @@ impl ObjectStore {
     /// sends are semantically void, so nothing may stay pinned.
     ///
     /// Returns how many parked buffers were reclaimed.
-    pub fn abandon_outstanding_sends(&mut self) -> usize {
+    pub(crate) fn abandon_outstanding_sends(&mut self) -> usize {
         self.outstanding.clear();
         let reclaimed = self.pending.len();
         for (_, t, _) in self.pending.drain(..) {
@@ -141,37 +141,23 @@ impl ObjectStore {
         reclaimed
     }
 
-    /// Number of live buffers (excluding parked pending deletions).
-    pub fn len(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Whether the store holds no live buffers.
-    pub fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
-    }
-
     /// Number of deletions parked awaiting send completion.
-    pub fn pending_deletions(&self) -> usize {
+    #[cfg(test)]
+    fn pending_deletions(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Ids of all live buffers (unordered).
-    pub fn buffer_ids(&self) -> Vec<BufferId> {
-        self.bufs.keys().copied().collect()
     }
 
     /// Peak bytes ever resident in this store (the executable analogue
     /// of the paper's activation-memory discussion, §2.2.1). Deletions
     /// parked in the pending queue still count until reclaimed.
-    pub fn peak_bytes(&self) -> usize {
+    pub(crate) fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
 
     /// Bytes currently resident, including deletions parked in the
     /// pending queue (their memory is not reclaimed until
     /// [`ObjectStore::drain_pending`]).
-    pub fn live_bytes(&self) -> usize {
+    pub(crate) fn live_bytes(&self) -> usize {
         self.live_bytes
     }
 }

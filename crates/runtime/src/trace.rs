@@ -41,7 +41,7 @@ use crate::exec::ActorProfile;
 use crate::kind::Kind;
 
 /// Default capacity of one actor's span ring (events per step).
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
+const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
 /// Version of the trace schema: span kinds, step-event kinds, and the
 /// Chrome `trace_event` field order pinned by the golden test.
@@ -128,31 +128,10 @@ pub struct SpanEvent {
 /// Because every actor is a single OS thread and the ring travels back
 /// to the driver inside the actor's `Executed` reply, pushes never
 /// contend with anything: no locks, no atomics. When the ring is full
-/// the oldest span is overwritten and counted in
-/// [`SpanRing::dropped`].
-///
-/// # Examples
-///
-/// ```
-/// use raxpp_runtime::{SpanEvent, SpanRing};
-///
-/// let mut ring = SpanRing::new(2);
-/// for i in 0..3 {
-///     ring.push(SpanEvent {
-///         instr: i,
-///         kind: "fwd",
-///         name: format!("fwd(mb={i}, s=0)"),
-///         start_ns: 10 * u64::from(i),
-///         dur_ns: 5,
-///         bytes: 0,
-///         alloc: None,
-///     });
-/// }
-/// assert_eq!(ring.len(), 2); // capacity 2: the oldest span was evicted
-/// assert_eq!(ring.dropped(), 1);
-/// ```
+/// the oldest span is overwritten and counted in the trace's
+/// [`ActorTrace::dropped`].
 #[derive(Debug, Default)]
-pub struct SpanRing {
+pub(crate) struct SpanRing {
     buf: VecDeque<SpanEvent>,
     cap: usize,
     dropped: u64,
@@ -161,7 +140,7 @@ pub struct SpanRing {
 impl SpanRing {
     /// Creates a ring holding at most `capacity` spans (minimum 1). The
     /// buffer grows on demand up to that bound.
-    pub fn new(capacity: usize) -> SpanRing {
+    fn new(capacity: usize) -> SpanRing {
         SpanRing {
             buf: VecDeque::new(),
             cap: capacity.max(1),
@@ -179,7 +158,7 @@ impl SpanRing {
     }
 
     /// Appends a span, evicting the oldest one when full.
-    pub fn push(&mut self, ev: SpanEvent) {
+    fn push(&mut self, ev: SpanEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -187,24 +166,9 @@ impl SpanRing {
         self.buf.push_back(ev);
     }
 
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Spans evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Hands the ring's spans over as the [`ActorTrace`] of actor
     /// `actor`, without copying them.
-    pub fn into_trace(self, actor: usize) -> ActorTrace {
+    fn into_trace(self, actor: usize) -> ActorTrace {
         ActorTrace {
             actor,
             spans: self.buf.into(),

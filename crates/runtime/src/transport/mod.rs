@@ -1,41 +1,41 @@
 //! Pluggable actor-fabric transports.
 //!
-//! The single-controller runtime talks to its actors over three
-//! logical channels: a command channel per actor (driver → actor), a
-//! reply channel per actor (actor → driver), and the data fabric
-//! (actor → actor `Msg`s plus driver abort broadcasts, demuxed
-//! per-peer FIFO by each actor's `Mailbox`). The
-//! [`Transport`] trait abstracts how those channels are carried:
+//! The single-controller runtime and its actors are peers on one
+//! fabric. Every participant — each actor, and the driver as
+//! [`DRIVER`] — owns exactly one inbox, and every send is
+//! [`Fabric::send`] of one envelope (`Msg`): commands go driver →
+//! actor, data and aborts actor → actor or driver → actor, replies
+//! actor → driver. A participant that leaves is announced by a `Gone`
+//! posted to the inbox of the side that cares, by whoever saw it go.
+//! The [`Transport`] trait abstracts how the fabric is carried:
 //!
 //! * [`MpscTransport`] — the original in-process fabric: one thread
-//!   per actor, `std::sync::mpsc` channels, a shared sender row.
-//!   Default; zero behavior change.
+//!   per actor, `std::sync::mpsc` channels, a shared sender row. An
+//!   actor thread posts `Gone` to the driver from a guard dropped when
+//!   the thread ends. Default.
 //! * `SocketTransport` — every fabric byte crosses a length-prefixed
 //!   Unix-domain or TCP socket, with a connect/accept handshake,
 //!   worker heartbeats, per-peer reconnect under bounded exponential
-//!   backoff, and wire-level fault injection. Workers are either
-//!   threads (CI's wire path) or real OS processes (`raxpp-launch`).
+//!   backoff, and wire-level fault injection. The reader of a control
+//!   link posts `Gone` when the link ends. Workers are either threads
+//!   (CI's wire path) or real OS processes (`raxpp-launch`).
 //!
-//! Whatever the carrier, replies always terminate in an in-process
-//! `Receiver<Reply>` held by the driver: the socket transport's reader
-//! pumps feed that channel and drop its sender on connection EOF, so a
-//! dead peer surfaces through the exact `Disconnected` path the mpsc
-//! transport uses. Bounded-time detection therefore needs no new
-//! driver machinery — plus heartbeat suspicion for the one failure
-//! mpsc cannot express: a peer that is silent but not yet closed
-//! (one-way partition).
+//! Whatever the carrier, the driver reads one in-process
+//! `Receiver<Msg>`. Heartbeat suspicion covers the one failure mpsc
+//! cannot express: a peer that is silent but not yet closed (one-way
+//! partition).
 
 mod socket;
 pub(crate) mod wire;
 
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::actor::{actor_main, Command, Msg, Payload, Reply, DRIVER};
+use crate::actor::{actor_main, Epoch, Msg, Payload, DRIVER};
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 
@@ -98,12 +98,20 @@ pub(crate) trait Transport: Send {
     /// Which carrier this is.
     fn kind(&self) -> TransportKind;
 
-    /// Spawns (or respawns) actor `a` and returns its driver-side
-    /// link. Respawn must fully retire any previous incarnation first.
-    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink;
+    /// The driver's handle on the fabric.
+    fn fabric(&self) -> Fabric;
 
-    /// Best-effort abort broadcast to every actor's data inbox.
-    fn broadcast_abort(&self, epoch: u64, reason: &str);
+    /// Spawns (or respawns) incarnation `incarnation` of actor `a` and
+    /// returns its driver-side link; the `Gone` that announces its end
+    /// carries `incarnation`. Respawn must fully retire any previous
+    /// incarnation first.
+    fn spawn_actor(
+        &mut self,
+        a: usize,
+        incarnation: u64,
+        program: &Arc<MpmdProgram>,
+        origin: Instant,
+    ) -> ActorLink;
 
     /// True when the transport suspects `a` is silently dead (no
     /// heartbeat within the timeout). Always false for mpsc.
@@ -117,12 +125,6 @@ pub(crate) trait Transport: Send {
     /// Clears driver-side wire suspicion after recovery (workers clear
     /// their own chaos on `Command::HealWire`).
     fn heal_wire(&self) {}
-
-    /// True when actor `a`'s OS process has exited (process backend
-    /// only; threads report through `JoinHandle::is_finished`).
-    fn finished(&mut self, _a: usize) -> bool {
-        false
-    }
 
     /// Whether respawned actors come up with the *original* program
     /// and must replay the rebalance history (process backend: workers
@@ -144,61 +146,15 @@ pub(crate) trait Transport: Send {
     }
 }
 
-// ---------------------------------------------------------------------
-// Ports: the per-channel handles the driver and actors hold
-// ---------------------------------------------------------------------
-
-/// Driver-side command port for one actor.
-pub(crate) enum CmdPort {
-    /// Direct channel into the actor thread.
-    Mpsc(Sender<Command>),
-    /// Encode and send over the driver endpoint's link to `peer`.
-    Wire { ep: Arc<Endpoint>, peer: usize },
-}
-
-impl CmdPort {
-    /// Sends one command; `Err` means the actor is unreachable (dead
-    /// or its link is down), matching `Sender::send` semantics.
-    pub(crate) fn send(&self, c: Command) -> Result<(), ()> {
-        match self {
-            CmdPort::Mpsc(tx) => tx.send(c).map_err(|_| ()),
-            CmdPort::Wire { ep, peer } => ep.send_command(*peer, &c),
-        }
-    }
-}
-
-impl fmt::Debug for CmdPort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CmdPort::Mpsc(_) => f.write_str("CmdPort::Mpsc"),
-            CmdPort::Wire { peer, .. } => write!(f, "CmdPort::Wire({peer})"),
-        }
-    }
-}
-
-/// Actor-side reply port back to the driver.
-pub(crate) enum ReplyPort {
-    /// Direct channel into the driver's `ActorLink`.
-    Mpsc(Sender<Reply>),
-    /// Encode and send over the worker endpoint's driver link.
-    Wire(Arc<Endpoint>),
-}
-
-impl ReplyPort {
-    pub(crate) fn send(&self, r: Reply) -> Result<(), ()> {
-        match self {
-            ReplyPort::Mpsc(tx) => tx.send(r).map_err(|_| ()),
-            ReplyPort::Wire(ep) => ep.send_reply(&r),
-        }
-    }
-}
-
-/// Actor-side handle on the data fabric: how an actor sends `Msg`s to
-/// peers, and where wire faults land.
+/// A participant's handle on the fabric: how it sends envelopes to
+/// the others, and where wire faults land.
 pub(crate) enum Fabric {
-    /// Shared row of inbox senders (in-process).
-    Mpsc { row: Arc<RwLock<Vec<Sender<Msg>>>> },
-    /// This actor's socket endpoint.
+    /// Shared row of actor inbox senders plus the driver's (in-process).
+    Mpsc {
+        row: Arc<RwLock<Vec<Sender<Msg>>>>,
+        driver: Sender<Msg>,
+    },
+    /// This participant's socket endpoint.
     Wire { ep: Arc<Endpoint>, n: usize },
 }
 
@@ -206,31 +162,43 @@ impl Fabric {
     /// Number of actors addressable on the fabric.
     pub(crate) fn n(&self) -> usize {
         match self {
-            Fabric::Mpsc { row } => row.read().unwrap().len(),
+            Fabric::Mpsc { row, .. } => row.read().unwrap().len(),
             Fabric::Wire { n, .. } => *n,
         }
     }
 
-    /// Sends one message to `to`. On the wire, a successful
-    /// synchronous write completes the payload's send token (the bytes
-    /// have left this actor's store); in process, the receiver
-    /// completes it on `Recv` as before.
+    /// Sends one envelope to `to` (an actor, or [`DRIVER`]); `Err`
+    /// means `to` is unreachable. On the wire, a successful
+    /// synchronous write completes a data payload's send token (the
+    /// bytes have left this actor's store); in process, the receiver
+    /// completes it on `Recv`.
     pub(crate) fn send(&self, to: usize, msg: Msg) -> Result<(), ()> {
         match self {
-            Fabric::Mpsc { row } => {
-                let row = row.read().unwrap();
-                match row.get(to) {
-                    Some(tx) => tx.send(msg).map_err(|_| ()),
-                    None => Err(()),
-                }
+            Fabric::Mpsc { row, driver } => {
+                let sent = match to {
+                    DRIVER => driver.send(msg),
+                    _ => row.read().unwrap().get(to).ok_or(())?.send(msg),
+                };
+                sent.map_err(|_| ())
             }
             Fabric::Wire { ep, .. } => {
-                ep.send_msg(to, &msg)?;
-                if let Payload::Data(_, _, token) = &msg.payload {
+                ep.send(to, &msg)?;
+                if let Payload::Data(_, _, _, token) = &msg.payload {
                     token.complete();
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Poisons every actor's inbox but `from`'s own for `epoch`
+    /// (§4.1-style abort broadcast), best effort — the one broadcaster
+    /// of actors and driver alike. Safe to call more than once;
+    /// receivers drop duplicates as stale after the epoch advances.
+    pub(crate) fn broadcast_abort(&self, from: usize, epoch: Epoch, reason: &str) {
+        for to in (0..self.n()).filter(|&to| to != from) {
+            let payload = Payload::Abort(epoch, reason.to_string());
+            let _ = self.send(to, Msg { from, payload });
         }
     }
 
@@ -270,28 +238,47 @@ impl Fabric {
 
 /// The original threads + `mpsc` fabric.
 pub(crate) struct MpscTransport {
-    /// Shared sender row; actors index it to reach peers, the driver
-    /// uses it for abort broadcasts, and respawn swaps in fresh
-    /// senders in place.
+    /// Shared sender row; actors and the driver index it to reach an
+    /// actor, and respawn swaps in fresh senders in place.
     row: Arc<RwLock<Vec<Sender<Msg>>>>,
+    /// The driver's inbox.
+    driver: Sender<Msg>,
     /// Inbox receivers for actors not yet spawned (all created
     /// upfront so early senders never race a later spawn).
     pending: Vec<Option<Receiver<Msg>>>,
 }
 
 impl MpscTransport {
-    pub(crate) fn new(n: usize) -> MpscTransport {
-        let mut row = Vec::with_capacity(n);
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<Msg>();
-            row.push(tx);
-            pending.push(Some(rx));
-        }
+    pub(crate) fn new(n: usize, driver: Sender<Msg>) -> MpscTransport {
+        let (row, pending) = (0..n)
+            .map(|_| {
+                let (tx, rx) = channel::<Msg>();
+                (tx, Some(rx))
+            })
+            .unzip();
         MpscTransport {
             row: Arc::new(RwLock::new(row)),
+            driver,
             pending,
         }
+    }
+}
+
+/// Posts `Gone` for one incarnation of an actor to the driver when
+/// dropped — at the very end of the actor's thread, however it ends.
+struct Departure {
+    driver: Sender<Msg>,
+    from: usize,
+    incarnation: u64,
+}
+
+impl Drop for Departure {
+    fn drop(&mut self) {
+        let payload = Payload::Gone(self.incarnation);
+        let _ = self.driver.send(Msg {
+            from: self.from,
+            payload,
+        });
     }
 }
 
@@ -300,10 +287,23 @@ impl Transport for MpscTransport {
         TransportKind::Mpsc
     }
 
-    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink {
+    fn fabric(&self) -> Fabric {
+        Fabric::Mpsc {
+            row: Arc::clone(&self.row),
+            driver: self.driver.clone(),
+        }
+    }
+
+    fn spawn_actor(
+        &mut self,
+        a: usize,
+        incarnation: u64,
+        program: &Arc<MpmdProgram>,
+        origin: Instant,
+    ) -> ActorLink {
         // First spawn takes the pre-created inbox; respawn installs a
         // fresh channel in the shared row.
-        let inbox_rx = match self.pending[a].take() {
+        let inbox = match self.pending[a].take() {
             Some(rx) => rx,
             None => {
                 let (tx, rx) = channel::<Msg>();
@@ -311,45 +311,23 @@ impl Transport for MpscTransport {
                 rx
             }
         };
-        let (cmd_tx, cmd_rx) = channel::<Command>();
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        let fabric = Fabric::Mpsc {
-            row: Arc::clone(&self.row),
+        let fabric = self.fabric();
+        let departure = Departure {
+            driver: self.driver.clone(),
+            from: a,
+            incarnation,
         };
         let program = Arc::clone(program);
         let handle = std::thread::Builder::new()
             .name(format!("raxpp-actor-{a}"))
             .spawn(move || {
-                let _ = actor_main(
-                    a,
-                    program,
-                    cmd_rx,
-                    ReplyPort::Mpsc(reply_tx),
-                    fabric,
-                    inbox_rx,
-                    origin,
-                );
+                let _departure = departure;
+                actor_main(a, program, fabric, inbox, origin);
             })
             .expect("spawn actor thread");
         ActorLink {
-            cmd: CmdPort::Mpsc(cmd_tx),
-            reply: reply_rx,
             handle: Some(handle),
             dead: false,
         }
     }
-
-    fn broadcast_abort(&self, epoch: u64, reason: &str) {
-        let row = self.row.read().unwrap();
-        for tx in row.iter() {
-            let _ = tx.send(Msg {
-                from: DRIVER,
-                epoch,
-                payload: Payload::Abort(reason.to_string()),
-            });
-        }
-    }
 }
-
-#[allow(unused)]
-fn _assert_transport_object_safe(_t: &Mutex<Box<dyn Transport>>) {}

@@ -3,27 +3,30 @@
 //!
 //! Every participant (each worker, plus the driver) owns an
 //! [`Endpoint`]: one listening socket, an accept pump, one reader
-//! thread per accepted connection, and a cache of lazily-dialed
-//! outbound links. Link topology:
+//! thread per accepted connection, a cache of lazily-dialed outbound
+//! links, and one inbox every reader delivers into. A link's dialer
+//! introduces itself with a one-field `[HELLO][from]` handshake; what
+//! the link is follows from the pair `(me, from)`:
 //!
-//! * **driver → worker** (one per worker): carries [`Command`] frames
-//!   and driver-originated abort [`Msg`]s. EOF on this link tells the
-//!   worker the driver is gone (or it is being respawned) and it shuts
-//!   down.
-//! * **worker → driver** (one per worker): carries [`Reply`] frames
-//!   and heartbeats. The driver-side reader *takes* the actor's reply
-//!   sender at the handshake and drops it on EOF, so a dead worker
-//!   surfaces through the exact channel-disconnect path the in-process
-//!   transport uses (`RuntimeError::ActorDied`).
-//! * **worker → worker** (lazily dialed): carries data-plane [`Msg`]s.
-//!   A write failure drops the link and re-dials once with bounded
-//!   exponential backoff — the per-peer reconnect path.
+//! * **control links** — driver → worker (commands and the driver's
+//!   aborts) and worker → driver (replies and heartbeats). A broken
+//!   control link *is* the death (or respawn) signal: it is never
+//!   re-dialed mid-send, and its reader posts `Gone` for the far side
+//!   when it ends — on the driver for the worker's incarnation (which
+//!   the driver reports as `RuntimeError::ActorDied`), on a worker for
+//!   the driver (the worker shuts down).
+//! * **data links** — worker → worker, lazily dialed, carrying data
+//!   and aborts. A write failure drops the link and re-dials once with
+//!   bounded exponential backoff — the per-peer reconnect path.
+//!
+//! A link ends at EOF, on a severed endpoint, or at the first frame
+//! that does not decode (a protocol error).
 //!
 //! Wire-level chaos (one-way partitions, one-shot connection drops and
 //! delays) lives in the *sending* endpoint and is injected through the
 //! ordinary fault queue; `kill -9` semantics are an endpoint
 //! [`Endpoint::sever`] (threads backend) or a real `SIGKILL` (process
-//! backend) — no goodbye frames, detection is bounded by reply-link
+//! backend) — no goodbye frames, detection is bounded by control-link
 //! EOF plus heartbeat suspicion.
 
 use std::collections::{HashMap, HashSet};
@@ -33,21 +36,19 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::actor::{actor_main, Command, Exit, Msg, Payload, Reply, DRIVER};
+use crate::actor::{actor_main, Exit, Msg, Payload, DRIVER};
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 use crate::transport::wire::{
-    decode_command, decode_msg, decode_reply, encode_command, encode_heartbeat, encode_hello,
-    encode_msg, encode_reply, read_frame, write_frame, CMD, DATA, HEARTBEAT, HELLO, LINK_CMD,
-    LINK_DATA, LINK_REPLY, REPLY,
+    decode, decode_hello, encode, encode_heartbeat, encode_hello, read_frame, write_frame,
 };
-use crate::transport::{CmdPort, Fabric, ReplyPort, Transport, TransportKind, TransportStats};
+use crate::transport::{Fabric, Transport, TransportKind, TransportStats};
 
 /// Total budget of one dial (bounded retries inside).
 const CONNECT_BUDGET: Duration = Duration::from_millis(1500);
@@ -205,30 +206,25 @@ struct Chaos {
     drop_next: HashSet<usize>,
 }
 
-/// Inbound routing tables: what an endpoint's readers deliver into.
-enum Routes {
-    Worker {
-        /// Master inbox sender; readers clone it per connection. Taken
-        /// by [`Endpoint::sever`] so a severed actor's blocking `Recv`
-        /// observes "inbox closed" once the readers drain.
-        inbox: Mutex<Option<Sender<Msg>>>,
-        /// The actor-loop command sender, *taken* by the driver link's
-        /// reader at the handshake; EOF drops it, ending the actor
-        /// loop cleanly.
-        cmd: Mutex<Option<Sender<Command>>>,
-    },
-    Driver {
-        /// Per-actor reply senders, taken by the reply-link reader at
-        /// the handshake; EOF drops the sender, surfacing as the
-        /// `Disconnected` the driver already maps to `ActorDied`.
-        slots: Vec<Mutex<Option<Sender<Reply>>>>,
-        /// Last heartbeat (or reply) arrival per actor.
-        last_heard: Vec<Mutex<Instant>>,
-    },
+/// The driver's view of one actor.
+struct Peer {
+    /// Last heartbeat (or reply) arrival.
+    heard: Instant,
+    /// The incarnation a link from this actor belongs to, fixed at its
+    /// handshake: the `Gone` its end posts names it.
+    incarnation: u64,
+}
+
+impl Peer {
+    /// Incarnation `incarnation`, just heard from.
+    fn fresh(incarnation: u64) -> Peer {
+        let heard = Instant::now();
+        Peer { heard, incarnation }
+    }
 }
 
 /// One participant's socket presence: listener, accept/reader pumps,
-/// outbound link cache, chaos state.
+/// outbound link cache, chaos state, inbox.
 pub(crate) struct Endpoint {
     me: usize,
     dir: PathBuf,
@@ -241,17 +237,24 @@ pub(crate) struct Endpoint {
     conns: Mutex<Vec<Stream>>,
     chaos: Mutex<Chaos>,
     stats: Arc<WireStats>,
-    routes: Routes,
+    /// This participant's inbox; readers clone it per connection.
+    /// Taken by [`Endpoint::sever`] so a severed actor's blocking
+    /// receive observes "inbox closed" once the readers drain.
+    inbox: Mutex<Option<Sender<Msg>>>,
+    /// The driver's table, one row per actor (empty on a worker).
+    peers: Vec<Mutex<Peer>>,
 }
 
 impl Endpoint {
-    /// Binds the endpoint's listener and starts its accept pump.
+    /// Binds the endpoint's listener and starts its accept pump;
+    /// `actors` rows of peer table on the driver, none on a worker.
     fn bind(
         me: usize,
         dir: &Path,
         scheme: Scheme,
         stats: Arc<WireStats>,
-        routes: Routes,
+        inbox: Sender<Msg>,
+        actors: usize,
     ) -> std::io::Result<Arc<Endpoint>> {
         let sp = sock_path(dir, me);
         let _ = std::fs::remove_file(&sp);
@@ -282,7 +285,8 @@ impl Endpoint {
             conns: Mutex::new(Vec::new()),
             chaos: Mutex::new(Chaos::default()),
             stats,
-            routes,
+            inbox: Mutex::new(Some(inbox)),
+            peers: (0..actors).map(|_| Mutex::new(Peer::fresh(0))).collect(),
         });
         let pump = Arc::clone(&ep);
         std::thread::Builder::new()
@@ -320,81 +324,43 @@ impl Endpoint {
         }
     }
 
-    /// Per-connection reader: handshake, then pump frames into the
-    /// routing tables until EOF or error.
+    /// Per-connection reader: handshake, then pump envelopes into the
+    /// inbox until EOF, a sever, or a frame that does not decode — all
+    /// three end the link. The end of a control link is a departure.
     fn reader(self: Arc<Endpoint>, mut s: Stream) {
-        let hello = match read_frame(&mut s) {
-            Ok(b) => b,
-            Err(_) => return,
+        let from = read_frame(&mut s).ok().and_then(|f| decode_hello(&f).ok());
+        let inbox = self.inbox.lock().unwrap().clone();
+        let (Some(from), Some(inbox)) = (from, inbox) else {
+            s.shutdown();
+            return;
         };
-        let mut d = crate::transport::wire::Dec::new(&hello);
-        let (from, link_kind) = match (d.u8(), d.actor(), d.u8()) {
-            (Ok(HELLO), Ok(f), Ok(k)) => (f, k),
-            _ => return,
-        };
-        // Capture the sender this link's EOF must release.
-        let mut cmd_tx: Option<Sender<Command>> = None;
-        let mut reply_tx: Option<Sender<Reply>> = None;
-        let inbox_tx: Option<Sender<Msg>> = match &self.routes {
-            Routes::Worker { inbox, cmd } => {
-                if link_kind == LINK_CMD {
-                    cmd_tx = cmd.lock().unwrap().take();
-                }
-                inbox.lock().unwrap().clone()
-            }
-            Routes::Driver { slots, .. } => {
-                if link_kind == LINK_REPLY {
-                    if let Some(slot) = slots.get(from) {
-                        reply_tx = slot.lock().unwrap().take();
-                    }
-                }
-                None
-            }
-        };
+        let peer = self.peers.get(from);
+        let incarnation = peer.map_or(0, |p| p.lock().unwrap().incarnation);
         while self.alive.load(Ordering::Relaxed) {
-            let frame = match read_frame(&mut s) {
-                Ok(f) => f,
-                Err(_) => break, // EOF or severed: drop the senders below
+            let Ok(frame) = read_frame(&mut s) else {
+                break; // EOF, or severed
             };
             self.stats
                 .bytes_rx
                 .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
-            let mut d = crate::transport::wire::Dec::new(&frame);
-            match d.u8() {
-                Ok(DATA) => {
-                    if let (Ok(m), Some(inbox)) = (decode_msg(&mut d), inbox_tx.as_ref()) {
-                        let _ = inbox.send(m);
-                    }
-                }
-                Ok(CMD) => {
-                    if let (Ok(c), Some(tx)) = (decode_command(&mut d), cmd_tx.as_ref()) {
-                        if tx.send(c).is_err() {
-                            break; // actor loop ended
-                        }
-                    }
-                }
-                Ok(REPLY) => {
-                    if let (Ok(r), Some(tx)) = (decode_reply(&mut d), reply_tx.as_ref()) {
-                        self.note_heard(from);
-                        let _ = tx.send(r);
-                    }
-                }
-                Ok(HEARTBEAT) => self.note_heard(from),
-                _ => break, // protocol error: treat like a dead link
+            let Ok(msg) = decode(from, &frame) else {
+                break; // protocol error: treat like a dead link
+            };
+            if let Some(p) = peer {
+                p.lock().unwrap().heard = Instant::now();
+            }
+            // A heartbeat carries no envelope; a closed inbox means the
+            // actor loop ended.
+            if msg.is_some_and(|m| inbox.send(m).is_err()) {
+                break;
             }
         }
-        // Dropping cmd_tx / reply_tx here is the liveness signal: the
-        // far side of the corresponding in-process channel observes
-        // Disconnected.
-        drop(cmd_tx);
-        drop(reply_tx);
-    }
-
-    fn note_heard(&self, from: usize) {
-        if let Routes::Driver { last_heard, .. } = &self.routes {
-            if let Some(m) = last_heard.get(from) {
-                *m.lock().unwrap() = Instant::now();
-            }
+        s.shutdown();
+        if self.me == DRIVER || from == DRIVER {
+            let _ = inbox.send(Msg {
+                from,
+                payload: Payload::Gone(incarnation),
+            });
         }
     }
 
@@ -402,7 +368,7 @@ impl Endpoint {
     /// connect budget runs out, then performs the HELLO handshake.
     /// `quick` dials exactly once — for best-effort traffic (abort
     /// poison, heartbeats) that must not stall on a dead peer.
-    fn dial(&self, to: usize, link_kind: u8, quick: bool) -> Result<Stream, ()> {
+    fn dial(&self, to: usize, quick: bool) -> Result<Stream, ()> {
         let deadline = if quick {
             Instant::now()
         } else {
@@ -429,7 +395,7 @@ impl Endpoint {
             }
         };
         stream.set_write_timeout(WRITE_TIMEOUT);
-        let hello = encode_hello(self.me, link_kind);
+        let hello = encode_hello(self.me);
         let mut s = stream;
         match write_frame(&mut s, &hello) {
             Ok(n) => {
@@ -440,18 +406,11 @@ impl Endpoint {
         }
     }
 
-    /// Which link kind an outbound frame to `to` travels on, and
-    /// whether a write failure may transparently re-dial (only
-    /// worker↔worker data links: a broken control link *is* the
-    /// death/respawn signal and must not be papered over).
-    fn link_kind_for(&self, to: usize) -> (u8, bool) {
-        if self.me == DRIVER {
-            (LINK_CMD, false)
-        } else if to == DRIVER {
-            (LINK_REPLY, false)
-        } else {
-            (LINK_DATA, true)
-        }
+    /// Whether a write failure toward `to` may transparently re-dial:
+    /// only on a worker↔worker data link — a broken control link *is*
+    /// the death/respawn signal and must not be papered over.
+    fn redials(&self, to: usize) -> bool {
+        self.me != DRIVER && to != DRIVER
     }
 
     /// Sends one frame to `to`, consulting chaos, dialing lazily, and
@@ -476,7 +435,6 @@ impl Endpoint {
                 std::thread::sleep(Duration::from_millis(ms));
             }
         }
-        let (kind, redial) = self.link_kind_for(to);
         let slot = {
             let mut links = self.links.lock().unwrap();
             Arc::clone(links.entry(to).or_insert_with(|| {
@@ -492,13 +450,17 @@ impl Endpoint {
                 s.shutdown();
             }
         }
-        let mut attempts = if redial || forced_drop { 2 } else { 1 };
+        let mut attempts = if self.redials(to) || forced_drop {
+            2
+        } else {
+            1
+        };
         loop {
             if guard.is_none() {
                 if slot.was_connected.load(Ordering::Relaxed) {
                     self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
-                *guard = Some(self.dial(to, kind, quick)?);
+                *guard = Some(self.dial(to, quick)?);
                 slot.was_connected.store(true, Ordering::Relaxed);
             }
             let s = guard.as_mut().expect("dialed above");
@@ -520,23 +482,14 @@ impl Endpoint {
         }
     }
 
-    pub(crate) fn send_msg(&self, to: usize, m: &Msg) -> Result<(), ()> {
+    /// Sends one envelope to `to` in its frame. A departure has none:
+    /// the wire observes it as EOF.
+    pub(crate) fn send(&self, to: usize, m: &Msg) -> Result<(), ()> {
+        let frame = encode(m).ok_or(())?;
         // Abort poison is best-effort: a dead peer must not stall the
         // broadcaster for the full connect budget.
-        let quick = matches!(m.payload, Payload::Abort(_));
-        self.send_frame(to, &encode_msg(m), quick)
-    }
-
-    pub(crate) fn send_command(&self, to: usize, c: &Command) -> Result<(), ()> {
-        self.send_frame(to, &encode_command(c), false)
-    }
-
-    pub(crate) fn send_reply(&self, r: &Reply) -> Result<(), ()> {
-        self.send_frame(DRIVER, &encode_reply(r), false)
-    }
-
-    pub(crate) fn send_heartbeat(&self) -> Result<(), ()> {
-        self.send_frame(DRIVER, &encode_heartbeat(self.me), true)
+        let quick = matches!(m.payload, Payload::Abort(..));
+        self.send_frame(to, &frame, quick)
     }
 
     /// Applies a wire fault to this endpoint's outbound chaos state.
@@ -567,7 +520,7 @@ impl Endpoint {
     /// Kill -9 semantics: closes the listener, every accepted
     /// connection and every outbound link *without any goodbye frame*.
     /// Peers discover the death through EOF/EPIPE (bounded), the driver
-    /// through reply-link EOF or heartbeat silence. Idempotent.
+    /// through control-link EOF or heartbeat silence. Idempotent.
     pub(crate) fn sever(&self) {
         // One-shot: a late second sever (e.g. `Drop` after an explicit
         // sever, racing a respawn that re-bound the same path) must not
@@ -588,41 +541,26 @@ impl Endpoint {
                 s.shutdown();
             }
         }
-        if let Routes::Worker { inbox, cmd } = &self.routes {
-            drop(inbox.lock().unwrap().take());
-            drop(cmd.lock().unwrap().take());
-        }
+        drop(self.inbox.lock().unwrap().take());
     }
 
     // Driver-side bookkeeping -----------------------------------------
 
-    fn set_reply_slot(&self, a: usize, tx: Sender<Reply>) {
-        if let Routes::Driver { slots, .. } = &self.routes {
-            *slots[a].lock().unwrap() = Some(tx);
-        }
-    }
-
-    fn reset_heard(&self, a: usize) {
-        if let Routes::Driver { last_heard, .. } = &self.routes {
-            *last_heard[a].lock().unwrap() = Instant::now();
-        }
-    }
-
-    fn heard_elapsed(&self, a: usize) -> Duration {
-        match &self.routes {
-            Routes::Driver { last_heard, .. } => last_heard[a].lock().unwrap().elapsed(),
-            _ => Duration::ZERO,
-        }
-    }
-
-    /// Drops the cached outbound link to `a` (used by the driver when
-    /// respawning `a`: the next command dials the fresh listener).
-    fn clear_link(&self, a: usize) {
+    /// Readies the driver for incarnation `incarnation` of actor `a`:
+    /// a link from `a` now belongs to it, its heartbeat clock restarts,
+    /// and the cached command link to the previous incarnation is
+    /// dropped so the next send dials the fresh listener.
+    fn expect(&self, a: usize, incarnation: u64) {
+        *self.peers[a].lock().unwrap() = Peer::fresh(incarnation);
         if let Some(slot) = self.links.lock().unwrap().remove(&a) {
             if let Some(s) = slot.stream.lock().unwrap().take() {
                 s.shutdown();
             }
         }
+    }
+
+    fn heard_elapsed(&self, a: usize) -> Duration {
+        self.peers[a].lock().unwrap().heard.elapsed()
     }
 }
 
@@ -638,8 +576,9 @@ pub(crate) fn spawn_heartbeat(ep: Arc<Endpoint>) {
     let _ = std::thread::Builder::new()
         .name(format!("raxpp-hb-{}", ep.me))
         .spawn(move || {
+            let beat = encode_heartbeat(ep.me);
             while ep.alive.load(Ordering::Relaxed) {
-                let _ = ep.send_heartbeat();
+                let _ = ep.send_frame(DRIVER, &beat, true);
                 std::thread::sleep(HB_INTERVAL);
             }
         });
@@ -682,14 +621,17 @@ pub(crate) struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Binds the driver's endpoint in `dir`.
-    fn new(n: usize, dir: PathBuf, own_dir: bool, scheme: Scheme, backend: Backend) -> Self {
+    /// Binds the driver's endpoint in `dir`, delivering into `inbox`.
+    fn new(
+        n: usize,
+        dir: PathBuf,
+        own_dir: bool,
+        scheme: Scheme,
+        backend: Backend,
+        inbox: Sender<Msg>,
+    ) -> Self {
         let stats = Arc::new(WireStats::default());
-        let routes = Routes::Driver {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            last_heard: (0..n).map(|_| Mutex::new(Instant::now())).collect(),
-        };
-        let driver_ep = Endpoint::bind(DRIVER, &dir, scheme, Arc::clone(&stats), routes)
+        let driver_ep = Endpoint::bind(DRIVER, &dir, scheme, Arc::clone(&stats), inbox, n)
             .expect("bind driver endpoint");
         SocketTransport {
             n,
@@ -703,11 +645,11 @@ impl SocketTransport {
     }
 
     /// Thread-backed socket fleet in a fresh temp directory.
-    pub(crate) fn threads(n: usize, scheme: Scheme) -> SocketTransport {
+    pub(crate) fn threads(n: usize, scheme: Scheme, inbox: Sender<Msg>) -> SocketTransport {
         let dir = fresh_fleet_dir();
         std::fs::create_dir_all(&dir).expect("create fleet dir");
         let eps = (0..n).map(|_| None).collect();
-        Self::new(n, dir, true, scheme, Backend::Threads { eps })
+        Self::new(n, dir, true, scheme, Backend::Threads { eps }, inbox)
     }
 
     /// Process-backed fleet: `spawn(a)` launches worker `a` (which must
@@ -718,11 +660,19 @@ impl SocketTransport {
         dir: &Path,
         scheme: Scheme,
         spawn: Box<dyn FnMut(usize) -> std::io::Result<Child> + Send>,
+        inbox: Sender<Msg>,
     ) -> std::io::Result<SocketTransport> {
         std::fs::create_dir_all(dir)?;
         let children = (0..n).map(|_| None).collect();
         let backend = Backend::Processes { children, spawn };
-        Ok(Self::new(n, dir.to_path_buf(), false, scheme, backend))
+        Ok(Self::new(
+            n,
+            dir.to_path_buf(),
+            false,
+            scheme,
+            backend,
+            inbox,
+        ))
     }
 }
 
@@ -734,51 +684,41 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn spawn_actor(&mut self, a: usize, program: &Arc<MpmdProgram>, origin: Instant) -> ActorLink {
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        // Order matters: sever the old presence first so nothing stale
-        // can accept, then install the fresh reply slot and clear the
-        // driver's cached command link so the next send re-dials.
-        match &mut self.backend {
+    fn fabric(&self) -> Fabric {
+        Fabric::Wire {
+            ep: Arc::clone(&self.driver_ep),
+            n: self.n,
+        }
+    }
+
+    fn spawn_actor(
+        &mut self,
+        a: usize,
+        incarnation: u64,
+        program: &Arc<MpmdProgram>,
+        origin: Instant,
+    ) -> ActorLink {
+        // Order matters: retire the old presence first so nothing stale
+        // can accept or dial, then ready the driver for the new
+        // incarnation, then bring it up.
+        let handle = match &mut self.backend {
             Backend::Threads { eps } => {
                 if let Some(old) = eps[a].take() {
                     old.sever();
                 }
-                self.driver_ep.set_reply_slot(a, reply_tx);
-                self.driver_ep.reset_heard(a);
-                self.driver_ep.clear_link(a);
-                let (cmd_tx, cmd_rx) = channel::<Command>();
-                let (inbox_tx, inbox_rx) = channel::<Msg>();
-                let routes = Routes::Worker {
-                    inbox: Mutex::new(Some(inbox_tx)),
-                    cmd: Mutex::new(Some(cmd_tx)),
-                };
+                self.driver_ep.expect(a, incarnation);
                 let stats = Arc::clone(&self.stats);
-                let ep = Endpoint::bind(a, &self.dir, self.scheme, stats, routes)
+                let worker = Worker::bind(a, self.n, &self.dir, self.scheme, stats)
                     .expect("bind worker endpoint");
-                spawn_heartbeat(Arc::clone(&ep));
-                let fabric = Fabric::Wire {
-                    ep: Arc::clone(&ep),
-                    n: self.n,
-                };
-                let reply = ReplyPort::Wire(Arc::clone(&ep));
+                eps[a] = Some(Arc::clone(&worker.ep));
                 let program = Arc::clone(program);
                 let handle = std::thread::Builder::new()
                     .name(format!("raxpp-actor-{a}"))
                     .spawn(move || {
-                        let _ = actor_main(a, program, cmd_rx, reply, fabric, inbox_rx, origin);
+                        worker.serve(program, origin);
                     })
                     .expect("spawn actor thread");
-                eps[a] = Some(ep);
-                ActorLink {
-                    cmd: CmdPort::Wire {
-                        ep: Arc::clone(&self.driver_ep),
-                        peer: a,
-                    },
-                    reply: reply_rx,
-                    handle: Some(handle),
-                    dead: false,
-                }
+                Some(handle)
             }
             Backend::Processes { children, spawn } => {
                 if let Some(mut old) = children[a].take() {
@@ -787,34 +727,14 @@ impl Transport for SocketTransport {
                 }
                 // A killed worker leaves a stale socket file behind;
                 // the respawned process re-binds the same path.
-                self.driver_ep.set_reply_slot(a, reply_tx);
-                self.driver_ep.reset_heard(a);
-                self.driver_ep.clear_link(a);
-                let child = spawn(a).expect("spawn worker process");
-                children[a] = Some(child);
-                ActorLink {
-                    cmd: CmdPort::Wire {
-                        ep: Arc::clone(&self.driver_ep),
-                        peer: a,
-                    },
-                    reply: reply_rx,
-                    handle: None,
-                    dead: false,
-                }
+                self.driver_ep.expect(a, incarnation);
+                children[a] = Some(spawn(a).expect("spawn worker process"));
+                None
             }
-        }
-    }
-
-    fn broadcast_abort(&self, epoch: u64, reason: &str) {
-        for a in 0..self.n {
-            let _ = self.driver_ep.send_msg(
-                a,
-                &Msg {
-                    from: DRIVER,
-                    epoch,
-                    payload: Payload::Abort(reason.to_string()),
-                },
-            );
+        };
+        ActorLink {
+            handle,
+            dead: false,
         }
     }
 
@@ -827,18 +747,8 @@ impl Transport for SocketTransport {
     }
 
     fn heal_wire(&self) {
-        for a in 0..self.n {
-            self.driver_ep.reset_heard(a);
-        }
-    }
-
-    fn finished(&mut self, a: usize) -> bool {
-        match &mut self.backend {
-            Backend::Threads { .. } => false,
-            Backend::Processes { children, .. } => match children[a].as_mut() {
-                Some(c) => matches!(c.try_wait(), Ok(Some(_))),
-                None => true,
-            },
+        for peer in &self.driver_ep.peers {
+            peer.lock().unwrap().heard = Instant::now();
         }
     }
 
@@ -914,6 +824,40 @@ pub struct WorkerConfig {
     pub tcp: bool,
 }
 
+/// One socket worker, bound and heartbeating: what the thread backend
+/// spawns and a worker process runs as its main loop.
+struct Worker {
+    ep: Arc<Endpoint>,
+    n: usize,
+    inbox: Receiver<Msg>,
+}
+
+impl Worker {
+    /// Binds actor `me`'s endpoint in `dir` and starts its heartbeat.
+    fn bind(
+        me: usize,
+        n: usize,
+        dir: &Path,
+        scheme: Scheme,
+        stats: Arc<WireStats>,
+    ) -> std::io::Result<Worker> {
+        let (tx, inbox) = channel();
+        let ep = Endpoint::bind(me, dir, scheme, stats, tx, 0)?;
+        spawn_heartbeat(Arc::clone(&ep));
+        Ok(Worker { ep, n, inbox })
+    }
+
+    /// Serves the actor loop over the endpoint until it exits.
+    fn serve(self, program: Arc<MpmdProgram>, origin: Instant) -> Exit {
+        let me = self.ep.me;
+        let fabric = Fabric::Wire {
+            ep: self.ep,
+            n: self.n,
+        };
+        actor_main(me, program, fabric, self.inbox, origin)
+    }
+}
+
 /// Runs one worker of a process fleet to completion: binds the
 /// worker's endpoint in `cfg.dir`, starts its heartbeat, and serves
 /// the actor loop until the driver shuts it down (or its control link
@@ -931,31 +875,52 @@ pub struct WorkerConfig {
 /// Returns any I/O error from binding the worker's socket.
 pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result<()> {
     let scheme = if cfg.tcp { Scheme::Tcp } else { Scheme::Uds };
-    let stats = Arc::new(WireStats::default());
-    let (cmd_tx, cmd_rx) = channel::<Command>();
-    let (inbox_tx, inbox_rx) = channel::<Msg>();
-    let routes = Routes::Worker {
-        inbox: Mutex::new(Some(inbox_tx)),
-        cmd: Mutex::new(Some(cmd_tx)),
-    };
-    let ep = Endpoint::bind(cfg.me, &cfg.dir, scheme, stats, routes)?;
-    spawn_heartbeat(Arc::clone(&ep));
-    let fabric = Fabric::Wire {
-        ep: Arc::clone(&ep),
-        n: cfg.n_actors,
-    };
-    let reply = ReplyPort::Wire(Arc::clone(&ep));
-    let exit = actor_main(
-        cfg.me,
-        Arc::new(program),
-        cmd_rx,
-        reply,
-        fabric,
-        inbox_rx,
-        Instant::now(),
-    );
+    let worker = Worker::bind(cfg.me, cfg.n_actors, &cfg.dir, scheme, Arc::default())?;
+    let exit = worker.serve(Arc::new(program), Instant::now());
     if matches!(exit, Exit::Killed) {
         std::process::abort();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::actor::{Reply, ReplyKind};
+
+    /// A frame that does not decode ends the link, as EOF does: on a
+    /// control link the driver hears `Gone` for the incarnation at once
+    /// — it does not wait out the step timeout while heartbeats keep
+    /// arriving — and the dialer reads EOF.
+    #[test]
+    fn a_truncated_reply_ends_the_control_link_with_gone() {
+        let dir = fresh_fleet_dir();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (tx, inbox) = channel();
+        let driver = Endpoint::bind(DRIVER, &dir, Scheme::Uds, Arc::default(), tx, 1).unwrap();
+        driver.expect(0, 3);
+        let mut worker = UnixStream::connect(sock_path(&dir, DRIVER)).unwrap();
+        write_frame(&mut worker, &encode_hello(0)).unwrap();
+        write_frame(&mut worker, &encode_heartbeat(0)).unwrap();
+        let reply = Msg {
+            from: 0,
+            payload: Payload::Reply(Reply {
+                seq: 1,
+                kind: ReplyKind::StoreBytes(64),
+            }),
+        };
+        let reply = encode(&reply).unwrap();
+        write_frame(&mut worker, &reply[..reply.len() - 1]).unwrap();
+        let msg = inbox
+            .recv_timeout(HB_TIMEOUT)
+            .expect("Gone within the heartbeat threshold");
+        assert_eq!(msg.from, 0);
+        assert!(
+            matches!(msg.payload, Payload::Gone(3)),
+            "the link's incarnation"
+        );
+        assert_eq!(worker.read(&mut [0u8; 1]).unwrap(), 0, "the link ended");
+        driver.sever();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -2,7 +2,9 @@
 //!
 //! Every frame on a transport stream is `u32` little-endian payload
 //! length followed by the payload; the first payload byte is a frame
-//! tag ([`HELLO`], [`DATA`], [`CMD`], [`REPLY`], [`HEARTBEAT`]). The
+//! tag ([`HELLO`], [`DATA`], [`CMD`], [`REPLY`], [`HEARTBEAT`]). After
+//! the handshake, every frame but a heartbeat carries one envelope
+//! ([`encode`] / [`decode`]). The
 //! codec is hand-rolled (the workspace is dependency-free by design)
 //! and *exact*: tensors travel as raw `f32` bit patterns, so a value
 //! decoded on the far side is bitwise-identical to the one encoded —
@@ -27,23 +29,17 @@ use crate::kind::Kind;
 use crate::store::SendToken;
 use crate::trace::{ActorTrace, SpanEvent};
 
-/// Handshake frame: `[HELLO][from: u64][link kind: u8]`. Sent once by
-/// the dialing side; tells the acceptor who is on the other end and
-/// which pump to run.
-pub(crate) const HELLO: u8 = 0;
+/// Handshake frame: `[HELLO][from: u64]`. Sent once by the dialing
+/// side; tells the acceptor who is on the other end.
+const HELLO: u8 = 0;
 /// A data-plane [`Msg`] (tensor or abort poison).
-pub(crate) const DATA: u8 = 1;
+const DATA: u8 = 1;
 /// A driver→worker [`Command`].
-pub(crate) const CMD: u8 = 2;
+const CMD: u8 = 2;
 /// A worker→driver [`Reply`].
-pub(crate) const REPLY: u8 = 3;
-/// Worker liveness beacon on the reply link: `[HEARTBEAT][from: u64]`.
-pub(crate) const HEARTBEAT: u8 = 4;
-
-/// Link kinds carried in the [`HELLO`] handshake.
-pub(crate) const LINK_CMD: u8 = 0;
-pub(crate) const LINK_REPLY: u8 = 1;
-pub(crate) const LINK_DATA: u8 = 2;
+const REPLY: u8 = 3;
+/// Worker liveness beacon toward the driver: `[HEARTBEAT][from: u64]`.
+const HEARTBEAT: u8 = 4;
 
 /// Upper bound on a single frame (1 GiB) — a corrupt length prefix
 /// must not drive a giant allocation.
@@ -85,16 +81,16 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
 // ---------------------------------------------------------------------
 
 /// Append-only byte encoder over the primitive wire types.
-pub(crate) struct Enc {
+struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new(tag: u8) -> Enc {
+    fn new(tag: u8) -> Enc {
         Enc { buf: vec![tag] }
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -140,7 +136,7 @@ impl Enc {
 
 /// Cursor-based decoder; every accessor is total and reports a
 /// protocol error instead of panicking on truncated input.
-pub(crate) struct Dec<'a> {
+struct Dec<'a> {
     b: &'a [u8],
     pos: usize,
 }
@@ -148,7 +144,7 @@ pub(crate) struct Dec<'a> {
 type DecResult<T> = Result<T, String>;
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Dec<'a> {
+    fn new(b: &'a [u8]) -> Dec<'a> {
         Dec { b, pos: 0 }
     }
 
@@ -165,7 +161,7 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> DecResult<u8> {
+    fn u8(&mut self) -> DecResult<u8> {
         Ok(self.take(1)?[0])
     }
 
@@ -173,7 +169,7 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self) -> DecResult<u64> {
+    fn u64(&mut self) -> DecResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -200,7 +196,7 @@ impl<'a> Dec<'a> {
         Ok(items)
     }
 
-    pub(crate) fn actor(&mut self) -> DecResult<usize> {
+    fn actor(&mut self) -> DecResult<usize> {
         let v = self.u64()?;
         Ok(if v == u64::MAX {
             usize::MAX
@@ -249,49 +245,68 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Msg (data plane)
+// Envelopes
 // ---------------------------------------------------------------------
 
-/// Encodes a data-plane message. The [`SendToken`] never crosses the
-/// wire: the sender completes its token after the synchronous frame
-/// write succeeds, and the receiving pump mints a fresh one that the
+/// Encodes an envelope as the frame it travels in: data and aborts as
+/// [`DATA`], commands as [`CMD`], replies as [`REPLY`]. A departure has
+/// no frame (`None`): the wire observes it as EOF.
+///
+/// The [`SendToken`] of a data payload never crosses the wire: the
+/// sender completes its token after the synchronous frame write
+/// succeeds, and the receiving pump mints a fresh one that the
 /// receiver's `Recv` completes as usual (see `store.rs`).
-pub(crate) fn encode_msg(m: &Msg) -> Vec<u8> {
+pub(crate) fn encode(m: &Msg) -> Option<Vec<u8>> {
     let mut e = Enc::new(DATA);
-    e.actor(m.from);
-    e.u64(m.epoch);
     match &m.payload {
-        Payload::Data(buf, t, _token) => {
+        Payload::Data(epoch, buf, t, _token) => {
+            e.actor(m.from);
+            e.u64(*epoch);
             e.u8(0);
             e.u32(buf.0);
             e.tensor(t);
         }
-        Payload::Abort(reason) => {
+        Payload::Abort(epoch, reason) => {
+            e.actor(m.from);
+            e.u64(*epoch);
             e.u8(1);
             e.str(reason);
         }
+        Payload::Command(c) => return Some(encode_command(c)),
+        Payload::Reply(r) => return Some(encode_reply(r)),
+        Payload::Gone(_) => return None,
     }
-    e.into_bytes()
+    Some(e.into_bytes())
 }
 
-/// Decodes a data-plane message (frame tag already consumed).
-pub(crate) fn decode_msg(d: &mut Dec<'_>) -> DecResult<Msg> {
-    let from = d.actor()?;
-    let epoch = d.u64()?;
+/// Decodes one frame read from `from`'s link into the envelope it
+/// carries — `None` for a heartbeat. A [`HELLO`] after the handshake
+/// is a protocol error like any unknown tag.
+pub(crate) fn decode(from: usize, frame: &[u8]) -> DecResult<Option<Msg>> {
+    let mut d = Dec::new(frame);
     let payload = match d.u8()? {
-        0 => {
-            let buf = BufferId(d.u32()?);
-            let t = d.tensor()?;
-            Payload::Data(buf, t, SendToken::new())
+        DATA => {
+            let from = d.actor()?;
+            let epoch = d.u64()?;
+            let payload = match d.u8()? {
+                0 => {
+                    let buf = BufferId(d.u32()?);
+                    Payload::Data(epoch, buf, d.tensor()?, SendToken::new())
+                }
+                1 => Payload::Abort(epoch, d.str()?),
+                k => return Err(format!("unknown payload kind {k}")),
+            };
+            return Ok(Some(Msg { from, payload }));
         }
-        1 => Payload::Abort(d.str()?),
-        k => return Err(format!("unknown payload kind {k}")),
+        CMD => Payload::Command(decode_command(&mut d)?),
+        REPLY => Payload::Reply(decode_reply(&mut d)?),
+        HEARTBEAT => {
+            d.actor()?;
+            return Ok(None);
+        }
+        tag => return Err(format!("unexpected frame tag {tag}")),
     };
-    Ok(Msg {
-        from,
-        epoch,
-        payload,
-    })
+    Ok(Some(Msg { from, payload }))
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +386,7 @@ fn decode_bufs(d: &mut Dec<'_>) -> DecResult<Vec<(BufferId, Tensor)>> {
     d.list(4 + 1, |d| Ok((BufferId(d.u32()?), d.tensor()?)))
 }
 
-pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
+fn encode_command(c: &Command) -> Vec<u8> {
     let mut e = Enc::new(CMD);
     match c {
         Command::Place { seq, bufs } => {
@@ -422,7 +437,7 @@ pub(crate) fn encode_command(c: &Command) -> Vec<u8> {
     e.into_bytes()
 }
 
-pub(crate) fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
+fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
     Ok(match d.u8()? {
         0 => Command::Place {
             seq: d.u64()?,
@@ -574,7 +589,7 @@ fn decode_result_tensors(d: &mut Dec<'_>) -> DecResult<Result<Vec<Tensor>, Strin
     })
 }
 
-pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
+fn encode_reply(r: &Reply) -> Vec<u8> {
     let mut e = Enc::new(REPLY);
     e.u64(r.seq);
     match &r.kind {
@@ -617,7 +632,7 @@ pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
     e.into_bytes()
 }
 
-pub(crate) fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
+fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
     let seq = d.u64()?;
     let kind = match d.u8()? {
         0 => ReplyKind::Placed,
@@ -657,27 +672,38 @@ pub(crate) fn encode_heartbeat(from: usize) -> Vec<u8> {
 }
 
 /// Encodes the [`HELLO`] handshake frame.
-pub(crate) fn encode_hello(from: usize, link_kind: u8) -> Vec<u8> {
+pub(crate) fn encode_hello(from: usize) -> Vec<u8> {
     let mut e = Enc::new(HELLO);
     e.actor(from);
-    e.u8(link_kind);
     e.into_bytes()
+}
+
+/// Decodes the [`HELLO`] handshake frame: who dialed.
+pub(crate) fn decode_hello(frame: &[u8]) -> DecResult<usize> {
+    let mut d = Dec::new(frame);
+    match d.u8()? {
+        HELLO => d.actor(),
+        tag => Err(format!("expected a handshake, got frame tag {tag}")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::DRIVER;
 
     fn decode_cmd_frame(b: &[u8]) -> DecResult<Command> {
-        let mut d = Dec::new(b);
-        assert_eq!(d.u8()?, CMD);
-        decode_command(&mut d)
+        match decode(DRIVER, b)?.map(|m| m.payload) {
+            Some(Payload::Command(c)) => Ok(c),
+            _ => panic!("not a command frame"),
+        }
     }
 
     fn decode_reply_frame(b: &[u8]) -> DecResult<Reply> {
-        let mut d = Dec::new(b);
-        assert_eq!(d.u8()?, REPLY);
-        decode_reply(&mut d)
+        match decode(0, b)?.map(|m| m.payload) {
+            Some(Payload::Reply(r)) => Ok(r),
+            _ => panic!("not a reply frame"),
+        }
     }
 
     fn roundtrip_cmd(c: Command) -> Command {
@@ -738,16 +764,14 @@ mod tests {
         let t = Tensor::from_vec(Shape::new(vec![3]), vec![0.25, -1.5, 2.0]).unwrap();
         let m = Msg {
             from: usize::MAX,
-            epoch: 42,
-            payload: Payload::Abort("step aborted".into()),
+            payload: Payload::Abort(42, "step aborted".into()),
         };
-        let b = encode_msg(&m);
-        let mut d = Dec::new(&b);
-        assert_eq!(d.u8().unwrap(), DATA);
-        let m2 = decode_msg(&mut d).unwrap();
+        let b = encode(&m).unwrap();
+        assert_eq!(b[0], DATA);
+        // A data frame names its sender itself.
+        let m2 = decode(0, &b).unwrap().unwrap();
         assert_eq!(m2.from, usize::MAX);
-        assert_eq!(m2.epoch, 42);
-        assert!(matches!(m2.payload, Payload::Abort(ref r) if r == "step aborted"));
+        assert!(matches!(m2.payload, Payload::Abort(42, ref r) if r == "step aborted"));
 
         let mut p = ActorProfile::default();
         p.add_entry("fwd", Duration::from_micros(12), 3);
@@ -779,10 +803,7 @@ mod tests {
                 }),
             })),
         };
-        let b = encode_reply(&r);
-        let mut d = Dec::new(&b);
-        assert_eq!(d.u8().unwrap(), REPLY);
-        let r2 = decode_reply(&mut d).unwrap();
+        let r2 = decode_reply_frame(&encode_reply(&r)).unwrap();
         assert_eq!(r2.seq, 3);
         match r2.kind {
             ReplyKind::Executed(o) => {
@@ -798,10 +819,7 @@ mod tests {
             seq: 4,
             kind: ReplyKind::Fetched(Ok(vec![t.clone()])),
         };
-        let b = encode_reply(&r);
-        let mut d = Dec::new(&b);
-        assert_eq!(d.u8().unwrap(), REPLY);
-        match decode_reply(&mut d).unwrap().kind {
+        match decode_reply_frame(&encode_reply(&r)).unwrap().kind {
             ReplyKind::Fetched(Ok(ts)) => assert_eq!(ts[0].data(), t.data()),
             _ => panic!("wrong reply kind"),
         }
@@ -899,6 +917,63 @@ mod tests {
                 assert!(r.is_err(), "reply prefix {len}");
             }
         }
+    }
+
+    /// Every frame kind the wire carries — the one-field handshake, the
+    /// heartbeat, and each envelope — decodes whole and is a typed error
+    /// at every proper prefix, never a panic or a short frame taken for
+    /// a whole one.
+    #[test]
+    fn every_frame_kind_is_a_typed_error_at_every_proper_prefix() {
+        let hello = encode_hello(7);
+        assert_eq!(decode_hello(&hello), Ok(7));
+        for len in 0..hello.len() {
+            assert!(decode_hello(&hello[..len]).is_err(), "hello prefix {len}");
+        }
+        // After the handshake, a second one is a protocol error.
+        assert!(decode(7, &hello).is_err());
+        let beat = encode_heartbeat(2);
+        assert!(
+            matches!(decode(2, &beat), Ok(None)),
+            "a heartbeat carries nothing"
+        );
+
+        let t = Tensor::from_vec(Shape::new(vec![2]), vec![0.5, -2.0]).unwrap();
+        let (execute, executed) = step_frames(5);
+        let reply = |kind| Payload::Reply(Reply { seq: 4, kind });
+        let envelopes = [
+            Payload::Data(3, BufferId(9), t.clone(), SendToken::new()),
+            Payload::Abort(3, "boom".into()),
+            Payload::Command(execute),
+            Payload::Command(Command::Fetch {
+                seq: 4,
+                bufs: vec![BufferId(1)],
+            }),
+            Payload::Command(Command::HealWire),
+            Payload::Reply(executed),
+            reply(ReplyKind::Placed),
+            reply(ReplyKind::Fetched(Ok(vec![t]))),
+            reply(ReplyKind::Fetched(Err("missing".into()))),
+            reply(ReplyKind::StoreBytes(64)),
+        ];
+        let mut frames = vec![beat];
+        for payload in envelopes {
+            let frame = encode(&Msg { from: 1, payload }).unwrap();
+            assert!(decode(1, &frame).unwrap().is_some(), "tag {}", frame[0]);
+            frames.push(frame);
+        }
+        for frame in &frames {
+            for len in 0..frame.len() {
+                let got = decode(1, &frame[..len]);
+                assert!(got.is_err(), "tag {} prefix {len}", frame[0]);
+            }
+        }
+        // A departure has no frame: the wire observes it as EOF.
+        let gone = Msg {
+            from: 1,
+            payload: Payload::Gone(0),
+        };
+        assert!(encode(&gone).is_none());
     }
 
     #[test]

@@ -48,8 +48,9 @@ echo "==> socket-transport gate (resilience suites over the wire, bounded time)"
 # bitwise when every actor fabric message crosses a Unix-domain
 # socket. The per-test watchdog (120 s) turns any wire deadlock into a
 # fast named failure rather than a hung gate.
-# tensor_parallel and data_parallel ride along because sockets are the
-# only place collectives take the message ring: this gate is its CI home.
+# tensor_parallel and data_parallel ride along because their collective
+# rings are the heaviest actor-to-actor traffic; the ring is the same
+# code on every transport, so this leg is where it meets real sockets.
 RAXPP_TRANSPORT=socket cargo test -q -p raxpp-integration \
     --test failure_semantics \
     --test chaos_soak \
@@ -59,6 +60,12 @@ RAXPP_TRANSPORT=socket cargo test -q -p raxpp-integration \
     --test serving \
     --test tensor_parallel \
     --test data_parallel
+
+echo "==> socket-transport gate, TCP leg (the failure contract over loopback TCP)"
+# The handshake and the death signal are the same code on both socket
+# schemes; failure_semantics runs its wire cases on the scheme
+# RAXPP_TRANSPORT names.
+RAXPP_TRANSPORT=tcp cargo test -q -p raxpp-integration --test failure_semantics
 
 echo "==> benchmark contract (BENCHMARK.json still builds and every output check passes)"
 # The whole-stack benchmark is a package of its own, so nothing above

@@ -1,11 +1,12 @@
 //! Failure semantics of the MPMD runtime: any task error or actor death
 //! at any stage of a pipelined step surfaces as a bounded-time
 //! `RuntimeError` (never a hang), the same runtime stays usable for the
-//! next step (no reply-channel desync, no stale data messages), and the
+//! next step (no stale replies, no stale data messages), and the
 //! recovery path restores training exactly.
 //!
-//! The sweeping tests run on **both** transports — the in-process mpsc
-//! fabric and the Unix-domain-socket wire — and always compare against
+//! The sweeping tests run on **both** kinds of fabric — the in-process
+//! mpsc fabric and the socket wire (Unix-domain sockets, or TCP
+//! loopback under `RAXPP_TRANSPORT=tcp`) — and always compare against
 //! an mpsc baseline, so every recovery is also a cross-transport
 //! bitwise-parity proof. Wire-only failure modes (kill -9 while the
 //! driver waits on a reply, one-way partitions) get dedicated tests
@@ -26,8 +27,19 @@ use raxpp_sched::gpipe;
 
 const N_STAGES: usize = 4;
 
+/// The socket fabric the wire tests run on: `RAXPP_TRANSPORT`'s when it
+/// names one, Unix-domain sockets otherwise.
+fn wire() -> TransportKind {
+    match TransportKind::from_env() {
+        TransportKind::Mpsc => TransportKind::UnixSocket,
+        socket => socket,
+    }
+}
+
 /// Both fabrics the failure contract must hold on.
-const TRANSPORTS: [TransportKind; 2] = [TransportKind::Mpsc, TransportKind::UnixSocket];
+fn transports() -> [TransportKind; 2] {
+    [TransportKind::Mpsc, wire()]
+}
 
 /// Bound on how long any single failure may take to surface. Generous
 /// for loaded CI, but far below the watchdog and the point of the
@@ -78,7 +90,7 @@ fn fast_retry() -> RetryPolicy {
 #[test]
 fn actor_death_at_any_stage_is_bounded_error_then_recoverable() {
     with_watchdog("actor_death_at_any_stage", || {
-        for kind in TRANSPORTS {
+        for kind in transports() {
             for stage in 0..N_STAGES {
                 let seed = 70 + stage as u64;
                 let (trainer, data) = build_trainer_on(seed, kind);
@@ -110,7 +122,7 @@ fn actor_death_at_any_stage_is_bounded_error_then_recoverable() {
 #[test]
 fn task_error_at_any_stage_drains_and_next_step_succeeds() {
     with_watchdog("task_error_at_any_stage", || {
-        for kind in TRANSPORTS {
+        for kind in transports() {
             for stage in 0..N_STAGES {
                 let seed = 80 + stage as u64;
                 let (trainer, data) = build_trainer_on(seed, kind);
@@ -137,7 +149,7 @@ fn task_error_at_any_stage_drains_and_next_step_succeeds() {
                 assert_eq!(peaks.len(), N_STAGES);
                 // The error fired at instruction 0, so no parameter was
                 // updated anywhere: the next step must succeed on the same
-                // runtime (reply-channel resync + stale-message drain) and
+                // runtime (stale-reply and stale-message drain) and
                 // reproduce the uninterrupted first step bitwise.
                 let after = trainer.step(&data).unwrap();
                 assert_eq!(
@@ -157,7 +169,7 @@ fn failing_step_then_succeeding_step_regression() {
     // mismatched variants. With epoch tagging the same runtime now runs
     // an arbitrary error→success sequence — on either fabric.
     with_watchdog("failing_then_succeeding", || {
-        for kind in TRANSPORTS {
+        for kind in transports() {
             let (trainer, data) = build_trainer_on(90, kind);
             for round in 0..3 {
                 trainer
@@ -187,7 +199,7 @@ fn recover_respawns_dead_actors_and_restores_the_trained_state() {
         let (twin, twin_data) = build_trainer(91);
         let want1 = twin.step(&twin_data).unwrap().losses;
         let want2 = twin.step(&twin_data).unwrap().losses;
-        for kind in TRANSPORTS {
+        for kind in transports() {
             let (trainer, data) = build_trainer_on(91, kind);
             // A successful recovered step commits the post-step state
             // as the restore point.
@@ -230,7 +242,7 @@ fn fault_on_a_step_fed_through_execute_leaves_no_ghost_inputs() {
         let (twin, twin_data) = build_trainer(95);
         let want1 = twin.step(&twin_data).unwrap().losses;
         let want2 = twin.step(&twin_data).unwrap().losses;
-        for kind in TRANSPORTS {
+        for kind in transports() {
             // Actor 0's `Execute` carries the data inputs; the last
             // actor's carries none and its reply the fetched losses.
             for actor in [0, N_STAGES - 1] {
@@ -292,11 +304,53 @@ fn retry_exhaustion_reports_last_error() {
     });
 }
 
+/// The incarnation rule: twenty rounds of one death each on one
+/// runtime — dying or killed, mid-step or between steps, every actor in
+/// turn — and every round is `ActorDied`, a `recover` that respawns
+/// exactly the dead actor, and a step bitwise equal to the
+/// uninterrupted one. The departure of a replaced incarnation can reach
+/// the driver after its replacement is up; it must never report the
+/// replacement dead.
+#[test]
+fn twenty_deaths_never_report_a_replacement_dead() {
+    with_watchdog("twenty_deaths", || {
+        let seed = 98;
+        let baseline = mpsc_baseline(seed);
+        let faults = [
+            Fault::DieAtInstr(1),
+            Fault::KillAtInstr(1),
+            Fault::DieNow,
+            Fault::KillNow,
+        ];
+        for kind in transports() {
+            let (trainer, data) = build_trainer_on(seed, kind);
+            for round in 0..20 {
+                let actor = round % N_STAGES;
+                let fault = faults[(round / N_STAGES) % faults.len()].clone();
+                let what = format!("{kind}/round {round}/actor {actor}/{fault:?}");
+                trainer.runtime().inject_fault(actor, fault).unwrap();
+                match trainer.step(&data) {
+                    Err(CoreError::Runtime(RuntimeError::ActorDied { .. })) => {}
+                    other => panic!("{what}: expected ActorDied, got {other:?}"),
+                }
+                let report = trainer.recover().unwrap();
+                assert_eq!(report.respawned, vec![actor], "{what}");
+                // `recover` put the initial state back fleet-wide, so
+                // every round's step is the uninterrupted first step.
+                let step = trainer
+                    .step(&data)
+                    .unwrap_or_else(|e| panic!("{what}: step after recover: {e}"));
+                assert_eq!(step.losses, baseline, "{what}: not bitwise");
+            }
+        }
+    });
+}
+
 /// Satellite regression for the step-timeout backstop: a worker that
 /// vanishes with kill -9 semantics *while the driver is blocked waiting
 /// for its reply* must surface as `ActorDied` or `Timeout` in bounded
 /// time — no abort broadcast ever comes from a SIGKILLed process, so
-/// detection rests on reply-link EOF and heartbeat silence alone. Runs
+/// detection rests on control-link EOF and heartbeat silence alone. Runs
 /// on both socket fabrics (UDS and TCP loopback).
 #[test]
 fn kill9_while_driver_awaits_reply_is_bounded_then_recoverable() {
@@ -343,7 +397,7 @@ fn kill9_while_driver_awaits_reply_is_bounded_then_recoverable() {
 fn one_way_partition_toward_driver_is_bounded_timeout_then_heals() {
     with_watchdog("partition_toward_driver", || {
         let seed = 94;
-        let (trainer, data) = build_trainer_on(seed, TransportKind::UnixSocket);
+        let (trainer, data) = build_trainer_on(seed, wire());
         let baseline = mpsc_baseline(seed);
         trainer
             .runtime()
@@ -385,7 +439,7 @@ fn store_query_toward_partitioned_worker_is_bounded_by_the_heartbeat() {
     with_watchdog("store_query_partition", || {
         let seed = 97;
         let baseline = mpsc_baseline(seed);
-        for kind in TRANSPORTS {
+        for kind in transports() {
             let (trainer, data) = build_trainer_on(seed, kind);
             let step_timeout = Duration::from_secs(6);
             trainer.runtime().set_step_timeout(step_timeout);
@@ -424,7 +478,7 @@ fn store_query_toward_partitioned_worker_is_bounded_by_the_heartbeat() {
 fn one_way_partition_between_workers_hits_step_timeout_then_heals() {
     with_watchdog("partition_between_workers", || {
         let seed = 95;
-        let (trainer, data) = build_trainer_on(seed, TransportKind::UnixSocket);
+        let (trainer, data) = build_trainer_on(seed, wire());
         let baseline = mpsc_baseline(seed);
         trainer.runtime().set_step_timeout(Duration::from_secs(3));
         trainer
@@ -464,7 +518,7 @@ fn drop_and_delay_are_bitwise_transparent_and_noops_on_mpsc() {
         let (twin, twin_data) = build_trainer(seed);
         let base1 = twin.step(&twin_data).unwrap().losses;
         let base2 = twin.step(&twin_data).unwrap().losses;
-        for kind in TRANSPORTS {
+        for kind in transports() {
             let (trainer, data) = build_trainer_on(seed, kind);
             // A clean first step establishes every data link, so the
             // injected drop below severs a *live* connection.

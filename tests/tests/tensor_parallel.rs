@@ -362,7 +362,7 @@ fn tp3_odd_ring_is_bitwise_identical_to_tp1() {
 /// broadcast ends the ring receives its peers are blocked in. kill -9 on
 /// the wire is the hard case: the endpoint is severed with no abort
 /// broadcast and no goodbye, so detection rests on closed connections,
-/// reply-link EOF and heartbeat silence alone, and recovery must
+/// control-link EOF and heartbeat silence alone, and recovery must
 /// respawn the severed endpoint. ("Carriers" in the name are the two
 /// transports; the name is older than the single carrier and is kept
 /// because the tier-1 floor list pins it.)
