@@ -7,6 +7,11 @@
 //! kernels (matmul, batched matmul, transpose) are cache-blocked and
 //! multi-threaded (see [`crate::kernels`]), with reduction orders that
 //! are bit-compatible with the naive seed kernels at any thread count.
+//! The layout and reduction kernels (broadcast, permute, `reduce_sum`,
+//! `reduce_max`) share one stride walker that moves a whole innermost
+//! row per step and does no index division; a reduction still folds
+//! each output element's inputs in ascending flat input index, so its
+//! bits are those of a per-element loop.
 //! The interpreter additionally runs elementwise ops in place when it
 //! holds the only reference to a buffer ([`Tensor::map_into`],
 //! [`Tensor::zip_into`]).
@@ -355,16 +360,8 @@ impl Tensor {
     pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
         let out_shape = self.shape.permuted(perm)?;
         let in_strides = self.shape.strides();
-        let out_strides = out_shape.strides();
-        let mut out = vec![0.0f32; self.numel()];
-        for (flat, slot) in out.iter_mut().enumerate() {
-            let mut src = 0;
-            for (axis, &p) in perm.iter().enumerate() {
-                let coord = (flat / out_strides[axis]) % out_shape.dim(axis);
-                src += coord * in_strides[p];
-            }
-            *slot = self.data[src];
-        }
+        let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+        let out = gather(&self.data, out_shape.dims(), &strides);
         Ok(Tensor::from_parts(out_shape, out))
     }
 
@@ -401,25 +398,18 @@ impl Tensor {
                 to: target,
             });
         }
-        let offset = target.rank() - self.shape.rank();
-        let src_strides = self.shape.strides();
-        let tgt_strides = target.strides();
-        let n = target.numel();
-        let mut out = vec![0.0f32; n];
-        for (flat, slot) in out.iter_mut().enumerate() {
-            let mut src_index = 0;
-            #[allow(clippy::needless_range_loop)]
-            for axis in 0..target.rank() {
-                let coord = (flat / tgt_strides[axis]) % target.dim(axis);
-                if axis >= offset {
-                    let saxis = axis - offset;
-                    if self.shape.dim(saxis) != 1 {
-                        src_index += coord * src_strides[saxis];
-                    }
-                }
-            }
-            *slot = self.data[src_index];
-        }
+        // Stride 0 on every expanded axis: prepended, or size 1 here.
+        let lead = target.rank() - self.shape.rank();
+        let strides: Vec<usize> = std::iter::repeat_n(0, lead)
+            .chain(
+                self.shape
+                    .dims()
+                    .iter()
+                    .zip(self.shape.strides())
+                    .map(|(&d, s)| if d == 1 { 0 } else { s }),
+            )
+            .collect();
+        let out = gather(&self.data, target.dims(), &strides);
         Ok(Tensor::from_parts(target, out))
     }
 
@@ -449,21 +439,31 @@ impl Tensor {
         f: impl Fn(f32, f32) -> f32,
     ) -> Result<Tensor> {
         let out_shape = self.shape.reduced(axes, keepdims)?;
-        // Shape with kept dims (size-1 on reduced axes) for index mapping.
+        // The output laid out with kept dims (size 1 on reduced axes),
+        // addressed from the input's axes: stride 0 on a reduced axis.
         let kept = self.shape.reduced(axes, true)?;
-        let kept_strides = kept.strides();
-        let src_strides = self.shape.strides();
+        let mut strides = kept.strides();
+        for &a in axes {
+            strides[a] = 0;
+        }
         let mut out = vec![init; kept.numel()];
-        for (flat, &v) in self.data.iter().enumerate() {
-            let mut idx = 0;
-            for axis in 0..self.shape.rank() {
-                let coord = (flat / src_strides[axis]) % self.shape.dim(axis);
-                if !axes.contains(&axis) {
-                    idx += coord * kept_strides[axis];
+        // The input is walked in flat order, so every output element
+        // folds its inputs in ascending flat input index — the order of a
+        // per-element loop, so the result is the same bits.
+        let len = self.shape.dims().last().map_or(1, |&d| d);
+        let last_reduced = strides.last().is_none_or(|&s| s == 0);
+        let mut start = 0;
+        for_each_row(self.shape.dims(), &strides, 0, &mut |o| {
+            let row = &self.data[start..start + len];
+            start += len;
+            if last_reduced {
+                out[o] = row.iter().fold(out[o], |acc, &x| f(acc, x));
+            } else {
+                for (y, &x) in out[o..o + len].iter_mut().zip(row) {
+                    *y = f(*y, x);
                 }
             }
-            out[idx] = f(out[idx], v);
-        }
+        });
         let t = Tensor::from_parts(kept, out);
         if keepdims {
             Ok(t)
@@ -676,6 +676,41 @@ impl fmt::Display for Tensor {
         }
         Ok(())
     }
+}
+
+/// The stride walker behind the layout and reduction kernels: calls
+/// `row(offset)` once per innermost row of a row-major walk over `dims`,
+/// in flat order, where `offset` is the row's start under `strides`
+/// (Σ coordᵢ·stridesᵢ over the outer axes) plus the `offset` passed in.
+/// Each outer axis steps the offset by its stride once per row — no
+/// division, no modulo. The row itself (the last axis's length and
+/// stride) is the caller's: a scalar or a rank-1 shape is one row.
+fn for_each_row(dims: &[usize], strides: &[usize], mut offset: usize, row: &mut impl FnMut(usize)) {
+    if dims.len() <= 1 {
+        return row(offset);
+    }
+    for _ in 0..dims[0] {
+        for_each_row(&dims[1..], &strides[1..], offset, row);
+        offset += strides[0];
+    }
+}
+
+/// The row-major buffer of shape `dims` whose element at `coord` is
+/// `src[Σ coordᵢ·stridesᵢ]`: a broadcast (stride 0 on expanded axes) or
+/// a permutation. Each row is a copy (stride 1), a fill (stride 0) or a
+/// strided loop.
+fn gather(src: &[f32], dims: &[usize], strides: &[usize]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(dims.iter().product());
+    let (len, step) = dims
+        .last()
+        .zip(strides.last())
+        .map_or((1, 0), |(&l, &s)| (l, s));
+    for_each_row(dims, strides, 0, &mut |o| match step {
+        0 => out.resize(out.len() + len, src[o]),
+        1 => out.extend_from_slice(&src[o..o + len]),
+        _ => out.extend((0..len).map(|j| src[o + j * step])),
+    });
+    out
 }
 
 /// GELU activation (tanh approximation), matching the transformer models in

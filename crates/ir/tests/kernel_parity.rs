@@ -3,12 +3,16 @@
 //! naive serial kernels on every shape — including edge tiles, unit
 //! dimensions, empty tensors, and any thread count. Bit-identity (not
 //! `allclose`) is the contract that makes pipelined training
-//! reproducible against the single-device reference. The same holds one
-//! level up: the liveness interpreter (`eval`) must equal the deep-copy
-//! + naive-kernel oracle (`eval_reference`) on a whole training graph.
+//! reproducible against the single-device reference. Broadcast, permute
+//! and the reductions must likewise equal the per-element index loops
+//! their stride walker replaced. The same holds one level up: the
+//! liveness interpreter (`eval`) must equal the deep-copy + naive-kernel
+//! oracle (`eval_reference`) on a whole training graph.
 
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_ir::{eval, eval_reference, set_num_threads, value_and_grad, GraphBuilder, Prim, Tensor};
+use raxpp_ir::{
+    eval, eval_reference, set_num_threads, value_and_grad, GraphBuilder, Prim, Shape, Tensor,
+};
 
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
 /// zeros exercise the naive kernel's zero-skip fast path, whose only
@@ -142,6 +146,165 @@ fn transpose_roundtrip_is_identity() {
         assert_eq!(back.data(), t.data());
     }
     set_num_threads(1);
+}
+
+// The per-element loops the stride walker replaced, kept here as its
+// oracle: one `(flat / stride) % dim` per output element and axis.
+
+fn permute_oracle(t: &Tensor, perm: &[usize]) -> Tensor {
+    let out_shape = t.shape().permuted(perm).unwrap();
+    let in_strides = t.shape().strides();
+    let out_strides = out_shape.strides();
+    let mut out = vec![0.0f32; t.numel()];
+    for (flat, slot) in out.iter_mut().enumerate() {
+        let mut src = 0;
+        for (axis, &p) in perm.iter().enumerate() {
+            let coord = (flat / out_strides[axis]) % out_shape.dim(axis);
+            src += coord * in_strides[p];
+        }
+        *slot = t.data()[src];
+    }
+    Tensor::from_vec(out_shape, out).unwrap()
+}
+
+fn broadcast_oracle(t: &Tensor, target: &Shape) -> Tensor {
+    let offset = target.rank() - t.shape().rank();
+    let src_strides = t.shape().strides();
+    let tgt_strides = target.strides();
+    let mut out = vec![0.0f32; target.numel()];
+    for (flat, slot) in out.iter_mut().enumerate() {
+        let mut src_index = 0;
+        for axis in 0..target.rank() {
+            let coord = (flat / tgt_strides[axis]) % target.dim(axis);
+            if axis >= offset && t.shape().dim(axis - offset) != 1 {
+                src_index += coord * src_strides[axis - offset];
+            }
+        }
+        *slot = t.data()[src_index];
+    }
+    Tensor::from_vec(target.clone(), out).unwrap()
+}
+
+fn reduce_oracle(
+    t: &Tensor,
+    axes: &[usize],
+    keepdims: bool,
+    init: f32,
+    f: impl Fn(f32, f32) -> f32,
+) -> Tensor {
+    let shape = t.shape();
+    let kept = shape.reduced(axes, true).unwrap();
+    let kept_strides = kept.strides();
+    let src_strides = shape.strides();
+    let mut out = vec![init; kept.numel()];
+    for (flat, &v) in t.data().iter().enumerate() {
+        let mut idx = 0;
+        for axis in 0..shape.rank() {
+            let coord = (flat / src_strides[axis]) % shape.dim(axis);
+            if !axes.contains(&axis) {
+                idx += coord * kept_strides[axis];
+            }
+        }
+        out[idx] = f(out[idx], v);
+    }
+    Tensor::from_vec(shape.reduced(axes, keepdims).unwrap(), out).unwrap()
+}
+
+fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}");
+}
+
+/// Dimensions of rank 0–4, each 0–5 long; zero-size and size-1 axes
+/// come up often.
+fn rand_dims(rng: &mut StdRng) -> Vec<usize> {
+    let rank = rng.gen_range(0usize..5);
+    (0..rank)
+        .map(|_| match rng.gen_range(0u64..10) {
+            0 => 0,
+            1..=3 => 1,
+            _ => rng.gen_range(2usize..6),
+        })
+        .collect()
+}
+
+/// A random ordering of `0..n` (Fisher–Yates).
+fn rand_perm(n: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..i + 1));
+    }
+    perm
+}
+
+/// The gate for the stride walker: `broadcast_to`, `permute`,
+/// `reduce_sum` and `reduce_max` are bit for bit the per-element loops
+/// above on random shapes. `eval_reference` runs these ops through the
+/// same kernels, so no whole-graph parity check can see a reordered
+/// reduction here — only this test.
+#[test]
+fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0x57_1DE);
+    for case in 0..4000 {
+        let dims = rand_dims(&mut rng);
+        let rank = dims.len();
+        let mut t = rand_tensor(&dims, &mut rng);
+
+        let perm = rand_perm(rank, &mut rng);
+        let what = format!("case {case}: permute {dims:?} by {perm:?}");
+        assert_bits_eq(
+            &t.permute(&perm).unwrap(),
+            &permute_oracle(&t, &perm),
+            &what,
+        );
+
+        // A broadcast source: a suffix of `dims`, some axes cut to 1.
+        let keep = rng.gen_range(0..rank + 1);
+        let src_dims: Vec<usize> = dims[rank - keep..]
+            .iter()
+            .map(|&d| if rng.gen_range(0u64..3) == 0 { 1 } else { d })
+            .collect();
+        let src = rand_tensor(&src_dims, &mut rng);
+        let target = Shape::new(dims.clone());
+        let what = format!("case {case}: broadcast {src_dims:?} to {dims:?}");
+        assert_bits_eq(
+            &src.broadcast_to(target.clone()).unwrap(),
+            &broadcast_oracle(&src, &target),
+            &what,
+        );
+
+        let mut axes: Vec<usize> = rand_perm(rank, &mut rng);
+        axes.truncate(rng.gen_range(0..rank + 1));
+        let keepdims = rng.gen_range(0u64..2) == 1;
+        let what = format!("case {case}: reduce_sum {dims:?} over {axes:?} (keepdims {keepdims})");
+        assert_bits_eq(
+            &t.reduce_sum(&axes, keepdims).unwrap(),
+            &reduce_oracle(&t, &axes, keepdims, 0.0, |a, x| a + x),
+            &what,
+        );
+
+        // NaN sprinkle: `f32::max` must drop a NaN operand wherever it
+        // falls in the fold; which of ±0.0 survives depends on the order.
+        let data: Vec<f32> = t
+            .data()
+            .iter()
+            .map(|&x| {
+                if rng.gen_range(0u64..6) == 0 {
+                    f32::NAN
+                } else {
+                    x
+                }
+            })
+            .collect();
+        t = Tensor::from_vec(dims.clone(), data).unwrap();
+        let what = format!("case {case}: reduce_max {dims:?} over {axes:?} (keepdims {keepdims})");
+        assert_bits_eq(
+            &t.reduce_max(&axes, keepdims).unwrap(),
+            &reduce_oracle(&t, &axes, keepdims, f32::NEG_INFINITY, f32::max),
+            &what,
+        );
+    }
 }
 
 /// The whole-graph gate (formerly a process-global "reference mode" the

@@ -21,8 +21,10 @@
 # table, the per-layer rows that explain a step-time difference — where
 # the actors' time went (four rows, then the share blocked in TP and DP
 # collectives), what tracing costs and how much of the actors' time no
-# kind accounts for (the two rows a telemetry change must quote) — so
-# the evidence a claim has to quote comes from the same
+# kind accounts for (the two rows a telemetry change must quote), then
+# the interpreter's cost per equation and the op time per primitive
+# (`ir.eval_us_per_eqn`, `ir.op_s.*`: the rows a kernel change must
+# quote) — so the evidence a claim has to quote comes from the same
 # invocation as the claim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -96,7 +98,7 @@ compare=("$package/target/release/benchmark" compare)
 status=0
 echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
-echo "==> where the actors' time went, and what observing it costs (one traced run per side)"
+echo "==> where the actors' time went, what observing it costs, and which ops took it (one traced run per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
-    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share) ' || true
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share) |ir\.(eval_us_per_eqn|op_s\.[a-z_]+) ' || true
 exit "$status"
