@@ -20,7 +20,7 @@ use std::time::Instant;
 use crate::error::{IrError, Result};
 use crate::graph::Jaxpr;
 use crate::prim::Prim;
-use crate::tensor::{gelu, gelu_grad, Tensor};
+use crate::tensor::{gelu, gelu_grad, tanh, Tensor};
 
 /// Buffer-allocator counters for one [`eval_with_stats`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,7 +70,7 @@ pub fn eval_prim(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
         Prim::Permute { perm } => inputs[0].permute(perm),
         Prim::Relu => Ok(inputs[0].map(|x| x.max(0.0))),
         Prim::Gelu => Ok(inputs[0].map(gelu)),
-        Prim::Tanh => Ok(inputs[0].map(f32::tanh)),
+        Prim::Tanh => Ok(inputs[0].map(tanh)),
         Prim::Exp => Ok(inputs[0].map(f32::exp)),
         Prim::Log => Ok(inputs[0].map(f32::ln)),
         Prim::Sqrt => Ok(inputs[0].map(f32::sqrt)),
@@ -145,7 +145,7 @@ fn eval_prim_owned(prim: &Prim, mut inputs: Vec<Tensor>, stats: &mut EvalStats) 
         }
         Prim::Relu => unary!(|x: f32| x.max(0.0)),
         Prim::Gelu => unary!(gelu),
-        Prim::Tanh => unary!(f32::tanh),
+        Prim::Tanh => unary!(tanh),
         Prim::Exp => unary!(f32::exp),
         Prim::Log => unary!(f32::ln),
         Prim::Sqrt => unary!(f32::sqrt),

@@ -12,6 +12,10 @@
 //! row per step and does no index division; a reduction still folds
 //! each output element's inputs in ascending flat input index, so its
 //! bits are those of a per-element loop.
+//! `tanh`, [`gelu`] and [`gelu_grad`] rest on one pinned rational `tanh`
+//! in plain `*`, `+`, `/` and selects (no libm call, no branch), so their
+//! bits depend on neither the C library nor the vector width, and
+//! [`Tensor::map`] over them vectorises; `exp` and `ln` are still libm.
 //! The interpreter additionally runs elementwise ops in place when it
 //! holds the only reference to a buffer ([`Tensor::map_into`],
 //! [`Tensor::zip_into`]).
@@ -713,20 +717,70 @@ fn gather(src: &[f32], dims: &[usize], strides: &[usize]) -> Vec<f32> {
     out
 }
 
-/// GELU activation (tanh approximation), matching the transformer models in
-/// the paper's workloads.
-pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+/// `|x|` from which [`tanh`] returns exactly `±1.0`. The f32 nearest to
+/// the true `tanh` is `1.0` from `13·ln 2 ≈ 9.011` on, so this costs at
+/// most one ulp on `[9, 9.011)`.
+const TANH_SAT: f32 = 9.0;
+
+/// `tanh` in plain `*`, `+`, `/` and selects — no libm call, no branch —
+/// so its bits depend on neither the C library nor the vector width, and
+/// [`Tensor::map`] over it vectorises. The odd rational `x·P(x²)/Q(x²)`
+/// on `[-7.99881, 7.99881]` is Eigen's and XLA's fast `tanh`; evaluated
+/// without FMA (Rust never contracts) it is within 7 ulp of the true
+/// `tanh` (libm's `tanhf`: 2). `|x| < 4e-4` returns `x` (exact to the
+/// ulp there, and keeps `-0.0` and subnormals), `|x| ≥ TANH_SAT` returns
+/// `±1.0` (the rational stops just short of 1), and NaN propagates
+/// through `clamp`.
+#[inline]
+pub(crate) fn tanh(x: f32) -> f32 {
+    const CLAMP: f32 = 7.998_811_7;
+    const TINY: f32 = 4e-4;
+    const P: [f32; 7] = [
+        4.893_524_6e-3,
+        6.372_619_3e-4,
+        1.485_722_4e-5,
+        5.122_297e-8,
+        -8.604_672e-11,
+        2.000_188e-13,
+        -2.760_768_5e-16,
+    ];
+    const Q: [f32; 4] = [4.893_525e-3, 2.268_434_6e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    let c = x.clamp(-CLAMP, CLAMP);
+    let c2 = c * c;
+    let p = P[0] + c2 * (P[1] + c2 * (P[2] + c2 * (P[3] + c2 * (P[4] + c2 * (P[5] + c2 * P[6])))));
+    let q = Q[0] + c2 * (Q[1] + c2 * (Q[2] + c2 * Q[3]));
+    let r = if x.abs() < TINY { x } else { c * p / q };
+    if x.abs() >= TANH_SAT {
+        1.0f32.copysign(x)
+    } else {
+        r
+    }
 }
 
-/// Derivative of [`gelu`] with respect to its input.
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+
+/// GELU activation (tanh approximation), matching the transformer models in
+/// the paper's workloads. Where `tanh` saturates to `-1` the result is
+/// selected as `-0.0`, so `gelu(-∞)` is a zero rather than `-∞ · 0`.
+pub fn gelu(x: f32) -> f32 {
+    let s = GELU_C * (x + 0.044715 * x * x * x);
+    let y = 0.5 * x * (1.0 + tanh(s));
+    if s <= -TANH_SAT {
+        -0.0
+    } else {
+        y
+    }
+}
+
+/// Derivative of [`gelu`] with respect to its input. Where `tanh`
+/// saturates the result is exactly `1` or `0`: the slope term is
+/// selected away, since past `|x| ≈ 5·10¹⁹` it is `0 · ∞`.
 pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
+    let s = GELU_C * (x + 0.044715 * x * x * x);
+    let t = tanh(s);
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    let slope = 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    0.5 * (1.0 + t) + if s.abs() >= TANH_SAT { 0.0 } else { slope }
 }
 
 #[cfg(test)]
@@ -862,6 +916,166 @@ mod tests {
                 "x={x}: {num} vs {}",
                 gelu_grad(x)
             );
+        }
+    }
+
+    /// Distance in ulps, counting across zero (`±0.0` are one point).
+    fn ulps(a: f32, b: f32) -> u64 {
+        let ordered = |x: f32| {
+            let i = x.to_bits() as i32;
+            if i < 0 {
+                i64::from(i32::MIN) - i64::from(i)
+            } else {
+                i64::from(i)
+            }
+        };
+        ordered(a).abs_diff(ordered(b))
+    }
+
+    /// Every `stride`-th non-negative f32 bit pattern in `[from, to]`.
+    fn sweep(from: f32, to: f32, stride: usize) -> impl Iterator<Item = f32> {
+        (from.to_bits()..=to.to_bits())
+            .step_by(stride)
+            .map(f32::from_bits)
+    }
+
+    #[test]
+    fn pinned_tanh_is_within_8_ulp_of_f64_tanh() {
+        // ≈ 1.07 M points: every binade from the least subnormal to 10,
+        // ≈ 8 000 points in each.
+        let mut worst = (0, 0.0);
+        for x in sweep(0.0, 10.0, 1021) {
+            let want = f64::from(x).tanh() as f32;
+            let e = ulps(tanh(x), want);
+            if e > worst.0 {
+                worst = (e, x);
+            }
+        }
+        assert!(worst.0 <= 8, "{} ulp at x = {:e}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn pinned_tanh_saturates_to_exactly_one() {
+        let big = sweep(9.1, f32::MAX, 4099).chain([f32::MAX, f32::INFINITY]);
+        for x in big {
+            assert_eq!(tanh(x).to_bits(), 1.0f32.to_bits(), "x = {x:e}");
+            assert_eq!(tanh(-x).to_bits(), (-1.0f32).to_bits(), "x = {:e}", -x);
+        }
+    }
+
+    #[test]
+    fn pinned_tanh_keeps_nan_and_signed_zero() {
+        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7fc0_1234)] {
+            assert!(tanh(nan).is_nan());
+        }
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn pinned_tanh_is_odd_in_bits() {
+        for x in sweep(0.0, f32::INFINITY, 1021) {
+            assert_eq!(tanh(-x).to_bits(), (-tanh(x)).to_bits(), "x = {x:e}");
+        }
+    }
+
+    /// The bits themselves: a hash of `tanh`, `gelu` and `gelu_grad` over
+    /// every binade, both signs. They are in-tree arithmetic, so the hash
+    /// is the same on every machine and C library, and it moves only when
+    /// the arithmetic does — a coefficient, the order of an operation, a
+    /// fused multiply-add. Change it only on purpose.
+    #[test]
+    fn activation_bits_are_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in sweep(0.0, f32::INFINITY, 4099).flat_map(|x| [x, -x]) {
+            for y in [tanh(x), gelu(x), gelu_grad(x)] {
+                h = (h ^ u64::from(y.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x83c1_6238_f973_fbd4, "activation bits moved: {h:#018x}");
+    }
+
+    #[test]
+    fn gelu_grad_is_within_1e_5_of_the_f64_derivative() {
+        // Against the f64 derivative (libm's f64 tanh). Measured worst:
+        // 5.7e-6 at x ≈ 4.86 over every f32 of [2, 8], where `1 - t²`
+        // cancels next to tanh's clamp; 5.6e-7 with libm's f32 tanh.
+        let exact = |x: f32| {
+            let x = f64::from(x);
+            let c = (2.0 / std::f64::consts::PI).sqrt();
+            let t = (c * (x + 0.044715 * x * x * x)).tanh();
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
+        };
+        // Every finite input, both signs: the slope term is selected away
+        // once tanh saturates, so no input overflows into 0 · ∞.
+        for x in sweep(0.0, f32::MAX, 1021).flat_map(|x| [x, -x]) {
+            let (g, y) = (gelu_grad(x), gelu(x));
+            assert!(g.is_finite() && y.is_finite(), "x = {x:e}: {g}, {y}");
+            let e = (f64::from(g) - exact(x)).abs();
+            assert!(e <= 1e-5, "x = {x:e}: {g} vs {} ({e:e})", exact(x));
+        }
+    }
+
+    #[test]
+    fn gelu_saturates_instead_of_returning_nan() {
+        for x in [1e20, f32::MAX, f32::INFINITY] {
+            assert_eq!(gelu_grad(x), 1.0, "x = {x:e}");
+            assert_eq!(gelu_grad(-x), 0.0, "x = {:e}", -x);
+            assert_eq!(gelu(x), x, "x = {x:e}");
+            assert_eq!(gelu(-x), 0.0, "x = {:e}", -x);
+        }
+        assert!(gelu(f32::NAN).is_nan() && gelu_grad(f32::NAN).is_nan());
+    }
+
+    /// `map` and `map_into` over an activation's fn item are the loops
+    /// the interpreter runs and LLVM vectorises in a release build; a
+    /// per-element call through `black_box` is never vectorised. Lengths
+    /// 0..=70 put every element count into both the vector body and the
+    /// scalar tail, so an instruction that differs between the two (a
+    /// fused multiply-add, an intrinsic) shows up here.
+    #[test]
+    fn activation_lanes_agree_with_scalar_calls() {
+        fn check(name: &str, f: impl Fn(f32) -> f32 + Copy, data: &[f32]) {
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let scalar: Vec<u32> = data
+                .iter()
+                .map(|&x| std::hint::black_box(f(std::hint::black_box(x))).to_bits())
+                .collect();
+            let t = Tensor::from_vec([data.len()], data.to_vec()).unwrap();
+            assert_eq!(bits(&t.map(f)), scalar, "{name}: map, n = {}", data.len());
+            let (t, reused) = t.map_into(f);
+            assert!(reused);
+            assert_eq!(bits(&t), scalar, "{name}: map_into, n = {}", data.len());
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            1e-30,
+            3e-4,
+            -0.5,
+            1.0,
+            4.0,
+            -7.999,
+            8.5,
+            9.0,
+            -20.0,
+            1e20,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(28);
+        let pool = Tensor::randn([70], 4.0, &mut rng);
+        for n in 0..=70usize {
+            let data: Vec<f32> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => specials[i / 3 % specials.len()],
+                    _ => pool.data()[i],
+                })
+                .collect();
+            check("tanh", tanh, &data);
+            check("gelu", gelu, &data);
+            check("gelu_grad", gelu_grad, &data);
         }
     }
 
