@@ -371,7 +371,6 @@ impl Fleet {
         }
         if self.meta.tp.degree() > 1 {
             m.inc("tp_collectives_total", of(Kind::Collective).1.into());
-            m.inc("tp_bytes_reduced", total.bytes_reduced());
             m.inc("tp_bytes_wire", total.bytes_wire());
             let wait = of(Kind::CollectiveWait).0;
             m.inc("tp_collective_wait_us", wait.as_micros() as u64);

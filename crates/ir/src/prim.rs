@@ -111,9 +111,7 @@ pub enum Prim {
         len: usize,
     },
     /// Embed a tensor as a block along the last axis of a larger output
-    /// filled with `value` (tensor-parallel shard re-assembly; padding
-    /// with `-0.0` keeps a subsequent exact all-reduce bitwise-neutral,
-    /// since `x + (-0.0) == x` bitwise for every `x`).
+    /// filled with `value` (the VJP of [`Prim::SliceLast`]).
     PadLast {
         /// Offset of the block along the last axis of the output.
         start: usize,

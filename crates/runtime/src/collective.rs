@@ -4,11 +4,11 @@
 //! [`gather_ring`] moves the members' contributions in `t-1` rounds of
 //! ordinary epoch-tagged sends and per-peer FIFO receives, after which
 //! every member holds all of them, rank-ascending. The combine
-//! ([`combine_collective`]), the reduce-scatter slice, the per-axis
-//! wire-byte accounting and the wait span follow in [`run_collective`].
-//! No transport is consulted and no memory is shared between actors, so
-//! mpsc ≡ socket ≡ single device, bit for bit (`docs/determinism.md`),
-//! because there is one code path.
+//! ([`combine_collective`]: concat or left fold, by kind alone), the
+//! per-axis wire-byte accounting and the wait span follow in
+//! [`run_collective`]. No transport is consulted and no memory is shared
+//! between actors, so mpsc ≡ socket ≡ single device, bit for bit
+//! (`docs/determinism.md`), because there is one code path.
 
 use std::time::{Duration, Instant};
 
@@ -21,49 +21,15 @@ use crate::kind::Kind;
 use crate::store::SendToken;
 use crate::trace::Recorder;
 
-/// Block assembly for disjoint `-0.0`-padded all-reduce contributions:
-/// bitwise-equal to the rank-ascending fold because
-/// `x + (-0.0) == x` *bit for bit* for every finite or infinite `f32`
-/// (including both zeros, under round-to-nearest), so summing the
-/// padded tensors equals copying each rank's own block into place.
-fn assemble_disjoint_blocks(parts: &[Tensor], dim: usize) -> Tensor {
-    let t = parts.len();
-    let shape = parts[0].shape().clone();
-    let full = shape.dim(dim);
-    let blk = full / t;
-    let rows = shape.numel() / full.max(1);
-    let mut out = vec![0.0f32; shape.numel()];
-    for (r, p) in parts.iter().enumerate() {
-        let data = p.data();
-        debug_assert!(
-            data.iter().enumerate().all(|(i, v)| {
-                let col = i % full;
-                (r * blk..(r + 1) * blk).contains(&col) || v.to_bits() == (-0.0f32).to_bits()
-            }),
-            "disjoint all-reduce contribution padding is not -0.0"
-        );
-        for row in 0..rows {
-            let off = row * full + r * blk;
-            out[off..off + blk].copy_from_slice(&data[off..off + blk]);
-        }
-    }
-    Tensor::from_vec(shape, out).expect("assembled buffer matches contribution shape")
-}
-
 /// Combines a group's rank-ascending contributions — concat for
-/// all-gather, left-fold sum for the reduces, with a block-assembly
-/// fast path for disjoint all-reduces (see
-/// [`assemble_disjoint_blocks`]). No rank-dependent association, so the
-/// result is bitwise-identical on every rank, on every transport, and to
-/// the unsharded program. The reduce-scatter's per-rank slice happens
-/// in [`run_collective`], not here.
+/// all-gather, left-fold sum for all-reduce. No rank-dependent
+/// association, so the result is bitwise-identical on every rank, on
+/// every transport, and to the unsharded program.
 fn combine_collective(
     kind: CollectiveKind,
     dim: usize,
     parts: &[Tensor],
-    disjoint: bool,
 ) -> Result<Tensor, String> {
-    let t = parts.len();
     let shape = parts[0].shape();
     if let Some(p) = parts.iter().find(|p| p.shape() != shape) {
         return Err(format!(
@@ -76,15 +42,7 @@ fn combine_collective(
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat(&refs, dim).map_err(|e| e.to_string())
         }
-        CollectiveKind::AllReduce
-            if disjoint
-                && shape.rank() >= 1
-                && dim == shape.rank() - 1
-                && shape.dim(dim).is_multiple_of(t) =>
-        {
-            Ok(assemble_disjoint_blocks(parts, dim))
-        }
-        CollectiveKind::AllReduce | CollectiveKind::ReduceScatter => {
+        CollectiveKind::AllReduce => {
             let mut acc = parts[0].clone();
             for p in &parts[1..] {
                 acc = acc.zip(p, |a, b| a + b).map_err(|e| e.to_string())?;
@@ -146,9 +104,13 @@ fn gather_ring(
 }
 
 /// Executes the collective at `stream[idx]` and stores its result in
-/// `dst`: gather over the ring, combine, slice, account. Returns the
+/// `dst`: gather over the ring, combine, account. Returns the
 /// collective's wire volume (its span bytes); the time blocked on peers
 /// is recorded as an interval of its own inside the instruction.
+///
+/// Kept out of line: inlined, it bloats `execute_stream`'s
+/// per-instruction loop, which every workload runs, collectives or not.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_collective(
     st: &mut ActorState,
@@ -169,32 +131,16 @@ pub(crate) fn run_collective(
     })?;
     let own = st.load(src, "collective")?;
     let numel = own.numel();
-    // Per-axis routing: DP all-reduces are true sums of different
-    // per-replica contributions (batch sharding), folded elementwise in
-    // pinned replica-ascending order — never the disjoint-assembly fast
-    // path, which assumes -0.0-padded non-overlapping blocks — what
-    // every TP all-reduce of a `shard_program` output (a program with
-    // `tp` metadata) sums. Wait/wire metrics split by axis so each
-    // mesh dimension is observable.
-    let (disjoint, wait_kind) = match axis {
-        CollectiveAxis::Dp => (false, Kind::DpCollectiveWait),
-        CollectiveAxis::Tp => (st.program.tp.is_some(), Kind::CollectiveWait),
+    // Wait/wire metrics split by axis so each mesh dimension is
+    // observable; the axis picks nothing else.
+    let wait_kind = match axis {
+        CollectiveAxis::Dp => Kind::DpCollectiveWait,
+        CollectiveAxis::Tp => Kind::CollectiveWait,
     };
     let (parts, wait) = gather_ring(st, group, wires, rank, own)?;
-    // Reduce-scatter: every member slices its own block of the
-    // accumulator.
-    let combined = combine_collective(kind, dim, &parts, disjoint)
-        .and_then(|full| match kind {
-            CollectiveKind::ReduceScatter => {
-                let blk = full.shape().dim(dim) / t;
-                full.slice_dim(dim, rank * blk, blk)
-                    .map_err(|e| e.to_string())
-            }
-            _ => Ok(full),
-        })
+    let combined = combine_collective(kind, dim, &parts)
         .map_err(|e| StreamFailure::Error(format!("{kind} {dst}: {e}")))?;
-    let reduces = !matches!(kind, CollectiveKind::AllGather);
-    let wire = rec.profile.count_collective(axis, reduces, t, numel);
+    let wire = rec.profile.count_collective(axis, t, numel);
     if let Some((start, dur)) = wait {
         rec.sub(idx, wait_kind, start, dur, 0, || {
             format!("{} (rank {rank}/{t})", wait_kind.as_str())

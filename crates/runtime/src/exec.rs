@@ -41,7 +41,6 @@ pub struct ActorProfile {
     entries: [(u64, u32); Kind::COUNT],
     // Crate-visible so the wire codec can reinstate them verbatim.
     pub(crate) alloc: EvalStats,
-    pub(crate) bytes_reduced: u64,
     pub(crate) bytes_wire: u64,
     pub(crate) dp_bytes_wire: u64,
 }
@@ -67,7 +66,6 @@ impl ActorProfile {
             self.add(kind, dur, count);
         }
         self.alloc.merge(&other.alloc);
-        self.bytes_reduced += other.bytes_reduced;
         self.bytes_wire += other.bytes_wire;
         self.dp_bytes_wire += other.dp_bytes_wire;
     }
@@ -76,21 +74,10 @@ impl ActorProfile {
     /// `t`-member group whose contribution has `numel` elements:
     /// `(t-1) × 4 × numel`, the volume of its ring exchange. Returns
     /// that volume.
-    pub(crate) fn count_collective(
-        &mut self,
-        axis: CollectiveAxis,
-        reduces: bool,
-        t: usize,
-        numel: usize,
-    ) -> u64 {
+    pub(crate) fn count_collective(&mut self, axis: CollectiveAxis, t: usize, numel: usize) -> u64 {
         let wire = (t as u64 - 1) * 4 * numel as u64;
         match axis {
-            CollectiveAxis::Tp => {
-                self.bytes_wire += wire;
-                if reduces {
-                    self.bytes_reduced += wire;
-                }
-            }
+            CollectiveAxis::Tp => self.bytes_wire += wire,
             CollectiveAxis::Dp => self.dp_bytes_wire += wire,
         }
         wire
@@ -120,19 +107,9 @@ impl ActorProfile {
         &self.alloc
     }
 
-    /// Bytes combined by tensor-parallel reduce collectives (all-reduce
-    /// and reduce-scatter) on this actor this step: `(t-1) × 4 × numel`
-    /// per collective, the wire volume of its ring exchange. All-gathers
-    /// move blocks but reduce nothing, so they do not count here (their
-    /// invocations still appear under the `"collective"` profile kind).
-    pub fn bytes_reduced(&self) -> u64 {
-        self.bytes_reduced
-    }
-
-    /// Ring wire volume of *every* tensor-parallel collective on this
-    /// actor this step — `(t-1) × 4 × numel` per collective of any
-    /// kind, including all-gathers (which move blocks without reducing
-    /// and therefore do not appear in [`ActorProfile::bytes_reduced`]).
+    /// Ring wire volume of every tensor-parallel collective on this
+    /// actor this step — `(t-1) × 4 × numel` per all-gather; invocations
+    /// appear under the `"collective"` profile kind.
     pub fn bytes_wire(&self) -> u64 {
         self.bytes_wire
     }

@@ -57,9 +57,8 @@ const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 ///   `Trainer` when elastic degraded-mode rebalancing folds lost
 ///   actors' stages onto survivors).
 /// - **3** — adds the `"collective"` span kind (one tensor-parallel
-///   ring collective — all-gather, all-reduce, or reduce-scatter —
-///   executed by one rank; `bytes` carries the rank's ring-received
-///   wire volume).
+///   ring collective, an all-gather, executed by one rank; `bytes`
+///   carries the rank's ring-received wire volume).
 /// - **4** — adds the `"collective_wait"` span kind (the time a rank
 ///   spent blocked in its ring receives waiting for its peers'
 ///   contributions — the exposed share of communication; nested inside

@@ -212,10 +212,11 @@ impl<'a> Dec<'a> {
 
     fn tensor(&mut self) -> DecResult<Tensor> {
         let rank = self.u8()? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u64()? as usize);
-        }
+        let dims: Vec<usize> = self
+            .take(8 * rank)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
+            .collect();
         // The payload must be present in full before anything is
         // allocated for it (`take` checks the checked byte count).
         let bytes = dims
@@ -476,7 +477,6 @@ fn encode_profile(e: &mut Enc, p: &ActorProfile) {
         e.u32(count);
     }
     e.stats(p.alloc_stats());
-    e.u64(p.bytes_reduced());
     e.u64(p.bytes_wire());
     e.u64(p.dp_bytes_wire());
 }
@@ -484,14 +484,19 @@ fn encode_profile(e: &mut Enc, p: &ActorProfile) {
 fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
     let n = d.u32()? as usize;
     let mut p = ActorProfile::default();
+    // The encoder writes each kind once; a repeat would add onto (and
+    // could overflow) the first one's totals.
+    let mut seen = [false; Kind::COUNT];
     for _ in 0..n {
         let kind = d.kind()?;
+        if std::mem::replace(&mut seen[kind as usize], true) {
+            return Err(format!("profile kind {} twice", kind.as_str()));
+        }
         let dur = Duration::from_nanos(d.u64()?);
         let count = d.u32()?;
         p.add(kind, dur, count);
     }
     p.alloc = d.stats()?;
-    p.bytes_reduced = d.u64()?;
     p.bytes_wire = d.u64()?;
     p.dp_bytes_wire = d.u64()?;
     Ok(p)
@@ -780,7 +785,6 @@ mod tests {
             reused: 2,
             freed: 4,
         };
-        p.bytes_reduced = 64;
         p.bytes_wire = 128;
         p.dp_bytes_wire = 16;
         let r = Reply {
@@ -919,25 +923,9 @@ mod tests {
         }
     }
 
-    /// Every frame kind the wire carries — the one-field handshake, the
-    /// heartbeat, and each envelope — decodes whole and is a typed error
-    /// at every proper prefix, never a panic or a short frame taken for
-    /// a whole one.
-    #[test]
-    fn every_frame_kind_is_a_typed_error_at_every_proper_prefix() {
-        let hello = encode_hello(7);
-        assert_eq!(decode_hello(&hello), Ok(7));
-        for len in 0..hello.len() {
-            assert!(decode_hello(&hello[..len]).is_err(), "hello prefix {len}");
-        }
-        // After the handshake, a second one is a protocol error.
-        assert!(decode(7, &hello).is_err());
-        let beat = encode_heartbeat(2);
-        assert!(
-            matches!(decode(2, &beat), Ok(None)),
-            "a heartbeat carries nothing"
-        );
-
+    /// One frame of every kind the wire carries: the one-field handshake
+    /// (from actor 7), the heartbeat (from actor 2), then each envelope.
+    fn every_frame() -> Vec<Vec<u8>> {
         let t = Tensor::from_vec(Shape::new(vec![2]), vec![0.5, -2.0]).unwrap();
         let (execute, executed) = step_frames(5);
         let reply = |kind| Payload::Reply(Reply { seq: 4, kind });
@@ -956,13 +944,33 @@ mod tests {
             reply(ReplyKind::Fetched(Err("missing".into()))),
             reply(ReplyKind::StoreBytes(64)),
         ];
-        let mut frames = vec![beat];
-        for payload in envelopes {
-            let frame = encode(&Msg { from: 1, payload }).unwrap();
-            assert!(decode(1, &frame).unwrap().is_some(), "tag {}", frame[0]);
-            frames.push(frame);
+        let mut frames = vec![encode_hello(7), encode_heartbeat(2)];
+        frames.extend(envelopes.map(|payload| encode(&Msg { from: 1, payload }).unwrap()));
+        frames
+    }
+
+    /// Every frame kind the wire carries — the one-field handshake, the
+    /// heartbeat, and each envelope — decodes whole and is a typed error
+    /// at every proper prefix, never a panic or a short frame taken for
+    /// a whole one.
+    #[test]
+    fn every_frame_kind_is_a_typed_error_at_every_proper_prefix() {
+        let frames = every_frame();
+        let hello = &frames[0];
+        assert_eq!(decode_hello(hello), Ok(7));
+        for len in 0..hello.len() {
+            assert!(decode_hello(&hello[..len]).is_err(), "hello prefix {len}");
         }
-        for frame in &frames {
+        // After the handshake, a second one is a protocol error.
+        assert!(decode(7, hello).is_err());
+        assert!(
+            matches!(decode(2, &frames[1]), Ok(None)),
+            "a heartbeat carries nothing"
+        );
+        for frame in &frames[2..] {
+            assert!(decode(1, frame).unwrap().is_some(), "tag {}", frame[0]);
+        }
+        for frame in &frames[1..] {
             for len in 0..frame.len() {
                 let got = decode(1, &frame[..len]);
                 assert!(got.is_err(), "tag {} prefix {len}", frame[0]);
@@ -974,6 +982,141 @@ mod tests {
             payload: Payload::Gone(0),
         };
         assert!(encode(&gone).is_none());
+    }
+
+    /// The largest single allocation the calling thread made while `f`
+    /// ran: the wire decoders' allocation bound, observed rather than
+    /// argued.
+    fn largest_allocation(f: impl FnOnce()) -> usize {
+        LARGEST.with(|l| l.set(0));
+        f();
+        LARGEST.with(|l| l.get())
+    }
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The system allocator, noting each thread's largest request.
+    struct NoteLargest;
+
+    fn note(size: usize) {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so `System` keeps the allocator contract; `note` neither allocates
+    // nor touches the memory.
+    unsafe impl std::alloc::GlobalAlloc for NoteLargest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's `alloc` contract, passed on.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's `alloc_zeroed` contract, passed on.
+            unsafe { std::alloc::System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, p: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+            note(size);
+            // SAFETY: `p` came from `System` (every block here does), and
+            // the caller's `realloc` contract is passed on.
+            unsafe { std::alloc::System.realloc(p, layout, size) }
+        }
+
+        unsafe fn dealloc(&self, p: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `p` came from `System` with this `layout`.
+            unsafe { std::alloc::System.dealloc(p, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: NoteLargest = NoteLargest;
+
+    /// Mutation, not only truncation: every frame of [`every_frame`]
+    /// with a seeded byte flip at every offset, with `0xFF…` written
+    /// over every 4- and 8-byte window (which covers each `u32` / `u64`
+    /// count and length field wherever it sits), and seeded splices of
+    /// every ordered pair of frames, back-to-back included. Both
+    /// decoders answer each input with `Ok` or a typed `Err` — a panic
+    /// fails the test — and no single allocation outgrows what the
+    /// input's bytes could describe (a decoded element costs at most a
+    /// few dozen bytes of memory per byte of frame; a count sized from a
+    /// `0xFF…` field would want gigabytes).
+    #[test]
+    fn every_frame_survives_byte_flips_length_edits_and_splices() {
+        use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xF1A5);
+        let frames = every_frame();
+        let mut inputs = Vec::new();
+        for frame in &frames {
+            for at in 0..frame.len() {
+                let mut flipped = frame.clone();
+                flipped[at] ^= rng.gen_range(1..256u16) as u8;
+                inputs.push(flipped);
+                for width in [4, 8] {
+                    if let Some(window) = frame.get(at..at + width) {
+                        let mut edited = frame.clone();
+                        edited[at..at + window.len()].fill(0xFF);
+                        inputs.push(edited);
+                    }
+                }
+            }
+        }
+        for a in &frames {
+            for b in &frames {
+                inputs.push([a.as_slice(), b].concat());
+                for _ in 0..8 {
+                    let head = &a[..rng.gen_range(0..a.len() + 1)];
+                    let tail = &b[rng.gen_range(0..b.len() + 1)..];
+                    inputs.push([head, tail].concat());
+                }
+            }
+        }
+        for bytes in &inputs {
+            let largest = largest_allocation(|| {
+                let _ = decode(1, bytes);
+                let _ = decode_hello(bytes);
+            });
+            let bound = 64 * bytes.len() + (16 << 10);
+            assert!(
+                largest <= bound,
+                "{largest} B for {} B: {bytes:?}",
+                bytes.len()
+            );
+        }
+    }
+
+    /// Found by the mutator: an `Executed` reply whose profile entry
+    /// count reads `0xFFFF_FFFF` took the bytes behind the one real
+    /// entry for more entries, met a kind twice and overflowed its
+    /// invocation counter. A kind may appear once.
+    #[test]
+    fn a_profile_kind_twice_is_a_typed_error() {
+        let (_, executed) = step_frames(5);
+        let mut bytes = encode_reply(&executed);
+        // Tag, seq, reply kind, result kind: the entry count follows.
+        bytes[11..15].fill(0xFF);
+        assert!(decode_reply_frame(&bytes).is_err());
+
+        let mut e = Enc::new(REPLY);
+        e.u64(1);
+        e.u8(1); // Executed
+        e.u8(0); // Ok(profile)
+        e.u32(2);
+        for _ in 0..2 {
+            e.u8(Kind::parse("fwd").unwrap() as u8);
+            e.u64(u64::MAX);
+            e.u32(u32::MAX);
+        }
+        let err = decode_reply_frame(&e.into_bytes())
+            .err()
+            .expect("a typed error");
+        assert!(err.contains("profile kind fwd twice"), "{err}");
     }
 
     #[test]

@@ -90,17 +90,15 @@ impl fmt::Display for TaskLabel {
     }
 }
 
-/// Which collective a [`Instr::Collective`] performs across its
-/// tensor-parallel group.
+/// Which collective a [`Instr::Collective`] performs across its group.
 ///
-/// Every kind is *exact* under the bitwise-determinism contract: the
-/// runtime first ring-gathers all ranks' contributions, then combines
+/// Both kinds are *exact* under the bitwise-determinism contract: the
+/// runtime first ring-gathers all members' contributions, then combines
 /// them locally in rank-ascending order with the same scalar kernels on
-/// every rank — concatenation for [`CollectiveKind::AllGather`], a
-/// left-fold elementwise sum for [`CollectiveKind::AllReduce`], the same
-/// fold followed by taking the caller's own block for
-/// [`CollectiveKind::ReduceScatter`]. No rank-dependent association, no
-/// FMA.
+/// every member — concatenation for [`CollectiveKind::AllGather`] (the
+/// tensor-parallel reassembly), a left-fold elementwise sum for
+/// [`CollectiveKind::AllReduce`] (the data-parallel gradient sum). No
+/// rank-dependent association, no FMA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Concatenate all ranks' blocks along `dim`; every rank ends with
@@ -109,9 +107,6 @@ pub enum CollectiveKind {
     /// Elementwise rank-ascending sum of all ranks' contributions; every
     /// rank ends with the identical sum.
     AllReduce,
-    /// Elementwise rank-ascending sum, after which each rank keeps only
-    /// its own equal block along `dim`.
-    ReduceScatter,
 }
 
 impl fmt::Display for CollectiveKind {
@@ -119,22 +114,15 @@ impl fmt::Display for CollectiveKind {
         match self {
             CollectiveKind::AllGather => write!(f, "all_gather"),
             CollectiveKind::AllReduce => write!(f, "all_reduce"),
-            CollectiveKind::ReduceScatter => write!(f, "reduce_scatter"),
         }
     }
 }
 
 /// Which mesh axis a [`Instr::Collective`] communicates over.
 ///
-/// The runtime uses the axis to route per-axis metrics
-/// (`bytes_wire`/`collective_wait` for TP vs `dp_bytes_wire`/
-/// `dp_collective_wait` for DP) and to pick the combine path: DP
-/// collectives are *true sums* of genuinely different per-replica
-/// contributions (each replica trains on its own slice of the global
-/// batch), folded elementwise in pinned replica-ascending order, while
-/// the TP all-reduces of a `shard_program` output (one that carries
-/// [`TpMeta`]) sum disjoint `-0.0`-padded blocks and take the
-/// block-assembly fast path.
+/// The axis routes metrics only (`bytes_wire`/`collective_wait` for TP
+/// vs `dp_bytes_wire`/`dp_collective_wait` for DP); the combine is
+/// chosen by [`CollectiveKind`] alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveAxis {
     /// Tensor-parallel rank group (the ranks of one pipeline host).
@@ -234,11 +222,9 @@ pub enum Instr {
         /// Wire buffer ids per rank (`wires.len() == group.len()`).
         wires: Vec<BufferId>,
         /// Axis along which [`CollectiveKind::AllGather`] concatenates
-        /// and [`CollectiveKind::ReduceScatter`] splits (ignored by
-        /// [`CollectiveKind::AllReduce`]).
+        /// (ignored by [`CollectiveKind::AllReduce`]).
         dim: usize,
-        /// Which mesh axis the group spans (metrics routing and the
-        /// disjoint-assembly decision).
+        /// Which mesh axis the group spans (metrics routing only).
         axis: CollectiveAxis,
     },
 }
@@ -358,14 +344,11 @@ pub struct Fetch {
 /// therefore meets its collectives in the same order — what the ring's
 /// per-pair FIFO matching relies on — and `verify_program` checks it.
 ///
-/// Every TP-axis [`CollectiveKind::AllReduce`] of such a program sums
-/// contributions with *disjoint support*: each rank's tensor is its own
-/// block padded to full width with `-0.0` (the mini-partitioner only
-/// shards matmuls on the rhs last dim, so partial results are disjoint
-/// columns, never partial sums). Since `x + (-0.0)` is bitwise `x` for
-/// every `f32` (including both zeros, under round-to-nearest), the
-/// rank-ascending fold equals block concatenation bit for bit, and the
-/// runtime assembles blocks instead of folding full tensors.
+/// Every TP-axis collective of such a program is a last-dim
+/// [`CollectiveKind::AllGather`]: the mini-partitioner only shards
+/// matmuls on the rhs last dim, so a sharded value is a set of disjoint
+/// column blocks, never partial sums, and concatenating them is the
+/// unsharded tensor bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpMeta {
     /// Tensor-parallel degree `t`: host actor `a`'s streams are

@@ -8,22 +8,16 @@
 //! `tp` ranks of a host. Sharding exists only *inside* a `Run`'s jaxpr:
 //! a mini-partitioner marks intermediate variables as block-sharded
 //! along their last axis, per-rank jaxpr variants compute just their own
-//! block, and every sharded jaxpr *output* is reassembled right after
-//! the `Run` by a collective:
+//! block, and every sharded jaxpr *output* — forward, backward or
+//! weight-gradient alike — leaves its `Run` as the rank's own block and
+//! is reassembled right after it by a last-dim
+//! [`CollectiveKind::AllGather`]. The pass emits no other collective.
 //!
-//! - forward outputs are emitted as blocks and concatenated with
-//!   [`CollectiveKind::AllGather`] (concatenation is exact);
-//! - backward / weight-gradient outputs are padded to full size with
-//!   `-0.0` ([`raxpp_ir::Prim::PadLast`]) and summed with
-//!   [`CollectiveKind::AllReduce`] — because `x + (-0.0) == x` bitwise
-//!   for every `x`, the rank-ascending sum of disjoint-support padded
-//!   blocks is bitwise-identical to the unsharded tensor.
-//!
-//! Together with full-contraction block matmuls (each output element is
-//! computed by exactly one rank with the same scalar program as the
-//! unsharded run) this makes `tp > 1` executions bitwise-identical to
-//! `tp = 1`, which is the contract `docs/parallelism.md` documents and
-//! `tests/tensor_parallel.rs` enforces.
+//! Each output element is computed by exactly one rank with the same
+//! scalar program as the unsharded run (full-contraction block matmuls),
+//! and concatenation does no arithmetic, so `tp > 1` executions are
+//! bitwise-identical to `tp = 1` — the contract `docs/parallelism.md`
+//! documents and `tests/tensor_parallel.rs` enforces.
 
 use std::collections::HashMap;
 
@@ -33,7 +27,7 @@ use raxpp_sched::TpMap;
 use crate::expand::{expand_axis, AxisRule, Fresh};
 use crate::program::{
     ActorId, BufferId, CollectiveAxis, CollectiveKind, Fetch, InputPlacement, Instr, JaxprId,
-    MpmdProgram, TaskLabel, TpMeta,
+    MpmdProgram, TpMeta,
 };
 
 /// Error raised by [`shard_program`].
@@ -77,19 +71,9 @@ enum Part {
     Sharded,
 }
 
-/// How sharded outputs of a jaxpr are reassembled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Output the local block; reassemble by all-gather (forward tasks).
-    Gather,
-    /// Output the `-0.0`-padded full tensor; reassemble by all-reduce
-    /// (backward and gradient tasks).
-    Reduce,
-}
-
 /// Reassembly required for one jaxpr outvar: `None` for replicated
-/// outputs, otherwise the collective kind and concat/split axis.
-type OutSpec = Option<(CollectiveKind, usize)>;
+/// outputs, otherwise the axis its blocks are all-gathered along.
+type OutSpec = Option<usize>;
 
 /// One jaxpr after sharding: either shared verbatim by all ranks (no
 /// shardable computation found) or one variant per rank.
@@ -213,15 +197,9 @@ fn analyze(j: &Jaxpr, t: usize) -> Vec<Part> {
     }
 }
 
-/// Generates rank `r`'s variant of `j` under `part`, returning the
-/// variant plus the reassembly spec of each outvar.
-fn shard_jaxpr(
-    j: &Jaxpr,
-    part: &[Part],
-    t: usize,
-    r: usize,
-    mode: Mode,
-) -> Result<(Jaxpr, Vec<OutSpec>), ShardError> {
+/// Generates rank `r`'s variant of `j` under `part`: a sharded outvar
+/// is returned as the rank's own block.
+fn shard_jaxpr(j: &Jaxpr, part: &[Part], t: usize, r: usize) -> Result<Jaxpr, ShardError> {
     let mut b = GraphBuilder::new();
     let mut map: HashMap<VarId, VarId> = HashMap::new();
     // Cache of block slices of replicated variables, per source var.
@@ -278,41 +256,7 @@ fn shard_jaxpr(
         };
         map.insert(eqn.output, out);
     }
-    let mut outs = Vec::with_capacity(j.outvars().len());
-    let mut specs = Vec::with_capacity(j.outvars().len());
-    for &ov in j.outvars() {
-        match part[ov.index()] {
-            Part::Full => {
-                outs.push(map[&ov]);
-                specs.push(None);
-            }
-            Part::Sharded => {
-                let shape = j.shape(ov);
-                let dim = shape.rank() - 1;
-                match mode {
-                    Mode::Gather => {
-                        outs.push(map[&ov]);
-                        specs.push(Some((CollectiveKind::AllGather, dim)));
-                    }
-                    Mode::Reduce => {
-                        let full = shape.dim(dim);
-                        let blk = full / t;
-                        let padded = b.emit(
-                            Prim::PadLast {
-                                start: r * blk,
-                                full,
-                                value: -0.0,
-                            },
-                            &[map[&ov]],
-                        )?;
-                        outs.push(padded);
-                        specs.push(Some((CollectiveKind::AllReduce, dim)));
-                    }
-                }
-            }
-        }
-    }
-    Ok((b.finish(outs)?, specs))
+    Ok(b.finish(j.outvars().iter().map(|ov| map[ov]).collect())?)
 }
 
 /// The tensor-parallel rule set of [`expand_axis`]: a `Run` of a
@@ -373,9 +317,9 @@ impl AxisRule for TpRule {
                         label: *label,
                     });
                     for (o, (spec, wires)) in outs.iter().zip(&wire_sets).enumerate() {
-                        if let (Some((kind, dim)), Some(wires)) = (spec, wires) {
+                        if let (Some(dim), Some(wires)) = (spec, wires) {
                             streams[actor].push(Instr::Collective {
-                                kind: *kind,
+                                kind: CollectiveKind::AllGather,
                                 dst: outputs[o],
                                 src: wires[r],
                                 group: group.to_vec(),
@@ -433,45 +377,23 @@ pub fn shard_program(program: &MpmdProgram, t: usize) -> Result<MpmdProgram, Sha
         return Err(ShardError::AlreadySharded);
     }
 
-    // Reassembly mode per jaxpr: gather only for jaxprs used exclusively
-    // by forward tasks (padding + all-reduce would also be correct, but
-    // gathering blocks moves `t`× less data into the pad).
-    let mut modes: Vec<Option<Mode>> = vec![None; program.jaxprs.len()];
-    for instr in program.actors.iter().flatten() {
-        if let Instr::Run { jaxpr, label, .. } = instr {
-            let m = if matches!(label, TaskLabel::Fwd { .. }) {
-                Mode::Gather
-            } else {
-                Mode::Reduce
-            };
-            let slot = &mut modes[jaxpr.0 as usize];
-            *slot = match *slot {
-                None => Some(m),
-                Some(Mode::Gather) if m == Mode::Gather => Some(Mode::Gather),
-                // Mixed forward/backward use: all-reduce reassembly is
-                // correct for both.
-                Some(_) => Some(Mode::Reduce),
-            };
-        }
-    }
-
     let mut out = MpmdProgram::default();
     let mut lowered: Vec<Lowered> = Vec::with_capacity(program.jaxprs.len());
-    for (jid, j) in program.jaxprs.iter().enumerate() {
+    for j in &program.jaxprs {
         let part = analyze(j, t);
-        let any_sharded = part.contains(&Part::Sharded);
-        let mode = modes[jid].unwrap_or(Mode::Reduce);
-        if !any_sharded || modes[jid].is_none() {
+        if !part.contains(&Part::Sharded) {
             lowered.push(Lowered::Shared(out.add_jaxpr(j.clone())));
             continue;
         }
         let mut variants = Vec::with_capacity(t);
-        let mut outs = Vec::new();
         for r in 0..t {
-            let (variant, specs) = shard_jaxpr(j, &part, t, r, mode)?;
-            variants.push(out.add_jaxpr(variant));
-            outs = specs;
+            variants.push(out.add_jaxpr(shard_jaxpr(j, &part, t, r)?));
         }
+        let outs = j
+            .outvars()
+            .iter()
+            .map(|&ov| (part[ov.index()] == Part::Sharded).then(|| j.shape(ov).rank() - 1))
+            .collect();
         lowered.push(Lowered::PerRank { variants, outs });
     }
     let mut rule = TpRule {

@@ -21,8 +21,8 @@ pub struct ProgramStats {
     pub frees: usize,
     /// Total `Copy` instructions (local moves from stage folding).
     pub copies: usize,
-    /// Total `Collective` instructions (tensor-parallel all-gather /
-    /// all-reduce / reduce-scatter participations, counted per member).
+    /// Total `Collective` instructions (tensor-parallel all-gather and
+    /// data-parallel all-reduce participations, counted per member).
     pub collectives: usize,
     /// Driver dispatches per step (1 per non-empty actor, §4.4).
     pub rpcs: usize,

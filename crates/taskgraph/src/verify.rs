@@ -365,7 +365,7 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                 use crate::program::CollectiveKind;
                 let out_shape = match kind {
                     CollectiveKind::AllReduce => shape.clone(),
-                    CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {
+                    CollectiveKind::AllGather => {
                         if *dim >= shape.rank() {
                             return Err(VerifyError::SignatureMismatch {
                                 actor: a,
@@ -374,21 +374,7 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                             });
                         }
                         let mut dims = shape.dims().to_vec();
-                        if matches!(kind, CollectiveKind::AllGather) {
-                            dims[*dim] *= t;
-                        } else {
-                            if dims[*dim] % t != 0 {
-                                return Err(VerifyError::SignatureMismatch {
-                                    actor: a,
-                                    pos,
-                                    detail: format!(
-                                        "reduce_scatter dim {dim} of {shape} not \
-                                         divisible by group size {t}"
-                                    ),
-                                });
-                            }
-                            dims[*dim] /= t;
-                        }
+                        dims[*dim] *= t;
                         Shape::new(dims)
                     }
                 };

@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx};
+use raxpp_ir::{eval, value_and_grad, Jaxpr, Prim, Tensor, TraceCtx};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
     check_send_recv_order, insert_frees, pipeline_model, shard_program, unroll_loop,
@@ -134,7 +134,6 @@ impl SeqExec {
                 kind,
                 dst,
                 src,
-                group,
                 wires,
                 dim,
                 ..
@@ -154,20 +153,14 @@ impl SeqExec {
                     return false;
                 }
                 let parts: Vec<&Tensor> = wires.iter().map(|w| &self.contribs[&w.0]).collect();
-                let rank = group.iter().position(|&g| g == actor).unwrap();
                 let combined = match kind {
                     CollectiveKind::AllGather => Tensor::concat(&parts, *dim).unwrap(),
-                    CollectiveKind::AllReduce | CollectiveKind::ReduceScatter => {
+                    CollectiveKind::AllReduce => {
                         let mut acc = parts[0].clone();
                         for p in &parts[1..] {
                             acc = acc.zip(p, |a, b| a + b).unwrap();
                         }
-                        if matches!(kind, CollectiveKind::ReduceScatter) {
-                            let blk = acc.shape().dim(*dim) / group.len();
-                            acc.slice_dim(*dim, rank * blk, blk).unwrap()
-                        } else {
-                            acc
-                        }
+                        acc
                     }
                 };
                 self.stores[actor].insert(dst.0, combined);
@@ -507,7 +500,14 @@ fn tensor_parallel_shards_are_bitwise_identical() {
             })
             .count();
         assert!(n_allgather > 0, "tp={t}: no all-gathers emitted");
-        assert!(n_allreduce > 0, "tp={t}: no all-reduces emitted");
+        assert_eq!(n_allreduce, 0, "tp={t}: all-gather is the only reassembly");
+        let n_pad = sharded
+            .jaxprs
+            .iter()
+            .flat_map(|j| j.eqns())
+            .filter(|e| matches!(e.prim, Prim::PadLast { .. }))
+            .count();
+        assert_eq!(n_pad, 0, "tp={t}: a sharded output is its own block");
         let e = SeqExec::run(&sharded, &params, &data);
         let (grads, outs) = e.fetch(&sharded);
         for (p, (g, b)) in grads.iter().zip(&base_grads).enumerate() {

@@ -21,7 +21,10 @@
 # table, the per-layer rows that explain a step-time difference — where
 # the actors' time went (four rows, then the share blocked in TP and DP
 # collectives), what tracing costs and how much of the actors' time no
-# kind accounts for (the two rows a telemetry change must quote), then
+# kind accounts for (the two rows a telemetry change must quote), the
+# traffic a step moves (`runtime.{tp,dp}_bytes_per_step`,
+# `taskgraph.{collectives,instrs}_per_step`: the rows a lowering change
+# must quote), then
 # the interpreter's cost per equation, the activations' cost per
 # element, the single-device step and the op time per primitive
 # (`ir.eval_us_per_eqn`, `ir.{tanh,gelu}_ns_per_elem`,
@@ -100,7 +103,7 @@ compare=("$package/target/release/benchmark" compare)
 status=0
 echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
-echo "==> where the actors' time went, what observing it costs, and which ops took it (one traced run per side)"
+echo "==> where the actors' time went, what observing it costs, what a step moves, and which ops took it (one traced run per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
-    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|op_s\.[a-z_]+) ' || true
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step) |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|op_s\.[a-z_]+) ' || true
 exit "$status"

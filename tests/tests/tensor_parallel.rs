@@ -11,11 +11,11 @@ use std::time::Duration;
 
 use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, TpConfig, Trainer};
 use raxpp_ir::rng::{SeedableRng, StdRng};
-use raxpp_ir::Tensor;
+use raxpp_ir::{Prim, Tensor};
 use raxpp_models::{mlp_chain, BuiltModel};
 use raxpp_runtime::{ActorProfile, Fault, StepTrace, TransportKind};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Schedule, TpMap};
-use raxpp_taskgraph::{CollectiveKind, Instr};
+use raxpp_taskgraph::{CollectiveAxis, CollectiveKind, Instr};
 
 /// The in-process fabric and a socket one: every collective rides the
 /// same message ring on both.
@@ -94,7 +94,7 @@ fn tp_training_is_bitwise_identical_across_degrees() {
                 "{} tp={tp}: one stream per (actor, rank)",
                 schedule.name()
             );
-            let n_allreduce = program
+            let n_tp_allreduce = program
                 .actors
                 .iter()
                 .flatten()
@@ -103,10 +103,17 @@ fn tp_training_is_bitwise_identical_across_degrees() {
                         i,
                         Instr::Collective {
                             kind: CollectiveKind::AllReduce,
+                            axis: CollectiveAxis::Tp,
                             ..
                         }
                     )
                 })
+                .count();
+            let n_pad = program
+                .jaxprs
+                .iter()
+                .flat_map(|j| j.eqns())
+                .filter(|e| matches!(e.prim, Prim::PadLast { .. }))
                 .count();
             let n_allgather = program
                 .actors
@@ -122,7 +129,11 @@ fn tp_training_is_bitwise_identical_across_degrees() {
                     )
                 })
                 .count();
-            assert!(n_allreduce > 0, "tp={tp}: no all-reduce lowered");
+            assert_eq!(
+                n_tp_allreduce, 0,
+                "tp={tp}: all-gather is the only reassembly"
+            );
+            assert_eq!(n_pad, 0, "tp={tp}: a sharded output is its own block");
             assert!(n_allgather > 0, "tp={tp}: no all-gather lowered");
 
             for (step, want) in base_losses.iter().enumerate() {
@@ -138,7 +149,7 @@ fn tp_training_is_bitwise_identical_across_degrees() {
                 trainer.metrics().counter("tp_collectives_total") > 0,
                 "tp={tp}: no collectives executed"
             );
-            assert!(trainer.metrics().counter("tp_bytes_reduced") > 0);
+            assert!(trainer.metrics().counter("tp_bytes_wire") > 0);
             let params = trainer.params().unwrap();
             for (p, (a, b)) in params.iter().zip(&base_params).enumerate() {
                 assert_eq!(
@@ -154,7 +165,7 @@ fn tp_training_is_bitwise_identical_across_degrees() {
 
 /// Every microbatch's stage hand-off reassembles a full activation, so a
 /// traced TP step must record at least one `collective` span per
-/// microbatch per rank — with real all-reduces among them — and tracing
+/// microbatch per rank — every one of them an all-gather — and tracing
 /// must not perturb a single bit.
 #[test]
 fn tp_step_records_collective_spans() {
@@ -183,8 +194,8 @@ fn tp_step_records_collective_spans() {
         spans.len()
     );
     assert!(
-        spans.iter().any(|n| n.starts_with("all_reduce")),
-        "no all_reduce span in {spans:?}"
+        spans.iter().all(|n| n.starts_with("all_gather")),
+        "a TP collective that is not an all_gather in {spans:?}"
     );
 }
 
