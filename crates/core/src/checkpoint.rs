@@ -514,4 +514,172 @@ mod tests {
         assert!(!tmp.exists());
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// Re-seals a mutated checkpoint: recomputes the CRC of every tensor
+    /// the (possibly mangled) length fields still place inside the body,
+    /// then the footer, so the mutation reaches the body parser instead
+    /// of stopping at a checksum.
+    fn reseal(bytes: &mut [u8]) {
+        fn tensors(body: &mut [u8]) -> Option<()> {
+            let field = |body: &[u8], at: usize, n: usize| {
+                let b = body.get(at..at.checked_add(n)?)?;
+                Some(b.iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x)))
+            };
+            let mut at = MAGIC.len() + 4 + 8; // magic, version, step
+            let count = field(body, at, 4)?;
+            at += 4;
+            for _ in 0..count {
+                let rank = field(body, at, 4)?;
+                at += 4;
+                let mut bytes = 4u64;
+                for _ in 0..rank {
+                    bytes = bytes.checked_mul(field(body, at, 8)?)?;
+                    at += 8;
+                }
+                let end = at.checked_add(usize::try_from(bytes).ok()?)?;
+                let crc = crc32(body.get(at..end)?);
+                body.get_mut(end..end + 4)?
+                    .copy_from_slice(&crc.to_le_bytes());
+                at = end + 4;
+            }
+            Some(())
+        }
+        let Some(body_len) = bytes.len().checked_sub(4) else {
+            return;
+        };
+        let (body, footer) = bytes.split_at_mut(body_len);
+        tensors(body);
+        footer.copy_from_slice(&crc32(body).to_le_bytes());
+    }
+
+    /// The largest single allocation the calling thread made while `f`
+    /// ran.
+    fn largest_allocation(f: impl FnOnce()) -> usize {
+        LARGEST.with(|l| l.set(0));
+        f();
+        LARGEST.with(|l| l.get())
+    }
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The system allocator, noting each thread's largest request.
+    struct NoteLargest;
+
+    fn note(size: usize) {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so `System` keeps the allocator contract; `note` neither allocates
+    // nor touches the memory.
+    unsafe impl std::alloc::GlobalAlloc for NoteLargest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's `alloc` contract, passed on.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's `alloc_zeroed` contract, passed on.
+            unsafe { std::alloc::System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, p: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+            note(size);
+            // SAFETY: `p` came from `System` (every block here does), and
+            // the caller's `realloc` contract is passed on.
+            unsafe { std::alloc::System.realloc(p, layout, size) }
+        }
+
+        unsafe fn dealloc(&self, p: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `p` came from `System` with this `layout`.
+            unsafe { std::alloc::System.dealloc(p, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: NoteLargest = NoteLargest;
+
+    /// Checkpoint bodies under mutation: a seeded byte flip at every
+    /// offset, `0xFF…` over every 4- and 8-byte window (every count,
+    /// rank and dimension field wherever it sits), and seeded splices of
+    /// every ordered pair of checkpoints — each re-sealed, so both
+    /// checksums pass and the body parser sees the damage. Both readers
+    /// answer every input with a checkpoint that re-encodes to exactly
+    /// those bytes or with `InvalidData`; a panic fails the test, and no
+    /// single allocation outgrows the input by more than the decoded
+    /// tensors' headers.
+    #[test]
+    fn checkpoint_bodies_survive_byte_flips_length_edits_and_splices() {
+        use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        let checkpoints = [
+            encode_checkpoint(0, &[]),
+            encode_checkpoint(
+                7,
+                &[
+                    Tensor::scalar(-0.5),
+                    Tensor::from_vec([2, 3], vec![1.0, -2.0, 3.5, 0.0, 5.0, -6.25]).unwrap(),
+                    Tensor::zeros([0, 3]),
+                    Tensor::zeros([4]),
+                ],
+            ),
+        ];
+        let mut inputs = Vec::new();
+        for ck in &checkpoints {
+            for at in 0..ck.len() {
+                let mut flipped = ck.clone();
+                flipped[at] ^= rng.gen_range(1..256u16) as u8;
+                inputs.push(flipped);
+                for width in [4, 8] {
+                    if at + width <= ck.len() {
+                        let mut edited = ck.clone();
+                        edited[at..at + width].fill(0xFF);
+                        inputs.push(edited);
+                    }
+                }
+            }
+        }
+        for a in &checkpoints {
+            for b in &checkpoints {
+                inputs.push([a.as_slice(), b].concat());
+                for _ in 0..8 {
+                    let head = &a[..rng.gen_range(0..a.len() + 1)];
+                    let tail = &b[rng.gen_range(0..b.len() + 1)..];
+                    inputs.push([head, tail].concat());
+                }
+            }
+        }
+        for bytes in &mut inputs {
+            reseal(bytes);
+        }
+        for bytes in &inputs {
+            let (mut decoded, mut loaded) = (None, None);
+            let largest = largest_allocation(|| {
+                decoded = Some(decode_checkpoint(bytes));
+                loaded = Some(load_tensors(bytes.as_slice()));
+            });
+            let bound = bytes.len() / 8 * size_of::<Tensor>() + bytes.len() + 1024;
+            assert!(
+                largest <= bound,
+                "{largest} B for {} B: {bytes:?}",
+                bytes.len()
+            );
+            match (decoded.unwrap(), loaded.unwrap()) {
+                (Ok((step, tensors)), Ok(loaded)) => {
+                    assert_eq!(encode_checkpoint(step, &tensors), *bytes);
+                    assert_eq!(encode_checkpoint(step, &loaded), *bytes);
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.kind(), io::ErrorKind::InvalidData, "{a}: {bytes:?}");
+                    assert_eq!(b.kind(), io::ErrorKind::InvalidData, "{b}: {bytes:?}");
+                }
+                (a, b) => panic!("the readers disagree: {a:?} vs {b:?}"),
+            }
+        }
+    }
 }

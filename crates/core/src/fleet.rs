@@ -302,7 +302,14 @@ impl Fleet {
         for (f, t) in out.fetched {
             match f.role {
                 FetchRole::Output { output, mubatch } => outputs[output][mubatch] = Some(t),
-                FetchRole::Grad(p) => grads[p] = Some(t),
+                // Under ZeRO-1 each replica fetches its first-dim block
+                // of the gradient, replica-ascending.
+                FetchRole::Grad(p) => {
+                    grads[p] = Some(match grads[p].take() {
+                        Some(head) => Tensor::concat(&[&head, &t], 0)?,
+                        None => t,
+                    })
+                }
             }
         }
         let all = |row: Vec<Option<Tensor>>, what| -> Vec<Tensor> {

@@ -142,12 +142,11 @@ impl Optimizer {
     /// first-dim slices are identical on every rank and ZeRO-1 composes
     /// with any `tp` degree.
     ///
-    /// Inputs: `param, grad` at full shape plus `state…` at the slice
-    /// shape; outputs: the replica's parameter *contribution* — its
-    /// updated slice padded back to full shape with `-0.0`, ready for a
-    /// replica-ascending data-parallel all-reduce to fold into the full
-    /// parameter — plus the updated state slices. Because the optimizer
-    /// math is elementwise, the assembled parameter is bitwise-identical
+    /// Inputs: `param` at full shape, then `grad` and `state…` at the
+    /// slice shape (the gradient block a data-parallel reduce-scatter
+    /// leaves this replica); outputs: the updated parameter slice and
+    /// state slices. Because the optimizer math is elementwise, the
+    /// all-gather of every replica's parameter slice is bitwise-identical
     /// to the unsharded [`Optimizer::update_jaxpr`] result.
     ///
     /// # Errors
@@ -156,27 +155,17 @@ impl Optimizer {
     /// shapes and in-range slices).
     pub fn sharded_update_jaxpr(&self, shape: &Shape, start: usize, len: usize) -> Result<Jaxpr> {
         assert!(shape.rank() >= 1, "sharded update needs rank >= 1");
-        let full = shape.dim(0);
         let mut dims = shape.dims().to_vec();
         dims[0] = len;
         let slice_shape = Shape::new(dims);
         let mut b = GraphBuilder::new();
         let p = b.input(shape.clone());
-        let g = b.input(shape.clone());
+        let g = b.input(slice_shape.clone());
         let states: Vec<VarId> = (0..self.n_state_slots())
             .map(|_| b.input(slice_shape.clone()))
             .collect();
         let ps = b.emit(Prim::SliceFirst { start, len }, &[p])?;
-        let gs = b.emit(Prim::SliceFirst { start, len }, &[g])?;
-        let mut outs = self.emit_math(&mut b, ps, gs, &states)?;
-        outs[0] = b.emit(
-            Prim::PadFirst {
-                start,
-                full,
-                value: -0.0,
-            },
-            &[outs[0]],
-        )?;
+        let outs = self.emit_math(&mut b, ps, g, &states)?;
         b.finish(outs)
     }
 }
@@ -236,9 +225,9 @@ mod tests {
 
     #[test]
     fn sharded_update_assembles_bitwise() {
-        // Folding the -0.0-padded replica contributions rank-ascending
-        // must reproduce the unsharded update bit for bit — the ZeRO-1
-        // half of the DP bitwise contract.
+        // Concatenating the replicas' updated slices rank-ascending must
+        // reproduce the unsharded update bit for bit — the ZeRO-1 half
+        // of the DP bitwise contract.
         for opt in [
             Optimizer::Sgd { lr: 0.1 },
             Optimizer::Momentum {
@@ -264,22 +253,17 @@ mod tests {
             full_in.extend(states.iter().cloned());
             let full_out = eval(&full_j, &full_in).unwrap();
 
-            let replicas = 2;
-            let mut assembled: Option<Tensor> = None;
-            for rep in 0..replicas {
-                let (start, len) = if rep == 0 { (0, 4) } else { (4, 3) };
+            let mut slices = Vec::new();
+            for (start, len) in [(0, 4), (4, 3)] {
                 let j = opt.sharded_update_jaxpr(&shape, start, len).unwrap();
                 let slice_states = opt.init_state(&Shape::new([len, 2]));
-                let mut inputs = vec![p.clone(), g.clone()];
+                let mut inputs = vec![p.clone(), g.slice_dim(0, start, len).unwrap()];
                 inputs.extend(slice_states);
-                let out = eval(&j, &inputs).unwrap();
-                assembled = Some(match assembled {
-                    None => out[0].clone(),
-                    Some(a) => a.zip(&out[0], |x, y| x + y).unwrap(),
-                });
+                slices.push(eval(&j, &inputs).unwrap().swap_remove(0));
             }
+            let slices: Vec<&Tensor> = slices.iter().collect();
             assert_eq!(
-                assembled.unwrap().data(),
+                Tensor::concat(&slices, 0).unwrap().data(),
                 full_out[0].data(),
                 "{opt:?} sharded update diverged from unsharded"
             );

@@ -353,14 +353,7 @@ fn emit_vjp(
             // full-width tensor.
             let in_shape = jaxpr.shape(inputs[0]);
             let full = in_shape.dim(in_shape.rank() - 1);
-            let da = b.emit(
-                Prim::PadLast {
-                    start,
-                    full,
-                    value: 0.0,
-                },
-                &[g],
-            )?;
+            let da = b.emit(Prim::PadLast { start, full }, &[g])?;
             accumulate(b, ct, inputs[0], da)?;
         }
         Prim::PadLast { start, .. } => {
@@ -372,14 +365,7 @@ fn emit_vjp(
         Prim::SliceFirst { start, .. } => {
             let in_shape = jaxpr.shape(inputs[0]);
             let full = in_shape.dim(0);
-            let da = b.emit(
-                Prim::PadFirst {
-                    start,
-                    full,
-                    value: 0.0,
-                },
-                &[g],
-            )?;
+            let da = b.emit(Prim::PadFirst { start, full }, &[g])?;
             accumulate(b, ct, inputs[0], da)?;
         }
         Prim::PadFirst { start, .. } => {

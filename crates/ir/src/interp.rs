@@ -86,9 +86,9 @@ pub fn eval_prim(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
             let r = inputs[0].shape().rank().max(1);
             inputs[0].slice_dim(r - 1, *start, *len)
         }
-        Prim::PadLast { start, full, value } => inputs[0].pad_last(*start, *full, *value),
+        Prim::PadLast { start, full } => inputs[0].pad_last(*start, *full),
         Prim::SliceFirst { start, len } => inputs[0].slice_dim(0, *start, *len),
-        Prim::PadFirst { start, full, value } => inputs[0].pad_first(*start, *full, *value),
+        Prim::PadFirst { start, full } => inputs[0].pad_first(*start, *full),
         // Yields are pure identity markers at run time.
         Prim::PipelineYield { .. } => Ok(inputs[0].clone()),
     }

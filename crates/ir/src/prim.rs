@@ -110,15 +110,13 @@ pub enum Prim {
         /// Block length along the last axis.
         len: usize,
     },
-    /// Embed a tensor as a block along the last axis of a larger output
-    /// filled with `value` (the VJP of [`Prim::SliceLast`]).
+    /// Embed a tensor as a block along the last axis of a larger
+    /// zero-filled output (the VJP of [`Prim::SliceLast`]).
     PadLast {
         /// Offset of the block along the last axis of the output.
         start: usize,
         /// Size of the output's last axis.
         full: usize,
-        /// Fill value outside the block.
-        value: f32,
     },
     /// Slice a contiguous block along the *first* axis (ZeRO-1
     /// optimizer-state shard extraction: the first dim is the one axis
@@ -130,17 +128,13 @@ pub enum Prim {
         /// Block length along the first axis.
         len: usize,
     },
-    /// Embed a tensor as a block along the first axis of a larger output
-    /// filled with `value` (ZeRO-1 shard re-assembly; padding with
-    /// `-0.0` keeps a subsequent exact all-reduce bitwise-neutral, since
-    /// `x + (-0.0) == x` bitwise for every `x`).
+    /// Embed a tensor as a block along the first axis of a larger
+    /// zero-filled output (the VJP of [`Prim::SliceFirst`]).
     PadFirst {
         /// Offset of the block along the first axis of the output.
         start: usize,
         /// Size of the output's first axis.
         full: usize,
-        /// Fill value outside the block.
-        value: f32,
     },
     /// Identity marker closing the current pipeline stage (paper §3.2).
     ///
@@ -389,13 +383,9 @@ impl fmt::Display for Prim {
             Prim::Reshape { shape } => write!(f, "reshape[{shape}]"),
             Prim::Fill { value, shape } => write!(f, "fill[{value}, {shape}]"),
             Prim::SliceLast { start, len } => write!(f, "slice_last[{start}, {len}]"),
-            Prim::PadLast { start, full, value } => {
-                write!(f, "pad_last[{start}, {full}, {value}]")
-            }
+            Prim::PadLast { start, full } => write!(f, "pad_last[{start}, {full}]"),
             Prim::SliceFirst { start, len } => write!(f, "slice_first[{start}, {len}]"),
-            Prim::PadFirst { start, full, value } => {
-                write!(f, "pad_first[{start}, {full}, {value}]")
-            }
+            Prim::PadFirst { start, full } => write!(f, "pad_first[{start}, {full}]"),
             Prim::PipelineYield { id, backward } => {
                 write!(
                     f,

@@ -569,17 +569,13 @@ impl Tensor {
 
     /// Embeds this tensor as the block starting at `start` along the last
     /// axis of an output whose last axis has size `full`, filling the
-    /// remainder with `value`.
-    ///
-    /// Padding with `-0.0` makes a subsequent exact elementwise sum of
-    /// disjointly-padded shards bitwise-identical to concatenation
-    /// (`x + (-0.0) == x` bitwise for every `x`, including `x == -0.0`).
+    /// remainder with zeros (the VJP of a last-axis slice).
     ///
     /// # Errors
     ///
     /// Returns [`IrError::RankMismatch`] for scalars and
     /// [`IrError::Invalid`] when the block does not fit.
-    pub fn pad_last(&self, start: usize, full: usize, value: f32) -> Result<Tensor> {
+    pub fn pad_last(&self, start: usize, full: usize) -> Result<Tensor> {
         let rank = self.shape.rank();
         if rank == 0 {
             return Err(IrError::RankMismatch {
@@ -598,7 +594,7 @@ impl Tensor {
         let rows = self.numel() / last.max(1);
         let mut dims = self.shape.dims().to_vec();
         dims[rank - 1] = full;
-        let mut out = vec![value; rows * full];
+        let mut out = vec![0.0; rows * full];
         if last > 0 {
             for r in 0..rows {
                 out[r * full + start..r * full + start + last]
@@ -610,18 +606,13 @@ impl Tensor {
 
     /// Embeds this tensor as the block starting at `start` along the
     /// *first* axis of an output whose first axis has size `full`,
-    /// filling the remainder with `value`.
-    ///
-    /// The first-dim counterpart of [`Tensor::pad_last`], used by ZeRO-1
-    /// optimizer-state sharding (the first dim is the axis tensor
-    /// parallelism never shards). The same `-0.0` padding trick applies:
-    /// summing disjointly-padded shards is bitwise concatenation.
+    /// filling the remainder with zeros (the VJP of a first-axis slice).
     ///
     /// # Errors
     ///
     /// Returns [`IrError::RankMismatch`] for scalars and
     /// [`IrError::Invalid`] when the block does not fit.
-    pub fn pad_first(&self, start: usize, full: usize, value: f32) -> Result<Tensor> {
+    pub fn pad_first(&self, start: usize, full: usize) -> Result<Tensor> {
         let rank = self.shape.rank();
         if rank == 0 {
             return Err(IrError::RankMismatch {
@@ -640,7 +631,7 @@ impl Tensor {
         let inner = self.numel() / first.max(1);
         let mut dims = self.shape.dims().to_vec();
         dims[0] = full;
-        let mut out = vec![value; full * inner];
+        let mut out = vec![0.0; full * inner];
         out[start * inner..start * inner + first * inner].copy_from_slice(&self.data);
         Ok(Tensor::from_parts(Shape::new(dims), out))
     }

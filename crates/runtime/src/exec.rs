@@ -6,7 +6,7 @@
 //! — the payload `bytes` and the interpreter's `alloc` counters — and
 //! the loop body ends in the single [`Recorder::instr`] call. Intervals
 //! *inside* an instruction (`op` from the interpreter hook, `wire`, the
-//! ring waits of [`run_collective`]) go through [`Recorder::sub`]
+//! exchange waits of [`run_collective`]) go through [`Recorder::sub`]
 //! in the order they happen. What the recorder does with a record —
 //! the profile entry, the span, the one branch on being traced — is
 //! `trace.rs`'s business; nothing here knows whether the step is traced.
@@ -70,12 +70,9 @@ impl ActorProfile {
         self.dp_bytes_wire += other.dp_bytes_wire;
     }
 
-    /// The one per-axis wire-byte accounting of a collective over a
-    /// `t`-member group whose contribution has `numel` elements:
-    /// `(t-1) × 4 × numel`, the volume of its ring exchange. Returns
-    /// that volume.
-    pub(crate) fn count_collective(&mut self, axis: CollectiveAxis, t: usize, numel: usize) -> u64 {
-        let wire = (t as u64 - 1) * 4 * numel as u64;
+    /// The one per-axis wire-byte accounting of a collective: `wire`,
+    /// the bytes this member sent in its exchange. Returns it.
+    pub(crate) fn count_collective(&mut self, axis: CollectiveAxis, wire: u64) -> u64 {
         match axis {
             CollectiveAxis::Tp => self.bytes_wire += wire,
             CollectiveAxis::Dp => self.dp_bytes_wire += wire,

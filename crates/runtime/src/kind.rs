@@ -38,8 +38,8 @@ pub enum Kind {
     Collective,
     /// One data-parallel collective executed by one replica.
     DpCollective,
-    /// The time a rank spent blocked on its tensor-parallel ring
-    /// peers, inside its [`Kind::Collective`].
+    /// The time a rank spent blocked on its tensor-parallel peers,
+    /// inside its [`Kind::Collective`].
     CollectiveWait,
     /// The data-parallel analogue of [`Kind::CollectiveWait`].
     DpCollectiveWait,

@@ -57,18 +57,19 @@ const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 ///   `Trainer` when elastic degraded-mode rebalancing folds lost
 ///   actors' stages onto survivors).
 /// - **3** — adds the `"collective"` span kind (one tensor-parallel
-///   ring collective, an all-gather, executed by one rank; `bytes`
-///   carries the rank's ring-received wire volume).
+///   collective, an all-gather, executed by one rank; `bytes` carries
+///   the rank's wire volume).
 /// - **4** — adds the `"collective_wait"` span kind (the time a rank
-///   spent blocked in its ring receives waiting for its peers'
-///   contributions — the exposed share of communication; nested inside
-///   its `"collective"` span, starting at the first receive and as long
-///   as the rounds' waits summed). The `"collective"` span's `bytes`
-///   carries the wire volume `(t-1) * 4 * numel` the ring receives.
+///   spent blocked in its exchange's receives waiting for its peers'
+///   pieces — the exposed share of communication; nested inside its
+///   `"collective"` span, starting at the first receive and as long as
+///   the receives' waits summed). The `"collective"` span's `bytes`
+///   carries the bytes the rank sent, `(t-1) * 4 * numel` for an
+///   all-gather.
 /// - **5** — adds the `"dp_collective"` and `"dp_collective_wait"`
-///   span kinds: the data-parallel gradient all-reduce between
-///   pipeline replicas and the time a replica spent blocked in its
-///   ring receives. Same shape as `"collective"`/`"collective_wait"`,
+///   span kinds: one data-parallel collective between pipeline
+///   replicas and the time a replica spent blocked in its exchange's
+///   receives. Same shape as `"collective"`/`"collective_wait"`,
 ///   separate kinds so TP and DP traffic stay distinguishable in a
 ///   3-D (dp × tp × pp) trace.
 /// - **6** — adds the `"wire"` span kind (the synchronous socket write

@@ -92,21 +92,27 @@ impl fmt::Display for TaskLabel {
 
 /// Which collective a [`Instr::Collective`] performs across its group.
 ///
-/// Both kinds are *exact* under the bitwise-determinism contract: the
-/// runtime first ring-gathers all members' contributions, then combines
-/// them locally in rank-ascending order with the same scalar kernels on
-/// every member — concatenation for [`CollectiveKind::AllGather`] (the
-/// tensor-parallel reassembly), a left-fold elementwise sum for
-/// [`CollectiveKind::AllReduce`] (the data-parallel gradient sum). No
-/// rank-dependent association, no FMA.
+/// Every kind is *exact* under the bitwise-determinism contract: each
+/// member sends every peer the piece that peer needs, then combines the
+/// pieces it received locally in rank-ascending order with the same
+/// scalar kernels on every member — concatenation for
+/// [`CollectiveKind::AllGather`], a left-fold elementwise sum for
+/// [`CollectiveKind::AllReduce`] and [`CollectiveKind::ReduceScatter`].
+/// No rank-dependent association, no FMA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
-    /// Concatenate all ranks' blocks along `dim`; every rank ends with
-    /// the full tensor.
+    /// Concatenate all ranks' blocks along `dim` (equal shapes except
+    /// on `dim`); every rank ends with the full tensor. The
+    /// tensor-parallel reassembly and ZeRO-1's parameter gather.
     AllGather,
     /// Elementwise rank-ascending sum of all ranks' contributions; every
-    /// rank ends with the identical sum.
+    /// rank ends with the identical sum. The plain data-parallel
+    /// gradient sum.
     AllReduce,
+    /// Rank `j` ends with block `j` along `dim` (the `dp_split` blocks,
+    /// which may be uneven) of the rank-ascending sum: bitwise the
+    /// all-reduce restricted to that block. ZeRO-1's gradient sum.
+    ReduceScatter,
 }
 
 impl fmt::Display for CollectiveKind {
@@ -114,6 +120,7 @@ impl fmt::Display for CollectiveKind {
         match self {
             CollectiveKind::AllGather => write!(f, "all_gather"),
             CollectiveKind::AllReduce => write!(f, "all_reduce"),
+            CollectiveKind::ReduceScatter => write!(f, "reduce_scatter"),
         }
     }
 }
@@ -200,15 +207,16 @@ pub enum Instr {
         /// Buffer to delete.
         buf: BufferId,
     },
-    /// Execute one collective across a tensor-parallel group: contribute
-    /// `src`, ring-exchange contributions with the other members of
-    /// `group` over the ordinary actor message fabric, combine them in
-    /// rank-ascending order, and store the result in `dst`.
+    /// Execute one collective across a tensor- or data-parallel group:
+    /// contribute `src`, send every other member of `group` the piece of
+    /// it that member needs over the ordinary actor message fabric,
+    /// receive one piece from each, combine them in rank-ascending
+    /// order, and store the result in `dst`.
     ///
     /// `group` lists the participating actors in rank-ascending order and
     /// contains the executing actor. `wires[r]` is the buffer id rank
-    /// `r`'s contribution travels under on the wire (each rank's `src`
-    /// *is* `wires[its own rank]`), which keeps the §4.2 per-pair FIFO
+    /// `r`'s pieces travel under on the wire (each rank's `src` *is*
+    /// `wires[its own rank]`), which keeps the §4.2 per-pair FIFO
     /// matching-order discipline intact across back-to-back collectives.
     Collective {
         /// Which collective to perform.
@@ -222,7 +230,8 @@ pub enum Instr {
         /// Wire buffer ids per rank (`wires.len() == group.len()`).
         wires: Vec<BufferId>,
         /// Axis along which [`CollectiveKind::AllGather`] concatenates
-        /// (ignored by [`CollectiveKind::AllReduce`]).
+        /// and [`CollectiveKind::ReduceScatter`] splits (ignored by
+        /// [`CollectiveKind::AllReduce`]).
         dim: usize,
         /// Which mesh axis the group spans (metrics routing only).
         axis: CollectiveAxis,
@@ -341,8 +350,8 @@ pub struct Fetch {
 /// the same kind (only buffer ids and jaxpr variants differ). `insert_frees`
 /// preserves the alignment because its pin set (placements + fetches) is
 /// a buffer-id set shared by all ranks. Every member of a group
-/// therefore meets its collectives in the same order — what the ring's
-/// per-pair FIFO matching relies on — and `verify_program` checks it.
+/// therefore meets its collectives in the same order — what the
+/// exchange's per-pair FIFO matching relies on — and `verify_program` checks it.
 ///
 /// Every TP-axis collective of such a program is a last-dim
 /// [`CollectiveKind::AllGather`]: the mini-partitioner only shards
@@ -391,8 +400,7 @@ pub struct MpmdProgram {
     pub fetches: Vec<Fetch>,
     /// Tensor-parallel structure when the program was produced by
     /// `shard_program` with degree > 1; `None` for pure-pipeline
-    /// programs and hand-built ones (the runtime then always uses the
-    /// ring collective path).
+    /// programs and hand-built ones.
     pub tp: Option<TpMeta>,
     /// Data-parallel structure when the program was produced by
     /// `replicate_program` with more than one replica; `None` otherwise.

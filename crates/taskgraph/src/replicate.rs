@@ -1,8 +1,8 @@
 //! Data-parallel replication: cloning a compiled (possibly
 //! tensor-parallel) MPMD program into `R` replica pipelines that each
 //! consume a *disjoint slice of the global batch*, with gradient paths
-//! linked by [`Instr::Collective`] all-reduces over the DP axis and
-//! optional ZeRO-1 optimizer-state sharding.
+//! linked by [`Instr::Collective`]s over the DP axis — an all-reduce, or
+//! under ZeRO-1 a reduce-scatter and an all-gather.
 //!
 //! # Batch sharding
 //!
@@ -39,27 +39,34 @@
 //! identical `Free` positions in every replica, keeping the replica
 //! streams index-aligned (so every member of a group meets its
 //! collectives in the same order, see [`TpMeta`]). The gradient
-//! all-reduce reuses the gradient buffer id itself as every replica's
+//! collective reuses the gradient buffer id itself as every replica's
 //! wire (`wires[rep] == src` on all ranks) and lands in a
 //! freshly-allocated assembled-gradient buffer shared by all replicas.
 //!
 //! # ZeRO-1
 //!
-//! With ZeRO-1 enabled, replica `rep` owns one *first-dim* slice of
-//! every optimizer-state slot: its update task consumes the full
-//! parameter and the assembled gradient but computes only its state
-//! slices and its `-0.0`-padded slice of the updated parameter; a
-//! second DP all-reduce folds the parameter contributions into the full
-//! updated parameter in place (a disjoint-block sum, bitwise equal to
-//! concatenation because `x + (-0.0) == x` for every `f32`). The first
-//! dim is sharded because it is the one axis the column-parallel tensor
+//! With ZeRO-1 enabled, replica `rep` owns one *first-dim* block
+//! ([`dp_split`]) of every optimizer-state slot, and a parameter's
+//! update is three instructions:
+//!
+//! 1. a DP reduce-scatter on dim 0 leaves replica `rep` holding block
+//!    `rep` of the gradient sum — bitwise the all-reduce's fold
+//!    restricted to that block;
+//! 2. the sharded update consumes the full parameter, the gradient
+//!    block and the state blocks and produces the parameter block and
+//!    the new state blocks (the optimizer is elementwise, so this is
+//!    the full update restricted to the block);
+//! 3. a DP all-gather on dim 0 concatenates the parameter blocks,
+//!    replica-ascending, into the parameter buffer in place.
+//!
+//! Blocks may be uneven; concatenation does not care. The first dim is
+//! sharded because it is the one axis the column-parallel tensor
 //! sharding never splits — parameters and optimizer state are
-//! full-shape replicated across TP ranks, so first-dim slices are
+//! full-shape replicated across TP ranks, so first-dim blocks are
 //! rank-uniform and ZeRO-1 composes with any `tp` degree. State
-//! placements shrink to slice shapes. Parameters whose first dimension
+//! placements shrink to block shapes. Parameters whose first dimension
 //! is smaller than `R` (and rank-0 scalars) keep replicated full-shape
-//! state: their updates are bitwise-correct without sharding, and their
-//! gradients still get the true-sum all-reduce.
+//! state and the true-sum all-reduce.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -135,13 +142,14 @@ pub fn dp_split(full: usize, replicas: usize, rep: usize) -> (usize, usize) {
 struct DpParam {
     /// Full size of the first dimension (ZeRO-1's shard axis).
     full: usize,
-    /// Collective `dim` metadata (the last axis; the true-sum fold
-    /// ignores it, AllGather-style kinds would concatenate along it).
+    /// The all-reduce's `dim` metadata (the last axis; the fold
+    /// ignores it).
     dim: usize,
-    /// The assembled-gradient buffer (same id in every replica's store).
+    /// The summed gradient, or under ZeRO-1 the replica's block of it
+    /// (same id in every replica's store).
     assembled: BufferId,
     /// ZeRO-1: per-replica sharded update jaxprs and the shared
-    /// parameter-contribution wire folded into the parameter buffer.
+    /// parameter-block wire all-gathered into the parameter buffer.
     zero1: Option<(Vec<JaxprId>, BufferId)>,
 }
 
@@ -153,13 +161,14 @@ struct DpParam {
 /// `zero1`, when provided, enables ZeRO-1 optimizer-state sharding: for
 /// each eligible parameter ([`dp_treated`]) it is called as
 /// `(param, start, len)` and must return the sharded update jaxpr with
-/// inputs `(param, grad, state-slices…)` and outputs
-/// `(-0.0-padded param contribution, state-slices…)`, where slices are
-/// the `(start, len)` *first-dim* block. The builder lives with the
-/// caller because only it knows the optimizer; `raxpp-core` supplies
-/// `Optimizer::sharded_update_jaxpr`. First-dim sharding is what lets
-/// ZeRO-1 compose with tensor parallelism: params and state are
-/// full-shape replicated across TP ranks, and TP never splits dim 0.
+/// inputs `(param, grad-slice, state-slices…)` and outputs
+/// `(param-slice, state-slices…)`, where slices are the `(start, len)`
+/// *first-dim* block and the parameter is full-shape. The builder
+/// lives with the caller because only it knows the optimizer;
+/// `raxpp-core` supplies `Optimizer::sharded_update_jaxpr`. First-dim
+/// sharding is what lets ZeRO-1 compose with tensor parallelism: params
+/// and state are full-shape replicated across TP ranks, and TP never
+/// splits dim 0.
 ///
 /// # Errors
 ///
@@ -200,10 +209,10 @@ pub fn replicate_program(
 
     // Decide the DP lowering per parameter from its Update instruction
     // (one owner per parameter; TP rank copies are identical). Every
-    // updated parameter gets a gradient all-reduce — replicas hold
-    // genuinely different gradients under batch sharding, so no shape
-    // is exempt. ZeRO-1 state sharding additionally needs a first dim
-    // wide enough to slice (`dp_treated`).
+    // updated parameter gets a gradient sum — replicas hold genuinely
+    // different gradients under batch sharding, so no shape is exempt.
+    // ZeRO-1 additionally needs a first dim wide enough to slice
+    // (`dp_treated`).
     let mut params: HashMap<usize, DpParam> = HashMap::new();
     for instr in program.actors.iter().flatten() {
         let Instr::Run {
@@ -282,9 +291,9 @@ struct DpRule {
 }
 
 impl AxisRule for DpRule {
-    /// An `Update` gains its gradient all-reduce and, under ZeRO-1, runs
-    /// the replica's sharded update followed by the parameter fold;
-    /// every other `Run` is copied.
+    /// An `Update` gains its gradient all-reduce or, under ZeRO-1, turns
+    /// into reduce-scatter → sharded update → all-gather; every other
+    /// `Run` is copied.
     fn run(&mut self, run: &Instr, group: &[ActorId], streams: &mut [Vec<Instr>]) {
         let Instr::Run {
             jaxpr,
@@ -305,54 +314,44 @@ impl AxisRule for DpRule {
             }
             return;
         };
-        let replicas = group.len();
+        // Every replica's wire is the source buffer itself (same id on
+        // all ranks — stores are per-actor).
+        let collective = |kind, dst, src, dim| Instr::Collective {
+            kind,
+            dst,
+            src,
+            group: group.to_vec(),
+            wires: vec![src; group.len()],
+            dim,
+            axis: CollectiveAxis::Dp,
+        };
+        let mut new_inputs = inputs.clone();
+        new_inputs[1] = dpp.assembled;
         for (rep, &actor) in group.iter().enumerate() {
             let s = &mut streams[actor];
-            // True-sum gradient all-reduce: the gradient buffer itself
-            // is every replica's wire (same id on all ranks — stores
-            // are per-actor), and the pinned replica-ascending fold
-            // sums the genuinely different per-replica gradients into
-            // the shared assembled buffer.
-            s.push(Instr::Collective {
-                kind: CollectiveKind::AllReduce,
-                dst: dpp.assembled,
-                src: inputs[1],
-                group: group.to_vec(),
-                wires: vec![inputs[1]; replicas],
-                dim: dpp.dim,
-                axis: CollectiveAxis::Dp,
+            // Plain DP all-reduces the gradient and updates in place;
+            // ZeRO-1 reduce-scatters it on dim 0, updates the replica's
+            // block into `slice` and all-gathers the blocks.
+            let (sum, dim, jaxpr, updated) = match &dpp.zero1 {
+                None => (CollectiveKind::AllReduce, dpp.dim, *jaxpr, outputs[0]),
+                Some((upds, slice)) => (CollectiveKind::ReduceScatter, 0, upds[rep], *slice),
+            };
+            s.push(collective(sum, dpp.assembled, inputs[1], dim));
+            let mut new_outputs = outputs.clone();
+            new_outputs[0] = updated;
+            s.push(Instr::Run {
+                jaxpr,
+                inputs: new_inputs.clone(),
+                outputs: new_outputs,
+                label: *label,
             });
-            let mut new_inputs = inputs.clone();
-            new_inputs[1] = dpp.assembled;
-            match &dpp.zero1 {
-                Some((upds, pw)) => {
-                    let mut new_outputs = outputs.clone();
-                    new_outputs[0] = *pw;
-                    s.push(Instr::Run {
-                        jaxpr: upds[rep],
-                        inputs: new_inputs,
-                        outputs: new_outputs,
-                        label: *label,
-                    });
-                    // Disjoint-block param fold: each replica
-                    // contributes its -0.0-padded first-dim slice, so
-                    // this sum is bitwise concatenation.
-                    s.push(Instr::Collective {
-                        kind: CollectiveKind::AllReduce,
-                        dst: outputs[0],
-                        src: *pw,
-                        group: group.to_vec(),
-                        wires: vec![*pw; replicas],
-                        dim: dpp.dim,
-                        axis: CollectiveAxis::Dp,
-                    });
-                }
-                None => s.push(Instr::Run {
-                    jaxpr: *jaxpr,
-                    inputs: new_inputs,
-                    outputs: outputs.clone(),
-                    label: *label,
-                }),
+            if dpp.zero1.is_some() {
+                s.push(collective(
+                    CollectiveKind::AllGather,
+                    outputs[0],
+                    updated,
+                    0,
+                ));
             }
         }
     }
@@ -389,7 +388,8 @@ impl AxisRule for DpRule {
     /// microbatch, so `Output` fetches fan out to all replicas under
     /// their global indices; gradient fetches repoint to the assembled
     /// (summed) buffer, read once from replica 0 — every replica's copy
-    /// is bitwise-identical after the pinned fold.
+    /// is bitwise-identical after the pinned fold — or, under ZeRO-1,
+    /// from every replica, each holding its block of the sum.
     fn fetch(&self, f: &Fetch, rep: usize) -> Option<Fetch> {
         let mut q = *f;
         match f.role {
@@ -399,9 +399,12 @@ impl AxisRule for DpRule {
                     mubatch: self.map.global_mubatch(rep, mubatch, self.n_mub),
                 };
             }
-            FetchRole::Grad(_) if rep > 0 => return None,
             FetchRole::Grad(param) => {
-                if let Some(dpp) = self.params.get(&param) {
+                let dpp = self.params.get(&param);
+                if rep > 0 && dpp.is_none_or(|d| d.zero1.is_none()) {
+                    return None;
+                }
+                if let Some(dpp) = dpp {
                     q.buf = dpp.assembled;
                 }
             }
@@ -680,30 +683,20 @@ mod tests {
             let mut b = GraphBuilder::new();
             let slice_shape = Shape::new([len, shape.dim(1)]);
             let pv = b.input(shape.clone());
-            let gv = b.input(shape.clone());
+            let gs = b.input(slice_shape.clone());
             let sv = b.input(slice_shape);
             let ps = b.emit(Prim::SliceFirst { start, len }, &[pv]).unwrap();
-            let gs = b.emit(Prim::SliceFirst { start, len }, &[gv]).unwrap();
             let v2 = b.emit(Prim::Add, &[sv, gs]).unwrap();
             let step = b.emit(Prim::Scale(0.1), &[v2]).unwrap();
             let p2 = b.emit(Prim::Sub, &[ps, step]).unwrap();
-            let padded = b
-                .emit(
-                    Prim::PadFirst {
-                        start,
-                        full,
-                        value: -0.0,
-                    },
-                    &[p2],
-                )
-                .unwrap();
-            b.finish(vec![padded, v2]).map_err(|e| e.to_string())
+            b.finish(vec![p2, v2]).map_err(|e| e.to_string())
         };
         let mut r = replicate_program(&p, replicas, Some(&mut build)).unwrap();
         insert_frees(&mut r);
         verify_program(&r).unwrap();
         assert!(r.dp.unwrap().zero1);
-        // Two DP collectives per replica now: grad assembly + param fold.
+        // Two DP collectives per replica now: the gradient's
+        // reduce-scatter and the parameter's all-gather.
         let dp_colls = r
             .actors
             .iter()
@@ -719,10 +712,11 @@ mod tests {
             })
             .count();
         assert_eq!(dp_colls, 2 * replicas);
-        // The param fold writes the parameter buffer itself.
+        // The all-gather writes the parameter buffer itself.
         assert!(r.actors.iter().flatten().any(|i| matches!(
             i,
             Instr::Collective {
+                kind: CollectiveKind::AllGather,
                 axis: CollectiveAxis::Dp,
                 dst,
                 ..
@@ -753,32 +747,20 @@ mod tests {
             .shape
             .clone();
         let sharded = crate::shard::shard_program(&p, 2).unwrap();
-        let full = shape.dim(0);
         let mut build = |_param: usize, start: usize, len: usize| -> Result<Jaxpr, String> {
             let mut b = GraphBuilder::new();
             let pv = b.input(shape.clone());
-            let gv = b.input(shape.clone());
+            let gs = b.input(Shape::new([len, shape.dim(1)]));
             let ps = b.emit(Prim::SliceFirst { start, len }, &[pv]).unwrap();
-            let gs = b.emit(Prim::SliceFirst { start, len }, &[gv]).unwrap();
             let step = b.emit(Prim::Scale(0.1), &[gs]).unwrap();
             let p2 = b.emit(Prim::Sub, &[ps, step]).unwrap();
-            let padded = b
-                .emit(
-                    Prim::PadFirst {
-                        start,
-                        full,
-                        value: -0.0,
-                    },
-                    &[p2],
-                )
-                .unwrap();
-            b.finish(vec![padded]).map_err(|e| e.to_string())
+            b.finish(vec![p2]).map_err(|e| e.to_string())
         };
         let mut r = replicate_program(&sharded, 2, Some(&mut build)).unwrap();
         insert_frees(&mut r);
         verify_program(&r).unwrap();
         assert!(r.dp.unwrap().zero1);
-        // Grad assembly + param fold on every TP rank of every replica.
+        // Reduce-scatter + all-gather on every TP rank of every replica.
         let dp_colls = r
             .actors
             .iter()
@@ -929,7 +911,7 @@ mod tests {
                 )
             })
             .count();
-        // One gradient all-reduce per replica, no param fold.
+        // One gradient all-reduce per replica, no all-gather.
         assert_eq!(dp_colls, 4);
         assert_eq!(r.count_runs(|l| matches!(l, TaskLabel::Update { .. })), 4);
     }

@@ -8,6 +8,13 @@
 //! * `Run` operand/result counts and shapes match the jaxpr's signature;
 //! * receives match sends in order and shape per actor pair (§4.2), and
 //!   no message is left on a wire when the step ends;
+//! * collectives are the messages the runtime exchanges: a member posts
+//!   one piece to every peer on the same per-pair FIFOs as `Send`s, then
+//!   waits until every peer's piece of the same collective is at the
+//!   head of its queue — so a collective that would pop a point-to-point
+//!   message, or a piece of another collective, is a
+//!   [`VerifyError::CommMismatch`], and one that waits on a blocked
+//!   peer is a [`VerifyError::Deadlock`];
 //! * frees hit live buffers exactly once;
 //! * every fetch target is live at the end of the step;
 //! * the streams make progress to completion (no deadlock) under the
@@ -29,7 +36,8 @@ use raxpp_sched::timeline::{walk, Deadlock};
 use raxpp_sched::{DpMap, TpMap};
 
 use crate::expand::streams_aligned;
-use crate::program::{BufferId, CollectiveAxis, Instr, MpmdProgram};
+use crate::program::{ActorId, BufferId, CollectiveAxis, CollectiveKind, Instr, MpmdProgram};
+use crate::replicate::dp_split;
 
 /// A violated program invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,6 +147,96 @@ impl From<Deadlock> for VerifyError {
     }
 }
 
+/// What identifies one collective instance on the wire: identical
+/// across the instance's members.
+type Coll<'p> = (CollectiveKind, &'p [ActorId], &'p [BufferId], usize);
+
+/// A message in flight on one directed actor pair: its wire id, its
+/// shape, and the collective it is a piece of (`None` for a `Send`).
+type Message<'p> = (BufferId, Shape, Option<Coll<'p>>);
+
+/// Checks the collective at `(actor, pos)` against its own operands and
+/// returns the actor's rank with the shape of the piece it sends each
+/// rank (its own included): the whole contribution, or that rank's
+/// [`dp_split`] block along `dim` for a reduce-scatter.
+fn collective_pieces(
+    live: &HashMap<BufferId, Shape>,
+    actor: usize,
+    pos: usize,
+    (kind, group, wires, dim): Coll<'_>,
+    src: BufferId,
+) -> Result<(usize, Vec<Shape>), VerifyError> {
+    let bad = |detail: String| VerifyError::SignatureMismatch { actor, pos, detail };
+    if group.is_empty() || wires.len() != group.len() {
+        return Err(bad(format!(
+            "collective group/wires size mismatch: {} vs {}",
+            group.len(),
+            wires.len()
+        )));
+    }
+    if !group.windows(2).all(|w| w[0] < w[1]) {
+        return Err(bad(format!(
+            "collective group {group:?} not rank-ascending"
+        )));
+    }
+    let Some(rank) = group.iter().position(|&g| g == actor) else {
+        return Err(bad(format!(
+            "actor {actor} not in its collective group {group:?}"
+        )));
+    };
+    if wires[rank] != src {
+        return Err(bad(format!(
+            "collective src {src} is not this rank's wire {}",
+            wires[rank]
+        )));
+    }
+    let Some(shape) = live.get(&src) else {
+        return Err(VerifyError::UseOfDeadBuffer {
+            actor,
+            pos,
+            buf: src,
+        });
+    };
+    if kind != CollectiveKind::AllReduce && dim >= shape.rank() {
+        return Err(bad(format!(
+            "collective dim {dim} out of range for {shape}"
+        )));
+    }
+    let t = group.len();
+    let piece = |j| match kind {
+        CollectiveKind::AllGather | CollectiveKind::AllReduce => shape.clone(),
+        CollectiveKind::ReduceScatter => {
+            let mut dims = shape.dims().to_vec();
+            dims[dim] = dp_split(dims[dim], t, j).1;
+            Shape::new(dims)
+        }
+    };
+    Ok((rank, (0..t).map(piece).collect()))
+}
+
+/// The shape a collective stores from its rank-ascending pieces: the
+/// common shape for a fold, extents summed on `dim` for a concat.
+fn combined_shape(kind: CollectiveKind, dim: usize, parts: &[Shape]) -> Result<Shape, String> {
+    let concat = kind == CollectiveKind::AllGather;
+    // A fold's pieces agree in shape, a concat's except on `dim`.
+    let off_dim = |s: &Shape| {
+        let mut dims = s.dims().to_vec();
+        if let Some(d) = dims.get_mut(dim).filter(|_| concat) {
+            *d = 0;
+        }
+        dims
+    };
+    let first = &parts[0];
+    if let Some(p) = parts.iter().find(|p| off_dim(p) != off_dim(first)) {
+        return Err(format!("{kind} pieces disagree in shape: {p} vs {first}"));
+    }
+    let mut dims = first.dims().to_vec();
+    if concat {
+        dims[dim] = parts.iter().map(|p| p.dim(dim)).sum();
+    }
+    Ok(Shape::new(dims))
+}
+
 /// Verifies `program` (see the module docs for the invariant list).
 ///
 /// # Errors
@@ -167,41 +265,10 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
     for p in &program.placements {
         live[p.actor].insert(p.buf, p.shape.clone());
     }
-    // §4.2 for collectives: every pair of actors sharing any
-    // tensor-parallel group must observe the same sequence of collective
-    // instances (identified by kind/group/wires/dim — identical across
-    // the instance's ranks), else their ring exchanges would cross-match.
-    for a in 0..n {
-        for b in a + 1..n {
-            let seq = |me: usize, peer: usize| {
-                program.actors[me]
-                    .iter()
-                    .filter_map(|i| match i {
-                        Instr::Collective {
-                            kind,
-                            group,
-                            wires,
-                            dim,
-                            ..
-                        } if group.contains(&peer) => Some((kind, group, wires, dim)),
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            if seq(a, b) != seq(b, a) {
-                return Err(VerifyError::CommMismatch {
-                    actor: b,
-                    pos: 0,
-                    detail: format!(
-                        "actors {a} and {b} disagree on their shared collective sequence"
-                    ),
-                });
-            }
-        }
-    }
-
-    // In-flight messages per directed pair.
-    let mut wires: HashMap<(usize, usize), VecDeque<(BufferId, Shape)>> = HashMap::new();
+    // In-flight messages per directed pair, and the position of the
+    // collective each actor has posted its pieces for.
+    let mut wires: HashMap<(usize, usize), VecDeque<Message>> = HashMap::new();
+    let mut posted: Vec<Option<usize>> = vec![None; n];
     let lens: Vec<usize> = program.actors.iter().map(Vec::len).collect();
     walk(&lens, |a, pos| {
         match &program.actors[a][pos] {
@@ -256,10 +323,8 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                         buf: *buf,
                     });
                 };
-                wires
-                    .entry((a, *to))
-                    .or_default()
-                    .push_back((*buf, shape.clone()));
+                let message = (*buf, shape.clone(), None);
+                wires.entry((a, *to)).or_default().push_back(message);
             }
             Instr::Recv {
                 buf,
@@ -268,15 +333,20 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                 shape,
             } => {
                 let queue = wires.entry((*from, a)).or_default();
-                let Some((id, wire_shape)) = queue.front() else {
+                let Some((id, wire_shape, coll)) = queue.front() else {
                     return Ok(false); // wait for the sender
                 };
-                if id != src {
+                if id != src || coll.is_some() {
+                    let piece = if coll.is_some() {
+                        "a collective piece "
+                    } else {
+                        ""
+                    };
                     return Err(VerifyError::CommMismatch {
                         actor: a,
                         pos,
                         detail: format!(
-                            "expected {src} from actor {from}, wire has {id} \
+                            "expected {src} from actor {from}, wire has {piece}{id} \
                              (§4.2 order violated)"
                         ),
                     });
@@ -319,65 +389,46 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                 dim,
                 ..
             } => {
-                if group.is_empty() || coll_wires.len() != group.len() {
-                    return Err(VerifyError::SignatureMismatch {
-                        actor: a,
-                        pos,
-                        detail: format!(
-                            "collective group/wires size mismatch: {} vs {}",
-                            group.len(),
-                            coll_wires.len()
-                        ),
-                    });
-                }
-                if !group.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(VerifyError::SignatureMismatch {
-                        actor: a,
-                        pos,
-                        detail: format!("collective group {group:?} not rank-ascending"),
-                    });
-                }
-                let Some(rank) = group.iter().position(|&g| g == a) else {
-                    return Err(VerifyError::SignatureMismatch {
-                        actor: a,
-                        pos,
-                        detail: format!("actor {a} not in its collective group {group:?}"),
-                    });
-                };
-                if coll_wires[rank] != *src {
-                    return Err(VerifyError::SignatureMismatch {
-                        actor: a,
-                        pos,
-                        detail: format!(
-                            "collective src {src} is not this rank's wire {}",
-                            coll_wires[rank]
-                        ),
-                    });
-                }
-                let Some(shape) = live[a].get(src) else {
-                    return Err(VerifyError::UseOfDeadBuffer {
-                        actor: a,
-                        pos,
-                        buf: *src,
-                    });
-                };
-                let t = group.len();
-                use crate::program::CollectiveKind;
-                let out_shape = match kind {
-                    CollectiveKind::AllReduce => shape.clone(),
-                    CollectiveKind::AllGather => {
-                        if *dim >= shape.rank() {
-                            return Err(VerifyError::SignatureMismatch {
-                                actor: a,
-                                pos,
-                                detail: format!("collective dim {dim} out of range for {shape}"),
-                            });
-                        }
-                        let mut dims = shape.dims().to_vec();
-                        dims[*dim] *= t;
-                        Shape::new(dims)
+                let coll: Coll = (*kind, group, coll_wires, *dim);
+                let (rank, pieces) = collective_pieces(&live[a], a, pos, coll, *src)?;
+                if posted[a] != Some(pos) {
+                    posted[a] = Some(pos);
+                    for (j, piece) in pieces.iter().enumerate().filter(|&(j, _)| j != rank) {
+                        let message = (*src, piece.clone(), Some(coll));
+                        wires.entry((a, group[j])).or_default().push_back(message);
                     }
+                }
+                // Wait until every peer's piece of this collective heads
+                // its queue to us; anything else there is a mismatch.
+                let mismatch = |detail| VerifyError::CommMismatch {
+                    actor: a,
+                    pos,
+                    detail,
                 };
+                for &peer in group.iter().filter(|&&peer| peer != a) {
+                    let head = wires.get(&(peer, a)).and_then(VecDeque::front);
+                    let Some((id, _, piece_of)) = head else {
+                        return Ok(false);
+                    };
+                    if *piece_of != Some(coll) {
+                        return Err(mismatch(format!(
+                            "{kind} expects a piece from actor {peer}, wire has {id} \
+                             (§4.2 order violated)"
+                        )));
+                    }
+                }
+                let parts: Vec<Shape> = group
+                    .iter()
+                    .zip(pieces)
+                    .map(|(&peer, own)| {
+                        if peer == a {
+                            return own;
+                        }
+                        let queue = wires.get_mut(&(peer, a)).expect("checked above");
+                        queue.pop_front().expect("checked above").1
+                    })
+                    .collect();
+                let out_shape = combined_shape(*kind, *dim, &parts).map_err(mismatch)?;
                 live[a].insert(*dst, out_shape);
             }
         }
@@ -415,7 +466,7 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::model::pipeline_model;
-    use crate::program::{Fetch, FetchRole, JaxprId, TaskLabel};
+    use crate::program::{Fetch, FetchRole, InputPlacement, InputSource, JaxprId, TaskLabel};
     use crate::unroll::{insert_frees, unroll_loop, UnrollOptions};
     use raxpp_ir::{GraphBuilder, Prim, TraceCtx};
     use raxpp_sched::{one_f1b, zero_bubble_h1};
@@ -587,6 +638,159 @@ mod tests {
         assert!(matches!(
             verify_program(&p),
             Err(VerifyError::MissingFetch { .. })
+        ));
+    }
+
+    /// `streams` over actors that each hold buffer 0 at `shape`.
+    fn hand_program(shape: [usize; 2], streams: Vec<Vec<Instr>>) -> MpmdProgram {
+        let placements = (0..streams.len()).map(|actor| InputPlacement {
+            buf: BufferId(0),
+            actor,
+            shape: Shape::new(shape),
+            source: InputSource::Param(0),
+        });
+        MpmdProgram {
+            placements: placements.collect(),
+            actors: streams,
+            ..MpmdProgram::default()
+        }
+    }
+
+    /// A dim-0 collective of buffer 0 over `group` into `dst`.
+    fn collective(kind: CollectiveKind, group: &[usize], dst: u32) -> Instr {
+        Instr::Collective {
+            kind,
+            dst: BufferId(dst),
+            src: BufferId(0),
+            group: group.to_vec(),
+            wires: vec![BufferId(0); group.len()],
+            dim: 0,
+            axis: CollectiveAxis::Dp,
+        }
+    }
+
+    fn send(to: usize) -> Instr {
+        Instr::Send {
+            buf: BufferId(0),
+            to,
+        }
+    }
+
+    fn recv(from: usize) -> Instr {
+        Instr::Recv {
+            buf: BufferId(9),
+            src: BufferId(0),
+            from,
+            shape: Shape::new([2, 2]),
+        }
+    }
+
+    /// Uneven blocks verify: a reduce-scatter of five rows over three
+    /// members leaves blocks of 2, 2 and 1 rows, and the all-gather of
+    /// those blocks is the five rows again.
+    #[test]
+    fn uneven_reduce_scatter_and_all_gather_verify() {
+        let mut b = GraphBuilder::new();
+        let x = b.input([5, 2]);
+        let y = b.emit(Prim::Neg, &[x]).unwrap();
+        let neg = b.finish(vec![y]).unwrap();
+        let group = [0, 1, 2];
+        let stream = |_| {
+            vec![
+                collective(CollectiveKind::ReduceScatter, &group, 1),
+                Instr::Collective {
+                    kind: CollectiveKind::AllGather,
+                    dst: BufferId(2),
+                    src: BufferId(1),
+                    group: group.to_vec(),
+                    wires: vec![BufferId(1); 3],
+                    dim: 0,
+                    axis: CollectiveAxis::Dp,
+                },
+                Instr::Run {
+                    jaxpr: JaxprId(0),
+                    inputs: vec![BufferId(2)],
+                    outputs: vec![BufferId(3)],
+                    label: TaskLabel::Update { param: 0 },
+                },
+            ]
+        };
+        let mut p = hand_program([5, 2], (0..3).map(stream).collect());
+        p.add_jaxpr(neg);
+        verify_program(&p).unwrap();
+        // Pieces that disagree off `dim` are rejected.
+        p.placements[2].shape = Shape::new([5, 3]);
+        assert!(matches!(
+            verify_program(&p),
+            Err(VerifyError::CommMismatch {
+                actor: 2,
+                pos: 0,
+                ..
+            })
+        ));
+    }
+
+    /// Member 1 sends to member 0 ahead of their shared collective and
+    /// member 0 receives it after: at run time member 0's collective
+    /// would pop the point-to-point message as member 1's piece.
+    #[test]
+    fn collective_behind_a_p2p_message_is_a_comm_mismatch() {
+        let group = [0, 1];
+        let p = hand_program(
+            [2, 2],
+            vec![
+                vec![collective(CollectiveKind::AllReduce, &group, 1), recv(1)],
+                vec![send(0), collective(CollectiveKind::AllReduce, &group, 1)],
+            ],
+        );
+        match verify_program(&p) {
+            Err(VerifyError::CommMismatch {
+                actor: 0, pos: 0, ..
+            }) => {}
+            other => panic!("expected the collective to meet the p2p message, got {other:?}"),
+        }
+    }
+
+    /// Member 0 waits in a collective on member 1, which waits on a
+    /// `Recv` that actor 2 sends only after a collective with member 0
+    /// — a cycle that would hang until the step timeout.
+    #[test]
+    fn collective_waiting_on_a_blocked_peer_is_a_deadlock() {
+        let p = hand_program(
+            [2, 2],
+            vec![
+                vec![
+                    collective(CollectiveKind::AllReduce, &[0, 1], 1),
+                    collective(CollectiveKind::AllReduce, &[0, 2], 2),
+                ],
+                vec![recv(2), collective(CollectiveKind::AllReduce, &[0, 1], 1)],
+                vec![collective(CollectiveKind::AllReduce, &[0, 2], 2), send(1)],
+            ],
+        );
+        assert_eq!(
+            verify_program(&p),
+            Err(VerifyError::Deadlock {
+                stuck: vec![(0, 0), (1, 0), (2, 0)]
+            })
+        );
+    }
+
+    /// Two members that meet their shared collectives in different
+    /// orders each find the other collective's piece at the head of
+    /// the wire.
+    #[test]
+    fn collectives_in_different_orders_are_a_comm_mismatch() {
+        let (first, second) = (
+            collective(CollectiveKind::AllReduce, &[0, 1], 1),
+            collective(CollectiveKind::AllGather, &[0, 1], 2),
+        );
+        let p = hand_program(
+            [2, 2],
+            vec![vec![first.clone(), second.clone()], vec![second, first]],
+        );
+        assert!(matches!(
+            verify_program(&p),
+            Err(VerifyError::CommMismatch { .. })
         ));
     }
 }

@@ -5,12 +5,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use raxpp_ir::{eval, value_and_grad, Jaxpr, Prim, Tensor, TraceCtx};
+use raxpp_ir::{eval, value_and_grad, GraphBuilder, Jaxpr, Prim, Shape, Tensor, TraceCtx};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, shard_program, unroll_loop,
-    CollectiveKind, CompiledLoop, FetchRole, InputSource, Instr, MpmdProgram, TaskLabel,
-    UnrollOptions,
+    check_send_recv_order, dp_split, insert_frees, pipeline_model, replicate_program,
+    shard_program, unroll_loop, verify_program, CollectiveKind, CompiledLoop, FetchRole,
+    InputSource, Instr, MpmdProgram, TaskLabel, UnrollOptions,
 };
 
 /// Sequential reference executor for MPMD programs: runs each actor's
@@ -19,9 +19,9 @@ use raxpp_taskgraph::{
 struct SeqExec {
     stores: Vec<HashMap<u32, Tensor>>,
     queues: HashMap<(usize, usize), VecDeque<(u32, Tensor)>>,
-    /// Collective contributions by wire id (wire ids are globally
-    /// unique, so one pool serves every group).
-    contribs: HashMap<u32, Tensor>,
+    /// Collective contributions by `(actor, wire id)` (data-parallel
+    /// replicas share wire ids, actors do not).
+    contribs: HashMap<(usize, u32), Tensor>,
 }
 
 impl SeqExec {
@@ -134,33 +134,44 @@ impl SeqExec {
                 kind,
                 dst,
                 src,
+                group,
                 wires,
                 dim,
                 ..
             } => {
                 // Phase 1: publish our own contribution (idempotent —
                 // the step may be retried while peers catch up).
-                if !self.contribs.contains_key(&src.0) {
+                if !self.contribs.contains_key(&(actor, src.0)) {
                     let t = self.stores[actor]
                         .get(&src.0)
                         .expect("collective of missing buffer")
                         .clone();
-                    self.contribs.insert(src.0, t);
+                    self.contribs.insert((actor, src.0), t);
                 }
                 // Phase 2: wait for every rank, then combine in
                 // rank-ascending order exactly like the runtime.
-                if !wires.iter().all(|w| self.contribs.contains_key(&w.0)) {
+                let keys: Vec<(usize, u32)> =
+                    group.iter().zip(wires).map(|(&m, w)| (m, w.0)).collect();
+                if !keys.iter().all(|k| self.contribs.contains_key(k)) {
                     return false;
                 }
-                let parts: Vec<&Tensor> = wires.iter().map(|w| &self.contribs[&w.0]).collect();
+                let parts: Vec<&Tensor> = keys.iter().map(|k| &self.contribs[k]).collect();
+                let fold = |parts: Vec<Tensor>| {
+                    let mut acc = parts[0].clone();
+                    for p in &parts[1..] {
+                        acc = acc.zip(p, |a, b| a + b).unwrap();
+                    }
+                    acc
+                };
                 let combined = match kind {
                     CollectiveKind::AllGather => Tensor::concat(&parts, *dim).unwrap(),
-                    CollectiveKind::AllReduce => {
-                        let mut acc = parts[0].clone();
-                        for p in &parts[1..] {
-                            acc = acc.zip(p, |a, b| a + b).unwrap();
-                        }
-                        acc
+                    CollectiveKind::AllReduce => fold(parts.into_iter().cloned().collect()),
+                    CollectiveKind::ReduceScatter => {
+                        // This rank's block of every contribution.
+                        let rank = group.iter().position(|&m| m == actor).unwrap();
+                        let (start, len) = dp_split(parts[0].shape().dim(*dim), group.len(), rank);
+                        let blocks = parts.iter().map(|p| p.slice_dim(*dim, start, len).unwrap());
+                        fold(blocks.collect())
                     }
                 };
                 self.stores[actor].insert(dst.0, combined);
@@ -169,6 +180,9 @@ impl SeqExec {
         }
     }
 
+    /// The fetched gradients (a gradient fetched from several replicas
+    /// is their first-dim blocks, concatenated replica-ascending) and
+    /// outputs.
     fn fetch(&self, program: &MpmdProgram) -> (Vec<Tensor>, HashMap<(usize, usize), Tensor>) {
         let mut grads: HashMap<usize, Tensor> = HashMap::new();
         let mut outputs = HashMap::new();
@@ -179,6 +193,10 @@ impl SeqExec {
                 .clone();
             match f.role {
                 FetchRole::Grad(p) => {
+                    let t = match grads.remove(&p) {
+                        Some(head) => Tensor::concat(&[&head, &t], 0).unwrap(),
+                        None => t,
+                    };
                     grads.insert(p, t);
                 }
                 FetchRole::Output { output, mubatch } => {
@@ -532,4 +550,114 @@ fn task_counts_match_schedule() {
         .count_runs(|l| matches!(l, TaskLabel::Bwd { .. }));
     assert_eq!(fwd, 4 * 4); // stages × microbatches
     assert_eq!(bwd, 4 * 4);
+}
+
+/// Appends a plain SGD update of every fetched gradient to the actor
+/// that holds it, as the optimizer does after the loop.
+fn with_sgd_updates(mut p: MpmdProgram) -> MpmdProgram {
+    let grads: Vec<_> = p
+        .fetches
+        .iter()
+        .filter_map(|f| match f.role {
+            FetchRole::Grad(param) => Some((param, f.buf, f.actor)),
+            FetchRole::Output { .. } => None,
+        })
+        .collect();
+    for (param, grad, actor) in grads {
+        let pl = p
+            .placements
+            .iter()
+            .find(|pl| pl.source == InputSource::Param(param) && pl.actor == actor)
+            .unwrap();
+        let (pbuf, shape) = (pl.buf, pl.shape.clone());
+        let mut b = GraphBuilder::new();
+        let pv = b.input(shape.clone());
+        let gv = b.input(shape);
+        let step = b.emit(Prim::Scale(0.1), &[gv]).unwrap();
+        let p2 = b.emit(Prim::Sub, &[pv, step]).unwrap();
+        let jaxpr = p.add_jaxpr(b.finish(vec![p2]).unwrap());
+        p.actors[actor].push(Instr::Run {
+            jaxpr,
+            inputs: vec![pbuf, grad],
+            outputs: vec![pbuf],
+            label: TaskLabel::Update { param },
+        });
+    }
+    p
+}
+
+#[test]
+fn zero1_reduce_scatter_is_the_all_reduce_restricted_to_a_block() {
+    // Replicate a pipeline with SGD updates plainly and under ZeRO-1
+    // (reduce-scatter, update on the block, all-gather): fetched
+    // gradients and the parameters on every replica agree bit for bit,
+    // uneven blocks included (width 5 over 2 and 4 replicas).
+    let (jaxpr, n_params) = mlp2(5);
+    let model = pipeline_model(&jaxpr, n_params).unwrap();
+    let schedule = gpipe(2, 2).unwrap();
+    let base = with_sgd_updates(
+        unroll_loop(&model, &schedule, UnrollOptions::default())
+            .unwrap()
+            .program,
+    );
+    for replicas in [2, 4] {
+        let (params, data) = rand_inputs(&jaxpr, n_params, 2 * replicas, 9);
+        let mut sgd_block = |param: usize, start: usize, len: usize| {
+            let shape = jaxpr.in_shapes()[param].clone();
+            let mut b = GraphBuilder::new();
+            let pv = b.input(shape.clone());
+            let mut dims = shape.dims().to_vec();
+            dims[0] = len;
+            let gv = b.input(Shape::new(dims));
+            let ps = b.emit(Prim::SliceFirst { start, len }, &[pv]).unwrap();
+            let step = b.emit(Prim::Scale(0.1), &[gv]).unwrap();
+            let p2 = b.emit(Prim::Sub, &[ps, step]).unwrap();
+            b.finish(vec![p2]).map_err(|e| e.to_string())
+        };
+        let mut plain = replicate_program(&base, replicas, None).unwrap();
+        let mut zero1 = replicate_program(&base, replicas, Some(&mut sgd_block)).unwrap();
+        let n_rs = zero1
+            .actors
+            .iter()
+            .flatten()
+            .filter(|i| {
+                matches!(
+                    i,
+                    Instr::Collective {
+                        kind: CollectiveKind::ReduceScatter,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(n_rs, n_params * replicas, "one reduce-scatter per update");
+        for p in [&mut plain, &mut zero1] {
+            insert_frees(p);
+            verify_program(p).unwrap();
+        }
+        let (a, b) = (
+            SeqExec::run(&plain, &params, &data),
+            SeqExec::run(&zero1, &params, &data),
+        );
+        let (ga, _) = a.fetch(&plain);
+        let (gb, _) = b.fetch(&zero1);
+        for (p, (x, y)) in ga.iter().zip(&gb).enumerate() {
+            assert_eq!(x.data(), y.data(), "dp={replicas}: grad {p} differs");
+        }
+        for pl in plain.placements.iter() {
+            if let InputSource::Param(p) = pl.source {
+                let (x, y) = (
+                    &a.stores[pl.actor][&pl.buf.0],
+                    &b.stores[pl.actor][&pl.buf.0],
+                );
+                assert_eq!(
+                    x.data(),
+                    y.data(),
+                    "dp={replicas}: param {p} on actor {}",
+                    pl.actor
+                );
+                assert_ne!(x.data(), params[p].data(), "param {p} was never updated");
+            }
+        }
+    }
 }

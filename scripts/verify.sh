@@ -61,11 +61,14 @@ RAXPP_TRANSPORT=socket cargo test -q -p raxpp-integration \
     --test tensor_parallel \
     --test data_parallel
 
-echo "==> socket-transport gate, TCP leg (the failure contract over loopback TCP)"
+echo "==> socket-transport gate, TCP leg (the failure contract and DP exchanges over loopback TCP)"
 # The handshake and the death signal are the same code on both socket
 # schemes; failure_semantics runs its wire cases on the scheme
-# RAXPP_TRANSPORT names.
-RAXPP_TRANSPORT=tcp cargo test -q -p raxpp-integration --test failure_semantics
+# RAXPP_TRANSPORT names. At dp = 4 a collective exchange dials members
+# that are not neighbours, which data_parallel covers.
+RAXPP_TRANSPORT=tcp cargo test -q -p raxpp-integration \
+    --test failure_semantics \
+    --test data_parallel
 
 echo "==> benchmark contract (BENCHMARK.json still builds and every output check passes)"
 # The whole-stack benchmark is a package of its own, so nothing above

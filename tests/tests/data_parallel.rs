@@ -6,7 +6,7 @@
 //! * **Tier 1 — fixed degree, bitwise.** At any fixed `d`, runs are
 //!   bitwise-reproducible through faults, recovery, elastic rebalance,
 //!   checkpoint save/resume, and across transports (the collective
-//!   ring rides in-process mpsc and Unix sockets alike).
+//!   exchange rides in-process mpsc and Unix sockets alike).
 //! * **Tier 2 — across degrees, bounded.** Step-0 (pre-update)
 //!   per-microbatch losses are bitwise equal for every `d` over the
 //!   same global batch; after updates, losses and parameters agree
@@ -245,11 +245,11 @@ fn dp_runs_are_bitwise_reproducible_at_fixed_degree() {
     }
 }
 
-/// ZeRO-1 is a pure re-layout of the same-degree update: slicing the
-/// parameter and summed gradient first-dim, updating the slice, and
-/// folding the disjoint `-0.0`-padded contributions is bitwise equal to
-/// the plain-DP full update — at the same degree, with twice the DP
-/// collectives, and composed with tensor parallelism.
+/// ZeRO-1 is a pure re-layout of the same-degree update:
+/// reduce-scattering the gradient on its first dim, updating the
+/// replica's block, and all-gathering the parameter blocks is bitwise
+/// equal to the plain-DP full update — at the same degree, with twice
+/// the DP collectives, and composed with tensor parallelism.
 #[test]
 fn zero1_matches_plain_dp_bitwise_and_composes_with_tp() {
     const GLOBAL_MB: usize = 8;
@@ -290,6 +290,68 @@ fn zero1_matches_plain_dp_bitwise_and_composes_with_tp() {
                 b.data(),
                 "zero1 dp={dp} tp={tp}: param {p} not bit-identical"
             );
+        }
+    }
+}
+
+/// ZeRO-1 moves the bytes ZeRO defines. Per step the fleet sends
+/// `(d−1)·|P|` in the gradient reduce-scatter (each replica sends every
+/// peer that peer's block) and `(d−1)·|P|` in the parameter all-gather
+/// (each replica sends its block to every peer): `2(d−1)·|P|` in all,
+/// uneven blocks included — where the plain-DP all-reduce sends
+/// `d(d−1)·|P|`.
+#[test]
+fn zero1_dp_bytes_are_one_reduce_scatter_and_one_all_gather() {
+    let optimizer = Optimizer::adam(0.01);
+    // Width 6 over 4 replicas: blocks of 2, 2, 1 and 1 rows.
+    for (width, dp) in [(8usize, 2u64), (8, 4), (6, 4)] {
+        let model = mlp_chain(width, 2, 2, 2, 261).unwrap();
+        let data = mb_data(2 * dp as usize, width, 2, 262);
+        let param_bytes: u64 = model.init.iter().map(|t| 4 * t.numel() as u64).sum();
+        for (cfg, want) in [
+            (DpConfig::zero1(dp as usize), 2 * (dp - 1) * param_bytes),
+            (DpConfig::replicas(dp as usize), dp * (dp - 1) * param_bytes),
+        ] {
+            let trainer = build(&model, &gpipe(2, 2).unwrap(), 1, Some(cfg), optimizer);
+            trainer.step(&data).unwrap();
+            assert_eq!(
+                trainer.metrics().counter("dp_bytes_wire"),
+                want,
+                "width={width} {cfg:?}: DP bytes per step"
+            );
+        }
+    }
+}
+
+/// `fetch_grads` under ZeRO-1 reads each replica's block of the summed
+/// gradient and concatenates them replica-ascending: bitwise the
+/// gradient plain DP fetches whole.
+#[test]
+fn zero1_fetched_grads_match_plain_dp_bitwise() {
+    let optimizer = Optimizer::adam(0.01);
+    let model = mlp_chain(6, 2, 2, 2, 271).unwrap();
+    for dp in [2usize, 4] {
+        let data = mb_data(2 * dp, 6, 2, 272);
+        let grads = |cfg| {
+            let opts = CompileOptions {
+                dp: Some(cfg),
+                fetch_grads: true,
+                ..CompileOptions::default()
+            };
+            let schedule = gpipe(2, 2).unwrap();
+            let t = compile_train_step(&model.jaxpr, model.n_params, &schedule, optimizer, opts)
+                .unwrap();
+            t.init(&model.init).unwrap();
+            (0..2)
+                .map(|_| t.step(&data).unwrap().grads.expect("grads fetched"))
+                .collect::<Vec<_>>()
+        };
+        let (plain, zero1) = (grads(DpConfig::replicas(dp)), grads(DpConfig::zero1(dp)));
+        for (step, (a, b)) in plain.iter().zip(&zero1).enumerate() {
+            for (p, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_eq!(x.shape(), y.shape(), "dp={dp} step {step}: grad {p} shape");
+                assert_eq!(x.data(), y.data(), "dp={dp} step {step}: grad {p} differs");
+            }
         }
     }
 }
@@ -377,7 +439,7 @@ fn dp_checkpoints_are_portable_across_degrees() {
 
 /// Tier 1 through faults: killing a replica actor mid-stream — aimed at
 /// its first DP collective, so its group peers are blocked in the
-/// ring — must cascade-abort, respawn, restore, and stay
+/// exchange — must cascade-abort, respawn, restore, and stay
 /// bit-identical to an uninterrupted run of the same degree, within a
 /// bounded wall-clock.
 #[test]
@@ -521,8 +583,8 @@ fn dp_rebalance_folds_bitwise() {
 /// The full tier-1 sweep in one trajectory: a dp=2 × tp=2 ZeRO-1 run
 /// that survives an injected death and an elastic fold stays bitwise
 /// equal — losses every step, parameters at the end — to an undisturbed
-/// mpsc run of the same degree, whichever fabric its collective rings
-/// ride (mpsc, Unix sockets).
+/// mpsc run of the same degree, whichever fabric its collective
+/// exchanges ride (mpsc, Unix sockets).
 #[test]
 fn dp_fixed_degree_determinism_sweep() {
     let optimizer = Optimizer::adam(0.01);

@@ -150,7 +150,7 @@ fn four_stage_one_f1b_is_bit_identical_to_single_device() {
 }
 
 /// PP×TP composition is inside the determinism contract: sharding every
-/// stage over a 2-way model axis (real ring collectives between shard
+/// stage over a 2-way model axis (real collectives between shard
 /// actors) must still be bit-identical to single-device training.
 #[test]
 fn tensor_parallel_one_f1b_is_bit_identical_to_single_device() {

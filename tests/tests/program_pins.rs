@@ -226,147 +226,155 @@ fn rows() -> Vec<(String, u64)> {
 /// gated the sends by an order its one in-order sender could not take)
 /// and are programs since re-placement is one pass on the merged FIFO.
 ///
-/// The 31 rows marked "all-gather reassembly" (every `compile tp/dp`
-/// row and the benchmark's `tp2_dp2` program) moved when tensor
+/// The row marked "all-gather reassembly" (the benchmark's `tp2_dp2`
+/// program, and every `compile tp/dp` row with it) moved when tensor
 /// parallelism stopped reassembling backward outputs by a `-0.0`-padded
 /// all-reduce: every sharded output now leaves its `Run` as a block and
 /// is all-gathered, so the per-rank jaxprs lose their `pad_last`s and
-/// the collectives change kind. Every other row is byte-equal.
+/// the collectives change kind.
+///
+/// The 30 rows marked "ZeRO-1 reduce-scatter" (every `compile tp/dp`
+/// row, whose hash includes the `DpConfig::zero1(2)` cell) moved when
+/// ZeRO-1 stopped folding `-0.0`-padded parameter slices with a second
+/// all-reduce: the gradient is reduce-scattered on dim 0, the update
+/// runs on the replica's block, and the parameter blocks are
+/// all-gathered. The plain-DP benchmark row did not move. Every other
+/// row is byte-equal.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
     ("4/4 | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
     ("4/4 | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0xda82a2049a716a33),
-    ("4/4 | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0x02e01aaeaa7f4fca), // all-gather reassembly
+    ("4/4 | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0xe55a7c7e8dcfb1ca), // ZeRO-1 reduce-scatter
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0x04c22c26e6b15c64),
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0xe1852890dc83d5f4),
     ("4/4 | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x310d08312ff5403e),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0xda82a2049a716a33),
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0x02e01aaeaa7f4fca), // all-gather reassembly
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0xe55a7c7e8dcfb1ca), // ZeRO-1 reduce-scatter
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x04c22c26e6b15c64),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xe1852890dc83d5f4),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x310d08312ff5403e),
     ("4/4 | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x2ad33f4dde360310),
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0xecb722b7fedfffc0), // all-gather reassembly
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x2ce585bec928ac60), // ZeRO-1 reduce-scatter
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0xf97609652a2d6685),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x2ad33f4dde360310),
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0xecb722b7fedfffc0), // all-gather reassembly
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x2ce585bec928ac60), // ZeRO-1 reduce-scatter
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf97609652a2d6685),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0x5b8a3aa22f05fd20),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0x6ae819355783d155), // all-gather reassembly
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xf6bb5967d5617c59), // ZeRO-1 reduce-scatter
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0x69dd833b62137a15),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x6237cd58153d3b8f),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x5b8a3aa22f05fd20),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0x6ae819355783d155), // all-gather reassembly
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xf6bb5967d5617c59), // ZeRO-1 reduce-scatter
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x69dd833b62137a15),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x6237cd58153d3b8f),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0xe66fd749f89f8024),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x70220c4fbf14c09b), // all-gather reassembly
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x9699ff337086a4eb), // ZeRO-1 reduce-scatter
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0xabd621dc1fb9a653),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xe66fd749f89f8024),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x70220c4fbf14c09b), // all-gather reassembly
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x9699ff337086a4eb), // ZeRO-1 reduce-scatter
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0xabd621dc1fb9a653),
     ("4/2 tied | gpipe(pp=2, mb=4) | Schedule::fold", 0x47d244affaa8bfa2),
     ("4/2 tied | gpipe(pp=2, mb=4) | lc | loop + forward + step", 0xe434a8ce1224e56b),
-    ("4/2 tied | gpipe(pp=2, mb=4) | lc | compile tp/dp", 0x33a60245432b82ee), // all-gather reassembly
+    ("4/2 tied | gpipe(pp=2, mb=4) | lc | compile tp/dp", 0x54159205899657ee), // ZeRO-1 reduce-scatter
     ("4/2 tied | gpipe(pp=2, mb=4) | lc | fold 1 -> 0", 0xa4dc64424a580f1d),
     ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | loop + forward + step", 0x5b5a8a85fd5925a9),
-    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | compile tp/dp", 0x46f870add89fba48), // all-gather reassembly
+    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | compile tp/dp", 0x7cb74db322f01540), // ZeRO-1 reduce-scatter
     ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x15ec94b64471adbb),
     ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf56ff59403570467), // all-gather reassembly
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf465ff8085435267), // ZeRO-1 reduce-scatter
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x09bdbe54c89b347b), // all-gather reassembly
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x7c8d8404fa21b0db), // ZeRO-1 reduce-scatter
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | Schedule::fold", 0x8f34d68e10f76812),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | loop + forward + step", 0x1ca434d711743d70),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | compile tp/dp", 0x0f7692c6f9e88910), // all-gather reassembly
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | compile tp/dp", 0x3dab8e75f7aa7300), // ZeRO-1 reduce-scatter
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | fold 1 -> 0", 0xffdd0e38cb76fa98),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | loop + forward + step", 0xb42ab4ea6c0006c1),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | compile tp/dp", 0x8e9b52d5c72c6264), // all-gather reassembly
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | compile tp/dp", 0x7e4701ca222ed804), // ZeRO-1 reduce-scatter
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x6e7d1997cfd1d293),
     ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf56ff59403570467), // all-gather reassembly
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf465ff8085435267), // ZeRO-1 reduce-scatter
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x09bdbe54c89b347b), // all-gather reassembly
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x7c8d8404fa21b0db), // ZeRO-1 reduce-scatter
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0x275833c39f1c4eea),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0x833d09313241b93c), // all-gather reassembly
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0xf53231ea8fed527c), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0xaf03a327baa33c44),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0x955d9911b3226719),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x35f80f71336c36c7),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0x321720bb511dbf76),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0x29598c1bf8614a9e), // all-gather reassembly
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0xc8bc56b13474627e), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf7f029d826badfa2),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xee1b5fefb70250bd),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xb64926d740f33d09),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x1120d99b0d72bedf),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x88f564eff352ce37), // all-gather reassembly
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x61e49ef3bbad3dcb), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0x06cadae2f8047ba1),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xfde8afc5c8ffca98),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x2bc49522efe335dc),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x287a9d04778116d8),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x17b821852b64309d), // all-gather reassembly
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x334fa632453d9d89), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xb9faaeabc68dd12c),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x04166fc812273713),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x366888ef98821e3b),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0xc7a19f4fbaf541fb),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xf054219b169186b7), // all-gather reassembly
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0x0400d70462e53d2f), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0xa7b1b7425ba8b23f),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x0b0854a051c1f0c6),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0x010986490ed9b58a),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x72179b042b717d82),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xdc6f6ff2a228292b), // all-gather reassembly
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xdab7b9362478b8f3), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xce20e29abe6ca41a),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xb4d86f97f79f7c55),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x7f05147749450133),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0x9da58f2876ae5562),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x0b63fcdd50b60487), // all-gather reassembly
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0xed84bd0f2fd77b33), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0x7bd3a994f4e03a6a),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xb99f6ada3d2fd0e3),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x5561e62a6a9e5c97), // all-gather reassembly
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x42cdaecf77e1141b), // ZeRO-1 reduce-scatter
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0x371995e101d004bb),
     ("5/3 skip | gpipe(pp=3, mb=4) | Schedule::fold", 0x2e680166fa95997d),
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | loop + forward + step", 0xf16110322f4f778e),
-    ("5/3 skip | gpipe(pp=3, mb=4) | lc | compile tp/dp", 0x85101ca1e10cfc1f), // all-gather reassembly
+    ("5/3 skip | gpipe(pp=3, mb=4) | lc | compile tp/dp", 0xee0554037065f89f), // ZeRO-1 reduce-scatter
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | loop + forward + step", 0xf16110322f4f778e),
-    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | compile tp/dp", 0x85101ca1e10cfc1f), // all-gather reassembly
+    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | compile tp/dp", 0xee0554037065f89f), // ZeRO-1 reduce-scatter
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | Schedule::fold", 0x4991bfd4838dfd30),
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | loop + forward + step", 0x7abd710cf02d8858),
-    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | compile tp/dp", 0xf2875bc18c689e8d), // all-gather reassembly
+    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | compile tp/dp", 0x6abd0e0091e8a905), // ZeRO-1 reduce-scatter
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | loop + forward + step", 0x7abd710cf02d8858),
-    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | compile tp/dp", 0xf2875bc18c689e8d), // all-gather reassembly
+    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | compile tp/dp", 0x6abd0e0091e8a905), // ZeRO-1 reduce-scatter
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | Schedule::fold", 0x33c398659cc0ff25),
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | loop + forward + step", 0xa458d03af3b59a78),
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | compile tp/dp", 0x58522d539c5c9f5a), // all-gather reassembly
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | compile tp/dp", 0x43463f955d298812), // ZeRO-1 reduce-scatter
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | loop + forward + step", 0xa458d03af3b59a78),
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | compile tp/dp", 0x58522d539c5c9f5a), // all-gather reassembly
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | compile tp/dp", 0x43463f955d298812), // ZeRO-1 reduce-scatter
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
     ("benchmark | mlp_gpipe_pp4", 0x73625d4752b2e453),

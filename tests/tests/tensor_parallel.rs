@@ -3,8 +3,8 @@
 //! **bit-identical** to the unsharded pipeline — same losses, same
 //! parameters, same checkpoints — while actually exchanging data through
 //! real collectives, and the whole composition must survive fault
-//! injection and recovery. A collective is a ring of ordinary messages
-//! on whatever fabric the fleet runs; the twins below pin that the
+//! injection and recovery. A collective is one exchange of ordinary
+//! messages on whatever fabric the fleet runs; the twins below pin that the
 //! transports are interchangeable bit for bit.
 
 use std::time::Duration;
@@ -18,7 +18,7 @@ use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Schedule, Tp
 use raxpp_taskgraph::{CollectiveAxis, CollectiveKind, Instr};
 
 /// The in-process fabric and a socket one: every collective rides the
-/// same message ring on both.
+/// same message exchange on both.
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Mpsc, TransportKind::UnixSocket];
 
 /// A trainer on the environment's default transport (`RAXPP_TRANSPORT`,
@@ -323,7 +323,7 @@ fn tp_is_bitwise_identical_across_transports() {
 /// There is one way a collective travels: on mpsc and on Unix sockets
 /// the same TP program moves the same non-zero wire volume, and every
 /// rank that executes a collective accounts the time it spent blocked
-/// on its ring peers.
+/// on its peers.
 #[test]
 fn collectives_ride_the_message_fabric() {
     let schedule = gpipe(2, 2).unwrap();
@@ -346,8 +346,9 @@ fn collectives_ride_the_message_fabric() {
     assert_eq!(wire[0], wire[1], "transports account the same wire volume");
 }
 
-/// An odd ring: tp = 3 takes two rounds and splits the width into
-/// non-power-of-two blocks, and must still train bit-identical to tp=1.
+/// An odd group: at tp = 3 every rank exchanges with two peers at once
+/// and the width splits into non-power-of-two blocks, and it must still
+/// train bit-identical to tp=1.
 #[test]
 fn tp3_odd_ring_is_bitwise_identical_to_tp1() {
     let schedule = one_f1b(2, 4).unwrap();
@@ -370,7 +371,7 @@ fn tp3_odd_ring_is_bitwise_identical_to_tp1() {
 /// An actor lost *inside* a collective (at the collective instruction)
 /// must wake its peers on either fabric, cascade into a bounded abort,
 /// and recover to a bit-identical trajectory: the death's abort
-/// broadcast ends the ring receives its peers are blocked in. kill -9 on
+/// broadcast ends the exchange receives its peers are blocked in. kill -9 on
 /// the wire is the hard case: the endpoint is severed with no abort
 /// broadcast and no goodbye, so detection rests on closed connections,
 /// control-link EOF and heartbeat silence alone, and recovery must

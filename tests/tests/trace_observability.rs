@@ -244,7 +244,7 @@ fn traced_and_untraced_recovery_share_one_ladder() {
 
 /// One traced `one_f1b(2, 4)` step on each of the four fleets the
 /// recorder's paths differ on: pure PP, tp = 2 and dp = 2 (collective
-/// rings, the nested `*_wait` kinds), and the tp = 2 program over Unix
+/// exchanges, the nested `*_wait` kinds), and the tp = 2 program over Unix
 /// sockets (`wire` sub-spans, profile and trace both crossing the
 /// codec).
 fn traced_fleets() -> Vec<(&'static str, StepResult, StepTrace)> {
