@@ -8,7 +8,12 @@
 //! arrived from the caller (or sit in an actor's object store) are
 //! always aliased from outside the interpreter, so `Arc::get_mut` fails
 //! on them and they are never mutated — only graph-local intermediates
-//! are recycled.
+//! are recycled. The same pass finds each `Transpose` whose every
+//! consumer is a matmul: it is never written out, only aliased, and the
+//! matmul kernels read its source transposed (bit for bit what the
+//! materialised transpose would give). An alias holds a reference to
+//! its source, so the source cannot be stolen for an in-place write
+//! while a matmul still has to read it.
 //!
 //! [`eval_reference`] preserves the pre-optimization execution model
 //! (deep-copied inputs, naive serial kernels, copying yields) as the
@@ -18,7 +23,8 @@
 use std::time::Instant;
 
 use crate::error::{IrError, Result};
-use crate::graph::Jaxpr;
+use crate::graph::{Eqn, Jaxpr};
+use crate::kernels::Layout;
 use crate::prim::Prim;
 use crate::tensor::{gelu, gelu_grad, tanh, Tensor};
 
@@ -28,7 +34,8 @@ pub struct EvalStats {
     /// Output buffers freshly allocated.
     pub allocated: u64,
     /// Outputs that reused an operand buffer in place or aliased it
-    /// zero-copy (reshape, pipeline yield).
+    /// zero-copy (reshape, pipeline yield, a transpose only matmuls
+    /// read).
     pub reused: u64,
     /// Intermediate buffers dropped at their last use.
     pub freed: u64,
@@ -94,10 +101,19 @@ pub fn eval_prim(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
     }
 }
 
-/// Evaluates a primitive on *owned* operands, writing in place when an
+/// Evaluates an equation on *owned* operands, writing in place when an
 /// operand buffer is uniquely held and aliasing zero-copy where the op
-/// permits it. Numerically bit-identical to [`eval_prim`].
-fn eval_prim_owned(prim: &Prim, mut inputs: Vec<Tensor>, stats: &mut EvalStats) -> Result<Tensor> {
+/// permits it. `read_transposed` is [`last_use_table`]'s second table:
+/// a `Transpose` output marked there aliases its source, and a matmul
+/// reads such an operand as [`Layout::Transposed`]. Numerically
+/// bit-identical to [`eval_prim`].
+fn eval_prim_owned(
+    eqn: &Eqn,
+    mut inputs: Vec<Tensor>,
+    read_transposed: &[bool],
+    stats: &mut EvalStats,
+) -> Result<Tensor> {
+    let prim = &eqn.prim;
     if inputs.len() != prim.arity() {
         return Err(IrError::ArityMismatch {
             context: prim.name().into(),
@@ -161,6 +177,25 @@ fn eval_prim_owned(prim: &Prim, mut inputs: Vec<Tensor>, stats: &mut EvalStats) 
             stats.reused += 1;
             Ok(inputs.pop().expect("arity checked"))
         }
+        Prim::Transpose if read_transposed[eqn.output.index()] => {
+            stats.reused += 1;
+            Ok(inputs.pop().expect("arity checked"))
+        }
+        Prim::MatMul | Prim::BatchMatMul => {
+            stats.allocated += 1;
+            let layout = |j: usize| {
+                if read_transposed[eqn.inputs[j].index()] {
+                    Layout::Transposed
+                } else {
+                    Layout::Plain
+                }
+            };
+            let (a, b) = (&inputs[0], &inputs[1]);
+            match prim {
+                Prim::MatMul => a.matmul_as(layout(0), b, layout(1)),
+                _ => a.batch_matmul_as(layout(0), b, layout(1)),
+            }
+        }
         // Layout- and shape-changing ops allocate a fresh output.
         _ => {
             stats.allocated += 1;
@@ -170,20 +205,32 @@ fn eval_prim_owned(prim: &Prim, mut inputs: Vec<Tensor>, stats: &mut EvalStats) 
     }
 }
 
-/// For each variable, the 1-based index of the equation that consumes it
-/// last; `usize::MAX` for graph outputs (never dropped), 0 for variables
-/// that are never consumed.
-fn last_use_table(jaxpr: &Jaxpr) -> Vec<usize> {
+/// Two per-variable tables from one pass over the graph:
+///
+/// - the 1-based index of the equation that consumes the variable last;
+///   `usize::MAX` for graph outputs (never dropped), 0 for variables
+///   that are never consumed;
+/// - whether it is a `Transpose` output read in place: every consumer
+///   uses it as a `MatMul` or `BatchMatMul` operand, and it is not a
+///   graph output. Such an output is never written out — it aliases
+///   its source and each consuming matmul reads it transposed. Only the
+///   matmul kernels know that layout, hence both conditions.
+fn last_use_table(jaxpr: &Jaxpr) -> (Vec<usize>, Vec<bool>) {
     let mut last_use = vec![0usize; jaxpr.num_vars()];
+    let mut read_transposed = vec![false; jaxpr.num_vars()];
     for (i, eqn) in jaxpr.eqns().iter().enumerate() {
+        let matmul = matches!(eqn.prim, Prim::MatMul | Prim::BatchMatMul);
         for v in &eqn.inputs {
             last_use[v.index()] = i + 1;
+            read_transposed[v.index()] &= matmul;
         }
+        read_transposed[eqn.output.index()] = matches!(eqn.prim, Prim::Transpose);
     }
     for v in jaxpr.outvars() {
         last_use[v.index()] = usize::MAX;
+        read_transposed[v.index()] = false;
     }
-    last_use
+    (last_use, read_transposed)
 }
 
 /// A per-equation observer for [`eval_with_stats_hooked`]: called after
@@ -233,7 +280,7 @@ pub fn eval_with_stats_hooked(
         });
     }
     let mut stats = EvalStats::default();
-    let last_use = last_use_table(jaxpr);
+    let (last_use, read_transposed) = last_use_table(jaxpr);
     let mut env: Vec<Option<Tensor>> = vec![None; jaxpr.num_vars()];
     for (&v, t) in jaxpr.invars().iter().zip(inputs) {
         if t.shape() != jaxpr.shape(v) {
@@ -268,7 +315,7 @@ pub fn eval_with_stats_hooked(
             })?);
         }
         let t0 = hook.as_ref().map(|_| Instant::now());
-        let out = eval_prim_owned(&eqn.prim, operands, &mut stats)?;
+        let out = eval_prim_owned(eqn, operands, &read_transposed, &mut stats)?;
         if let (Some(h), Some(t0)) = (hook.as_mut(), t0) {
             h(i, eqn.prim.name(), t0, Instant::now());
         }
@@ -550,6 +597,102 @@ mod tests {
         let out = eval(&j, &[Tensor::ones([4])]).unwrap();
         assert_eq!(out[0].data(), &[2.0, 2.0, 2.0, 2.0]);
         assert_eq!(out[1].data(), &[3.0, 3.0, 3.0, 3.0]);
+    }
+
+    /// Evaluates `j` on random inputs, asserts every output equals
+    /// `eval_reference` bit for bit, and returns the allocator counters.
+    fn eval_bitwise_vs_reference(j: &Jaxpr, seed: u64) -> EvalStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inputs: Vec<Tensor> = j
+            .invars()
+            .iter()
+            .map(|&v| Tensor::randn(j.shape(v).clone(), 1.0, &mut rng))
+            .collect();
+        let (got, stats) = eval_with_stats(j, &inputs).unwrap();
+        let want = eval_reference(j, &inputs).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.shape(), w.shape(), "output {i}");
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "output {i}");
+        }
+        stats
+    }
+
+    #[test]
+    fn transpose_read_by_matmuls_only_is_an_alias() {
+        // One transpose, read as the lhs of one matmul and the rhs of
+        // another; the shapes cover full AVX tiles and ragged edges.
+        let mut b = GraphBuilder::new();
+        let x = b.input([16, 70]);
+        let w1 = b.input([16, 66]);
+        let w2 = b.input([9, 70]);
+        let t = b.emit(Prim::Transpose, &[x]).unwrap();
+        let z1 = b.emit(Prim::MatMul, &[t, w1]).unwrap();
+        let z2 = b.emit(Prim::MatMul, &[w2, t]).unwrap();
+        let j = b.finish(vec![z1, z2]).unwrap();
+        let stats = eval_bitwise_vs_reference(&j, 1);
+        assert_eq!((stats.allocated, stats.reused), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn transpose_with_a_non_matmul_consumer_is_materialised() {
+        let mut b = GraphBuilder::new();
+        let x = b.input([12, 12]);
+        let w = b.input([12, 5]);
+        let y = b.input([12, 12]);
+        let t = b.emit(Prim::Transpose, &[x]).unwrap();
+        let z = b.emit(Prim::MatMul, &[t, w]).unwrap();
+        let s = b.emit(Prim::Add, &[t, y]).unwrap();
+        let j = b.finish(vec![z, s]).unwrap();
+        let stats = eval_bitwise_vs_reference(&j, 2);
+        // transpose and matmul allocate; the add steals the transpose.
+        assert_eq!((stats.allocated, stats.reused), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn transpose_that_is_a_graph_output_is_materialised() {
+        let mut b = GraphBuilder::new();
+        let x = b.input([10, 7]);
+        let w = b.input([10, 3]);
+        let t = b.emit(Prim::Transpose, &[x]).unwrap();
+        let z = b.emit(Prim::MatMul, &[t, w]).unwrap();
+        let j = b.finish(vec![t, z]).unwrap();
+        let stats = eval_bitwise_vs_reference(&j, 3);
+        assert_eq!((stats.allocated, stats.reused), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn transpose_of_a_transpose_feeding_a_batched_matmul() {
+        // The inner transpose feeds a transpose, so it is written out;
+        // the outer one feeds only the matmul and is read in place.
+        let mut b = GraphBuilder::new();
+        let x = b.input([3, 9, 11]);
+        let w = b.input([3, 11, 4]);
+        let t1 = b.emit(Prim::Transpose, &[x]).unwrap();
+        let t2 = b.emit(Prim::Transpose, &[t1]).unwrap();
+        let z = b.emit(Prim::BatchMatMul, &[t2, w]).unwrap();
+        let j = b.finish(vec![z]).unwrap();
+        let stats = eval_bitwise_vs_reference(&j, 4);
+        assert_eq!((stats.allocated, stats.reused), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn alias_source_is_never_stolen_while_the_alias_is_pending() {
+        // `x` is an intermediate whose last use is `neg`, between the
+        // transpose that aliases it and the matmul that reads the alias:
+        // `neg` must not write over `x` in place.
+        let mut b = GraphBuilder::new();
+        let x0 = b.input([8, 8]);
+        let w = b.input([8, 8]);
+        let x = b.emit(Prim::Tanh, &[x0]).unwrap();
+        let t = b.emit(Prim::Transpose, &[x]).unwrap();
+        let y = b.emit(Prim::Neg, &[x]).unwrap();
+        let z = b.emit(Prim::MatMul, &[t, w]).unwrap();
+        let j = b.finish(vec![y, z]).unwrap();
+        let stats = eval_bitwise_vs_reference(&j, 5);
+        // tanh, neg and matmul allocate; only the transpose is reused.
+        assert_eq!((stats.allocated, stats.reused), (3, 1), "{stats:?}");
     }
 
     #[test]

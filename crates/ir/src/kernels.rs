@@ -19,7 +19,10 @@
 //! contraction axis in registers, eliminating the naive `ikj` loop's
 //! per-step output-row traffic and amortizing each `rhs` panel load
 //! across MR·NR multiply-accumulates, with branch-free constant-bound
-//! inner loops that auto-vectorize.
+//! inner loops that auto-vectorize. Either operand may be stored
+//! transposed (`Layout`): a transposed `rhs` is read by the packing,
+//! a transposed `lhs` through the micro-kernel's stride pair, so the
+//! interpreter never has to write out a transpose only matmuls read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -37,10 +40,22 @@ const PAR_MIN_ELEMS: usize = 1 << 18;
 /// Output rows per micro-kernel tile (register blocking factor).
 const MR: usize = 8;
 
-/// Output columns per micro-kernel tile. 32 f32 = two 512-bit (or four
-/// 256-bit) vectors; the MR×NR accumulator block maps onto the vector
+/// Output columns per micro-kernel tile. 64 f32 = four 512-bit (zmm)
+/// vectors; the MR×NR accumulator block is 32 zmm, the whole vector
 /// register file.
 const NR: usize = 64;
+
+/// How a matmul operand's buffer holds its logical `[rows, cols]`
+/// matrix: row-major as is, or as its stored transpose `[cols, rows]` —
+/// the layout the interpreter hands over when a `Transpose` feeds only
+/// matmuls and is read in place instead of materialised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// Row-major in the logical shape.
+    Plain,
+    /// Row-major in the transposed shape.
+    Transposed,
+}
 
 /// Hand-vectorized AVX-512 micro-kernel, selected at runtime when the
 /// host supports it. Uses separate `vmulps`/`vaddps` (never FMA), so
@@ -51,22 +66,63 @@ mod avx512 {
     use super::{MR, NR};
     use core::arch::x86_64::*;
 
-    /// Whether the host can run [`tile`].
+    /// Whether the host can run [`tile`] and [`transpose8x8`].
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// Accumulates one full MR×NR output tile over `p = 0..k` in zmm
-    /// registers and stores it to `out` (row stride `ldo`).
+    /// Writes the transpose of the 8×8 block at `src` (row stride
+    /// `lds`) to `dst` (row stride `ldd`): unpack, shuffle and lane
+    /// permutes, pure data movement.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F, `a` valid for `MR` rows of stride `lda` and
-    /// length `k`, `b` valid for `k` rows of stride `ldb` and width
-    /// `NR`, and `out` valid for `MR` rows of stride `ldo` and width
-    /// `NR`.
+    /// Requires AVX-512F (for its AVX subset), `src` valid for 8 rows
+    /// of stride `lds` and width 8, and `dst` likewise with `ldd`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn tile(
+    pub unsafe fn transpose8x8(src: *const f32, lds: usize, dst: *mut f32, ldd: usize) {
+        let r: [__m256; 8] = core::array::from_fn(|i| _mm256_loadu_ps(src.add(i * lds)));
+        // Interleave row pairs, then pairs of pairs, then 128-bit lanes.
+        let t = [
+            _mm256_unpacklo_ps(r[0], r[1]),
+            _mm256_unpackhi_ps(r[0], r[1]),
+            _mm256_unpacklo_ps(r[2], r[3]),
+            _mm256_unpackhi_ps(r[2], r[3]),
+            _mm256_unpacklo_ps(r[4], r[5]),
+            _mm256_unpackhi_ps(r[4], r[5]),
+            _mm256_unpacklo_ps(r[6], r[7]),
+            _mm256_unpackhi_ps(r[6], r[7]),
+        ];
+        let u = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        for i in 0..4 {
+            let (a, b) = (u[i], u[i + 4]);
+            _mm256_storeu_ps(dst.add(i * ldd), _mm256_permute2f128_ps::<0x20>(a, b));
+            _mm256_storeu_ps(dst.add((i + 4) * ldd), _mm256_permute2f128_ps::<0x31>(a, b));
+        }
+    }
+
+    /// Accumulates one full MR×NR output tile over `p = 0..k` in zmm
+    /// registers and stores it to `out` (row stride `ldo`). Element
+    /// `(r, p)` of the lhs block is `a[r·lda + p]`, or `a[p·lda + r]`
+    /// when `COL_MAJOR` (a transposed lhs). The layout is a constant so
+    /// each variant's broadcasts address with a fixed unit stride.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, `a` valid at every `(r, p)` for `r < MR`,
+    /// `p < k`, `b` valid for `k` rows of stride `ldb` and width `NR`,
+    /// and `out` valid for `MR` rows of stride `ldo` and width `NR`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tile<const COL_MAJOR: bool>(
         a: *const f32,
         lda: usize,
         b: *const f32,
@@ -84,7 +140,8 @@ mod avx512 {
                 *slot = _mm512_loadu_ps(b.add(p * ldb + 16 * c));
             }
             for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*a.add(r * lda + p));
+                let at = if COL_MAJOR { p * lda + r } else { r * lda + p };
+                let av = _mm512_set1_ps(*a.add(at));
                 for (c, slot) in row.iter_mut().enumerate() {
                     *slot = _mm512_add_ps(*slot, _mm512_mul_ps(av, bv[c]));
                 }
@@ -191,31 +248,96 @@ fn par_chunks(out: &mut [f32], size: usize, work: impl Fn(usize, &mut [f32]) + S
     });
 }
 
-/// Packs `b` (`[k,n]` row-major) into column panels of width [`NR`]:
-/// panel `j0 = i·NR` (width `w = min(NR, n-j0)`) lives at offset
-/// `j0·k`, with its row `p` stored contiguously at `j0·k + p·w`. The
-/// micro-kernel then streams each panel sequentially (one cache line
-/// every few `p` steps) instead of striding `n` floats — a page per
-/// step for large `n`, which defeats the TLB and the prefetchers.
-/// Pure data movement: values are untouched, so reduction order and
+/// Block edge for packing a transposed `b`: one cache line of `f32`.
+const PB: usize = 16;
+
+/// `dst[p·ldd + j] = src[j·lds + p]` for `j < rows`, `p < cols`: one
+/// block of a transposed `b` into its panel, eight-by-eight in vector
+/// registers where the host has them and the block is eight rows tall.
+fn transpose_block(
+    src: &[f32],
+    lds: usize,
+    dst: &mut [f32],
+    ldd: usize,
+    (rows, cols): (usize, usize),
+) {
+    // Columns done in vector registers: every whole 8×8 block.
+    #[cfg(target_arch = "x86_64")]
+    let p0 = if rows == 8 && cols >= 8 && avx512::available() {
+        // Rows 0..8 of `src` hold columns 0..cols, rows 0..cols of
+        // `dst` hold columns 0..8: every block below is in bounds.
+        assert!(7 * lds + cols <= src.len() && (cols - 1) * ldd + 8 <= dst.len());
+        for p in (0..cols - 7).step_by(8) {
+            // SAFETY: AVX-512F is present, and the assert above covers
+            // block p..p+8 on both sides.
+            unsafe {
+                avx512::transpose8x8(src.as_ptr().add(p), lds, dst.as_mut_ptr().add(p * ldd), ldd);
+            }
+        }
+        cols - cols % 8
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let p0 = 0;
+    for p in p0..cols {
+        for j in 0..rows {
+            dst[p * ldd + j] = src[j * lds + p];
+        }
+    }
+}
+
+/// Packs the logical `[k,n]` matrix `b`, stored in `layout`, into
+/// `packed` (`k·n` floats) as column panels of width [`NR`]: panel
+/// `j0 = i·NR` (width `w = min(NR, n-j0)`) lives at offset `j0·k`, with
+/// its row `p` stored contiguously at `j0·k + p·w`. The micro-kernel
+/// then streams each panel sequentially (one cache line every few `p`
+/// steps) instead of striding `n` floats — a page per step for large
+/// `n`, which defeats the TLB and the prefetchers. A transposed `b`
+/// (stored `[n,k]`) is transposed block by block into the panels — its
+/// row `j` is panel column `j` — so no transposed copy of it is ever
+/// written. Pure data
+/// movement: values are untouched, so reduction order and
 /// bit-compatibility are unaffected.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut packed = vec![0.0f32; k * n];
+fn pack_b(b: &[f32], layout: Layout, k: usize, n: usize, packed: &mut [f32]) {
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NR);
-        let panel = &mut packed[j0 * k..j0 * k + w * k];
-        for p in 0..k {
-            panel[p * w..(p + 1) * w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
+        let panel = &mut packed[j0 * k..(j0 + w) * k];
+        match layout {
+            Layout::Plain => {
+                for p in 0..k {
+                    panel[p * w..(p + 1) * w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
+                }
+            }
+            Layout::Transposed => {
+                // PB values of `p` at a time: one cache line of each of
+                // the `w` source rows, read once, while the PB panel
+                // rows being written stay in L1 — even when `k` is a
+                // power of two and the source rows share a cache set.
+                for pb in (0..k).step_by(PB) {
+                    let ph = (k - pb).min(PB);
+                    for jb in (0..w).step_by(8) {
+                        transpose_block(
+                            &b[(j0 + jb) * k + pb..],
+                            k,
+                            &mut panel[pb * w + jb..],
+                            w,
+                            ((w - jb).min(8), ph),
+                        );
+                    }
+                }
+            }
         }
         j0 += w;
     }
-    packed
 }
 
-/// `out[i][j] = Σ_p a[i][p] · b[p][j]` for global rows `row0..row0+rows`
-/// of `a`, writing into `out` (which holds exactly those rows, zeroed).
-/// `bp` is `b` packed by [`pack_b`].
+/// `out[i][j] = Σ_p a(i,p) · b[p][j]` for global rows `row0..row0+rows`
+/// of the lhs, writing into `out` (which holds exactly those rows).
+/// Element `(i, p)` of the lhs is `a[i·rs + p·cs]` — `(k, 1)` for a
+/// plain lhs, `(1, m)` for a transposed one, whose `MR` values for one
+/// `p` are then contiguous. `bp` is `b` packed by [`pack_b`].
 ///
 /// GEBP-style micro-kernel: each MR×NR output tile accumulates over the
 /// whole contraction axis in registers, so `out` is touched once per
@@ -223,10 +345,17 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// The hot tile is hand-vectorized AVX-512 where available and a
 /// constant-bound auto-vectorized loop elsewhere; edge tiles run the
 /// same loops with runtime bounds. Reduction order per output element
-/// is `p` ascending — bit-compatible with the naive kernel (zero `a`
-/// entries contribute `±0.0`, which `f32::eq` treats as equal to
-/// skipping them).
-fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+/// is `p` ascending in either layout — bit-compatible with the naive
+/// kernel (zero `a` entries contribute `±0.0`, which `f32::eq` treats
+/// as equal to skipping them).
+fn matmul_rows(
+    (a, (rs, cs)): (&[f32], (usize, usize)),
+    bp: &[f32],
+    out: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+) {
     if n == 0 {
         return;
     }
@@ -236,6 +365,7 @@ fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n:
     let mut r0 = 0;
     while r0 < rows {
         let mr = (rows - r0).min(MR);
+        let a0 = (row0 + r0) * rs;
         let mut j0 = 0;
         while j0 < n {
             let nr = (n - j0).min(NR);
@@ -243,31 +373,29 @@ fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n:
             if mr == MR && nr == NR {
                 #[cfg(target_arch = "x86_64")]
                 if wide {
-                    // Bounds: `panel` holds k rows of NR floats and
-                    // `out` holds `rows ≥ r0+MR` rows of width n with
-                    // columns j0..j0+NR in range.
+                    // SAFETY: AVX-512F is present (`wide`); the lhs
+                    // holds rows row0+r0..row0+r0+MR at every p < k,
+                    // `panel` holds k rows of NR floats, and `out` holds
+                    // `rows ≥ r0+MR` rows of width n with columns
+                    // j0..j0+NR in range. One of `rs`, `cs` is 1, so the
+                    // two variants cover every stride pair.
                     unsafe {
-                        avx512::tile(
-                            a.as_ptr().add((row0 + r0) * k),
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            k,
-                            out.as_mut_ptr().add(r0 * n + j0),
-                            n,
-                        );
+                        let (ap, op) = (a.as_ptr().add(a0), out.as_mut_ptr().add(r0 * n + j0));
+                        if cs == 1 {
+                            avx512::tile::<false>(ap, rs, panel.as_ptr(), NR, k, op, n);
+                        } else {
+                            avx512::tile::<true>(ap, cs, panel.as_ptr(), NR, k, op, n);
+                        }
                     }
                     j0 += nr;
                     continue;
                 }
                 // Hot path: constant bounds, accumulators in registers.
-                let ar: [&[f32]; MR] =
-                    core::array::from_fn(|r| &a[(row0 + r0 + r) * k..(row0 + r0 + r + 1) * k]);
                 let mut acc = [[0.0f32; NR]; MR];
                 for p in 0..k {
                     let brow = &panel[p * NR..(p + 1) * NR];
                     for r in 0..MR {
-                        let av = ar[r][p];
+                        let av = a[a0 + r * rs + p * cs];
                         for j in 0..NR {
                             acc[r][j] += av * brow[j];
                         }
@@ -282,7 +410,7 @@ fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n:
                 for p in 0..k {
                     let brow = &panel[p * nr..(p + 1) * nr];
                     for r in 0..mr {
-                        let av = a[(row0 + r0 + r) * k + p];
+                        let av = a[a0 + r * rs + p * cs];
                         for (j, &bv) in brow.iter().enumerate() {
                             acc[r][j] += av * bv;
                         }
@@ -299,40 +427,27 @@ fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n:
     }
 }
 
-/// Blocked, parallel 2-D matmul: `[m,k] @ [k,n]` into a fresh buffer.
-pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if n == 0 || k == 0 || m == 0 {
-        return out;
-    }
-    let bp = pack_b(b, k, n);
-    let nt = plan_threads(m * k * n, m);
-    if nt <= 1 {
-        matmul_rows(a, &bp, &mut out, 0, k, n);
-        return out;
-    }
-    let rows_per = m.div_ceil(nt);
-    par_chunks(&mut out, rows_per * n, |ci, chunk| {
-        matmul_rows(a, &bp, chunk, ci * rows_per, k, n)
-    });
-    out
-}
-
-/// One batch slice's rows for the batched matmul (`bp` holds each
-/// batch's `b` slice packed by [`pack_b`], concatenated).
-fn batch_rows(a: &[f32], bp: &[f32], out: &mut [f32], grow0: usize, m: usize, k: usize, n: usize) {
-    // Global rows grow0..grow0+rows index into [batch, m] jointly.
+/// Rows `grow0..grow0+rows` of the batched product, indexing
+/// `[batch, m]` jointly (`bp` holds each batch's `b` slice packed by
+/// [`pack_b`], concatenated).
+fn batch_rows(
+    (a, strides): (&[f32], (usize, usize)),
+    bp: &[f32],
+    out: &mut [f32],
+    grow0: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let rows = out.len() / n.max(1);
     let mut done = 0;
     while done < rows {
         let grow = grow0 + done;
         let (bi, i) = (grow / m, grow % m);
         let span = (m - i).min(rows - done);
-        let a_slice = &a[bi * m * k..(bi + 1) * m * k];
-        let b_slice = &bp[bi * k * n..(bi + 1) * k * n];
         matmul_rows(
-            a_slice,
-            b_slice,
+            (&a[bi * m * k..(bi + 1) * m * k], strides),
+            &bp[bi * k * n..(bi + 1) * k * n],
             &mut out[done * n..(done + span) * n],
             i,
             k,
@@ -342,10 +457,14 @@ fn batch_rows(a: &[f32], bp: &[f32], out: &mut [f32], grow0: usize, m: usize, k:
     }
 }
 
-/// Blocked, parallel batched matmul: `[batch,m,k] @ [batch,k,n]`.
+/// Blocked, parallel batched matmul `[batch,m,k] @ [batch,k,n]` into a
+/// fresh buffer, each operand stored in its [`Layout`]; a 2-D matmul is
+/// `batch = 1`. Every output element is the same `p`-ascending
+/// mul-then-add sequence in every layout, so a transposed operand gives
+/// the bits of materialising its transpose first.
 pub(crate) fn batch_matmul(
-    a: &[f32],
-    b: &[f32],
+    a: (&[f32], Layout),
+    b: (&[f32], Layout),
     batch: usize,
     m: usize,
     k: usize,
@@ -356,13 +475,14 @@ pub(crate) fn batch_matmul(
         return out;
     }
     let mut packed = vec![0.0f32; batch * k * n];
-    for bi in 0..batch {
-        packed[bi * k * n..(bi + 1) * k * n].copy_from_slice(&pack_b(
-            &b[bi * k * n..(bi + 1) * k * n],
-            k,
-            n,
-        ));
+    for (src, dst) in b.0.chunks_exact(k * n).zip(packed.chunks_exact_mut(k * n)) {
+        pack_b(src, b.1, k, n, dst);
     }
+    // The lhs's `(row, p)` element strides.
+    let a = match a {
+        (a, Layout::Plain) => (a, (k, 1)),
+        (a, Layout::Transposed) => (a, (1, m)),
+    };
     let total_rows = batch * m;
     let nt = plan_threads(batch * m * k * n, total_rows);
     if nt <= 1 {
@@ -536,7 +656,7 @@ mod tests {
             let a = seq(m * k);
             let b = seq(k * n);
             assert_eq!(
-                matmul(&a, &b, m, k, n),
+                batch_matmul((&a, Layout::Plain), (&b, Layout::Plain), 1, m, k, n),
                 matmul_naive(&a, &b, m, k, n),
                 "({m},{k},{n})"
             );
@@ -551,12 +671,13 @@ mod tests {
         let want = matmul_naive(&a, &b, m, k, n);
         // Force the parallel path by making the size check irrelevant:
         // run matmul_rows chunked by hand for several partition widths.
-        let bp = pack_b(&b, k, n);
+        let mut bp = vec![0.0f32; k * n];
+        pack_b(&b, Layout::Plain, k, n, &mut bp);
         for nt in [1usize, 2, 3, 5, 8] {
             let rows_per = m.div_ceil(nt);
             let mut out = vec![0.0f32; m * n];
             for (ci, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                matmul_rows(&a, &bp, chunk, ci * rows_per, k, n);
+                matmul_rows((&a, (k, 1)), &bp, chunk, ci * rows_per, k, n);
             }
             assert_eq!(out, want, "nt={nt}");
         }
@@ -580,7 +701,7 @@ mod tests {
             let a = seq(batch * m * k);
             let b = seq(batch * k * n);
             assert_eq!(
-                batch_matmul(&a, &b, batch, m, k, n),
+                batch_matmul((&a, Layout::Plain), (&b, Layout::Plain), batch, m, k, n),
                 batch_matmul_naive(&a, &b, batch, m, k, n),
                 "({batch},{m},{k},{n})"
             );

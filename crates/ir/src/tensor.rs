@@ -20,11 +20,12 @@
 //! holds the only reference to a buffer ([`Tensor::map_into`],
 //! [`Tensor::zip_into`]).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{IrError, Result};
-use crate::kernels;
+use crate::kernels::{self, Layout};
 use crate::rng::Rng;
 use crate::shape::Shape;
 
@@ -261,11 +262,27 @@ impl Tensor {
     /// Returns an error unless both operands are rank 2 with a matching
     /// contraction dimension.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let out_shape = self.shape.matmul(&rhs.shape)?;
-        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
-        let n = rhs.shape.dim(1);
-        let out = kernels::matmul(&self.data, &rhs.data, m, k, n);
+        self.matmul_as(Layout::Plain, rhs, Layout::Plain)
+    }
+
+    /// [`Tensor::matmul`] of operands each stored in a [`Layout`]: a
+    /// `Transposed` operand's buffer holds the transpose of the matrix
+    /// it stands for, and the kernel reads it in place. Bitwise equal to
+    /// materialising that transpose and calling [`Tensor::matmul`].
+    pub(crate) fn matmul_as(&self, la: Layout, rhs: &Tensor, lb: Layout) -> Result<Tensor> {
+        let (ls, rs) = (self.logical_shape(la)?, rhs.logical_shape(lb)?);
+        let out_shape = ls.matmul(&rs)?;
+        let (m, k, n) = (ls.dim(0), ls.dim(1), rs.dim(1));
+        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), 1, m, k, n);
         Ok(Tensor::from_parts(out_shape, out))
+    }
+
+    /// The shape of the matrix this buffer stands for in `layout`.
+    fn logical_shape(&self, layout: Layout) -> Result<Cow<'_, Shape>> {
+        Ok(match layout {
+            Layout::Plain => Cow::Borrowed(&self.shape),
+            Layout::Transposed => Cow::Owned(self.shape.transposed()?),
+        })
     }
 
     /// 2-D matrix multiply using the seed repo's naive serial kernel.
@@ -332,12 +349,18 @@ impl Tensor {
     ///
     /// See [`Shape::batch_matmul`].
     pub fn batch_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let out_shape = self.shape.batch_matmul(&rhs.shape)?;
-        let r = self.shape.rank();
-        let (m, k) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
-        let n = rhs.shape.dim(r - 1);
-        let batch = self.shape.dims()[..r - 2].iter().product();
-        let out = kernels::batch_matmul(&self.data, &rhs.data, batch, m, k, n);
+        self.batch_matmul_as(Layout::Plain, rhs, Layout::Plain)
+    }
+
+    /// [`Tensor::batch_matmul`] of operands each stored in a [`Layout`]
+    /// (per batch slice), as [`Tensor::matmul_as`].
+    pub(crate) fn batch_matmul_as(&self, la: Layout, rhs: &Tensor, lb: Layout) -> Result<Tensor> {
+        let (ls, rs) = (self.logical_shape(la)?, rhs.logical_shape(lb)?);
+        let out_shape = ls.batch_matmul(&rs)?;
+        let r = ls.rank();
+        let (m, k, n) = (ls.dim(r - 2), ls.dim(r - 1), rs.dim(r - 1));
+        let batch = ls.dims()[..r - 2].iter().product();
+        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), batch, m, k, n);
         Ok(Tensor::from_parts(out_shape, out))
     }
 

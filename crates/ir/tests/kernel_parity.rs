@@ -5,13 +5,16 @@
 //! `allclose`) is the contract that makes pipelined training
 //! reproducible against the single-device reference. Broadcast, permute
 //! and the reductions must likewise equal the per-element index loops
-//! their stride walker replaced. The same holds one level up: the
-//! liveness interpreter (`eval`) must equal the deep-copy + naive-kernel
-//! oracle (`eval_reference`) on a whole training graph.
+//! their stride walker replaced. A matmul that reads an operand in
+//! place from its stored transpose must equal materialising the
+//! transpose first. The same holds one level up: the liveness
+//! interpreter (`eval`) must equal the deep-copy + naive-kernel oracle
+//! (`eval_reference`) on a whole training graph.
 
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{
-    eval, eval_reference, set_num_threads, value_and_grad, GraphBuilder, Prim, Shape, Tensor,
+    eval, eval_reference, eval_with_stats, set_num_threads, value_and_grad, EvalStats,
+    GraphBuilder, Prim, Shape, Tensor,
 };
 
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
@@ -144,6 +147,107 @@ fn transpose_roundtrip_is_identity() {
         let back = t.transpose().unwrap().transpose().unwrap();
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.data(), t.data());
+    }
+    set_num_threads(1);
+}
+
+/// `a @ b` (or the batched product) through the interpreter, each
+/// operand whose flag is set stored as its transpose and read through a
+/// `Transpose` equation, plus the allocator counters. Only the matmul
+/// reads those transposes, so the interpreter never writes them out.
+fn product_of_transposes(
+    prim: &Prim,
+    (a, ta): (&Tensor, bool),
+    (b, tb): (&Tensor, bool),
+) -> (Tensor, EvalStats) {
+    let mut g = GraphBuilder::new();
+    let mut stored = Vec::new();
+    let mut operand = |t: &Tensor, transposed: bool| {
+        let t = if transposed {
+            t.transpose().unwrap()
+        } else {
+            t.clone()
+        };
+        let v = g.input(t.shape().clone());
+        stored.push(t);
+        if transposed {
+            g.emit(Prim::Transpose, &[v]).unwrap()
+        } else {
+            v
+        }
+    };
+    let operands = [operand(a, ta), operand(b, tb)];
+    let z = g.emit(prim.clone(), &operands).unwrap();
+    let (mut out, stats) = eval_with_stats(&g.finish(vec![z]).unwrap(), &stored).unwrap();
+    (out.pop().unwrap(), stats)
+}
+
+/// The gate for transposed operands: a matmul or batched matmul that
+/// reads one or both operands in place from a stored transpose equals,
+/// bit for bit, materialising that transpose and running the blocked
+/// kernel on it, and equals (`==`) the naive kernel — for random shapes
+/// and the edges (`k ∈ {0, 1}`, `m` below the 8-row tile, `n` not a
+/// multiple of the 64-column panel, an empty batch), at any thread
+/// count.
+#[test]
+fn transposed_operands_match_the_materialised_transpose_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0x70A_11A5);
+    let edges: &[(usize, usize, usize, usize)] = &[
+        (1, 5, 0, 7),      // k = 0: all zeros
+        (1, 9, 1, 70),     // k = 1
+        (1, 3, 17, 130),   // m < MR, n not a multiple of NR
+        (1, 8, 33, 64),    // one full tile
+        (1, 130, 97, 100), // above the thread-split size
+        (0, 4, 5, 6),      // empty batch
+        (3, 7, 1, 65),
+        (2, 16, 0, 9),
+    ];
+    let mut cases = edges.to_vec();
+    for _ in 0..40 {
+        cases.push((
+            rng.gen_range(0usize..4),
+            rng.gen_range(1usize..40),
+            rng.gen_range(0usize..80),
+            rng.gen_range(1usize..150),
+        ));
+    }
+    for &(batch, m, k, n) in &cases {
+        for batched in [false, true] {
+            if !batched && batch != 1 {
+                continue;
+            }
+            let lead: &[usize] = if batched { &[batch] } else { &[] };
+            let dims = |r: usize, c: usize| [lead, &[r, c]].concat();
+            let a = rand_tensor(&dims(m, k), &mut rng);
+            let b = rand_tensor(&dims(k, n), &mut rng);
+            let (prim, blocked, naive) = if batched {
+                (
+                    Prim::BatchMatMul,
+                    a.batch_matmul(&b).unwrap(),
+                    a.batch_matmul_naive(&b).unwrap(),
+                )
+            } else {
+                (
+                    Prim::MatMul,
+                    a.matmul(&b).unwrap(),
+                    a.matmul_naive(&b).unwrap(),
+                )
+            };
+            for (ta, tb) in [(true, false), (false, true), (true, true)] {
+                for threads in [1, 2, 3, 4, 7] {
+                    set_num_threads(threads);
+                    let what = format!(
+                        "{} batch {batch} ({m},{k},{n}) lhsᵀ {ta} rhsᵀ {tb} x{threads}",
+                        prim.name()
+                    );
+                    let (got, stats) = product_of_transposes(&prim, (&a, ta), (&b, tb));
+                    let transposes = u64::from(ta) + u64::from(tb);
+                    assert_eq!(stats.reused, transposes, "{what}: read in place");
+                    assert_bits_eq(&got, &blocked, &what);
+                    assert_eq!(got.data(), naive.data(), "{what}");
+                }
+            }
+        }
     }
     set_num_threads(1);
 }

@@ -26,11 +26,12 @@
 # `taskgraph.{collectives,instrs}_per_step`: the rows a lowering change
 # must quote), then
 # the interpreter's cost per equation, the activations' cost per
-# element, the single-device step and the op time per primitive
-# (`ir.eval_us_per_eqn`, `ir.{tanh,gelu}_ns_per_elem`,
-# `ir.single_device_step_s`, `ir.op_s.*`: the rows a kernel change must
-# quote) — so the evidence a claim has to quote comes from the same
-# invocation as the claim.
+# element, the single-device step, the forward matmul kernel's rate, the
+# share of outputs that reuse or alias a buffer and the op time per
+# primitive (`ir.eval_us_per_eqn`, `ir.{tanh,gelu}_ns_per_elem`,
+# `ir.single_device_step_s`, `ir.matmul_gflops`, `ir.alloc_reuse_ratio`,
+# `ir.op_s.*`: the rows a kernel change must quote) — so the evidence a
+# claim has to quote comes from the same invocation as the claim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,5 +106,5 @@ echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
 echo "==> where the actors' time went, what observing it costs, what a step moves, and which ops took it (one traced run per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
-    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step) |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|op_s\.[a-z_]+) ' || true
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step) |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|matmul_gflops|alloc_reuse_ratio|op_s\.[a-z_]+) ' || true
 exit "$status"
