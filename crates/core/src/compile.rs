@@ -119,12 +119,12 @@ impl TpConfig {
 pub struct DpConfig {
     /// Number of pipeline replicas (1 compiles the program unchanged).
     pub replicas: usize,
-    /// ZeRO-1: shard optimizer state over the DP axis — each replica
-    /// owns one **first-dim** slice of every moment tensor, computes its
-    /// slice of the parameter update, and a second all-reduce folds the
-    /// disjoint slices into the full parameter. The first dim is the
-    /// axis tensor parallelism never splits, so this composes with any
-    /// `tp` degree.
+    /// ZeRO-1: shard optimizer state over the DP axis — the gradient is
+    /// reduce-scattered, each replica owns one **first-dim** slice of
+    /// every moment tensor and computes its slice of the parameter
+    /// update, and an all-gather reassembles the full parameter. The
+    /// first dim is the axis tensor parallelism never splits, so this
+    /// composes with any `tp` degree.
     pub zero1: bool,
 }
 

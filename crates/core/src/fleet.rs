@@ -19,8 +19,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use raxpp_ir::{Shape, Tensor};
 use raxpp_runtime::{
-    Kind, Metrics, RebalanceReport, RecoveryReport, Runtime, RuntimeError, StepEvent, StepStats,
-    TransportKind, TransportStats,
+    Counter, Gauge, Histogram, Kind, Metrics, RebalanceReport, RecoveryReport, Runtime,
+    RuntimeError, StepEvent, StepStats, TransportKind, TransportStats,
 };
 use raxpp_sched::{simulate, DpMap, Schedule, TpMap, UniformCost};
 use raxpp_taskgraph::{
@@ -155,14 +155,14 @@ impl Fleet {
     /// from the runtime and the composed fold assignment.
     fn update_fleet_gauges(&self) {
         self.metrics
-            .set_gauge("actors_alive", self.runtime.alive_actors() as f64);
+            .set_gauge(Gauge::ActorsAlive, self.runtime.alive_actors() as f64);
         let hosts = self.hosts.lock().unwrap();
         let mut per_host: HashMap<usize, usize> = HashMap::new();
         for &a in &self.schedule.stage_actor() {
             *per_host.entry(hosts[a]).or_insert(0) += 1;
         }
         let max = per_host.values().copied().max().unwrap_or(0);
-        self.metrics.set_gauge("stages_per_actor_max", max as f64);
+        self.metrics.set_gauge(Gauge::StagesPerActorMax, max as f64);
     }
 
     /// Checks `state` (parameters, then optimizer moments, all
@@ -291,7 +291,7 @@ impl Fleet {
         let out = match self.runtime.step(data) {
             Ok(o) => o,
             Err(e) => {
-                self.metrics.inc("step_failures_total", 1);
+                self.metrics.inc(Counter::StepFailuresTotal, 1);
                 return Err(e.into());
             }
         };
@@ -340,19 +340,19 @@ impl Fleet {
     /// Publishes one successful step into the metrics registry.
     fn publish(&self, stats: &StepStats) {
         let m = &self.metrics;
-        m.inc("steps_total", 1);
-        m.observe("step_time_s", stats.wall.as_secs_f64());
+        m.inc(Counter::StepsTotal, 1);
+        m.observe(Histogram::StepTimeS, stats.wall.as_secs_f64());
         // The fleet's profile: (time, invocations) of a kind and the
         // byte counters, summed over actors.
         let total = stats.total();
-        let of = |k: Kind| total.get(k.as_str()).unwrap_or_default();
+        let of = |k: Kind| total.get(k).unwrap_or_default();
         let alloc = total.alloc_stats();
-        m.inc("alloc_allocated_total", alloc.allocated);
-        m.inc("alloc_reused_total", alloc.reused);
-        m.inc("alloc_freed_total", alloc.freed);
+        m.inc(Counter::AllocAllocatedTotal, alloc.allocated);
+        m.inc(Counter::AllocReusedTotal, alloc.reused);
+        m.inc(Counter::AllocFreedTotal, alloc.freed);
         let touched = alloc.allocated + alloc.reused;
         if touched > 0 {
-            m.set_gauge("alloc_reuse_rate", alloc.reused as f64 / touched as f64);
+            m.set_gauge(Gauge::AllocReuseRate, alloc.reused as f64 / touched as f64);
         }
         // Where the actors' time went, tracing off: the share of actor
         // time blocked in `Recv`, and how much of it the schedule does
@@ -361,8 +361,8 @@ impl Fleet {
         let actor_time = stats.rpcs as f64 * stats.wall.as_secs_f64();
         if actor_time > 0.0 {
             let wait = of(Kind::Recv).0.as_secs_f64() / actor_time;
-            m.set_gauge("recv_wait_share", wait);
-            m.set_gauge("bubble_excess", wait - self.ideal_bubble);
+            m.set_gauge(Gauge::RecvWaitShare, wait);
+            m.set_gauge(Gauge::BubbleExcess, wait - self.ideal_bubble);
         }
         if self.runtime.transport_kind() != TransportKind::Mpsc {
             // Wire counters are cumulative on the transport; publish
@@ -370,27 +370,27 @@ impl Fleet {
             let now = self.runtime.transport_stats();
             let mut prev = self.wire_prev.lock().unwrap();
             let delta = |f: fn(&TransportStats) -> u64| f(&now).saturating_sub(f(&prev));
-            m.inc("transport_bytes_tx", delta(|s| s.bytes_tx));
-            m.inc("transport_bytes_rx", delta(|s| s.bytes_rx));
-            m.inc("reconnects_total", delta(|s| s.reconnects));
-            m.inc("heartbeat_misses_total", delta(|s| s.heartbeat_misses));
+            m.inc(Counter::TransportBytesTx, delta(|s| s.bytes_tx));
+            m.inc(Counter::TransportBytesRx, delta(|s| s.bytes_rx));
+            m.inc(Counter::ReconnectsTotal, delta(|s| s.reconnects));
+            m.inc(Counter::HeartbeatMissesTotal, delta(|s| s.heartbeat_misses));
             *prev = now;
         }
         if self.meta.tp.degree() > 1 {
-            m.inc("tp_collectives_total", of(Kind::Collective).1.into());
-            m.inc("tp_bytes_wire", total.bytes_wire());
+            m.inc(Counter::TpCollectivesTotal, of(Kind::Collective).1.into());
+            m.inc(Counter::TpBytesWire, total.bytes_wire());
             let wait = of(Kind::CollectiveWait).0;
-            m.inc("tp_collective_wait_us", wait.as_micros() as u64);
+            m.inc(Counter::TpCollectiveWaitUs, wait.as_micros() as u64);
         }
         if self.meta.dp.replicas() > 1 {
-            m.inc("dp_collectives_total", of(Kind::DpCollective).1.into());
-            m.inc("dp_bytes_wire", total.dp_bytes_wire());
+            m.inc(Counter::DpCollectivesTotal, of(Kind::DpCollective).1.into());
+            m.inc(Counter::DpBytesWire, total.dp_bytes_wire());
             let wait = of(Kind::DpCollectiveWait).0;
-            m.inc("dp_collective_wait_us", wait.as_micros() as u64);
+            m.inc(Counter::DpCollectiveWaitUs, wait.as_micros() as u64);
             // Each replica runs its compiled (per-replica) schedule:
             // the global batch divided by the DP degree.
             m.set_gauge(
-                "dp_microbatches_per_replica",
+                Gauge::DpMicrobatchesPerReplica,
                 (self.meta.n_mubatches / self.meta.dp.replicas()) as f64,
             );
         }
@@ -403,7 +403,7 @@ impl Fleet {
             self.runtime.with_step_trace(|trace| {
                 if let Some(trace) = trace {
                     let report = crate::observe::bubble_report(trace, &self.schedule);
-                    m.set_gauge("bubble_fraction_measured", report.measured_bubble);
+                    m.set_gauge(Gauge::BubbleFractionMeasured, report.measured_bubble);
                 }
             });
         }
@@ -470,7 +470,7 @@ impl Fleet {
                             std::thread::sleep(backoff);
                         }
                         self.recover()?;
-                        self.metrics.inc("retries_total", 1);
+                        self.metrics.inc(Counter::RetriesTotal, 1);
                     }
                     attempt += 1;
                 }
@@ -509,9 +509,9 @@ impl Fleet {
     /// restore point on the whole fleet.
     pub(crate) fn recover(&self) -> Result<RecoveryReport, CoreError> {
         let report = self.runtime.recover()?;
-        self.metrics.inc("recoveries_total", 1);
+        self.metrics.inc(Counter::RecoveriesTotal, 1);
         self.metrics
-            .inc("respawned_actors_total", report.respawned.len() as u64);
+            .inc(Counter::RespawnedActorsTotal, report.respawned.len() as u64);
         self.restore()?;
         Ok(report)
     }
@@ -532,7 +532,7 @@ impl Fleet {
             *host = report.assign[*host * t] / t;
         }
         self.restore()?;
-        self.metrics.inc("rebalances_total", 1);
+        self.metrics.inc(Counter::RebalancesTotal, 1);
         self.update_fleet_gauges();
         Ok(report)
     }

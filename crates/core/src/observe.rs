@@ -146,15 +146,11 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
     for a in 0..n_actors {
         let at = trace.actors.iter().find(|at| at.actor == a);
         let profile = at.map(|at| at.profile()).unwrap_or_default();
-        let secs = |k: &Kind| {
-            profile
-                .get(k.as_str())
-                .map_or(0.0, |(d, _)| d.as_secs_f64())
-        };
-        let compute = Kind::ALL.iter().filter(|k| k.is_compute());
+        let secs = |k: Kind| profile.get(k).map_or(0.0, |(d, _)| d.as_secs_f64());
+        let compute = Kind::ALL.into_iter().filter(|k| k.is_compute());
         let compute_s: f64 = compute.map(secs).sum();
-        let comm_s = secs(&Kind::Send);
-        let wait_s = secs(&Kind::Recv);
+        let comm_s = secs(Kind::Send);
+        let wait_s = secs(Kind::Recv);
         total_busy_s += compute_s + comm_s;
         let measured_idle_frac = if window_s > 0.0 {
             (1.0 - (compute_s + comm_s) / window_s).max(0.0)

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use raxpp_ir::{Jaxpr, Shape, Tensor};
 use raxpp_runtime::{
-    Metrics, RebalanceReport, RecoveryReport, Runtime, StepEvent, StepStats, StepTrace,
+    Counter, Metrics, RebalanceReport, RecoveryReport, Runtime, StepEvent, StepStats, StepTrace,
     TransportKind,
 };
 use raxpp_sched::Schedule;
@@ -233,7 +233,7 @@ impl Trainer {
             crate::checkpoint::CheckpointManager::new(&p.dir, p.keep)
                 .save(step, &state)
                 .map_err(|e| CoreError::BadInput(format!("checkpoint save failed: {e}")))?;
-            self.fleet.metrics.inc("checkpoints_total", 1);
+            self.fleet.metrics.inc(Counter::CheckpointsTotal, 1);
         }
         Ok((out, events))
     }

@@ -30,8 +30,8 @@ use crate::trace::{ActorTrace, Recorder, SpanRing};
 
 /// Per-instruction-kind wall-clock accounting for one actor's step.
 ///
-/// Stored per [`Kind`]; read by kind name (`"fwd"`, `"recv"`, … —
-/// [`Kind::as_str`]). `recv` time is mostly *waiting* for upstream
+/// Stored and read per [`Kind`]; [`ActorProfile::entries`] names each
+/// kind ([`Kind::as_str`]). `recv` time is mostly *waiting* for upstream
 /// data — the executable analogue of the pipeline bubble. The profile
 /// also carries the interpreter's buffer-allocator counters summed over
 /// the step's `Run` instructions.
@@ -51,12 +51,6 @@ impl ActorProfile {
         let e = &mut self.entries[kind as usize];
         e.0 += dur.as_nanos() as u64;
         e.1 += count;
-    }
-
-    /// [`ActorProfile::add`] by kind name.
-    #[cfg(test)]
-    pub(crate) fn add_entry(&mut self, kind: &str, dur: Duration, count: u32) {
-        self.add(Kind::parse(kind).expect("a kind name"), dur, count);
     }
 
     /// Adds everything `other` accounts — entries, allocator counters
@@ -86,11 +80,11 @@ impl ActorProfile {
         recorded.filter_map(|(k, (ns, c))| (c > 0).then_some((k, Duration::from_nanos(ns), c)))
     }
 
-    /// Total time and invocation count for an instruction kind.
-    pub fn get(&self, kind: &str) -> Option<(Duration, u32)> {
-        let kind = Kind::parse(kind)?;
-        let entry = self.by_kind().find(|&(k, ..)| k == kind);
-        entry.map(|(_, dur, count)| (dur, count))
+    /// Total time and invocation count for an instruction kind, if it
+    /// was recorded at all.
+    pub fn get(&self, kind: Kind) -> Option<(Duration, u32)> {
+        let (ns, count) = self.entries[kind as usize];
+        (count > 0).then(|| (Duration::from_nanos(ns), count))
     }
 
     /// All recorded kinds with their totals.
@@ -104,9 +98,10 @@ impl ActorProfile {
         &self.alloc
     }
 
-    /// Ring wire volume of every tensor-parallel collective on this
-    /// actor this step — `(t-1) × 4 × numel` per all-gather; invocations
-    /// appear under the `"collective"` profile kind.
+    /// Bytes this actor sent in the exchanges of its tensor-parallel
+    /// collectives this step — `(t-1) × 4 × numel` per all-gather, one
+    /// copy of its block to each peer; invocations appear under
+    /// [`Kind::Collective`].
     pub fn bytes_wire(&self) -> u64 {
         self.bytes_wire
     }
@@ -119,12 +114,14 @@ impl ActorProfile {
         0
     }
 
-    /// Ring wire volume of every *data-parallel* collective on this
-    /// actor this step — `(R-1) × 4 × numel` per DP gradient or
-    /// parameter exchange. Kept separate from
+    /// Bytes this actor sent in the exchanges of its *data-parallel*
+    /// collectives this step: `(R-1) × 4 × numel` per all-reduce or
+    /// all-gather (its whole contribution to each peer), and per
+    /// ZeRO-1 reduce-scatter `4 ×` the elements of the peers' `dp_split`
+    /// blocks (each peer is sent only its own block). Kept separate from
     /// [`ActorProfile::bytes_wire`] (the tensor-parallel volume) so the
     /// two mesh axes are observable independently; invocations appear
-    /// under the `"dp_collective"` profile kind.
+    /// under [`Kind::DpCollective`].
     pub fn dp_bytes_wire(&self) -> u64 {
         self.dp_bytes_wire
     }

@@ -5,111 +5,57 @@
 
 use raxpp_taskgraph::{CollectiveAxis, Instr, TaskLabel};
 
-/// What an instruction — or a named interval inside one — spent its
-/// time on. The discriminant is the wire encoding: append only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Kind {
-    /// Forward task of one stage for one microbatch.
-    Fwd,
-    /// Backward task (the activation-gradient half under a
-    /// split-backward schedule).
-    Bwd,
-    /// Deferred weight-gradient half of a split backward.
-    BwdW,
-    /// Local gradient accumulation.
-    AccumGrad,
-    /// Cotangent sum over several consumer stages.
-    CtSum,
-    /// Cross-actor reduce of shared-weight partial gradients.
-    GradReduce,
-    /// Optimizer update of one parameter.
-    Update,
-    /// `Send`: store bookkeeping plus the hand-off to the fabric.
-    Send,
-    /// `Recv`: almost entirely *waiting* for upstream data — the
-    /// executable form of the pipeline bubble.
-    Recv,
-    /// `Copy`: a send/recv pair folded onto one actor by a rebalance.
-    Copy,
-    /// `Free`: buffer deletion.
-    Free,
-    /// One tensor-parallel collective executed by one rank.
-    Collective,
-    /// One data-parallel collective executed by one replica.
-    DpCollective,
-    /// The time a rank spent blocked on its tensor-parallel peers,
-    /// inside its [`Kind::Collective`].
-    CollectiveWait,
-    /// The data-parallel analogue of [`Kind::CollectiveWait`].
-    DpCollectiveWait,
-    /// One interpreter equation inside a `Run` (trace only).
-    Op,
-    /// The synchronous socket write inside a `Send` (trace only).
-    Wire,
-    /// One served request's lifetime, recorded by `raxpp-serve` onto a
-    /// pseudo-actor track (trace only).
-    Serve,
+catalogue! {
+    /// What an instruction — or a named interval inside one — spent its
+    /// time on. The discriminant is the wire encoding: append only.
+    pub enum Kind {
+        /// Forward task of one stage for one microbatch.
+        Fwd => "fwd",
+        /// Backward task (the activation-gradient half under a
+        /// split-backward schedule).
+        Bwd => "bwd",
+        /// Deferred weight-gradient half of a split backward.
+        BwdW => "bwdw",
+        /// Local gradient accumulation.
+        AccumGrad => "accum_grad",
+        /// Cotangent sum over several consumer stages.
+        CtSum => "ct_sum",
+        /// Cross-actor reduce of shared-weight partial gradients.
+        GradReduce => "grad_reduce",
+        /// Optimizer update of one parameter.
+        Update => "update",
+        /// `Send`: store bookkeeping plus the hand-off to the fabric.
+        Send => "send",
+        /// `Recv`: almost entirely *waiting* for upstream data — the
+        /// executable form of the pipeline bubble.
+        Recv => "recv",
+        /// `Copy`: a send/recv pair folded onto one actor by a rebalance.
+        Copy => "copy",
+        /// `Free`: buffer deletion.
+        Free => "free",
+        /// One tensor-parallel collective executed by one rank.
+        Collective => "collective",
+        /// One data-parallel collective executed by one replica.
+        DpCollective => "dp_collective",
+        /// The time a rank spent blocked on its tensor-parallel peers,
+        /// inside its [`Kind::Collective`].
+        CollectiveWait => "collective_wait",
+        /// The data-parallel analogue of [`Kind::CollectiveWait`].
+        DpCollectiveWait => "dp_collective_wait",
+        /// One interpreter equation inside a `Run` (trace only).
+        Op => "op",
+        /// The synchronous socket write inside a `Send` (trace only).
+        Wire => "wire",
+        /// One served request's lifetime, recorded by `raxpp-serve` onto a
+        /// pseudo-actor track (trace only).
+        Serve => "serve",
+    }
 }
 
 impl Kind {
-    /// Number of kinds.
-    pub const COUNT: usize = 18;
-
-    /// Every kind, in discriminant order.
-    pub const ALL: [Kind; Kind::COUNT] = [
-        Kind::Fwd,
-        Kind::Bwd,
-        Kind::BwdW,
-        Kind::AccumGrad,
-        Kind::CtSum,
-        Kind::GradReduce,
-        Kind::Update,
-        Kind::Send,
-        Kind::Recv,
-        Kind::Copy,
-        Kind::Free,
-        Kind::Collective,
-        Kind::DpCollective,
-        Kind::CollectiveWait,
-        Kind::DpCollectiveWait,
-        Kind::Op,
-        Kind::Wire,
-        Kind::Serve,
-    ];
-
-    /// The name profiles and traces are read by (a trace's `cat`).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            Kind::Fwd => "fwd",
-            Kind::Bwd => "bwd",
-            Kind::BwdW => "bwdw",
-            Kind::AccumGrad => "accum_grad",
-            Kind::CtSum => "ct_sum",
-            Kind::GradReduce => "grad_reduce",
-            Kind::Update => "update",
-            Kind::Send => "send",
-            Kind::Recv => "recv",
-            Kind::Copy => "copy",
-            Kind::Free => "free",
-            Kind::Collective => "collective",
-            Kind::DpCollective => "dp_collective",
-            Kind::CollectiveWait => "collective_wait",
-            Kind::DpCollectiveWait => "dp_collective_wait",
-            Kind::Op => "op",
-            Kind::Wire => "wire",
-            Kind::Serve => "serve",
-        }
-    }
-
     /// The kind a wire byte stands for; `None` for a byte no kind has.
     pub fn from_u8(byte: u8) -> Option<Kind> {
         Kind::ALL.get(usize::from(byte)).copied()
-    }
-
-    /// The kind named `name`, the inverse of [`Kind::as_str`].
-    pub(crate) fn parse(name: &str) -> Option<Kind> {
-        Kind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 
     /// The kind an instruction's time is accounted under.
@@ -210,20 +156,8 @@ mod tests {
     /// human-readable copy of [`Kind::ALL`]: same names, each once.
     #[test]
     fn doc_span_category_table_is_kind_all() {
-        let doc = include_str!("../../../docs/observability.md");
-        let table = doc
-            .split("| `cat` | Meaning |")
-            .nth(1)
-            .expect("the span-category table");
-        let mut documented: Vec<&str> = table
-            .lines()
-            .skip(2) // rest of the header line, then the |---| rule
-            .take_while(|l| l.starts_with('|'))
-            .flat_map(|row| {
-                let cat = row.split('|').nth(1).expect("a cat cell");
-                cat.split('`').skip(1).step_by(2)
-            })
-            .collect();
+        let table = crate::catalogue::doc_table("| `cat` | Meaning |");
+        let mut documented: Vec<&str> = table.into_iter().flat_map(|(names, _)| names).collect();
         let mut kinds: Vec<&str> = Kind::ALL.iter().map(|k| k.as_str()).collect();
         documented.sort_unstable();
         kinds.sort_unstable();

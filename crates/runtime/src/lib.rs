@@ -24,12 +24,15 @@
 //! [`Runtime::set_tracing`]) every actor records per-instruction
 //! [`SpanEvent`]s that the driver assembles into a [`StepTrace`],
 //! exportable as Chrome `trace_event` JSON; the [`Metrics`] registry
-//! aggregates counters/gauges/histograms across steps (see
-//! `docs/observability.md`).
+//! aggregates counters/gauges/histograms across steps, each published by
+//! its typed id ([`Counter`], [`Gauge`], [`Histogram`]: the catalogue,
+//! declared once) and read by name (see `docs/observability.md`).
 
 #![deny(missing_docs)]
 
 mod actor;
+#[macro_use]
+mod catalogue;
 mod collective;
 mod env;
 mod error;
@@ -48,7 +51,7 @@ pub use error::RuntimeError;
 pub use exec::{ActorProfile, StepStats};
 pub use fault::Fault;
 pub use kind::Kind;
-pub use metrics::{HistogramSummary, MetricValue, Metrics};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricValue, Metrics};
 pub use runtime::{RebalanceReport, RecoveryReport, Runtime, StepOutputs};
 pub use trace::{ActorTrace, SpanEvent, StepEvent, StepTrace, TRACE_SCHEMA_VERSION};
 pub use transport::{serve_worker, TransportKind, TransportStats, WorkerConfig};

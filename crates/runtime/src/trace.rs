@@ -114,9 +114,9 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Payload bytes for `send`/`recv` spans and ring-received wire
-    /// bytes for `collective` spans (4 bytes per f32 element); 0
-    /// otherwise.
+    /// Payload bytes for `send`/`recv` spans, and for `collective` /
+    /// `dp_collective` spans the bytes the member *sent* in its exchange
+    /// (4 bytes per f32 element); 0 otherwise.
     pub bytes: u64,
     /// Buffer-allocator counters for `Run` spans; `None` otherwise.
     pub alloc: Option<EvalStats>,

@@ -779,7 +779,7 @@ mod tests {
         assert!(matches!(m2.payload, Payload::Abort(42, ref r) if r == "step aborted"));
 
         let mut p = ActorProfile::default();
-        p.add_entry("fwd", Duration::from_micros(12), 3);
+        p.add(Kind::Fwd, Duration::from_micros(12), 3);
         p.alloc = EvalStats {
             allocated: 5,
             reused: 2,
@@ -851,7 +851,7 @@ mod tests {
         ];
         let fetched = vec![tensor(0), tensor(2)];
         let mut p = ActorProfile::default();
-        p.add_entry("fwd", Duration::from_micros(5), 2);
+        p.add(Kind::Fwd, Duration::from_micros(5), 2);
         let span = SpanEvent {
             instr: 1,
             kind: "fwd",
@@ -1170,7 +1170,7 @@ mod tests {
             unreachable!()
         };
         let mut p = ActorProfile::default();
-        p.add_entry("bwd", Duration::from_micros(5), 2);
+        p.add(Kind::Bwd, Duration::from_micros(5), 2);
         o.result = Ok(p);
         o.trace.as_mut().unwrap().spans[0].kind = "bwd";
         let bwd = encode_reply(&reply);

@@ -3,7 +3,7 @@
 //! single-device autodiff — plus failure injection.
 
 use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx};
-use raxpp_runtime::{Fault, Runtime, RuntimeError};
+use raxpp_runtime::{Fault, Kind, Runtime, RuntimeError};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
     check_send_recv_order, insert_frees, pipeline_model, unroll_loop, FetchRole, MpmdProgram,
@@ -215,16 +215,16 @@ fn step_stats_profile_accounts_for_work() {
     assert_eq!(out.stats.profiles.len(), 2);
     for (a, p) in out.stats.profiles.iter().enumerate() {
         let (_, fwd_count) = p
-            .get("fwd")
+            .get(Kind::Fwd)
             .unwrap_or_else(|| panic!("actor {a} ran no fwd"));
         assert_eq!(fwd_count, 4, "actor {a} forward count");
-        let (_, bwd_count) = p.get("bwd").unwrap();
+        let (_, bwd_count) = p.get(Kind::Bwd).unwrap();
         assert_eq!(bwd_count, 4);
-        assert!(p.get("free").is_some(), "liveness pass emitted frees");
+        assert!(p.get(Kind::Free).is_some(), "liveness pass emitted frees");
     }
     // Actor 1 receives activations; actor 0 receives cotangents.
-    assert!(out.stats.profiles[1].get("recv").is_some());
-    assert!(out.stats.profiles[0].get("recv").is_some());
+    assert!(out.stats.profiles[1].get(Kind::Recv).is_some());
+    assert!(out.stats.profiles[0].get(Kind::Recv).is_some());
 }
 
 #[test]

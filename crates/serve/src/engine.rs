@@ -14,7 +14,9 @@ use std::time::Instant;
 
 use raxpp_core::{CoreError, ForwardStep};
 use raxpp_ir::Tensor;
-use raxpp_runtime::{ActorTrace, Kind, RuntimeError, SpanEvent, StepTrace};
+use raxpp_runtime::{
+    ActorTrace, Counter, Gauge, Histogram, Kind, RuntimeError, SpanEvent, StepTrace,
+};
 use raxpp_sched::SlotPlan;
 
 use crate::server::{Msg, Request};
@@ -87,7 +89,7 @@ impl Engine {
                         .load_params(&params)
                         .map_err(|e| ServeError::Swap(e.to_string()));
                     if r.is_ok() {
-                        self.step.metrics().inc("serve_weight_swaps_total", 1);
+                        self.step.metrics().inc(Counter::ServeWeightSwapsTotal, 1);
                     }
                     let _ = reply.send(r);
                 }
@@ -97,7 +99,7 @@ impl Engine {
                         .load_latest_checkpoint(&dir)
                         .map_err(|e| ServeError::Swap(e.to_string()));
                     if matches!(r, Ok(Some(_))) {
-                        self.step.metrics().inc("serve_weight_swaps_total", 1);
+                        self.step.metrics().inc(Counter::ServeWeightSwapsTotal, 1);
                     }
                     let _ = reply.send(r);
                 }
@@ -166,8 +168,8 @@ impl Engine {
     fn dispatch(&mut self) {
         debug_assert!(!self.batch.is_empty(), "nothing to dispatch");
         let metrics = self.step.metrics().clone();
-        metrics.inc("serve_padded_slots_total", self.plan.padded() as u64);
-        metrics.set_gauge("serve_slot_utilization", self.plan.utilization());
+        metrics.inc(Counter::ServePaddedSlotsTotal, self.plan.padded() as u64);
+        metrics.set_gauge(Gauge::ServeSlotUtilization, self.plan.utilization());
 
         // data[input][slot]: filled slots carry request tensors, the
         // padded tail carries zero filler whose outputs nobody reads.
@@ -186,18 +188,18 @@ impl Engine {
 
         let t0 = Instant::now();
         let result = self.step.forward(&data);
-        metrics.observe("serve_batch_time_s", t0.elapsed().as_secs_f64());
+        metrics.observe(Histogram::ServeBatchTimeS, t0.elapsed().as_secs_f64());
         // Depth drops before any reply is sent: a client woken by its
         // ticket must never observe its own request still counted as
         // queued. The engine is the gauge's only writer.
         let carried = self.batch.len();
         let depth = self.queue_depth.fetch_sub(carried, Ordering::Relaxed) - carried;
-        metrics.set_gauge("serve_queue_depth", depth as f64);
+        metrics.set_gauge(Gauge::ServeQueueDepth, depth as f64);
         match result {
             Ok(outputs) => {
                 self.consecutive_failures = 0;
-                metrics.inc("serve_batches_total", 1);
-                metrics.inc("serve_replies_total", carried as u64);
+                metrics.inc(Counter::ServeBatchesTotal, 1);
+                metrics.inc(Counter::ServeRepliesTotal, carried as u64);
                 // Latency of each carried request, admission -> reply.
                 let lat_ns: Vec<u64> = self
                     .batch
@@ -215,8 +217,8 @@ impl Engine {
                     self.window.push_back(ns / 1_000);
                 }
                 let mut sample: Vec<u64> = self.window.iter().copied().collect();
-                metrics.set_gauge("serve_p50_us", percentile(&mut sample, 50.0));
-                metrics.set_gauge("serve_p99_us", percentile(&mut sample, 99.0));
+                metrics.set_gauge(Gauge::ServeP50Us, percentile(&mut sample, 50.0));
+                metrics.set_gauge(Gauge::ServeP99Us, percentile(&mut sample, 99.0));
                 for (slot, req) in self.batch.drain(..).enumerate() {
                     let out = outputs.iter().map(|row| row[slot].clone()).collect();
                     let _ = req.reply.send(Ok(out));
@@ -224,8 +226,8 @@ impl Engine {
             }
             Err(e) => {
                 self.consecutive_failures += 1;
-                metrics.inc("serve_failed_batches_total", 1);
-                metrics.inc("serve_request_failures_total", carried as u64);
+                metrics.inc(Counter::ServeFailedBatchesTotal, 1);
+                metrics.inc(Counter::ServeRequestFailuresTotal, carried as u64);
                 let msg = e.to_string();
                 for req in self.batch.drain(..) {
                     let _ = req.reply.send(Err(ServeError::Dispatch(msg.clone())));

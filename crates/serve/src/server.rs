@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use raxpp_core::ForwardStep;
 use raxpp_ir::{Shape, Tensor};
-use raxpp_runtime::{Metrics, StepTrace};
+use raxpp_runtime::{Counter, Metrics, StepTrace};
 
 use crate::engine::Engine;
 use crate::{ServeConfig, ServeError, Ticket};
@@ -143,7 +143,7 @@ impl Server {
             reply: reply_tx,
         };
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
-        self.metrics.inc("serve_requests_total", 1);
+        self.metrics.inc(Counter::ServeRequestsTotal, 1);
         if self.tx.send(Msg::Request(req)).is_err() {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
             return Err(ServeError::ShuttingDown);

@@ -31,7 +31,7 @@ scripts/check_doc_links.sh
 echo "==> knob table check (docs/observability.md vs the RAXPP_* names sources read)"
 scripts/check_env_knobs.sh
 
-echo "==> metric catalogue check (docs/observability.md vs the names core and serve publish)"
+echo "==> metric catalogue check (every Counter / Gauge / Histogram row is published by core or serve)"
 scripts/check_metric_catalog.sh
 
 echo "==> crate map check (crates/ vs README.md, DESIGN.md and [workspace.dependencies])"

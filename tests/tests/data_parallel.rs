@@ -21,7 +21,7 @@ use raxpp_core::{
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::Tensor;
 use raxpp_models::{mlp_chain, BuiltModel};
-use raxpp_runtime::{Fault, TransportKind};
+use raxpp_runtime::{Fault, Kind, TransportKind};
 use raxpp_sched::{gpipe, one_f1b, DpMap, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveAxis, Instr};
 
@@ -180,7 +180,7 @@ fn dp_shards_the_batch_and_tracks_dp1_within_bounds() {
                 // replica ran its replica's N/d forward tasks, no more.
                 for (a, profile) in got.stats.profiles.iter().enumerate() {
                     assert_eq!(
-                        profile.get("fwd").map(|(_, count)| count as usize),
+                        profile.get(Kind::Fwd).map(|(_, count)| count as usize),
                         Some(GLOBAL_MB / dp),
                         "{} dp={dp} tp={tp} step {step}: actor {a} forward tasks != N/d",
                         schedule.name()

@@ -13,7 +13,7 @@ use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, TpC
 use raxpp_ir::rng::{SeedableRng, StdRng};
 use raxpp_ir::{Prim, Tensor};
 use raxpp_models::{mlp_chain, BuiltModel};
-use raxpp_runtime::{ActorProfile, Fault, StepTrace, TransportKind};
+use raxpp_runtime::{ActorProfile, Fault, Kind, StepTrace, TransportKind};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1, Schedule, TpMap};
 use raxpp_taskgraph::{CollectiveAxis, CollectiveKind, Instr};
 
@@ -335,8 +335,8 @@ fn collectives_ride_the_message_fabric() {
         let profiles = trainer.step(&data).unwrap().stats.profiles;
         for (a, p) in profiles.iter().enumerate() {
             assert_eq!(
-                p.get("collective").is_some(),
-                p.get("collective_wait").is_some(),
+                p.get(Kind::Collective).is_some(),
+                p.get(Kind::CollectiveWait).is_some(),
                 "{transport}: actor {a} ran a collective without accounting its wait"
             );
         }

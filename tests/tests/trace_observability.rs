@@ -298,8 +298,8 @@ fn profile_is_the_fold_of_the_trace() {
                 let reported = &result.stats.profiles[at.actor];
                 for kind in Kind::ALL {
                     assert_eq!(
-                        folded.get(kind.as_str()),
-                        reported.get(kind.as_str()),
+                        folded.get(kind),
+                        reported.get(kind),
                         "{name}: actor {} kind {}",
                         at.actor,
                         kind.as_str()
