@@ -18,9 +18,13 @@
 //! | footer | `u32` | CRC-32 of every preceding byte of the file |
 //!
 //! The per-tensor CRC localizes corruption to one tensor; the footer
-//! CRC catches truncation and header tampering. All length fields are
-//! bounds-checked against the remaining input before any allocation, so
-//! a mangled header yields `InvalidData`, never an OOM.
+//! CRC catches truncation and header tampering. The bytes go through
+//! the codec the socket transport's frames use too, `raxpp_ir::bytes`:
+//! every read is bounds-checked, every length field is checked against
+//! the remaining input before any allocation, and bytes left over are
+//! rejected, so a mangled header yields `InvalidData`, never an OOM.
+//! The rank's width, the plausibility bounds and the checksums are this
+//! format's own and live here.
 //!
 //! # On-disk layout
 //!
@@ -37,9 +41,11 @@
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-use raxpp_ir::{Shape, Tensor};
+use raxpp_ir::bytes::{Reader, Writer};
+use raxpp_ir::Tensor;
+
+pub use raxpp_ir::bytes::crc32;
 
 const MAGIC: &[u8; 6] = b"RAXPP\x02";
 /// Format version written into (and required from) the header.
@@ -50,93 +56,20 @@ const MAX_TENSORS: usize = 1 << 20;
 /// Upper bound on a tensor's rank.
 const MAX_RANK: usize = 64;
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Encodes `tensors` captured after `step` into format v2 bytes.
 pub fn encode_checkpoint(step: u64, tensors: &[Tensor]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&step.to_le_bytes());
-    out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
-    for t in tensors {
-        let dims = t.shape().dims();
-        out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        let data_start = out.len();
-        for &v in t.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let crc = crc32(&out[data_start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-    }
-    let footer = crc32(&out);
-    out.extend_from_slice(&footer.to_le_bytes());
-    out
-}
-
-/// Byte-slice cursor with bounds-checked reads.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("truncated checkpoint"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
+    w.u32(CHECKPOINT_VERSION);
+    w.u64(step);
+    w.list(tensors, |w, t| {
+        w.u32(t.shape().rank() as u32);
+        let crc = crc32(w.tensor(t));
+        w.u32(crc);
+    });
+    let footer = crc32(w.as_bytes());
+    w.u32(footer);
+    w.into_bytes()
 }
 
 /// Decodes format v2 bytes into `(step, tensors)`, verifying both the
@@ -148,69 +81,44 @@ impl<'a> Cursor<'a> {
 /// inconsistent with the input size, a checksum mismatch, or trailing
 /// garbage.
 pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<(u64, Vec<Tensor>)> {
+    decode(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn decode(bytes: &[u8]) -> Result<(u64, Vec<Tensor>), String> {
     if bytes.len() < MAGIC.len() + 4 {
-        return Err(bad("truncated checkpoint"));
+        return Err("truncated checkpoint".into());
     }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(bad("not a RaxPP v2 checkpoint"));
+    let (body, footer) = bytes.split_at(bytes.len() - 4);
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err("not a RaxPP v2 checkpoint".into());
     }
-    let (body, footer_bytes) = bytes.split_at(bytes.len() - 4);
-    let footer = u32::from_le_bytes(footer_bytes.try_into().unwrap());
-    if crc32(body) != footer {
-        return Err(bad("checkpoint footer checksum mismatch"));
+    if crc32(body) != Reader::new(footer).u32()? {
+        return Err("checkpoint footer checksum mismatch".into());
     }
-    let mut c = Cursor {
-        buf: body,
-        pos: MAGIC.len(),
-    };
-    let version = c.u32()?;
+    let version = r.u32()?;
     if version != CHECKPOINT_VERSION {
-        return Err(bad(format!("unsupported checkpoint version {version}")));
+        return Err(format!("unsupported checkpoint version {version}"));
     }
-    let step = c.u64()?;
-    let count = c.u32()? as usize;
+    let step = r.u64()?;
+    // Every tensor occupies at least its rank and crc fields.
+    let count = r.count(8)?;
     if count > MAX_TENSORS {
-        return Err(bad(format!("implausible tensor count {count}")));
-    }
-    // Every tensor needs at least its rank + crc fields: a cheap bound
-    // before trusting `count` for the allocation below.
-    if count.saturating_mul(8) > c.remaining() {
-        return Err(bad("tensor count exceeds input size"));
+        return Err(format!("implausible tensor count {count}"));
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let rank = c.u32()? as usize;
-        if rank > MAX_RANK || rank.saturating_mul(8) > c.remaining() {
-            return Err(bad(format!("implausible tensor rank {rank}")));
+        let rank = r.u32()? as usize;
+        if rank > MAX_RANK {
+            return Err(format!("implausible tensor rank {rank}"));
         }
-        let mut dims = Vec::with_capacity(rank);
-        let mut numel = 1usize;
-        for _ in 0..rank {
-            let d = c.u64()?;
-            let d = usize::try_from(d).map_err(|_| bad("dimension overflows usize"))?;
-            numel = numel
-                .checked_mul(d)
-                .ok_or_else(|| bad("element count overflows usize"))?;
-            dims.push(d);
+        let (t, data) = r.tensor(rank)?;
+        if crc32(data) != r.u32()? {
+            return Err("tensor data checksum mismatch".into());
         }
-        let n_bytes = numel
-            .checked_mul(4)
-            .filter(|&n| n <= c.remaining())
-            .ok_or_else(|| bad("tensor data exceeds input size"))?;
-        let data_bytes = c.take(n_bytes)?;
-        let crc = c.u32()?;
-        if crc32(data_bytes) != crc {
-            return Err(bad("tensor data checksum mismatch"));
-        }
-        let data: Vec<f32> = data_bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        out.push(Tensor::from_vec(Shape::new(dims), data).map_err(|e| bad(e.to_string()))?);
+        out.push(t);
     }
-    if c.remaining() != 0 {
-        return Err(bad("trailing bytes after last tensor"));
-    }
+    r.finish()?;
     Ok((step, out))
 }
 
@@ -515,6 +423,33 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The checkpoints the mutator seeds from: an empty one, and one
+    /// with a scalar, a matrix, an empty tensor and a vector.
+    fn seed_checkpoints() -> [Vec<u8>; 2] {
+        [
+            encode_checkpoint(0, &[]),
+            encode_checkpoint(
+                7,
+                &[
+                    Tensor::scalar(-0.5),
+                    Tensor::from_vec([2, 3], vec![1.0, -2.0, 3.5, 0.0, 5.0, -6.25]).unwrap(),
+                    Tensor::zeros([0, 3]),
+                    Tensor::zeros([4]),
+                ],
+            ),
+        ]
+    }
+
+    /// The format is pinned byte for byte: the length and the footer of
+    /// each seed checkpoint (the CRC of all bytes but the footer; the
+    /// CRC of a whole file is the same residue for every file). A codec
+    /// change that means to keep the format passes this unmodified.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let got = seed_checkpoints().map(|b| (b.len(), crc32(&b[..b.len() - 4])));
+        assert_eq!(got, [(0x1a, 0x5fe64cf6), (0x8e, 0x83f54b2f)], "{got:x?}");
+    }
+
     /// Re-seals a mutated checkpoint: recomputes the CRC of every tensor
     /// the (possibly mangled) length fields still place inside the body,
     /// then the footer, so the mutation reaches the body parser instead
@@ -552,62 +487,13 @@ mod tests {
         footer.copy_from_slice(&crc32(body).to_le_bytes());
     }
 
-    /// The largest single allocation the calling thread made while `f`
-    /// ran.
-    fn largest_allocation(f: impl FnOnce()) -> usize {
-        LARGEST.with(|l| l.set(0));
-        f();
-        LARGEST.with(|l| l.get())
-    }
-
-    thread_local! {
-        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// The system allocator, noting each thread's largest request.
-    struct NoteLargest;
-
-    fn note(size: usize) {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // so `System` keeps the allocator contract; `note` neither allocates
-    // nor touches the memory.
-    unsafe impl std::alloc::GlobalAlloc for NoteLargest {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            note(layout.size());
-            // SAFETY: the caller's `alloc` contract, passed on.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-            note(layout.size());
-            // SAFETY: the caller's `alloc_zeroed` contract, passed on.
-            unsafe { std::alloc::System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, p: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
-            note(size);
-            // SAFETY: `p` came from `System` (every block here does), and
-            // the caller's `realloc` contract is passed on.
-            unsafe { std::alloc::System.realloc(p, layout, size) }
-        }
-
-        unsafe fn dealloc(&self, p: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `p` came from `System` with this `layout`.
-            unsafe { std::alloc::System.dealloc(p, layout) }
-        }
-    }
-
     #[global_allocator]
-    static ALLOCATOR: NoteLargest = NoteLargest;
+    static ALLOCATOR: raxpp_ir::testing::NoteLargest = raxpp_ir::testing::NoteLargest;
 
-    /// Checkpoint bodies under mutation: a seeded byte flip at every
-    /// offset, `0xFF…` over every 4- and 8-byte window (every count,
-    /// rank and dimension field wherever it sits), and seeded splices of
-    /// every ordered pair of checkpoints — each re-sealed, so both
+    /// Checkpoint bodies under the shared mutator
+    /// (`raxpp_ir::testing::mutants`: a byte flip at every offset,
+    /// `0xFF…` over every count, rank and dimension field, splices of
+    /// every ordered pair of checkpoints) — each re-sealed, so both
     /// checksums pass and the body parser sees the damage. Both readers
     /// answer every input with a checkpoint that re-encodes to exactly
     /// those bytes or with `InvalidData`; a panic fails the test, and no
@@ -615,45 +501,8 @@ mod tests {
     /// tensors' headers.
     #[test]
     fn checkpoint_bodies_survive_byte_flips_length_edits_and_splices() {
-        use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-        let mut rng = StdRng::seed_from_u64(0xC4EC);
-        let checkpoints = [
-            encode_checkpoint(0, &[]),
-            encode_checkpoint(
-                7,
-                &[
-                    Tensor::scalar(-0.5),
-                    Tensor::from_vec([2, 3], vec![1.0, -2.0, 3.5, 0.0, 5.0, -6.25]).unwrap(),
-                    Tensor::zeros([0, 3]),
-                    Tensor::zeros([4]),
-                ],
-            ),
-        ];
-        let mut inputs = Vec::new();
-        for ck in &checkpoints {
-            for at in 0..ck.len() {
-                let mut flipped = ck.clone();
-                flipped[at] ^= rng.gen_range(1..256u16) as u8;
-                inputs.push(flipped);
-                for width in [4, 8] {
-                    if at + width <= ck.len() {
-                        let mut edited = ck.clone();
-                        edited[at..at + width].fill(0xFF);
-                        inputs.push(edited);
-                    }
-                }
-            }
-        }
-        for a in &checkpoints {
-            for b in &checkpoints {
-                inputs.push([a.as_slice(), b].concat());
-                for _ in 0..8 {
-                    let head = &a[..rng.gen_range(0..a.len() + 1)];
-                    let tail = &b[rng.gen_range(0..b.len() + 1)..];
-                    inputs.push([head, tail].concat());
-                }
-            }
-        }
+        use raxpp_ir::testing::{largest_allocation, mutants};
+        let mut inputs = mutants(&seed_checkpoints(), 0xC4EC);
         for bytes in &mut inputs {
             reseal(bytes);
         }

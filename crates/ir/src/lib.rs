@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod autodiff;
+pub mod bytes;
 mod dtype;
 mod error;
 mod graph;
@@ -40,6 +41,7 @@ mod prim;
 pub mod rng;
 mod shape;
 mod tensor;
+pub mod testing;
 mod trace;
 
 pub use autodiff::{grad, linearize, value_and_grad, Linearized};

@@ -109,7 +109,7 @@ impl ActorProfile {
     /// Always 0: nothing is published ahead of its collective since the
     /// shared-memory rendezvous went. Kept for its one caller, the
     /// frozen benchmark (`crates/bench/src/bin/benchmark/src/train.rs`,
-    /// the `runtime.tp_overlap_ratio` row); ROADMAP 7d deletes both.
+    /// the `runtime.tp_overlap_ratio` row); ROADMAP 11(d) deletes both.
     pub fn bytes_overlap(&self) -> u64 {
         0
     }

@@ -887,6 +887,10 @@ pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result
 mod tests {
     use super::*;
     use crate::actor::{Reply, ReplyKind};
+    use crate::store::SendToken;
+    use raxpp_ir::Tensor;
+    use raxpp_taskgraph::BufferId;
+    use std::sync::mpsc::RecvTimeoutError;
 
     /// A frame that does not decode ends the link, as EOF does: on a
     /// control link the driver hears `Gone` for the incarnation at once
@@ -921,6 +925,43 @@ mod tests {
         );
         assert_eq!(worker.read(&mut [0u8; 1]).unwrap(), 0, "the link ended");
         driver.sever();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A data frame the reader rejects ends that data link and nothing
+    /// else: the message in front of it is delivered, the one behind it
+    /// never is, no `Gone` is posted (only the end of a control link is
+    /// a departure), and the dialer reads EOF.
+    #[test]
+    fn a_malformed_data_frame_ends_only_that_data_link() {
+        let dir = fresh_fleet_dir();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (tx, inbox) = channel();
+        let worker = Endpoint::bind(0, &dir, Scheme::Uds, Arc::default(), tx, 0).unwrap();
+        let mut peer = UnixStream::connect(sock_path(&dir, 0)).unwrap();
+        peer.set_read_timeout(Some(HB_TIMEOUT)).unwrap();
+        write_frame(&mut peer, &encode_hello(1)).unwrap();
+        let data = |epoch| {
+            let t = Tensor::scalar(1.5);
+            let payload = Payload::Data(epoch, BufferId(2), t, SendToken::new());
+            encode(&Msg { from: 1, payload }).unwrap()
+        };
+        write_frame(&mut peer, &data(1)).unwrap();
+        write_frame(&mut peer, &[data(2).as_slice(), &[0]].concat()).unwrap();
+        // The reader may already have closed the link: the write may fail.
+        let _ = write_frame(&mut peer, &data(3));
+        let msg = inbox.recv_timeout(HB_TIMEOUT).expect("the first message");
+        assert_eq!(msg.from, 1);
+        assert!(matches!(msg.payload, Payload::Data(1, BufferId(2), ..)));
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0, "the link ended");
+        // Severed, the endpoint drops its inbox sender and the ended
+        // reader has dropped its own: nothing else was delivered.
+        worker.sever();
+        assert_eq!(
+            inbox.recv_timeout(HB_TIMEOUT).err(),
+            Some(RecvTimeoutError::Disconnected),
+            "no second message and no Gone"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

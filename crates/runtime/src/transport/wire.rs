@@ -4,12 +4,18 @@
 //! length followed by the payload; the first payload byte is a frame
 //! tag ([`HELLO`], [`DATA`], [`CMD`], [`REPLY`], [`HEARTBEAT`]). After
 //! the handshake, every frame but a heartbeat carries one envelope
-//! ([`encode`] / [`decode`]). The
-//! codec is hand-rolled (the workspace is dependency-free by design)
-//! and *exact*: tensors travel as raw `f32` bit patterns, so a value
-//! decoded on the far side is bitwise-identical to the one encoded —
-//! the socket transport inherits the runtime's bitwise-determinism
-//! contract from this property.
+//! ([`encode`] / [`decode`]).
+//!
+//! The bytes go through the one codec the checkpoint files use too,
+//! `raxpp_ir::bytes`: its reader bounds-checks every read, checks every
+//! count against the bytes left before anything is sized from it, and
+//! rejects a frame with bytes left over, so a frame is exactly one
+//! envelope. The codec is *exact*: tensors travel as raw `f32` bit
+//! patterns, so a value decoded on the far side is bitwise-identical to
+//! the one encoded — the socket transport inherits the runtime's
+//! bitwise-determinism contract from this property. What is the wire's
+//! own lives here: the tags, a tensor's `u8` rank, actor ids, kind
+//! bytes and [`EvalStats`].
 //!
 //! Actor ids are `u64` on the wire; the driver's pseudo-id
 //! (`usize::MAX`) maps to `u64::MAX`. A span's or profile entry's kind
@@ -19,7 +25,8 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use raxpp_ir::{EvalStats, Shape, Tensor};
+use raxpp_ir::bytes::{Reader, Writer};
+use raxpp_ir::{EvalStats, Tensor};
 use raxpp_taskgraph::BufferId;
 
 use crate::actor::{Command, ExecFailure, ExecOutcome, Msg, Payload, Reply, ReplyKind};
@@ -51,8 +58,9 @@ const MAX_FRAME: u32 = 1 << 30;
 
 /// Writes one length-prefixed frame. Returns the total bytes written.
 pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
+    let mut len = Writer::default();
+    len.u32(payload.len() as u32);
+    w.write_all(len.as_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(4 + payload.len() as u64)
@@ -64,7 +72,7 @@ pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result
 pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
+    let len = Reader::new(&len).u32().expect("4 bytes");
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -77,172 +85,61 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoder / decoder
+// Wire fields over the shared codec
 // ---------------------------------------------------------------------
-
-/// Append-only byte encoder over the primitive wire types.
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Enc {
-        Enc { buf: vec![tag] }
-    }
-
-    fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn actor(&mut self, a: usize) {
-        // usize::MAX (the driver pseudo-id) maps to u64::MAX.
-        self.u64(if a == usize::MAX { u64::MAX } else { a as u64 });
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn tensor(&mut self, t: &Tensor) {
-        let dims = t.shape().dims();
-        self.u8(dims.len() as u8);
-        for &d in dims {
-            self.u64(d as u64);
-        }
-        for &v in t.data() {
-            self.u32(v.to_bits());
-        }
-    }
-
-    fn stats(&mut self, s: &EvalStats) {
-        self.u64(s.allocated);
-        self.u64(s.reused);
-        self.u64(s.freed);
-    }
-}
-
-/// Cursor-based decoder; every accessor is total and reports a
-/// protocol error instead of panicking on truncated input.
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
 
 type DecResult<T> = Result<T, String>;
 
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Dec<'a> {
-        Dec { b, pos: 0 }
-    }
+/// A frame's writer, its tag written.
+fn writer(tag: u8) -> Writer {
+    let mut w = Writer::default();
+    w.u8(tag);
+    w
+}
 
-    fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if n > self.b.len() - self.pos {
-            return Err(format!(
-                "truncated frame: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.b.len()
-            ));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
+fn put_actor(w: &mut Writer, a: usize) {
+    // usize::MAX (the driver pseudo-id) maps to u64::MAX.
+    w.u64(if a == usize::MAX { u64::MAX } else { a as u64 });
+}
 
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
+fn actor(r: &mut Reader<'_>) -> DecResult<usize> {
+    let v = r.u64()?;
+    Ok(if v == u64::MAX {
+        usize::MAX
+    } else {
+        v as usize
+    })
+}
 
-    fn u32(&mut self) -> DecResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
+/// A tensor on the wire: a `u8` rank, then the shared dims and payload.
+fn put_tensor(w: &mut Writer, t: &Tensor) {
+    w.u8(t.shape().rank() as u8);
+    w.tensor(t);
+}
 
-    fn u64(&mut self) -> DecResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+/// At least its rank byte, for [`Reader::list`].
+fn tensor(r: &mut Reader<'_>) -> DecResult<Tensor> {
+    let rank = r.u8()?;
+    Ok(r.tensor(rank.into())?.0)
+}
 
-    /// A `u32`-counted list. The count is checked against the bytes
-    /// left before anything is sized from it: every element occupies at
-    /// least `min_bytes` of the frame, so a corrupt or truncated count
-    /// can never drive an allocation beyond the remaining input.
-    fn list<T>(
-        &mut self,
-        min_bytes: usize,
-        mut elem: impl FnMut(&mut Self) -> DecResult<T>,
-    ) -> DecResult<Vec<T>> {
-        let n = self.u32()? as usize;
-        let left = self.b.len() - self.pos;
-        if n.saturating_mul(min_bytes) > left {
-            return Err(format!(
-                "truncated frame: {n} elements of >= {min_bytes} bytes, {left} bytes left"
-            ));
-        }
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            items.push(elem(self)?);
-        }
-        Ok(items)
-    }
+fn kind(r: &mut Reader<'_>) -> DecResult<Kind> {
+    let byte = r.u8()?;
+    Kind::from_u8(byte).ok_or_else(|| format!("unknown span kind {byte}"))
+}
 
-    fn actor(&mut self) -> DecResult<usize> {
-        let v = self.u64()?;
-        Ok(if v == u64::MAX {
-            usize::MAX
-        } else {
-            v as usize
-        })
-    }
+fn put_stats(w: &mut Writer, s: &EvalStats) {
+    w.u64(s.allocated);
+    w.u64(s.reused);
+    w.u64(s.freed);
+}
 
-    fn str(&mut self) -> DecResult<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|e| format!("bad utf8: {e}"))
-    }
-
-    fn tensor(&mut self) -> DecResult<Tensor> {
-        let rank = self.u8()? as usize;
-        let dims: Vec<usize> = self
-            .take(8 * rank)?
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-            .collect();
-        // The payload must be present in full before anything is
-        // allocated for it (`take` checks the checked byte count).
-        let bytes = dims
-            .iter()
-            .try_fold(4usize, |n, &d| n.checked_mul(d))
-            .ok_or_else(|| format!("tensor dims {dims:?} overflow"))?;
-        let data = self
-            .take(bytes)?
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect();
-        Tensor::from_vec(Shape::new(dims), data).map_err(|e| format!("bad tensor: {e}"))
-    }
-
-    fn kind(&mut self) -> DecResult<Kind> {
-        let byte = self.u8()?;
-        Kind::from_u8(byte).ok_or_else(|| format!("unknown span kind {byte}"))
-    }
-
-    fn stats(&mut self) -> DecResult<EvalStats> {
-        Ok(EvalStats {
-            allocated: self.u64()?,
-            reused: self.u64()?,
-            freed: self.u64()?,
-        })
-    }
+fn stats(r: &mut Reader<'_>) -> DecResult<EvalStats> {
+    Ok(EvalStats {
+        allocated: r.u64()?,
+        reused: r.u64()?,
+        freed: r.u64()?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -258,112 +155,114 @@ impl<'a> Dec<'a> {
 /// succeeds, and the receiving pump mints a fresh one that the
 /// receiver's `Recv` completes as usual (see `store.rs`).
 pub(crate) fn encode(m: &Msg) -> Option<Vec<u8>> {
-    let mut e = Enc::new(DATA);
+    let mut w = writer(DATA);
     match &m.payload {
         Payload::Data(epoch, buf, t, _token) => {
-            e.actor(m.from);
-            e.u64(*epoch);
-            e.u8(0);
-            e.u32(buf.0);
-            e.tensor(t);
+            put_actor(&mut w, m.from);
+            w.u64(*epoch);
+            w.u8(0);
+            w.u32(buf.0);
+            put_tensor(&mut w, t);
         }
         Payload::Abort(epoch, reason) => {
-            e.actor(m.from);
-            e.u64(*epoch);
-            e.u8(1);
-            e.str(reason);
+            put_actor(&mut w, m.from);
+            w.u64(*epoch);
+            w.u8(1);
+            w.str(reason);
         }
         Payload::Command(c) => return Some(encode_command(c)),
         Payload::Reply(r) => return Some(encode_reply(r)),
         Payload::Gone(_) => return None,
     }
-    Some(e.into_bytes())
+    Some(w.into_bytes())
 }
 
 /// Decodes one frame read from `from`'s link into the envelope it
 /// carries — `None` for a heartbeat. A [`HELLO`] after the handshake
 /// is a protocol error like any unknown tag.
 pub(crate) fn decode(from: usize, frame: &[u8]) -> DecResult<Option<Msg>> {
-    let mut d = Dec::new(frame);
-    let payload = match d.u8()? {
+    let mut r = Reader::new(frame);
+    let on_link = |payload| Some(Msg { from, payload });
+    let msg = match r.u8()? {
         DATA => {
-            let from = d.actor()?;
-            let epoch = d.u64()?;
-            let payload = match d.u8()? {
+            let from = actor(&mut r)?;
+            let epoch = r.u64()?;
+            let payload = match r.u8()? {
                 0 => {
-                    let buf = BufferId(d.u32()?);
-                    Payload::Data(epoch, buf, d.tensor()?, SendToken::new())
+                    let buf = BufferId(r.u32()?);
+                    Payload::Data(epoch, buf, tensor(&mut r)?, SendToken::new())
                 }
-                1 => Payload::Abort(epoch, d.str()?),
+                1 => Payload::Abort(epoch, r.str()?),
                 k => return Err(format!("unknown payload kind {k}")),
             };
-            return Ok(Some(Msg { from, payload }));
+            Some(Msg { from, payload })
         }
-        CMD => Payload::Command(decode_command(&mut d)?),
-        REPLY => Payload::Reply(decode_reply(&mut d)?),
+        CMD => on_link(Payload::Command(decode_command(&mut r)?)),
+        REPLY => on_link(Payload::Reply(decode_reply(&mut r)?)),
         HEARTBEAT => {
-            d.actor()?;
-            return Ok(None);
+            actor(&mut r)?;
+            None
         }
         tag => return Err(format!("unexpected frame tag {tag}")),
     };
-    Ok(Some(Msg { from, payload }))
+    r.finish()?;
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------
 // Fault
 // ---------------------------------------------------------------------
 
-fn encode_fault(e: &mut Enc, f: &Fault) {
+fn encode_fault(w: &mut Writer, f: &Fault) {
     match f {
-        Fault::DieNow => e.u8(0),
+        Fault::DieNow => w.u8(0),
         Fault::DieAtInstr(n) => {
-            e.u8(1);
-            e.u64(*n as u64);
+            w.u8(1);
+            w.u64(*n as u64);
         }
         Fault::ErrorAtInstr(n) => {
-            e.u8(2);
-            e.u64(*n as u64);
+            w.u8(2);
+            w.u64(*n as u64);
         }
         Fault::ErrorAtTask(s) => {
-            e.u8(3);
-            e.str(s);
+            w.u8(3);
+            w.str(s);
         }
-        Fault::KillNow => e.u8(4),
+        Fault::KillNow => w.u8(4),
         Fault::KillAtInstr(n) => {
-            e.u8(5);
-            e.u64(*n as u64);
+            w.u8(5);
+            w.u64(*n as u64);
         }
         Fault::DropLink { peer } => {
-            e.u8(6);
-            e.actor(*peer);
+            w.u8(6);
+            put_actor(w, *peer);
         }
         Fault::DelayLink { peer, ms } => {
-            e.u8(7);
-            e.actor(*peer);
-            e.u64(*ms);
+            w.u8(7);
+            put_actor(w, *peer);
+            w.u64(*ms);
         }
         Fault::Partition { to } => {
-            e.u8(8);
-            e.actor(*to);
+            w.u8(8);
+            put_actor(w, *to);
         }
     }
 }
 
-fn decode_fault(d: &mut Dec<'_>) -> DecResult<Fault> {
-    Ok(match d.u8()? {
+fn decode_fault(r: &mut Reader<'_>) -> DecResult<Fault> {
+    Ok(match r.u8()? {
         0 => Fault::DieNow,
-        1 => Fault::DieAtInstr(d.u64()? as usize),
-        2 => Fault::ErrorAtInstr(d.u64()? as usize),
-        3 => Fault::ErrorAtTask(d.str()?),
+        1 => Fault::DieAtInstr(r.u64()? as usize),
+        2 => Fault::ErrorAtInstr(r.u64()? as usize),
+        3 => Fault::ErrorAtTask(r.str()?),
         4 => Fault::KillNow,
-        5 => Fault::KillAtInstr(d.u64()? as usize),
-        6 => Fault::DropLink { peer: d.actor()? },
+        5 => Fault::KillAtInstr(r.u64()? as usize),
+        6 => Fault::DropLink { peer: actor(r)? },
         7 => Fault::DelayLink {
-            peer: d.actor()?,
-            ms: d.u64()?,
+            peer: actor(r)?,
+            ms: r.u64()?,
         },
-        8 => Fault::Partition { to: d.actor()? },
+        8 => Fault::Partition { to: actor(r)? },
         k => return Err(format!("unknown fault kind {k}")),
     })
 }
@@ -374,91 +273,84 @@ fn decode_fault(d: &mut Dec<'_>) -> DecResult<Fault> {
 
 /// Buffers to insert into a store: `Place`'s payload and the data
 /// inputs riding `Execute`.
-fn encode_bufs(e: &mut Enc, bufs: &[(BufferId, Tensor)]) {
-    e.u32(bufs.len() as u32);
-    for (b, t) in bufs {
-        e.u32(b.0);
-        e.tensor(t);
-    }
+fn encode_bufs(w: &mut Writer, bufs: &[(BufferId, Tensor)]) {
+    w.list(bufs, |w, (b, t)| {
+        w.u32(b.0);
+        put_tensor(w, t);
+    });
 }
 
-fn decode_bufs(d: &mut Dec<'_>) -> DecResult<Vec<(BufferId, Tensor)>> {
+fn decode_bufs(r: &mut Reader<'_>) -> DecResult<Vec<(BufferId, Tensor)>> {
     // Buffer id + tensor rank: the least one entry occupies.
-    d.list(4 + 1, |d| Ok((BufferId(d.u32()?), d.tensor()?)))
+    r.list(4 + 1, |r| Ok((BufferId(r.u32()?), tensor(r)?)))
 }
 
 fn encode_command(c: &Command) -> Vec<u8> {
-    let mut e = Enc::new(CMD);
+    let mut w = writer(CMD);
     match c {
         Command::Place { seq, bufs } => {
-            e.u8(0);
-            e.u64(*seq);
-            encode_bufs(&mut e, bufs);
+            w.u8(0);
+            w.u64(*seq);
+            encode_bufs(&mut w, bufs);
         }
         Command::Execute {
             seq,
             traced,
             inputs,
         } => {
-            e.u8(1);
-            e.u64(*seq);
-            e.u8(*traced as u8);
-            encode_bufs(&mut e, inputs);
+            w.u8(1);
+            w.u64(*seq);
+            w.u8(*traced as u8);
+            encode_bufs(&mut w, inputs);
         }
         Command::Fetch { seq, bufs } => {
-            e.u8(2);
-            e.u64(*seq);
-            e.u32(bufs.len() as u32);
-            for b in bufs {
-                e.u32(b.0);
-            }
+            w.u8(2);
+            w.u64(*seq);
+            w.list(bufs, |w, b| w.u32(b.0));
         }
         Command::PeakBytes { seq } => {
-            e.u8(3);
-            e.u64(*seq);
+            w.u8(3);
+            w.u64(*seq);
         }
         Command::LiveBytes { seq } => {
-            e.u8(4);
-            e.u64(*seq);
+            w.u8(4);
+            w.u64(*seq);
         }
         Command::Reprogram { assign } => {
-            e.u8(5);
-            e.u32(assign.len() as u32);
-            for &a in assign {
-                e.u64(a as u64);
-            }
+            w.u8(5);
+            w.list(assign, |w, &a| w.u64(a as u64));
         }
         Command::InjectFault(f) => {
-            e.u8(6);
-            encode_fault(&mut e, f);
+            w.u8(6);
+            encode_fault(&mut w, f);
         }
-        Command::HealWire => e.u8(7),
-        Command::Shutdown => e.u8(8),
+        Command::HealWire => w.u8(7),
+        Command::Shutdown => w.u8(8),
     }
-    e.into_bytes()
+    w.into_bytes()
 }
 
-fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
-    Ok(match d.u8()? {
+fn decode_command(r: &mut Reader<'_>) -> DecResult<Command> {
+    Ok(match r.u8()? {
         0 => Command::Place {
-            seq: d.u64()?,
-            bufs: decode_bufs(d)?,
+            seq: r.u64()?,
+            bufs: decode_bufs(r)?,
         },
         1 => Command::Execute {
-            seq: d.u64()?,
-            traced: d.u8()? != 0,
-            inputs: decode_bufs(d)?,
+            seq: r.u64()?,
+            traced: r.u8()? != 0,
+            inputs: decode_bufs(r)?,
         },
         2 => Command::Fetch {
-            seq: d.u64()?,
-            bufs: d.list(4, |d| Ok(BufferId(d.u32()?)))?,
+            seq: r.u64()?,
+            bufs: r.list(4, |r| r.u32().map(BufferId))?,
         },
-        3 => Command::PeakBytes { seq: d.u64()? },
-        4 => Command::LiveBytes { seq: d.u64()? },
+        3 => Command::PeakBytes { seq: r.u64()? },
+        4 => Command::LiveBytes { seq: r.u64()? },
         5 => Command::Reprogram {
-            assign: d.list(8, |d| Ok(d.u64()? as usize))?,
+            assign: r.list(8, |r| r.u64().map(|a| a as usize))?,
         },
-        6 => Command::InjectFault(decode_fault(d)?),
+        6 => Command::InjectFault(decode_fault(r)?),
         7 => Command::HealWire,
         8 => Command::Shutdown,
         k => return Err(format!("unknown command kind {k}")),
@@ -469,67 +361,67 @@ fn decode_command(d: &mut Dec<'_>) -> DecResult<Command> {
 // Reply
 // ---------------------------------------------------------------------
 
-fn encode_profile(e: &mut Enc, p: &ActorProfile) {
-    e.u32(p.by_kind().count() as u32);
+fn encode_profile(w: &mut Writer, p: &ActorProfile) {
+    w.u32(p.by_kind().count() as u32);
     for (kind, dur, count) in p.by_kind() {
-        e.u8(kind as u8);
-        e.u64(dur.as_nanos() as u64);
-        e.u32(count);
+        w.u8(kind as u8);
+        w.u64(dur.as_nanos() as u64);
+        w.u32(count);
     }
-    e.stats(p.alloc_stats());
-    e.u64(p.bytes_wire());
-    e.u64(p.dp_bytes_wire());
+    put_stats(w, p.alloc_stats());
+    w.u64(p.bytes_wire());
+    w.u64(p.dp_bytes_wire());
 }
 
-fn decode_profile(d: &mut Dec<'_>) -> DecResult<ActorProfile> {
-    let n = d.u32()? as usize;
+fn decode_profile(r: &mut Reader<'_>) -> DecResult<ActorProfile> {
+    let n = r.u32()? as usize;
     let mut p = ActorProfile::default();
     // The encoder writes each kind once; a repeat would add onto (and
     // could overflow) the first one's totals.
     let mut seen = [false; Kind::COUNT];
     for _ in 0..n {
-        let kind = d.kind()?;
+        let kind = kind(r)?;
         if std::mem::replace(&mut seen[kind as usize], true) {
             return Err(format!("profile kind {} twice", kind.as_str()));
         }
-        let dur = Duration::from_nanos(d.u64()?);
-        let count = d.u32()?;
+        let dur = Duration::from_nanos(r.u64()?);
+        let count = r.u32()?;
         p.add(kind, dur, count);
     }
-    p.alloc = d.stats()?;
-    p.bytes_wire = d.u64()?;
-    p.dp_bytes_wire = d.u64()?;
+    p.alloc = stats(r)?;
+    p.bytes_wire = r.u64()?;
+    p.dp_bytes_wire = r.u64()?;
     Ok(p)
 }
 
-fn encode_span(e: &mut Enc, s: &SpanEvent) {
-    e.u32(s.instr);
+fn encode_span(w: &mut Writer, s: &SpanEvent) {
+    w.u32(s.instr);
     // A name outside the table (only a hand-built span can carry one)
     // encodes as a byte the decoder rejects.
-    e.u8(Kind::parse(s.kind).map_or(u8::MAX, |k| k as u8));
-    e.str(&s.name);
-    e.u64(s.start_ns);
-    e.u64(s.dur_ns);
-    e.u64(s.bytes);
+    w.u8(Kind::parse(s.kind).map_or(u8::MAX, |k| k as u8));
+    w.str(&s.name);
+    w.u64(s.start_ns);
+    w.u64(s.dur_ns);
+    w.u64(s.bytes);
     match &s.alloc {
         Some(a) => {
-            e.u8(1);
-            e.stats(a);
+            w.u8(1);
+            put_stats(w, a);
         }
-        None => e.u8(0),
+        None => w.u8(0),
     }
 }
 
-fn decode_span(d: &mut Dec<'_>) -> DecResult<SpanEvent> {
-    let instr = d.u32()?;
-    let kind = d.kind()?.as_str();
-    let name = d.str()?;
-    let start_ns = d.u64()?;
-    let dur_ns = d.u64()?;
-    let bytes = d.u64()?;
-    let alloc = match d.u8()? {
+fn decode_span(r: &mut Reader<'_>) -> DecResult<SpanEvent> {
+    let instr = r.u32()?;
+    let kind = kind(r)?.as_str();
+    let name = r.str()?;
+    let start_ns = r.u64()?;
+    let dur_ns = r.u64()?;
+    let bytes = r.u64()?;
+    let alloc = match r.u8()? {
         0 => None,
-        _ => Some(d.stats()?),
+        _ => Some(stats(r)?),
     };
     Ok(SpanEvent {
         instr,
@@ -542,20 +434,17 @@ fn decode_span(d: &mut Dec<'_>) -> DecResult<SpanEvent> {
     })
 }
 
-fn encode_trace(e: &mut Enc, t: &ActorTrace) {
-    e.actor(t.actor);
-    e.u64(t.dropped);
-    e.u32(t.spans.len() as u32);
-    for s in &t.spans {
-        encode_span(e, s);
-    }
+fn encode_trace(w: &mut Writer, t: &ActorTrace) {
+    put_actor(w, t.actor);
+    w.u64(t.dropped);
+    w.list(&t.spans, encode_span);
 }
 
-fn decode_trace(d: &mut Dec<'_>) -> DecResult<ActorTrace> {
-    let actor = d.actor()?;
-    let dropped = d.u64()?;
+fn decode_trace(r: &mut Reader<'_>) -> DecResult<ActorTrace> {
+    let actor = actor(r)?;
+    let dropped = r.u64()?;
     // instr + kind + name length + three u64s + alloc flag.
-    let spans = d.list(4 + 1 + 4 + 24 + 1, decode_span)?;
+    let spans = r.list(4 + 1 + 4 + 24 + 1, decode_span)?;
     Ok(ActorTrace {
         actor,
         spans,
@@ -563,98 +452,73 @@ fn decode_trace(d: &mut Dec<'_>) -> DecResult<ActorTrace> {
     })
 }
 
-fn encode_tensors(e: &mut Enc, ts: &[Tensor]) {
-    e.u32(ts.len() as u32);
-    for t in ts {
-        e.tensor(t);
-    }
-}
-
-fn decode_tensors(d: &mut Dec<'_>) -> DecResult<Vec<Tensor>> {
-    d.list(1, Dec::tensor) // a tensor is at least its rank byte
-}
-
-fn encode_result_tensors(e: &mut Enc, r: &Result<Vec<Tensor>, String>) {
-    match r {
-        Ok(ts) => {
-            e.u8(0);
-            encode_tensors(e, ts);
-        }
-        Err(m) => {
-            e.u8(1);
-            e.str(m);
-        }
-    }
-}
-
-fn decode_result_tensors(d: &mut Dec<'_>) -> DecResult<Result<Vec<Tensor>, String>> {
-    Ok(match d.u8()? {
-        0 => Ok(decode_tensors(d)?),
-        _ => Err(d.str()?),
-    })
-}
-
 fn encode_reply(r: &Reply) -> Vec<u8> {
-    let mut e = Enc::new(REPLY);
-    e.u64(r.seq);
+    let mut w = writer(REPLY);
+    w.u64(r.seq);
     match &r.kind {
-        ReplyKind::Placed => e.u8(0),
+        ReplyKind::Placed => w.u8(0),
         ReplyKind::Executed(o) => {
-            e.u8(1);
+            w.u8(1);
             match &o.result {
                 Ok(p) => {
-                    e.u8(0);
-                    encode_profile(&mut e, p);
+                    w.u8(0);
+                    encode_profile(&mut w, p);
                 }
                 Err(ExecFailure::Error(m)) => {
-                    e.u8(1);
-                    e.str(m);
+                    w.u8(1);
+                    w.str(m);
                 }
                 Err(ExecFailure::Aborted { by, reason }) => {
-                    e.u8(2);
-                    e.actor(*by);
-                    e.str(reason);
+                    w.u8(2);
+                    put_actor(&mut w, *by);
+                    w.str(reason);
                 }
             }
-            encode_tensors(&mut e, &o.fetched);
+            w.list(&o.fetched, put_tensor);
             match &o.trace {
                 Some(t) => {
-                    e.u8(1);
-                    encode_trace(&mut e, t);
+                    w.u8(1);
+                    encode_trace(&mut w, t);
                 }
-                None => e.u8(0),
+                None => w.u8(0),
             }
         }
-        ReplyKind::Fetched(r) => {
-            e.u8(2);
-            encode_result_tensors(&mut e, r);
+        ReplyKind::Fetched(Ok(ts)) => {
+            w.u8(2);
+            w.u8(0);
+            w.list(ts, put_tensor);
+        }
+        ReplyKind::Fetched(Err(m)) => {
+            w.u8(2);
+            w.u8(1);
+            w.str(m);
         }
         ReplyKind::StoreBytes(b) => {
-            e.u8(3);
-            e.u64(*b as u64);
+            w.u8(3);
+            w.u64(*b as u64);
         }
     }
-    e.into_bytes()
+    w.into_bytes()
 }
 
-fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
-    let seq = d.u64()?;
-    let kind = match d.u8()? {
+fn decode_reply(r: &mut Reader<'_>) -> DecResult<Reply> {
+    let seq = r.u64()?;
+    let kind = match r.u8()? {
         0 => ReplyKind::Placed,
         1 => {
-            let result = match d.u8()? {
-                0 => Ok(decode_profile(d)?),
-                1 => Err(ExecFailure::Error(d.str()?)),
+            let result = match r.u8()? {
+                0 => Ok(decode_profile(r)?),
+                1 => Err(ExecFailure::Error(r.str()?)),
                 2 => Err(ExecFailure::Aborted {
-                    by: d.actor()?,
-                    reason: d.str()?,
+                    by: actor(r)?,
+                    reason: r.str()?,
                 }),
                 k => return Err(format!("unknown exec result kind {k}")),
             };
-            let fetched = decode_tensors(d)?;
-            let trace = match d.u8()? {
+            let fetched = r.list(1, tensor)?;
+            let trace = match r.u8()? {
                 0 => None,
-                _ => Some(decode_trace(d)?),
+                _ => Some(decode_trace(r)?),
             };
             ReplyKind::Executed(Box::new(ExecOutcome {
                 result,
@@ -662,8 +526,11 @@ fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
                 trace,
             }))
         }
-        2 => ReplyKind::Fetched(decode_result_tensors(d)?),
-        3 => ReplyKind::StoreBytes(d.u64()? as usize),
+        2 => ReplyKind::Fetched(match r.u8()? {
+            0 => Ok(r.list(1, tensor)?),
+            _ => Err(r.str()?),
+        }),
+        3 => ReplyKind::StoreBytes(r.u64()? as usize),
         k => return Err(format!("unknown reply kind {k}")),
     };
     Ok(Reply { seq, kind })
@@ -671,31 +538,34 @@ fn decode_reply(d: &mut Dec<'_>) -> DecResult<Reply> {
 
 /// Encodes a heartbeat beacon.
 pub(crate) fn encode_heartbeat(from: usize) -> Vec<u8> {
-    let mut e = Enc::new(HEARTBEAT);
-    e.actor(from);
-    e.into_bytes()
+    let mut w = writer(HEARTBEAT);
+    put_actor(&mut w, from);
+    w.into_bytes()
 }
 
 /// Encodes the [`HELLO`] handshake frame.
 pub(crate) fn encode_hello(from: usize) -> Vec<u8> {
-    let mut e = Enc::new(HELLO);
-    e.actor(from);
-    e.into_bytes()
+    let mut w = writer(HELLO);
+    put_actor(&mut w, from);
+    w.into_bytes()
 }
 
 /// Decodes the [`HELLO`] handshake frame: who dialed.
 pub(crate) fn decode_hello(frame: &[u8]) -> DecResult<usize> {
-    let mut d = Dec::new(frame);
-    match d.u8()? {
-        HELLO => d.actor(),
-        tag => Err(format!("expected a handshake, got frame tag {tag}")),
-    }
+    let mut r = Reader::new(frame);
+    let from = match r.u8()? {
+        HELLO => actor(&mut r)?,
+        tag => return Err(format!("expected a handshake, got frame tag {tag}")),
+    };
+    r.finish()?;
+    Ok(from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actor::DRIVER;
+    use raxpp_ir::Shape;
 
     fn decode_cmd_frame(b: &[u8]) -> DecResult<Command> {
         match decode(DRIVER, b)?.map(|m| m.payload) {
@@ -949,6 +819,47 @@ mod tests {
         frames
     }
 
+    /// The wire format is pinned byte for byte: `(length, crc32)` of
+    /// each frame of [`every_frame`], in order (its `Execute` and
+    /// `Executed` frames are those of `step_frames(5)`). A codec change
+    /// that means to keep the format passes this unmodified.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let got: Vec<(usize, u32)> = every_frame()
+            .iter()
+            .map(|f| (f.len(), raxpp_ir::bytes::crc32(f)))
+            .collect();
+        let want = [
+            (0x9, 0xeccc1db7),
+            (0x9, 0xf9c042df),
+            (0x27, 0x0569ae5c),
+            (0x1a, 0x2e13108e),
+            (0x52, 0x794a4b34),
+            (0x12, 0x16d41f75),
+            (0x2, 0xed8be5de),
+            (0xc3, 0x80db0659),
+            (0xa, 0x55518279),
+            (0x20, 0x21d5ade6),
+            (0x16, 0x3ca6501b),
+            (0x12, 0xee85cbc8),
+        ];
+        assert_eq!(got, want, "{got:x?}");
+    }
+
+    /// A frame is exactly one envelope: the same frame with a byte
+    /// appended is a protocol error, never a whole frame and change.
+    #[test]
+    fn a_frame_with_trailing_bytes_is_a_typed_error() {
+        let frames = every_frame();
+        let mut hello = frames[0].clone();
+        hello.push(0);
+        assert!(decode_hello(&hello).is_err(), "hello");
+        for frame in &frames {
+            let long = [frame.as_slice(), &[0]].concat();
+            assert!(decode(1, &long).is_err(), "tag {}", frame[0]);
+        }
+    }
+
     /// Every frame kind the wire carries — the one-field handshake, the
     /// heartbeat, and each envelope — decodes whole and is a typed error
     /// at every proper prefix, never a panic or a short frame taken for
@@ -984,99 +895,22 @@ mod tests {
         assert!(encode(&gone).is_none());
     }
 
-    /// The largest single allocation the calling thread made while `f`
-    /// ran: the wire decoders' allocation bound, observed rather than
-    /// argued.
-    fn largest_allocation(f: impl FnOnce()) -> usize {
-        LARGEST.with(|l| l.set(0));
-        f();
-        LARGEST.with(|l| l.get())
-    }
-
-    thread_local! {
-        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// The system allocator, noting each thread's largest request.
-    struct NoteLargest;
-
-    fn note(size: usize) {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // so `System` keeps the allocator contract; `note` neither allocates
-    // nor touches the memory.
-    unsafe impl std::alloc::GlobalAlloc for NoteLargest {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            note(layout.size());
-            // SAFETY: the caller's `alloc` contract, passed on.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-            note(layout.size());
-            // SAFETY: the caller's `alloc_zeroed` contract, passed on.
-            unsafe { std::alloc::System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, p: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
-            note(size);
-            // SAFETY: `p` came from `System` (every block here does), and
-            // the caller's `realloc` contract is passed on.
-            unsafe { std::alloc::System.realloc(p, layout, size) }
-        }
-
-        unsafe fn dealloc(&self, p: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `p` came from `System` with this `layout`.
-            unsafe { std::alloc::System.dealloc(p, layout) }
-        }
-    }
-
     #[global_allocator]
-    static ALLOCATOR: NoteLargest = NoteLargest;
+    static ALLOCATOR: raxpp_ir::testing::NoteLargest = raxpp_ir::testing::NoteLargest;
 
     /// Mutation, not only truncation: every frame of [`every_frame`]
-    /// with a seeded byte flip at every offset, with `0xFF…` written
-    /// over every 4- and 8-byte window (which covers each `u32` / `u64`
-    /// count and length field wherever it sits), and seeded splices of
-    /// every ordered pair of frames, back-to-back included. Both
-    /// decoders answer each input with `Ok` or a typed `Err` — a panic
+    /// under the shared mutator (`raxpp_ir::testing::mutants`: a byte
+    /// flip at every offset, `0xFF…` over every count and length field,
+    /// splices of every ordered pair of frames). Both decoders answer
+    /// each input with `Ok` or a typed `Err` — a panic
     /// fails the test — and no single allocation outgrows what the
     /// input's bytes could describe (a decoded element costs at most a
     /// few dozen bytes of memory per byte of frame; a count sized from a
     /// `0xFF…` field would want gigabytes).
     #[test]
     fn every_frame_survives_byte_flips_length_edits_and_splices() {
-        use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-        let mut rng = StdRng::seed_from_u64(0xF1A5);
-        let frames = every_frame();
-        let mut inputs = Vec::new();
-        for frame in &frames {
-            for at in 0..frame.len() {
-                let mut flipped = frame.clone();
-                flipped[at] ^= rng.gen_range(1..256u16) as u8;
-                inputs.push(flipped);
-                for width in [4, 8] {
-                    if let Some(window) = frame.get(at..at + width) {
-                        let mut edited = frame.clone();
-                        edited[at..at + window.len()].fill(0xFF);
-                        inputs.push(edited);
-                    }
-                }
-            }
-        }
-        for a in &frames {
-            for b in &frames {
-                inputs.push([a.as_slice(), b].concat());
-                for _ in 0..8 {
-                    let head = &a[..rng.gen_range(0..a.len() + 1)];
-                    let tail = &b[rng.gen_range(0..b.len() + 1)..];
-                    inputs.push([head, tail].concat());
-                }
-            }
-        }
+        use raxpp_ir::testing::{largest_allocation, mutants};
+        let inputs = mutants(&every_frame(), 0xF1A5);
         for bytes in &inputs {
             let largest = largest_allocation(|| {
                 let _ = decode(1, bytes);
@@ -1103,7 +937,7 @@ mod tests {
         bytes[11..15].fill(0xFF);
         assert!(decode_reply_frame(&bytes).is_err());
 
-        let mut e = Enc::new(REPLY);
+        let mut e = writer(REPLY);
         e.u64(1);
         e.u8(1); // Executed
         e.u8(0); // Ok(profile)
@@ -1123,7 +957,7 @@ mod tests {
     fn counts_on_the_wire_never_allocate_beyond_the_remaining_input() {
         // An `Execute` claiming 2^32 - 1 inputs with nothing behind it:
         // rejected on the count, before any `Vec` is sized from it.
-        let mut e = Enc::new(CMD);
+        let mut e = writer(CMD);
         e.u8(1);
         e.u64(1);
         e.u8(0);
@@ -1134,7 +968,7 @@ mod tests {
         // One input whose dims promise 2^40 elements (and one whose
         // element count overflows) over a 16-byte payload.
         for dims in [[1u64 << 20, 1 << 20], [u64::MAX, 8]] {
-            let mut e = Enc::new(CMD);
+            let mut e = writer(CMD);
             e.u8(1);
             e.u64(1);
             e.u8(0);
@@ -1149,7 +983,7 @@ mod tests {
         }
 
         // An `Executed` reply claiming 2^32 - 1 fetched tensors.
-        let mut e = Enc::new(REPLY);
+        let mut e = writer(REPLY);
         e.u64(1);
         e.u8(1); // Executed
         e.u8(1); // Err(Error(..))
@@ -1190,7 +1024,7 @@ mod tests {
     fn every_kind_round_trips_through_its_byte() {
         for (i, k) in Kind::ALL.into_iter().enumerate() {
             assert_eq!(k as usize, i, "ALL is in wire order");
-            assert_eq!(Dec::new(&[k as u8]).kind(), Ok(k));
+            assert_eq!(kind(&mut Reader::new(&[k as u8])), Ok(k));
             assert_eq!(Kind::parse(k.as_str()), Some(k));
         }
     }

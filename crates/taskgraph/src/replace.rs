@@ -328,10 +328,10 @@ fn simulate(program: &MpmdProgram, assign: &[ActorId]) -> Result<Vec<Vec<Instr>>
                     false
                 } else {
                     // In replay terms a collective is a local compute
-                    // (contribute src, define dst): the runtime's ring
-                    // synchronizes members, and group-uniform folds keep
-                    // the member streams isomorphic, so no cross-member
-                    // ordering needs modeling here.
+                    // (contribute src, define dst): the runtime's
+                    // exchange synchronizes members, and group-uniform
+                    // folds keep the member streams isomorphic, so no
+                    // cross-member ordering needs modeling here.
                     let moved = instr.map_actors(|m| assign[m]);
                     let Instr::Collective {
                         group: new_group, ..

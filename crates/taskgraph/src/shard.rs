@@ -348,8 +348,9 @@ impl AxisRule for TpRule {
 /// Lowers `program` onto a tensor-parallel axis of degree `t`: every
 /// host actor `a` becomes the `t` rank actors of
 /// [`TpMap::group_of`]`(a)`, each running a per-rank shard of `a`'s
-/// stream linked by [`Instr::Collective`] ring collectives. `t == 1`
-/// returns the program unchanged.
+/// stream linked by [`Instr::Collective`]s (each one direct exchange of
+/// messages among the group's ranks). `t == 1` returns the program
+/// unchanged.
 ///
 /// Sends and receives are remapped rank-to-rank, which is sound because
 /// of the replicated-buffer invariant documented at the module level.
@@ -420,11 +421,12 @@ pub fn shard_program(program: &MpmdProgram, t: usize) -> Result<MpmdProgram, Sha
 /// `dst`).
 ///
 /// What the pass is kept for, measured when its deletion was tried
-/// (`EXPERIMENTS.md` "PR 24"): with the `Free`s left between the ring
+/// (`EXPERIMENTS.md` "PR 24"): with the `Free`s left between the
 /// collectives, the fleet's peak store bytes sit one buffer higher in
 /// the median — the fitting explanation, unverified, is that a `Free`
-/// issued while the ring still sends the freed buffer is parked until a
-/// later deletion point, where one issued after the bucket is not.
+/// issued while a collective still sends the freed buffer is parked
+/// until a later deletion point, where one issued after the bucket is
+/// not.
 ///
 /// Call after [`crate::unroll::insert_frees`]. Streams stay
 /// index-aligned (the decision depends only on instruction kinds and

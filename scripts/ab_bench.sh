@@ -24,7 +24,9 @@
 # kind accounts for (the two rows a telemetry change must quote), the
 # traffic a step moves (`runtime.{tp,dp}_bytes_per_step`,
 # `taskgraph.{collectives,instrs}_per_step`: the rows a lowering change
-# must quote), then
+# must quote), what a socket hop costs (`runtime.wire_overhead_s`,
+# `runtime.wire_bytes_per_step`, `runtime.wire_mb_s`,
+# `runtime.send_s_per_step`: the rows a codec change must quote), then
 # the interpreter's cost per equation, the activations' cost per
 # element, the single-device step, the forward matmul kernel's rate, the
 # share of outputs that reuse or alias a buffer and the op time per
@@ -106,5 +108,5 @@ echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
 echo "==> where the actors' time went, what observing it costs, what a step moves, and which ops took it (one traced run per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
-    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step) |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|matmul_gflops|alloc_reuse_ratio|op_s\.[a-z_]+) ' || true
+    grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step|wire_overhead_s|wire_bytes_per_step|wire_mb_s|send_s_per_step) |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|matmul_gflops|alloc_reuse_ratio|op_s\.[a-z_]+) ' || true
 exit "$status"

@@ -48,9 +48,10 @@ echo "==> socket-transport gate (resilience suites over the wire, bounded time)"
 # bitwise when every actor fabric message crosses a Unix-domain
 # socket. The per-test watchdog (120 s) turns any wire deadlock into a
 # fast named failure rather than a hung gate.
-# tensor_parallel and data_parallel ride along because their collective
-# rings are the heaviest actor-to-actor traffic; the ring is the same
-# code on every transport, so this leg is where it meets real sockets.
+# tensor_parallel and data_parallel ride along because their collectives
+# are the heaviest actor-to-actor traffic; a collective is the same
+# exchange of messages on every transport, so this leg is where it
+# meets real sockets.
 RAXPP_TRANSPORT=socket cargo test -q -p raxpp-integration \
     --test failure_semantics \
     --test chaos_soak \
