@@ -160,8 +160,7 @@ impl ForwardStep {
     ///
     /// Every call executes the full pipeline of
     /// [`ForwardStep::n_mubatches`] slots; the serving tier packs
-    /// requests into those slots ([`raxpp_sched::SlotPlan`]) and pads
-    /// the rest.
+    /// requests into those slots in arrival order and pads the rest.
     ///
     /// # Errors
     ///

@@ -15,15 +15,16 @@
 //! its source, so the source cannot be stolen for an in-place write
 //! while a matmul still has to read it.
 //!
-//! [`eval_reference`] preserves the pre-optimization execution model
-//! (deep-copied inputs, naive serial kernels, copying yields) as the
-//! oracle the parity tests compare [`eval`] against bit for bit. It is
-//! only ever called directly: no switch routes [`eval`] through it.
+//! [`eval_prim_owned`] is the one table from primitive to kernel; the
+//! public [`eval_prim`] runs it on handle copies. The oracle the parity
+//! tests compare [`eval`] against bit for bit is
+//! [`crate::testing::reference_eval`]: no switch routes [`eval`]
+//! through it.
 
 use std::time::Instant;
 
 use crate::error::{IrError, Result};
-use crate::graph::{Eqn, Jaxpr};
+use crate::graph::{Jaxpr, VarId};
 use crate::kernels::Layout;
 use crate::prim::Prim;
 use crate::tensor::{gelu, gelu_grad, tanh, Tensor};
@@ -56,64 +57,41 @@ impl EvalStats {
 ///
 /// Returns arity/shape errors when operands are invalid for `prim`.
 pub fn eval_prim(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
-    if inputs.len() != prim.arity() {
-        return Err(IrError::ArityMismatch {
-            context: prim.name().into(),
-            expected: prim.arity(),
-            found: inputs.len(),
-        });
-    }
-    match prim {
-        Prim::Add => inputs[0].zip(inputs[1], |a, b| a + b),
-        Prim::Sub => inputs[0].zip(inputs[1], |a, b| a - b),
-        Prim::Mul => inputs[0].zip(inputs[1], |a, b| a * b),
-        Prim::Div => inputs[0].zip(inputs[1], |a, b| a / b),
-        Prim::Neg => Ok(inputs[0].map(|x| -x)),
-        Prim::Scale(c) => Ok(inputs[0].map(|x| x * c)),
-        Prim::AddScalar(c) => Ok(inputs[0].map(|x| x + c)),
-        Prim::MatMul => inputs[0].matmul(inputs[1]),
-        Prim::BatchMatMul => inputs[0].batch_matmul(inputs[1]),
-        Prim::Transpose => inputs[0].transpose(),
-        Prim::Permute { perm } => inputs[0].permute(perm),
-        Prim::Relu => Ok(inputs[0].map(|x| x.max(0.0))),
-        Prim::Gelu => Ok(inputs[0].map(gelu)),
-        Prim::Tanh => Ok(inputs[0].map(tanh)),
-        Prim::Exp => Ok(inputs[0].map(f32::exp)),
-        Prim::Log => Ok(inputs[0].map(f32::ln)),
-        Prim::Sqrt => Ok(inputs[0].map(f32::sqrt)),
-        Prim::Rsqrt => Ok(inputs[0].map(|x| 1.0 / x.sqrt())),
-        Prim::Step => Ok(inputs[0].map(|x| if x > 0.0 { 1.0 } else { 0.0 })),
-        Prim::GeluGrad => Ok(inputs[0].map(gelu_grad)),
-        Prim::ReduceSum { axes, keepdims } => inputs[0].reduce_sum(axes, *keepdims),
-        Prim::ReduceMax { axes, keepdims } => inputs[0].reduce_max(axes, *keepdims),
-        Prim::Broadcast { shape } => inputs[0].broadcast_to(shape.clone()),
-        Prim::Reshape { shape } => inputs[0].reshape(shape.clone()),
-        Prim::Fill { value, shape } => Ok(Tensor::full(shape.clone(), *value)),
-        Prim::SliceLast { start, len } => {
-            let r = inputs[0].shape().rank().max(1);
-            inputs[0].slice_dim(r - 1, *start, *len)
+    // O(1) handle copies: the caller keeps its references, so no operand
+    // is ever written in place.
+    let owned = inputs.iter().map(|&t| t.clone()).collect();
+    eval_prim_owned(prim, owned, Read::default(), &mut EvalStats::default())
+}
+
+/// Which of an equation's values [`last_use_table`] lets the interpreter
+/// read as stored transposes: the output (a `Transpose` that only
+/// aliases its source) and the two matmul operands.
+#[derive(Debug, Clone, Copy, Default)]
+struct Read {
+    output: bool,
+    operands: [bool; 2],
+}
+
+impl Read {
+    fn layout(self, j: usize) -> Layout {
+        match self.operands[j] {
+            true => Layout::Transposed,
+            false => Layout::Plain,
         }
-        Prim::PadLast { start, full } => inputs[0].pad_last(*start, *full),
-        Prim::SliceFirst { start, len } => inputs[0].slice_dim(0, *start, *len),
-        Prim::PadFirst { start, full } => inputs[0].pad_first(*start, *full),
-        // Yields are pure identity markers at run time.
-        Prim::PipelineYield { .. } => Ok(inputs[0].clone()),
     }
 }
 
-/// Evaluates an equation on *owned* operands, writing in place when an
+/// Evaluates a primitive on *owned* operands, writing in place when an
 /// operand buffer is uniquely held and aliasing zero-copy where the op
-/// permits it. `read_transposed` is [`last_use_table`]'s second table:
-/// a `Transpose` output marked there aliases its source, and a matmul
-/// reads such an operand as [`Layout::Transposed`]. Numerically
-/// bit-identical to [`eval_prim`].
+/// permits it. `read` comes from [`last_use_table`]'s second table: a
+/// `Transpose` whose output is marked aliases its source, and a matmul
+/// reads a marked operand as [`Layout::Transposed`].
 fn eval_prim_owned(
-    eqn: &Eqn,
+    prim: &Prim,
     mut inputs: Vec<Tensor>,
-    read_transposed: &[bool],
+    read: Read,
     stats: &mut EvalStats,
 ) -> Result<Tensor> {
-    let prim = &eqn.prim;
     if inputs.len() != prim.arity() {
         return Err(IrError::ArityMismatch {
             context: prim.name().into(),
@@ -145,6 +123,12 @@ fn eval_prim_owned(
             Ok(t)
         }};
     }
+    macro_rules! fresh {
+        ($t:expr) => {{
+            stats.allocated += 1;
+            $t
+        }};
+    }
     match prim {
         Prim::Add => binary!(|a, b| a + b),
         Prim::Sub => binary!(|a, b| a - b),
@@ -173,35 +157,34 @@ fn eval_prim_owned(
             stats.reused += 1;
             inputs[0].reshape(shape.clone())
         }
+        // Yields are pure identity markers at run time.
         Prim::PipelineYield { .. } => {
             stats.reused += 1;
             Ok(inputs.pop().expect("arity checked"))
         }
-        Prim::Transpose if read_transposed[eqn.output.index()] => {
+        Prim::Transpose if read.output => {
             stats.reused += 1;
             Ok(inputs.pop().expect("arity checked"))
         }
-        Prim::MatMul | Prim::BatchMatMul => {
-            stats.allocated += 1;
-            let layout = |j: usize| {
-                if read_transposed[eqn.inputs[j].index()] {
-                    Layout::Transposed
-                } else {
-                    Layout::Plain
-                }
-            };
-            let (a, b) = (&inputs[0], &inputs[1]);
-            match prim {
-                Prim::MatMul => a.matmul_as(layout(0), b, layout(1)),
-                _ => a.batch_matmul_as(layout(0), b, layout(1)),
-            }
-        }
         // Layout- and shape-changing ops allocate a fresh output.
-        _ => {
-            stats.allocated += 1;
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            eval_prim(prim, &refs)
+        Prim::MatMul | Prim::BatchMatMul => {
+            let batched = matches!(prim, Prim::BatchMatMul);
+            let (a, b) = (&inputs[0], &inputs[1]);
+            fresh!(a.product((read.layout(0), b, read.layout(1)), batched, None))
         }
+        Prim::Transpose => fresh!(inputs[0].transpose()),
+        Prim::Permute { perm } => fresh!(inputs[0].permute(perm)),
+        Prim::ReduceSum { axes, keepdims } => fresh!(inputs[0].reduce_sum(axes, *keepdims)),
+        Prim::ReduceMax { axes, keepdims } => fresh!(inputs[0].reduce_max(axes, *keepdims)),
+        Prim::Broadcast { shape } => fresh!(inputs[0].broadcast_to(shape.clone())),
+        Prim::Fill { value, shape } => fresh!(Ok(Tensor::full(shape.clone(), *value))),
+        Prim::SliceLast { start, len } => {
+            let r = inputs[0].shape().rank().max(1);
+            fresh!(inputs[0].slice_dim(r - 1, *start, *len))
+        }
+        Prim::PadLast { start, full } => fresh!(inputs[0].pad_last(*start, *full)),
+        Prim::SliceFirst { start, len } => fresh!(inputs[0].slice_dim(0, *start, *len)),
+        Prim::PadFirst { start, full } => fresh!(inputs[0].pad_first(*start, *full)),
     }
 }
 
@@ -314,8 +297,13 @@ pub fn eval_with_stats_hooked(
                 var: v.0,
             })?);
         }
+        let marked = |v: Option<&VarId>| v.is_some_and(|v| read_transposed[v.index()]);
+        let read = Read {
+            output: marked(Some(&eqn.output)),
+            operands: [marked(eqn.inputs.first()), marked(eqn.inputs.get(1))],
+        };
         let t0 = hook.as_ref().map(|_| Instant::now());
-        let out = eval_prim_owned(eqn, operands, &read_transposed, &mut stats)?;
+        let out = eval_prim_owned(&eqn.prim, operands, read, &mut stats)?;
         if let (Some(h), Some(t0)) = (hook.as_mut(), t0) {
             h(i, eqn.prim.name(), t0, Instant::now());
         }
@@ -348,82 +336,6 @@ pub fn eval_with_stats_hooked(
 /// See [`eval_with_stats`].
 pub fn eval(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
     eval_with_stats(jaxpr, inputs).map(|(o, _)| o)
-}
-
-fn eval_prim_reference(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
-    if inputs.len() != prim.arity() {
-        return Err(IrError::ArityMismatch {
-            context: prim.name().into(),
-            expected: prim.arity(),
-            found: inputs.len(),
-        });
-    }
-    match prim {
-        Prim::MatMul => inputs[0].matmul_naive(inputs[1]),
-        Prim::BatchMatMul => inputs[0].batch_matmul_naive(inputs[1]),
-        Prim::Transpose => inputs[0].transpose_naive(),
-        // Pre-optimization clones were deep copies.
-        Prim::PipelineYield { .. } => Ok(inputs[0].deep_copy()),
-        Prim::Reshape { shape } => Ok(inputs[0].reshape(shape.clone())?.deep_copy()),
-        _ => eval_prim(prim, inputs),
-    }
-}
-
-/// Evaluates a graph with the pre-optimization execution model: inputs
-/// are deep-copied on entry, every equation allocates its output, and
-/// matmul/transpose run on the naive serial kernels. Numerically
-/// bit-identical to [`eval`]: the oracle `tests/kernel_parity.rs`
-/// compares it against.
-///
-/// # Errors
-///
-/// Same contract as [`eval`].
-pub fn eval_reference(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-    if inputs.len() != jaxpr.invars().len() {
-        return Err(IrError::ArityMismatch {
-            context: "eval".into(),
-            expected: jaxpr.invars().len(),
-            found: inputs.len(),
-        });
-    }
-    let mut env: Vec<Option<Tensor>> = vec![None; jaxpr.num_vars()];
-    for (&v, t) in jaxpr.invars().iter().zip(inputs) {
-        if t.shape() != jaxpr.shape(v) {
-            return Err(IrError::ShapeMismatch {
-                context: format!("eval input {v}"),
-                expected: jaxpr.shape(v).clone(),
-                found: t.shape().clone(),
-            });
-        }
-        env[v.index()] = Some(t.deep_copy());
-    }
-    for eqn in jaxpr.eqns() {
-        let operands: Vec<&Tensor> = eqn
-            .inputs
-            .iter()
-            .map(|v| {
-                env[v.index()].as_ref().ok_or(IrError::InvalidVar {
-                    context: "eval".into(),
-                    var: v.0,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let out = eval_prim_reference(&eqn.prim, &operands)?;
-        env[eqn.output.index()] = Some(out);
-    }
-    jaxpr
-        .outvars()
-        .iter()
-        .map(|v| {
-            env[v.index()]
-                .as_ref()
-                .map(Tensor::deep_copy)
-                .ok_or(IrError::InvalidVar {
-                    context: "eval output".into(),
-                    var: v.0,
-                })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -549,10 +461,10 @@ mod tests {
     fn inplace_eval_never_mutates_caller_inputs() {
         let j = mlp_graph();
         let inputs = mlp_inputs();
-        let snapshot: Vec<Tensor> = inputs.iter().map(Tensor::deep_copy).collect();
+        let snapshot: Vec<Vec<f32>> = inputs.iter().map(|t| t.data().to_vec()).collect();
         let _ = eval_with_stats(&j, &inputs).unwrap();
         for (a, b) in inputs.iter().zip(&snapshot) {
-            assert_eq!(a.data(), b.data());
+            assert_eq!(a.data(), &b[..]);
         }
     }
 
@@ -561,7 +473,7 @@ mod tests {
         let j = mlp_graph();
         let inputs = mlp_inputs();
         let fast = eval(&j, &inputs).unwrap();
-        let slow = eval_reference(&j, &inputs).unwrap();
+        let slow = crate::testing::reference_eval(&j, &inputs).unwrap();
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.data(), b.data());
@@ -600,7 +512,7 @@ mod tests {
     }
 
     /// Evaluates `j` on random inputs, asserts every output equals
-    /// `eval_reference` bit for bit, and returns the allocator counters.
+    /// `reference_eval` bit for bit, and returns the allocator counters.
     fn eval_bitwise_vs_reference(j: &Jaxpr, seed: u64) -> EvalStats {
         let mut rng = StdRng::seed_from_u64(seed);
         let inputs: Vec<Tensor> = j
@@ -609,7 +521,7 @@ mod tests {
             .map(|&v| Tensor::randn(j.shape(v).clone(), 1.0, &mut rng))
             .collect();
         let (got, stats) = eval_with_stats(j, &inputs).unwrap();
-        let want = eval_reference(j, &inputs).unwrap();
+        let want = crate::testing::reference_eval(j, &inputs).unwrap();
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.shape(), w.shape(), "output {i}");

@@ -1,18 +1,21 @@
 //! Blocked, multi-threaded CPU kernels for the executable MPMD path.
 //!
-//! The seed repo shipped naive single-threaded reference loops; these
-//! kernels are the "real" backend standing in for per-device SPMD
+//! These kernels are the backend standing in for per-device SPMD
 //! compute (paper §4.1's XLA executables). Two invariants:
 //!
 //! 1. **Bit-compatibility.** For every output element the reduction
 //!    order over the contraction axis is `p = 0, 1, …, k-1`, identical
-//!    to the reference kernels, and row partitions never split a
-//!    reduction. Results are therefore equal (`==` on `f32`, which
-//!    treats `-0.0 == 0.0`) to the naive loops for all finite inputs,
-//!    independent of the thread count.
-//! 2. **Graceful degradation.** Small problems fall back to the serial
-//!    path; `RAXPP_THREADS` (or [`set_num_threads`]) caps the worker
-//!    count, defaulting to the machine's available parallelism.
+//!    to the serial reference loops of [`crate::testing`], and row
+//!    partitions never split a reduction. Results are therefore equal
+//!    (`==` on `f32`, which treats `-0.0 == 0.0`) to those loops for all
+//!    finite inputs, independent of the partition count.
+//! 2. **The partition count is an argument.** [`batch_matmul`] and
+//!    [`transpose`] split their output into as many partitions as the
+//!    caller asks, one scoped thread per partition after the first.
+//!    `Tensor`'s methods ask for [`matmul_parts`] / [`transpose_parts`]:
+//!    one partition below a size threshold, otherwise up to the
+//!    machine's available parallelism. The tests sweep explicit counts
+//!    through [`crate::testing::in_parts`].
 //!
 //! The blocking strategy is register-level (GEBP): the matmul
 //! micro-kernel accumulates an MR×NR output tile over the whole
@@ -25,11 +28,6 @@
 //! interpreter never has to write out a transpose only matmuls read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Unset sentinel for the global thread-count cell.
-const UNSET: usize = 0;
-
-static THREADS: AtomicUsize = AtomicUsize::new(UNSET);
 
 /// Minimum multiply-accumulate count before threads are worth spawning.
 const PAR_MIN_MACS: usize = 1 << 20;
@@ -155,60 +153,11 @@ mod avx512 {
     }
 }
 
-/// Returns the kernel worker-thread budget.
-///
-/// Resolution order: [`set_num_threads`] override, then the
-/// `RAXPP_THREADS` environment variable, then
-/// `std::thread::available_parallelism()`.
-///
-/// # Panics
-///
-/// Panics when `RAXPP_THREADS` is set to anything but a positive whole
-/// number.
-pub fn num_threads() -> usize {
-    let cached = THREADS.load(Ordering::Relaxed);
-    if cached != UNSET {
-        return cached;
-    }
-    let n = threads_from(std::env::var("RAXPP_THREADS").ok().as_deref());
-    THREADS.store(n, Ordering::Relaxed);
-    n
-}
-
-/// The thread budget a `RAXPP_THREADS` value selects: every core when
-/// unset or blank, the number when it is a positive whole number.
-///
-/// # Panics
-///
-/// Panics on any other value, naming the variable and the value — a
-/// mistyped knob must not quietly select the default (the rule
-/// `raxpp-runtime`'s `env.rs` applies to its knobs).
-fn threads_from(raw: Option<&str>) -> usize {
-    match raw.map(str::trim).filter(|v| !v.is_empty()) {
-        None => cores(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("RAXPP_THREADS={v:?} is not a positive whole number"),
-        },
-    }
-}
-
-/// Overrides the kernel worker-thread budget for this process
-/// (takes precedence over `RAXPP_THREADS`).
-///
-/// # Panics
-///
-/// Panics when `n` is zero.
-pub fn set_num_threads(n: usize) {
-    assert!(n > 0, "thread count must be positive");
-    THREADS.store(n, Ordering::Relaxed);
-}
-
 /// The machine's core budget (cached; 1 when detection fails).
 fn cores() -> usize {
-    static CORES: AtomicUsize = AtomicUsize::new(UNSET);
+    static CORES: AtomicUsize = AtomicUsize::new(0);
     let cached = CORES.load(Ordering::Relaxed);
-    if cached != UNSET {
+    if cached != 0 {
         return cached;
     }
     let n = std::thread::available_parallelism()
@@ -218,15 +167,25 @@ fn cores() -> usize {
     n
 }
 
-/// Threads to use for a problem with `macs` multiply-accumulates and
-/// `rows` independent row partitions. The configured budget is capped
-/// at the core count — oversubscribing cores only adds spawn and
-/// scheduling overhead, it cannot speed up a compute-bound kernel.
-fn plan_threads(macs: usize, rows: usize) -> usize {
+/// Partitions for a matmul of `macs` multiply-accumulates over `rows`
+/// output rows: one below [`PAR_MIN_MACS`], else one per core, but no
+/// more than one per `MR`-row tile — oversubscribing cores only adds
+/// spawn and scheduling overhead, it cannot speed up a compute-bound
+/// kernel.
+pub(crate) fn matmul_parts(macs: usize, rows: usize) -> usize {
     if macs < PAR_MIN_MACS {
         return 1;
     }
-    num_threads().min(cores()).min(rows.div_ceil(MR)).max(1)
+    cores().min(rows.div_ceil(MR)).max(1)
+}
+
+/// Partitions for a transpose of `elems` elements: one below
+/// [`PAR_MIN_ELEMS`], else one per core.
+pub(crate) fn transpose_parts(elems: usize) -> usize {
+    if elems < PAR_MIN_ELEMS {
+        return 1;
+    }
+    cores()
 }
 
 /// Runs `work(index, chunk)` over the `size`-element chunks of `out` in
@@ -457,21 +416,21 @@ fn batch_rows(
     }
 }
 
-/// Blocked, parallel batched matmul `[batch,m,k] @ [batch,k,n]` into a
-/// fresh buffer, each operand stored in its [`Layout`]; a 2-D matmul is
-/// `batch = 1`. Every output element is the same `p`-ascending
-/// mul-then-add sequence in every layout, so a transposed operand gives
-/// the bits of materialising its transpose first.
+/// Blocked batched matmul `[batch,m,k] @ [batch,k,n]` into a fresh
+/// buffer, each operand stored in its [`Layout`]; a 2-D matmul is
+/// `batch = 1`. The `batch·m` output rows are split into `parts`
+/// contiguous partitions, run in parallel. Every output element is the
+/// same `p`-ascending mul-then-add sequence in every layout and every
+/// partition, so a transposed operand gives the bits of materialising
+/// its transpose first, at any `parts`.
 pub(crate) fn batch_matmul(
     a: (&[f32], Layout),
     b: (&[f32], Layout),
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
+    (batch, m, k, n): (usize, usize, usize, usize),
+    parts: usize,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
-    if n == 0 || k == 0 || m == 0 {
+    if out.is_empty() || k == 0 {
         return out;
     }
     let mut packed = vec![0.0f32; batch * k * n];
@@ -483,13 +442,11 @@ pub(crate) fn batch_matmul(
         (a, Layout::Plain) => (a, (k, 1)),
         (a, Layout::Transposed) => (a, (1, m)),
     };
-    let total_rows = batch * m;
-    let nt = plan_threads(batch * m * k * n, total_rows);
-    if nt <= 1 {
+    if parts <= 1 {
         batch_rows(a, &packed, &mut out, 0, m, k, n);
         return out;
     }
-    let rows_per = total_rows.div_ceil(nt);
+    let rows_per = (batch * m).div_ceil(parts);
     par_chunks(&mut out, rows_per * n, |ci, chunk| {
         batch_rows(a, &packed, chunk, ci * rows_per, m, k, n)
     });
@@ -516,22 +473,22 @@ fn transpose_tile(src: &[f32], dst: &mut [f32], j0: usize, jrows: usize, m: usiz
     }
 }
 
-/// Blocked, parallel batched transpose of the last two dims:
-/// `[batch…, m, n] → [batch…, n, m]`.
-pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f32> {
+/// Blocked batched transpose of the last two dims:
+/// `[batch…, m, n] → [batch…, n, m]`, split into `parts` partitions run
+/// in parallel: batch slices when `batch > 1`, output rows otherwise.
+pub(crate) fn transpose(
+    src: &[f32],
+    (batch, m, n): (usize, usize, usize),
+    parts: usize,
+) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
-    if m == 0 || n == 0 {
+    if out.is_empty() {
         return out;
     }
-    let nt = if batch * m * n < PAR_MIN_ELEMS {
-        1
-    } else {
-        num_threads().min(cores())
-    };
-    if nt <= 1 || batch > 1 {
+    if parts <= 1 || batch > 1 {
         // Batched case: parallelize over batch slices instead of rows.
-        if nt > 1 {
-            let per = batch.div_ceil(nt);
+        if parts > 1 {
+            let per = batch.div_ceil(parts);
             par_chunks(&mut out, per * m * n, |ci, chunk| {
                 for (bi, slot) in chunk.chunks_mut(m * n).enumerate() {
                     let b = ci * per + bi;
@@ -553,94 +510,33 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
         return out;
     }
     // Single large matrix: parallelize over output row ranges.
-    let jrows_per = n.div_ceil(nt);
+    let jrows_per = n.div_ceil(parts);
     par_chunks(&mut out, jrows_per * m, |ci, chunk| {
         transpose_tile(src, chunk, ci * jrows_per, chunk.len() / m, m, n)
     });
     out
 }
 
-/// Naive reference matmul (the seed repo's kernel, kept verbatim as
-/// the oracle of the parity tests).
-pub fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let av = a[i * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for j in 0..n {
-                orow[j] += av * brow[j];
-            }
-        }
-    }
-    out
-}
-
-/// Naive reference batched matmul (seed kernel).
-pub fn batch_matmul_naive(
-    a: &[f32],
-    b: &[f32],
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
-    for bi in 0..batch {
-        let slice = matmul_naive(
-            &a[bi * m * k..(bi + 1) * m * k],
-            &b[bi * k * n..(bi + 1) * k * n],
-            m,
-            k,
-            n,
-        );
-        out[bi * m * n..(bi + 1) * m * n].copy_from_slice(&slice);
-    }
-    out
-}
-
-/// Naive reference batched transpose (seed kernel).
-pub fn transpose_naive(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
-    for b in 0..batch {
-        let s = &src[b * m * n..(b + 1) * m * n];
-        let d = &mut out[b * m * n..(b + 1) * m * n];
-        for i in 0..m {
-            for j in 0..n {
-                d[j * m + i] = s[i * n + j];
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::testing::{in_parts, reference};
+    use crate::{Prim, Tensor};
 
-    fn seq(n: usize) -> Vec<f32> {
-        (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect()
+    fn seq(dims: &[usize]) -> Tensor {
+        let n = dims.iter().product();
+        Tensor::from_vec(dims, (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect()).unwrap()
     }
 
-    #[test]
-    fn thread_knob_never_quietly_selects_the_default() {
-        for raw in [None, Some(""), Some("  ")] {
-            assert_eq!(threads_from(raw), cores(), "{raw:?}");
-        }
-        assert_eq!(threads_from(Some(" 3 ")), 3);
-        for raw in ["two", "0", "-1", "1.5"] {
-            let message = *std::panic::catch_unwind(|| threads_from(Some(raw)))
-                .expect_err("a mistyped value must be refused")
-                .downcast::<String>()
-                .expect("panic carries a String");
-            for part in ["RAXPP_THREADS", raw, "a positive whole number"] {
-                assert!(message.contains(part), "{message:?} does not name {part:?}");
-            }
-        }
+    /// The blocked kernel at its own partition count vs the reference.
+    fn check(prim: Prim, dims: &[&[usize]]) {
+        let inputs: Vec<Tensor> = dims.iter().map(|d| seq(d)).collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let got = match prim {
+            Prim::Transpose => inputs[0].transpose(),
+            Prim::MatMul => inputs[0].matmul(&inputs[1]),
+            _ => inputs[0].batch_matmul(&inputs[1]),
+        };
+        assert_eq!(got.unwrap(), reference(&prim, &refs).unwrap(), "{dims:?}");
     }
 
     #[test]
@@ -653,66 +549,32 @@ mod tests {
             (2, 17, 33),
             (65, 33, 17),
         ] {
-            let a = seq(m * k);
-            let b = seq(k * n);
-            assert_eq!(
-                batch_matmul((&a, Layout::Plain), (&b, Layout::Plain), 1, m, k, n),
-                matmul_naive(&a, &b, m, k, n),
-                "({m},{k},{n})"
-            );
+            check(Prim::MatMul, &[&[m, k], &[k, n]]);
         }
     }
 
     #[test]
     fn parallel_partition_is_thread_count_invariant() {
         let (m, k, n) = (130, 64, 48);
-        let a = seq(m * k);
-        let b = seq(k * n);
-        let want = matmul_naive(&a, &b, m, k, n);
-        // Force the parallel path by making the size check irrelevant:
-        // run matmul_rows chunked by hand for several partition widths.
-        let mut bp = vec![0.0f32; k * n];
-        pack_b(&b, Layout::Plain, k, n, &mut bp);
-        for nt in [1usize, 2, 3, 5, 8] {
-            let rows_per = m.div_ceil(nt);
-            let mut out = vec![0.0f32; m * n];
-            for (ci, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                matmul_rows((&a, (k, 1)), &bp, chunk, ci * rows_per, k, n);
-            }
-            assert_eq!(out, want, "nt={nt}");
+        let (a, b) = (seq(&[m, k]), seq(&[k, n]));
+        let want = reference(&Prim::MatMul, &[&a, &b]).unwrap();
+        for parts in [1usize, 2, 3, 5, 8] {
+            let got = in_parts(&Prim::MatMul, &[(&a, false), (&b, false)], parts).unwrap();
+            assert_eq!(got, want, "{parts} partitions");
         }
     }
 
     #[test]
     fn transpose_tiles_match_naive() {
         for &(batch, m, n) in &[(1, 1, 1), (1, 33, 65), (3, 5, 7), (2, 32, 32), (1, 100, 3)] {
-            let src = seq(batch * m * n);
-            assert_eq!(
-                transpose(&src, batch, m, n),
-                transpose_naive(&src, batch, m, n),
-                "({batch},{m},{n})"
-            );
+            check(Prim::Transpose, &[&[batch, m, n]]);
         }
     }
 
     #[test]
     fn batch_matmul_matches_naive() {
         for &(batch, m, k, n) in &[(1, 3, 4, 5), (4, 2, 3, 2), (2, 7, 5, 3), (0, 2, 2, 2)] {
-            let a = seq(batch * m * k);
-            let b = seq(batch * k * n);
-            assert_eq!(
-                batch_matmul((&a, Layout::Plain), (&b, Layout::Plain), batch, m, k, n),
-                batch_matmul_naive(&a, &b, batch, m, k, n),
-                "({batch},{m},{k},{n})"
-            );
+            check(Prim::BatchMatMul, &[&[batch, m, k], &[batch, k, n]]);
         }
-    }
-
-    #[test]
-    fn thread_knob_roundtrips() {
-        set_num_threads(3);
-        assert_eq!(num_threads(), 3);
-        set_num_threads(1);
-        assert_eq!(num_threads(), 1);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The crate provides the pieces JAX provides to JaxPP:
 //!
-//! * a [`Tensor`] type with reference CPU kernels,
+//! * a [`Tensor`] type with blocked, multi-threaded CPU kernels,
 //! * a traced, `Jaxpr`-style SSA dataflow graph ([`Jaxpr`], [`TraceCtx`]),
 //! * reverse-mode autodiff ([`grad`], [`value_and_grad`], [`linearize`]),
 //! * a CPU interpreter ([`eval`]),
@@ -35,7 +35,7 @@ mod dtype;
 mod error;
 mod graph;
 mod interp;
-pub mod kernels;
+mod kernels;
 mod optimize;
 mod prim;
 pub mod rng;
@@ -48,10 +48,7 @@ pub use autodiff::{grad, linearize, value_and_grad, Linearized};
 pub use dtype::DType;
 pub use error::{IrError, Result};
 pub use graph::{Eqn, GraphBuilder, Jaxpr, VarId};
-pub use interp::{
-    eval, eval_prim, eval_reference, eval_with_stats, eval_with_stats_hooked, EvalHook, EvalStats,
-};
-pub use kernels::{num_threads, set_num_threads};
+pub use interp::{eval, eval_prim, eval_with_stats, eval_with_stats_hooked, EvalHook, EvalStats};
 pub use optimize::{optimize, OptimizeStats};
 pub use prim::{Prim, YieldId};
 pub use shape::Shape;

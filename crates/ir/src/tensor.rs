@@ -5,8 +5,9 @@
 //! actor are all O(1) handle copies — the executable analogue of passing
 //! device-buffer references between the paper's Ray actors. Compute
 //! kernels (matmul, batched matmul, transpose) are cache-blocked and
-//! multi-threaded (see [`crate::kernels`]), with reduction orders that
-//! are bit-compatible with the naive seed kernels at any thread count.
+//! multi-threaded (`kernels.rs`), with reduction orders that are
+//! bit-compatible with the serial loops of [`crate::testing`] at any
+//! partition count.
 //! The layout and reduction kernels (broadcast, permute, `reduce_sum`,
 //! `reduce_max`) share one stride walker that moves a whole innermost
 //! row per step and does no index division; a reduction still folds
@@ -48,7 +49,7 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    fn from_parts(shape: Shape, data: Vec<f32>) -> Tensor {
+    pub(crate) fn from_parts(shape: Shape, data: Vec<f32>) -> Tensor {
         debug_assert_eq!(shape.numel(), data.len());
         Tensor {
             shape,
@@ -145,13 +146,6 @@ impl Tensor {
     /// tensor, store, or in-flight send aliases it).
     pub fn is_unique(&self) -> bool {
         Arc::strong_count(&self.data) == 1
-    }
-
-    /// A tensor with the same shape whose buffer is freshly allocated
-    /// (never shared). Used by the reference interpreter to reproduce
-    /// the pre-optimization deep-copy cost model.
-    pub fn deep_copy(&self) -> Tensor {
-        Tensor::from_parts(self.shape.clone(), self.data.to_vec())
     }
 
     /// The single value of a scalar tensor.
@@ -262,18 +256,42 @@ impl Tensor {
     /// Returns an error unless both operands are rank 2 with a matching
     /// contraction dimension.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.matmul_as(Layout::Plain, rhs, Layout::Plain)
+        self.product((Layout::Plain, rhs, Layout::Plain), false, None)
     }
 
-    /// [`Tensor::matmul`] of operands each stored in a [`Layout`]: a
-    /// `Transposed` operand's buffer holds the transpose of the matrix
-    /// it stands for, and the kernel reads it in place. Bitwise equal to
-    /// materialising that transpose and calling [`Tensor::matmul`].
-    pub(crate) fn matmul_as(&self, la: Layout, rhs: &Tensor, lb: Layout) -> Result<Tensor> {
+    /// Batched matrix multiply `[b…, m, k] @ [b…, k, n]` (blocked,
+    /// multi-threaded).
+    ///
+    /// # Errors
+    ///
+    /// See [`Shape::batch_matmul`].
+    pub fn batch_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.product((Layout::Plain, rhs, Layout::Plain), true, None)
+    }
+
+    /// [`Tensor::matmul`] (or, when `batched`, [`Tensor::batch_matmul`])
+    /// of operands each stored in a [`Layout`]: a `Transposed` operand's
+    /// buffer holds the transpose of the matrix it stands for, and the
+    /// kernel reads it in place. Bitwise equal to materialising that
+    /// transpose and calling the plain method. `parts` is the kernel's
+    /// partition count; `None` lets the problem size choose it.
+    pub(crate) fn product(
+        &self,
+        (la, rhs, lb): (Layout, &Tensor, Layout),
+        batched: bool,
+        parts: Option<usize>,
+    ) -> Result<Tensor> {
         let (ls, rs) = (self.logical_shape(la)?, rhs.logical_shape(lb)?);
-        let out_shape = ls.matmul(&rs)?;
-        let (m, k, n) = (ls.dim(0), ls.dim(1), rs.dim(1));
-        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), 1, m, k, n);
+        let out_shape = if batched {
+            ls.batch_matmul(&rs)?
+        } else {
+            ls.matmul(&rs)?
+        };
+        let r = ls.rank();
+        let (m, k, n) = (ls.dim(r - 2), ls.dim(r - 1), rs.dim(r - 1));
+        let batch: usize = ls.dims()[..r - 2].iter().product();
+        let parts = parts.unwrap_or_else(|| kernels::matmul_parts(batch * m * k * n, batch * m));
+        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), (batch, m, k, n), parts);
         Ok(Tensor::from_parts(out_shape, out))
     }
 
@@ -285,20 +303,6 @@ impl Tensor {
         })
     }
 
-    /// 2-D matrix multiply using the seed repo's naive serial kernel.
-    /// Kept for kernel-parity tests and pre-optimization baselines.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::matmul`].
-    pub fn matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
-        let out_shape = self.shape.matmul(&rhs.shape)?;
-        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
-        let n = rhs.shape.dim(1);
-        let out = kernels::matmul_naive(&self.data, &rhs.data, m, k, n);
-        Ok(Tensor::from_parts(out_shape, out))
-    }
-
     /// Transpose of the last two dimensions (rank ≥ 2; leading batch
     /// dimensions are preserved). Tile-blocked and multi-threaded.
     ///
@@ -306,76 +310,18 @@ impl Tensor {
     ///
     /// Returns [`IrError::RankMismatch`] for rank < 2.
     pub fn transpose(&self) -> Result<Tensor> {
-        let r = self.shape.rank();
-        if r < 2 {
-            return Err(IrError::RankMismatch {
-                context: "transpose".into(),
-                expected: 2,
-                found: r,
-            });
-        }
+        self.transpose_in(None)
+    }
+
+    /// [`Tensor::transpose`] split into `parts` kernel partitions;
+    /// `None` lets the problem size choose.
+    pub(crate) fn transpose_in(&self, parts: Option<usize>) -> Result<Tensor> {
         let out_shape = self.shape.transposed()?;
+        let r = self.shape.rank();
         let (m, n) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
         let batch = self.numel().checked_div(m * n).unwrap_or(0);
-        let out = kernels::transpose(&self.data, batch, m, n);
-        Ok(Tensor::from_parts(out_shape, out))
-    }
-
-    /// Transpose using the seed repo's naive serial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::transpose`].
-    pub fn transpose_naive(&self) -> Result<Tensor> {
-        let r = self.shape.rank();
-        if r < 2 {
-            return Err(IrError::RankMismatch {
-                context: "transpose".into(),
-                expected: 2,
-                found: r,
-            });
-        }
-        let out_shape = self.shape.transposed()?;
-        let (m, n) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
-        let batch = self.numel().checked_div(m * n).unwrap_or(0);
-        let out = kernels::transpose_naive(&self.data, batch, m, n);
-        Ok(Tensor::from_parts(out_shape, out))
-    }
-
-    /// Batched matrix multiply `[b…, m, k] @ [b…, k, n]` (blocked,
-    /// multi-threaded).
-    ///
-    /// # Errors
-    ///
-    /// See [`Shape::batch_matmul`].
-    pub fn batch_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.batch_matmul_as(Layout::Plain, rhs, Layout::Plain)
-    }
-
-    /// [`Tensor::batch_matmul`] of operands each stored in a [`Layout`]
-    /// (per batch slice), as [`Tensor::matmul_as`].
-    pub(crate) fn batch_matmul_as(&self, la: Layout, rhs: &Tensor, lb: Layout) -> Result<Tensor> {
-        let (ls, rs) = (self.logical_shape(la)?, rhs.logical_shape(lb)?);
-        let out_shape = ls.batch_matmul(&rs)?;
-        let r = ls.rank();
-        let (m, k, n) = (ls.dim(r - 2), ls.dim(r - 1), rs.dim(r - 1));
-        let batch = ls.dims()[..r - 2].iter().product();
-        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), batch, m, k, n);
-        Ok(Tensor::from_parts(out_shape, out))
-    }
-
-    /// Batched matmul using the seed repo's naive serial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::batch_matmul`].
-    pub fn batch_matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
-        let out_shape = self.shape.batch_matmul(&rhs.shape)?;
-        let r = self.shape.rank();
-        let (m, k) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
-        let n = rhs.shape.dim(r - 1);
-        let batch = self.shape.dims()[..r - 2].iter().product();
-        let out = kernels::batch_matmul_naive(&self.data, &rhs.data, batch, m, k, n);
+        let parts = parts.unwrap_or_else(|| kernels::transpose_parts(self.numel()));
+        let out = kernels::transpose(&self.data, (batch, m, n), parts);
         Ok(Tensor::from_parts(out_shape, out))
     }
 
@@ -1169,7 +1115,9 @@ mod tests {
             let b = Tensor::randn([k, n], 1.0, &mut rng);
             assert_eq!(
                 a.matmul(&b).unwrap().data(),
-                a.matmul_naive(&b).unwrap().data(),
+                crate::testing::reference(&crate::Prim::MatMul, &[&a, &b])
+                    .unwrap()
+                    .data(),
                 "({m},{k},{n})"
             );
         }

@@ -1,6 +1,10 @@
-//! Test support for the decoders of untrusted bytes: one mutator that
-//! derives damaged inputs from well-formed ones, and one allocation
-//! probe that observes (rather than argues) a decoder's memory bound.
+//! Test support. For the kernels and the interpreter: the serial oracle
+//! they must equal bit for bit ([`reference()`], [`reference_eval`]), and
+//! an entry that runs the blocked kernels at an explicit partition count
+//! ([`in_parts`]), so a partition sweep splits on any host. For the
+//! decoders of untrusted bytes: one mutator that derives damaged inputs
+//! from well-formed ones, and one allocation probe that observes (rather
+//! than argues) a decoder's memory bound.
 //!
 //! [`largest_allocation`] sees only what [`NoteLargest`] notes, so a
 //! test binary that uses it declares the allocator once:
@@ -19,7 +23,142 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use crate::error::{IrError, Result};
+use crate::graph::Jaxpr;
+use crate::interp::eval_prim;
+use crate::kernels;
+use crate::prim::Prim;
 use crate::rng::{Rng, SeedableRng, StdRng};
+use crate::tensor::Tensor;
+
+/// `prim` on concrete tensors, with the matmul, batched matmul and
+/// transpose computed by serial reference loops and every other
+/// primitive by [`eval_prim`]. The matmul loops run `i`, then `p`
+/// ascending, then `j`, and skip a zero lhs entry, which can only turn a
+/// `-0.0` into `0.0`: the blocked kernels, which reduce over `p` in the
+/// same order, equal it under `f32 ==` at any partition count.
+///
+/// # Errors
+///
+/// As [`eval_prim`].
+pub fn reference(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
+    let (shape, data) = match (prim, inputs) {
+        (Prim::MatMul | Prim::BatchMatMul, [a, b]) => {
+            let shape = match prim {
+                Prim::MatMul => a.shape().matmul(b.shape())?,
+                _ => a.shape().batch_matmul(b.shape())?,
+            };
+            let r = a.shape().rank();
+            let batch: usize = a.shape().dims()[..r - 2].iter().product();
+            let (m, k, n) = (
+                a.shape().dim(r - 2),
+                a.shape().dim(r - 1),
+                b.shape().dim(r - 1),
+            );
+            let mut out = vec![0.0f32; batch * m * n];
+            for (row, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+                let bi = row / m;
+                for p in 0..k {
+                    let av = a.data()[row * k + p];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let brow = &b.data()[(bi * k + p) * n..(bi * k + p + 1) * n];
+                    for (o, &bv) in orow.iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
+            }
+            (shape, out)
+        }
+        (Prim::Transpose, [t]) => {
+            let shape = t.shape().transposed()?;
+            let r = shape.rank();
+            let (m, n) = (t.shape().dim(r - 2), t.shape().dim(r - 1));
+            let mut out = vec![0.0f32; t.numel()];
+            for (flat, &v) in t.data().iter().enumerate() {
+                let (slice, i, j) = (flat / (m * n), flat / n % m, flat % n);
+                out[slice * m * n + j * m + i] = v;
+            }
+            (shape, out)
+        }
+        _ => return eval_prim(prim, inputs),
+    };
+    Ok(Tensor::from_parts(shape, data))
+}
+
+/// Evaluates `jaxpr` equation by equation through [`reference()`], each
+/// equation allocating its output and every value kept to the end: no
+/// buffer reuse, no in-place write, no transpose read in place. The
+/// oracle [`crate::eval`] must equal bit for bit.
+///
+/// # Errors
+///
+/// An input count or shape that differs from the graph's, or any
+/// primitive's error.
+pub fn reference_eval(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+    let declared: Vec<_> = jaxpr.invars().iter().map(|&v| jaxpr.shape(v)).collect();
+    let given: Vec<_> = inputs.iter().map(Tensor::shape).collect();
+    if declared != given {
+        return Err(IrError::Invalid(format!(
+            "reference_eval: inputs {given:?}, graph takes {declared:?}"
+        )));
+    }
+    let mut env: Vec<Option<Tensor>> = vec![None; jaxpr.num_vars()];
+    for (&v, t) in jaxpr.invars().iter().zip(inputs) {
+        env[v.index()] = Some(t.clone());
+    }
+    let get = |env: &[Option<Tensor>], v: crate::VarId| {
+        env[v.index()].clone().ok_or(IrError::InvalidVar {
+            context: "reference_eval".into(),
+            var: v.0,
+        })
+    };
+    for eqn in jaxpr.eqns() {
+        let operands = eqn
+            .inputs
+            .iter()
+            .map(|&v| get(&env, v))
+            .collect::<Result<Vec<_>>>()?;
+        let operands: Vec<&Tensor> = operands.iter().collect();
+        env[eqn.output.index()] = Some(reference(&eqn.prim, &operands)?);
+    }
+    jaxpr.outvars().iter().map(|&v| get(&env, v)).collect()
+}
+
+/// `prim` — `MatMul`, `BatchMatMul` or `Transpose` — on the blocked
+/// kernels split into exactly `parts` partitions (0 and 1 both run
+/// serially), whatever the problem size and the host's core count. A
+/// matmul operand paired with `true` is stored transposed and read in
+/// place, as the interpreter reads a transpose only matmuls consume.
+///
+/// # Errors
+///
+/// The shape errors of [`Tensor::matmul`], [`Tensor::batch_matmul`] and
+/// [`Tensor::transpose`].
+///
+/// # Panics
+///
+/// Panics on any other primitive, a wrong operand count, or a
+/// `Transpose` operand paired with `true`.
+pub fn in_parts(prim: &Prim, operands: &[(&Tensor, bool)], parts: usize) -> Result<Tensor> {
+    let layout = |transposed| match transposed {
+        true => kernels::Layout::Transposed,
+        false => kernels::Layout::Plain,
+    };
+    match (prim, operands) {
+        (Prim::MatMul | Prim::BatchMatMul, &[(a, ta), (b, tb)]) => {
+            let batched = matches!(prim, Prim::BatchMatMul);
+            a.product((layout(ta), b, layout(tb)), batched, Some(parts))
+        }
+        (Prim::Transpose, &[(t, false)]) => t.transpose_in(Some(parts)),
+        _ => panic!(
+            "in_parts runs a matmul or a transpose, not {} on {} operands",
+            prim.name(),
+            operands.len()
+        ),
+    }
+}
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };

@@ -1,25 +1,30 @@
 //! Kernel-parity suite: the blocked/parallel matmul, batched matmul,
-//! and transpose kernels must be **bit-identical** to the seed repo's
-//! naive serial kernels on every shape — including edge tiles, unit
-//! dimensions, empty tensors, and any thread count. Bit-identity (not
-//! `allclose`) is the contract that makes pipelined training
+//! and transpose kernels must be **bit-identical** to the serial
+//! reference loops of `raxpp_ir::testing` on every shape — including
+//! edge tiles, unit dimensions, empty tensors, and any partition count
+//! (each sweep runs the kernels split 1, 2, 3, 4 and 7 ways through
+//! `testing::in_parts`, whatever the host's core count). Bit-identity
+//! (not `allclose`) is the contract that makes pipelined training
 //! reproducible against the single-device reference. Broadcast, permute
 //! and the reductions must likewise equal the per-element index loops
 //! their stride walker replaced. A matmul that reads an operand in
 //! place from its stored transpose must equal materialising the
 //! transpose first. The same holds one level up: the liveness
-//! interpreter (`eval`) must equal the deep-copy + naive-kernel oracle
-//! (`eval_reference`) on a whole training graph.
+//! interpreter (`eval`) must equal the allocate-everything reference
+//! evaluator (`testing::reference_eval`) on a whole training graph.
 
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
+use raxpp_ir::testing::{in_parts, reference, reference_eval};
 use raxpp_ir::{
-    eval, eval_reference, eval_with_stats, set_num_threads, value_and_grad, EvalStats,
-    GraphBuilder, Prim, Shape, Tensor,
+    eval, eval_with_stats, value_and_grad, EvalStats, GraphBuilder, Prim, Shape, Tensor,
 };
 
+/// The partition counts every kernel sweep runs.
+const PARTS: [usize; 5] = [1, 2, 3, 4, 7];
+
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
-/// zeros exercise the naive kernel's zero-skip fast path, whose only
-/// effect may be `-0.0` vs `0.0` (equal under f32 `==`).
+/// zeros exercise the reference's zero-skip, whose only effect may be
+/// `-0.0` vs `0.0` (equal under f32 `==`).
 fn rand_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let numel: usize = shape.iter().product();
     let data: Vec<f32> = (0..numel)
@@ -34,7 +39,7 @@ fn rand_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
 
 /// Shapes chosen to hit every code path of the blocked kernels: full
 /// MRxNR register tiles, ragged edge tiles in both dimensions, unit
-/// dims, shapes under and over the parallelization thresholds.
+/// dims, more row panels than partitions and fewer.
 const MATMUL_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 7, 1),
@@ -45,7 +50,7 @@ const MATMUL_SHAPES: &[(usize, usize, usize)] = &[
     (8, 32, 64),   // whole tiles only
     (3, 1, 5),     // k = 1: single-term reductions
     (33, 29, 47),  // edge tiles on every boundary
-    (128, 64, 96), // multi-panel, above thread-split sizes
+    (128, 64, 96), // multi-panel
     (0, 4, 4),     // empty m
     (4, 0, 4),     // empty k: output must be all zeros
     (4, 4, 0),     // empty n
@@ -57,19 +62,18 @@ fn matmul_blocked_matches_naive_bitwise() {
     for &(m, k, n) in MATMUL_SHAPES {
         let a = rand_tensor(&[m, k], &mut rng);
         let b = rand_tensor(&[k, n], &mut rng);
-        let want = a.matmul_naive(&b).unwrap();
-        for threads in [1, 2, 3, 4, 7] {
-            set_num_threads(threads);
-            let got = a.matmul(&b).unwrap();
-            assert_eq!(got.shape(), want.shape(), "({m},{k},{n}) x{threads}");
+        let want = reference(&Prim::MatMul, &[&a, &b]).unwrap();
+        assert_eq!(a.matmul(&b).unwrap(), want, "({m},{k},{n})");
+        for parts in PARTS {
+            let got = in_parts(&Prim::MatMul, &[(&a, false), (&b, false)], parts).unwrap();
+            assert_eq!(got.shape(), want.shape(), "({m},{k},{n}) x{parts}");
             assert_eq!(
                 got.data(),
                 want.data(),
-                "matmul ({m},{k},{n}) diverges at {threads} threads"
+                "matmul ({m},{k},{n}) diverges at {parts} partitions"
             );
         }
     }
-    set_num_threads(1);
 }
 
 #[test]
@@ -88,19 +92,18 @@ fn batch_matmul_blocked_matches_naive_bitwise() {
     for &(batch, m, k, n) in cases {
         let a = rand_tensor(&[batch, m, k], &mut rng);
         let b = rand_tensor(&[batch, k, n], &mut rng);
-        let want = a.batch_matmul_naive(&b).unwrap();
-        for threads in [1, 3, 4] {
-            set_num_threads(threads);
-            let got = a.batch_matmul(&b).unwrap();
+        let want = reference(&Prim::BatchMatMul, &[&a, &b]).unwrap();
+        assert_eq!(a.batch_matmul(&b).unwrap(), want, "({batch},{m},{k},{n})");
+        for parts in PARTS {
+            let got = in_parts(&Prim::BatchMatMul, &[(&a, false), (&b, false)], parts).unwrap();
             assert_eq!(got.shape(), want.shape());
             assert_eq!(
                 got.data(),
                 want.data(),
-                "batch_matmul ({batch},{m},{k},{n}) diverges at {threads} threads"
+                "batch_matmul ({batch},{m},{k},{n}) diverges at {parts} partitions"
             );
         }
     }
-    set_num_threads(1);
 }
 
 #[test]
@@ -122,73 +125,61 @@ fn transpose_blocked_matches_naive_bitwise() {
     ];
     for &shape in cases {
         let t = rand_tensor(shape, &mut rng);
-        let want = t.transpose_naive().unwrap();
-        for threads in [1, 2, 5] {
-            set_num_threads(threads);
-            let got = t.transpose().unwrap();
+        let want = reference(&Prim::Transpose, &[&t]).unwrap();
+        assert_eq!(t.transpose().unwrap(), want, "{shape:?}");
+        for parts in PARTS {
+            let got = in_parts(&Prim::Transpose, &[(&t, false)], parts).unwrap();
             assert_eq!(got.shape(), want.shape());
             assert_eq!(
                 got.data(),
                 want.data(),
-                "transpose {shape:?} diverges at {threads} threads"
+                "transpose {shape:?} diverges at {parts} partitions"
             );
         }
     }
-    set_num_threads(1);
 }
 
 /// Double-transpose is the identity, bit-for-bit, regardless of tiling.
 #[test]
 fn transpose_roundtrip_is_identity() {
     let mut rng = StdRng::seed_from_u64(0x1D);
-    set_num_threads(4);
+    let transpose = |t: &Tensor| in_parts(&Prim::Transpose, &[(t, false)], 4).unwrap();
     for &shape in &[[37usize, 53], [64, 64], [1, 200]] {
         let t = rand_tensor(&shape, &mut rng);
-        let back = t.transpose().unwrap().transpose().unwrap();
+        let back = transpose(&transpose(&t));
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.data(), t.data());
     }
-    set_num_threads(1);
 }
 
-/// `a @ b` (or the batched product) through the interpreter, each
-/// operand whose flag is set stored as its transpose and read through a
-/// `Transpose` equation, plus the allocator counters. Only the matmul
-/// reads those transposes, so the interpreter never writes them out.
-fn product_of_transposes(
-    prim: &Prim,
-    (a, ta): (&Tensor, bool),
-    (b, tb): (&Tensor, bool),
-) -> (Tensor, EvalStats) {
+/// The product of `stored` (each operand paired with whether it holds
+/// the transpose of the matrix it stands for) through the interpreter:
+/// a flagged operand is read through a `Transpose` equation, plus the
+/// allocator counters. Only the matmul reads those transposes, so the
+/// interpreter never writes them out.
+fn product_of_transposes(prim: &Prim, stored: [(&Tensor, bool); 2]) -> (Tensor, EvalStats) {
     let mut g = GraphBuilder::new();
-    let mut stored = Vec::new();
-    let mut operand = |t: &Tensor, transposed: bool| {
-        let t = if transposed {
-            t.transpose().unwrap()
-        } else {
-            t.clone()
-        };
+    let operands = stored.map(|(t, transposed)| {
         let v = g.input(t.shape().clone());
-        stored.push(t);
         if transposed {
             g.emit(Prim::Transpose, &[v]).unwrap()
         } else {
             v
         }
-    };
-    let operands = [operand(a, ta), operand(b, tb)];
+    });
     let z = g.emit(prim.clone(), &operands).unwrap();
-    let (mut out, stats) = eval_with_stats(&g.finish(vec![z]).unwrap(), &stored).unwrap();
+    let inputs = stored.map(|(t, _)| t.clone());
+    let (mut out, stats) = eval_with_stats(&g.finish(vec![z]).unwrap(), &inputs).unwrap();
     (out.pop().unwrap(), stats)
 }
 
 /// The gate for transposed operands: a matmul or batched matmul that
 /// reads one or both operands in place from a stored transpose equals,
 /// bit for bit, materialising that transpose and running the blocked
-/// kernel on it, and equals (`==`) the naive kernel — for random shapes
+/// kernel on it, and equals (`==`) the reference — for random shapes
 /// and the edges (`k ∈ {0, 1}`, `m` below the 8-row tile, `n` not a
-/// multiple of the 64-column panel, an empty batch), at any thread
-/// count.
+/// multiple of the 64-column panel, an empty batch), through the
+/// interpreter and at every partition count.
 #[test]
 fn transposed_operands_match_the_materialised_transpose_bitwise() {
     let mut rng = StdRng::seed_from_u64(0x70A_11A5);
@@ -197,7 +188,7 @@ fn transposed_operands_match_the_materialised_transpose_bitwise() {
         (1, 9, 1, 70),     // k = 1
         (1, 3, 17, 130),   // m < MR, n not a multiple of NR
         (1, 8, 33, 64),    // one full tile
-        (1, 130, 97, 100), // above the thread-split size
+        (1, 130, 97, 100), // many row panels
         (0, 4, 5, 6),      // empty batch
         (3, 7, 1, 65),
         (2, 16, 0, 9),
@@ -220,36 +211,36 @@ fn transposed_operands_match_the_materialised_transpose_bitwise() {
             let dims = |r: usize, c: usize| [lead, &[r, c]].concat();
             let a = rand_tensor(&dims(m, k), &mut rng);
             let b = rand_tensor(&dims(k, n), &mut rng);
-            let (prim, blocked, naive) = if batched {
-                (
-                    Prim::BatchMatMul,
-                    a.batch_matmul(&b).unwrap(),
-                    a.batch_matmul_naive(&b).unwrap(),
-                )
+            let (prim, blocked) = if batched {
+                (Prim::BatchMatMul, a.batch_matmul(&b).unwrap())
             } else {
-                (
-                    Prim::MatMul,
-                    a.matmul(&b).unwrap(),
-                    a.matmul_naive(&b).unwrap(),
-                )
+                (Prim::MatMul, a.matmul(&b).unwrap())
+            };
+            let naive = reference(&prim, &[&a, &b]).unwrap();
+            let stored = |t: &Tensor, transposed: bool| match transposed {
+                true => t.transpose().unwrap(),
+                false => t.clone(),
             };
             for (ta, tb) in [(true, false), (false, true), (true, true)] {
-                for threads in [1, 2, 3, 4, 7] {
-                    set_num_threads(threads);
-                    let what = format!(
-                        "{} batch {batch} ({m},{k},{n}) lhsᵀ {ta} rhsᵀ {tb} x{threads}",
-                        prim.name()
-                    );
-                    let (got, stats) = product_of_transposes(&prim, (&a, ta), (&b, tb));
-                    let transposes = u64::from(ta) + u64::from(tb);
-                    assert_eq!(stats.reused, transposes, "{what}: read in place");
+                let (sa, sb) = (stored(&a, ta), stored(&b, tb));
+                let what = format!(
+                    "{} batch {batch} ({m},{k},{n}) lhsᵀ {ta} rhsᵀ {tb}",
+                    prim.name()
+                );
+                let (got, stats) = product_of_transposes(&prim, [(&sa, ta), (&sb, tb)]);
+                let transposes = u64::from(ta) + u64::from(tb);
+                assert_eq!(stats.reused, transposes, "{what}: read in place");
+                assert_bits_eq(&got, &blocked, &what);
+                assert_eq!(got.data(), naive.data(), "{what}");
+                for parts in PARTS {
+                    let what = format!("{what} x{parts}");
+                    let got = in_parts(&prim, &[(&sa, ta), (&sb, tb)], parts).unwrap();
                     assert_bits_eq(&got, &blocked, &what);
                     assert_eq!(got.data(), naive.data(), "{what}");
                 }
             }
         }
     }
-    set_num_threads(1);
 }
 
 // The per-element loops the stride walker replaced, kept here as its
@@ -344,7 +335,7 @@ fn rand_perm(n: usize, rng: &mut StdRng) -> Vec<usize> {
 
 /// The gate for the stride walker: `broadcast_to`, `permute`,
 /// `reduce_sum` and `reduce_max` are bit for bit the per-element loops
-/// above on random shapes. `eval_reference` runs these ops through the
+/// above on random shapes. `reference_eval` runs these ops through the
 /// same kernels, so no whole-graph parity check can see a reordered
 /// reduction here — only this test.
 #[test]
@@ -411,12 +402,12 @@ fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
     }
 }
 
-/// The whole-graph gate (formerly a process-global "reference mode" the
-/// step bench flipped): forward + backward of a tanh/gelu MLP — matmuls,
-/// the transposes autodiff puts in front of every backward matmul,
-/// elementwise ops, reductions — through the buffer-reusing interpreter
-/// at several thread counts equals the oracle bit for bit, loss and
-/// every gradient.
+/// The whole-graph gate: forward + backward of a tanh/gelu MLP —
+/// matmuls, the transposes autodiff puts in front of every backward
+/// matmul, elementwise ops, reductions — through the buffer-reusing
+/// interpreter equals the reference evaluator bit for bit, loss and
+/// every gradient. At this size no kernel splits; the partition sweeps
+/// above cover that.
 #[test]
 fn eval_matches_eval_reference_bitwise_on_a_training_graph() {
     let (rows, width) = (33, 47); // ragged edge tiles on every matmul
@@ -441,19 +432,15 @@ fn eval_matches_eval_reference_bitwise_on_a_training_graph() {
         rand_tensor(&[width, width], &mut rng),
         rand_tensor(&[width, width], &mut rng),
     ];
-    let want = eval_reference(&step, &inputs).unwrap();
+    let want = reference_eval(&step, &inputs).unwrap();
     assert_eq!(want.len(), 3, "loss + two gradients");
-    for threads in [1, 2, 5] {
-        set_num_threads(threads);
-        let got = eval(&step, &inputs).unwrap();
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.shape(), w.shape());
-            assert_eq!(
-                g.data(),
-                w.data(),
-                "output {i} diverges from eval_reference at {threads} threads"
-            );
-        }
+    let got = eval(&step, &inputs).unwrap();
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.shape(), w.shape());
+        assert_eq!(
+            g.data(),
+            w.data(),
+            "output {i} diverges from reference_eval"
+        );
     }
-    set_num_threads(1);
 }

@@ -6,7 +6,7 @@ use raxpp_ir::{eval, value_and_grad, Jaxpr, Tensor, TraceCtx};
 use raxpp_runtime::{Fault, Kind, Runtime, RuntimeError};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, FetchRole, MpmdProgram,
+    insert_frees, pipeline_model, unroll_loop, verify_program, FetchRole, MpmdProgram,
     UnrollOptions,
 };
 
@@ -28,7 +28,7 @@ fn chain(emb: usize, n_stages: usize) -> (Jaxpr, usize) {
 fn compile(jaxpr: &Jaxpr, n_params: usize, schedule: &Schedule) -> MpmdProgram {
     let model = pipeline_model(jaxpr, n_params).unwrap();
     let mut compiled = unroll_loop(&model, schedule, UnrollOptions::default()).unwrap();
-    check_send_recv_order(&compiled.program).unwrap();
+    verify_program(&compiled.program).unwrap();
     insert_frees(&mut compiled.program);
     compiled.program
 }

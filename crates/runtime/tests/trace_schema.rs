@@ -10,8 +10,7 @@ use raxpp_runtime::{
 };
 use raxpp_sched::{gpipe, one_f1b, Schedule};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, Instr, MpmdProgram,
-    UnrollOptions,
+    insert_frees, pipeline_model, unroll_loop, verify_program, Instr, MpmdProgram, UnrollOptions,
 };
 
 fn chain(emb: usize, n_stages: usize) -> (Jaxpr, usize) {
@@ -32,7 +31,7 @@ fn chain(emb: usize, n_stages: usize) -> (Jaxpr, usize) {
 fn compile(jaxpr: &Jaxpr, n_params: usize, schedule: &Schedule) -> MpmdProgram {
     let model = pipeline_model(jaxpr, n_params).unwrap();
     let mut compiled = unroll_loop(&model, schedule, UnrollOptions::default()).unwrap();
-    check_send_recv_order(&compiled.program).unwrap();
+    verify_program(&compiled.program).unwrap();
     insert_frees(&mut compiled.program);
     compiled.program
 }

@@ -213,58 +213,6 @@ pub fn zero_bubble_h1(pp: usize, n_mubatches: usize) -> Result<Schedule, Schedul
     )
 }
 
-/// The contiguous-block stage→actor assignment used by the folded
-/// builders: stage `s` of `n_stages` lives on actor
-/// `s * n_actors / n_stages`, so each actor hosts a run of adjacent
-/// stages (GPipe-style folding; co-located boundaries cost no
-/// communication).
-pub fn fold_assign(n_stages: usize, n_actors: usize) -> Vec<usize> {
-    (0..n_stages).map(|s| s * n_actors / n_stages).collect()
-}
-
-/// [`gpipe`] folded onto `n_actors < n_stages` actors: the
-/// `actors < stages`-aware degraded mode, where each actor hosts a
-/// contiguous block of stages (see [`fold_assign`]). With
-/// `n_actors == n_stages` this is plain [`gpipe`].
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::Invalid`] for zero parameters or
-/// `n_actors > n_stages`.
-pub fn gpipe_folded(
-    n_stages: usize,
-    n_actors: usize,
-    n_mubatches: usize,
-) -> Result<Schedule, ScheduleError> {
-    if n_actors == 0 || n_actors > n_stages {
-        return Err(ScheduleError::Invalid(format!(
-            "gpipe_folded requires 0 < n_actors ({n_actors}) <= n_stages ({n_stages})"
-        )));
-    }
-    gpipe(n_stages, n_mubatches)?.fold(&fold_assign(n_stages, n_actors))
-}
-
-/// [`one_f1b`] folded onto `n_actors < n_stages` actors (contiguous
-/// stage blocks, see [`fold_assign`]). With `n_actors == n_stages` this
-/// is plain [`one_f1b`].
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::Invalid`] for zero parameters or
-/// `n_actors > n_stages`.
-pub fn one_f1b_folded(
-    n_stages: usize,
-    n_actors: usize,
-    n_mubatches: usize,
-) -> Result<Schedule, ScheduleError> {
-    if n_actors == 0 || n_actors > n_stages {
-        return Err(ScheduleError::Invalid(format!(
-            "one_f1b_folded requires 0 < n_actors ({n_actors}) <= n_stages ({n_stages})"
-        )));
-    }
-    one_f1b(n_stages, n_mubatches)?.fold(&fold_assign(n_stages, n_actors))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,38 +313,32 @@ mod tests {
     }
 
     #[test]
-    fn folded_builders_validate_across_sizes() {
-        for stages in [2usize, 4, 8] {
-            for actors in 1..=stages {
-                for mb in [1, 4, 8] {
-                    let g = gpipe_folded(stages, actors, mb).unwrap();
-                    assert_eq!(g.n_actors(), actors);
-                    assert_eq!(g.n_stages(), stages);
-                    let f = one_f1b_folded(stages, actors, mb).unwrap();
-                    assert_eq!(f.n_actors(), actors);
-                }
-            }
-        }
-        assert!(gpipe_folded(2, 3, 4).is_err());
-        assert!(one_f1b_folded(2, 0, 4).is_err());
-    }
-
-    #[test]
-    fn fold_assign_is_contiguous() {
-        assert_eq!(fold_assign(4, 3), vec![0, 0, 1, 2]);
-        assert_eq!(fold_assign(8, 4), vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(fold_assign(4, 4), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn fold_preserves_per_stage_task_order() {
         // Each stage's (fwd, bwd) task subsequence must keep its relative
         // order through folding — the property that makes folded training
-        // bitwise-identical for chain models.
+        // bitwise-identical for chain models. Swept over stages × actors ×
+        // microbatches with contiguous stage blocks, on both builders.
+        for stages in [2usize, 4, 8] {
+            for actors in 1..=stages {
+                let assign: Vec<usize> = (0..stages).map(|s| s * actors / stages).collect();
+                for mb in [1, 4, 8] {
+                    for orig in [gpipe(stages, mb).unwrap(), one_f1b(stages, mb).unwrap()] {
+                        let folded = orig.fold(&assign).unwrap();
+                        assert_eq!(folded.n_actors(), actors);
+                        assert_eq!(folded.n_stages(), stages);
+                        assert_order_kept(&orig, &folded);
+                    }
+                }
+            }
+        }
         let orig = one_f1b(4, 8).unwrap();
         let folded = orig.fold(&[0, 0, 1, 2]).unwrap();
         assert_eq!(folded.n_actors(), 3);
-        for stage in 0..4 {
+        assert_order_kept(&orig, &folded);
+    }
+
+    fn assert_order_kept(orig: &Schedule, folded: &Schedule) {
+        for stage in 0..orig.n_stages() {
             let seq = |s: &Schedule| -> Vec<Task> {
                 s.actors()
                     .iter()
@@ -421,7 +363,7 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!(old_seq, new_seq, "stage {stage} task order changed");
-            assert_eq!(seq(&orig).len(), seq(&folded).len());
+            assert_eq!(seq(orig).len(), seq(folded).len());
         }
     }
 

@@ -27,7 +27,6 @@ mod analysis;
 mod builders;
 mod dp;
 mod schedule;
-mod serve;
 mod task;
 pub mod timeline;
 mod tp;
@@ -37,12 +36,9 @@ pub use analysis::{
     ideal_bubble_ratio, simulate, time_schedule, SimResult, TaskTimeline, TimelineEntry,
     UniformCost,
 };
-pub use builders::{
-    fold_assign, gpipe, gpipe_folded, interleaved_1f1b, one_f1b, one_f1b_folded, zero_bubble_h1,
-};
+pub use builders::{gpipe, interleaved_1f1b, one_f1b, zero_bubble_h1};
 pub use dp::DpMap;
 pub use schedule::{Schedule, ScheduleError};
-pub use serve::SlotPlan;
 pub use task::{Dir, Task};
 pub use timeline::{CostModel, Transfer};
 pub use tp::TpMap;

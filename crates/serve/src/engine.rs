@@ -17,7 +17,6 @@ use raxpp_ir::Tensor;
 use raxpp_runtime::{
     ActorTrace, Counter, Gauge, Histogram, Kind, RuntimeError, SpanEvent, StepTrace,
 };
-use raxpp_sched::SlotPlan;
 
 use crate::server::{Msg, Request};
 use crate::{ServeConfig, ServeError};
@@ -28,9 +27,9 @@ pub(crate) struct Engine {
     rx: mpsc::Receiver<Msg>,
     queue_depth: Arc<AtomicUsize>,
     last_trace: Arc<Mutex<Option<StepTrace>>>,
-    /// The slot ledger of the dispatch being formed.
-    plan: SlotPlan,
-    /// Requests of the forming dispatch, in slot order.
+    /// Requests of the forming dispatch, in slot order: request `i`
+    /// takes slot `i` of the step's `n_mubatches()`, and the slots after
+    /// the last request are padded.
     batch: Vec<Request>,
     /// Filler tensors for padded slots: zeros of the per-microbatch
     /// data shapes, allocated once (tensors are cheap `Arc` clones).
@@ -49,7 +48,6 @@ impl Engine {
         queue_depth: Arc<AtomicUsize>,
         last_trace: Arc<Mutex<Option<StepTrace>>>,
     ) -> Engine {
-        let plan = SlotPlan::new(step.n_mubatches());
         let pad = step
             .data_shapes()
             .iter()
@@ -61,7 +59,6 @@ impl Engine {
             rx,
             queue_depth,
             last_trace,
-            plan,
             batch: Vec::new(),
             pad,
             window: VecDeque::new(),
@@ -75,11 +72,8 @@ impl Engine {
         while let Some(msg) = self.next_message() {
             match msg {
                 Msg::Request(req) => {
-                    self.plan
-                        .admit()
-                        .expect("a full plan must have been dispatched");
                     self.batch.push(req);
-                    if self.plan.is_full() {
+                    if self.batch.len() == self.step.n_mubatches() {
                         self.dispatch();
                     }
                 }
@@ -168,19 +162,20 @@ impl Engine {
     fn dispatch(&mut self) {
         debug_assert!(!self.batch.is_empty(), "nothing to dispatch");
         let metrics = self.step.metrics().clone();
-        metrics.inc(Counter::ServePaddedSlotsTotal, self.plan.padded() as u64);
-        metrics.set_gauge(Gauge::ServeSlotUtilization, self.plan.utilization());
+        let (slots, filled) = (self.step.n_mubatches(), self.batch.len());
+        metrics.inc(Counter::ServePaddedSlotsTotal, (slots - filled) as u64);
+        metrics.set_gauge(Gauge::ServeSlotUtilization, filled as f64 / slots as f64);
 
         // data[input][slot]: filled slots carry request tensors, the
         // padded tail carries zero filler whose outputs nobody reads.
         let n_inputs = self.pad.len();
-        let mut data: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.plan.n_slots()); n_inputs];
+        let mut data: Vec<Vec<Tensor>> = vec![Vec::with_capacity(slots); n_inputs];
         for req in &self.batch {
             for (i, t) in req.inputs.iter().enumerate() {
                 data[i].push(t.clone());
             }
         }
-        for _ in self.plan.padded_slots() {
+        for _ in filled..slots {
             for (i, p) in self.pad.iter().enumerate() {
                 data[i].push(p.clone());
             }
@@ -235,7 +230,6 @@ impl Engine {
                 self.repair(&e);
             }
         }
-        self.plan.reset();
     }
 
     /// Degraded-mode ladder after a failed dispatch: respawn dead

@@ -10,7 +10,7 @@
 //! * **Continuous batching at step granularity.** A forward dispatch
 //!   always executes `schedule.n_mubatches()` pipeline slots; an
 //!   arriving request takes the next free slot of the dispatch being
-//!   formed ([`raxpp_sched::SlotPlan`]). Queued requests are admitted
+//!   formed. Queued requests are admitted
 //!   before the clock is consulted, so a backlog fills every slot; the
 //!   dispatch launches the moment every slot is taken, or when the
 //!   mailbox is empty and the admission deadline

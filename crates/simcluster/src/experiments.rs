@@ -440,4 +440,32 @@ mod tests {
         // JaxPP (interleaved) beats every ablated variant.
         assert!(f.jaxpp.step_time < f.one_f1b.step_time);
     }
+
+    /// `paper_tables --ablations`, ablation 4 (rematerialization policy,
+    /// GPT-3 175B @ 64 GPUs): auto picks selective, and forcing full
+    /// remat buys memory with time. The other four ablations' directions
+    /// are pinned by `raxpp-taskgraph`'s
+    /// `stats::tests::loop_commuting_reduces_gradient_bytes` (1),
+    /// `sim::tests::per_task_rpc_hurts` (2), `sim::tests::sync_p2p_is_slower`
+    /// (3) and `tests/zero_bubble.rs`'s
+    /// `zero_bubble_beats_1f1b_at_paper_scale` (5).
+    #[test]
+    fn ablation4_full_remat_trades_time_for_memory() {
+        use crate::memory::RematPolicy as RP;
+        let run = |force_remat| {
+            let opts = SimOptions {
+                force_remat,
+                ..SimOptions::default()
+            };
+            let (model, par) = (ModelConfig::gpt3_175b(), ParallelConfig::jaxpp_gpt3(1));
+            simulate_pipeline(&model, par, &ClusterSpec::eos(), &opts).unwrap()
+        };
+        let (auto, selective, full) = (run(None), run(Some(RP::Selective)), run(Some(RP::Full)));
+        assert_eq!(auto.remat_policy, RP::Selective);
+        assert_eq!(auto.step_time, selective.step_time);
+        assert_eq!(auto.peak_mem_bytes, selective.peak_mem_bytes);
+        assert!(full.step_time > auto.step_time);
+        assert!(full.breakdown.remat > auto.breakdown.remat);
+        assert!(full.peak_mem_bytes < auto.peak_mem_bytes);
+    }
 }

@@ -469,6 +469,7 @@ mod tests {
         )
         .unwrap();
         assert!(unfused.step_time > fused.step_time);
+        assert!(unfused.breakdown.dispatch > fused.breakdown.dispatch);
     }
 
     #[test]

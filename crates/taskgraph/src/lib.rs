@@ -49,7 +49,5 @@ pub use replicate::{dp_split, dp_treated, replicate_program, ReplicateError};
 pub use shard::{bucket_collectives, shard_program, ShardError};
 pub use stage::{partition_stages, StageFwd, StageInput, StageOutput, StagedForward};
 pub use stats::{program_stats, ProgramStats};
-pub use unroll::{
-    check_send_recv_order, insert_frees, unroll_loop, CompileError, CompiledLoop, UnrollOptions,
-};
+pub use unroll::{insert_frees, unroll_loop, CompileError, CompiledLoop, UnrollOptions};
 pub use verify::{verify_program, VerifyError};

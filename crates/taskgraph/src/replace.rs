@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use crate::model::pipeline_model;
     use crate::program::TaskLabel;
-    use crate::unroll::{check_send_recv_order, unroll_loop, UnrollOptions};
+    use crate::unroll::{unroll_loop, UnrollOptions};
     use crate::verify::verify_program;
     use raxpp_ir::TraceCtx;
     use raxpp_sched::{gpipe, one_f1b};
@@ -450,7 +450,7 @@ mod tests {
                     }
                 }
             }
-            check_send_recv_order(&r).unwrap();
+            verify_program(&r).unwrap();
         }
     }
 

@@ -779,38 +779,3 @@ pub fn insert_frees(program: &mut MpmdProgram) {
         *stream = out;
     }
 }
-
-/// Checks the matching-order property of §4.2 on a compiled program: for
-/// every ordered actor pair `(a, b)`, the sequence of buffers `a` sends to
-/// `b` equals the sequence of buffers `b` receives from `a`. Returns the
-/// offending pair on failure. The order clause of
-/// [`crate::verify_program`] on its own, for tests and hand-built
-/// programs.
-pub fn check_send_recv_order(program: &MpmdProgram) -> Result<(), (ActorId, ActorId)> {
-    let n = program.n_actors();
-    for a in 0..n {
-        for b in 0..n {
-            if a == b {
-                continue;
-            }
-            let sends: Vec<BufferId> = program.actors[a]
-                .iter()
-                .filter_map(|i| match i {
-                    Instr::Send { buf, to } if *to == b => Some(*buf),
-                    _ => None,
-                })
-                .collect();
-            let recvs: Vec<BufferId> = program.actors[b]
-                .iter()
-                .filter_map(|i| match i {
-                    Instr::Recv { src, from, .. } if *from == a => Some(*src),
-                    _ => None,
-                })
-                .collect();
-            if sends != recvs {
-                return Err((a, b));
-            }
-        }
-    }
-    Ok(())
-}

@@ -15,7 +15,7 @@
 use raxpp_ir::{Jaxpr, TraceCtx};
 use raxpp_sched::one_f1b;
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, unroll_loop, BufferId, Instr, MpmdProgram,
+    insert_frees, pipeline_model, unroll_loop, verify_program, BufferId, Instr, MpmdProgram,
     UnrollOptions,
 };
 
@@ -92,7 +92,7 @@ fn receives_wait_at_first_use_not_at_arrival() {
 #[test]
 fn send_and_receive_orders_match_per_pair() {
     let program = compile();
-    check_send_recv_order(&program).expect("matching-order property (Figure 5) violated");
+    verify_program(&program).expect("matching-order property (Figure 5) violated");
 }
 
 #[test]

@@ -8,9 +8,9 @@ use std::collections::{HashMap, VecDeque};
 use raxpp_ir::{eval, value_and_grad, GraphBuilder, Jaxpr, Prim, Shape, Tensor, TraceCtx};
 use raxpp_sched::{gpipe, interleaved_1f1b, one_f1b, Schedule};
 use raxpp_taskgraph::{
-    check_send_recv_order, dp_split, insert_frees, pipeline_model, replicate_program,
-    shard_program, unroll_loop, verify_program, CollectiveKind, CompiledLoop, FetchRole,
-    InputSource, Instr, MpmdProgram, TaskLabel, UnrollOptions,
+    dp_split, insert_frees, pipeline_model, replicate_program, shard_program, unroll_loop,
+    verify_program, CollectiveKind, CompiledLoop, FetchRole, InputSource, Instr, MpmdProgram,
+    TaskLabel, UnrollOptions,
 };
 
 /// Sequential reference executor for MPMD programs: runs each actor's
@@ -301,7 +301,7 @@ fn compile(
 ) -> CompiledLoop {
     let model = pipeline_model(jaxpr, n_params).unwrap();
     let mut compiled = unroll_loop(&model, schedule, opts).unwrap();
-    check_send_recv_order(&compiled.program).expect("send/recv order mismatch");
+    verify_program(&compiled.program).expect("send/recv order mismatch");
     insert_frees(&mut compiled.program);
     compiled
 }

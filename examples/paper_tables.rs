@@ -244,7 +244,9 @@ fn print_figure10(eos: &ClusterSpec) {
 
 /// Ablations of the design decisions of §3.4, §4.2, §4.4, §5.3 and the
 /// zero-bubble extension: message counts on the compiled program, times
-/// on the performance model.
+/// on the performance model. The direction each prints is a tier-1 test
+/// (listed on `raxpp-simcluster`'s
+/// `experiments::tests::ablation4_full_remat_trades_time_for_memory`).
 fn print_ablations(eos: &ClusterSpec) {
     // Loop commuting (§3.4): a weight tied across both stages.
     let ctx = TraceCtx::new();

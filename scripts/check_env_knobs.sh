@@ -7,6 +7,8 @@
 # .claude/skills/ mention must have a row too (a removed knob must not
 # live on in a script or a guide). `RAXPP_` followed by nothing — prose
 # about the prefix, a glob, a regex — names no knob and is exempt.
+# The environment also has one reader: no source under crates/ or tests/
+# calls `std::env::var` outside the three files allowed below.
 # Pure grep — no external tools.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +33,17 @@ listed=$(awk '/^## /{on = ($0 == "## Environment variables")} on && /^\|/' "$tab
 # Names scripts and guides mention, with where (file:line:name).
 mentioned=$(grep -rnoE 'RAXPP_[A-Z0-9_]+' scripts README.md docs .claude/skills || true)
 
+# The only files allowed to read an environment variable: the runtime's
+# knob table, the failure bench's trial count, and the test harness's
+# transport label.
+env_readers='^(crates/runtime/src/env\.rs|crates/bench/benches/failure\.rs|tests/src/lib\.rs):'
+
 fail=0
+for hit in $(grep -rnE --include='*.rs' --exclude-dir=target 'env::var(_os)?\(' crates tests |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -vE "$env_readers" | cut -d: -f1,2); do
+    echo "check_env_knobs: $hit reads the environment; only the knob table in crates/runtime/src/env.rs may" >&2
+    fail=1
+done
 for name in $(comm -23 <(echo "$read_by_sources") <(echo "$listed")); do
     echo "check_env_knobs: $name is read by a source but missing from the knob table in $table" >&2
     fail=1

@@ -14,8 +14,8 @@ use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
 use raxpp_ir::{eval, value_and_grad, Tensor};
 use raxpp_sched::{one_f1b, simulate, Schedule, ScheduleError, Task, UniformCost};
 use raxpp_taskgraph::{
-    check_send_recv_order, insert_frees, pipeline_model, replace_program, replay, unroll_loop,
-    verify_program, MpmdProgram, ReplaceError, UnrollOptions,
+    insert_frees, pipeline_model, replace_program, replay, unroll_loop, verify_program,
+    MpmdProgram, ReplaceError, UnrollOptions,
 };
 
 fn random_model(rng: &mut StdRng) -> RandomModel {
@@ -130,17 +130,11 @@ fn compiled_programs_are_well_formed() {
                     },
                 )
                 .unwrap();
-                assert!(
-                    check_send_recv_order(&compiled.program).is_ok(),
-                    "{model:?} {}",
-                    schedule.name()
-                );
+                verify_program(&compiled.program)
+                    .unwrap_or_else(|e| panic!("{model:?} {}: {e}", schedule.name()));
                 insert_frees(&mut compiled.program);
-                assert!(
-                    check_send_recv_order(&compiled.program).is_ok(),
-                    "{model:?} {} after frees",
-                    schedule.name()
-                );
+                verify_program(&compiled.program)
+                    .unwrap_or_else(|e| panic!("{model:?} {} after frees: {e}", schedule.name()));
                 assert!(compiled.program.num_rpcs() <= schedule.n_actors());
                 // Placement adds no idle time to the schedule's own. The
                 // one exception, by name: `loop_commuting: false` with a
@@ -181,7 +175,6 @@ fn compiled_programs_are_well_formed() {
                     )
                     .unwrap_or_else(|e| panic!("{cell}: {e}"));
                     assert_eq!(program.n_actors(), schedule.n_actors() * tp * dp, "{cell}");
-                    assert!(check_send_recv_order(&program).is_ok(), "{cell}");
                     verify_program(&program).unwrap_or_else(|e| panic!("{cell}: {e}"));
                 }
             }
@@ -230,7 +223,7 @@ fn rotated_user_schedules_still_work() {
                 );
                 let pmodel = pipeline_model(&jaxpr, n_params).unwrap();
                 let compiled = unroll_loop(&pmodel, &schedule, UnrollOptions::default()).unwrap();
-                assert!(check_send_recv_order(&compiled.program).is_ok());
+                verify_program(&compiled.program).unwrap();
             }
             Err(_) => {
                 // Rejected orders are fine; the validator's job.

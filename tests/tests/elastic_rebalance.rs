@@ -10,7 +10,7 @@ use std::time::Duration;
 use raxpp_core::{compile_train_step, CompileOptions, Optimizer, RetryPolicy, Trainer};
 use raxpp_integration::{trace, with_watchdog, RandomModel};
 use raxpp_ir::rng::{SeedableRng, StdRng};
-use raxpp_ir::{set_num_threads, Tensor};
+use raxpp_ir::Tensor;
 use raxpp_models::{mlp_chain, BuiltModel};
 use raxpp_runtime::Fault;
 use raxpp_sched::{gpipe, one_f1b, Schedule};
@@ -54,7 +54,7 @@ fn make_data(schedule: &Schedule, rows: usize, seed: u64) -> Vec<Vec<Tensor>> {
 
 /// Twin runs — one smooth on the full fleet, one that permanently loses
 /// actor 1 at step 2 and rebalances onto the survivors — must produce
-/// bit-identical losses and parameters at every kernel thread count.
+/// bit-identical losses and parameters.
 fn run_elastic(schedule: &Schedule, seed: u64) {
     let model = mlp_chain(6, 3, 4, schedule.n_stages(), seed).unwrap();
     run_elastic_on(&model, schedule, make_data(schedule, 3, seed));
@@ -63,55 +63,49 @@ fn run_elastic(schedule: &Schedule, seed: u64) {
 fn run_elastic_on(model: &BuiltModel, schedule: &Schedule, data: Vec<Vec<Tensor>>) {
     let n = schedule.n_actors();
 
-    for threads in [1usize, 4] {
-        set_num_threads(threads);
-        let smooth = build(model, schedule);
-        let elastic = build(model, schedule);
+    let smooth = build(model, schedule);
+    let elastic = build(model, schedule);
 
-        for step in 0..4 {
-            if step == 2 {
-                // With `rebalance_after: Some(1)` a single death is
-                // already a permanent loss: no respawn, fold instead.
-                elastic
-                    .runtime()
-                    .inject_fault(1, Fault::DieAtInstr(2))
-                    .unwrap();
-            }
-            let a = smooth.step_with_recovery(&data, smooth_policy()).unwrap();
-            let b = elastic.step_with_recovery(&data, elastic_policy()).unwrap();
-            assert_eq!(
-                a.losses,
-                b.losses,
-                "step {step}: losses diverged after rebalance \
-                 ({} @ {threads} threads)",
-                schedule.name()
-            );
+    for step in 0..4 {
+        if step == 2 {
+            // With `rebalance_after: Some(1)` a single death is
+            // already a permanent loss: no respawn, fold instead.
+            elastic
+                .runtime()
+                .inject_fault(1, Fault::DieAtInstr(2))
+                .unwrap();
         }
-
-        // The fleet genuinely shrank — and stayed shrunk.
-        assert_eq!(elastic.runtime().alive_actors(), n - 1);
-        assert_eq!(elastic.runtime().retired_actors(), vec![1]);
-        assert_eq!(elastic.metrics().counter("rebalances_total"), 1);
+        let a = smooth.step_with_recovery(&data, smooth_policy()).unwrap();
+        let b = elastic.step_with_recovery(&data, elastic_policy()).unwrap();
         assert_eq!(
-            elastic.metrics().gauge("actors_alive"),
-            Some((n - 1) as f64)
+            a.losses,
+            b.losses,
+            "step {step}: losses diverged after rebalance ({})",
+            schedule.name()
         );
-        assert_eq!(elastic.metrics().gauge("stages_per_actor_max"), Some(2.0));
-        assert_eq!(smooth.runtime().alive_actors(), n);
-
-        let pa = smooth.params().unwrap();
-        let pb = elastic.params().unwrap();
-        for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "param {p} not bit-identical after rebalance \
-                 ({} @ {threads} threads)",
-                schedule.name()
-            );
-        }
     }
-    set_num_threads(1);
+
+    // The fleet genuinely shrank — and stayed shrunk.
+    assert_eq!(elastic.runtime().alive_actors(), n - 1);
+    assert_eq!(elastic.runtime().retired_actors(), vec![1]);
+    assert_eq!(elastic.metrics().counter("rebalances_total"), 1);
+    assert_eq!(
+        elastic.metrics().gauge("actors_alive"),
+        Some((n - 1) as f64)
+    );
+    assert_eq!(elastic.metrics().gauge("stages_per_actor_max"), Some(2.0));
+    assert_eq!(smooth.runtime().alive_actors(), n);
+
+    let pa = smooth.params().unwrap();
+    let pb = elastic.params().unwrap();
+    for (p, (a, b)) in pa.iter().zip(&pb).enumerate() {
+        assert_eq!(
+            a.data(),
+            b.data(),
+            "param {p} not bit-identical after rebalance ({})",
+            schedule.name()
+        );
+    }
 }
 
 #[test]
