@@ -312,24 +312,46 @@ mod tests {
         assert!(!gpipe(4, 8).unwrap().split_backward());
     }
 
-    #[test]
-    fn fold_preserves_per_stage_task_order() {
-        // Each stage's (fwd, bwd) task subsequence must keep its relative
-        // order through folding — the property that makes folded training
-        // bitwise-identical for chain models. Swept over stages × actors ×
-        // microbatches with contiguous stage blocks, on both builders.
+    /// GPipe and 1F1B over stages × actors × microbatches, each folded
+    /// onto `actors` actors by contiguous stage blocks: (original, folded,
+    /// actors).
+    fn folded_sweep() -> Vec<(Schedule, Schedule, usize)> {
+        let mut out = Vec::new();
         for stages in [2usize, 4, 8] {
             for actors in 1..=stages {
                 let assign: Vec<usize> = (0..stages).map(|s| s * actors / stages).collect();
                 for mb in [1, 4, 8] {
                     for orig in [gpipe(stages, mb).unwrap(), one_f1b(stages, mb).unwrap()] {
                         let folded = orig.fold(&assign).unwrap();
-                        assert_eq!(folded.n_actors(), actors);
-                        assert_eq!(folded.n_stages(), stages);
-                        assert_order_kept(&orig, &folded);
+                        out.push((orig, folded, actors));
                     }
                 }
             }
+        }
+        out
+    }
+
+    #[test]
+    fn folded_builders_validate_across_sizes() {
+        for (orig, folded, actors) in folded_sweep() {
+            assert_eq!(folded.n_actors(), actors);
+            assert_eq!(folded.n_stages(), orig.n_stages());
+            assert_eq!(folded.n_mubatches(), orig.n_mubatches());
+            folded.validate().unwrap();
+        }
+        // More actors than stages leaves an actor with no stage; zero
+        // actors leaves the stages with no owner.
+        assert!(gpipe(2, 4).unwrap().fold(&[0, 2]).is_err());
+        assert!(one_f1b(2, 4).unwrap().fold(&[]).is_err());
+    }
+
+    #[test]
+    fn fold_preserves_per_stage_task_order() {
+        // Each stage's (fwd, bwd) task subsequence must keep its relative
+        // order through folding — the property that makes folded training
+        // bitwise-identical for chain models.
+        for (orig, folded, _) in folded_sweep() {
+            assert_order_kept(&orig, &folded);
         }
         let orig = one_f1b(4, 8).unwrap();
         let folded = orig.fold(&[0, 0, 1, 2]).unwrap();
