@@ -170,7 +170,7 @@ fn eval_prim_owned(
         Prim::MatMul | Prim::BatchMatMul => {
             let batched = matches!(prim, Prim::BatchMatMul);
             let (a, b) = (&inputs[0], &inputs[1]);
-            fresh!(a.product((read.layout(0), b, read.layout(1)), batched, None))
+            fresh!(a.product((read.layout(0), b, read.layout(1)), batched))
         }
         Prim::Transpose => fresh!(inputs[0].transpose()),
         Prim::Permute { perm } => fresh!(inputs[0].permute(perm)),

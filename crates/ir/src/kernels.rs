@@ -1,21 +1,18 @@
-//! Blocked, multi-threaded CPU kernels for the executable MPMD path.
+//! Blocked CPU kernels for the executable MPMD path.
 //!
 //! These kernels are the backend standing in for per-device SPMD
 //! compute (paper §4.1's XLA executables). Two invariants:
 //!
 //! 1. **Bit-compatibility.** For every output element the reduction
 //!    order over the contraction axis is `p = 0, 1, …, k-1`, identical
-//!    to the serial reference loops of [`crate::testing`], and row
-//!    partitions never split a reduction. Results are therefore equal
-//!    (`==` on `f32`, which treats `-0.0 == 0.0`) to those loops for all
-//!    finite inputs, independent of the partition count.
-//! 2. **The partition count is an argument.** [`batch_matmul`] and
-//!    [`transpose`] split their output into as many partitions as the
-//!    caller asks, one scoped thread per partition after the first.
-//!    `Tensor`'s methods ask for [`matmul_parts`] / [`transpose_parts`]:
-//!    one partition below a size threshold, otherwise up to the
-//!    machine's available parallelism. The tests sweep explicit counts
-//!    through [`crate::testing::in_parts`].
+//!    to the serial reference loops of [`crate::testing`]. Results are
+//!    therefore equal (`==` on `f32`, which treats `-0.0 == 0.0`) to
+//!    those loops for all finite inputs.
+//! 2. **A kernel runs on its caller's thread.** Nothing here spawns a
+//!    thread or reads the core count: an actor's kernels run on the
+//!    actor's thread, and a stage that needs more cores gets them as
+//!    `tp` rank actors (`shard_program`), whose time the trace, the
+//!    ledger and the collective counters account for.
 //!
 //! The blocking strategy is register-level (GEBP): the matmul
 //! micro-kernel accumulates an MR×NR output tile over the whole
@@ -26,14 +23,6 @@
 //! transposed (`Layout`): a transposed `rhs` is read by the packing,
 //! a transposed `lhs` through the micro-kernel's stride pair, so the
 //! interpreter never has to write out a transpose only matmuls read.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Minimum multiply-accumulate count before threads are worth spawning.
-const PAR_MIN_MACS: usize = 1 << 20;
-
-/// Minimum element count before a parallel transpose is worth it.
-const PAR_MIN_ELEMS: usize = 1 << 18;
 
 /// Output rows per micro-kernel tile (register blocking factor).
 const MR: usize = 8;
@@ -153,60 +142,6 @@ mod avx512 {
     }
 }
 
-/// The machine's core budget (cached; 1 when detection fails).
-fn cores() -> usize {
-    static CORES: AtomicUsize = AtomicUsize::new(0);
-    let cached = CORES.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    CORES.store(n, Ordering::Relaxed);
-    n
-}
-
-/// Partitions for a matmul of `macs` multiply-accumulates over `rows`
-/// output rows: one below [`PAR_MIN_MACS`], else one per core, but no
-/// more than one per `MR`-row tile — oversubscribing cores only adds
-/// spawn and scheduling overhead, it cannot speed up a compute-bound
-/// kernel.
-pub(crate) fn matmul_parts(macs: usize, rows: usize) -> usize {
-    if macs < PAR_MIN_MACS {
-        return 1;
-    }
-    cores().min(rows.div_ceil(MR)).max(1)
-}
-
-/// Partitions for a transpose of `elems` elements: one below
-/// [`PAR_MIN_ELEMS`], else one per core.
-pub(crate) fn transpose_parts(elems: usize) -> usize {
-    if elems < PAR_MIN_ELEMS {
-        return 1;
-    }
-    cores()
-}
-
-/// Runs `work(index, chunk)` over the `size`-element chunks of `out` in
-/// parallel: one scoped worker per chunk after the first, and the first
-/// chunk on the calling thread — which would otherwise sit parked in
-/// `thread::scope` while one more worker than needed competes with the
-/// other actors' kernels for the cores.
-fn par_chunks(out: &mut [f32], size: usize, work: impl Fn(usize, &mut [f32]) + Sync) {
-    let work = &work;
-    let mut chunks = out.chunks_mut(size).enumerate();
-    let first = chunks.next();
-    std::thread::scope(|s| {
-        for (ci, chunk) in chunks {
-            s.spawn(move || work(ci, chunk));
-        }
-        if let Some((ci, chunk)) = first {
-            work(ci, chunk);
-        }
-    });
-}
-
 /// Block edge for packing a transposed `b`: one cache line of `f32`.
 const PB: usize = 16;
 
@@ -292,8 +227,7 @@ fn pack_b(b: &[f32], layout: Layout, k: usize, n: usize, packed: &mut [f32]) {
     }
 }
 
-/// `out[i][j] = Σ_p a(i,p) · b[p][j]` for global rows `row0..row0+rows`
-/// of the lhs, writing into `out` (which holds exactly those rows).
+/// `out[i][j] = Σ_p a(i,p) · b[p][j]` for every row `i` of `out`.
 /// Element `(i, p)` of the lhs is `a[i·rs + p·cs]` — `(k, 1)` for a
 /// plain lhs, `(1, m)` for a transposed one, whose `MR` values for one
 /// `p` are then contiguous. `bp` is `b` packed by [`pack_b`].
@@ -311,7 +245,6 @@ fn matmul_rows(
     (a, (rs, cs)): (&[f32], (usize, usize)),
     bp: &[f32],
     out: &mut [f32],
-    row0: usize,
     k: usize,
     n: usize,
 ) {
@@ -324,7 +257,7 @@ fn matmul_rows(
     let mut r0 = 0;
     while r0 < rows {
         let mr = (rows - r0).min(MR);
-        let a0 = (row0 + r0) * rs;
+        let a0 = r0 * rs;
         let mut j0 = 0;
         while j0 < n {
             let nr = (n - j0).min(NR);
@@ -333,7 +266,7 @@ fn matmul_rows(
                 #[cfg(target_arch = "x86_64")]
                 if wide {
                     // SAFETY: AVX-512F is present (`wide`); the lhs
-                    // holds rows row0+r0..row0+r0+MR at every p < k,
+                    // holds rows r0..r0+MR at every p < k,
                     // `panel` holds k rows of NR floats, and `out` holds
                     // `rows ≥ r0+MR` rows of width n with columns
                     // j0..j0+NR in range. One of `rs`, `cs` is 1, so the
@@ -386,87 +319,51 @@ fn matmul_rows(
     }
 }
 
-/// Rows `grow0..grow0+rows` of the batched product, indexing
-/// `[batch, m]` jointly (`bp` holds each batch's `b` slice packed by
-/// [`pack_b`], concatenated).
-fn batch_rows(
-    (a, strides): (&[f32], (usize, usize)),
-    bp: &[f32],
-    out: &mut [f32],
-    grow0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = out.len() / n.max(1);
-    let mut done = 0;
-    while done < rows {
-        let grow = grow0 + done;
-        let (bi, i) = (grow / m, grow % m);
-        let span = (m - i).min(rows - done);
-        matmul_rows(
-            (&a[bi * m * k..(bi + 1) * m * k], strides),
-            &bp[bi * k * n..(bi + 1) * k * n],
-            &mut out[done * n..(done + span) * n],
-            i,
-            k,
-            n,
-        );
-        done += span;
-    }
-}
-
 /// Blocked batched matmul `[batch,m,k] @ [batch,k,n]` into a fresh
 /// buffer, each operand stored in its [`Layout`]; a 2-D matmul is
-/// `batch = 1`. The `batch·m` output rows are split into `parts`
-/// contiguous partitions, run in parallel. Every output element is the
-/// same `p`-ascending mul-then-add sequence in every layout and every
-/// partition, so a transposed operand gives the bits of materialising
-/// its transpose first, at any `parts`.
+/// `batch = 1`. Every output element is the same `p`-ascending
+/// mul-then-add sequence in every layout, so a transposed operand gives
+/// the bits of materialising its transpose first.
 pub(crate) fn batch_matmul(
     a: (&[f32], Layout),
-    b: (&[f32], Layout),
+    (b, b_layout): (&[f32], Layout),
     (batch, m, k, n): (usize, usize, usize, usize),
-    parts: usize,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
     if out.is_empty() || k == 0 {
         return out;
     }
-    let mut packed = vec![0.0f32; batch * k * n];
-    for (src, dst) in b.0.chunks_exact(k * n).zip(packed.chunks_exact_mut(k * n)) {
-        pack_b(src, b.1, k, n, dst);
-    }
     // The lhs's `(row, p)` element strides.
-    let a = match a {
+    let (a, strides) = match a {
         (a, Layout::Plain) => (a, (k, 1)),
         (a, Layout::Transposed) => (a, (1, m)),
     };
-    if parts <= 1 {
-        batch_rows(a, &packed, &mut out, 0, m, k, n);
-        return out;
+    let mut packed = vec![0.0f32; k * n];
+    for ((a, b), out) in a
+        .chunks_exact(m * k)
+        .zip(b.chunks_exact(k * n))
+        .zip(out.chunks_exact_mut(m * n))
+    {
+        pack_b(b, b_layout, k, n, &mut packed);
+        matmul_rows((a, strides), &packed, out, k, n);
     }
-    let rows_per = (batch * m).div_ceil(parts);
-    par_chunks(&mut out, rows_per * n, |ci, chunk| {
-        batch_rows(a, &packed, chunk, ci * rows_per, m, k, n)
-    });
     out
 }
 
 /// Cache-tile edge for the blocked transpose.
 const TS: usize = 32;
 
-/// Transposes one `[m,n]` slice into `dst` rows `j0..j0+jrows` of the
-/// `[n,m]` output (tile-blocked so both sides stream through cache).
-fn transpose_tile(src: &[f32], dst: &mut [f32], j0: usize, jrows: usize, m: usize, n: usize) {
-    for jb in (0..jrows).step_by(TS) {
-        let jhi = (jb + TS).min(jrows);
+/// Transposes one `[m,n]` slice into the `[n,m]` slice `dst`
+/// (tile-blocked so both sides stream through cache).
+fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
+    for jb in (0..n).step_by(TS) {
+        let jhi = (jb + TS).min(n);
         for ib in (0..m).step_by(TS) {
             let ihi = (ib + TS).min(m);
             for j in jb..jhi {
                 let drow = &mut dst[j * m..(j + 1) * m];
                 for i in ib..ihi {
-                    drow[i] = src[i * n + (j0 + j)];
+                    drow[i] = src[i * n + j];
                 }
             }
         }
@@ -474,52 +371,21 @@ fn transpose_tile(src: &[f32], dst: &mut [f32], j0: usize, jrows: usize, m: usiz
 }
 
 /// Blocked batched transpose of the last two dims:
-/// `[batch…, m, n] → [batch…, n, m]`, split into `parts` partitions run
-/// in parallel: batch slices when `batch > 1`, output rows otherwise.
-pub(crate) fn transpose(
-    src: &[f32],
-    (batch, m, n): (usize, usize, usize),
-    parts: usize,
-) -> Vec<f32> {
+/// `[batch…, m, n] → [batch…, n, m]`, one slice after another.
+pub(crate) fn transpose(src: &[f32], (batch, m, n): (usize, usize, usize)) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
     if out.is_empty() {
         return out;
     }
-    if parts <= 1 || batch > 1 {
-        // Batched case: parallelize over batch slices instead of rows.
-        if parts > 1 {
-            let per = batch.div_ceil(parts);
-            par_chunks(&mut out, per * m * n, |ci, chunk| {
-                for (bi, slot) in chunk.chunks_mut(m * n).enumerate() {
-                    let b = ci * per + bi;
-                    transpose_tile(&src[b * m * n..(b + 1) * m * n], slot, 0, n, m, n);
-                }
-            });
-        } else {
-            for b in 0..batch {
-                transpose_tile(
-                    &src[b * m * n..(b + 1) * m * n],
-                    &mut out[b * m * n..(b + 1) * m * n],
-                    0,
-                    n,
-                    m,
-                    n,
-                );
-            }
-        }
-        return out;
+    for (src, dst) in src.chunks_exact(m * n).zip(out.chunks_exact_mut(m * n)) {
+        transpose_tile(src, dst, m, n);
     }
-    // Single large matrix: parallelize over output row ranges.
-    let jrows_per = n.div_ceil(parts);
-    par_chunks(&mut out, jrows_per * m, |ci, chunk| {
-        transpose_tile(src, chunk, ci * jrows_per, chunk.len() / m, m, n)
-    });
     out
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::testing::{in_parts, reference};
+    use crate::testing::reference;
     use crate::{Prim, Tensor};
 
     fn seq(dims: &[usize]) -> Tensor {
@@ -527,7 +393,7 @@ mod tests {
         Tensor::from_vec(dims, (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect()).unwrap()
     }
 
-    /// The blocked kernel at its own partition count vs the reference.
+    /// The blocked kernel vs the reference.
     fn check(prim: Prim, dims: &[&[usize]]) {
         let inputs: Vec<Tensor> = dims.iter().map(|d| seq(d)).collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
@@ -548,19 +414,9 @@ mod tests {
             (9, 1, 2),
             (2, 17, 33),
             (65, 33, 17),
+            (130, 64, 48),
         ] {
             check(Prim::MatMul, &[&[m, k], &[k, n]]);
-        }
-    }
-
-    #[test]
-    fn parallel_partition_is_thread_count_invariant() {
-        let (m, k, n) = (130, 64, 48);
-        let (a, b) = (seq(&[m, k]), seq(&[k, n]));
-        let want = reference(&Prim::MatMul, &[&a, &b]).unwrap();
-        for parts in [1usize, 2, 3, 5, 8] {
-            let got = in_parts(&Prim::MatMul, &[(&a, false), (&b, false)], parts).unwrap();
-            assert_eq!(got, want, "{parts} partitions");
         }
     }
 

@@ -4,7 +4,7 @@
 //!
 //! The crate provides the pieces JAX provides to JaxPP:
 //!
-//! * a [`Tensor`] type with blocked, multi-threaded CPU kernels,
+//! * a [`Tensor`] type with blocked CPU kernels,
 //! * a traced, `Jaxpr`-style SSA dataflow graph ([`Jaxpr`], [`TraceCtx`]),
 //! * reverse-mode autodiff ([`grad`], [`value_and_grad`], [`linearize`]),
 //! * a CPU interpreter ([`eval`]),

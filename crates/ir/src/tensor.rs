@@ -4,10 +4,9 @@
 //! it, yielding it across a pipeline boundary, or sending it to another
 //! actor are all O(1) handle copies — the executable analogue of passing
 //! device-buffer references between the paper's Ray actors. Compute
-//! kernels (matmul, batched matmul, transpose) are cache-blocked and
-//! multi-threaded (`kernels.rs`), with reduction orders that are
-//! bit-compatible with the serial loops of [`crate::testing`] at any
-//! partition count.
+//! kernels (matmul, batched matmul, transpose) are cache-blocked
+//! (`kernels.rs`) and run on the caller's thread, with reduction orders
+//! that are bit-compatible with the serial loops of [`crate::testing`].
 //! The layout and reduction kernels (broadcast, permute, `reduce_sum`,
 //! `reduce_max`) share one stride walker that moves a whole innermost
 //! row per step and does no index division; a reduction still folds
@@ -249,37 +248,34 @@ impl Tensor {
         self.zip(&other, f).map(|t| (t, false))
     }
 
-    /// 2-D matrix multiply (cache-blocked, multi-threaded).
+    /// 2-D matrix multiply (cache-blocked).
     ///
     /// # Errors
     ///
     /// Returns an error unless both operands are rank 2 with a matching
     /// contraction dimension.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product((Layout::Plain, rhs, Layout::Plain), false, None)
+        self.product((Layout::Plain, rhs, Layout::Plain), false)
     }
 
-    /// Batched matrix multiply `[b…, m, k] @ [b…, k, n]` (blocked,
-    /// multi-threaded).
+    /// Batched matrix multiply `[b…, m, k] @ [b…, k, n]` (blocked).
     ///
     /// # Errors
     ///
     /// See [`Shape::batch_matmul`].
     pub fn batch_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product((Layout::Plain, rhs, Layout::Plain), true, None)
+        self.product((Layout::Plain, rhs, Layout::Plain), true)
     }
 
     /// [`Tensor::matmul`] (or, when `batched`, [`Tensor::batch_matmul`])
     /// of operands each stored in a [`Layout`]: a `Transposed` operand's
     /// buffer holds the transpose of the matrix it stands for, and the
     /// kernel reads it in place. Bitwise equal to materialising that
-    /// transpose and calling the plain method. `parts` is the kernel's
-    /// partition count; `None` lets the problem size choose it.
+    /// transpose and calling the plain method.
     pub(crate) fn product(
         &self,
         (la, rhs, lb): (Layout, &Tensor, Layout),
         batched: bool,
-        parts: Option<usize>,
     ) -> Result<Tensor> {
         let (ls, rs) = (self.logical_shape(la)?, rhs.logical_shape(lb)?);
         let out_shape = if batched {
@@ -290,8 +286,7 @@ impl Tensor {
         let r = ls.rank();
         let (m, k, n) = (ls.dim(r - 2), ls.dim(r - 1), rs.dim(r - 1));
         let batch: usize = ls.dims()[..r - 2].iter().product();
-        let parts = parts.unwrap_or_else(|| kernels::matmul_parts(batch * m * k * n, batch * m));
-        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), (batch, m, k, n), parts);
+        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), (batch, m, k, n));
         Ok(Tensor::from_parts(out_shape, out))
     }
 
@@ -304,24 +299,17 @@ impl Tensor {
     }
 
     /// Transpose of the last two dimensions (rank ≥ 2; leading batch
-    /// dimensions are preserved). Tile-blocked and multi-threaded.
+    /// dimensions are preserved). Tile-blocked.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::RankMismatch`] for rank < 2.
     pub fn transpose(&self) -> Result<Tensor> {
-        self.transpose_in(None)
-    }
-
-    /// [`Tensor::transpose`] split into `parts` kernel partitions;
-    /// `None` lets the problem size choose.
-    pub(crate) fn transpose_in(&self, parts: Option<usize>) -> Result<Tensor> {
         let out_shape = self.shape.transposed()?;
         let r = self.shape.rank();
         let (m, n) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
         let batch = self.numel().checked_div(m * n).unwrap_or(0);
-        let parts = parts.unwrap_or_else(|| kernels::transpose_parts(self.numel()));
-        let out = kernels::transpose(&self.data, (batch, m, n), parts);
+        let out = kernels::transpose(&self.data, (batch, m, n));
         Ok(Tensor::from_parts(out_shape, out))
     }
 

@@ -1,10 +1,9 @@
 //! Test support. For the kernels and the interpreter: the serial oracle
 //! they must equal bit for bit ([`reference()`], [`reference_eval`]), and
-//! an entry that runs the blocked kernels at an explicit partition count
-//! ([`in_parts`]), so a partition sweep splits on any host. For the
-//! decoders of untrusted bytes: one mutator that derives damaged inputs
-//! from well-formed ones, and one allocation probe that observes (rather
-//! than argues) a decoder's memory bound.
+//! an entry that runs the blocked matmuls on operands stored transposed
+//! ([`in_layouts`]). For the decoders of untrusted bytes: one mutator
+//! that derives damaged inputs from well-formed ones, and one allocation
+//! probe that observes (rather than argues) a decoder's memory bound.
 //!
 //! [`largest_allocation`] sees only what [`NoteLargest`] notes, so a
 //! test binary that uses it declares the allocator once:
@@ -36,7 +35,7 @@ use crate::tensor::Tensor;
 /// primitive by [`eval_prim`]. The matmul loops run `i`, then `p`
 /// ascending, then `j`, and skip a zero lhs entry, which can only turn a
 /// `-0.0` into `0.0`: the blocked kernels, which reduce over `p` in the
-/// same order, equal it under `f32 ==` at any partition count.
+/// same order, equal it under `f32 ==`.
 ///
 /// # Errors
 ///
@@ -126,38 +125,29 @@ pub fn reference_eval(jaxpr: &Jaxpr, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
     jaxpr.outvars().iter().map(|&v| get(&env, v)).collect()
 }
 
-/// `prim` — `MatMul`, `BatchMatMul` or `Transpose` — on the blocked
-/// kernels split into exactly `parts` partitions (0 and 1 both run
-/// serially), whatever the problem size and the host's core count. A
-/// matmul operand paired with `true` is stored transposed and read in
-/// place, as the interpreter reads a transpose only matmuls consume.
+/// `prim` — `MatMul` or `BatchMatMul` — on the blocked kernels, each
+/// operand paired with whether its buffer holds the transpose of the
+/// matrix it stands for; such an operand is read in place, as the
+/// interpreter reads a transpose only matmuls consume.
 ///
 /// # Errors
 ///
-/// The shape errors of [`Tensor::matmul`], [`Tensor::batch_matmul`] and
-/// [`Tensor::transpose`].
+/// The shape errors of [`Tensor::matmul`] and [`Tensor::batch_matmul`].
 ///
 /// # Panics
 ///
-/// Panics on any other primitive, a wrong operand count, or a
-/// `Transpose` operand paired with `true`.
-pub fn in_parts(prim: &Prim, operands: &[(&Tensor, bool)], parts: usize) -> Result<Tensor> {
+/// Panics on any other primitive.
+pub fn in_layouts(prim: &Prim, [(a, ta), (b, tb)]: [(&Tensor, bool); 2]) -> Result<Tensor> {
     let layout = |transposed| match transposed {
         true => kernels::Layout::Transposed,
         false => kernels::Layout::Plain,
     };
-    match (prim, operands) {
-        (Prim::MatMul | Prim::BatchMatMul, &[(a, ta), (b, tb)]) => {
-            let batched = matches!(prim, Prim::BatchMatMul);
-            a.product((layout(ta), b, layout(tb)), batched, Some(parts))
-        }
-        (Prim::Transpose, &[(t, false)]) => t.transpose_in(Some(parts)),
-        _ => panic!(
-            "in_parts runs a matmul or a transpose, not {} on {} operands",
-            prim.name(),
-            operands.len()
-        ),
-    }
+    let batched = match prim {
+        Prim::MatMul => false,
+        Prim::BatchMatMul => true,
+        _ => panic!("in_layouts runs a matmul, not {}", prim.name()),
+    };
+    a.product((layout(ta), b, layout(tb)), batched)
 }
 
 thread_local! {

@@ -1,9 +1,7 @@
-//! Kernel-parity suite: the blocked/parallel matmul, batched matmul,
-//! and transpose kernels must be **bit-identical** to the serial
-//! reference loops of `raxpp_ir::testing` on every shape — including
-//! edge tiles, unit dimensions, empty tensors, and any partition count
-//! (each sweep runs the kernels split 1, 2, 3, 4 and 7 ways through
-//! `testing::in_parts`, whatever the host's core count). Bit-identity
+//! Kernel-parity suite: the blocked matmul, batched matmul, and
+//! transpose kernels must be **bit-identical** to the serial reference
+//! loops of `raxpp_ir::testing` on every shape — including edge tiles,
+//! unit dimensions and empty tensors. Bit-identity
 //! (not `allclose`) is the contract that makes pipelined training
 //! reproducible against the single-device reference. Broadcast, permute
 //! and the reductions must likewise equal the per-element index loops
@@ -14,13 +12,10 @@
 //! evaluator (`testing::reference_eval`) on a whole training graph.
 
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_ir::testing::{in_parts, reference, reference_eval};
+use raxpp_ir::testing::{in_layouts, reference, reference_eval};
 use raxpp_ir::{
     eval, eval_with_stats, value_and_grad, EvalStats, GraphBuilder, Prim, Shape, Tensor,
 };
-
-/// The partition counts every kernel sweep runs.
-const PARTS: [usize; 5] = [1, 2, 3, 4, 7];
 
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
 /// zeros exercise the reference's zero-skip, whose only effect may be
@@ -39,7 +34,7 @@ fn rand_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
 
 /// Shapes chosen to hit every code path of the blocked kernels: full
 /// MRxNR register tiles, ragged edge tiles in both dimensions, unit
-/// dims, more row panels than partitions and fewer.
+/// dims, one row panel and many.
 const MATMUL_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 7, 1),
@@ -63,16 +58,9 @@ fn matmul_blocked_matches_naive_bitwise() {
         let a = rand_tensor(&[m, k], &mut rng);
         let b = rand_tensor(&[k, n], &mut rng);
         let want = reference(&Prim::MatMul, &[&a, &b]).unwrap();
-        assert_eq!(a.matmul(&b).unwrap(), want, "({m},{k},{n})");
-        for parts in PARTS {
-            let got = in_parts(&Prim::MatMul, &[(&a, false), (&b, false)], parts).unwrap();
-            assert_eq!(got.shape(), want.shape(), "({m},{k},{n}) x{parts}");
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "matmul ({m},{k},{n}) diverges at {parts} partitions"
-            );
-        }
+        let got = a.matmul(&b).unwrap();
+        assert_eq!(got.shape(), want.shape(), "({m},{k},{n})");
+        assert_eq!(got.data(), want.data(), "matmul ({m},{k},{n})");
     }
 }
 
@@ -93,16 +81,13 @@ fn batch_matmul_blocked_matches_naive_bitwise() {
         let a = rand_tensor(&[batch, m, k], &mut rng);
         let b = rand_tensor(&[batch, k, n], &mut rng);
         let want = reference(&Prim::BatchMatMul, &[&a, &b]).unwrap();
-        assert_eq!(a.batch_matmul(&b).unwrap(), want, "({batch},{m},{k},{n})");
-        for parts in PARTS {
-            let got = in_parts(&Prim::BatchMatMul, &[(&a, false), (&b, false)], parts).unwrap();
-            assert_eq!(got.shape(), want.shape());
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "batch_matmul ({batch},{m},{k},{n}) diverges at {parts} partitions"
-            );
-        }
+        let got = a.batch_matmul(&b).unwrap();
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(
+            got.data(),
+            want.data(),
+            "batch_matmul ({batch},{m},{k},{n})"
+        );
     }
 }
 
@@ -121,21 +106,14 @@ fn transpose_blocked_matches_naive_bitwise() {
         &[0, 3],       // empty
         &[3, 0],       // empty columns
         &[2, 0, 5],    // empty inside batch
-        &[6, 512, 96], // above the parallel threshold
+        &[6, 512, 96], // batched, many tiles
     ];
     for &shape in cases {
         let t = rand_tensor(shape, &mut rng);
         let want = reference(&Prim::Transpose, &[&t]).unwrap();
-        assert_eq!(t.transpose().unwrap(), want, "{shape:?}");
-        for parts in PARTS {
-            let got = in_parts(&Prim::Transpose, &[(&t, false)], parts).unwrap();
-            assert_eq!(got.shape(), want.shape());
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "transpose {shape:?} diverges at {parts} partitions"
-            );
-        }
+        let got = t.transpose().unwrap();
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(got.data(), want.data(), "transpose {shape:?}");
     }
 }
 
@@ -143,7 +121,7 @@ fn transpose_blocked_matches_naive_bitwise() {
 #[test]
 fn transpose_roundtrip_is_identity() {
     let mut rng = StdRng::seed_from_u64(0x1D);
-    let transpose = |t: &Tensor| in_parts(&Prim::Transpose, &[(t, false)], 4).unwrap();
+    let transpose = |t: &Tensor| t.transpose().unwrap();
     for &shape in &[[37usize, 53], [64, 64], [1, 200]] {
         let t = rand_tensor(&shape, &mut rng);
         let back = transpose(&transpose(&t));
@@ -179,7 +157,7 @@ fn product_of_transposes(prim: &Prim, stored: [(&Tensor, bool); 2]) -> (Tensor, 
 /// kernel on it, and equals (`==`) the reference — for random shapes
 /// and the edges (`k ∈ {0, 1}`, `m` below the 8-row tile, `n` not a
 /// multiple of the 64-column panel, an empty batch), through the
-/// interpreter and at every partition count.
+/// interpreter and through `testing::in_layouts`.
 #[test]
 fn transposed_operands_match_the_materialised_transpose_bitwise() {
     let mut rng = StdRng::seed_from_u64(0x70A_11A5);
@@ -232,12 +210,9 @@ fn transposed_operands_match_the_materialised_transpose_bitwise() {
                 assert_eq!(stats.reused, transposes, "{what}: read in place");
                 assert_bits_eq(&got, &blocked, &what);
                 assert_eq!(got.data(), naive.data(), "{what}");
-                for parts in PARTS {
-                    let what = format!("{what} x{parts}");
-                    let got = in_parts(&prim, &[(&sa, ta), (&sb, tb)], parts).unwrap();
-                    assert_bits_eq(&got, &blocked, &what);
-                    assert_eq!(got.data(), naive.data(), "{what}");
-                }
+                let got = in_layouts(&prim, [(&sa, ta), (&sb, tb)]).unwrap();
+                assert_bits_eq(&got, &blocked, &what);
+                assert_eq!(got.data(), naive.data(), "{what}");
             }
         }
     }
@@ -406,8 +381,7 @@ fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
 /// matmuls, the transposes autodiff puts in front of every backward
 /// matmul, elementwise ops, reductions — through the buffer-reusing
 /// interpreter equals the reference evaluator bit for bit, loss and
-/// every gradient. At this size no kernel splits; the partition sweeps
-/// above cover that.
+/// every gradient.
 #[test]
 fn eval_matches_eval_reference_bitwise_on_a_training_graph() {
     let (rows, width) = (33, 47); // ragged edge tiles on every matmul

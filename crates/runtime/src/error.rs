@@ -20,7 +20,7 @@ pub enum RuntimeError {
     /// The driver was given inputs inconsistent with the program.
     BadInput(String),
     /// An actor failed to reply within the driver's step timeout
-    /// (`RAXPP_STEP_TIMEOUT_MS`); the step was aborted.
+    /// ([`crate::Runtime::set_step_timeout`]); the step was aborted.
     Timeout {
         /// The actor that did not reply.
         actor: usize,

@@ -20,8 +20,8 @@
 //! runtime reusable (see `runtime` module docs and
 //! `docs/execution-backend.md` §6).
 //!
-//! Execution is observable: with tracing enabled (`RAXPP_TRACE=1` or
-//! [`Runtime::set_tracing`]) every actor records per-instruction
+//! Execution is observable: with tracing enabled
+//! ([`Runtime::set_tracing`]) every actor records per-instruction
 //! [`SpanEvent`]s that the driver assembles into a [`StepTrace`],
 //! exportable as Chrome `trace_event` JSON; the [`Metrics`] registry
 //! aggregates counters/gauges/histograms across steps, each published by

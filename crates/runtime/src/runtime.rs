@@ -65,7 +65,6 @@ use raxpp_sched::{DpMap, TpMap};
 use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
 
 use crate::actor::{Command, ExecFailure, Msg, Payload, Reply, ReplyKind, DRIVER};
-use crate::env;
 use crate::error::RuntimeError;
 use crate::exec::StepStats;
 use crate::fault::Fault;
@@ -79,6 +78,9 @@ use crate::transport::{
 /// while waiting on an exchange — bounds the latency of detecting a
 /// silent actor.
 const REPLY_POLL: Duration = Duration::from_millis(20);
+
+/// The step timeout until [`Runtime::set_step_timeout`] overrides it.
+const DEFAULT_STEP_TIMEOUT_MS: u64 = 60_000;
 
 /// The driver's handle on one actor, whatever the transport.
 pub(crate) struct ActorLink {
@@ -383,8 +385,8 @@ impl Runtime {
                 retired: vec![false; n],
                 assign_history: Vec::new(),
             }),
-            step_timeout: AtomicU64::new(env::STEP_TIMEOUT.read().as_millis() as u64),
-            tracing: AtomicBool::new(env::TRACE.read()),
+            step_timeout: AtomicU64::new(DEFAULT_STEP_TIMEOUT_MS),
+            tracing: AtomicBool::new(false),
             origin,
         }
     }
@@ -421,8 +423,8 @@ impl Runtime {
         Duration::from_millis(self.step_timeout.load(Ordering::Relaxed))
     }
 
-    /// Enables or disables per-instruction step tracing (initially set
-    /// from `RAXPP_TRACE`). Takes effect on the next [`Runtime::step`].
+    /// Enables or disables per-instruction step tracing (initially
+    /// off). Takes effect on the next [`Runtime::step`].
     ///
     /// Tracing only records timestamps and byte counts — it cannot
     /// change what any kernel computes, so traced execution stays
@@ -437,7 +439,7 @@ impl Runtime {
     }
 
     /// Takes the trace of the most recent step, successful or failed,
-    /// if it was traced (`RAXPP_TRACE=1` or [`Runtime::set_tracing`]) —
+    /// if it was traced ([`Runtime::set_tracing`]) —
     /// the only way a trace leaves the runtime, and one-shot. Failed
     /// steps leave their (partial) trace here even though
     /// [`Runtime::step`] returns an error — the abort events and the
@@ -483,11 +485,11 @@ impl Runtime {
             .collect()
     }
 
-    /// Overrides the step timeout (default 60 s, or
-    /// `RAXPP_STEP_TIMEOUT_MS`): the bound on how long the driver waits
-    /// for any single actor's reply before declaring the step failed.
-    /// On socket transports heartbeat suspicion usually fires first on
-    /// a silently dead or partitioned peer; this is the backstop.
+    /// Overrides the step timeout (default 60 s): the bound on how long
+    /// the driver waits for any single actor's reply before declaring
+    /// the step failed. On socket transports heartbeat suspicion usually
+    /// fires first on a silently dead or partitioned peer; this is the
+    /// backstop.
     pub fn set_step_timeout(&self, timeout: Duration) {
         self.step_timeout
             .store(timeout.as_millis().max(1) as u64, Ordering::Relaxed);

@@ -347,8 +347,8 @@ pub struct StepEvent {
 /// The trace of one step: every actor's spans plus the step-level
 /// events, keyed by the step's epoch (the `Execute` sequence number).
 ///
-/// Produced by the driver when tracing is enabled (`RAXPP_TRACE=1` or
-/// `Runtime::set_tracing`); export with
+/// Produced by the driver when tracing is enabled
+/// (`Runtime::set_tracing`); export with
 /// [`StepTrace::chrome_trace_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepTrace {

@@ -62,7 +62,7 @@ impl TransportKind {
     ///
     /// Panics on any other value, naming it and the accepted forms.
     pub fn from_env() -> TransportKind {
-        crate::env::TRANSPORT.read()
+        crate::env::transport()
     }
 }
 

@@ -234,19 +234,17 @@ impl Engine {
 
     /// Degraded-mode ladder after a failed dispatch: respawn dead
     /// actors in place, or — once `rebalance_after` consecutive
-    /// dispatches failed and the culprit is known — permanently fold
-    /// its stages onto survivors. Either way the current weight
+    /// dispatches failed and the last one named a dead actor — fold its
+    /// stages onto survivors for good, as the training fleet does. A
+    /// task error or a timeout names an actor that may still be alive:
+    /// it is only ever recovered. Either way the current weight
     /// generation is re-placed, so the next dispatch answers from the
     /// same weights.
     fn repair(&mut self, e: &CoreError) {
-        let dead = match e {
-            CoreError::Runtime(RuntimeError::ActorDied { actor })
-            | CoreError::Runtime(RuntimeError::Exec { actor, .. })
-            | CoreError::Runtime(RuntimeError::Timeout { actor }) => Some(*actor),
-            _ => None,
-        };
-        if let (Some(actor), Some(after)) = (dead, self.cfg.rebalance_after) {
-            if self.consecutive_failures >= after && self.step.rebalance(&[actor]).is_ok() {
+        if let (CoreError::Runtime(RuntimeError::ActorDied { actor }), Some(after)) =
+            (e, self.cfg.rebalance_after)
+        {
+            if self.consecutive_failures >= after && self.step.rebalance(&[*actor]).is_ok() {
                 self.consecutive_failures = 0;
                 return;
             }

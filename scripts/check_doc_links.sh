@@ -94,7 +94,7 @@ require README.md 'docs/ARCHITECTURE\.md' 'docs/ARCHITECTURE.md'
 require README.md 'docs/execution-backend\.md' 'docs/execution-backend.md'
 require docs/execution-backend.md 'docs/observability\.md' 'docs/observability.md'
 require docs/ARCHITECTURE.md 'docs/observability\.md' 'docs/observability.md'
-require docs/observability.md 'RAXPP_TRACE' 'the RAXPP_TRACE env var'
+require docs/observability.md 'Runtime::set_tracing' 'the Runtime::set_tracing switch'
 require README.md 'docs/parallelism\.md' 'docs/parallelism.md'
 require docs/parallelism.md 'docs/ARCHITECTURE\.md' 'docs/ARCHITECTURE.md'
 require docs/parallelism.md 'docs/resilience\.md' 'docs/resilience.md'

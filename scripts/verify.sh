@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: release build, full test suite, format
 # check, clippy (warnings are errors), rustdoc (warnings are errors),
-# doc cross-reference, knob-table, metric-catalogue, crate-map and
-# paper-artefact checks, the socket-transport gate, and the benchmark
-# contract. Run from anywhere inside the repo.
+# doc cross-reference, knob-table, serial-kernel, metric-catalogue,
+# crate-map and paper-artefact checks, the socket-transport gate, and
+# the benchmark contract. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,15 @@ scripts/check_doc_links.sh
 
 echo "==> knob table check (docs/observability.md vs the RAXPP_* names sources read)"
 scripts/check_env_knobs.sh
+
+echo "==> serial-kernel check (nothing under crates/ir/src spawns a thread or reads the core count)"
+# A kernel runs on its actor's thread; a stage that needs more cores
+# gets them as tp rank actors, whose time the trace and the collective
+# counters account for (docs/execution-backend.md).
+if grep -rnE 'std::thread|thread::scope|available_parallelism' crates/ir/src; then
+    echo "verify: the lines above put threads into raxpp-ir kernels; spend cores as tp ranks instead" >&2
+    exit 1
+fi
 
 echo "==> metric catalogue check (every Counter / Gauge / Histogram row is published by core or serve)"
 scripts/check_metric_catalog.sh

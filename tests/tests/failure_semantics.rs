@@ -471,8 +471,7 @@ fn store_query_toward_partitioned_worker_is_bounded_by_the_heartbeat() {
 
 /// One-way partition between two *workers*: stage 0's activations
 /// toward stage 1 vanish, both keep heartbeating, so the only backstop
-/// is the step timeout (`RAXPP_STEP_TIMEOUT_MS`, here shrunk via
-/// `set_step_timeout`). The step must fail in bounded time — not hang —
+/// is the step timeout (here shrunk via `set_step_timeout`). The step must fail in bounded time — not hang —
 /// and recovery must heal the link and retry to bitwise parity.
 #[test]
 fn one_way_partition_between_workers_hits_step_timeout_then_heals() {

@@ -13,7 +13,9 @@
 //!   within one request;
 //! * serving resumes from the newest valid training checkpoint
 //!   generation;
-//! * traced dispatches carry `"serve"` request spans (trace schema v7).
+//! * traced dispatches carry `"serve"` request spans (trace schema v7);
+//! * the rebalance rung folds only an actor known to be dead: a task
+//!   error is recovered in place however often it repeats.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -478,5 +480,91 @@ fn forward_rebalance_moves_fleet_gauges_and_replies_stay_bitwise() {
         }
         assert_eq!(m.counter("steps_total"), 2);
         assert_eq!(m.counter("step_failures_total"), 0);
+    });
+}
+
+/// A two-stage server over random weights with `rebalance_after:
+/// Some(1)`, `faults` armed on actor 1 before it starts, and the
+/// unbatched (one-slot) forward of `x` its replies must equal.
+fn server_with_faults(faults: &[Fault], x: &Tensor) -> (Server, Vec<Vec<Tensor>>) {
+    let jaxpr = linear_model();
+    let mut rng = StdRng::seed_from_u64(43);
+    let params: Vec<Tensor> = (0..2)
+        .map(|_| Tensor::randn([4, 4], 1.0, &mut rng))
+        .collect();
+    let single =
+        compile_forward_step(&jaxpr, 2, &gpipe(2, 1).unwrap(), ForwardOptions::default()).unwrap();
+    single.load_params(&params).unwrap();
+    let want = single.forward(&[vec![x.clone()]]).unwrap();
+    let step =
+        compile_forward_step(&jaxpr, 2, &gpipe(2, 2).unwrap(), ForwardOptions::default()).unwrap();
+    step.load_params(&params).unwrap();
+    for fault in faults {
+        step.runtime().inject_fault(1, fault.clone()).unwrap();
+    }
+    let config = ServeConfig {
+        rebalance_after: Some(1),
+        ..ServeConfig::default()
+    };
+    (Server::start(step, config), want)
+}
+
+/// Serves `x` and asserts the reply equals the unbatched forward.
+fn assert_serves(server: &Server, x: &Tensor, want: &[Vec<Tensor>]) {
+    let got = server.infer(vec![x.clone()]).unwrap();
+    for (o, t) in got.iter().enumerate() {
+        assert_eq!(t.data(), want[o][0].data(), "output {o}");
+    }
+}
+
+/// Serves `x` alone in a dispatch that fails: its ticket gets a
+/// bounded `Dispatch` error.
+fn assert_dispatch_fails(server: &Server, x: &Tensor) {
+    let ticket = server.submit(vec![x.clone()]).unwrap();
+    assert!(
+        matches!(ticket.wait(), Err(ServeError::Dispatch(_))),
+        "a failed dispatch answers Dispatch"
+    );
+}
+
+/// The rebalance rung: with `rebalance_after: Some(1)`, a dispatch
+/// that loses actor 1 errors its tickets, the engine folds actor 1's
+/// stage onto actor 0, and the shrunken fleet answers bit for bit.
+#[test]
+fn dead_actor_is_folded_after_rebalance_after_failures() {
+    with_watchdog(
+        "dead_actor_is_folded_after_rebalance_after_failures",
+        || {
+            let x = Tensor::full([2, 4], 0.5);
+            let (server, want) = server_with_faults(&[Fault::DieAtInstr(1)], &x);
+            assert_dispatch_fails(&server, &x);
+            assert_serves(&server, &x, &want);
+            assert_serves(&server, &x, &want);
+            assert_eq!(server.metrics().counter("rebalances_total"), 1);
+            let step = server.shutdown();
+            assert_eq!(step.runtime().retired_actors(), vec![1]);
+        },
+    );
+}
+
+/// A task error names an actor that is still alive: two consecutive
+/// failed dispatches under `rebalance_after: Some(1)` are each
+/// recovered in place, no actor is retired, and service resumes bit
+/// for bit on the whole fleet.
+#[test]
+fn task_errors_are_recovered_never_folded() {
+    with_watchdog("task_errors_are_recovered_never_folded", || {
+        let x = Tensor::full([2, 4], 0.5);
+        let faults = [Fault::ErrorAtInstr(1), Fault::ErrorAtInstr(1)];
+        let (server, want) = server_with_faults(&faults, &x);
+        assert_dispatch_fails(&server, &x);
+        assert_dispatch_fails(&server, &x);
+        // A ticket is answered before the repair; the engine is one
+        // thread, so the repair is done once the next dispatch answers.
+        assert_serves(&server, &x, &want);
+        assert_eq!(server.metrics().counter("recoveries_total"), 2);
+        assert_eq!(server.metrics().counter("rebalances_total"), 0);
+        let step = server.shutdown();
+        assert_eq!(step.runtime().retired_actors(), Vec::<usize>::new());
     });
 }
