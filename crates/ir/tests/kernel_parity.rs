@@ -1,9 +1,9 @@
 //! Kernel-parity suite: the blocked matmul, batched matmul, and
 //! transpose kernels must be **bit-identical** to the serial reference
 //! loops of `raxpp_ir::testing` on every shape — including edge tiles,
-//! unit dimensions and empty tensors. Bit-identity
-//! (not `allclose`) is the contract that makes pipelined training
-//! reproducible against the single-device reference. Broadcast, permute
+//! unit dimensions and empty tensors. Bit-identity (not `allclose`) is
+//! the contract that makes pipelined training reproducible against the
+//! single-device reference. Broadcast, permute
 //! and the reductions must likewise equal the per-element index loops
 //! their stride walker replaced. A matmul that reads an operand in
 //! place from its stored transpose must equal materialising the
