@@ -187,11 +187,12 @@ impl<'a> Reader<'a> {
             .try_fold(4usize, |n, &d| n.checked_mul(d))
             .ok_or_else(|| format!("tensor dims {dims:?} overflow"))?;
         let payload = self.take(n)?;
-        let data = payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let t = Tensor::from_vec(Shape::new(dims), data).map_err(|e| format!("bad tensor: {e}"))?;
+        // Decoded straight into the buffer the tensor keeps.
+        let t = Tensor::filled(Shape::new(dims), |_, out| {
+            for (x, c) in out.iter_mut().zip(payload.chunks_exact(4)) {
+                *x = f32::from_le_bytes(c.try_into().expect("4 bytes"));
+            }
+        });
         Ok((t, payload))
     }
 

@@ -23,6 +23,14 @@
 //! transposed (`Layout`): a transposed `rhs` is read by the packing,
 //! a transposed `lhs` through the micro-kernel's stride pair, so the
 //! interpreter never has to write out a transpose only matmuls read.
+//!
+//! A kernel writes its result into the `out` slice it is handed — the
+//! buffer the result tensor keeps ([`crate::buffer`]), which may be a
+//! spare holding stale values, so every output element is written — and
+//! the matmul packs `rhs` into one panel per thread (`PANEL`), grown to
+//! the largest `k·n` that thread has seen, never allocated per call.
+
+use std::cell::RefCell;
 
 /// Output rows per micro-kernel tile (register blocking factor).
 const MR: usize = 8;
@@ -319,35 +327,48 @@ fn matmul_rows(
     }
 }
 
-/// Blocked batched matmul `[batch,m,k] @ [batch,k,n]` into a fresh
-/// buffer, each operand stored in its [`Layout`]; a 2-D matmul is
-/// `batch = 1`. Every output element is the same `p`-ascending
-/// mul-then-add sequence in every layout, so a transposed operand gives
-/// the bits of materialising its transpose first.
+thread_local! {
+    /// This thread's pack panel for [`pack_b`], grown to the largest
+    /// `k·n` the thread has multiplied and reused by every matmul after.
+    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Blocked batched matmul `[batch,m,k] @ [batch,k,n]` into `out`
+/// (`batch·m·n` floats, every one of them written), each operand stored
+/// in its [`Layout`]; a 2-D matmul is `batch = 1`. Every output element
+/// is the same `p`-ascending mul-then-add sequence in every layout, so a
+/// transposed operand gives the bits of materialising its transpose
+/// first.
 pub(crate) fn batch_matmul(
     a: (&[f32], Layout),
     (b, b_layout): (&[f32], Layout),
     (batch, m, k, n): (usize, usize, usize, usize),
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), batch * m * n);
     if out.is_empty() || k == 0 {
-        return out;
+        out.fill(0.0);
+        return;
     }
     // The lhs's `(row, p)` element strides.
     let (a, strides) = match a {
         (a, Layout::Plain) => (a, (k, 1)),
         (a, Layout::Transposed) => (a, (1, m)),
     };
-    let mut packed = vec![0.0f32; k * n];
-    for ((a, b), out) in a
-        .chunks_exact(m * k)
-        .zip(b.chunks_exact(k * n))
-        .zip(out.chunks_exact_mut(m * n))
-    {
-        pack_b(b, b_layout, k, n, &mut packed);
-        matmul_rows((a, strides), &packed, out, k, n);
-    }
-    out
+    PANEL.with_borrow_mut(|panel| {
+        if panel.len() < k * n {
+            *panel = vec![0.0; k * n];
+        }
+        let packed = &mut panel[..k * n];
+        for ((a, b), out) in a
+            .chunks_exact(m * k)
+            .zip(b.chunks_exact(k * n))
+            .zip(out.chunks_exact_mut(m * n))
+        {
+            pack_b(b, b_layout, k, n, packed);
+            matmul_rows((a, strides), packed, out, k, n);
+        }
+    });
 }
 
 /// Cache-tile edge for the blocked transpose.
@@ -370,17 +391,16 @@ fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
     }
 }
 
-/// Blocked batched transpose of the last two dims:
+/// Blocked batched transpose of the last two dims into `out`:
 /// `[batch…, m, n] → [batch…, n, m]`, one slice after another.
-pub(crate) fn transpose(src: &[f32], (batch, m, n): (usize, usize, usize)) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+pub(crate) fn transpose(src: &[f32], (batch, m, n): (usize, usize, usize), out: &mut [f32]) {
+    debug_assert_eq!(out.len(), batch * m * n);
     if out.is_empty() {
-        return out;
+        return;
     }
     for (src, dst) in src.chunks_exact(m * n).zip(out.chunks_exact_mut(m * n)) {
         transpose_tile(src, dst, m, n);
     }
-    out
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod autodiff;
+mod buffer;
 pub mod bytes;
 mod dtype;
 mod error;

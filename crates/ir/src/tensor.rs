@@ -3,7 +3,14 @@
 //! `Tensor` data lives in an `Arc<[f32]>`: cloning a tensor, reshaping
 //! it, yielding it across a pipeline boundary, or sending it to another
 //! actor are all O(1) handle copies — the executable analogue of passing
-//! device-buffer references between the paper's Ray actors. Compute
+//! device-buffer references between the paper's Ray actors. A kernel
+//! that makes a new result (matmul, transpose, broadcast, permute, the
+//! reductions, slice, pad, concat, `full`, `eye`, and an elementwise op
+//! that cannot write in place) writes it once, into the `Arc` it will
+//! live in ([`Tensor::filled`] over [`crate::buffer::buffer`]), and a
+//! dropped tensor that is the only owner of a large buffer leaves it on
+//! its thread's spare list for the next result of that length
+//! ([`crate::buffer`]). Compute
 //! kernels (matmul, batched matmul, transpose) are cache-blocked
 //! (`kernels.rs`) and run on the caller's thread, with reduction orders
 //! that are bit-compatible with the serial loops of [`crate::testing`].
@@ -24,6 +31,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::buffer;
 use crate::error::{IrError, Result};
 use crate::kernels::{self, Layout};
 use crate::rng::Rng;
@@ -47,6 +55,15 @@ pub struct Tensor {
     data: Arc<[f32]>,
 }
 
+impl Drop for Tensor {
+    /// Hands the buffer to this thread's spare list when this handle is
+    /// its only owner and it is large enough (`buffer::recycle`).
+    fn drop(&mut self) {
+        // An empty `Arc<[f32]>` is a shared static: taking allocates nothing.
+        buffer::recycle(std::mem::take(&mut self.data));
+    }
+}
+
 impl Tensor {
     pub(crate) fn from_parts(shape: Shape, data: Vec<f32>) -> Tensor {
         debug_assert_eq!(shape.numel(), data.len());
@@ -54,6 +71,18 @@ impl Tensor {
             shape,
             data: data.into(),
         }
+    }
+
+    /// A tensor of `shape` whose elements `fill` writes, every one of
+    /// them, straight into the buffer the tensor keeps: one
+    /// [`buffer::buffer`], which may be a spare holding stale values.
+    pub(crate) fn filled(shape: Shape, fill: impl FnOnce(&Shape, &mut [f32])) -> Tensor {
+        let mut data = buffer::buffer(shape.numel());
+        fill(
+            &shape,
+            Arc::get_mut(&mut data).expect("a buffer is uniquely owned"),
+        );
+        Tensor { shape, data }
     }
 
     /// Builds a tensor from a shape and a flat row-major buffer.
@@ -77,14 +106,12 @@ impl Tensor {
 
     /// A scalar tensor.
     pub fn scalar(value: f32) -> Tensor {
-        Tensor::from_parts(Shape::scalar(), vec![value])
+        Tensor::full(Shape::scalar(), value)
     }
 
     /// A tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Tensor {
-        let shape = shape.into();
-        let n = shape.numel();
-        Tensor::from_parts(shape, vec![value; n])
+        Tensor::filled(shape.into(), |_, out| out.fill(value))
     }
 
     /// An all-zeros tensor.
@@ -99,11 +126,12 @@ impl Tensor {
 
     /// The `n`-by-`n` identity matrix.
     pub fn eye(n: usize) -> Tensor {
-        let mut data = vec![0.0f32; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        Tensor::from_parts(Shape::new([n, n]), data)
+        Tensor::filled(Shape::new([n, n]), |_, out| {
+            out.fill(0.0);
+            for i in 0..n {
+                out[i * n + i] = 1.0;
+            }
+        })
     }
 
     /// A tensor of i.i.d. standard normal samples drawn from `rng`, scaled
@@ -165,10 +193,11 @@ impl Tensor {
 
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Tensor::filled(self.shape.clone(), |_, out| {
+            for (y, &x) in out.iter_mut().zip(self.data.iter()) {
+                *y = f(x);
+            }
+        })
     }
 
     /// Applies `f` elementwise, stealing this tensor's buffer when it is
@@ -201,16 +230,11 @@ impl Tensor {
                 found: other.shape.clone(),
             });
         }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
+        Ok(Tensor::filled(self.shape.clone(), |_, out| {
+            for (y, (&a, &b)) in out.iter_mut().zip(self.data.iter().zip(other.data.iter())) {
+                *y = f(a, b);
+            }
+        }))
     }
 
     /// Elementwise combine that steals a uniquely-owned operand buffer
@@ -286,8 +310,9 @@ impl Tensor {
         let r = ls.rank();
         let (m, k, n) = (ls.dim(r - 2), ls.dim(r - 1), rs.dim(r - 1));
         let batch: usize = ls.dims()[..r - 2].iter().product();
-        let out = kernels::batch_matmul((&self.data, la), (&rhs.data, lb), (batch, m, k, n));
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(Tensor::filled(out_shape, |_, out| {
+            kernels::batch_matmul((&self.data, la), (&rhs.data, lb), (batch, m, k, n), out);
+        }))
     }
 
     /// The shape of the matrix this buffer stands for in `layout`.
@@ -309,8 +334,9 @@ impl Tensor {
         let r = self.shape.rank();
         let (m, n) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
         let batch = self.numel().checked_div(m * n).unwrap_or(0);
-        let out = kernels::transpose(&self.data, (batch, m, n));
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(Tensor::filled(out_shape, |_, out| {
+            kernels::transpose(&self.data, (batch, m, n), out);
+        }))
     }
 
     /// General axis permutation.
@@ -322,8 +348,7 @@ impl Tensor {
         let out_shape = self.shape.permuted(perm)?;
         let in_strides = self.shape.strides();
         let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let out = gather(&self.data, out_shape.dims(), &strides);
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(gather(&self.data, out_shape, &strides))
     }
 
     /// Reshape preserving element count. O(1): the result shares this
@@ -370,8 +395,7 @@ impl Tensor {
                     .map(|(&d, s)| if d == 1 { 0 } else { s }),
             )
             .collect();
-        let out = gather(&self.data, target.dims(), &strides);
-        Ok(Tensor::from_parts(target, out))
+        Ok(gather(&self.data, target, &strides))
     }
 
     /// Sum over `axes`.
@@ -407,25 +431,26 @@ impl Tensor {
         for &a in axes {
             strides[a] = 0;
         }
-        let mut out = vec![init; kept.numel()];
         // The input is walked in flat order, so every output element
         // folds its inputs in ascending flat input index — the order of a
         // per-element loop, so the result is the same bits.
         let len = self.shape.dims().last().map_or(1, |&d| d);
         let last_reduced = strides.last().is_none_or(|&s| s == 0);
-        let mut start = 0;
-        for_each_row(self.shape.dims(), &strides, 0, &mut |o| {
-            let row = &self.data[start..start + len];
-            start += len;
-            if last_reduced {
-                out[o] = row.iter().fold(out[o], |acc, &x| f(acc, x));
-            } else {
-                for (y, &x) in out[o..o + len].iter_mut().zip(row) {
-                    *y = f(*y, x);
+        let t = Tensor::filled(kept, |_, out| {
+            out.fill(init);
+            let mut start = 0;
+            for_each_row(self.shape.dims(), &strides, 0, &mut |o| {
+                let row = &self.data[start..start + len];
+                start += len;
+                if last_reduced {
+                    out[o] = row.iter().fold(out[o], |acc, &x| f(acc, x));
+                } else {
+                    for (y, &x) in out[o..o + len].iter_mut().zip(row) {
+                        *y = f(*y, x);
+                    }
                 }
-            }
+            });
         });
-        let t = Tensor::from_parts(kept, out);
         if keepdims {
             Ok(t)
         } else {
@@ -479,14 +504,16 @@ impl Tensor {
         dims[dim] = cat_dim;
         let out_shape = Shape::new(dims);
         let outer: usize = first.shape.dims()[..dim].iter().product();
-        let mut out = Vec::with_capacity(out_shape.numel());
-        for o in 0..outer {
-            for p in parts {
-                let block = p.numel() / outer.max(1);
-                out.extend_from_slice(&p.data[o * block..(o + 1) * block]);
+        Ok(Tensor::filled(out_shape, |_, out| {
+            let mut at = 0;
+            for o in 0..outer {
+                for p in parts {
+                    let block = p.numel() / outer.max(1);
+                    out[at..at + block].copy_from_slice(&p.data[o * block..(o + 1) * block]);
+                    at += block;
+                }
             }
-        }
-        Ok(Tensor::from_parts(out_shape, out))
+        }))
     }
 
     /// The contiguous block `[start, start + len)` along dimension `dim`.
@@ -513,15 +540,14 @@ impl Tensor {
             )));
         }
         let inner: usize = self.shape.dims()[dim + 1..].iter().product();
-        let outer: usize = self.shape.dims()[..dim].iter().product();
         let mut dims = self.shape.dims().to_vec();
         dims[dim] = len;
-        let mut out = Vec::with_capacity(outer * len * inner);
-        for o in 0..outer {
-            let row = (o * mid + start) * inner;
-            out.extend_from_slice(&self.data[row..row + len * inner]);
-        }
-        Ok(Tensor::from_parts(Shape::new(dims), out))
+        Ok(Tensor::filled(Shape::new(dims), |_, out| {
+            for (o, block) in out.chunks_exact_mut((len * inner).max(1)).enumerate() {
+                let row = (o * mid + start) * inner;
+                block.copy_from_slice(&self.data[row..row + len * inner]);
+            }
+        }))
     }
 
     /// Embeds this tensor as the block starting at `start` along the last
@@ -548,17 +574,17 @@ impl Tensor {
                 start + last
             )));
         }
-        let rows = self.numel() / last.max(1);
         let mut dims = self.shape.dims().to_vec();
         dims[rank - 1] = full;
-        let mut out = vec![0.0; rows * full];
-        if last > 0 {
-            for r in 0..rows {
-                out[r * full + start..r * full + start + last]
-                    .copy_from_slice(&self.data[r * last..(r + 1) * last]);
+        Ok(Tensor::filled(Shape::new(dims), |_, out| {
+            for (r, row) in out.chunks_exact_mut(full.max(1)).enumerate() {
+                let (head, rest) = row.split_at_mut(start);
+                let (block, tail) = rest.split_at_mut(last);
+                head.fill(0.0);
+                block.copy_from_slice(&self.data[r * last..(r + 1) * last]);
+                tail.fill(0.0);
             }
-        }
-        Ok(Tensor::from_parts(Shape::new(dims), out))
+        }))
     }
 
     /// Embeds this tensor as the block starting at `start` along the
@@ -588,9 +614,13 @@ impl Tensor {
         let inner = self.numel() / first.max(1);
         let mut dims = self.shape.dims().to_vec();
         dims[0] = full;
-        let mut out = vec![0.0; full * inner];
-        out[start * inner..start * inner + first * inner].copy_from_slice(&self.data);
-        Ok(Tensor::from_parts(Shape::new(dims), out))
+        Ok(Tensor::filled(Shape::new(dims), |_, out| {
+            let (head, rest) = out.split_at_mut(start * inner);
+            let (block, tail) = rest.split_at_mut(first * inner);
+            head.fill(0.0);
+            block.copy_from_slice(&self.data);
+            tail.fill(0.0);
+        }))
     }
 
     /// Maximum absolute difference with `other`, or `None` if shapes differ.
@@ -647,22 +677,31 @@ fn for_each_row(dims: &[usize], strides: &[usize], mut offset: usize, row: &mut 
     }
 }
 
-/// The row-major buffer of shape `dims` whose element at `coord` is
+/// The tensor of `shape` whose element at `coord` is
 /// `src[Σ coordᵢ·stridesᵢ]`: a broadcast (stride 0 on expanded axes) or
 /// a permutation. Each row is a copy (stride 1), a fill (stride 0) or a
 /// strided loop.
-fn gather(src: &[f32], dims: &[usize], strides: &[usize]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(dims.iter().product());
-    let (len, step) = dims
+fn gather(src: &[f32], shape: Shape, strides: &[usize]) -> Tensor {
+    let (len, step) = shape
+        .dims()
         .last()
         .zip(strides.last())
         .map_or((1, 0), |(&l, &s)| (l, s));
-    for_each_row(dims, strides, 0, &mut |o| match step {
-        0 => out.resize(out.len() + len, src[o]),
-        1 => out.extend_from_slice(&src[o..o + len]),
-        _ => out.extend((0..len).map(|j| src[o + j * step])),
-    });
-    out
+    Tensor::filled(shape, |shape, out| {
+        let mut rows = out.chunks_exact_mut(len.max(1));
+        for_each_row(shape.dims(), strides, 0, &mut |o| {
+            let Some(row) = rows.next() else { return };
+            match step {
+                0 => row.fill(src[o]),
+                1 => row.copy_from_slice(&src[o..o + len]),
+                _ => {
+                    for (j, y) in row.iter_mut().enumerate() {
+                        *y = src[o + j * step];
+                    }
+                }
+            }
+        });
+    })
 }
 
 /// `|x|` from which [`tanh`] returns exactly `±1.0`. The f32 nearest to

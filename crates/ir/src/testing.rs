@@ -1,12 +1,16 @@
 //! Test support. For the kernels and the interpreter: the serial oracle
-//! they must equal bit for bit ([`reference()`], [`reference_eval`]), and
-//! an entry that runs the blocked matmuls on operands stored transposed
-//! ([`in_layouts`]). For the decoders of untrusted bytes: one mutator
-//! that derives damaged inputs from well-formed ones, and one allocation
-//! probe that observes (rather than argues) a decoder's memory bound.
+//! they must equal bit for bit ([`reference()`], [`reference_eval`]), an
+//! entry that runs the blocked matmuls on operands stored transposed
+//! ([`in_layouts`]), and a handle on the calling thread's spare list
+//! ([`seed_spares`], [`spares`] and its three bounds), so a test can
+//! hand a kernel a stale buffer and see what a drop keeps. For the
+//! decoders of untrusted bytes: one mutator that derives damaged inputs
+//! from well-formed ones. Two allocation probes observe (rather than
+//! argue) a memory bound: [`largest_allocation`] and
+//! [`allocations_at_least`].
 //!
-//! [`largest_allocation`] sees only what [`NoteLargest`] notes, so a
-//! test binary that uses it declares the allocator once:
+//! The probes see only what [`NoteLargest`] notes, so a test binary that
+//! uses them declares the allocator once:
 //!
 //! ```
 //! #[global_allocator]
@@ -22,6 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+pub use crate::buffer::{MAX_SPARES, MAX_SPARE_BYTES, MIN_SPARE_FLOATS};
 use crate::error::{IrError, Result};
 use crate::graph::Jaxpr;
 use crate::interp::eval_prim;
@@ -150,17 +155,49 @@ pub fn in_layouts(prim: &Prim, [(a, ta), (b, tb)]: [(&Tensor, bool); 2]) -> Resu
     a.product((layout(ta), b, layout(tb)), batched)
 }
 
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
+/// Replaces the calling thread's spare list with `count` buffers of
+/// `len` floats, each filled with `value` — NaN makes any element a
+/// kernel leaves unwritten show. The list's caps still bound it; its
+/// size threshold does not, so a kernel of any output length can be
+/// handed a stale buffer.
+pub fn seed_spares(len: usize, count: usize, value: f32) {
+    crate::buffer::seed(len, count, value);
 }
 
-/// The system allocator, noting each thread's largest request.
+/// The lengths (in floats) of the buffers on the calling thread's spare
+/// list, oldest first.
+pub fn spares() -> Vec<usize> {
+    crate::buffer::lens()
+}
+
+/// How many sizes [`allocations_at_least`] records.
+const NOTED: usize = 16;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// `(least size noted, requests noted, their sizes)`.
+    static AT_LEAST: Cell<(usize, usize, [usize; NOTED])> =
+        const { Cell::new((usize::MAX, 0, [0; NOTED])) };
+}
+
+/// The system allocator, noting each thread's largest request and, while
+/// [`allocations_at_least`] runs, the size of every request it asked
+/// about.
 #[derive(Debug)]
 pub struct NoteLargest;
 
 fn note(size: usize) {
     // `try_with`: a thread being torn down still allocates.
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    let _ = AT_LEAST.try_with(|c| {
+        let (least, n, mut sizes) = c.get();
+        if size >= least {
+            if let Some(slot) = sizes.get_mut(n) {
+                *slot = size;
+            }
+            c.set((least, n + 1, sizes));
+        }
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -192,22 +229,43 @@ unsafe impl GlobalAlloc for NoteLargest {
     }
 }
 
-/// The largest single allocation the calling thread made while `f` ran.
-///
-/// # Panics
-///
-/// [`NoteLargest`] is not the global allocator (nothing would be noted,
-/// and every bound would pass).
-pub fn largest_allocation(f: impl FnOnce()) -> usize {
+/// Panics unless [`NoteLargest`] is the global allocator (nothing would
+/// be noted, and every bound would pass).
+fn assert_noting() {
     LARGEST.with(|l| l.set(0));
     drop(std::hint::black_box(vec![0u8; 1]));
     assert!(
         LARGEST.with(Cell::get) > 0,
         "NoteLargest must be the global allocator"
     );
+}
+
+/// The largest single allocation the calling thread made while `f` ran.
+///
+/// # Panics
+///
+/// [`NoteLargest`] is not the global allocator.
+pub fn largest_allocation(f: impl FnOnce()) -> usize {
+    assert_noting();
     LARGEST.with(|l| l.set(0));
     f();
     LARGEST.with(Cell::get)
+}
+
+/// The sizes in bytes, in order, of the calling thread's allocations of
+/// at least `bytes` bytes while `f` ran.
+///
+/// # Panics
+///
+/// [`NoteLargest`] is not the global allocator, or `f` made more than
+/// 16 such allocations.
+pub fn allocations_at_least(bytes: usize, f: impl FnOnce()) -> Vec<usize> {
+    assert_noting();
+    AT_LEAST.set((bytes, 0, [0; NOTED]));
+    f();
+    let (_, n, sizes) = AT_LEAST.replace((usize::MAX, 0, [0; NOTED]));
+    assert!(n <= NOTED, "{n} allocations of >= {bytes} B, {NOTED} noted");
+    sizes[..n].to_vec()
 }
 
 /// Damaged variants of the well-formed inputs `seeds`, drawn from

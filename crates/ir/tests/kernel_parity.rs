@@ -10,12 +10,31 @@
 //! transpose first. The same holds one level up: the liveness
 //! interpreter (`eval`) must equal the allocate-everything reference
 //! evaluator (`testing::reference_eval`) on a whole training graph.
+//!
+//! A kernel writes its result into a buffer that may be a spare still
+//! holding a dead tensor's values, so every kernel that makes a new
+//! result runs each case twice: once as it is, and once handed a
+//! NaN-filled spare of its output's length ([`plain_and_on_a_stale_spare`]).
+//! An element the kernel leaves unwritten reads NaN and fails the
+//! comparison.
 
+use raxpp_ir::bytes::{Reader, Writer};
 use raxpp_ir::rng::{Rng, SeedableRng, StdRng};
-use raxpp_ir::testing::{in_layouts, reference, reference_eval};
+use raxpp_ir::testing::{in_layouts, reference, reference_eval, seed_spares, spares};
 use raxpp_ir::{
     eval, eval_with_stats, value_and_grad, EvalStats, GraphBuilder, Prim, Shape, Tensor,
 };
+
+/// `kernel`'s result, then its result once more with this thread's
+/// spare list holding just one NaN-filled buffer of that length, which
+/// the kernel must take.
+fn plain_and_on_a_stale_spare(kernel: impl Fn() -> Tensor) -> [Tensor; 2] {
+    let plain = kernel();
+    seed_spares(plain.numel(), 1, f32::NAN);
+    let stale = kernel();
+    assert!(spares().is_empty(), "the kernel took the stale spare");
+    [plain, stale]
+}
 
 /// A tensor with a mix of magnitudes, exact zeros, and negatives —
 /// zeros exercise the reference's zero-skip, whose only effect may be
@@ -58,9 +77,10 @@ fn matmul_blocked_matches_naive_bitwise() {
         let a = rand_tensor(&[m, k], &mut rng);
         let b = rand_tensor(&[k, n], &mut rng);
         let want = reference(&Prim::MatMul, &[&a, &b]).unwrap();
-        let got = a.matmul(&b).unwrap();
-        assert_eq!(got.shape(), want.shape(), "({m},{k},{n})");
-        assert_eq!(got.data(), want.data(), "matmul ({m},{k},{n})");
+        for got in plain_and_on_a_stale_spare(|| a.matmul(&b).unwrap()) {
+            assert_eq!(got.shape(), want.shape(), "({m},{k},{n})");
+            assert_eq!(got.data(), want.data(), "matmul ({m},{k},{n})");
+        }
     }
 }
 
@@ -81,13 +101,14 @@ fn batch_matmul_blocked_matches_naive_bitwise() {
         let a = rand_tensor(&[batch, m, k], &mut rng);
         let b = rand_tensor(&[batch, k, n], &mut rng);
         let want = reference(&Prim::BatchMatMul, &[&a, &b]).unwrap();
-        let got = a.batch_matmul(&b).unwrap();
-        assert_eq!(got.shape(), want.shape());
-        assert_eq!(
-            got.data(),
-            want.data(),
-            "batch_matmul ({batch},{m},{k},{n})"
-        );
+        for got in plain_and_on_a_stale_spare(|| a.batch_matmul(&b).unwrap()) {
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "batch_matmul ({batch},{m},{k},{n})"
+            );
+        }
     }
 }
 
@@ -111,9 +132,10 @@ fn transpose_blocked_matches_naive_bitwise() {
     for &shape in cases {
         let t = rand_tensor(shape, &mut rng);
         let want = reference(&Prim::Transpose, &[&t]).unwrap();
-        let got = t.transpose().unwrap();
-        assert_eq!(got.shape(), want.shape());
-        assert_eq!(got.data(), want.data(), "transpose {shape:?}");
+        for got in plain_and_on_a_stale_spare(|| t.transpose().unwrap()) {
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(got.data(), want.data(), "transpose {shape:?}");
+        }
     }
 }
 
@@ -205,14 +227,18 @@ fn transposed_operands_match_the_materialised_transpose_bitwise() {
                     "{} batch {batch} ({m},{k},{n}) lhsᵀ {ta} rhsᵀ {tb}",
                     prim.name()
                 );
-                let (got, stats) = product_of_transposes(&prim, [(&sa, ta), (&sb, tb)]);
+                let (_, stats) = product_of_transposes(&prim, [(&sa, ta), (&sb, tb)]);
                 let transposes = u64::from(ta) + u64::from(tb);
                 assert_eq!(stats.reused, transposes, "{what}: read in place");
-                assert_bits_eq(&got, &blocked, &what);
-                assert_eq!(got.data(), naive.data(), "{what}");
-                let got = in_layouts(&prim, [(&sa, ta), (&sb, tb)]).unwrap();
-                assert_bits_eq(&got, &blocked, &what);
-                assert_eq!(got.data(), naive.data(), "{what}");
+                let through_eval = || product_of_transposes(&prim, [(&sa, ta), (&sb, tb)]).0;
+                let through_layouts = || in_layouts(&prim, [(&sa, ta), (&sb, tb)]).unwrap();
+                for got in plain_and_on_a_stale_spare(through_eval)
+                    .into_iter()
+                    .chain(plain_and_on_a_stale_spare(through_layouts))
+                {
+                    assert_bits_eq(&got, &blocked, &what);
+                    assert_eq!(got.data(), naive.data(), "{what}");
+                }
             }
         }
     }
@@ -323,11 +349,10 @@ fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
 
         let perm = rand_perm(rank, &mut rng);
         let what = format!("case {case}: permute {dims:?} by {perm:?}");
-        assert_bits_eq(
-            &t.permute(&perm).unwrap(),
-            &permute_oracle(&t, &perm),
-            &what,
-        );
+        let want = permute_oracle(&t, &perm);
+        for got in plain_and_on_a_stale_spare(|| t.permute(&perm).unwrap()) {
+            assert_bits_eq(&got, &want, &what);
+        }
 
         // A broadcast source: a suffix of `dims`, some axes cut to 1.
         let keep = rng.gen_range(0..rank + 1);
@@ -338,21 +363,19 @@ fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
         let src = rand_tensor(&src_dims, &mut rng);
         let target = Shape::new(dims.clone());
         let what = format!("case {case}: broadcast {src_dims:?} to {dims:?}");
-        assert_bits_eq(
-            &src.broadcast_to(target.clone()).unwrap(),
-            &broadcast_oracle(&src, &target),
-            &what,
-        );
+        let want = broadcast_oracle(&src, &target);
+        for got in plain_and_on_a_stale_spare(|| src.broadcast_to(target.clone()).unwrap()) {
+            assert_bits_eq(&got, &want, &what);
+        }
 
         let mut axes: Vec<usize> = rand_perm(rank, &mut rng);
         axes.truncate(rng.gen_range(0..rank + 1));
         let keepdims = rng.gen_range(0u64..2) == 1;
         let what = format!("case {case}: reduce_sum {dims:?} over {axes:?} (keepdims {keepdims})");
-        assert_bits_eq(
-            &t.reduce_sum(&axes, keepdims).unwrap(),
-            &reduce_oracle(&t, &axes, keepdims, 0.0, |a, x| a + x),
-            &what,
-        );
+        let want = reduce_oracle(&t, &axes, keepdims, 0.0, |a, x| a + x);
+        for got in plain_and_on_a_stale_spare(|| t.reduce_sum(&axes, keepdims).unwrap()) {
+            assert_bits_eq(&got, &want, &what);
+        }
 
         // NaN sprinkle: `f32::max` must drop a NaN operand wherever it
         // falls in the fold; which of ±0.0 survives depends on the order.
@@ -369,11 +392,121 @@ fn layout_and_reduction_kernels_match_per_element_loops_bitwise() {
             .collect();
         t = Tensor::from_vec(dims.clone(), data).unwrap();
         let what = format!("case {case}: reduce_max {dims:?} over {axes:?} (keepdims {keepdims})");
-        assert_bits_eq(
-            &t.reduce_max(&axes, keepdims).unwrap(),
-            &reduce_oracle(&t, &axes, keepdims, f32::NEG_INFINITY, f32::max),
-            &what,
-        );
+        let want = reduce_oracle(&t, &axes, keepdims, f32::NEG_INFINITY, f32::max);
+        for got in plain_and_on_a_stale_spare(|| t.reduce_max(&axes, keepdims).unwrap()) {
+            assert_bits_eq(&got, &want, &what);
+        }
+    }
+}
+
+/// The per-element meaning of the block kernels: output element
+/// `(o, i, r)` of a slice along `dim` is input element
+/// `(o, start + i, r)`, and a pad is its inverse with zeros around.
+/// `outer`, `mid` and `inner` are the products of the axes before, at
+/// and after `dim`.
+fn slice_oracle(t: &Tensor, dim: usize, start: usize, len: usize) -> Tensor {
+    let dims = t.shape().dims();
+    let (outer, mid) = (dims[..dim].iter().product(), dims[dim]);
+    let inner: usize = dims[dim + 1..].iter().product();
+    let mut out = Vec::new();
+    for o in 0..outer {
+        for i in start..start + len {
+            for r in 0..inner {
+                out.push(t.data()[(o * mid + i) * inner + r]);
+            }
+        }
+    }
+    let mut shape = dims.to_vec();
+    shape[dim] = len;
+    Tensor::from_vec(shape, out).unwrap()
+}
+
+fn pad_oracle(t: &Tensor, dim: usize, start: usize, full: usize) -> Tensor {
+    let dims = t.shape().dims();
+    let (outer, mid) = (dims[..dim].iter().product(), dims[dim]);
+    let inner: usize = dims[dim + 1..].iter().product();
+    let mut out = Vec::new();
+    for o in 0..outer {
+        for i in 0..full {
+            for r in 0..inner {
+                out.push(match i.checked_sub(start).filter(|&i| i < mid) {
+                    Some(i) => t.data()[(o * mid + i) * inner + r],
+                    None => 0.0,
+                });
+            }
+        }
+    }
+    let mut shape = dims.to_vec();
+    shape[dim] = full;
+    Tensor::from_vec(shape, out).unwrap()
+}
+
+/// The rest of the kernels that write a new result: slices along the
+/// first and the last axis, the pads that are their VJPs, concat,
+/// `full`, `eye` and the wire decoder, each on random shapes against
+/// its per-element meaning, as it is and on a stale spare.
+#[test]
+fn block_fill_and_decode_kernels_write_every_element() {
+    let mut rng = StdRng::seed_from_u64(0x5_1A7E);
+    for case in 0..1000 {
+        let mut dims = rand_dims(&mut rng);
+        if dims.is_empty() {
+            dims.push(rng.gen_range(0usize..6));
+        }
+        let t = rand_tensor(&dims, &mut rng);
+        for dim in [0, dims.len() - 1] {
+            let mid = dims[dim];
+            let start = rng.gen_range(0..mid + 1);
+            let len = rng.gen_range(0..mid - start + 1);
+            let what = format!("case {case}: slice {dims:?} dim {dim} [{start}, +{len})");
+            let want = slice_oracle(&t, dim, start, len);
+            for got in plain_and_on_a_stale_spare(|| t.slice_dim(dim, start, len).unwrap()) {
+                assert_bits_eq(&got, &want, &what);
+            }
+            let full = mid + rng.gen_range(0usize..4);
+            let start = rng.gen_range(0..full - mid + 1);
+            let what = format!("case {case}: pad {dims:?} dim {dim} at {start} to {full}");
+            let want = pad_oracle(&t, dim, start, full);
+            let pad = || match dim {
+                0 => t.pad_first(start, full).unwrap(),
+                _ => t.pad_last(start, full).unwrap(),
+            };
+            for got in plain_and_on_a_stale_spare(pad) {
+                assert_bits_eq(&got, &want, &what);
+            }
+        }
+        let head = t.slice_dim(0, 0, dims[0] / 2).unwrap();
+        let tail = t.slice_dim(0, dims[0] / 2, dims[0] - dims[0] / 2).unwrap();
+        let what = format!("case {case}: concat halves of {dims:?}");
+        for got in plain_and_on_a_stale_spare(|| Tensor::concat(&[&head, &tail], 0).unwrap()) {
+            assert_bits_eq(&got, &t, &what);
+        }
+        let value = rng.gen_range(-3.0f32..3.0);
+        let want = Tensor::from_vec(dims.clone(), vec![value; t.numel()]).unwrap();
+        for got in plain_and_on_a_stale_spare(|| Tensor::full(dims.clone(), value)) {
+            assert_bits_eq(&got, &want, &format!("case {case}: full {dims:?}"));
+        }
+        let mut w = Writer::default();
+        w.tensor(&t);
+        let bytes = w.into_bytes();
+        let decode = || {
+            let mut r = Reader::new(&bytes);
+            let (got, _) = r.tensor(dims.len()).unwrap();
+            r.finish().unwrap();
+            got
+        };
+        for got in plain_and_on_a_stale_spare(decode) {
+            assert_bits_eq(&got, &t, &format!("case {case}: decode {dims:?}"));
+        }
+    }
+    for n in 0..40 {
+        let data = (0..n * n)
+            .map(|i| if i % (n + 1) == 0 { 1.0 } else { 0.0 })
+            .collect();
+        let want = Tensor::from_vec([n, n], data).unwrap();
+        for got in plain_and_on_a_stale_spare(|| Tensor::eye(n)) {
+            assert_bits_eq(&got, &want, &format!("eye {n}"));
+        }
     }
 }
 

@@ -8,7 +8,11 @@
 //!
 //! Since [`Tensor`] is itself an `Arc`-backed handle, the store holds
 //! tensors directly: inserting, reading, and sending a buffer are O(1)
-//! handle copies with no extra indirection.
+//! handle copies with no extra indirection. A buffer the store deletes
+//! at its last use may live on as a spare on the thread that dropped the
+//! last handle, for that thread's next kernel result of its length
+//! (`raxpp-ir`'s spare list); it is dead memory then, so the live and
+//! peak byte counts here never include it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -925,6 +925,35 @@ mod tests {
         }
     }
 
+    /// Receiving one 256×256 tensor makes two payload-sized
+    /// allocations: the frame [`read_frame`] reads, and the tensor
+    /// [`decode`] writes straight into the buffer it keeps. A fresh
+    /// thread has no spare to take, so both are real allocations.
+    #[test]
+    fn a_received_tensor_is_decoded_into_its_final_buffer() {
+        use raxpp_ir::testing::allocations_at_least;
+        let t = Tensor::full([256, 256], 0.5);
+        let payload = 4 * t.numel();
+        let msg = Msg {
+            from: 0,
+            payload: Payload::Data(1, BufferId(2), t, SendToken::new()),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode(&msg).unwrap()).unwrap();
+        let sizes = std::thread::spawn(move || {
+            allocations_at_least(payload, || {
+                let frame = read_frame(&mut wire.as_slice()).unwrap();
+                match decode(1, &frame).unwrap().map(|m| m.payload) {
+                    Some(Payload::Data(_, _, got, _)) => assert_eq!(got.data()[0], 0.5),
+                    _ => panic!("not a data frame"),
+                }
+            })
+        })
+        .join()
+        .unwrap();
+        assert_eq!(sizes.len(), 2, "read_frame, then decode: {sizes:?}");
+    }
+
     /// Found by the mutator: an `Executed` reply whose profile entry
     /// count reads `0xFFFF_FFFF` took the bytes behind the one real
     /// entry for more entries, met a kind twice and overflowed its

@@ -157,8 +157,8 @@ impl Engine {
     /// Launches the forming dispatch: pads the free slots, runs one
     /// forward step, demuxes each filled slot's outputs to its ticket
     /// (padded outputs are discarded), and updates the latency gauges.
-    /// On failure, errors every carried request (bounded wait) and
-    /// repairs the fleet for the next dispatch.
+    /// On failure, repairs the fleet for the next dispatch, then errors
+    /// every carried request (bounded wait).
     fn dispatch(&mut self) {
         debug_assert!(!self.batch.is_empty(), "nothing to dispatch");
         let metrics = self.step.metrics().clone();
@@ -223,11 +223,13 @@ impl Engine {
                 self.consecutive_failures += 1;
                 metrics.inc(Counter::ServeFailedBatchesTotal, 1);
                 metrics.inc(Counter::ServeRequestFailuresTotal, carried as u64);
+                // Repaired before any reply: a client woken by its
+                // ticket must find the repair counters already moved.
+                self.repair(&e);
                 let msg = e.to_string();
                 for req in self.batch.drain(..) {
                     let _ = req.reply.send(Err(ServeError::Dispatch(msg.clone())));
                 }
-                self.repair(&e);
             }
         }
     }
