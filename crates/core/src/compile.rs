@@ -10,7 +10,7 @@ use raxpp_runtime::{RuntimeError, TransportKind};
 use raxpp_sched::{DpMap, Schedule, TpMap};
 use raxpp_taskgraph::{
     pipeline_model, unroll_loop, ActorId, BufferId, CompileError, FetchRole, InputPlacement,
-    InputSource, Instr, MpmdProgram, TaskLabel, UnrollOptions,
+    InputSource, Instr, MpmdProgram, PipelinedModel, TaskLabel, UnrollOptions,
 };
 
 use crate::fleet::Fleet;
@@ -201,11 +201,13 @@ pub fn compile_worker_program(
     optimizer: Optimizer,
     opts: CompileOptions,
 ) -> Result<MpmdProgram, CoreError> {
-    Ok(compile_step(jaxpr, n_params, schedule, &optimizer, &opts)?.0)
+    let model = pipeline_model(jaxpr, n_params)?;
+    Ok(compile_step(&model, schedule, &optimizer, &opts)?.0)
 }
 
 /// What the fleet handle needs to know about a compiled step program
-/// besides the program itself.
+/// besides the program itself and its [`Layout`]: the same for every
+/// compile of the step, folded or not.
 #[derive(Debug)]
 pub(crate) struct StepMeta {
     /// Shapes of the leading parameter inputs of the traced function.
@@ -215,15 +217,9 @@ pub(crate) struct StepMeta {
     pub(crate) n_outputs: usize,
     /// Microbatches one step consumes (the global batch under DP).
     pub(crate) n_mubatches: usize,
-    /// Optimizer-moment placements `(host actor, buffer, full shape)`,
-    /// parameter-major; empty for a forward-only step.
-    pub(crate) state_init: Vec<(ActorId, BufferId, Shape)>,
-    /// Where each parameter's updated value is read back from; empty
-    /// for a forward-only step.
-    pub(crate) param_read: Vec<(ActorId, BufferId)>,
     /// Host-actor ↔ shard-actor arithmetic of the compiled
-    /// tensor-parallel degree (degree 1 = identity); `state_init` and
-    /// `param_read` are in host-actor space.
+    /// tensor-parallel degree (degree 1 = identity); a [`Layout`] is in
+    /// host-actor space.
     pub(crate) tp: TpMap,
     /// Replica-actor arithmetic of the compiled data-parallel degree
     /// (1 replica = identity), composed outside `tp`.
@@ -233,17 +229,34 @@ pub(crate) struct StepMeta {
     pub(crate) zero1: bool,
 }
 
+/// Where one compiled program keeps the step's state. Each compile has
+/// its own: a fold moves a parameter's owner and renumbers buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Layout {
+    /// Optimizer-moment placements `(host actor, buffer, full shape)`,
+    /// parameter-major; empty for a forward-only step.
+    pub(crate) state_init: Vec<(ActorId, BufferId, Shape)>,
+    /// Where each parameter's updated value is read back from; empty
+    /// for a forward-only step.
+    pub(crate) param_read: Vec<(ActorId, BufferId)>,
+}
+
+/// The step's compile chain — training or forward-only — over the
+/// inputs of the launch compile, for any schedule of the same stages:
+/// what a rebalance runs on the folded schedule.
+pub(crate) type Recompile =
+    Box<dyn Fn(&Schedule) -> Result<(MpmdProgram, Layout), CoreError> + Send + Sync>;
+
+/// Compiles the training step of `model` for `schedule`.
 pub(crate) fn compile_step(
-    jaxpr: &Jaxpr,
-    n_params: usize,
+    model: &PipelinedModel,
     schedule: &Schedule,
     optimizer: &Optimizer,
     opts: &CompileOptions,
-) -> Result<(MpmdProgram, StepMeta), CoreError> {
-    let model = pipeline_model(jaxpr, n_params)?;
+) -> Result<(MpmdProgram, StepMeta, Layout), CoreError> {
     let param_shapes = model.param_shapes();
     let mut compiled = unroll_loop(
-        &model,
+        model,
         schedule,
         UnrollOptions {
             loop_commuting: opts.loop_commuting,
@@ -259,7 +272,7 @@ pub(crate) fn compile_step(
     // Append optimizer updates on each parameter's gradient owner, then
     // propagate updated shared weights to their replicas.
     let mut state_init = Vec::new();
-    let mut param_read = Vec::with_capacity(n_params);
+    let mut param_read = Vec::with_capacity(param_shapes.len());
     for (p, shape) in param_shapes.iter().enumerate() {
         let (grad_buf, owner) = compiled.grads[p];
         let update = optimizer.update_jaxpr(shape)?;
@@ -325,11 +338,13 @@ pub(crate) fn compile_step(
         data_shapes: model.data_shapes(),
         n_outputs: model.out_shapes().len(),
         param_shapes,
-        state_init,
-        param_read,
         tp,
         dp,
         zero1: opts.dp.is_some_and(|d| d.zero1 && d.replicas > 1),
     };
-    Ok((compiled.program, meta))
+    let layout = Layout {
+        state_init,
+        param_read,
+    };
+    Ok((compiled.program, meta, layout))
 }

@@ -13,9 +13,16 @@
 //! (`Runtime::recover` hands back empty stores); the restore point here
 //! — parameters, then optimizer moments, none for a forward step — is
 //! what [`Fleet::recover`] and [`Fleet::rebalance`] re-place fleet-wide.
+//!
+//! Every program the fleet runs is compiled. A rebalance folds the
+//! launch schedule by the fold since launch and runs it through the
+//! step's own compile chain ([`Recompile`]); the fold keeps actor ids,
+//! so the new program's placements are already in the fleet's actor
+//! space.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use raxpp_ir::{Shape, Tensor};
 use raxpp_runtime::{
@@ -28,29 +35,25 @@ use raxpp_taskgraph::{
     verify_program, ActorId, BufferId, FetchRole, MpmdProgram,
 };
 
-use crate::compile::{CoreError, DpConfig, StepMeta, TpConfig};
+use crate::compile::{CoreError, DpConfig, Layout, Recompile, StepMeta, TpConfig};
 use crate::optimizer::Optimizer;
 use crate::trainer::{RetryPolicy, StepResult};
 
 /// A launched step program with everything needed to run, observe and
 /// repair it.
-#[derive(Debug)]
 pub(crate) struct Fleet {
     pub(crate) runtime: Runtime,
     /// Cross-step counters/gauges/histograms (see `docs/observability.md`
     /// for the catalog).
     pub(crate) metrics: Metrics,
-    /// The pipeline schedule the step was compiled for.
-    pub(crate) schedule: Schedule,
-    /// Idle share the schedule itself prescribes
-    /// (`simulate(..).bubble_ratio` under unit costs), computed once:
-    /// the subtrahend of the `bubble_excess` gauge.
-    ideal_bubble: f64,
+    /// The step's shapes and parallel degrees, the same in every compile.
     pub(crate) meta: StepMeta,
-    /// Compile-time host actor → the host now running its stages
-    /// (identity until the first rebalance). `meta`'s placements stay in
-    /// compile-time host space and go through this map at every use.
-    hosts: Mutex<Vec<usize>>,
+    /// The schedule the fleet was launched with: every rebalance folds
+    /// this one and hands it to `recompile`.
+    launched: Schedule,
+    recompile: Recompile,
+    /// The compiled program the actors run now.
+    running: RwLock<Running>,
     /// Last-known-good state (parameters, then optimizer moments), set
     /// by [`Fleet::install`] and after every step the retry ladder
     /// completes: the only thing ever re-placed after a fault, so a
@@ -60,6 +63,42 @@ pub(crate) struct Fleet {
     /// subtrahend for per-step `transport_*` counter deltas (socket
     /// transports only; stays zero on mpsc).
     wire_prev: Mutex<TransportStats>,
+}
+
+/// The schedule of the program the actors run and where that program
+/// keeps the state; replaced by every rebalance.
+pub(crate) struct Running {
+    pub(crate) schedule: Schedule,
+    /// Idle share the schedule itself prescribes
+    /// (`simulate(..).bubble_ratio` under unit costs, over the actors
+    /// with tasks): the subtrahend of the `bubble_excess` gauge.
+    ideal_bubble: f64,
+    pub(crate) layout: Layout,
+}
+
+impl Running {
+    fn new(schedule: Schedule, layout: Layout) -> Running {
+        // A forward-only step runs none of the schedule's backward tasks.
+        let mut cost = UniformCost::default();
+        if layout.param_read.is_empty() {
+            (cost.bwd, cost.wgrad) = (0.0, 0.0);
+        }
+        Running {
+            ideal_bubble: simulate(&schedule, cost).map_or(0.0, |sim| sim.bubble_ratio),
+            schedule,
+            layout,
+        }
+    }
+}
+
+impl fmt::Debug for Fleet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fleet")
+            .field("runtime", &self.runtime)
+            .field("meta", &self.meta)
+            .field("schedule", &self.running().schedule.name())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Fleet {
@@ -116,31 +155,37 @@ impl Fleet {
     }
 
     /// The handle over a freshly launched `runtime` executing the
-    /// program `meta` describes.
-    pub(crate) fn new(runtime: Runtime, meta: StepMeta, schedule: &Schedule) -> Fleet {
-        // A forward-only step runs none of the schedule's backward tasks.
-        let mut cost = UniformCost::default();
-        if meta.param_read.is_empty() {
-            (cost.bwd, cost.wgrad) = (0.0, 0.0);
-        }
+    /// program `meta` and `layout` describe, compiled for `schedule` by
+    /// `recompile`.
+    pub(crate) fn new(
+        runtime: Runtime,
+        meta: StepMeta,
+        schedule: &Schedule,
+        layout: Layout,
+        recompile: Recompile,
+    ) -> Fleet {
         Fleet {
             runtime,
             metrics: Metrics::new(),
-            schedule: schedule.clone(),
-            ideal_bubble: simulate(schedule, cost).map_or(0.0, |sim| sim.bubble_ratio),
             meta,
-            hosts: Mutex::new((0..schedule.n_actors()).collect()),
+            launched: schedule.clone(),
+            recompile,
+            running: RwLock::new(Running::new(schedule.clone(), layout)),
             restore_point: Mutex::new(None),
             wire_prev: Mutex::new(TransportStats::default()),
         }
     }
 
-    /// The raw runtime actor of `(replica, compile-time host, tp rank)` —
-    /// the DP block offset composed outside the TP rank expansion of the
-    /// host's current home. All ranks and replicas hold bitwise-identical
-    /// copies, so reads pick replica 0, rank 0.
+    /// The compiled program the actors run now.
+    pub(crate) fn running(&self) -> RwLockReadGuard<'_, Running> {
+        self.running.read().unwrap()
+    }
+
+    /// The raw runtime actor of `(replica, host, tp rank)` — the DP
+    /// block offset composed outside the TP rank expansion. All ranks
+    /// and replicas hold bitwise-identical copies, so reads pick
+    /// replica 0, rank 0.
     fn raw_actor(&self, rep: usize, host: ActorId, rank: usize) -> usize {
-        let host = self.hosts.lock().unwrap()[host];
         let (tp, dp) = (&self.meta.tp, &self.meta.dp);
         dp.replica_actor(rep, tp.shard_actor(host, rank))
     }
@@ -152,14 +197,13 @@ impl Fleet {
     }
 
     /// Refreshes the `actors_alive` / `stages_per_actor_max` gauges
-    /// from the runtime and the composed fold assignment.
+    /// from the runtime and the running schedule.
     fn update_fleet_gauges(&self) {
         self.metrics
             .set_gauge(Gauge::ActorsAlive, self.runtime.alive_actors() as f64);
-        let hosts = self.hosts.lock().unwrap();
         let mut per_host: HashMap<usize, usize> = HashMap::new();
-        for &a in &self.schedule.stage_actor() {
-            *per_host.entry(hosts[a]).or_insert(0) += 1;
+        for a in self.running().schedule.stage_actor() {
+            *per_host.entry(a).or_insert(0) += 1;
         }
         let max = per_host.values().copied().max().unwrap_or(0);
         self.metrics.set_gauge(Gauge::StagesPerActorMax, max as f64);
@@ -169,16 +213,17 @@ impl Fleet {
     /// full-shape) against the compiled shapes, places it fleet-wide and
     /// makes it the restore point.
     pub(crate) fn install(&self, state: Vec<Tensor>) -> Result<(), CoreError> {
-        let meta = &self.meta;
-        if state.len() != meta.param_shapes.len() + meta.state_init.len() {
+        let (meta, running) = (&self.meta, self.running());
+        let state_init = &running.layout.state_init;
+        if state.len() != meta.param_shapes.len() + state_init.len() {
             return Err(CoreError::BadInput(format!(
                 "expected {} parameters and {} optimizer moments, got {} tensors",
                 meta.param_shapes.len(),
-                meta.state_init.len(),
+                state_init.len(),
                 state.len()
             )));
         }
-        let moment_shapes = meta.state_init.iter().map(|(_, _, s)| s);
+        let moment_shapes = state_init.iter().map(|(_, _, s)| s);
         let shapes = meta.param_shapes.iter().chain(moment_shapes);
         for (i, (t, s)) in state.iter().zip(shapes).enumerate() {
             if t.shape() != s {
@@ -188,7 +233,8 @@ impl Fleet {
                 )));
             }
         }
-        self.place_state(&state)?;
+        self.place_state(&running.layout, &state)?;
+        drop(running);
         *self.restore_point() = Some(state);
         self.update_fleet_gauges();
         Ok(())
@@ -202,12 +248,12 @@ impl Fleet {
     /// Places a full state on every actor: parameters to all of their
     /// replicas, moments to their owners in every DP replica — sliced
     /// per replica under ZeRO-1.
-    fn place_state(&self, state: &[Tensor]) -> Result<(), CoreError> {
+    fn place_state(&self, layout: &Layout, state: &[Tensor]) -> Result<(), CoreError> {
         let (params, moments) = state.split_at(self.meta.param_shapes.len());
         self.runtime.place_params(params)?;
         let replicas = self.meta.dp.replicas();
         let mut items: Vec<(usize, BufferId, Tensor)> = Vec::new();
-        for (&(a, b, ref s), t) in self.meta.state_init.iter().zip(moments) {
+        for (&(a, b, ref s), t) in layout.state_init.iter().zip(moments) {
             for rep in 0..replicas {
                 let tt = if self.sliced(s) {
                     // The host-side mirror of `Prim::SliceFirst`.
@@ -232,7 +278,7 @@ impl Fleet {
     /// the survivors back to the same step.
     fn restore(&self) -> Result<(), CoreError> {
         match self.restore_point().as_ref() {
-            Some(state) => self.place_state(state),
+            Some(state) => self.place_state(&self.running().layout, state),
             None => Ok(()),
         }
     }
@@ -241,7 +287,7 @@ impl Fleet {
     /// actors.
     pub(crate) fn params(&self) -> Result<Vec<Tensor>, CoreError> {
         let read = |&(a, b)| Ok(self.runtime.read_buffer(self.raw_actor(0, a, 0), b)?);
-        self.meta.param_read.iter().map(read).collect()
+        self.running().layout.param_read.iter().map(read).collect()
     }
 
     /// Reads the full live state (parameters, then optimizer moments)
@@ -251,7 +297,7 @@ impl Fleet {
     /// full-shape and portable across DP degrees.
     pub(crate) fn capture_state(&self) -> Result<Vec<Tensor>, CoreError> {
         let mut tensors = self.params()?;
-        for &(a, b, ref s) in &self.meta.state_init {
+        for &(a, b, ref s) in &self.running().layout.state_init {
             if self.sliced(s) {
                 let slices: Vec<Tensor> = (0..self.meta.dp.replicas())
                     .map(|rep| self.runtime.read_buffer(self.raw_actor(rep, a, 0), b))
@@ -358,11 +404,14 @@ impl Fleet {
         // time blocked in `Recv`, and how much of it the schedule does
         // not account for (a placement or runtime regression shows here
         // without a benchmark run).
+        // Retired actors are not dispatched, so `rpcs` counts the
+        // actors with tasks, as the ideal bubble does.
+        let running = self.running();
         let actor_time = stats.rpcs as f64 * stats.wall.as_secs_f64();
         if actor_time > 0.0 {
             let wait = of(Kind::Recv).0.as_secs_f64() / actor_time;
             m.set_gauge(Gauge::RecvWaitShare, wait);
-            m.set_gauge(Gauge::BubbleExcess, wait - self.ideal_bubble);
+            m.set_gauge(Gauge::BubbleExcess, wait - running.ideal_bubble);
         }
         if self.runtime.transport_kind() != TransportKind::Mpsc {
             // Wire counters are cumulative on the transport; publish
@@ -402,7 +451,7 @@ impl Fleet {
             // runtime for whoever takes it.
             self.runtime.with_step_trace(|trace| {
                 if let Some(trace) = trace {
-                    let report = crate::observe::bubble_report(trace, &self.schedule);
+                    let report = crate::observe::bubble_report(trace, &running.schedule);
                     m.set_gauge(Gauge::BubbleFractionMeasured, report.measured_bubble);
                 }
             });
@@ -517,20 +566,28 @@ impl Fleet {
     }
 
     /// Permanently folds the given actors' stages onto the survivors
-    /// ([`Runtime::rebalance`]), respawns any survivor that died in the
-    /// same incident, and re-places the restore point under the new
-    /// program.
+    /// ([`Runtime::rebalance`]) and runs the launch schedule, folded the
+    /// same way, through the step's compile chain; then respawns any
+    /// survivor that died in the same incident and re-places the restore
+    /// point under the new program.
     pub(crate) fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, CoreError> {
-        let report = self.runtime.rebalance(dead)?;
-        self.runtime.recover()?;
-        // `report.assign` is in raw actor space, `hosts` in host space.
-        // Host-level uniform folds guarantee `assign[host*t] = new_host*t`
-        // (replica 0, rank 0), which recovers the host mapping for any
-        // tp/dp degree.
-        let t = self.meta.tp.degree();
-        for host in self.hosts.lock().unwrap().iter_mut() {
-            *host = report.assign[*host * t] / t;
+        let mut refolded = None;
+        let report = self.runtime.rebalance(dead, |assign| {
+            // A fold moves whole host groups, so replica 0's rank 0 of
+            // each host names the host it now lives on.
+            let t = self.meta.tp.degree();
+            let hosts: Vec<usize> = (0..self.launched.n_actors())
+                .map(|h| assign[self.raw_actor(0, h, 0)] / t)
+                .collect();
+            let schedule = self.launched.fold(&hosts).map_err(|e| e.to_string())?;
+            let (program, layout) = (self.recompile)(&schedule).map_err(|e| e.to_string())?;
+            refolded = Some(Running::new(schedule, layout));
+            Ok(program)
+        })?;
+        if let Some(running) = refolded {
+            *self.running.write().unwrap() = running;
         }
+        self.runtime.recover()?;
         self.restore()?;
         self.metrics.inc(Counter::RebalancesTotal, 1);
         self.update_fleet_gauges();

@@ -28,9 +28,11 @@ use std::path::Path;
 use raxpp_ir::{Jaxpr, Shape, Tensor};
 use raxpp_runtime::{Metrics, RebalanceReport, RecoveryReport, Runtime, TransportKind};
 use raxpp_sched::Schedule;
-use raxpp_taskgraph::{forward_project, pipeline_model, unroll_loop, UnrollOptions};
+use raxpp_taskgraph::{
+    forward_project, pipeline_model, unroll_loop, MpmdProgram, PipelinedModel, UnrollOptions,
+};
 
-use crate::compile::{CompileOptions, CoreError, StepMeta, TpConfig};
+use crate::compile::{CompileOptions, CoreError, Layout, StepMeta, TpConfig};
 use crate::fleet::Fleet;
 
 /// Options for [`compile_forward_step`].
@@ -95,24 +97,38 @@ pub fn compile_forward_step(
     opts: ForwardOptions,
 ) -> Result<ForwardStep, CoreError> {
     let model = pipeline_model(jaxpr, n_params)?;
-    let compiled = unroll_loop(&model, schedule, UnrollOptions::default())?;
+    let (program, meta) = compile_forward(&model, schedule, opts.tp.as_ref())?;
+    let kind = opts.transport.unwrap_or_else(TransportKind::from_env);
+    let runtime = Runtime::with_transport(program, kind);
+    let recompile = Box::new(move |folded: &Schedule| {
+        let (program, _) = compile_forward(&model, folded, opts.tp.as_ref())?;
+        Ok((program, Layout::default()))
+    });
+    Ok(ForwardStep {
+        fleet: Fleet::new(runtime, meta, schedule, Layout::default(), recompile),
+    })
+}
+
+/// Compiles the forward-only step of `model` for `schedule`; its
+/// [`Layout`] is empty (no optimizer state, no parameter read-back).
+fn compile_forward(
+    model: &PipelinedModel,
+    schedule: &Schedule,
+    tp: Option<&TpConfig>,
+) -> Result<(MpmdProgram, StepMeta), CoreError> {
+    let compiled = unroll_loop(model, schedule, UnrollOptions::default())?;
     let mut program = forward_project(&compiled.program)?;
-    let (tp, dp) = Fleet::lower(&mut program, opts.tp.as_ref(), None)?;
+    let (tp, dp) = Fleet::lower(&mut program, tp, None)?;
     let meta = StepMeta {
         param_shapes: model.param_shapes(),
         data_shapes: model.data_shapes(),
         n_outputs: model.out_shapes().len(),
         n_mubatches: schedule.n_mubatches(),
-        state_init: Vec::new(),
-        param_read: Vec::new(),
         tp,
         dp,
         zero1: false,
     };
-    let kind = opts.transport.unwrap_or_else(TransportKind::from_env);
-    Ok(ForwardStep {
-        fleet: Fleet::new(Runtime::with_transport(program, kind), meta, schedule),
-    })
+    Ok((program, meta))
 }
 
 impl ForwardStep {
@@ -188,15 +204,16 @@ impl ForwardStep {
         self.fleet.recover()
     }
 
-    /// Permanently folds the given actors' stages onto survivors and
-    /// re-places the current weight generation — the elastic rung:
+    /// Permanently folds the given actors' stages onto survivors,
+    /// compiling the folded schedule, and re-places the current weight
+    /// generation — the elastic rung:
     /// serving continues on fewer actors with identical outputs
     /// (`docs/resilience.md`).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Runtime`] when no survivor remains or the
-    /// program cannot be re-placed.
+    /// folded schedule does not compile.
     pub fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, CoreError> {
         self.fleet.rebalance(dead)
     }
@@ -233,9 +250,10 @@ impl ForwardStep {
         &self.fleet.meta.data_shapes
     }
 
-    /// The pipeline schedule the step was compiled for.
-    pub fn schedule(&self) -> &Schedule {
-        &self.fleet.schedule
+    /// The pipeline schedule the actors run: the one the step was
+    /// compiled for, folded by every rebalance since.
+    pub fn schedule(&self) -> Schedule {
+        self.fleet.running().schedule.clone()
     }
 
     /// The compiled tensor-parallel degree (1 for pure pipeline).

@@ -46,12 +46,14 @@ pub struct BubbleReport {
     /// end across all actors).
     pub makespan_s: f64,
     /// Measured bubble fraction: share of total actor-time (window ×
-    /// actors) not spent computing or sending.
+    /// actors with tasks) not spent computing or sending.
     pub measured_bubble: f64,
     /// The simulator's bubble ratio for the same schedule under the
     /// trace-derived cost model.
     pub predicted_bubble: f64,
-    /// Per-actor breakdowns, indexed by actor.
+    /// Per-actor breakdowns, one per actor with tasks, in actor order
+    /// (a folded schedule keeps the actors it emptied; they are not
+    /// pipeline ranks).
     pub stages: Vec<StageReport>,
 }
 
@@ -140,10 +142,12 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
     let sim = simulate(schedule, cost).ok();
     let predicted_bubble = sim.as_ref().map(|r| r.bubble_ratio).unwrap_or(f64::NAN);
 
-    let n_actors = schedule.n_actors();
-    let mut stages = Vec::with_capacity(n_actors);
+    let ranks: Vec<usize> = (0..schedule.n_actors())
+        .filter(|&a| !schedule.actor_tasks(a).is_empty())
+        .collect();
+    let mut stages = Vec::with_capacity(ranks.len());
     let mut total_busy_s = 0.0;
-    for a in 0..n_actors {
+    for &a in &ranks {
         let at = trace.actors.iter().find(|at| at.actor == a);
         let profile = at.map(|at| at.profile()).unwrap_or_default();
         let secs = |k: Kind| profile.get(k).map_or(0.0, |(d, _)| d.as_secs_f64());
@@ -181,8 +185,8 @@ pub fn bubble_report(trace: &StepTrace, schedule: &Schedule) -> BubbleReport {
             predicted_idle_frac,
         });
     }
-    let measured_bubble = if window_s > 0.0 && n_actors > 0 {
-        (1.0 - total_busy_s / (window_s * n_actors as f64)).max(0.0)
+    let measured_bubble = if window_s > 0.0 && !ranks.is_empty() {
+        (1.0 - total_busy_s / (window_s * ranks.len() as f64)).max(0.0)
     } else {
         0.0
     };

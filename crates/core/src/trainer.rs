@@ -22,7 +22,7 @@ use raxpp_runtime::{
     TransportKind,
 };
 use raxpp_sched::Schedule;
-use raxpp_taskgraph::MpmdProgram;
+use raxpp_taskgraph::{pipeline_model, MpmdProgram};
 
 use crate::compile::{compile_step, CompileOptions, CoreError};
 use crate::fleet::Fleet;
@@ -151,11 +151,16 @@ pub fn compile_train_step_on(
     opts: CompileOptions,
     launch: impl FnOnce(MpmdProgram) -> std::io::Result<Runtime>,
 ) -> Result<Trainer, CoreError> {
-    let (program, meta) = compile_step(jaxpr, n_params, schedule, &optimizer, &opts)?;
+    let model = pipeline_model(jaxpr, n_params)?;
+    let (program, meta, layout) = compile_step(&model, schedule, &optimizer, &opts)?;
     let runtime = launch(program)
         .map_err(|e| CoreError::BadInput(format!("launching the runtime fleet: {e}")))?;
+    let recompile = Box::new(move |folded: &Schedule| {
+        let (program, _, layout) = compile_step(&model, folded, &optimizer, &opts)?;
+        Ok((program, layout))
+    });
     Ok(Trainer {
-        fleet: Fleet::new(runtime, meta, schedule),
+        fleet: Fleet::new(runtime, meta, schedule, layout, recompile),
         steps_done: AtomicU64::new(0),
         ckpt: Mutex::new(None),
     })
@@ -169,8 +174,9 @@ impl Trainer {
     ///
     /// Returns [`CoreError`] on shape mismatches or runtime failure.
     pub fn init(&self, params: &[Tensor]) -> Result<(), CoreError> {
-        let moments = self.fleet.meta.state_init.iter();
-        let zeros = moments.map(|(_, _, s)| Tensor::zeros(s.clone()));
+        let zeros: Vec<Tensor> = (self.fleet.running().layout.state_init.iter())
+            .map(|(_, _, s)| Tensor::zeros(s.clone()))
+            .collect();
         self.fleet
             .install(params.iter().cloned().chain(zeros).collect())
     }
@@ -257,11 +263,12 @@ impl Trainer {
     }
 
     /// Permanently folds the given actors' stages onto the survivors
-    /// and resumes from the last-known-good snapshot: the runtime's
-    /// program is re-placed ([`raxpp_runtime::Runtime::rebalance`]),
-    /// dead survivors are respawned, the trainer's placement maps are
-    /// remapped, and the snapshot is restored fleet-wide — so the next
-    /// step computes **bitwise-identical** results on fewer actors.
+    /// and resumes from the last-known-good snapshot: the compiled
+    /// schedule is folded the same way and compiled again, the runtime
+    /// runs that program ([`raxpp_runtime::Runtime::rebalance`]), dead
+    /// survivors are respawned, and the snapshot is restored fleet-wide
+    /// — so the next step computes **bitwise-identical** results on
+    /// fewer actors (a fold is tier 1 of `docs/determinism.md`).
     ///
     /// Usually invoked automatically by the recovery ladder of
     /// [`Trainer::step_with_recovery`] (see
@@ -271,7 +278,7 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`CoreError::Runtime`] when no survivor remains or the
-    /// program cannot be re-placed (the fleet is left as it was).
+    /// folded schedule does not compile (the fleet is left as it was).
     ///
     /// Under tensor and/or data parallelism a dead actor's **whole host
     /// group** folds away uniformly — all `t` ranks of its host, in
@@ -364,10 +371,11 @@ impl Trainer {
     /// Measured vs simulator-predicted bubble accounting for a trace
     /// produced by this trainer (see [`crate::bubble_report`]): per
     /// pipeline rank, compute vs send vs recv-wait time from the spans,
-    /// diffed against [`raxpp_sched::simulate`] on the compiled schedule
-    /// under a cost model derived from the same trace.
+    /// diffed against [`raxpp_sched::simulate`] on the running schedule
+    /// ([`Trainer::schedule`]) under a cost model derived from the same
+    /// trace.
     pub fn bubble_report(&self, trace: &StepTrace) -> crate::BubbleReport {
-        crate::observe::bubble_report(trace, &self.fleet.schedule)
+        crate::observe::bubble_report(trace, &self.fleet.running().schedule)
     }
 
     /// The cross-step metrics registry: step timings, allocator
@@ -377,9 +385,10 @@ impl Trainer {
         &self.fleet.metrics
     }
 
-    /// The pipeline schedule this trainer was compiled for.
-    pub fn schedule(&self) -> &Schedule {
-        &self.fleet.schedule
+    /// The pipeline schedule the actors run: the one this trainer was
+    /// compiled for, folded by every rebalance since.
+    pub fn schedule(&self) -> Schedule {
+        self.fleet.running().schedule.clone()
     }
 
     /// Reads the current (updated) parameter values back from the actors.
@@ -440,8 +449,16 @@ impl Trainer {
     }
 
     /// Restores training state from a checkpoint produced by
-    /// [`Trainer::save_checkpoint`] on an identically-compiled trainer,
-    /// and makes it the new recovery restore point.
+    /// [`Trainer::save_checkpoint`] and makes it the new recovery
+    /// restore point. The checkpoint is logical state — full-shape
+    /// parameters, then optimizer moments, in parameter order — so the
+    /// saving trainer must have traced the same step with the same
+    /// optimizer; its schedule, fold and parallel degrees may differ.
+    /// Whether the run then continues bitwise is `docs/determinism.md`'s
+    /// contract: across a fold of the same schedule or another tp
+    /// degree it does (tier 1); across another builder or pp ("The
+    /// schedule") or another dp degree (tier 2) it agrees within fp32
+    /// summation bounds.
     ///
     /// # Errors
     ///

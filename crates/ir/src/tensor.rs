@@ -623,20 +623,6 @@ impl Tensor {
         }))
     }
 
-    /// Maximum absolute difference with `other`, or `None` if shapes differ.
-    pub fn max_abs_diff(&self, other: &Tensor) -> Option<f32> {
-        if self.shape != other.shape {
-            return None;
-        }
-        Some(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| (a - b).abs())
-                .fold(0.0, f32::max),
-        )
-    }
-
     /// Whether every element is within `tol` of `other` (relative to
     /// magnitude for large values).
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {

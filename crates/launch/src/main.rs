@@ -191,23 +191,30 @@ fn run_worker(args: &Args) -> std::io::Result<()> {
     });
     let model = args.spec.model();
     let schedule = args.spec.schedule();
-    let program = compile_worker_program(
-        &model.jaxpr,
-        model.n_params,
-        &schedule,
-        Optimizer::Sgd { lr: 0.05 },
-        CompileOptions::default(),
-    )
-    .expect("worker compiles the shared spec");
-    serve_worker(
-        program,
-        &WorkerConfig {
-            me,
-            n_actors: schedule.n_actors(),
-            dir,
-            tcp: args.tcp,
-        },
-    )
+    let compile = move |schedule: &Schedule| {
+        compile_worker_program(
+            &model.jaxpr,
+            model.n_params,
+            schedule,
+            Optimizer::Sgd { lr: 0.05 },
+            CompileOptions::default(),
+        )
+    };
+    let program = compile(&schedule).expect("worker compiles the shared spec");
+    let cfg = WorkerConfig {
+        me,
+        n_actors: schedule.n_actors(),
+        dir,
+        tcp: args.tcp,
+    };
+    // After a rebalance the driver runs the spec's schedule folded by
+    // `assign`; the spec compiles with no tp or dp, so raw actors are
+    // pipeline hosts and `assign` folds the schedule as it stands.
+    let refold = move |assign: &[usize]| {
+        let folded = schedule.fold(assign).map_err(|e| e.to_string())?;
+        compile(&folded).map_err(|e| e.to_string())
+    };
+    serve_worker(program, refold, &cfg)
 }
 
 fn run_driver(args: &Args) -> Result<(), String> {

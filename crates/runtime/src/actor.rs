@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use raxpp_ir::Tensor;
-use raxpp_taskgraph::{replace_program, BufferId, MpmdProgram};
+use raxpp_taskgraph::{BufferId, MpmdProgram};
 
 use crate::exec::{execute_stream, ActorProfile, StreamFailure};
 use crate::fault::Fault;
@@ -84,10 +84,11 @@ pub(crate) enum Command {
     LiveBytes {
         seq: u64,
     },
-    /// Re-place the executed program (after a rebalance): the actor
-    /// applies `replace_program` with this assignment to its current
-    /// program — deterministic, so it reproduces the driver's result
-    /// without ever serializing a program. No reply.
+    /// Run the program of the fleet's fold (after a rebalance):
+    /// `assign[a]` is the actor now hosting launch-time actor `a`'s
+    /// stages, cumulative since launch. The actor takes that program
+    /// from its [`Refold`] and empties its store, which the driver
+    /// refills. No reply.
     Reprogram {
         assign: Vec<usize>,
     },
@@ -246,9 +247,16 @@ impl Mailbox {
     }
 }
 
+/// Where an actor gets the program of a cumulative fold assignment
+/// (`Command::Reprogram`): an in-process actor takes the one the driver
+/// compiled, a worker process compiles it from its own spec — so a
+/// program never crosses the wire.
+pub(crate) type Refold = Arc<dyn Fn(&[usize]) -> Result<Arc<MpmdProgram>, String> + Send + Sync>;
+
 pub(crate) struct ActorState {
     pub(crate) me: usize,
     pub(crate) program: Arc<MpmdProgram>,
+    refold: Refold,
     pub(crate) store: ObjectStore,
     pub(crate) mailbox: Mailbox,
     /// This actor's handle on the data fabric: the shared sender row
@@ -336,6 +344,7 @@ pub(crate) enum Exit {
 pub(crate) fn actor_main(
     me: usize,
     program: Arc<MpmdProgram>,
+    refold: Refold,
     fabric: Fabric,
     inbox: Receiver<Msg>,
     origin: Instant,
@@ -344,6 +353,7 @@ pub(crate) fn actor_main(
     let mut st = ActorState {
         me,
         program,
+        refold,
         store: ObjectStore::new(),
         mailbox: Mailbox::new(n, inbox),
         fabric,
@@ -440,13 +450,13 @@ fn actor_loop(st: &mut ActorState) -> Exit {
                 (seq, ReplyKind::StoreBytes(st.store.live_bytes()))
             }
             Command::Reprogram { assign } => {
-                // Deterministic re-derivation of the driver's rebalanced
-                // program: same inputs, same `replace_program`, same
-                // result. A failure here is a protocol bug; the panic
-                // trips the death guard and recovery takes over.
-                let p = replace_program(&st.program, &assign)
-                    .expect("Reprogram assignment must re-place the current program");
-                st.program = Arc::new(p);
+                // The old program's buffers mean nothing to the new one:
+                // the driver re-places the state after a rebalance. A
+                // refold that fails is a protocol bug; the panic trips
+                // the death guard and recovery takes over.
+                st.program =
+                    (st.refold)(&assign).expect("Reprogram must yield the fleet's program");
+                st.store.clear();
                 continue;
             }
             Command::HealWire => {

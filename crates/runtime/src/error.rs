@@ -25,8 +25,9 @@ pub enum RuntimeError {
         /// The actor that did not reply.
         actor: usize,
     },
-    /// Elastic rebalancing failed: either no survivor remains or the
-    /// program could not be re-placed onto the surviving actors.
+    /// Elastic rebalancing failed: no survivor remains, or the folded
+    /// schedule did not compile into a program for the surviving
+    /// actors.
     Rebalance(String),
 }
 

@@ -285,12 +285,6 @@ fn run_stream(
                 st.store.insert(*buf, t);
                 (bytes, None)
             }
-            Instr::Copy { dst, src } => {
-                let t = st.load(*src, "copy")?;
-                let bytes = 4 * t.numel() as u64;
-                st.store.insert(*dst, t);
-                (bytes, None)
-            }
             Instr::Free { buf } => {
                 if !st.store.free(*buf) {
                     return Err(StreamFailure::Error(format!(

@@ -29,8 +29,6 @@ catalogue! {
         /// `Recv`: almost entirely *waiting* for upstream data — the
         /// executable form of the pipeline bubble.
         Recv => "recv",
-        /// `Copy`: a send/recv pair folded onto one actor by a rebalance.
-        Copy => "copy",
         /// `Free`: buffer deletion.
         Free => "free",
         /// One tensor-parallel collective executed by one rank.
@@ -72,7 +70,6 @@ impl Kind {
             },
             Instr::Send { .. } => Kind::Send,
             Instr::Recv { .. } => Kind::Recv,
-            Instr::Copy { .. } => Kind::Copy,
             Instr::Free { .. } => Kind::Free,
             Instr::Collective { axis, .. } => match axis {
                 CollectiveAxis::Tp => Kind::Collective,

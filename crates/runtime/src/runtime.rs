@@ -56,15 +56,15 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use raxpp_ir::Tensor;
 use raxpp_sched::{DpMap, TpMap};
-use raxpp_taskgraph::{replace_program, BufferId, Fetch, InputSource, MpmdProgram};
+use raxpp_taskgraph::{BufferId, Fetch, InputSource, MpmdProgram};
 
-use crate::actor::{Command, ExecFailure, Msg, Payload, Reply, ReplyKind, DRIVER};
+use crate::actor::{Command, ExecFailure, Msg, Payload, Refold, Reply, ReplyKind, DRIVER};
 use crate::error::RuntimeError;
 use crate::exec::StepStats;
 use crate::fault::Fault;
@@ -110,20 +110,25 @@ pub struct RecoveryReport {
 }
 
 /// What [`Runtime::rebalance`] did: which actors were permanently
-/// retired and where every old actor's work now lives.
+/// retired and where every launch-time actor's work now lives.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
     /// Actors permanently retired by this call, ascending.
     pub retired: Vec<usize>,
-    /// `assign[a]` is the actor now hosting old actor `a`'s stages
-    /// (survivors map to themselves).
+    /// `assign[a]` is the actor now hosting launch-time actor `a`'s
+    /// stages, cumulative over every rebalance so far (survivors map to
+    /// themselves).
     pub assign: Vec<usize>,
 }
 
 struct Inner {
-    /// The program currently executed; swapped atomically (under this
-    /// lock, plus a `Reprogram` broadcast) by [`Runtime::rebalance`].
-    program: Arc<MpmdProgram>,
+    /// The program currently executed; swapped (under this lock, plus
+    /// a `Reprogram` broadcast) by [`Runtime::rebalance`]. `refold`
+    /// shares it with the in-process actors.
+    program: Arc<RwLock<Arc<MpmdProgram>>>,
+    /// What a `Reprogram` runs on an in-process actor: the program the
+    /// driver holds.
+    refold: Refold,
     actors: Vec<ActorLink>,
     /// Each actor's current incarnation (bumped per respawn): a `Gone`
     /// naming an earlier one is a late goodbye and is dropped.
@@ -145,15 +150,19 @@ struct Inner {
     /// Actors permanently removed by [`Runtime::rebalance`]: never
     /// dispatched to, never respawned by [`Runtime::recover`].
     retired: Vec<bool>,
-    /// Every rebalance assignment applied so far, in order. Process
-    /// workers respawn with the *original* program (recompiled from
-    /// the spec), so [`Runtime::recover`] replays this history onto
-    /// them via `Reprogram` to reconstruct the driver's current
-    /// program deterministically.
-    assign_history: Vec<Vec<usize>>,
+    /// The fold since launch: `assign[a]` hosts launch-time actor `a`'s
+    /// stages (identity until the first rebalance). [`Runtime::recover`]
+    /// sends it to every respawned actor in one `Reprogram`: a worker
+    /// process comes back with the launch program.
+    assign: Vec<usize>,
 }
 
 impl Inner {
+    /// The program currently executed.
+    fn program(&self) -> Arc<MpmdProgram> {
+        Arc::clone(&self.program.read().unwrap())
+    }
+
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -368,13 +377,19 @@ impl Runtime {
     ) -> Runtime {
         let n = program.n_actors();
         let program = Arc::new(program);
+        let current = Arc::new(RwLock::new(Arc::clone(&program)));
+        let refold: Refold = {
+            let current = Arc::clone(&current);
+            Arc::new(move |_| Ok(Arc::clone(&current.read().unwrap())))
+        };
         let origin = Instant::now();
         let actors = (0..n)
-            .map(|a| transport.spawn_actor(a, 0, &program, origin))
+            .map(|a| transport.spawn_actor(a, 0, &program, &refold, origin))
             .collect();
         Runtime {
             inner: Mutex::new(Inner {
-                program,
+                program: current,
+                refold,
                 actors,
                 incarnation: vec![0; n],
                 fabric: transport.fabric(),
@@ -383,7 +398,7 @@ impl Runtime {
                 seq: 0,
                 last_trace: None,
                 retired: vec![false; n],
-                assign_history: Vec::new(),
+                assign: (0..n).collect(),
             }),
             step_timeout: AtomicU64::new(DEFAULT_STEP_TIMEOUT_MS),
             tracing: AtomicBool::new(false),
@@ -466,7 +481,7 @@ impl Runtime {
     /// swaps it, so callers get a snapshot handle rather than a
     /// reference.
     pub fn program(&self) -> Arc<MpmdProgram> {
-        Arc::clone(&self.inner.lock().unwrap().program)
+        self.inner.lock().unwrap().program()
     }
 
     /// Number of actors still in service (neither retired by
@@ -506,7 +521,7 @@ impl Runtime {
     /// [`RuntimeError::ActorDied`] if an actor is gone.
     pub fn place_params(&self, params: &[Tensor]) -> Result<(), RuntimeError> {
         let mut inner = self.inner.lock().unwrap();
-        let per_actor = gather_placements(&inner.program, |source| match source {
+        let per_actor = gather_placements(&inner.program(), |source| match source {
             InputSource::Param(i) => Some(params.get(i)),
             _ => None,
         })?;
@@ -535,7 +550,7 @@ impl Runtime {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let start = Instant::now();
-        let program = Arc::clone(&inner.program);
+        let program = inner.program();
         let n = program.n_actors();
         let mut per_actor = gather_placements(&program, |source| match source {
             InputSource::Data { input, mubatch } => {
@@ -772,24 +787,24 @@ impl Runtime {
             let old = inner.actors[a].handle.take();
             inner.incarnation[a] += 1;
             let incarnation = inner.incarnation[a];
-            let link = inner
-                .transport
-                .spawn_actor(a, incarnation, &inner.program, self.origin);
+            let program = inner.program();
+            let link =
+                inner
+                    .transport
+                    .spawn_actor(a, incarnation, &program, &inner.refold, self.origin);
             if let Some(h) = old {
                 let _ = h.join();
             }
             inner.actors[a] = link;
         }
-        // Process workers come back with the original (recompiled)
-        // program; replay the rebalance history so they converge on the
-        // driver's current program.
-        if inner.transport.needs_program_replay() {
+        // A worker process comes back with the launch program (compiled
+        // from its spec); the fleet's fold brings it onto the driver's.
+        // An in-process actor already runs that program, and takes it
+        // again.
+        if inner.retired.contains(&true) {
             for &a in &dead {
-                for assign in inner.assign_history.clone() {
-                    if inner.post(a, Command::Reprogram { assign }).is_err() {
-                        break;
-                    }
-                }
+                let assign = inner.assign.clone();
+                let _ = inner.post(a, Command::Reprogram { assign });
             }
         }
         Ok(RecoveryReport { respawned: dead })
@@ -798,32 +813,38 @@ impl Runtime {
     /// Permanently folds the given actors' pipeline stages onto the
     /// nearest surviving actors (elastic degraded mode).
     ///
-    /// The running [`MpmdProgram`] is re-placed via
-    /// [`raxpp_taskgraph::replace_program`]: every `Run` instruction is
-    /// kept byte-identical (so training remains bitwise-deterministic),
-    /// co-located sends/recvs collapse to local moves, and cross-actor
-    /// transfers are rewired to the new owners. The folded actors are
-    /// shut down and marked *retired* — they are never respawned, and
-    /// [`Runtime::recover`] skips them from then on.
+    /// The fold is planned here: a dead actor's whole host group retires
+    /// and lands on the nearest surviving host. `refold` then gets the
+    /// cumulative assignment since launch (`assign[a]` hosts launch-time
+    /// actor `a`'s stages) and returns the program to run: the caller
+    /// compiles the folded schedule (`raxpp-core`'s fleet handle), so
+    /// every program the fleet runs is a compiled one. It must keep the
+    /// fleet's actor count and give every retired actor an empty stream.
+    /// The folded actors are shut down and marked *retired* — they are
+    /// never respawned, and [`Runtime::recover`] skips them from then on.
     ///
-    /// Only the program moves: the buffers a retired actor held go with
-    /// its store. Call [`Runtime::recover`] afterwards to respawn any
-    /// survivor that died in the same incident, then place parameters
-    /// and state again under the new program (`raxpp-core`'s fleet
-    /// handle does both and restores its restore point).
+    /// Every actor's store is emptied with its old program. Call
+    /// [`Runtime::recover`] afterwards to respawn any survivor that died
+    /// in the same incident, then place parameters and state again under
+    /// the new program (`raxpp-core`'s fleet handle does both and
+    /// restores its restore point).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadInput`] for out-of-range or
     /// already-retired actor ids, and [`RuntimeError::Rebalance`] when
-    /// no survivor remains or the program cannot be re-placed (the
-    /// fleet is left untouched in that case).
-    pub fn rebalance(&self, dead: &[usize]) -> Result<RebalanceReport, RuntimeError> {
+    /// no survivor remains, `refold` fails, or its program does not fit
+    /// the fold (the fleet is left untouched in these cases).
+    pub fn rebalance(
+        &self,
+        dead: &[usize],
+        refold: impl FnOnce(&[usize]) -> Result<MpmdProgram, String>,
+    ) -> Result<RebalanceReport, RuntimeError> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let n = inner.actors.len();
-        let (assign, retired) = {
-            let p = &inner.program;
+        let (step, retired) = {
+            let p = inner.program();
             let tp = TpMap::new(p.tp.as_ref().map_or(1, |m| m.degree.max(1)));
             // (`max`: an actor-less fleet has nothing to fold, and
             // `plan_fold` says so before it consults the layout.)
@@ -833,10 +854,18 @@ impl Runtime {
             plan_fold(tp, dp, &inner.retired, dead)?
         };
         if retired.is_empty() {
+            let assign = inner.assign.clone();
             return Ok(RebalanceReport { retired, assign });
         }
-        let new_program = replace_program(&inner.program, &assign)
-            .map_err(|e| RuntimeError::Rebalance(e.to_string()))?;
+        // Every earlier fold's host is a survivor of this one's plan.
+        let assign: Vec<usize> = inner.assign.iter().map(|&a| step[a]).collect();
+        let program = refold(&assign).map_err(RuntimeError::Rebalance)?;
+        let gone = |a: usize| inner.retired[a] || retired.contains(&a);
+        if program.n_actors() != n || (0..n).any(|a| gone(a) && !program.actors[a].is_empty()) {
+            return Err(RuntimeError::Rebalance(format!(
+                "the refolded program does not keep {n} actors with the retired ones idle"
+            )));
+        }
         // Point of no return: retire the folded actors.
         for &d in &retired {
             let _ = inner.post(d, Command::Shutdown);
@@ -846,12 +875,11 @@ impl Runtime {
             inner.actors[d].dead = true;
             inner.retired[d] = true;
         }
-        inner.program = Arc::new(new_program);
-        inner.assign_history.push(assign.clone());
+        *inner.program.write().unwrap() = Arc::new(program);
+        inner.assign.clone_from(&assign);
         for a in 0..n {
             // A dead survivor is left for recover(), which respawns it
-            // with the new program straight from `inner.program`
-            // (process workers replay the assign history instead).
+            // with the new program (a process worker is sent the fold).
             let assign = assign.clone();
             let _ = inner.post(a, Command::Reprogram { assign });
         }

@@ -145,6 +145,14 @@ impl ObjectStore {
         reclaimed
     }
 
+    /// Drops every buffer, keeping the peak: the store of an actor whose
+    /// program was replaced, before the driver re-places the state.
+    pub(crate) fn clear(&mut self) {
+        self.abandon_outstanding_sends();
+        self.bufs.clear();
+        self.live_bytes = 0;
+    }
+
     /// Number of deletions parked awaiting send completion.
     #[cfg(test)]
     fn pending_deletions(&self) -> usize {

@@ -89,6 +89,11 @@ const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 ///   `fwd` spans on the shared timeline (`docs/serving.md`). Emitted
 ///   only when tracing is enabled on the serving runtime; training
 ///   traces are unchanged.
+///
+/// The `"copy"` span kind of version 2 is no longer emitted: a
+/// rebalance recompiles the folded schedule, and compiled programs
+/// carry no local copies. No field changed and a kind that never
+/// appears breaks no reader, so the version stays at 7.
 pub const TRACE_SCHEMA_VERSION: u32 = 7;
 
 /// One traced span: a single executed instruction, or (for `cat ==

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::actor::{actor_main, Epoch, Msg, Payload, DRIVER};
+use crate::actor::{actor_main, Epoch, Msg, Payload, Refold, DRIVER};
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 
@@ -101,15 +101,18 @@ pub(crate) trait Transport: Send {
     /// The driver's handle on the fabric.
     fn fabric(&self) -> Fabric;
 
-    /// Spawns (or respawns) incarnation `incarnation` of actor `a` and
-    /// returns its driver-side link; the `Gone` that announces its end
-    /// carries `incarnation`. Respawn must fully retire any previous
-    /// incarnation first.
+    /// Spawns (or respawns) incarnation `incarnation` of actor `a`,
+    /// running `program` and taking the program of each later fold
+    /// from `refold`, and returns its driver-side link; the `Gone` that
+    /// announces its end carries `incarnation`. Respawn must fully
+    /// retire any previous incarnation first. A worker process ignores
+    /// both: it compiles its programs from its own spec.
     fn spawn_actor(
         &mut self,
         a: usize,
         incarnation: u64,
         program: &Arc<MpmdProgram>,
+        refold: &Refold,
         origin: Instant,
     ) -> ActorLink;
 
@@ -125,14 +128,6 @@ pub(crate) trait Transport: Send {
     /// Clears driver-side wire suspicion after recovery (workers clear
     /// their own chaos on `Command::HealWire`).
     fn heal_wire(&self) {}
-
-    /// Whether respawned actors come up with the *original* program
-    /// and must replay the rebalance history (process backend: workers
-    /// recompile from the spec; thread backends respawn with the
-    /// driver's current `Arc<MpmdProgram>` directly).
-    fn needs_program_replay(&self) -> bool {
-        false
-    }
 
     /// Delivers a real SIGKILL to actor `a`'s process. Returns false
     /// when the backend has no processes to kill.
@@ -299,6 +294,7 @@ impl Transport for MpscTransport {
         a: usize,
         incarnation: u64,
         program: &Arc<MpmdProgram>,
+        refold: &Refold,
         origin: Instant,
     ) -> ActorLink {
         // First spawn takes the pre-created inbox; respawn installs a
@@ -317,12 +313,12 @@ impl Transport for MpscTransport {
             from: a,
             incarnation,
         };
-        let program = Arc::clone(program);
+        let (program, refold) = (Arc::clone(program), Arc::clone(refold));
         let handle = std::thread::Builder::new()
             .name(format!("raxpp-actor-{a}"))
             .spawn(move || {
                 let _departure = departure;
-                actor_main(a, program, fabric, inbox, origin);
+                actor_main(a, program, refold, fabric, inbox, origin);
             })
             .expect("spawn actor thread");
         ActorLink {

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use raxpp_taskgraph::MpmdProgram;
 
-use crate::actor::{actor_main, Exit, Msg, Payload, DRIVER};
+use crate::actor::{actor_main, Exit, Msg, Payload, Refold, DRIVER};
 use crate::fault::Fault;
 use crate::runtime::ActorLink;
 use crate::transport::wire::{
@@ -696,6 +696,7 @@ impl Transport for SocketTransport {
         a: usize,
         incarnation: u64,
         program: &Arc<MpmdProgram>,
+        refold: &Refold,
         origin: Instant,
     ) -> ActorLink {
         // Order matters: retire the old presence first so nothing stale
@@ -711,11 +712,11 @@ impl Transport for SocketTransport {
                 let worker = Worker::bind(a, self.n, &self.dir, self.scheme, stats)
                     .expect("bind worker endpoint");
                 eps[a] = Some(Arc::clone(&worker.ep));
-                let program = Arc::clone(program);
+                let (program, refold) = (Arc::clone(program), Arc::clone(refold));
                 let handle = std::thread::Builder::new()
                     .name(format!("raxpp-actor-{a}"))
                     .spawn(move || {
-                        worker.serve(program, origin);
+                        worker.serve(program, refold, origin);
                     })
                     .expect("spawn actor thread");
                 Some(handle)
@@ -750,10 +751,6 @@ impl Transport for SocketTransport {
         for peer in &self.driver_ep.peers {
             peer.lock().unwrap().heard = Instant::now();
         }
-    }
-
-    fn needs_program_replay(&self) -> bool {
-        matches!(self.backend, Backend::Processes { .. })
     }
 
     fn kill_process(&mut self, a: usize) -> bool {
@@ -848,13 +845,13 @@ impl Worker {
     }
 
     /// Serves the actor loop over the endpoint until it exits.
-    fn serve(self, program: Arc<MpmdProgram>, origin: Instant) -> Exit {
+    fn serve(self, program: Arc<MpmdProgram>, refold: Refold, origin: Instant) -> Exit {
         let me = self.ep.me;
         let fabric = Fabric::Wire {
             ep: self.ep,
             n: self.n,
         };
-        actor_main(me, program, fabric, self.inbox, origin)
+        actor_main(me, program, refold, fabric, self.inbox, origin)
     }
 }
 
@@ -865,18 +862,25 @@ impl Worker {
 /// [`std::process::abort`] — genuine kill -9 semantics, no unwinding,
 /// no goodbye.
 ///
-/// `program` must be the same compiled program the driver executes;
-/// compilation is deterministic, so driver and workers compile it
-/// independently from the same spec instead of shipping it across the
-/// wire.
+/// `program` must be the same compiled program the driver launches,
+/// and `refold(assign)` the program the driver runs after a rebalance
+/// whose cumulative fold is `assign` (`assign[a]` hosts launch-time
+/// actor `a`'s stages). Compilation is deterministic, so driver and
+/// workers compile both independently from the same spec instead of
+/// shipping a program across the wire.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from binding the worker's socket.
-pub fn serve_worker(program: MpmdProgram, cfg: &WorkerConfig) -> std::io::Result<()> {
+pub fn serve_worker(
+    program: MpmdProgram,
+    refold: impl Fn(&[usize]) -> Result<MpmdProgram, String> + Send + Sync + 'static,
+    cfg: &WorkerConfig,
+) -> std::io::Result<()> {
     let scheme = if cfg.tcp { Scheme::Tcp } else { Scheme::Uds };
     let worker = Worker::bind(cfg.me, cfg.n_actors, &cfg.dir, scheme, Arc::default())?;
-    let exit = worker.serve(Arc::new(program), Instant::now());
+    let refold: Refold = Arc::new(move |assign| refold(assign).map(Arc::new));
+    let exit = worker.serve(Arc::new(program), refold, Instant::now());
     if matches!(exit, Exit::Killed) {
         std::process::abort();
     }

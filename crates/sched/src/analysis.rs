@@ -59,7 +59,8 @@ pub struct SimResult {
     pub makespan: f64,
     /// Executed tasks per actor, in execution order.
     pub timeline: Vec<Vec<TimelineEntry>>,
-    /// Fraction of total actor-time spent idle (the pipeline *bubble*).
+    /// Fraction of total actor-time spent idle (the pipeline *bubble*),
+    /// over the actors that have tasks.
     pub bubble_ratio: f64,
     /// Peak number of live microbatch activations per actor (allocated at
     /// the end of a forward task, freed at the end of the matching
@@ -224,8 +225,11 @@ pub fn simulate(schedule: &Schedule, cost: UniformCost) -> Result<SimResult, Sch
         .iter()
         .flat_map(|tl| tl.iter().map(|e| e.end - e.start))
         .sum();
+    // A folded schedule keeps the actors it emptied; they are not
+    // pipeline ranks, so only actors with tasks count.
+    let ranks = timeline.iter().filter(|tl| !tl.is_empty()).count();
     let bubble_ratio = if makespan > 0.0 {
-        1.0 - busy / (makespan * n_actors as f64)
+        1.0 - busy / (makespan * ranks as f64)
     } else {
         0.0
     };
@@ -284,6 +288,27 @@ pub fn ideal_bubble_ratio(pp: usize, m: usize, v: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::builders::{gpipe, interleaved_1f1b, one_f1b};
+
+    /// A fold keeps the actors it empties, and they are not pipeline
+    /// ranks: the bubble is the one of the same schedule without them.
+    #[test]
+    fn emptied_actors_are_not_idle_ranks() {
+        let folded = gpipe(4, 4).unwrap().fold(&[0, 0, 2, 3]).unwrap();
+        let busy: Vec<Vec<Task>> = folded
+            .actors()
+            .iter()
+            .filter(|t| !t.is_empty())
+            .cloned()
+            .collect();
+        let compact = Schedule::new("compact", 4, 4, busy).unwrap();
+        let cost = UniformCost::default();
+        let (a, b) = (
+            simulate(&folded, cost).unwrap(),
+            simulate(&compact, cost).unwrap(),
+        );
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.bubble_ratio, b.bubble_ratio);
+    }
 
     #[test]
     fn gpipe_memory_grows_with_microbatches() {

@@ -334,13 +334,16 @@ mod tests {
     #[test]
     fn folded_builders_validate_across_sizes() {
         for (orig, folded, actors) in folded_sweep() {
-            assert_eq!(folded.n_actors(), actors);
+            // The fold keeps every actor id; `actors` of them have tasks.
+            assert_eq!(folded.n_actors(), orig.n_actors());
+            let busy = folded.actors().iter().filter(|t| !t.is_empty()).count();
+            assert_eq!(busy, actors);
             assert_eq!(folded.n_stages(), orig.n_stages());
             assert_eq!(folded.n_mubatches(), orig.n_mubatches());
             folded.validate().unwrap();
         }
-        // More actors than stages leaves an actor with no stage; zero
-        // actors leaves the stages with no owner.
+        // An assignment naming an actor the schedule does not have, or
+        // one of the wrong length, is refused.
         assert!(gpipe(2, 4).unwrap().fold(&[0, 2]).is_err());
         assert!(one_f1b(2, 4).unwrap().fold(&[]).is_err());
     }
@@ -354,8 +357,9 @@ mod tests {
             assert_order_kept(&orig, &folded);
         }
         let orig = one_f1b(4, 8).unwrap();
-        let folded = orig.fold(&[0, 0, 1, 2]).unwrap();
-        assert_eq!(folded.n_actors(), 3);
+        let folded = orig.fold(&[0, 0, 2, 3]).unwrap();
+        assert_eq!(folded.n_actors(), 4);
+        assert!(folded.actor_tasks(1).is_empty());
         assert_order_kept(&orig, &folded);
     }
 
@@ -393,7 +397,7 @@ mod tests {
     fn fold_rejects_bad_assignments() {
         let s = gpipe(4, 4).unwrap();
         assert!(s.fold(&[0, 0, 1]).is_err()); // wrong length
-        assert!(s.fold(&[0, 0, 2, 3]).is_err()); // skips new actor 1
+        assert!(s.fold(&[0, 0, 1, 4]).is_err()); // names actor 4 of 4
     }
 
     #[test]

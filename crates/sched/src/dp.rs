@@ -7,8 +7,8 @@
 //! `rep*base + a`: replicas occupy contiguous blocks of the raw actor
 //! space. [`DpMap`] is that arithmetic, and the only copy of it: the
 //! compiler (`replicate_program`'s axis expansion and batch-range
-//! re-indexing, `replace_program`'s replica-uniformity check, the
-//! verifier's alignment check) and the runtime (host-fold planning)
+//! re-indexing, the verifier's alignment check) and the runtime
+//! (host-fold planning)
 //! call it, exactly as they call [`TpMap`](crate::TpMap) for the
 //! tensor-parallel axis — the two compose, with the TP expansion
 //! applied first (so `base` is already `hosts * t`).

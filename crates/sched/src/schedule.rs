@@ -265,10 +265,11 @@ impl Schedule {
         })
     }
 
-    /// Folds this schedule onto fewer actors: `assign[a]` names the new
-    /// actor that takes over old actor `a`'s tasks (the
-    /// `actors < stages`-aware mode — one new actor may host several
-    /// stages, GPipe-style).
+    /// Folds this schedule onto fewer actors: `assign[a]` names the
+    /// actor that takes over actor `a`'s tasks (one actor may then host
+    /// several stages, GPipe-style). The result keeps `assign.len()`
+    /// actors, so actor ids survive the fold: an actor nothing maps to
+    /// keeps an empty task list.
     ///
     /// The merged order is derived by replaying the original schedule in
     /// dependency order and appending each executed task to its new
@@ -277,31 +278,27 @@ impl Schedule {
     /// accumulation order, and training on the folded schedule stays
     /// bitwise-identical to the original topology.
     ///
-    /// `assign` values must cover `0..k` for the new actor count `k`
-    /// (surjective onto a compact range).
-    ///
     /// # Errors
     ///
-    /// Returns a [`ScheduleError`] if `assign` is malformed or the folded
-    /// schedule violates a schedule invariant.
+    /// Returns a [`ScheduleError`] if `assign` has the wrong length or
+    /// names an actor out of range, or if the folded schedule violates a
+    /// schedule invariant.
     pub fn fold(&self, assign: &[usize]) -> Result<Schedule, ScheduleError> {
-        if assign.len() != self.actors.len() {
+        let n = self.actors.len();
+        if assign.len() != n {
             return Err(ScheduleError::Invalid(format!(
-                "fold assignment has {} entries for {} actors",
-                assign.len(),
-                self.actors.len()
+                "fold assignment has {} entries for {n} actors",
+                assign.len()
             )));
         }
-        let k = assign.iter().copied().max().map_or(0, |m| m + 1);
-        for target in 0..k {
-            if !assign.contains(&target) {
-                return Err(ScheduleError::Invalid(format!(
-                    "fold assignment skips new actor {target} (must cover 0..{k})"
-                )));
-            }
+        if let Some(a) = assign.iter().find(|&&a| a >= n) {
+            return Err(ScheduleError::Invalid(format!(
+                "fold assignment names actor {a} of {n}"
+            )));
         }
-        let mut folded: Vec<Vec<Task>> = vec![Vec::new(); k];
+        let mut folded: Vec<Vec<Task>> = vec![Vec::new(); n];
         self.walk(|a, t| folded[assign[a]].push(t))?;
+        let k = folded.iter().filter(|tasks| !tasks.is_empty()).count();
         Schedule::new(
             format!("{}/folded(actors={k})", self.name),
             self.n_stages,

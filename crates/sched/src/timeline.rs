@@ -5,7 +5,7 @@
 //! [`walk`] is the only function in the workspace that owns per-actor
 //! cursors: [`crate::Schedule::walk`] (behind `Schedule::validate`,
 //! `Schedule::fold` and the unroller), [`run`], and the taskgraph
-//! crate's `verify_program` and `replace_program` are closures over it.
+//! crate's `verify_program` are closures over it.
 //!
 //! Every question of the form "how long does this schedule / this
 //! compiled program take on these actors" is a *lowering* into streams

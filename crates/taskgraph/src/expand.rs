@@ -82,7 +82,7 @@ impl Instr {
             Instr::Send { to, .. } => *to = f(*to),
             Instr::Recv { from, .. } => *from = f(*from),
             Instr::Collective { group, .. } => group.iter_mut().for_each(|m| *m = f(*m)),
-            Instr::Run { .. } | Instr::Copy { .. } | Instr::Free { .. } => {}
+            Instr::Run { .. } | Instr::Free { .. } => {}
         }
         out
     }

@@ -59,15 +59,15 @@ use crate::unroll::CompileError;
 ///
 /// See the module docs for the exact projection rules. The input must
 /// be a pipeline-shaped compiler output: not yet sharded or replicated
-/// (`tp`/`dp` meta absent) and not yet re-placed by a rebalance (no
-/// `Copy`/`Collective` instructions). Programs that already carry
+/// (`tp`/`dp` meta absent, no `Collective` instructions). Programs that
+/// already carry
 /// `Free`s (e.g. a fully-finished training step) are accepted; the
 /// frees are discarded and the caller re-inserts forward-only ones.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::Mismatch`] when the program is already
-/// sharded, replicated, or re-placed.
+/// sharded or replicated.
 pub fn forward_project(program: &MpmdProgram) -> Result<MpmdProgram, CompileError> {
     if program.tp.is_some() || program.dp.is_some() {
         return Err(CompileError::Mismatch(
@@ -80,11 +80,11 @@ pub fn forward_project(program: &MpmdProgram) -> Result<MpmdProgram, CompileErro
         .actors
         .iter()
         .flatten()
-        .any(|i| matches!(i, Instr::Copy { .. } | Instr::Collective { .. }))
+        .any(|i| matches!(i, Instr::Collective { .. }))
     {
         return Err(CompileError::Mismatch(
             "forward_project expects a compiler-output program \
-             (no Copy/Collective instructions)"
+             (no Collective instructions)"
                 .into(),
         ));
     }
@@ -170,7 +170,7 @@ pub fn forward_project(program: &MpmdProgram) -> Result<MpmdProgram, CompileErro
                 }
                 // The caller re-runs insert_frees on the projection.
                 Instr::Free { .. } => {}
-                Instr::Copy { .. } | Instr::Collective { .. } => unreachable!("checked above"),
+                Instr::Collective { .. } => unreachable!("checked above"),
             }
         }
     }

@@ -27,7 +27,6 @@ mod expand;
 mod forward;
 mod model;
 mod program;
-mod replace;
 mod replay;
 mod replicate;
 mod shard;
@@ -43,7 +42,6 @@ pub use program::{
     ActorId, BufferId, CollectiveAxis, CollectiveKind, DpMeta, Fetch, FetchRole, InputPlacement,
     InputSource, Instr, JaxprId, MpmdProgram, TaskLabel, TpMeta,
 };
-pub use replace::{replace_program, ReplaceError};
 pub use replay::replay;
 pub use replicate::{dp_split, dp_treated, replicate_program, ReplicateError};
 pub use shard::{bucket_collectives, shard_program, ShardError};

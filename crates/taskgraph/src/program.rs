@@ -189,17 +189,6 @@ pub enum Instr {
         /// Expected shape (checked by the runtime).
         shape: Shape,
     },
-    /// Copy `src`'s tensor into `dst` within this actor's own store — a
-    /// local move. Produced by program re-placement
-    /// ([`crate::replace_program`]) when a send/recv pair lands on one
-    /// actor after stage folding and the receive targets a different
-    /// buffer id than the wire value.
-    Copy {
-        /// Destination buffer.
-        dst: BufferId,
-        /// Source buffer (must be live).
-        src: BufferId,
-    },
     /// Delete a buffer from the object store. If the buffer has an
     /// outstanding asynchronous send, the runtime defers the deletion via
     /// its pending-deletions queue (paper §4.3).
@@ -265,7 +254,6 @@ impl fmt::Display for Instr {
             }
             Instr::Send { buf, to } => write!(f, "send {buf} -> actor {to}"),
             Instr::Recv { buf, from, .. } => write!(f, "recv {buf} <- actor {from}"),
-            Instr::Copy { dst, src } => write!(f, "copy {src} -> {dst}"),
             Instr::Free { buf } => write!(f, "free {buf}"),
             Instr::Collective {
                 kind,
@@ -451,10 +439,6 @@ impl MpmdProgram {
                     see(buf);
                     see(src);
                 }
-                Instr::Copy { dst, src } => {
-                    see(dst);
-                    see(src);
-                }
                 Instr::Collective {
                     dst, src, wires, ..
                 } => {
@@ -574,8 +558,6 @@ mod tests {
             Instr::Free { buf: hi },
             recv(hi, lo),
             recv(lo, hi),
-            Instr::Copy { dst: hi, src: lo },
-            Instr::Copy { dst: lo, src: hi },
             collective(hi, lo, vec![lo, lo]),
             collective(lo, hi, vec![lo, lo]),
             collective(lo, lo, vec![lo, hi]),

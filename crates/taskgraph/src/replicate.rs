@@ -814,61 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_fold_through_replace_program_keeps_groups() {
-        // The lifted-restriction path: fold host 1 onto host 0 in both
-        // replicas of a dp=2 program and check the DP groups remap
-        // rank-preservingly.
-        let p = with_update(two_stage_program());
-        let r = replicate_program(&p, 2, None).unwrap();
-        let n = p.n_actors();
-        // Hosts: {0,1} per replica; fold 1 -> 0 uniformly.
-        let mut assign: Vec<usize> = (0..2 * n).collect();
-        assign[1] = 0;
-        assign[n + 1] = n;
-        let folded = crate::replace::replace_program(&r, &assign).unwrap();
-        verify_program(&folded).unwrap();
-        for i in folded.actors.iter().flatten() {
-            if let Instr::Collective { group, .. } = i {
-                assert!(group.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-        assert_eq!(p.count_runs(|_| true) * 2, folded.count_runs(|_| true));
-    }
-
-    #[test]
-    fn non_uniform_fold_rejected() {
-        // Folding only one replica's host breaks the DP group.
-        let p = with_update(two_stage_program());
-        let r = replicate_program(&p, 2, None).unwrap();
-        let n = p.n_actors();
-        let mut assign: Vec<usize> = (0..2 * n).collect();
-        let owner = p
-            .actors
-            .iter()
-            .position(|s| {
-                s.iter().any(|i| {
-                    matches!(
-                        i,
-                        Instr::Run {
-                            label: TaskLabel::Update { .. },
-                            ..
-                        }
-                    )
-                })
-            })
-            .unwrap();
-        // Fold replica 1's copy of the update owner onto replica 1's
-        // other host, but leave replica 0 intact: the group folds
-        // non-uniformly.
-        let other = if owner == 0 { 1 } else { 0 };
-        assign[n + owner] = n + other;
-        assert!(matches!(
-            crate::replace::replace_program(&r, &assign),
-            Err(crate::replace::ReplaceError::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn narrow_params_get_grad_sums_but_skip_zero1() {
         // Under batch sharding every updated parameter needs its
         // gradient summed — replicas hold different gradients whatever

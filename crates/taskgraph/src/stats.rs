@@ -19,8 +19,6 @@ pub struct ProgramStats {
     pub bytes: HashMap<(usize, usize), u64>,
     /// Total `Free` instructions (buffer deletions, §4.3).
     pub frees: usize,
-    /// Total `Copy` instructions (local moves from stage folding).
-    pub copies: usize,
     /// Total `Collective` instructions (tensor-parallel all-gather and
     /// data-parallel all-reduce participations, counted per member).
     pub collectives: usize,
@@ -37,11 +35,6 @@ impl ProgramStats {
     /// Total cross-actor bytes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.values().sum()
-    }
-
-    /// Total `Run` instructions.
-    pub fn total_runs(&self) -> usize {
-        self.runs_by_kind.values().sum()
     }
 }
 
@@ -75,7 +68,6 @@ pub fn program_stats(program: &MpmdProgram) -> ProgramStats {
                     *stats.messages.entry((*from, a)).or_insert(0) += 1;
                     *stats.bytes.entry((*from, a)).or_insert(0) += 4 * shape.numel() as u64;
                 }
-                Instr::Copy { .. } => stats.copies += 1,
                 Instr::Free { .. } => stats.frees += 1,
                 Instr::Collective { .. } => stats.collectives += 1,
                 Instr::Send { .. } => {}

@@ -744,10 +744,6 @@ pub fn insert_frees(program: &mut MpmdProgram) {
                 Instr::Recv { buf, .. } => {
                     defined.entry(*buf).or_insert(i);
                 }
-                Instr::Copy { dst, src } => {
-                    last_use.insert(*src, i);
-                    defined.entry(*dst).or_insert(i);
-                }
                 // The wire buffers of remote ranks never materialize in
                 // this actor's store — only the local contribution `src`
                 // (consumed here) and the result `dst` (defined here).

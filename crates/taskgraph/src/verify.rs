@@ -361,16 +361,6 @@ pub fn verify_program(program: &MpmdProgram) -> Result<(), VerifyError> {
                 queue.pop_front();
                 live[a].insert(*buf, shape.clone());
             }
-            Instr::Copy { dst, src } => {
-                let Some(shape) = live[a].get(src).cloned() else {
-                    return Err(VerifyError::UseOfDeadBuffer {
-                        actor: a,
-                        pos,
-                        buf: *src,
-                    });
-                };
-                live[a].insert(*dst, shape);
-            }
             Instr::Free { buf } => {
                 if live[a].remove(buf).is_none() {
                     return Err(VerifyError::BadFree {

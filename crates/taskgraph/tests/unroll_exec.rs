@@ -115,14 +115,6 @@ impl SeqExec {
                 self.stores[actor].insert(buf.0, t);
                 true
             }
-            Instr::Copy { dst, src } => {
-                let t = self.stores[actor]
-                    .get(&src.0)
-                    .expect("copy of missing buffer")
-                    .clone();
-                self.stores[actor].insert(dst.0, t);
-                true
-            }
             Instr::Free { buf } => {
                 assert!(
                     self.stores[actor].remove(&buf.0).is_some(),

@@ -10,14 +10,17 @@
 #   scripts/ab_bench.sh [-n PAIRS] <parent-ref> [workload ...]
 #
 # PAIRS defaults to 10, the least a claim may rest on; no workload
-# means all five (≈ 2 min per side per pair). Everything lands under
+# means all five (≈ 2 min per side per pair, ≈ 50 min in all with the
+# traced runs). Everything lands under
 # target/ab_bench/: a snapshot of the parent (`git archive`, so nothing
 # is registered in .git and `rm -rf` is the clean-up), parent.jsonl and
 # change.jsonl with one report per run. Run length is the benchmark's
 # own (`run_seconds` of BENCHMARK.json) on both sides.
 #
-# The pairs are followed by one `--trace 1` run per side (seed 0,
-# reports in {parent,change}_traced.jsonl) and, under the `compare`
+# The pairs are followed by three alternated `--trace 1` runs per side
+# (seed 0, reports appended to {parent,change}_traced.jsonl, so each
+# evidence row is a median of three: one traced run of the kernel
+# probes spreads with an iqr of 37–83 %) and, under the `compare`
 # table, the per-layer rows that explain a step-time difference — where
 # the actors' time went (four rows, then the share blocked in TP and DP
 # collectives), what tracing costs and how much of the actors' time no
@@ -99,9 +102,17 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-echo "==> traced run (seed 0): parent, change"
-run_side parent_traced "$out/parent" 0 1
-run_side change_traced "$PWD" 0 1
+for ((j = 1; j <= 3; j++)); do
+    if ((j % 2)); then
+        echo "==> traced run $j/3 (seed 0): parent, change"
+        run_side parent_traced "$out/parent" 0 1
+        run_side change_traced "$PWD" 0 1
+    else
+        echo "==> traced run $j/3 (seed 0): change, parent"
+        run_side change_traced "$PWD" 0 1
+        run_side parent_traced "$out/parent" 0 1
+    fi
+done
 
 # `compare` exits 1 when an end-to-end row is worse than its bound; the
 # evidence rows are printed either way and the script exits with it.
@@ -109,7 +120,7 @@ compare=("$package/target/release/benchmark" compare)
 status=0
 echo "==> compare (A = parent $ref, B = change; reports in $out)"
 "${compare[@]}" "$out/parent.jsonl" "$out/change.jsonl" || status=$?
-echo "==> where the actors' time went, what observing it costs, what a step moves, and which ops took it (one traced run per side)"
+echo "==> where the actors' time went, what observing it costs, what a step moves, and which ops took it (medians of three traced runs per side)"
 "${compare[@]}" "$out/parent_traced.jsonl" "$out/change_traced.jsonl" |
     grep -E '^workload|runtime\.(compute_share|recv_wait_share|bubble_excess|pipeline_speedup|tp_collective_wait_share|dp_collective_wait_share|trace_overhead|unaccounted_share|tp_bytes_per_step|dp_bytes_per_step|wire_overhead_s|wire_bytes_per_step|wire_mb_s|send_s_per_step|free_s_per_step) |core\.update_s_per_step |taskgraph\.(collectives_per_step|instrs_per_step) |ir\.(eval_us_per_eqn|tanh_ns_per_elem|gelu_ns_per_elem|single_device_step_s|matmul_gflops|transpose_gb_s|alloc_reuse_ratio|op_s\.[a-z_]+) ' || true
 exit "$status"

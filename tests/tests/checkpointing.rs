@@ -68,6 +68,59 @@ fn resume_from_checkpoint_is_bit_identical() {
     assert_eq!(continued, replayed, "resumed training diverged");
 }
 
+/// A checkpoint is logical state, so it restores into a trainer
+/// compiled for another actor count: two steps of `one_f1b(4, 4)` on 4
+/// actors, then two more on the same schedule folded onto 3 (actor 1's
+/// stage on actor 0), match four uninterrupted steps bit for bit — a
+/// fold of the same schedule is tier 1 of `docs/determinism.md`.
+#[test]
+fn checkpoint_restores_across_actor_counts_bitwise() {
+    let model = mlp_chain(6, 2, 4, 4, 84).unwrap();
+    let schedule = one_f1b(4, 4).unwrap();
+    let folded = schedule.fold(&[0, 0, 2, 3]).unwrap();
+    let optimizer = Optimizer::adam(5e-3);
+    let build = |schedule| {
+        let t = compile_train_step(
+            &model.jaxpr,
+            model.n_params,
+            schedule,
+            optimizer,
+            CompileOptions::default(),
+        )
+        .unwrap();
+        t.init(&model.init).unwrap();
+        t
+    };
+    let d = data(4, 85);
+
+    let whole = build(&schedule);
+    let losses: Vec<Vec<f32>> = (0..4).map(|_| whole.step(&d).unwrap().losses).collect();
+
+    let first = build(&schedule);
+    for _ in 0..2 {
+        first.step(&d).unwrap();
+    }
+    let mut ckpt = Vec::new();
+    first.save_checkpoint(&mut ckpt).unwrap();
+    let second = build(&folded);
+    second.restore_checkpoint(ckpt.as_slice()).unwrap();
+    let resumed: Vec<Vec<f32>> = (0..2).map(|_| second.step(&d).unwrap().losses).collect();
+
+    assert_eq!(
+        &losses[2..],
+        &resumed[..],
+        "losses diverged across the fold"
+    );
+    let (a, b) = (whole.params().unwrap(), second.params().unwrap());
+    for (p, (a, b)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(a.data(), b.data(), "param {p} diverged across the fold");
+    }
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    whole.save_checkpoint(&mut x).unwrap();
+    second.save_checkpoint(&mut y).unwrap();
+    assert_eq!(x, y, "optimizer moments diverged across the fold");
+}
+
 #[test]
 fn restore_rejects_mismatched_checkpoints() {
     let model = mlp_chain(6, 2, 4, 2, 83).unwrap();

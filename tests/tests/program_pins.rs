@@ -13,8 +13,8 @@ use raxpp_integration::{adjacent_fold, schedules_for, trace, RandomModel};
 use raxpp_models::{mlp_chain, tiny_lm, BuiltModel, TinyLmConfig};
 use raxpp_sched::{gpipe, one_f1b, Schedule};
 use raxpp_taskgraph::{
-    forward_project, insert_frees, pipeline_model, replace_program, unroll_loop, verify_program,
-    MpmdProgram, UnrollOptions,
+    forward_project, insert_frees, pipeline_model, unroll_loop, verify_program, MpmdProgram,
+    UnrollOptions,
 };
 
 struct Fnv(u64);
@@ -140,19 +140,19 @@ fn rows() -> Vec<(String, u64)> {
                 }
                 rows.push((row("compile tp/dp"), h.0));
 
-                // Every adjacent fold of the loop and of the step program
-                // (what `Runtime::rebalance` re-places), errors included.
+                // Every adjacent fold, compiled as a rebalance compiles
+                // it: the folded schedule's loop and step program.
                 for k in 0..n - 1 {
+                    let folded = schedule.fold(&adjacent_fold(n, k)).unwrap();
+                    let mut folded_loop =
+                        unroll_loop(&pmodel, &folded, UnrollOptions { loop_commuting })
+                            .unwrap()
+                            .program;
+                    insert_frees(&mut folded_loop);
+                    verify_program(&folded_loop).unwrap();
                     let mut h = Fnv::new();
-                    for program in [&looped, &step] {
-                        match replace_program(program, &adjacent_fold(n, k)) {
-                            Ok(folded) => {
-                                verify_program(&folded).unwrap();
-                                h.program(&folded);
-                            }
-                            Err(e) => h.text(&e.to_string()),
-                        }
-                    }
+                    h.program(&folded_loop);
+                    h.program(&compiled(&model, &folded, sgd, opts.clone()));
                     rows.push((row(&format!("fold {} -> {k}", k + 1)), h.0));
                 }
             }
@@ -238,145 +238,154 @@ fn rows() -> Vec<(String, u64)> {
 /// ZeRO-1 stopped folding `-0.0`-padded parameter slices with a second
 /// all-reduce: the gradient is reduce-scattered on dim 0, the update
 /// runs on the replica's block, and the parameter blocks are
-/// all-gathered. The plain-DP benchmark row did not move. Every other
-/// row is byte-equal.
+/// all-gathered. The plain-DP benchmark row did not move.
+///
+/// The 15 rows marked "folds keep actor ids" moved when
+/// `Schedule::fold` stopped compacting: a fold keeps every actor, the
+/// emptied ones with no tasks, and the name counts the actors with
+/// tasks. The 60 rows marked "compiled fold" moved when a rebalance
+/// stopped rewriting the compiled program (re-placement, with local
+/// copies) and compiled the folded schedule instead: each row now
+/// hashes the loop and the step program of `S.fold(assign)`. Among
+/// them are the twelve skip-connection rows of the first paragraph.
+/// Every other row is byte-equal.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("4/4 | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
+    ("4/4 | gpipe(pp=4, mb=4) | Schedule::fold", 0x4a539f218b96bed6), // folds keep actor ids
     ("4/4 | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0xda82a2049a716a33),
     ("4/4 | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0xe55a7c7e8dcfb1ca), // ZeRO-1 reduce-scatter
-    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0x04c22c26e6b15c64),
-    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0xe1852890dc83d5f4),
-    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x310d08312ff5403e),
+    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0x679f86585d691e00), // compiled fold
+    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0x501b7643e77b5fd6), // compiled fold
+    ("4/4 | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0xda27ccd63381c908), // compiled fold
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0xda82a2049a716a33),
     ("4/4 | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0xe55a7c7e8dcfb1ca), // ZeRO-1 reduce-scatter
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x04c22c26e6b15c64),
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xe1852890dc83d5f4),
-    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x310d08312ff5403e),
-    ("4/4 | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x679f86585d691e00), // compiled fold
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x501b7643e77b5fd6), // compiled fold
+    ("4/4 | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xda27ccd63381c908), // compiled fold
+    ("4/4 | 1f1b(pp=4, mb=4) | Schedule::fold", 0x3dbc6bb4801865e1), // folds keep actor ids
     ("4/4 | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x2ad33f4dde360310),
     ("4/4 | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x2ce585bec928ac60), // ZeRO-1 reduce-scatter
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0xf97609652a2d6685),
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
-    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0x4c4e22e59e770ac9), // compiled fold
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0x224dc802d33c9a24), // compiled fold
+    ("4/4 | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x818b2f9a449c517b), // compiled fold
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x2ad33f4dde360310),
     ("4/4 | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x2ce585bec928ac60), // ZeRO-1 reduce-scatter
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf97609652a2d6685),
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xedb5700b7cfd7f65),
-    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x8145872b3ba6ab7b),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x4c4e22e59e770ac9), // compiled fold
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x224dc802d33c9a24), // compiled fold
+    ("4/4 | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x818b2f9a449c517b), // compiled fold
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0x4168bd06547161e4), // folds keep actor ids
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0x5b8a3aa22f05fd20),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0xf6bb5967d5617c59), // ZeRO-1 reduce-scatter
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0x69dd833b62137a15),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x6237cd58153d3b8f),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0xa73770b695cd0c0e), // compiled fold
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x4f74eaa304d59b9b), // compiled fold
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0x895097fcf7aba711), // compiled fold
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x5b8a3aa22f05fd20),
     ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xf6bb5967d5617c59), // ZeRO-1 reduce-scatter
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x69dd833b62137a15),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x6237cd58153d3b8f),
-    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xbbe8f8eac4120d5d),
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xa73770b695cd0c0e), // compiled fold
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x4f74eaa304d59b9b), // compiled fold
+    ("4/4 | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x895097fcf7aba711), // compiled fold
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0xae38bf3423911bc8), // folds keep actor ids
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0xe66fd749f89f8024),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0x9699ff337086a4eb), // ZeRO-1 reduce-scatter
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0xabd621dc1fb9a653),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0x5b60d3880cd4c5d5), // compiled fold
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xe66fd749f89f8024),
     ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x9699ff337086a4eb), // ZeRO-1 reduce-scatter
-    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0xabd621dc1fb9a653),
-    ("4/2 tied | gpipe(pp=2, mb=4) | Schedule::fold", 0x47d244affaa8bfa2),
+    ("4/4 | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0x5b60d3880cd4c5d5), // compiled fold
+    ("4/2 tied | gpipe(pp=2, mb=4) | Schedule::fold", 0x513aab3fb5571335), // folds keep actor ids
     ("4/2 tied | gpipe(pp=2, mb=4) | lc | loop + forward + step", 0xe434a8ce1224e56b),
     ("4/2 tied | gpipe(pp=2, mb=4) | lc | compile tp/dp", 0x54159205899657ee), // ZeRO-1 reduce-scatter
-    ("4/2 tied | gpipe(pp=2, mb=4) | lc | fold 1 -> 0", 0xa4dc64424a580f1d),
+    ("4/2 tied | gpipe(pp=2, mb=4) | lc | fold 1 -> 0", 0x767961d3fe2b800f), // compiled fold
     ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | loop + forward + step", 0x5b5a8a85fd5925a9),
     ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | compile tp/dp", 0x7cb74db322f01540), // ZeRO-1 reduce-scatter
-    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x15ec94b64471adbb),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
+    ("4/2 tied | gpipe(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x014e0783d8b421c9), // compiled fold
+    ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x064d6233e6755ece), // folds keep actor ids
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf465ff8085435267), // ZeRO-1 reduce-scatter
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0xdd0ea818f0bdea6a), // compiled fold
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x7c8d8404fa21b0db), // ZeRO-1 reduce-scatter
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | Schedule::fold", 0x8f34d68e10f76812),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x7e7312d35c0bc261), // compiled fold
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | Schedule::fold", 0x029f9e4058811419), // folds keep actor ids
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | loop + forward + step", 0x1ca434d711743d70),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | compile tp/dp", 0x3dab8e75f7aa7300), // ZeRO-1 reduce-scatter
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | fold 1 -> 0", 0xffdd0e38cb76fa98),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | lc | fold 1 -> 0", 0xd734e3be116c8fa8), // compiled fold
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | loop + forward + step", 0xb42ab4ea6c0006c1),
     ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | compile tp/dp", 0x7e4701ca222ed804), // ZeRO-1 reduce-scatter
-    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x6e7d1997cfd1d293),
-    ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x1493168a66440a9d),
+    ("4/2 tied | zero_bubble_h1(pp=2, mb=4) | no-lc | fold 1 -> 0", 0xa2ca3256c3a3d4d9), // compiled fold
+    ("4/2 tied | 1f1b(pp=2, mb=4) | Schedule::fold", 0x064d6233e6755ece), // folds keep actor ids
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | loop + forward + step", 0xd5bbb59d367128aa),
     ("4/2 tied | 1f1b(pp=2, mb=4) | lc | compile tp/dp", 0xf465ff8085435267), // ZeRO-1 reduce-scatter
-    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0x07f2c7558676df7c),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | lc | fold 1 -> 0", 0xdd0ea818f0bdea6a), // compiled fold
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | loop + forward + step", 0xf267bc95cf4c3f95),
     ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | compile tp/dp", 0x7c8d8404fa21b0db), // ZeRO-1 reduce-scatter
-    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x96d96f708420ac73),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | Schedule::fold", 0x5807fd28dfbd8e62),
+    ("4/2 tied | 1f1b(pp=2, mb=4) | no-lc | fold 1 -> 0", 0x7e7312d35c0bc261), // compiled fold
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | Schedule::fold", 0x4a539f218b96bed6), // folds keep actor ids
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | loop + forward + step", 0x275833c39f1c4eea),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | compile tp/dp", 0xf53231ea8fed527c), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0xaf03a327baa33c44),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0x955d9911b3226719),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x35f80f71336c36c7),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 1 -> 0", 0x5d9f8fc4c38903da), // compiled fold
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 2 -> 1", 0x1ef0ddd37837051f), // compiled fold
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | lc | fold 3 -> 2", 0x12c3a01a6214729b), // compiled fold
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | loop + forward + step", 0x321720bb511dbf76),
     ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | compile tp/dp", 0xc8bc56b13474627e), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xf7f029d826badfa2),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xee1b5fefb70250bd),
-    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xb64926d740f33d09),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | Schedule::fold", 0x4b13360b603bccf1),
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x5680c367ad4c4646), // compiled fold
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xd61a5453414ae193), // compiled fold
+    ("6/4 tied+skip | gpipe(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x9bc077c346eafd7d), // compiled fold
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | Schedule::fold", 0x3dbc6bb4801865e1), // folds keep actor ids
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | loop + forward + step", 0x1120d99b0d72bedf),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | compile tp/dp", 0x61e49ef3bbad3dcb), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0x06cadae2f8047ba1),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0xfde8afc5c8ffca98),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0x2bc49522efe335dc),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 1 -> 0", 0x9f279e76f92bb806), // compiled fold
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 2 -> 1", 0x8f79ce55c1469c44), // compiled fold
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | lc | fold 3 -> 2", 0xb61187ccafb43d94), // compiled fold
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | loop + forward + step", 0x287a9d04778116d8),
     ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | compile tp/dp", 0x334fa632453d9d89), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xb9faaeabc68dd12c),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0x04166fc812273713),
-    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x366888ef98821e3b),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0xe31a98975b27d24e),
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x7c180ca8933c52a9), // compiled fold
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xa031fffabec87edf), // compiled fold
+    ("6/4 tied+skip | 1f1b(pp=4, mb=4) | no-lc | fold 3 -> 2", 0xe2bc2b9877e30e6a), // compiled fold
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | Schedule::fold", 0x4168bd06547161e4), // folds keep actor ids
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | loop + forward + step", 0xc7a19f4fbaf541fb),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | compile tp/dp", 0x0400d70462e53d2f), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0xa7b1b7425ba8b23f),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0x0b0854a051c1f0c6),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0x010986490ed9b58a),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 1 -> 0", 0xa7bb6facd958f519), // compiled fold
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 2 -> 1", 0xd88ac4d34c5ceb22), // compiled fold
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | lc | fold 3 -> 2", 0xf324f7c12d4dbc4e), // compiled fold
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | loop + forward + step", 0x72179b042b717d82),
     ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | compile tp/dp", 0xdab7b9362478b8f3), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0xce20e29abe6ca41a),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xb4d86f97f79f7c55),
-    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x7f05147749450133),
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0x105111f7f6535047),
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 1 -> 0", 0x2760a0f35457ab52), // compiled fold
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 2 -> 1", 0xb7b11045e628fc55), // compiled fold
+    ("6/4 tied+skip | zero_bubble_h1(pp=4, mb=4) | no-lc | fold 3 -> 2", 0x1db6255ad8d6bf9e), // compiled fold
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | Schedule::fold", 0xae38bf3423911bc8), // folds keep actor ids
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | loop + forward + step", 0x9da58f2876ae5562),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | compile tp/dp", 0xed84bd0f2fd77b33), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0x7bd3a994f4e03a6a),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | lc | fold 1 -> 0", 0x33e571a61ddfca53), // compiled fold
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | loop + forward + step", 0xb99f6ada3d2fd0e3),
     ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | compile tp/dp", 0x42cdaecf77e1141b), // ZeRO-1 reduce-scatter
-    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0x371995e101d004bb),
-    ("5/3 skip | gpipe(pp=3, mb=4) | Schedule::fold", 0x2e680166fa95997d),
+    ("6/4 tied+skip | interleaved_1f1b(pp=2, mb=4, repeat=2) | no-lc | fold 1 -> 0", 0xbc98ad4ceb2dad66), // compiled fold
+    ("5/3 skip | gpipe(pp=3, mb=4) | Schedule::fold", 0xba4934aed4a4ad51), // folds keep actor ids
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | loop + forward + step", 0xf16110322f4f778e),
     ("5/3 skip | gpipe(pp=3, mb=4) | lc | compile tp/dp", 0xee0554037065f89f), // ZeRO-1 reduce-scatter
-    ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
-    ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
+    ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 1 -> 0", 0xd3b6c91a3fa96279), // compiled fold
+    ("5/3 skip | gpipe(pp=3, mb=4) | lc | fold 2 -> 1", 0x53a70bb2df3ac0a4), // compiled fold
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | loop + forward + step", 0xf16110322f4f778e),
     ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | compile tp/dp", 0xee0554037065f89f), // ZeRO-1 reduce-scatter
-    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x7133669648b47891), // PR 24: was `Stuck`
-    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 2 -> 1", 0x1ea3fc297842456a), // PR 24: was `Stuck`
-    ("5/3 skip | 1f1b(pp=3, mb=4) | Schedule::fold", 0x4991bfd4838dfd30),
+    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 1 -> 0", 0xd3b6c91a3fa96279), // compiled fold
+    ("5/3 skip | gpipe(pp=3, mb=4) | no-lc | fold 2 -> 1", 0x53a70bb2df3ac0a4), // compiled fold
+    ("5/3 skip | 1f1b(pp=3, mb=4) | Schedule::fold", 0x68e04d612910ca81), // folds keep actor ids
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | loop + forward + step", 0x7abd710cf02d8858),
     ("5/3 skip | 1f1b(pp=3, mb=4) | lc | compile tp/dp", 0x6abd0e0091e8a905), // ZeRO-1 reduce-scatter
-    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
-    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
+    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 1 -> 0", 0xf26436849b7487ca), // compiled fold
+    ("5/3 skip | 1f1b(pp=3, mb=4) | lc | fold 2 -> 1", 0xaa382539a3e2f2f4), // compiled fold
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | loop + forward + step", 0x7abd710cf02d8858),
     ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | compile tp/dp", 0x6abd0e0091e8a905), // ZeRO-1 reduce-scatter
-    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x1721f4593ae574e1), // PR 24: was `Stuck`
-    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xa2ecc83c06c3683e), // PR 24: was `Stuck`
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | Schedule::fold", 0x33c398659cc0ff25),
+    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 1 -> 0", 0xf26436849b7487ca), // compiled fold
+    ("5/3 skip | 1f1b(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xaa382539a3e2f2f4), // compiled fold
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | Schedule::fold", 0x505ddbcc2c45209f), // folds keep actor ids
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | loop + forward + step", 0xa458d03af3b59a78),
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | compile tp/dp", 0x43463f955d298812), // ZeRO-1 reduce-scatter
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 1 -> 0", 0xec93626e24446041), // compiled fold
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | lc | fold 2 -> 1", 0xdc928a67ae6edbec), // compiled fold
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | loop + forward + step", 0xa458d03af3b59a78),
     ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | compile tp/dp", 0x43463f955d298812), // ZeRO-1 reduce-scatter
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 1 -> 0", 0x9ed612b52f07da4f), // PR 24: was `Stuck`
-    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xb6fa717e4480e978), // PR 24: was `Stuck`
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 1 -> 0", 0xec93626e24446041), // compiled fold
+    ("5/3 skip | zero_bubble_h1(pp=3, mb=4) | no-lc | fold 2 -> 1", 0xdc928a67ae6edbec), // compiled fold
     ("benchmark | mlp_gpipe_pp4", 0x73625d4752b2e453),
     ("benchmark | lm_1f1b_pp2", 0xd6065f582d6f64a2),
     ("benchmark | mlp_1f1b_pp4_uds", 0xde5debb4ebaca1ba),
